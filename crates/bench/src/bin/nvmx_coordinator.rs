@@ -64,9 +64,9 @@ use nvmexplorer_core::fsutil::AtomicFileWriter;
 use nvmexplorer_core::reshard::{Action, ReshardConfig, Resharder};
 use nvmexplorer_core::scheduler::run_on_lanes;
 use nvmexplorer_core::sweep::StudyResult;
-use nvmexplorer_core::transport::{Endpoint, Listener, TransportKind};
+use nvmexplorer_core::transport::{read_frame_line, Endpoint, Listener, TransportKind};
 use nvmexplorer_core::wire::{
-    EventReplayer, LeaseFrame, OwnedStudyEvent, SlotMerger, WireFrame, WorkerFrame,
+    EventReplayer, LeaseFrame, OwnedStudyEvent, SlotMerger, WireFrame, WorkerFrame, WorkerLine,
 };
 use nvmx_bench::campaign::{
     fault_csv, fault_summary_line, load_campaign, results_csv, summary_line,
@@ -506,16 +506,19 @@ fn spawn_shard(
         let mut ok = true;
         let mut detail = String::new();
         let mut killed = false;
-        let mut lines = BufReader::new(stdout).lines();
-        while let Some(line) = lines.next() {
-            let line = match line {
-                Ok(line) => line,
+        let mut reader = BufReader::new(stdout);
+        let mut line = String::new();
+        loop {
+            match read_frame_line(&mut reader, &mut line) {
+                Ok(true) => {}
+                Ok(false) => break,
                 Err(e) => {
                     ok = false;
                     detail = format!("read error: {e}");
                     break;
                 }
-            };
+            }
+            let line = std::mem::take(&mut line);
             if line.trim().is_empty() {
                 continue;
             }
@@ -537,7 +540,8 @@ fn spawn_shard(
                     // pipe, it is the torn tail a SIGKILL/OOM-kill leaves
                     // when the worker died mid-write — that is worker
                     // *death*, and the respawn path must get its chance.
-                    if lines.next().is_some() {
+                    let mut next = String::new();
+                    if !matches!(read_frame_line(&mut reader, &mut next), Ok(false)) {
                         ok = false;
                         detail = e.to_string();
                         let _ = tx.send(Msg::Bad(e.to_string()));
@@ -868,82 +872,77 @@ enum NetEv {
 /// and event frames. `preset` names the worker ahead of its `hello`
 /// (known a priori for pipe children).
 fn pump_worker_lines<R: BufRead>(
-    reader: R,
+    mut reader: R,
     writer: Box<dyn Write + Send>,
     preset: Option<String>,
     tx: &mpsc::SyncSender<NetEv>,
 ) {
     let mut writer = Some(writer);
     let mut name = preset;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut line = String::new();
+    loop {
+        match read_frame_line(&mut reader, &mut line) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => {
+                // An oversized line is protocol garbage like any other;
+                // a plain read error is the connection ending.
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    let _ = tx.send(NetEv::Bad {
+                        name: name.clone(),
+                        detail: e.to_string(),
+                    });
+                    return;
+                }
+                break;
+            }
+        }
         if line.trim().is_empty() {
             continue;
         }
-        if WorkerFrame::is_worker_line(&line) {
-            match WorkerFrame::parse(&line) {
-                Ok(WorkerFrame::Hello {
-                    name: hello_name,
-                    study,
-                    ..
-                }) => {
-                    name = Some(hello_name.clone());
-                    if let Some(writer) = writer.take() {
-                        if tx
-                            .send(NetEv::Connected {
-                                name: hello_name,
-                                study,
-                                writer,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
+        // One pass over the line classifies and decodes it.
+        match WorkerLine::parse(&line) {
+            Ok(WorkerLine::Control(WorkerFrame::Hello {
+                name: hello_name,
+                study,
+                ..
+            })) => {
+                name = Some(hello_name.clone());
+                if let Some(writer) = writer.take() {
+                    if tx
+                        .send(NetEv::Connected {
+                            name: hello_name,
+                            study,
+                            writer,
+                        })
+                        .is_err()
+                    {
+                        return;
                     }
                 }
-                Ok(frame) => {
-                    if let Some(name) = &name {
-                        if tx
-                            .send(NetEv::Control {
-                                name: name.clone(),
-                                frame,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(NetEv::Bad {
+            }
+            Ok(parsed) => {
+                let Some(name) = &name else { continue };
+                let ev = match parsed {
+                    WorkerLine::Control(frame) => NetEv::Control {
                         name: name.clone(),
-                        detail: e.to_string(),
-                    });
+                        frame,
+                    },
+                    WorkerLine::Event(frame) => NetEv::Frame {
+                        name: name.clone(),
+                        boxed: Box::new((*frame, std::mem::take(&mut line))),
+                    },
+                };
+                if tx.send(ev).is_err() {
                     return;
                 }
             }
-        } else {
-            match WireFrame::parse(&line) {
-                Ok(frame) => {
-                    if let Some(name) = &name {
-                        if tx
-                            .send(NetEv::Frame {
-                                name: name.clone(),
-                                boxed: Box::new((frame, line)),
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(NetEv::Bad {
-                        name: name.clone(),
-                        detail: e.to_string(),
-                    });
-                    return;
-                }
+            Err(e) => {
+                let _ = tx.send(NetEv::Bad {
+                    name: name.clone(),
+                    detail: e.to_string(),
+                });
+                return;
             }
         }
     }

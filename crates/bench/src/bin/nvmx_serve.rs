@@ -50,9 +50,10 @@
 //! Exit codes: `0` clean drain, `1` runtime failure, `2` usage error.
 
 use nvmexplorer_core::service::{CampaignService, ServiceConfig};
+use nvmexplorer_core::transport::read_frame_line;
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame};
 use nvmx_bench::service_net::{Endpoint, Listener, Stream};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -107,31 +108,48 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Writes one response line; an `Err` means the client is gone.
-fn respond(stream: &mut Stream, response: &ResponseFrame) -> std::io::Result<()> {
-    stream.write_all(response.to_line().as_bytes())?;
-    stream.write_all(b"\n")?;
+/// The buffered write half of a client connection.
+type ClientWriter = BufWriter<Stream>;
+
+/// Writes one response line and flushes; an `Err` means the client is
+/// gone.
+fn respond(stream: &mut ClientWriter, response: &ResponseFrame) -> std::io::Result<()> {
+    let mut line = response.to_line();
+    line.push('\n');
+    stream.write_all(line.as_bytes())?;
     stream.flush()
 }
 
 /// Streams a session's event channel to the client: every retained frame
 /// from the start, then live until terminal, then the `done` response.
-/// Returns `Err` only when the client is gone — the session itself is
-/// untouched either way (it writes to the server-side log, never to this
-/// socket).
+/// Frames go out through the connection's buffer: every line already in
+/// the log is drained, and the buffer is flushed only before the cursor
+/// blocks and at the terminal frame — a few large socket writes instead of
+/// two small ones per frame. Returns `Err` only when the client is gone —
+/// the session itself is untouched either way (it writes to the
+/// server-side log, never to this socket).
 fn stream_session(
     service: &CampaignService,
     session: u64,
-    stream: &mut Stream,
+    stream: &mut ClientWriter,
 ) -> std::io::Result<()> {
     let mut cursor = service
         .events(session)
         .expect("caller verified the session exists");
-    while let Some(line) = cursor.next_line() {
+    loop {
+        let line = match cursor.try_next_line() {
+            Some(line) => line,
+            None => {
+                stream.flush()?;
+                match cursor.next_line() {
+                    Some(line) => line,
+                    None => break,
+                }
+            }
+        };
         stream.write_all(line.as_bytes())?;
         stream.write_all(b"\n")?;
     }
-    stream.flush()?;
     let snapshot = cursor.snapshot();
     eprintln!(
         "session {} ({}): {} cache hits={} misses={} pruned={} l2_hits={} l2_misses={} l2_rejects={}",
@@ -160,12 +178,25 @@ fn stream_session(
 /// shutdown request arrives.
 fn handle(service: &CampaignService, stream: Stream, drain: &AtomicBool, listen: &Endpoint) {
     let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
+        Ok(writer) => BufWriter::with_capacity(64 * 1024, writer),
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    loop {
+        match read_frame_line(&mut reader, &mut line) {
+            Ok(true) => {}
+            Ok(false) => return,
+            Err(e) => {
+                // An oversized request cannot be resynchronized mid-line:
+                // say why, then drop the connection.
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    let reason = format!("bad request: {e}");
+                    let _ = respond(&mut writer, &ResponseFrame::Error { reason });
+                }
+                return;
+            }
+        }
         if line.trim().is_empty() {
             continue;
         }

@@ -65,11 +65,11 @@
 
 use nvmexplorer_core::config::CampaignConfig;
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
-use nvmexplorer_core::transport::{Connection, Endpoint};
+use nvmexplorer_core::transport::{read_frame_line, Connection, Endpoint};
 use nvmexplorer_core::wire::{LeaseFrame, Shard, WireSink, WorkerFrame};
 use nvmx_nvsim::SubarrayCache;
 use std::collections::{HashSet, VecDeque};
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -211,7 +211,7 @@ fn parse_args() -> Result<Options, String> {
 /// The full deterministic event stream, accumulating as the compute
 /// thread runs. `lines[seq]` is the serialized wire line for slot `seq`.
 struct Buffered {
-    lines: Vec<String>,
+    lines: Vec<Arc<str>>,
     done: bool,
     failed: Option<String>,
 }
@@ -239,45 +239,82 @@ struct NetControl {
 /// The socket/pipe write half, shared by every sending thread. Replaced
 /// wholesale on a reconnect; send failures are tolerated (the reader
 /// thread notices the broken connection and drives recovery).
+///
+/// Lines are buffered, not flushed per frame: the emitter flushes before
+/// it blocks (waiting for compute or for a grant), at the end of each
+/// lease, and before a fault hook fires; control lines (hello,
+/// heartbeat, done) go out immediately through [`Self::send_now`].
 struct Link {
-    writer: Mutex<Box<dyn Write + Send>>,
+    writer: Mutex<BufWriter<Box<dyn Write + Send>>>,
 }
 
 impl Link {
+    fn new(writer: Box<dyn Write + Send>) -> Self {
+        Self {
+            writer: Mutex::new(BufWriter::with_capacity(64 * 1024, writer)),
+        }
+    }
+
+    fn writer(&self) -> std::sync::MutexGuard<'_, BufWriter<Box<dyn Write + Send>>> {
+        self.writer.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Buffers one line.
     fn send(&self, line: &str) -> std::io::Result<()> {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let mut writer = self.writer();
+        writer.write_all(line.as_bytes())?;
+        writer.write_all(b"\n")
+    }
+
+    /// Delivers everything buffered so far.
+    fn flush(&self) -> std::io::Result<()> {
+        self.writer().flush()
+    }
+
+    /// Buffers one line and delivers it (with anything buffered before).
+    fn send_now(&self, line: &str) -> std::io::Result<()> {
+        let mut writer = self.writer();
         writer.write_all(line.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()
     }
 
     fn replace(&self, writer: Box<dyn Write + Send>) {
-        *self.writer.lock().unwrap_or_else(|e| e.into_inner()) = writer;
+        *self.writer() = BufWriter::with_capacity(64 * 1024, writer);
     }
 }
 
 /// A `Write` that turns the byte stream of an unsharded [`WireSink`] back
 /// into whole lines and appends them to the shared buffer — the compute
-/// thread's sink in leased mode.
+/// thread's sink in leased mode. Lines are found with a slice search and
+/// each is copied once, into its shared allocation.
 struct LineBuffer {
     shared: Arc<NetShared>,
     partial: Vec<u8>,
 }
 
+impl LineBuffer {
+    fn publish(&self, line: &[u8]) {
+        let line: Arc<str> = Arc::from(std::str::from_utf8(line).expect("wire lines are UTF-8"));
+        self.shared.buffered.lock().unwrap().lines.push(line);
+        self.shared.buffer_wake.notify_all();
+    }
+}
+
 impl Write for LineBuffer {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        for &byte in buf {
-            if byte == b'\n' {
-                let line = String::from_utf8(std::mem::take(&mut self.partial))
-                    .expect("wire lines are UTF-8");
-                let mut buffered = self.shared.buffered.lock().unwrap();
-                buffered.lines.push(line);
-                drop(buffered);
-                self.shared.buffer_wake.notify_all();
+        let mut rest = buf;
+        while let Some(at) = rest.iter().position(|&b| b == b'\n') {
+            if self.partial.is_empty() {
+                self.publish(&rest[..at]);
             } else {
-                self.partial.push(byte);
+                let mut line = std::mem::take(&mut self.partial);
+                line.extend_from_slice(&rest[..at]);
+                self.publish(&line);
             }
+            rest = &rest[at + 1..];
         }
+        self.partial.extend_from_slice(rest);
         Ok(buf.len())
     }
 
@@ -355,15 +392,13 @@ fn run_leased(
         }
     };
     let (mut reader, writer) = conn.into_split();
-    let link = Arc::new(Link {
-        writer: Mutex::new(writer),
-    });
+    let link = Arc::new(Link::new(writer));
     let hello = WorkerFrame::Hello {
         name: name.clone(),
         study: study_name.clone(),
         resume: false,
     };
-    if link.send(&hello.to_line()).is_err() && pipe {
+    if link.send_now(&hello.to_line()).is_err() && pipe {
         return 1;
     }
 
@@ -396,7 +431,7 @@ fn run_leased(
                 seen,
                 sent: compute_shared.sent.load(Ordering::Relaxed),
             };
-            let _ = compute_link.send(&done.to_line());
+            let _ = compute_link.send_now(&done.to_line());
         });
 
         // Heartbeat thread: liveness decoupled from compute progress, so a
@@ -416,7 +451,7 @@ fn run_leased(
                 seen,
                 sent: beat_shared.sent.load(Ordering::Relaxed),
             };
-            let _ = beat_link.send(&beat.to_line());
+            let _ = beat_link.send_now(&beat.to_line());
         });
 
         // Emitter thread: walk granted leases in FIFO order, sending each
@@ -446,48 +481,77 @@ fn run_leased(
                     revoked = true;
                     break;
                 }
-                // Wait for the compute thread to reach this slot.
+                // Wait for the compute thread to reach this slot — after
+                // delivering what is already buffered, so waiting on
+                // compute never holds back emitted frames.
                 let line = {
                     let mut buffered = emit_shared.buffered.lock().unwrap();
+                    let mut flushed = false;
                     loop {
                         if buffered.failed.is_some() {
                             return;
                         }
                         if (seq as usize) < buffered.lines.len() {
-                            break Some(buffered.lines[seq as usize].clone());
+                            break Some(Arc::clone(&buffered.lines[seq as usize]));
                         }
                         if buffered.done {
                             break None; // lease reaches past the stream end
                         }
-                        buffered = emit_shared.buffer_wake.wait(buffered).unwrap();
+                        if flushed {
+                            buffered = emit_shared.buffer_wake.wait(buffered).unwrap();
+                        } else {
+                            drop(buffered);
+                            let _ = emit_link.flush();
+                            flushed = true;
+                            buffered = emit_shared.buffered.lock().unwrap();
+                        }
                     }
                 };
                 let Some(line) = line else { break };
                 let sent = emit_shared.sent.load(Ordering::Relaxed);
                 if die_after.is_some_and(|limit| sent >= limit) {
+                    let _ = emit_link.flush();
                     std::process::exit(137);
                 }
                 if stall_after.is_some_and(|limit| sent >= limit) {
+                    let _ = emit_link.flush();
                     stall_forever();
                 }
-                if let Some(ms) = throttle {
-                    std::thread::sleep(Duration::from_millis(ms));
+                match throttle {
+                    // The slow-worker hook keeps per-frame delivery, so the
+                    // coordinator measures its true emission rate.
+                    Some(ms) => {
+                        std::thread::sleep(Duration::from_millis(ms));
+                        let _ = emit_link.send_now(&line);
+                    }
+                    None => {
+                        let _ = emit_link.send(&line);
+                    }
                 }
-                let _ = emit_link.send(&line);
                 emit_shared.sent.fetch_add(1, Ordering::Relaxed);
             }
             if !revoked {
                 let drained = WorkerFrame::Drained { lease: id };
                 let _ = emit_link.send(&drained.to_line());
             }
+            // End of lease: deliver it before waiting for the next grant.
+            let _ = emit_link.flush();
         });
 
         // Reader (this thread): lease frames in, reconnect on a dropped
         // socket, stop on shutdown.
+        let mut line = String::new();
         loop {
-            let mut line = String::new();
-            let n = std::io::BufRead::read_line(&mut reader, &mut line).unwrap_or(0);
-            if n == 0 {
+            let more = match read_frame_line(&mut reader, &mut line) {
+                Ok(more) => more,
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                    eprintln!("bad lease line from coordinator: {e}");
+                    shutdown(&shared);
+                    std::process::exit(1);
+                }
+                Err(_) => false,
+            };
+            if !more {
                 // Connection gone. Pipe workers die with their
                 // coordinator; socket workers try to rejoin.
                 if pipe || run_failed(&shared) {
@@ -512,7 +576,7 @@ fn run_leased(
                     study: study_name.clone(),
                     resume: true,
                 };
-                let _ = link.send(&hello.to_line());
+                let _ = link.send_now(&hello.to_line());
                 continue;
             }
             let trimmed = line.trim_end();

@@ -11,7 +11,7 @@
 use nvmexplorer_core::config::{CampaignConfig, StudyConfig};
 use nvmexplorer_core::fault_study::FaultOutcome;
 use nvmexplorer_core::sweep::StudyResult;
-use nvmx_viz::csv::{num, Csv};
+use nvmx_viz::csv::Csv;
 
 /// Atomic artifact publication — the shared temp+rename writer
 /// ([`nvmexplorer_core::fsutil`]), re-exported under its historical home so
@@ -72,26 +72,26 @@ pub fn results_csv(study: &StudyConfig, result: &StudyResult) -> Csv {
     ]);
     for eval in &result.evaluations {
         let a = &eval.array;
-        csv.row([
-            a.cell_name.clone(),
-            a.technology.label().to_owned(),
-            num(a.capacity.as_mebibytes()),
-            a.bits_per_cell.to_string(),
-            a.target.label().to_owned(),
-            eval.traffic.name.clone(),
-            num(a.read_latency.value() * 1e9),
-            num(a.write_latency.value() * 1e9),
-            num(a.read_energy.value() * 1e12),
-            num(a.write_energy.value() * 1e12),
-            num(a.leakage.value() * 1e3),
-            num(a.area.value()),
-            num(a.density_mbit_per_mm2()),
-            num(eval.total_power().value() * 1e3),
-            num(eval.aggregate_latency.value() * 1e3),
-            num(eval.lifetime_years()),
-            eval.is_feasible().to_string(),
-            study.constraints.admits(eval).to_string(),
-        ]);
+        // Every cell is formatted straight into the document body.
+        csv.push_row()
+            .text(&a.cell_name)
+            .text(a.technology.label())
+            .num(a.capacity.as_mebibytes())
+            .display(a.bits_per_cell)
+            .text(a.target.label())
+            .text(&eval.traffic.name)
+            .num(a.read_latency.value() * 1e9)
+            .num(a.write_latency.value() * 1e9)
+            .num(a.read_energy.value() * 1e12)
+            .num(a.write_energy.value() * 1e12)
+            .num(a.leakage.value() * 1e3)
+            .num(a.area.value())
+            .num(a.density_mbit_per_mm2())
+            .num(eval.total_power().value() * 1e3)
+            .num(eval.aggregate_latency.value() * 1e3)
+            .num(eval.lifetime_years())
+            .display(eval.is_feasible())
+            .display(study.constraints.admits(eval));
     }
     csv
 }
@@ -116,18 +116,17 @@ pub fn fault_csv(fault: &FaultOutcome) -> Csv {
         "accuracy",
     ]);
     for trial in &fault.trials {
-        csv.row([
-            trial.model_index.to_string(),
-            trial.trial.to_string(),
-            trial.cell.clone(),
-            trial.bits_per_cell.to_string(),
-            num(trial.temperature_c),
-            num(trial.bit_error_rate),
-            trial.injection_seed.to_string(),
-            trial.bits_total.to_string(),
-            trial.bits_flipped.to_string(),
-            num(trial.accuracy),
-        ]);
+        csv.push_row()
+            .display(trial.model_index)
+            .display(trial.trial)
+            .text(&trial.cell)
+            .display(trial.bits_per_cell)
+            .num(trial.temperature_c)
+            .num(trial.bit_error_rate)
+            .display(trial.injection_seed)
+            .display(trial.bits_total)
+            .display(trial.bits_flipped)
+            .num(trial.accuracy);
     }
     csv
 }

@@ -10,7 +10,8 @@
 //! service can share one transport; existing `service_net::{Endpoint,
 //! Listener, Stream}` call sites keep compiling unchanged.
 
-use std::io::{self, BufRead, BufReader, Write};
+use nvmexplorer_core::transport::read_frame_line;
+use std::io::{self, BufReader, Write};
 
 pub use nvmexplorer_core::transport::{Connection, Endpoint, Listener, Stream};
 
@@ -42,8 +43,9 @@ impl Client {
     ///
     /// Propagates write failures.
     pub fn send(&mut self, request: &nvmexplorer_core::wire::RequestFrame) -> io::Result<()> {
-        self.writer.write_all(request.to_line().as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut line = request.to_line();
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
         self.writer.flush()
     }
 
@@ -52,16 +54,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Propagates read failures.
+    /// Propagates read failures; a line longer than
+    /// [`MAX_FRAME_BYTES`](nvmexplorer_core::wire::MAX_FRAME_BYTES) is an
+    /// [`io::ErrorKind::InvalidData`] error.
     pub fn read_line(&mut self) -> io::Result<Option<String>> {
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(Some(line))
+        Ok(read_frame_line(&mut self.reader, &mut line)?.then_some(line))
     }
 }

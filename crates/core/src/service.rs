@@ -476,30 +476,45 @@ impl<'s> LogWriter<'s> {
     /// wire sink always writes whole lines).
     fn flush_partial(self) {
         if !self.partial.is_empty() {
-            let line = String::from_utf8_lossy(&self.partial).into_owned();
             let mut state = self.session.state.lock().expect("session lock");
-            state.lines.push(Arc::from(line.as_str()));
+            state.lines.push(log_line(&self.partial));
             drop(state);
             self.session.wake.notify_all();
         }
     }
 }
 
+/// One log line, copied once into its shared allocation (the wire sink
+/// writes UTF-8; anything else is repaired rather than dropped).
+fn log_line(bytes: &[u8]) -> Arc<str> {
+    match std::str::from_utf8(bytes) {
+        Ok(line) => Arc::from(line),
+        Err(_) => Arc::from(String::from_utf8_lossy(bytes).as_ref()),
+    }
+}
+
 impl std::io::Write for LogWriter<'_> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.partial.extend_from_slice(buf);
+        let mut rest = buf;
         let mut published = false;
         {
             let mut state = self.session.state.lock().expect("session lock");
-            while let Some(at) = self.partial.iter().position(|&b| b == b'\n') {
-                let rest = self.partial.split_off(at + 1);
-                self.partial.pop(); // the newline
-                let line = String::from_utf8_lossy(&self.partial).into_owned();
-                self.partial = rest;
-                state.lines.push(Arc::from(line.as_str()));
+            while let Some(at) = rest.iter().position(|&b| b == b'\n') {
+                // A whole line in `buf` (the wire sink's case) is copied
+                // straight into the log; only a line split across writes
+                // goes through `partial`.
+                if self.partial.is_empty() {
+                    state.lines.push(log_line(&rest[..at]));
+                } else {
+                    self.partial.extend_from_slice(&rest[..at]);
+                    state.lines.push(log_line(&self.partial));
+                    self.partial.clear();
+                }
+                rest = &rest[at + 1..];
                 published = true;
             }
         }
+        self.partial.extend_from_slice(rest);
         if published {
             self.session.wake.notify_all();
         }
@@ -539,6 +554,18 @@ impl EventCursor {
             }
             state = self.session.wake.wait(state).expect("session lock");
         }
+    }
+
+    /// The next line if one is already in the log, without blocking —
+    /// `None` means "nothing ready right now" (the session may still be
+    /// running). A writer drains these, flushes, and only then parks in
+    /// [`Self::next_line`], so it flushes when the cursor would block
+    /// rather than once per line.
+    pub fn try_next_line(&mut self) -> Option<Arc<str>> {
+        let state = self.session.state.lock().expect("session lock");
+        let line = Arc::clone(state.lines.get(self.next)?);
+        self.next += 1;
+        Some(line)
     }
 
     /// The lines already consumed through this cursor.

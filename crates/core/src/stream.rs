@@ -37,7 +37,7 @@ use crate::sweep::StudyResult;
 use nvmx_nvsim::{
     ArrayCharacterization, CacheStats, IncumbentStore, OptimizationTarget, SubarrayCache,
 };
-use serde::{Serialize, Value};
+use serde::{json, Serialize, Value};
 
 /// End-of-study summary carried by [`StudyEvent::StudyFinished`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -315,6 +315,162 @@ impl Serialize for StudyEvent<'_> {
             }
         }
         Value::Object(fields)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        self.write_fields(out);
+        out.push('}');
+    }
+}
+
+/// Appends `,"name":` — the separator and key of one event field (every
+/// key is a plain ASCII literal, so no escaping is needed).
+fn key(out: &mut String, name: &str) {
+    out.push_str(",\"");
+    out.push_str(name);
+    out.push_str("\":");
+}
+
+fn put_uint(out: &mut String, name: &str, n: u64) {
+    key(out, name);
+    json::write_u64(out, n);
+}
+
+fn put_float(out: &mut String, name: &str, f: f64) {
+    key(out, name);
+    json::write_f64(out, f);
+}
+
+fn put_str(out: &mut String, name: &str, s: &str) {
+    key(out, name);
+    json::write_str(out, s);
+}
+
+/// The direct-write twin of [`push_finished_fields`].
+fn write_finished_fields(out: &mut String, name: &str, stats: &StudyStats) {
+    put_str(out, "name", name);
+    put_uint(out, "jobs", stats.jobs as u64);
+    put_uint(out, "targets", stats.targets as u64);
+    put_uint(out, "traffic", stats.traffic_patterns as u64);
+    put_uint(out, "arrays", stats.arrays as u64);
+    put_uint(out, "evaluations", stats.evaluations as u64);
+    put_uint(out, "skipped", stats.skipped as u64);
+    key(out, "cache");
+    let Some(c) = stats.cache else {
+        out.push_str("null");
+        return;
+    };
+    out.push_str("{\"hits\":");
+    json::write_u64(out, c.hits);
+    put_uint(out, "misses", c.misses);
+    put_uint(out, "pruned", c.pruned);
+    put_uint(out, "l2_hits", c.l2_hits);
+    put_uint(out, "l2_misses", c.l2_misses);
+    put_uint(out, "l2_rejects", c.l2_rejects);
+    for (name, count) in [
+        ("l2_reject_io", c.l2_reject_classes.io),
+        ("l2_reject_version", c.l2_reject_classes.version),
+        ("l2_reject_truncated", c.l2_reject_classes.truncated),
+        ("l2_reject_corrupt", c.l2_reject_classes.corrupt),
+        ("l2_reject_collision", c.l2_reject_classes.collision),
+    ] {
+        if count != 0 {
+            put_uint(out, name, count);
+        }
+    }
+    put_float(out, "hit_rate", c.hit_rate());
+    put_float(out, "prune_rate", c.prune_rate());
+    out.push('}');
+}
+
+impl StudyEvent<'_> {
+    /// Appends the event's JSON object *without* its braces —
+    /// `"event":"…",…` — so a writer can prepend header fields (the wire
+    /// protocol's `v`/`study`/`seq`) in the same buffer. The hand-written
+    /// twin of the `to_value` tree: `{` + this + `}` is byte-identical to
+    /// printing [`Serialize::to_value`] (proptested in
+    /// `tests/codec_parity.rs`).
+    pub fn write_fields(&self, out: &mut String) {
+        out.push_str("\"event\":\"");
+        out.push_str(self.kind());
+        out.push('"');
+        match self {
+            Self::StudyStarted {
+                name,
+                cells,
+                jobs,
+                targets,
+                traffic,
+            } => {
+                put_str(out, "name", name);
+                put_uint(out, "cells", *cells as u64);
+                put_uint(out, "jobs", *jobs as u64);
+                put_uint(out, "targets", *targets as u64);
+                put_uint(out, "traffic", *traffic as u64);
+            }
+            Self::ArrayCharacterized { index, array } => {
+                put_uint(out, "index", *index as u64);
+                key(out, "array");
+                array.write_json(out);
+            }
+            Self::DesignSkipped {
+                cell,
+                target,
+                reason,
+            } => {
+                put_str(out, "cell", cell);
+                put_str(out, "target", target.label());
+                put_str(out, "reason", reason);
+            }
+            Self::EvaluationProduced { index, evaluation } => {
+                put_uint(out, "index", *index as u64);
+                key(out, "evaluation");
+                evaluation.write_json(out);
+            }
+            Self::TargetWinnerSelected { target, winner } => {
+                put_str(out, "target", target.label());
+                put_str(out, "cell", &winner.array.cell_name);
+                put_str(out, "traffic", &winner.traffic.name);
+                put_float(out, "total_power_w", winner.total_power().value());
+            }
+            Self::StudyFinished { name, stats } => write_finished_fields(out, name, stats),
+            Self::FaultTrialProduced { index, trial } => {
+                put_uint(out, "index", *index as u64);
+                put_uint(out, "model_index", trial.model_index as u64);
+                put_uint(out, "trial", u64::from(trial.trial));
+                put_str(out, "cell", &trial.cell);
+                key(out, "bits_per_cell");
+                trial.bits_per_cell.write_json(out);
+                put_float(out, "temperature_c", trial.temperature_c);
+                put_float(out, "bit_error_rate", trial.bit_error_rate);
+                put_uint(out, "injection_seed", trial.injection_seed);
+                put_uint(out, "bits_total", trial.bits_total);
+                put_uint(out, "bits_flipped", trial.bits_flipped);
+                put_float(out, "accuracy", trial.accuracy);
+            }
+            Self::AccuracyDegraded { index, report } => {
+                put_uint(out, "index", *index as u64);
+                put_uint(out, "model_index", report.model_index as u64);
+                put_str(out, "cell", &report.cell);
+                key(out, "bits_per_cell");
+                report.bits_per_cell.write_json(out);
+                put_float(out, "temperature_c", report.temperature_c);
+                put_float(out, "baseline", report.report.baseline);
+                put_float(out, "mean", report.report.mean);
+                put_float(out, "worst", report.report.worst);
+                put_float(out, "bit_error_rate", report.report.bit_error_rate);
+                put_uint(out, "trials", u64::from(report.report.trials));
+                key(out, "acceptable");
+                json::write_bool(out, report.acceptable);
+            }
+            Self::FaultStudyFinished { name, stats } => {
+                write_finished_fields(out, name, &stats.base);
+                put_uint(out, "models", stats.models as u64);
+                put_uint(out, "trials", stats.trials as u64);
+                put_uint(out, "degraded", stats.degraded as u64);
+            }
+        }
     }
 }
 

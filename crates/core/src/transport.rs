@@ -20,6 +20,7 @@
 //! line-oriented JSONL and the peers are thread-per-connection; no async
 //! runtime is needed (or available offline).
 
+use crate::wire::MAX_FRAME_BYTES;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -350,14 +351,7 @@ impl Connection {
     /// Propagates read failures.
     pub fn recv_line(&mut self) -> io::Result<Option<String>> {
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(Some(line))
+        Ok(read_frame_line(&mut self.reader, &mut line)?.then_some(line))
     }
 
     /// Splits the connection into its buffered read half and write half,
@@ -365,6 +359,55 @@ impl Connection {
     pub fn into_split(self) -> (BufReader<Box<dyn Read + Send>>, Box<dyn Write + Send>) {
         (self.reader, self.writer)
     }
+}
+
+/// Reads one `\n`-terminated line into `line` (cleared first), without
+/// its `\n` / `\r\n` terminator. Returns `Ok(false)` at a clean end of
+/// input; an unterminated final line is still returned.
+///
+/// This is the one line reader of every protocol path — connections,
+/// service clients and daemons, the coordinator's worker pumps, and
+/// strict replay — and it is bounded: a line longer than
+/// [`MAX_FRAME_BYTES`] fails as soon as the bound is crossed, so a peer
+/// that streams bytes without ever sending a newline costs at most one
+/// bounded buffer.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] for a line over [`MAX_FRAME_BYTES`] or
+/// one that is not UTF-8; read failures propagate.
+pub fn read_frame_line<R: BufRead + ?Sized>(reader: &mut R, line: &mut String) -> io::Result<bool> {
+    let mut bytes = std::mem::take(line).into_bytes();
+    bytes.clear();
+    let complete = loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            break !bytes.is_empty();
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(available.len());
+        if bytes.len() + take > MAX_FRAME_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame line exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES} bytes)"),
+            ));
+        }
+        bytes.extend_from_slice(&available[..take]);
+        reader.consume(newline.map_or(take, |at| at + 1));
+        if newline.is_some() {
+            break true;
+        }
+    };
+    if bytes.last() == Some(&b'\r') {
+        bytes.pop();
+    }
+    *line = String::from_utf8(bytes)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame line is not valid UTF-8"))?;
+    Ok(complete)
 }
 
 #[cfg(test)]
@@ -393,6 +436,63 @@ mod tests {
         assert_eq!(TransportKind::parse("unix").unwrap(), TransportKind::Unix);
         assert!(TransportKind::parse("carrier-pigeon").is_err());
         assert_eq!(TransportKind::Unix.to_string(), "unix");
+    }
+
+    #[test]
+    fn frame_lines_are_bounded_by_max_frame_bytes() {
+        let mut line = String::new();
+        let mut exact = vec![b'x'; MAX_FRAME_BYTES];
+        exact.extend_from_slice(b"\nnext\r\n");
+        let mut reader = io::Cursor::new(exact);
+        assert!(read_frame_line(&mut reader, &mut line).unwrap());
+        assert_eq!(line.len(), MAX_FRAME_BYTES, "the bound itself is accepted");
+        assert!(read_frame_line(&mut reader, &mut line).unwrap());
+        assert_eq!(line, "next", "a CRLF terminator is stripped");
+        assert!(!read_frame_line(&mut reader, &mut line).unwrap());
+        let mut tail = io::Cursor::new("last");
+        assert!(read_frame_line(&mut tail, &mut line).unwrap());
+        assert_eq!(line, "last", "an unterminated tail is still a line");
+
+        let mut oversized = vec![b'x'; MAX_FRAME_BYTES + 1];
+        oversized.push(b'\n');
+        let err = read_frame_line(&mut io::Cursor::new(oversized), &mut line).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A peer that streams bytes forever without a newline.
+    struct Endless;
+
+    impl Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            buf.fill(b'{');
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn a_peer_that_never_sends_a_newline_fails_bounded() {
+        let mut conn = Connection::from_parts(Box::new(Endless), Box::new(io::sink()));
+        let err = conn.recv_line().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // The same over a real socket: the sender is cut off once the
+        // receiver gives up, instead of the receiver buffering forever.
+        let path = std::env::temp_dir().join(format!(
+            "nvmx_transport_endless_{}.sock",
+            std::process::id()
+        ));
+        let endpoint = Endpoint::Unix(path);
+        let listener = Listener::bind(&endpoint).unwrap();
+        let sender = std::thread::spawn(move || {
+            let mut stream = listener.accept().unwrap();
+            let chunk = [b'a'; 64 * 1024];
+            while stream.write_all(&chunk).is_ok() {}
+        });
+        let mut conn = Connection::connect(&endpoint).unwrap();
+        let err = conn.recv_line().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        drop(conn);
+        sender.join().unwrap();
     }
 
     #[test]

@@ -63,7 +63,8 @@ use crate::fault_study::{FaultModelReport, FaultOutcome, FaultStudyStats, FaultT
 use crate::stream::{ResultSink, StudyEvent, StudyResultBuilder, StudyStats};
 use crate::sweep::StudyResult;
 use nvmx_nvsim::{ArrayCharacterization, CacheStats, L2RejectClasses, OptimizationTarget};
-use serde::{Serialize, Value};
+use serde::{json, Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
@@ -97,6 +98,16 @@ pub const WIRE_SERVICE_MIN_VERSION: u64 = 3;
 /// a control line declaring an older version is rejected, because no
 /// older writer ever produced one.
 pub const WIRE_WORKER_MIN_VERSION: u64 = 4;
+
+/// The longest frame line any reader accepts, in bytes, newline excluded
+/// (4 MiB — three orders of magnitude above the largest frame the engine
+/// writes, ~1.2 KB, and room for a large `submit` config). Every line
+/// reader on a protocol path goes through
+/// [`read_frame_line`](crate::transport::read_frame_line), which fails with
+/// [`std::io::ErrorKind::InvalidData`] instead of buffering past this, so
+/// a peer that never sends a newline cannot grow a reader's memory
+/// without bound.
+pub const MAX_FRAME_BYTES: usize = 4194304;
 
 // --------------------------------------------------------------- errors
 
@@ -351,14 +362,166 @@ pub enum OwnedStudyEvent {
     },
 }
 
-fn field<'v>(obj: &'v [(String, Value)], name: &str) -> Result<&'v Value, FrameError> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
+/// One JSON object as the frame decoders see it: a parsed [`Value`] tree
+/// (the [`OwnedStudyEvent::from_value`] oracle path) or one wire line
+/// split once into top-level `(key, raw value text)` entries (the
+/// production path — no tree, strings borrowed from the line). Both
+/// answer the same lookups with the same first-occurrence-wins rule, so
+/// one set of decoders serves both.
+enum Obj<'a> {
+    Tree(&'a [(String, Value)]),
+    Text(Vec<(Cow<'a, str>, &'a str)>),
+}
+
+/// One field value of an [`Obj`].
+#[derive(Clone, Copy)]
+enum Leaf<'a> {
+    Tree(&'a Value),
+    Text(&'a str),
+}
+
+impl<'a> Obj<'a> {
+    /// Splits one line, validating the whole text. `what` names the line
+    /// kind in the not-an-object error.
+    fn parse(line: &'a str, what: &str) -> Result<Self, FrameError> {
+        match json::split_object(line) {
+            Ok(Some(entries)) => Ok(Self::Text(entries)),
+            Ok(None) => Err(FrameError::corrupt(format!("{what} is not a JSON object"))),
+            Err(e) => Err(FrameError::corrupt(format!("not valid JSON: {e}"))),
+        }
+    }
+
+    fn find(&self, name: &str) -> Option<Leaf<'_>> {
+        match self {
+            Self::Tree(entries) => entries
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| Leaf::Tree(v)),
+            Self::Text(entries) => entries
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| Leaf::Text(v)),
+        }
+    }
+}
+
+impl<'a> Leaf<'a> {
+    /// The number a text leaf holds, parsed without allocating.
+    fn number(text: &str) -> Option<Value> {
+        match text.as_bytes().first() {
+            Some(b'-' | b'0'..=b'9') => json::Reader::new(text).number().ok(),
+            _ => None,
+        }
+    }
+
+    fn as_u64(self) -> Option<u64> {
+        match self {
+            Self::Tree(v) => v.as_u64(),
+            Self::Text(t) => Self::number(t)?.as_u64(),
+        }
+    }
+
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            Self::Tree(v) => v.as_f64(),
+            Self::Text(t) => Self::number(t)?.as_f64(),
+        }
+    }
+
+    fn as_bool(self) -> Option<bool> {
+        match self {
+            Self::Tree(v) => v.as_bool(),
+            Self::Text("true") => Some(true),
+            Self::Text("false") => Some(false),
+            Self::Text(_) => None,
+        }
+    }
+
+    fn as_str(self) -> Option<Cow<'a, str>> {
+        match self {
+            Self::Tree(v) => v.as_str().map(Cow::Borrowed),
+            Self::Text(t) if t.starts_with('"') => json::Reader::new(t).string().ok(),
+            Self::Text(_) => None,
+        }
+    }
+
+    fn is_null(self) -> bool {
+        matches!(self, Self::Tree(Value::Null) | Self::Text("null"))
+    }
+
+    fn kind(self) -> &'static str {
+        match self {
+            Self::Tree(v) => v.kind(),
+            Self::Text(t) => match t.as_bytes().first() {
+                Some(b'n') => "null",
+                Some(b't' | b'f') => "bool",
+                Some(b'"') => "string",
+                Some(b'[') => "array",
+                Some(b'{') => "object",
+                _ => "number",
+            },
+        }
+    }
+
+    fn object(self) -> Option<Obj<'a>> {
+        match self {
+            Self::Tree(v) => v.as_object().map(Obj::Tree),
+            Self::Text(t) => json::split_object(t).ok().flatten().map(Obj::Text),
+        }
+    }
+
+    fn items(self) -> Option<Vec<Leaf<'a>>> {
+        match self {
+            Self::Tree(v) => v
+                .as_array()
+                .map(|items| items.iter().map(Leaf::Tree).collect()),
+            Self::Text(t) if t.starts_with('[') => {
+                let mut reader = json::Reader::new(t);
+                let mut items = Vec::new();
+                if reader.array_start().ok()? {
+                    loop {
+                        items.push(Leaf::Text(reader.raw_value().ok()?));
+                        if !reader.array_next().ok()? {
+                            break;
+                        }
+                    }
+                }
+                Some(items)
+            }
+            Self::Text(_) => None,
+        }
+    }
+
+    /// Decodes a typed payload: `from_value` on the tree path, the typed
+    /// `from_json` reader on the text path.
+    fn decode<T: Deserialize>(self) -> Result<T, serde::Error> {
+        match self {
+            Self::Tree(v) => T::from_value(v),
+            Self::Text(t) => {
+                let mut reader = json::Reader::new(t);
+                let decoded = T::from_json(&mut reader)?;
+                reader.finish()?;
+                Ok(decoded)
+            }
+        }
+    }
+
+    fn to_value(self) -> Result<Value, FrameError> {
+        match self {
+            Self::Tree(v) => Ok(v.clone()),
+            Self::Text(t) => json::Reader::new(t)
+                .value()
+                .map_err(|e| FrameError::corrupt(format!("not valid JSON: {e}"))),
+        }
+    }
+}
+
+fn field<'v>(obj: &'v Obj<'_>, name: &str) -> Result<Leaf<'v>, FrameError> {
+    obj.find(name)
         .ok_or_else(|| FrameError::corrupt(format!("missing field `{name}`")))
 }
 
-fn uint_field(obj: &[(String, Value)], name: &str) -> Result<u64, FrameError> {
+fn uint_field(obj: &Obj<'_>, name: &str) -> Result<u64, FrameError> {
     field(obj, name)?
         .as_u64()
         .ok_or_else(|| FrameError::corrupt(format!("field `{name}` is not an unsigned integer")))
@@ -368,44 +531,48 @@ fn uint_field(obj: &[(String, Value)], name: &str) -> Result<u64, FrameError> {
 /// present-but-malformed one is still corrupt). For counters added to the
 /// version-1 cache object after the fact — older captures simply never
 /// observed them.
-fn uint_field_or(obj: &[(String, Value)], name: &str, default: u64) -> Result<u64, FrameError> {
-    match obj.iter().find(|(k, _)| k == name) {
+fn uint_field_or(obj: &Obj<'_>, name: &str, default: u64) -> Result<u64, FrameError> {
+    match obj.find(name) {
         None => Ok(default),
-        Some((_, v)) => v.as_u64().ok_or_else(|| {
+        Some(v) => v.as_u64().ok_or_else(|| {
             FrameError::corrupt(format!("field `{name}` is not an unsigned integer"))
         }),
     }
 }
 
-fn usize_field(obj: &[(String, Value)], name: &str) -> Result<usize, FrameError> {
+fn usize_field(obj: &Obj<'_>, name: &str) -> Result<usize, FrameError> {
     usize::try_from(uint_field(obj, name)?)
         .map_err(|_| FrameError::corrupt(format!("field `{name}` out of range")))
 }
 
-fn str_field<'v>(obj: &'v [(String, Value)], name: &str) -> Result<&'v str, FrameError> {
+fn str_field<'v>(obj: &'v Obj<'_>, name: &str) -> Result<Cow<'v, str>, FrameError> {
     field(obj, name)?
         .as_str()
         .ok_or_else(|| FrameError::corrupt(format!("field `{name}` is not a string")))
 }
 
-fn float_field(obj: &[(String, Value)], name: &str) -> Result<f64, FrameError> {
+fn string_field(obj: &Obj<'_>, name: &str) -> Result<String, FrameError> {
+    str_field(obj, name).map(Cow::into_owned)
+}
+
+fn float_field(obj: &Obj<'_>, name: &str) -> Result<f64, FrameError> {
     field(obj, name)?
         .as_f64()
         .ok_or_else(|| FrameError::corrupt(format!("field `{name}` is not a number")))
 }
 
-fn bool_field(obj: &[(String, Value)], name: &str) -> Result<bool, FrameError> {
+fn bool_field(obj: &Obj<'_>, name: &str) -> Result<bool, FrameError> {
     field(obj, name)?
         .as_bool()
         .ok_or_else(|| FrameError::corrupt(format!("field `{name}` is not a boolean")))
 }
 
-fn u32_field(obj: &[(String, Value)], name: &str) -> Result<u32, FrameError> {
+fn u32_field(obj: &Obj<'_>, name: &str) -> Result<u32, FrameError> {
     u32::try_from(uint_field(obj, name)?)
         .map_err(|_| FrameError::corrupt(format!("field `{name}` out of range")))
 }
 
-fn target_field(obj: &[(String, Value)], name: &str) -> Result<OptimizationTarget, FrameError> {
+fn target_field(obj: &Obj<'_>, name: &str) -> Result<OptimizationTarget, FrameError> {
     let label = str_field(obj, name)?;
     OptimizationTarget::ALL
         .into_iter()
@@ -413,11 +580,18 @@ fn target_field(obj: &[(String, Value)], name: &str) -> Result<OptimizationTarge
         .ok_or_else(|| FrameError::corrupt(format!("unknown optimization target `{label}`")))
 }
 
+/// A typed payload field (`array`, `evaluation`, `bits_per_cell`).
+fn payload_field<T: Deserialize>(obj: &Obj<'_>, name: &str, what: &str) -> Result<T, FrameError> {
+    field(obj, name)?
+        .decode()
+        .map_err(|e| FrameError::corrupt(format!("bad {what}: {e}")))
+}
+
 /// Decodes the per-class `l2_reject_*` counters of a wire cache object.
 /// The writer emits each class only when nonzero (a clean run's cache
 /// object is byte-identical to a v3 writer's), so every class decodes
 /// with a zero default.
-fn reject_classes_from(cache: &[(String, Value)]) -> Result<L2RejectClasses, FrameError> {
+fn reject_classes_from(cache: &Obj<'_>) -> Result<L2RejectClasses, FrameError> {
     Ok(L2RejectClasses {
         io: uint_field_or(cache, "l2_reject_io", 0)?,
         version: uint_field_or(cache, "l2_reject_version", 0)?,
@@ -445,26 +619,27 @@ fn push_reject_classes(fields: &mut Vec<(String, Value)>, classes: &L2RejectClas
 
 /// Decodes the flat field block shared by `study_finished` and
 /// `fault_study_finished`.
-fn finished_stats(obj: &[(String, Value)]) -> Result<StudyStats, FrameError> {
-    let cache = match field(obj, "cache")? {
-        Value::Null => None,
+fn finished_stats(obj: &Obj<'_>) -> Result<StudyStats, FrameError> {
+    let cache = field(obj, "cache")?;
+    let cache = match cache.object() {
+        _ if cache.is_null() => None,
         // `pruned` joined the version-1 cache object in PR 5, the `l2_*`
         // store counters in PR 8, the per-class `l2_reject_*` breakdown in
         // v4; captures from older writers decode as zeros instead of
         // failing strict replay.
-        Value::Object(cache) => Some(CacheStats {
-            hits: uint_field(cache, "hits")?,
-            misses: uint_field(cache, "misses")?,
-            pruned: uint_field_or(cache, "pruned", 0)?,
-            l2_hits: uint_field_or(cache, "l2_hits", 0)?,
-            l2_misses: uint_field_or(cache, "l2_misses", 0)?,
-            l2_rejects: uint_field_or(cache, "l2_rejects", 0)?,
-            l2_reject_classes: reject_classes_from(cache)?,
+        Some(cache) => Some(CacheStats {
+            hits: uint_field(&cache, "hits")?,
+            misses: uint_field(&cache, "misses")?,
+            pruned: uint_field_or(&cache, "pruned", 0)?,
+            l2_hits: uint_field_or(&cache, "l2_hits", 0)?,
+            l2_misses: uint_field_or(&cache, "l2_misses", 0)?,
+            l2_rejects: uint_field_or(&cache, "l2_rejects", 0)?,
+            l2_reject_classes: reject_classes_from(&cache)?,
         }),
-        other => {
+        None => {
             return Err(FrameError::corrupt(format!(
                 "field `cache` is neither null nor an object, got {}",
-                other.kind()
+                cache.kind()
             )))
         }
     };
@@ -491,10 +666,14 @@ impl OwnedStudyEvent {
         let obj = value
             .as_object()
             .ok_or_else(|| FrameError::corrupt("event line is not a JSON object"))?;
+        Self::decode(&Obj::Tree(obj))
+    }
+
+    fn decode(obj: &Obj<'_>) -> Result<Self, FrameError> {
         let kind = str_field(obj, "event")?;
-        match kind {
+        match kind.as_ref() {
             "study_started" => Ok(Self::StudyStarted {
-                name: str_field(obj, "name")?.to_owned(),
+                name: string_field(obj, "name")?,
                 cells: usize_field(obj, "cells")?,
                 jobs: usize_field(obj, "jobs")?,
                 targets: usize_field(obj, "targets")?,
@@ -502,27 +681,25 @@ impl OwnedStudyEvent {
             }),
             "array_characterized" => Ok(Self::ArrayCharacterized {
                 index: usize_field(obj, "index")?,
-                array: serde_json::from_value(field(obj, "array")?)
-                    .map_err(|e| FrameError::corrupt(format!("bad array payload: {e}")))?,
+                array: payload_field(obj, "array", "array payload")?,
             }),
             "design_skipped" => Ok(Self::DesignSkipped {
-                cell: str_field(obj, "cell")?.to_owned(),
+                cell: string_field(obj, "cell")?,
                 target: target_field(obj, "target")?,
-                reason: str_field(obj, "reason")?.to_owned(),
+                reason: string_field(obj, "reason")?,
             }),
             "evaluation_produced" => Ok(Self::EvaluationProduced {
                 index: usize_field(obj, "index")?,
-                evaluation: serde_json::from_value(field(obj, "evaluation")?)
-                    .map_err(|e| FrameError::corrupt(format!("bad evaluation payload: {e}")))?,
+                evaluation: payload_field(obj, "evaluation", "evaluation payload")?,
             }),
             "target_winner_selected" => Ok(Self::TargetWinnerSelected {
                 target: target_field(obj, "target")?,
-                cell: str_field(obj, "cell")?.to_owned(),
-                traffic: str_field(obj, "traffic")?.to_owned(),
+                cell: string_field(obj, "cell")?,
+                traffic: string_field(obj, "traffic")?,
                 total_power_w: float_field(obj, "total_power_w")?,
             }),
             "study_finished" => Ok(Self::StudyFinished {
-                name: str_field(obj, "name")?.to_owned(),
+                name: string_field(obj, "name")?,
                 stats: finished_stats(obj)?,
             }),
             "fault_trial_produced" => Ok(Self::FaultTrialProduced {
@@ -530,9 +707,8 @@ impl OwnedStudyEvent {
                 trial: FaultTrial {
                     model_index: usize_field(obj, "model_index")?,
                     trial: u32_field(obj, "trial")?,
-                    cell: str_field(obj, "cell")?.to_owned(),
-                    bits_per_cell: serde_json::from_value(field(obj, "bits_per_cell")?)
-                        .map_err(|e| FrameError::corrupt(format!("bad bits_per_cell: {e}")))?,
+                    cell: string_field(obj, "cell")?,
+                    bits_per_cell: payload_field(obj, "bits_per_cell", "bits_per_cell")?,
                     temperature_c: float_field(obj, "temperature_c")?,
                     bit_error_rate: float_field(obj, "bit_error_rate")?,
                     injection_seed: uint_field(obj, "injection_seed")?,
@@ -545,9 +721,8 @@ impl OwnedStudyEvent {
                 index: usize_field(obj, "index")?,
                 report: FaultModelReport {
                     model_index: usize_field(obj, "model_index")?,
-                    cell: str_field(obj, "cell")?.to_owned(),
-                    bits_per_cell: serde_json::from_value(field(obj, "bits_per_cell")?)
-                        .map_err(|e| FrameError::corrupt(format!("bad bits_per_cell: {e}")))?,
+                    cell: string_field(obj, "cell")?,
+                    bits_per_cell: payload_field(obj, "bits_per_cell", "bits_per_cell")?,
                     temperature_c: float_field(obj, "temperature_c")?,
                     report: AccuracyReport {
                         baseline: float_field(obj, "baseline")?,
@@ -560,7 +735,7 @@ impl OwnedStudyEvent {
                 },
             }),
             "fault_study_finished" => Ok(Self::FaultStudyFinished {
-                name: str_field(obj, "name")?.to_owned(),
+                name: string_field(obj, "name")?,
                 stats: FaultStudyStats {
                     base: finished_stats(obj)?,
                     models: usize_field(obj, "models")?,
@@ -669,6 +844,33 @@ impl OwnedStudyEvent {
             }
         }
     }
+
+    /// The direct-write twin of [`Self::to_value`]: appends the event
+    /// object's fields without braces, like [`StudyEvent::write_fields`].
+    pub fn write_fields(&self, out: &mut String) {
+        match self.as_event() {
+            Some(event) => event.write_fields(out),
+            None => {
+                let Self::TargetWinnerSelected {
+                    target,
+                    cell,
+                    traffic,
+                    total_power_w,
+                } = self
+                else {
+                    unreachable!("only winner events have no borrowed view")
+                };
+                out.push_str("\"event\":\"target_winner_selected\",\"target\":");
+                json::write_str(out, target.label());
+                out.push_str(",\"cell\":");
+                json::write_str(out, cell);
+                out.push_str(",\"traffic\":");
+                json::write_str(out, traffic);
+                out.push_str(",\"total_power_w\":");
+                json::write_f64(out, *total_power_w);
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------------- frames
@@ -698,27 +900,48 @@ impl WireFrame {
     /// [`WIRE_MIN_VERSION`]`..=`[`WIRE_VERSION`];
     /// [`FrameError::Corrupt`] for anything else wrong with the line.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| FrameError::corrupt(format!("not valid JSON: {e}")))?;
+        Self::decode(&Obj::parse(line, "wire line")?)
+    }
+
+    /// Decodes a frame from a parsed [`Value`] tree — the reference path
+    /// [`Self::parse`] is proptested against (`tests/codec_parity.rs`).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::parse`], minus malformed JSON.
+    pub fn from_value(value: &Value) -> Result<Self, FrameError> {
         let obj = value
             .as_object()
             .ok_or_else(|| FrameError::corrupt("wire line is not a JSON object"))?;
+        Self::decode(&Obj::Tree(obj))
+    }
+
+    /// `v` is checked before anything else is decoded.
+    fn decode(obj: &Obj<'_>) -> Result<Self, FrameError> {
         let version = uint_field(obj, "v")?;
         if !(WIRE_MIN_VERSION..=WIRE_VERSION).contains(&version) {
             return Err(FrameError::Version { found: version });
         }
         Ok(Self {
             version,
-            study: str_field(obj, "study")?.to_owned(),
+            study: string_field(obj, "study")?,
             seq: uint_field(obj, "seq")?,
-            event: OwnedStudyEvent::from_value(&value)?,
+            event: OwnedStudyEvent::decode(obj)?,
         })
     }
 
     /// The frame as a JSON value: header fields, then the event object's
     /// fields — exactly what [`WireSink`] writes.
     pub fn to_value(&self) -> Value {
-        frame_value(&self.study, self.seq, self.event.to_value())
+        let mut fields = vec![
+            ("v".to_owned(), Value::Uint(WIRE_VERSION)),
+            ("study".to_owned(), Value::Str(self.study.clone())),
+            ("seq".to_owned(), Value::Uint(self.seq)),
+        ];
+        if let Value::Object(body) = self.event.to_value() {
+            fields.extend(body);
+        }
+        Value::Object(fields)
     }
 
     /// The frame as one JSONL line (no trailing newline). Parse → re-encode
@@ -727,22 +950,24 @@ impl WireFrame {
     /// (Version-1 lines re-encode stamped with the current version — the
     /// payload bytes are unchanged, only the header advances.)
     pub fn to_line(&self) -> String {
-        serde_json::to_string(&self.to_value()).expect("wire frames always serialize")
+        let mut line = String::new();
+        write_header(&mut line, &self.study);
+        json::write_u64(&mut line, self.seq);
+        line.push(',');
+        self.event.write_fields(&mut line);
+        line.push('}');
+        line
     }
 }
 
-/// Prepends the wire header to an event body object.
-fn frame_value(study: &str, seq: u64, event_body: Value) -> Value {
-    let mut fields = vec![
-        ("v".to_owned(), Value::Uint(WIRE_VERSION)),
-        ("study".to_owned(), Value::Str(study.to_owned())),
-        ("seq".to_owned(), Value::Uint(seq)),
-    ];
-    match event_body {
-        Value::Object(body) => fields.extend(body),
-        other => fields.push(("event".to_owned(), other)),
-    }
-    Value::Object(fields)
+/// Appends the wire header up to (not including) the `seq` value:
+/// `{"v":<WIRE_VERSION>,"study":<study>,"seq":`.
+fn write_header(out: &mut String, study: &str) {
+    out.push_str("{\"v\":");
+    json::write_u64(out, WIRE_VERSION);
+    out.push_str(",\"study\":");
+    json::write_str(out, study);
+    out.push_str(",\"seq\":");
 }
 
 // --------------------------------------------------------- service frames
@@ -767,24 +992,24 @@ fn cache_value(stats: &CacheStats) -> Value {
 
 /// Decodes a wire cache object (missing counters default to zero, exactly
 /// like the `study_finished` decoder — older writers never observed them).
-fn cache_from(value: &Value) -> Result<CacheStats, FrameError> {
+fn cache_from(value: Leaf<'_>) -> Result<CacheStats, FrameError> {
     let obj = value
-        .as_object()
+        .object()
         .ok_or_else(|| FrameError::corrupt("cache block is not a JSON object"))?;
     Ok(CacheStats {
-        hits: uint_field_or(obj, "hits", 0)?,
-        misses: uint_field_or(obj, "misses", 0)?,
-        pruned: uint_field_or(obj, "pruned", 0)?,
-        l2_hits: uint_field_or(obj, "l2_hits", 0)?,
-        l2_misses: uint_field_or(obj, "l2_misses", 0)?,
-        l2_rejects: uint_field_or(obj, "l2_rejects", 0)?,
-        l2_reject_classes: reject_classes_from(obj)?,
+        hits: uint_field_or(&obj, "hits", 0)?,
+        misses: uint_field_or(&obj, "misses", 0)?,
+        pruned: uint_field_or(&obj, "pruned", 0)?,
+        l2_hits: uint_field_or(&obj, "l2_hits", 0)?,
+        l2_misses: uint_field_or(&obj, "l2_misses", 0)?,
+        l2_rejects: uint_field_or(&obj, "l2_rejects", 0)?,
+        l2_reject_classes: reject_classes_from(&obj)?,
     })
 }
 
 /// Checks the `v` header of a service frame: requests/responses exist only
 /// since [`WIRE_SERVICE_MIN_VERSION`].
-fn service_version(obj: &[(String, Value)]) -> Result<u64, FrameError> {
+fn service_version(obj: &Obj<'_>) -> Result<u64, FrameError> {
     let version = uint_field(obj, "v")?;
     if !(WIRE_SERVICE_MIN_VERSION..=WIRE_VERSION).contains(&version) {
         return Err(FrameError::Version { found: version });
@@ -855,17 +1080,13 @@ impl RequestFrame {
     /// [`WIRE_SERVICE_MIN_VERSION`]`..=`[`WIRE_VERSION`];
     /// [`FrameError::Corrupt`] for anything else wrong with the line.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| FrameError::corrupt(format!("not valid JSON: {e}")))?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| FrameError::corrupt("request line is not a JSON object"))?;
+        let obj = &Obj::parse(line, "request line")?;
         service_version(obj)?;
-        match str_field(obj, "request")? {
+        match str_field(obj, "request")?.as_ref() {
             "submit" => Ok(Self::Submit {
                 priority: u8::try_from(uint_field_or(obj, "priority", 0)?)
                     .map_err(|_| FrameError::corrupt("field `priority` out of range (0..=255)"))?,
-                config: field(obj, "config")?.clone(),
+                config: field(obj, "config")?.to_value()?,
             }),
             "status" => Ok(Self::Status),
             "cancel" => Ok(Self::Cancel {
@@ -929,14 +1150,14 @@ impl SessionBrief {
         ])
     }
 
-    fn from_value(value: &Value) -> Result<Self, FrameError> {
-        let obj = value
-            .as_object()
+    fn decode(value: Leaf<'_>) -> Result<Self, FrameError> {
+        let obj = &value
+            .object()
             .ok_or_else(|| FrameError::corrupt("session row is not a JSON object"))?;
         Ok(Self {
             session: uint_field(obj, "session")?,
-            study: str_field(obj, "study")?.to_owned(),
-            state: str_field(obj, "state")?.to_owned(),
+            study: string_field(obj, "study")?,
+            state: string_field(obj, "state")?,
             priority: u8::try_from(uint_field(obj, "priority")?)
                 .map_err(|_| FrameError::corrupt("field `priority` out of range (0..=255)"))?,
             events: uint_field(obj, "events")?,
@@ -1027,8 +1248,8 @@ impl ResponseFrame {
     /// frames and bracketing responses without parsing twice.
     pub fn is_response_line(line: &str) -> bool {
         matches!(
-            serde_json::from_str::<Value>(line),
-            Ok(Value::Object(obj)) if obj.iter().any(|(k, _)| k == "response")
+            json::split_object(line),
+            Ok(Some(entries)) if entries.iter().any(|(k, _)| k == "response")
         )
     }
 
@@ -1040,35 +1261,29 @@ impl ResponseFrame {
     /// [`WIRE_SERVICE_MIN_VERSION`]`..=`[`WIRE_VERSION`];
     /// [`FrameError::Corrupt`] for anything else wrong with the line.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| FrameError::corrupt(format!("not valid JSON: {e}")))?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| FrameError::corrupt("response line is not a JSON object"))?;
+        let obj = &Obj::parse(line, "response line")?;
         service_version(obj)?;
-        match str_field(obj, "response")? {
+        match str_field(obj, "response")?.as_ref() {
             "submitted" => Ok(Self::Submitted {
                 session: uint_field(obj, "session")?,
-                study: str_field(obj, "study")?.to_owned(),
+                study: string_field(obj, "study")?,
                 queue_depth: uint_field(obj, "queue_depth")?,
             }),
             "status" => {
-                let rows = match field(obj, "sessions")? {
-                    Value::Array(rows) => rows,
-                    other => {
-                        return Err(FrameError::corrupt(format!(
-                            "field `sessions` is not an array, got {}",
-                            other.kind()
-                        )))
-                    }
-                };
+                let rows = field(obj, "sessions")?;
+                let rows = rows.items().ok_or_else(|| {
+                    FrameError::corrupt(format!(
+                        "field `sessions` is not an array, got {}",
+                        rows.kind()
+                    ))
+                })?;
                 Ok(Self::Status {
                     draining: bool_field(obj, "draining")?,
                     queue_depth: uint_field(obj, "queue_depth")?,
                     capacity: uint_field(obj, "capacity")?,
                     sessions: rows
-                        .iter()
-                        .map(SessionBrief::from_value)
+                        .into_iter()
+                        .map(SessionBrief::decode)
                         .collect::<Result<_, _>>()?,
                     cache: cache_from(field(obj, "cache")?)?,
                 })
@@ -1079,25 +1294,30 @@ impl ResponseFrame {
             }),
             "done" => Ok(Self::Done {
                 session: uint_field(obj, "session")?,
-                outcome: str_field(obj, "outcome")?.to_owned(),
-                error: match obj.iter().find(|(k, _)| k == "error") {
-                    None | Some((_, Value::Null)) => None,
-                    Some((_, Value::Str(s))) => Some(s.clone()),
-                    Some((_, other)) => {
-                        return Err(FrameError::corrupt(format!(
-                            "field `error` is neither null nor a string, got {}",
-                            other.kind()
-                        )))
-                    }
+                outcome: string_field(obj, "outcome")?,
+                error: match obj.find("error") {
+                    None => None,
+                    Some(v) if v.is_null() => None,
+                    Some(v) => Some(
+                        v.as_str()
+                            .ok_or_else(|| {
+                                FrameError::corrupt(format!(
+                                    "field `error` is neither null nor a string, got {}",
+                                    v.kind()
+                                ))
+                            })?
+                            .into_owned(),
+                    ),
                 },
-                cache: match obj.iter().find(|(k, _)| k == "cache") {
-                    None | Some((_, Value::Null)) => None,
-                    Some((_, value)) => Some(cache_from(value)?),
+                cache: match obj.find("cache") {
+                    None => None,
+                    Some(v) if v.is_null() => None,
+                    Some(v) => Some(cache_from(v)?),
                 },
             }),
             "draining" => Ok(Self::Draining),
             "error" => Ok(Self::Error {
-                reason: str_field(obj, "reason")?.to_owned(),
+                reason: string_field(obj, "reason")?,
             }),
             other => Err(FrameError::corrupt(format!(
                 "unknown response tag `{other}`"
@@ -1170,7 +1390,7 @@ impl ResponseFrame {
 
 /// Checks the `v` header of a worker-supervision control frame: worker and
 /// lease lines exist only since [`WIRE_WORKER_MIN_VERSION`].
-fn worker_version(obj: &[(String, Value)]) -> Result<u64, FrameError> {
+fn worker_version(obj: &Obj<'_>) -> Result<u64, FrameError> {
     let version = uint_field(obj, "v")?;
     if !(WIRE_WORKER_MIN_VERSION..=WIRE_VERSION).contains(&version) {
         return Err(FrameError::Version { found: version });
@@ -1184,10 +1404,16 @@ fn worker_version(obj: &[(String, Value)]) -> Result<u64, FrameError> {
 /// string-value requirement matters: a `{"worker":"drained","lease":3}`
 /// line carries a numeric `lease` field without being a lease frame.
 fn has_tag(line: &str, key: &str) -> bool {
-    matches!(
-        serde_json::from_str::<Value>(line),
-        Ok(Value::Object(obj)) if obj.iter().any(|(k, v)| k == key && matches!(v, Value::Str(_)))
-    )
+    Obj::parse(line, "").is_ok_and(|obj| is_tagged(&obj, key))
+}
+
+fn is_tagged(obj: &Obj<'_>, key: &str) -> bool {
+    match obj {
+        Obj::Tree(entries) => entries
+            .iter()
+            .any(|(k, v)| k == key && matches!(v, Value::Str(_))),
+        Obj::Text(entries) => entries.iter().any(|(k, v)| k == key && v.starts_with('"')),
+    }
 }
 
 /// A worker → coordinator control line of the lease protocol (protocol
@@ -1263,16 +1489,15 @@ impl WorkerFrame {
     /// [`WIRE_WORKER_MIN_VERSION`]`..=`[`WIRE_VERSION`];
     /// [`FrameError::Corrupt`] for anything else wrong with the line.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| FrameError::corrupt(format!("not valid JSON: {e}")))?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| FrameError::corrupt("worker line is not a JSON object"))?;
+        Self::decode(&Obj::parse(line, "worker line")?)
+    }
+
+    fn decode(obj: &Obj<'_>) -> Result<Self, FrameError> {
         worker_version(obj)?;
-        match str_field(obj, "worker")? {
+        match str_field(obj, "worker")?.as_ref() {
             "hello" => Ok(Self::Hello {
-                name: str_field(obj, "name")?.to_owned(),
-                study: str_field(obj, "study")?.to_owned(),
+                name: string_field(obj, "name")?,
+                study: string_field(obj, "study")?,
                 resume: bool_field(obj, "resume")?,
             }),
             "heartbeat" => Ok(Self::Heartbeat {
@@ -1316,6 +1541,35 @@ impl WorkerFrame {
             }
         }
         serde_json::to_string(&Value::Object(fields)).expect("worker frames always serialize")
+    }
+}
+
+/// One line of a leased worker's connection: a control line or an event
+/// frame, told apart and decoded in one pass. Equivalent to
+/// [`WorkerFrame::is_worker_line`] followed by [`WorkerFrame::parse`] or
+/// [`WireFrame::parse`], without scanning the line twice.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkerLine {
+    /// A `hello`/`heartbeat`/`drained`/`done` control line.
+    Control(WorkerFrame),
+    /// An event frame of a granted lease (boxed: it dwarfs a control
+    /// line).
+    Event(Box<WireFrame>),
+}
+
+impl WorkerLine {
+    /// Parses one line from a worker connection.
+    ///
+    /// # Errors
+    ///
+    /// The [`FrameError`] of whichever parser the line's family selects.
+    pub fn parse(line: &str) -> Result<Self, FrameError> {
+        let obj = Obj::parse(line, "wire line")?;
+        if is_tagged(&obj, "worker") {
+            WorkerFrame::decode(&obj).map(Self::Control)
+        } else {
+            WireFrame::decode(&obj).map(|frame| Self::Event(Box::new(frame)))
+        }
     }
 }
 
@@ -1377,13 +1631,9 @@ impl LeaseFrame {
     /// [`FrameError::Corrupt`] for anything else wrong with the line
     /// (including a `grant` whose range is empty or inverted).
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| FrameError::corrupt(format!("not valid JSON: {e}")))?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| FrameError::corrupt("lease line is not a JSON object"))?;
+        let obj = &Obj::parse(line, "lease line")?;
         worker_version(obj)?;
-        match str_field(obj, "lease")? {
+        match str_field(obj, "lease")?.as_ref() {
             "grant" => {
                 let start = uint_field(obj, "start")?;
                 let end = uint_field(obj, "end")?;
@@ -1507,16 +1757,20 @@ impl std::fmt::Display for Shard {
 /// A [`ResultSink`] that serializes every event as a versioned wire line.
 ///
 /// The sink numbers *all* events (so `seq` is the global slot coordinate)
-/// but writes only the lines its [`Shard`] owns. Each written line is
-/// flushed immediately: a downstream coordinator sees events as they
-/// happen, and a killed worker leaves a clean prefix of its residue class
-/// rather than a torn line. The study name is captured from the
-/// `study_started` event, which the engine guarantees comes first.
+/// but writes only the lines its [`Shard`] owns. Each line is encoded
+/// straight into one reused buffer (header, then the event's fields — no
+/// [`Value`] tree) and handed to the writer in a single `write_all`, then
+/// flushed: a downstream coordinator sees events as they happen, and a
+/// killed worker leaves a clean prefix of its residue class rather than a
+/// torn line. The study name is captured from the `study_started` event,
+/// which the engine guarantees comes first.
 #[derive(Debug)]
 pub struct WireSink<W: Write> {
     out: W,
     shard: Shard,
-    study: String,
+    /// `{"v":…,"study":…,"seq":` for the current study.
+    header: String,
+    line: String,
     seq: u64,
     written: u64,
 }
@@ -1529,10 +1783,13 @@ impl<W: Write> WireSink<W> {
 
     /// A sink emitting only the slots `shard` owns.
     pub fn sharded(out: W, shard: Shard) -> Self {
+        let mut header = String::new();
+        write_header(&mut header, "");
         Self {
             out,
             shard,
-            study: String::new(),
+            header,
+            line: String::new(),
             seq: 0,
             written: 0,
         }
@@ -1557,16 +1814,22 @@ impl<W: Write> WireSink<W> {
 impl<W: Write> ResultSink for WireSink<W> {
     fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
         if let StudyEvent::StudyStarted { name, .. } = event {
-            self.study = (*name).to_owned();
+            self.header.clear();
+            write_header(&mut self.header, name);
         }
         let seq = self.seq;
         self.seq += 1;
         if !self.shard.owns(seq) {
             return Ok(());
         }
-        let line = serde_json::to_string(&frame_value(&self.study, seq, event.to_value()))
-            .map_err(std::io::Error::other)?;
-        writeln!(self.out, "{line}")?;
+        let line = &mut self.line;
+        line.clear();
+        line.push_str(&self.header);
+        json::write_u64(line, seq);
+        line.push(',');
+        event.write_fields(line);
+        line.push_str("}\n");
+        self.out.write_all(line.as_bytes())?;
         self.out.flush()?;
         self.written += 1;
         Ok(())
@@ -1938,10 +2201,14 @@ pub fn replay<R: BufRead>(reader: R) -> Result<Replay, WireError> {
 ///
 /// Same conditions as [`replay`], plus sink failures (as
 /// [`WireError::Io`]).
-pub fn replay_into<R: BufRead>(reader: R, sink: &mut dyn ResultSink) -> Result<Replay, WireError> {
+pub fn replay_into<R: BufRead>(
+    mut reader: R,
+    sink: &mut dyn ResultSink,
+) -> Result<Replay, WireError> {
     let mut replayer = StreamReplayer::new();
-    for line in reader.lines() {
-        replayer.push_line(&line?, sink)?;
+    let mut line = String::new();
+    while crate::transport::read_frame_line(&mut reader, &mut line)? {
+        replayer.push_line(&line, sink)?;
     }
     replayer.finish()
 }
@@ -2392,7 +2659,7 @@ mod tests {
         // Clean run: the cache object is byte-identical to a v3 writer's.
         let clean = serde_json::to_string(&cache_value(&stats)).unwrap();
         assert!(!clean.contains("l2_reject_io"));
-        assert_eq!(cache_from(&cache_value(&stats)).unwrap(), stats);
+        assert_eq!(cache_from(Leaf::Tree(&cache_value(&stats))).unwrap(), stats);
         // Version-skewed run: only the observed classes appear.
         stats.l2_rejects = 3;
         stats.l2_reject_classes.version = 2;
@@ -2401,6 +2668,6 @@ mod tests {
         assert!(skewed.contains(r#""l2_reject_version":2"#));
         assert!(skewed.contains(r#""l2_reject_corrupt":1"#));
         assert!(!skewed.contains("l2_reject_io"));
-        assert_eq!(cache_from(&cache_value(&stats)).unwrap(), stats);
+        assert_eq!(cache_from(Leaf::Tree(&cache_value(&stats))).unwrap(), stats);
     }
 }

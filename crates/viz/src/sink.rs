@@ -19,9 +19,10 @@
 //! [`OutputSpec`](nvmexplorer_core::config::OutputSpec) asks for, which is
 //! how the config-driven runner and scheduler wire per-study outputs.
 
-use crate::csv::{escape, num};
+use crate::csv::{num_into, push_escaped};
 use crate::table::AsciiTable;
 use nvmexplorer_core::stream::{ResultSink, StudyEvent};
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
 
@@ -67,6 +68,7 @@ pub struct CsvSink<W: Write> {
     study: String,
     header_written: bool,
     rows: usize,
+    line: String,
 }
 
 impl<W: Write> CsvSink<W> {
@@ -77,6 +79,7 @@ impl<W: Write> CsvSink<W> {
             study: String::new(),
             header_written: false,
             rows: 0,
+            line: String::new(),
         }
     }
 
@@ -104,28 +107,41 @@ impl<W: Write> ResultSink for CsvSink<W> {
             }
             StudyEvent::EvaluationProduced { evaluation, .. } => {
                 let a = &evaluation.array;
-                let cells = [
-                    escape(&self.study),
-                    escape(&a.cell_name),
-                    a.technology.label().to_owned(),
-                    num(a.capacity.as_mebibytes()),
-                    a.bits_per_cell.to_string(),
-                    a.target.label().to_owned(),
-                    escape(&evaluation.traffic.name),
-                    num(a.read_latency.value() * 1e9),
-                    num(a.write_latency.value() * 1e9),
-                    num(a.read_energy.value() * 1e12),
-                    num(a.write_energy.value() * 1e12),
-                    num(a.leakage.value() * 1e3),
-                    num(a.area.value()),
-                    num(a.density_mbit_per_mm2()),
-                    num(evaluation.total_power().value() * 1e3),
-                    num(evaluation.utilization),
-                    num(evaluation.aggregate_latency.value() * 1e3),
-                    num(evaluation.lifetime_years()),
-                    evaluation.is_feasible().to_string(),
-                ];
-                writeln!(self.out, "{}", cells.join(","))?;
+                // One reused line buffer, every cell formatted in place.
+                let line = &mut self.line;
+                line.clear();
+                push_escaped(line, &self.study);
+                line.push(',');
+                push_escaped(line, &a.cell_name);
+                line.push(',');
+                line.push_str(a.technology.label());
+                line.push(',');
+                num_into(line, a.capacity.as_mebibytes());
+                write!(line, ",{},{},", a.bits_per_cell, a.target.label())
+                    .expect("writing to a String cannot fail");
+                push_escaped(line, &evaluation.traffic.name);
+                for value in [
+                    a.read_latency.value() * 1e9,
+                    a.write_latency.value() * 1e9,
+                    a.read_energy.value() * 1e12,
+                    a.write_energy.value() * 1e12,
+                    a.leakage.value() * 1e3,
+                    a.area.value(),
+                    a.density_mbit_per_mm2(),
+                    evaluation.total_power().value() * 1e3,
+                    evaluation.utilization,
+                    evaluation.aggregate_latency.value() * 1e3,
+                    evaluation.lifetime_years(),
+                ] {
+                    line.push(',');
+                    num_into(line, value);
+                }
+                line.push_str(if evaluation.is_feasible() {
+                    ",true\n"
+                } else {
+                    ",false\n"
+                });
+                self.out.write_all(line.as_bytes())?;
                 self.rows += 1;
             }
             // Fault campaigns end in their own terminal event (the base
@@ -160,12 +176,17 @@ impl<W: Write> ResultSink for CsvSink<W> {
 pub struct JsonlSink<W: Write> {
     out: W,
     events: usize,
+    line: String,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// A sink writing to `out`.
     pub fn new(out: W) -> Self {
-        Self { out, events: 0 }
+        Self {
+            out,
+            events: 0,
+            line: String::new(),
+        }
     }
 
     /// Events written so far.
@@ -181,8 +202,13 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> ResultSink for JsonlSink<W> {
     fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
-        let line = serde_json::to_string(event).map_err(std::io::Error::other)?;
-        writeln!(self.out, "{line}")?;
+        // Encoded straight into one reused buffer (no `Value` tree), one
+        // `write_all` per line.
+        self.line.clear();
+        self.line.push('{');
+        event.write_fields(&mut self.line);
+        self.line.push_str("}\n");
+        self.out.write_all(self.line.as_bytes())?;
         self.events += 1;
         if matches!(
             event,
