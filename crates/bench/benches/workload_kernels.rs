@@ -2,7 +2,7 @@
 //! simulator, and DNN inference (the pieces behind Figs. 6-9 and 13).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nvmx_workloads::cache::{run_profile, spec2017_profiles, LlcConfig};
+use nvmx_workloads::cache::{run_profile, spec2017_llc_traffic, spec2017_profiles, LlcConfig};
 use nvmx_workloads::graph::preferential_attachment;
 use nvmx_workloads::nn::trained_classifier;
 
@@ -25,6 +25,14 @@ fn bench_llc(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             run_profile(LlcConfig::default(), profile, 100_000, seed)
+        });
+    });
+    // The whole 14-profile suite, as `spec_llc` traffic resolves it.
+    c.bench_function("llc_suite_100k", |b| {
+        let mut seed = 0;
+        b.iter(|| {
+            seed += 1;
+            spec2017_llc_traffic(100_000, seed)
         });
     });
 }

@@ -1,5 +1,9 @@
 //! Runs every experiment in paper order, printing each report and writing
-//! all artifacts; exits non-zero if any checked finding deviates.
+//! all artifacts, then a final `total deviating findings: N` line.
+//!
+//! Deviations are reported, not fatal: the exit code is 0 whatever `N` is,
+//! so callers that time or diff the run are not cut short. Gate on the
+//! printed `[DEV]` claims and the final line instead.
 
 fn main() {
     let fast = nvmx_bench::fast_mode();

@@ -460,6 +460,19 @@ fn run_binary_rejects_malformed_configs_with_exit_2_and_the_section_name() {
     assert!(stderr.contains("traffic"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 
+    // A value that parses but would resolve to NaN traffic.
+    let zero = dir.path().join("zero_lookups.json");
+    std::fs::write(
+        &zero,
+        r#"{"name": "x", "traffic": {"kind": "spec_llc", "lookups": 0, "seed": 1}}"#,
+    )
+    .unwrap();
+    let output = Command::new(RUN).arg(&zero).output().unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("`traffic`"), "{stderr}");
+    assert!(stderr.contains("lookups"), "{stderr}");
+
     // Unreadable path.
     let output = Command::new(RUN)
         .arg(dir.path().join("missing.json"))

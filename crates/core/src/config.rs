@@ -150,11 +150,15 @@ impl StudyConfig {
             }
         }
         let section = |name: &'static str| value.get(name);
+        let traffic: TrafficSpec = parse_section(section("traffic"), "traffic")?.expect("required");
+        traffic
+            .validate()
+            .map_err(|e| ConfigError::at("traffic", e))?;
         Ok(Self {
             name: parse_section(section("name"), "name")?.expect("required"),
             cells: parse_section(section("cells"), "cells")?.unwrap_or_default(),
             array: parse_section(section("array"), "array")?.unwrap_or_default(),
-            traffic: parse_section(section("traffic"), "traffic")?.expect("required"),
+            traffic,
             constraints: parse_section(section("constraints"), "constraints")?.unwrap_or_default(),
             output: parse_section(section("output"), "output")?.unwrap_or_default(),
             store: parse_section(section("store"), "store")?.unwrap_or_default(),
@@ -477,7 +481,9 @@ pub enum TrafficSpec {
     },
     /// The SPEC CPU2017-class LLC suite (paper Sec. IV-C).
     SpecLlc {
-        /// Simulated lookups per benchmark.
+        /// Simulated lookups per benchmark (at least 1: traffic is a rate
+        /// over the simulated time, so zero lookups would make every rate
+        /// NaN).
         lookups: u64,
         /// Simulation seed.
         seed: u64,
@@ -525,6 +531,16 @@ pub fn model_by_name(name: &str) -> Result<dnn::DnnModel, UnknownNameError> {
 }
 
 impl TrafficSpec {
+    /// Rejects values that parse but cannot resolve to finite traffic.
+    fn validate(&self) -> Result<(), serde_json::Error> {
+        match self {
+            Self::SpecLlc { lookups: 0, .. } => Err(serde_json::Error::new(
+                "`spec_llc` needs `lookups` >= 1 (zero simulated lookups give NaN traffic rates)",
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Resolves the specification into concrete traffic patterns.
     ///
     /// # Errors
@@ -712,6 +728,29 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("trafic"), "{err}");
+    }
+
+    #[test]
+    fn zero_spec_llc_lookups_are_rejected_at_the_traffic_section() {
+        let zero = r#"{"name": "s", "traffic": {"kind": "spec_llc", "lookups": 0, "seed": 1}}"#;
+        let err = StudyConfig::from_json(zero).unwrap_err();
+        assert_eq!(err.section(), Some("traffic"));
+        assert!(err.to_string().contains("lookups"), "{err}");
+
+        // The campaign loader (every binary and the service) shares the check.
+        let err = CampaignConfig::from_json(zero).unwrap_err();
+        assert_eq!(err.section(), Some("traffic"));
+        let fault = r#"{"name": "s", "fault": {},
+            "traffic": {"kind": "spec_llc", "lookups": 0, "seed": 1}}"#;
+        let err = CampaignConfig::from_json(fault).unwrap_err();
+        assert_eq!(err.section(), Some("traffic"));
+
+        let one = r#"{"name": "s", "traffic": {"kind": "spec_llc", "lookups": 1, "seed": 1}}"#;
+        let config = StudyConfig::from_json(one).unwrap();
+        let patterns = config.traffic.resolve().unwrap();
+        assert!(patterns
+            .iter()
+            .all(|p| p.read_bytes_per_sec.is_finite() && p.write_bytes_per_sec.is_finite()));
     }
 
     #[test]

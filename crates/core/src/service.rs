@@ -872,6 +872,12 @@ mod tests {
             service.submit("{not json", 0),
             Err(AdmitError::Config(_))
         ));
+        let zero_lookups =
+            r#"{"name": "z", "traffic": {"kind": "spec_llc", "lookups": 0, "seed": 1}}"#;
+        assert!(matches!(
+            service.submit(zero_lookups, 0),
+            Err(AdmitError::Config(e)) if e.section() == Some("traffic")
+        ));
         assert!(matches!(
             service.submit(CONFIG, 0),
             Err(AdmitError::QueueFull { capacity: 0 })

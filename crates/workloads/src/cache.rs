@@ -34,18 +34,14 @@ impl Default for LlcConfig {
 }
 
 impl LlcConfig {
-    /// Number of sets.
+    /// Number of sets: zero for a degenerate geometry (no ways, zero-byte
+    /// lines, or less capacity than one set), which [`Llc::new`] rejects.
     pub fn sets(&self) -> usize {
-        (self.capacity_bytes / (self.ways as u64 * self.line_bytes)) as usize
+        (self.ways as u64)
+            .checked_mul(self.line_bytes)
+            .filter(|&set_bytes| set_bytes > 0)
+            .map_or(0, |set_bytes| (self.capacity_bytes / set_bytes) as usize)
     }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct LineState {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
 }
 
 /// Access statistics against the LLC *data array* (the quantity an eNVM
@@ -85,23 +81,60 @@ impl LlcStats {
     }
 }
 
-/// A set-associative write-back, write-allocate cache with LRU replacement.
+/// Occupancy of one way. An empty way's tag is meaningless, so every
+/// `u64` stays a valid tag (no sentinel).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LineState {
+    Empty,
+    Clean,
+    Dirty,
+}
+
+/// A set-associative write-back, write-allocate cache with exact LRU
+/// replacement.
+///
+/// Every access allocates on a miss, reads and writes alike. A miss fills
+/// an empty way while the set has one and only then evicts, always the
+/// least recently used line, writing it back if dirty. [`LlcStats`]
+/// depend only on which lines each set holds, not on their physical way.
+///
+/// All sets share two flat vectors (tags and line states), `ways` slots
+/// per set, each set kept in recency order with the most recent line first
+/// and its empty ways at the tail. A hit rotates its line to the front; a
+/// miss shifts the set down one slot and drops the last, which is either
+/// empty or the LRU line — so neither path needs a victim scan.
 #[derive(Debug, Clone)]
 pub struct Llc {
     config: LlcConfig,
-    sets: Vec<Vec<LineState>>,
-    clock: u64,
+    sets: u64,
+    tags: Vec<u64>,
+    states: Vec<LineState>,
     stats: LlcStats,
 }
 
 impl Llc {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the geometry has no sets — zero ways, zero-byte lines,
+    /// or a capacity below one set (`ways × line_bytes`) — with a message
+    /// naming the geometry.
     pub fn new(config: LlcConfig) -> Self {
-        let sets = vec![vec![LineState::default(); config.ways]; config.sets()];
+        let sets = config.sets();
+        assert!(
+            sets > 0,
+            "degenerate LLC geometry: {} B capacity, {} ways, {} B lines \
+             (needs at least one way, non-empty lines, and room for one set)",
+            config.capacity_bytes,
+            config.ways,
+            config.line_bytes,
+        );
         Self {
             config,
-            sets,
-            clock: 0,
+            sets: sets as u64,
+            tags: vec![0; sets * config.ways],
+            states: vec![LineState::Empty; sets * config.ways],
             stats: LlcStats::default(),
         }
     }
@@ -116,41 +149,54 @@ impl Llc {
         self.stats
     }
 
+    /// Empties every set and zeroes the statistics, keeping the allocation.
+    fn reset(&mut self) {
+        self.states.fill(LineState::Empty);
+        self.stats = LlcStats::default();
+    }
+
     /// Processes one access at byte address `addr`.
     pub fn access(&mut self, addr: u64, is_write: bool) {
-        self.clock += 1;
         self.stats.lookups += 1;
         let line_addr = addr / self.config.line_bytes;
-        let set_idx = (line_addr % self.sets.len() as u64) as usize;
-        let tag = line_addr / self.sets.len() as u64;
-        let set = &mut self.sets[set_idx];
+        let ways = self.config.ways;
+        let first = (line_addr % self.sets) as usize * ways;
+        let tag = line_addr / self.sets;
+        let tags = &mut self.tags[first..first + ways];
+        let states = &mut self.states[first..first + ways];
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.clock;
-            if is_write {
-                line.dirty = true;
+        let hit = tags
+            .iter()
+            .zip(states.iter())
+            .position(|(&t, &s)| t == tag && s != LineState::Empty);
+        // `last` is the slot the shift toward the back overwrites: the hit
+        // line's own, or on a miss the tail, whose empty or LRU line drops.
+        let (last, state) = match hit {
+            Some(way) if is_write => {
                 self.stats.write_hits += 1;
-            } else {
-                self.stats.read_hits += 1;
+                (way, LineState::Dirty)
             }
-            return;
-        }
-
-        // Miss: evict LRU, fill.
-        self.stats.misses += 1;
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
-            .expect("ways >= 1");
-        if victim.valid && victim.dirty {
-            self.stats.writebacks += 1;
-        }
-        *victim = LineState {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: self.clock,
+            Some(way) => {
+                self.stats.read_hits += 1;
+                (way, states[way])
+            }
+            None => {
+                self.stats.misses += 1;
+                if states[ways - 1] == LineState::Dirty {
+                    self.stats.writebacks += 1;
+                }
+                let state = if is_write {
+                    LineState::Dirty
+                } else {
+                    LineState::Clean
+                };
+                (ways - 1, state)
+            }
         };
+        tags.copy_within(..last, 1);
+        states.copy_within(..last, 1);
+        tags[0] = tag;
+        states[0] = state;
     }
 }
 
@@ -234,7 +280,12 @@ pub fn run_profile(
     lookups: u64,
     seed: u64,
 ) -> LlcTraffic {
-    let mut llc = Llc::new(config);
+    simulate(&mut Llc::new(config), profile, lookups, seed)
+}
+
+/// [`run_profile`] on a caller-owned, empty `llc`.
+fn simulate(llc: &mut Llc, profile: &BenchProfile, lookups: u64, seed: u64) -> LlcTraffic {
+    let config = llc.config();
     let mut rng = StdRng::seed_from_u64(seed);
     let lines_in_footprint = (profile.footprint_bytes / config.line_bytes).max(1);
     let lines_in_hot = (profile.hot_bytes / config.line_bytes).max(1);
@@ -271,10 +322,13 @@ pub fn run_profile(
 
 /// Runs the full SPEC-like suite against the default 16 MiB LLC.
 pub fn spec2017_llc_traffic(lookups_per_benchmark: u64, seed: u64) -> Vec<LlcTraffic> {
-    let config = LlcConfig::default();
+    let mut llc = Llc::new(LlcConfig::default());
     spec2017_profiles()
         .iter()
-        .map(|p| run_profile(config, p, lookups_per_benchmark, seed))
+        .map(|p| {
+            llc.reset();
+            simulate(&mut llc, p, lookups_per_benchmark, seed)
+        })
         .collect()
 }
 
