@@ -1,17 +1,10 @@
 //! Criterion bench: full study sweeps (cells × targets × traffic) and the
 //! evaluation engine itself.
-//!
-//! The `multi_target` group measures the sweep-engine overhaul: the
-//! shared-DSE lock-free engine (`run_study_with_threads`) against the
-//! pre-overhaul per-target mutex-queue engine
-//! (`sweep::baseline::run_study_with_threads`) on the 3-target default
-//! study. `cargo run --release -p nvmx_bench --bin bench_sweep` records the
-//! same comparison into `BENCH_sweep.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
 use nvmexplorer_core::eval::evaluate;
-use nvmexplorer_core::sweep::{baseline, run_study_with_threads};
+use nvmexplorer_core::sweep::run_study_with_threads;
 use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
 use nvmx_nvsim::{characterize, characterize_targets, ArrayConfig, OptimizationTarget};
 use nvmx_units::Capacity;
@@ -37,7 +30,7 @@ fn study() -> StudyConfig {
     }
 }
 
-/// The 3-target default study from the sweep-engine overhaul target.
+/// The 3-target default study (`three_target` in `BENCH_sweep.json`).
 fn multi_target_study() -> StudyConfig {
     let mut config = study();
     config.array.targets = vec![
@@ -69,15 +62,6 @@ fn bench_multi_target(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| run_study_with_threads(&multi_target_study(), threads).unwrap());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("per_target_baseline", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    baseline::run_study_with_threads(&multi_target_study(), threads).unwrap()
-                });
             },
         );
     }

@@ -1,32 +1,25 @@
 //! Records the sweep-engine performance trajectory into `BENCH_sweep.json`.
 //!
+//! Every group times the one production engine. The engines it replaced
+//! are retired; their last measured medians are embedded verbatim under
+//! `trajectory` (`pr1_recorded`, `retired_recorded`) so the history
+//! survives re-measurement without re-running dead code.
+//!
 //! Measurement groups:
 //!
-//! - **`three_target`** (the PR 1 comparison, kept as the trajectory
-//!   baseline): the 3-target default study under the pre-overhaul
-//!   per-target mutex-queue engine (`sweep::baseline`) and the current
-//!   engine. PR 1's recorded medians are embedded verbatim under
-//!   `trajectory.pr1_recorded` so the history survives re-measurement.
-//! - **`multi_capacity`** (the PR 2 comparison, extended by PR 5): a
-//!   4-capacity × 2-depth × 3-target study under four engine variants —
-//!   `pr1` (shared DSE with per-candidate materialized scoring, no cache),
-//!   `pr4` (the PR 2–4 engine: exhaustive cached scan materializing every
-//!   candidate bank, per-pair `evaluate_shared`), `uncached`
-//!   (branch-and-bound pruned scan without a cache, kernel evaluations),
-//!   and `current` (pruned scan + sweep-wide subarray cache + precomputed
-//!   evaluation kernels). Cache hit/miss/prune counters are recorded
+//! - **`three_target`**: the 3-target default study, the trajectory's
+//!   first comparison point.
+//! - **`multi_capacity`**: a 4-capacity × 2-depth × 3-target study. Cache hit/miss/prune counters are recorded
 //!   alongside the medians, and the DSE prune rate is hard-gated.
 //! - **`multi_study`** (the PR 3 comparison): a 3-study capacity-sliced
 //!   campaign under the [`StudyScheduler`] sharing one warm
 //!   `SubarrayCache`, against the same three studies run sequentially with
 //!   per-study private caches. Cross-study cache hit rates are recorded
 //!   per study and in aggregate.
-//! - **`large_campaign`** (the PR 5 + PR 6 target): a campaign-scale
-//!   single study — six capacities (1–32 MiB), SLC+MLC2, three targets, an
-//!   8×8 generic traffic grid, tens of thousands of evaluations — measured
-//!   under the PR 2–4 reference engine, the PR 5 scalar-kernel engine, and
-//!   the current batched (structure-of-arrays) engine, with prune rate,
-//!   kernel reuse, and evaluation throughput recorded and gated.
+//! - **`large_campaign`**: a campaign-scale single study — six capacities (1–32 MiB), SLC+MLC2, three targets, an
+//!   8×8 generic traffic grid, tens of thousands of evaluations — with
+//!   prune rate, kernel reuse, and evaluation throughput recorded and
+//!   gated.
 //! - **`fault_campaign`** (the PR 7 target): a fault-injection campaign
 //!   layered over the 3-target study — every default cell at both
 //!   programming depths and two operating temperatures plus a raw-BER
@@ -62,11 +55,13 @@
 //!
 //! `--quick` drops to a single rep (no warmup) — the CI perf-floor mode.
 //! Wall-clock numbers from a quick run are noise, but the run still *hard
-//! gates* the machine-independent invariants: every engine variant must
-//! produce identical results, the cross-study cache hit rate must stay at
-//! or above its recorded floor, and the DSE prune rates must stay at or
-//! above theirs. `--out PATH` redirects the JSON report (CI uploads it as
-//! a workflow artifact instead of overwriting the checked-in trajectory).
+//! gates* the machine-independent invariants: the engine must reproduce
+//! the serial exhaustive oracle (`sweep::oracle`) byte for byte on the
+//! `three_target`, `multi_capacity`, and `large_campaign` studies, the
+//! cross-study cache hit rate must stay at or above its recorded floor,
+//! and the DSE prune rates must stay at or above theirs. `--out PATH`
+//! redirects the JSON report (CI uploads it as a workflow artifact
+//! instead of overwriting the checked-in trajectory).
 //! The report is written via temp-file + atomic rename, so a killed run
 //! never leaves a torn artifact. `host.available_parallelism` and the rep
 //! counts are recorded in the report, so trajectory numbers are
@@ -77,7 +72,7 @@ use nvmexplorer_core::config::{
 };
 use nvmexplorer_core::scheduler::StudyScheduler;
 use nvmexplorer_core::stream::{NullSink, StudyExecutor};
-use nvmexplorer_core::sweep::{self, baseline};
+use nvmexplorer_core::sweep::{self, oracle};
 use nvmx_nvsim::{IncumbentStore, OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
 use std::fmt::Write as _;
@@ -286,6 +281,57 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// The medians of the engines this one replaced, as last measured by a
+/// full run (1-CPU host, 15 reps; 7 for `large_campaign`), each next to
+/// the then-current engine's median from the same run. Copied verbatim
+/// from the `BENCH_sweep.json` that last timed them live.
+const RETIRED_RECORDED: &str = r#"    "retired_recorded": {
+      "engines": {
+        "baseline": "per-target jobs, mutex queue + mutex result vec, completion-order sort, serial evaluation",
+        "pr1": "first shared-DSE engine: per-candidate materialized scoring, no subarray cache, deep-copy evaluation",
+        "pr4": "exhaustive cached scan materializing every candidate bank, per-pair scalar evaluation",
+        "uncached": "branch-and-bound pruned scan, no subarray cache, kernel evaluation",
+        "pr5": "branch-and-bound pruned scan + subarray cache + per-pair scalar kernel applications"
+      },
+      "three_target": [
+        {"threads": 1, "baseline_ms": 1.26, "current_ms": 0.64, "speedup": 1.96},
+        {"threads": 8, "baseline_ms": 1.25, "current_ms": 0.79, "speedup": 1.58}
+      ],
+      "multi_capacity": [
+        {"threads": 1, "pr1_ms": 9.70, "pr4_ms": 5.24, "uncached_ms": 3.43, "current_ms": 3.26, "speedup_vs_pr1": 2.97, "speedup_vs_pr4": 1.61},
+        {"threads": 8, "pr1_ms": 9.91, "pr4_ms": 9.54, "uncached_ms": 4.67, "current_ms": 3.27, "speedup_vs_pr1": 3.03, "speedup_vs_pr4": 2.92}
+      ],
+      "large_campaign": [
+        {"threads": 1, "pr4_ms": 10.99, "pr5_ms": 7.37, "current_ms": 6.01, "speedup_vs_pr4": 1.83, "speedup_vs_pr5": 1.22},
+        {"threads": 8, "pr4_ms": 10.30, "pr5_ms": 7.63, "current_ms": 6.22, "speedup_vs_pr4": 1.66, "speedup_vs_pr5": 1.23}
+      ]
+    }
+"#;
+
+/// Writes a group's engine description and its `(threads, median ms)`
+/// rows, closing the group object.
+fn push_current_rows(
+    json: &mut String,
+    rows: &[(usize, f64)],
+    evaluations: usize,
+    parallelism: usize,
+) {
+    json.push_str(
+        "    \"engine\": \"shared DSE, branch-and-bound pruning, subarray cache, lock-free fan-out, batched structure-of-arrays kernel evaluation\",\n",
+    );
+    json.push_str("    \"results_ms_median\": [\n");
+    for (i, (threads, current_ms)) in rows.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "      {{\"threads\": {threads}, \"current_ms\": {current_ms:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
+            evaluations_per_sec(evaluations, *current_ms),
+            *threads > parallelism,
+            if i + 1 < rows.len() { "," } else { "" }
+        );
+    }
+    json.push_str("    ]\n  },\n");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|arg| arg == "--quick");
@@ -305,65 +351,33 @@ fn main() {
     let reps_large = if quick { 1 } else { REPS_LARGE };
     let parallelism = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
 
-    // --- Sanity: every engine variant must agree before any timing -------
+    // --- Sanity: the engine must reproduce the oracle before any timing ----
     let three = three_target_study();
     let multi = multi_capacity_study();
     let large = large_campaign_study();
-    let reference = sweep::run_study_with_threads(&multi, 8).expect("cached engine runs");
-    for (name, result) in [
-        (
-            "uncached",
-            sweep::run_study_uncached(&multi, 8).expect("uncached engine runs"),
-        ),
-        (
-            "pr4",
-            sweep::run_study_pr4(&multi, 8).expect("pr4 engine runs"),
-        ),
-        (
-            "pr1",
-            sweep::run_study_pr1(&multi, 8).expect("pr1 engine runs"),
-        ),
-        (
-            "pr5",
-            sweep::run_study_pr5(&multi, 8).expect("pr5 engine runs"),
-        ),
-    ] {
-        assert_eq!(
-            reference.arrays, result.arrays,
-            "{name} arrays diverged; refusing to record bench"
-        );
-        assert_eq!(
-            reference.evaluations, result.evaluations,
-            "{name} evaluations diverged; refusing to record bench"
-        );
-    }
-    let three_evaluations = {
-        let shared = sweep::run_study_with_threads(&three, 8).expect("shared engine runs");
-        let legacy = baseline::run_study_with_threads(&three, 1).expect("baseline engine runs");
-        assert_eq!(shared.arrays, legacy.arrays, "3-target engines diverged");
-        assert_eq!(shared.evaluations, legacy.evaluations);
-        shared.evaluations.len()
-    };
+    let three_reference = sweep::run_study_with_threads(&three, 8).expect("engine runs");
+    let reference = sweep::run_study_with_threads(&multi, 8).expect("engine runs");
     let large_reference = sweep::run_study_with_threads(&large, 8).expect("large study runs");
-    for (name, result) in [
-        (
-            "pr4",
-            sweep::run_study_pr4(&large, 8).expect("pr4 large study runs"),
-        ),
-        (
-            "pr5",
-            sweep::run_study_pr5(&large, 8).expect("pr5 large study runs"),
-        ),
+    for (name, engine, study) in [
+        ("three_target", &three_reference, &three),
+        ("multi_capacity", &reference, &multi),
+        ("large_campaign", &large_reference, &large),
     ] {
+        let expected = oracle::run_study(study).expect("oracle runs");
         assert_eq!(
-            large_reference.arrays, result.arrays,
-            "large-campaign {name} arrays diverged; refusing to record bench"
+            engine.arrays, expected.arrays,
+            "{name} arrays diverged from the oracle; refusing to record bench"
         );
         assert_eq!(
-            large_reference.evaluations, result.evaluations,
-            "large-campaign {name} evaluations diverged; refusing to record bench"
+            engine.evaluations, expected.evaluations,
+            "{name} evaluations diverged from the oracle; refusing to record bench"
+        );
+        assert_eq!(
+            engine.skipped, expected.skipped,
+            "{name} skips diverged from the oracle; refusing to record bench"
         );
     }
+    let three_evaluations = three_reference.evaluations.len();
     let queue = campaign_queue();
     let queue_evaluations = {
         let shared_cache = SubarrayCache::new();
@@ -413,53 +427,24 @@ fn main() {
     sweep::run_study_with_cache(&multi, 8, &cache).expect("cached run for stats");
     let stats = cache.stats();
 
-    // --- three_target group (PR 1 trajectory) ----------------------------
-    let mut three_rows = Vec::new();
-    for threads in [1usize, 8] {
-        let baseline_ms = median_ms(reps, || {
-            drop(baseline::run_study_with_threads(&three, threads).unwrap());
-        });
-        let current_ms = median_ms(reps, || {
-            drop(sweep::run_study_with_threads(&three, threads).unwrap());
-        });
-        three_rows.push((threads, baseline_ms, current_ms));
-    }
-
-    // --- multi_capacity group (PR 2 + PR 5 targets) ------------------------
-    let mut multi_rows = Vec::new();
-    for threads in [1usize, 8] {
-        let pr1_ms = median_ms(reps, || {
-            drop(sweep::run_study_pr1(&multi, threads).unwrap());
-        });
-        let pr4_ms = median_ms(reps, || {
-            drop(sweep::run_study_pr4(&multi, threads).unwrap());
-        });
-        let uncached_ms = median_ms(reps, || {
-            drop(sweep::run_study_uncached(&multi, threads).unwrap());
-        });
-        let current_ms = median_ms(reps, || {
-            drop(sweep::run_study_with_threads(&multi, threads).unwrap());
-        });
-        multi_rows.push((threads, pr1_ms, pr4_ms, uncached_ms, current_ms));
-    }
-
-    // --- large_campaign group (the PR 5 + PR 6 target) ---------------------
+    // --- three_target, multi_capacity, and large_campaign groups ----------
+    let current_rows = |study: &StudyConfig, reps: usize| -> Vec<(usize, f64)> {
+        [1usize, 8]
+            .into_iter()
+            .map(|threads| {
+                let ms = median_ms(reps, || {
+                    drop(sweep::run_study_with_threads(study, threads).unwrap());
+                });
+                (threads, ms)
+            })
+            .collect()
+    };
+    let three_rows = current_rows(&three, reps);
+    let multi_rows = current_rows(&multi, reps);
     let large_cache = SubarrayCache::new();
     sweep::run_study_with_cache(&large, 8, &large_cache).expect("large run for stats");
     let large_stats = large_cache.stats();
-    let mut large_rows = Vec::new();
-    for threads in [1usize, 8] {
-        let pr4_ms = median_ms(reps_large, || {
-            drop(sweep::run_study_pr4(&large, threads).unwrap());
-        });
-        let pr5_ms = median_ms(reps_large, || {
-            drop(sweep::run_study_pr5(&large, threads).unwrap());
-        });
-        let current_ms = median_ms(reps_large, || {
-            drop(sweep::run_study_with_threads(&large, threads).unwrap());
-        });
-        large_rows.push((threads, pr4_ms, pr5_ms, current_ms));
-    }
+    let large_rows = current_rows(&large, reps_large);
 
     // --- multi_study group (PR 3 target) -----------------------------------
     // Cross-study cache behavior, measured once (single-lane so the warm-up
@@ -605,32 +590,15 @@ fn main() {
     json.push_str(
         "        {\"threads\": 8, \"baseline_ms\": 2.96, \"shared_dse_ms\": 1.13, \"speedup\": 2.62}\n",
     );
-    json.push_str("      ]\n    }\n  },\n");
+    json.push_str("      ]\n    },\n");
+    json.push_str(RETIRED_RECORDED);
+    json.push_str("  },\n");
 
     json.push_str("  \"three_target\": {\n");
     json.push_str(
         "    \"study\": \"3-target default study (14 cells, 2 MiB SLC, ReadEDP+WriteEDP+Area, 4x4 generic traffic sweep)\",\n",
     );
-    json.push_str("    \"engines\": {\n");
-    json.push_str(
-        "      \"baseline\": \"per-target jobs, mutex queue + mutex result vec, completion-order sort, serial evaluation\",\n",
-    );
-    json.push_str(
-        "      \"current\": \"shared DSE, branch-and-bound pruning, subarray cache, lock-free fan-out, kernel-based parallel evaluation\"\n",
-    );
-    json.push_str("    },\n");
-    json.push_str("    \"results_ms_median\": [\n");
-    for (i, (threads, baseline_ms, current_ms)) in three_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"threads\": {threads}, \"baseline_ms\": {baseline_ms:.2}, \"current_ms\": {current_ms:.2}, \"speedup\": {:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
-            baseline_ms / current_ms,
-            evaluations_per_sec(three_evaluations, *current_ms),
-            *threads > parallelism,
-            if i + 1 < three_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("    ]\n  },\n");
+    push_current_rows(&mut json, &three_rows, three_evaluations, parallelism);
 
     json.push_str("  \"multi_capacity\": {\n");
     json.push_str(
@@ -642,20 +610,6 @@ fn main() {
         "    \"evaluations\": {},",
         reference.evaluations.len()
     );
-    json.push_str("    \"engines\": {\n");
-    json.push_str(
-        "      \"pr1\": \"PR 1 shared-DSE engine: per-candidate materialized scoring, no subarray cache, deep-copy evaluation\",\n",
-    );
-    json.push_str(
-        "      \"pr4\": \"PR 2-4 engine: exhaustive cached scan materializing every candidate bank, per-pair evaluate_shared\",\n",
-    );
-    json.push_str(
-        "      \"uncached\": \"branch-and-bound pruned scan, no subarray cache, kernel evaluation\",\n",
-    );
-    json.push_str(
-        "      \"current\": \"branch-and-bound pruned scan + sweep-wide subarray cache + precomputed evaluation kernels\"\n",
-    );
-    json.push_str("    },\n");
     let _ = writeln!(
         json,
         "    \"subarray_cache\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \"pruned\": {}, \"hit_rate\": {:.3}, \"prune_rate\": {:.3}}},",
@@ -666,19 +620,12 @@ fn main() {
         stats.hit_rate(),
         stats.prune_rate()
     );
-    json.push_str("    \"results_ms_median\": [\n");
-    for (i, (threads, pr1_ms, pr4_ms, uncached_ms, current_ms)) in multi_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"threads\": {threads}, \"pr1_ms\": {pr1_ms:.2}, \"pr4_ms\": {pr4_ms:.2}, \"uncached_ms\": {uncached_ms:.2}, \"current_ms\": {current_ms:.2}, \"speedup_vs_pr1\": {:.2}, \"speedup_vs_pr4\": {:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
-            pr1_ms / current_ms,
-            pr4_ms / current_ms,
-            evaluations_per_sec(reference.evaluations.len(), *current_ms),
-            *threads > parallelism,
-            if i + 1 < multi_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("    ]\n  },\n");
+    push_current_rows(
+        &mut json,
+        &multi_rows,
+        reference.evaluations.len(),
+        parallelism,
+    );
 
     json.push_str("  \"large_campaign\": {\n");
     json.push_str(
@@ -700,17 +647,6 @@ fn main() {
             large_reference.evaluations.len() / large_reference.arrays.len()
         }
     );
-    json.push_str("    \"engines\": {\n");
-    json.push_str(
-        "      \"pr4\": \"PR 2-4 engine: exhaustive cached scan materializing every candidate bank, per-pair evaluate_shared\",\n",
-    );
-    json.push_str(
-        "      \"pr5\": \"PR 5 engine: branch-and-bound pruned scan + subarray cache + per-pair scalar kernel applications\",\n",
-    );
-    json.push_str(
-        "      \"current\": \"pruned scan + subarray cache + batched structure-of-arrays kernel evaluation over TrafficGrid lanes\"\n",
-    );
-    json.push_str("    },\n");
     let _ = writeln!(
         json,
         "    \"subarray_cache\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \"pruned\": {}, \"hit_rate\": {:.3}, \"prune_rate\": {:.3}}},",
@@ -721,19 +657,12 @@ fn main() {
         large_stats.hit_rate(),
         large_stats.prune_rate()
     );
-    json.push_str("    \"results_ms_median\": [\n");
-    for (i, (threads, pr4_ms, pr5_ms, current_ms)) in large_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"threads\": {threads}, \"pr4_ms\": {pr4_ms:.2}, \"pr5_ms\": {pr5_ms:.2}, \"current_ms\": {current_ms:.2}, \"speedup_vs_pr4\": {:.2}, \"speedup_vs_pr5\": {:.2}, \"evaluations_per_sec\": {:.0}, \"oversubscribed\": {}}}{}",
-            pr4_ms / current_ms,
-            pr5_ms / current_ms,
-            evaluations_per_sec(large_reference.evaluations.len(), *current_ms),
-            *threads > parallelism,
-            if i + 1 < large_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("    ]\n  },\n");
+    push_current_rows(
+        &mut json,
+        &large_rows,
+        large_reference.evaluations.len(),
+        parallelism,
+    );
 
     json.push_str("  \"multi_study\": {\n");
     json.push_str(
@@ -906,21 +835,19 @@ fn main() {
     nvmx_bench::campaign::write_file_atomic(std::path::Path::new(&out_path), json.as_bytes())
         .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     print!("{json}");
-    let eight = multi_rows.iter().find(|(t, ..)| *t == 8).unwrap();
+    let multi_one = multi_rows.iter().find(|(t, _)| *t == 1).unwrap();
     eprintln!(
-        "multi-capacity speedup at 8 threads: {:.2}x vs PR 1, {:.2}x vs PR 4, prune rate {:.1}%, cache hit rate {:.1}%",
-        eight.1 / eight.4,
-        eight.2 / eight.4,
+        "multi-capacity at 1 thread: {:.2} ms, prune rate {:.1}%, cache hit rate {:.1}%",
+        multi_one.1,
         stats.prune_rate() * 100.0,
         stats.hit_rate() * 100.0
     );
-    let large_one = large_rows.iter().find(|(t, ..)| *t == 1).unwrap();
+    let large_one = large_rows.iter().find(|(t, _)| *t == 1).unwrap();
     eprintln!(
-        "large-campaign ({} evaluations) at 1 thread: {:.2}x vs PR 4, {:.2}x vs PR 5 scalar kernels, {:.0} evaluations/s, prune rate {:.1}%",
+        "large-campaign ({} evaluations) at 1 thread: {:.2} ms, {:.0} evaluations/s, prune rate {:.1}%",
         large_reference.evaluations.len(),
-        large_one.1 / large_one.3,
-        large_one.2 / large_one.3,
-        evaluations_per_sec(large_reference.evaluations.len(), large_one.3),
+        large_one.1,
+        evaluations_per_sec(large_reference.evaluations.len(), large_one.1),
         large_stats.prune_rate() * 100.0
     );
     let campaign_eight = study_rows.iter().find(|(w, ..)| *w == 8).unwrap();
@@ -1004,9 +931,7 @@ fn main() {
     // that only an engine regression can trip it).
     let best_evals_per_sec = large_rows
         .iter()
-        .map(|(_, _, _, current_ms)| {
-            evaluations_per_sec(large_reference.evaluations.len(), *current_ms)
-        })
+        .map(|(_, ms)| evaluations_per_sec(large_reference.evaluations.len(), *ms))
         .fold(0.0f64, f64::max);
     assert!(
         best_evals_per_sec >= EVALS_PER_SEC_FLOOR,

@@ -24,8 +24,8 @@
 //! Exit codes: `0` success, `1` the server reported an error or the
 //! session failed, `2` usage error.
 
+use nvmexplorer_core::transport::{Connection, Endpoint};
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame};
-use nvmx_bench::service_net::{Client, Endpoint};
 
 const USAGE: &str = "usage: nvmx-client --connect ADDR <status | events SESSION | cancel SESSION | shutdown>\n       ADDR is unix:PATH or tcp:HOST:PORT";
 
@@ -78,14 +78,14 @@ fn main() {
         eprintln!("{e}\n{USAGE}");
         std::process::exit(2);
     });
-    let mut client = Client::connect(&endpoint)
+    let mut client = Connection::connect(&endpoint)
         .unwrap_or_else(|e| fail(&format!("cannot connect to {endpoint}: {e}")));
     client
-        .send(&request)
+        .send_line(&request.to_line())
         .unwrap_or_else(|e| fail(&format!("cannot send request: {e}")));
 
     loop {
-        let line = match client.read_line() {
+        let line = match client.recv_line() {
             Ok(Some(line)) => line,
             Ok(None) => fail("server closed the connection mid-response"),
             Err(e) => fail(&format!("read failed: {e}")),

@@ -50,9 +50,8 @@
 //! Exit codes: `0` clean drain, `1` runtime failure, `2` usage error.
 
 use nvmexplorer_core::service::{CampaignService, ServiceConfig};
-use nvmexplorer_core::transport::read_frame_line;
+use nvmexplorer_core::transport::{read_frame_line, Endpoint, Listener, Stream};
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame};
-use nvmx_bench::service_net::{Endpoint, Listener, Stream};
 use std::io::{BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

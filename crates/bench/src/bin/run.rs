@@ -43,11 +43,11 @@
 
 use nvmexplorer_core::config::CampaignConfig;
 use nvmexplorer_core::stream::StudyExecutor;
+use nvmexplorer_core::transport::{Connection, Endpoint};
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame, StreamReplayer};
 use nvmx_bench::campaign::{
     fault_csv, fault_summary_line, load_campaign, results_csv, summary_line,
 };
-use nvmx_bench::service_net::{Client, Endpoint};
 use nvmx_nvsim::SubarrayCache;
 use nvmx_viz::sink::SpecSinks;
 use std::path::PathBuf;
@@ -119,12 +119,12 @@ fn run_remote(
         eprintln!("`{path}` is not valid JSON: {e}");
         std::process::exit(2);
     });
-    let mut client = Client::connect(endpoint).unwrap_or_else(|e| {
+    let mut client = Connection::connect(endpoint).unwrap_or_else(|e| {
         eprintln!("cannot connect to {endpoint}: {e}");
         std::process::exit(1);
     });
     client
-        .send(&RequestFrame::Submit { priority, config })
+        .send_line(&RequestFrame::Submit { priority, config }.to_line())
         .unwrap_or_else(|e| {
             eprintln!("cannot submit: {e}");
             std::process::exit(1);
@@ -133,7 +133,7 @@ fn run_remote(
     let mut replayer = StreamReplayer::new();
     let mut session = None;
     loop {
-        let line = match client.read_line() {
+        let line = match client.recv_line() {
             Ok(Some(line)) => line,
             Ok(None) => {
                 eprintln!("server closed the connection before the session finished");
@@ -266,8 +266,18 @@ fn main() {
             }
         }
     };
-    for (cell, reason) in &result.skipped {
-        eprintln!("skipped {cell}: {reason}");
+    // One line per distinct (cell, reason), in first-occurrence order: an
+    // unrealizable cell is skipped once per target, capacity, and depth,
+    // and repeating the line says nothing new.
+    let mut skips: Vec<(&(String, String), usize)> = Vec::new();
+    for skip in &result.skipped {
+        match skips.iter_mut().find(|(seen, _)| *seen == skip) {
+            Some((_, count)) => *count += 1,
+            None => skips.push((skip, 1)),
+        }
+    }
+    for ((cell, reason), count) in skips {
+        eprintln!("skipped {cell}: {reason} (×{count})");
     }
 
     let out = nvmx_bench::output_dir().join(format!("{}_results.csv", study.name));

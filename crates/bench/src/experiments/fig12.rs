@@ -87,21 +87,8 @@ pub fn run(fast: bool) -> Experiment {
     plot.series(format!("area eff <= {EFFICIENCY_THRESHOLD}"), low_points);
     plot.series(format!("area eff > {EFFICIENCY_THRESHOLD}"), high_points);
 
-    let median = |set: &ResultSet| -> f64 {
-        let mut v: Vec<f64> = set
-            .evaluations()
-            .iter()
-            .map(|e| e.aggregate_latency.value())
-            .collect();
-        v.sort_by(f64::total_cmp);
-        if v.is_empty() {
-            f64::NAN
-        } else {
-            v[v.len() / 2]
-        }
-    };
-    let low_median = median(&low);
-    let high_median = median(&high);
+    let low_median = median_latency(&low);
+    let high_median = median_latency(&high);
 
     // Energy-per-access advantage → large power advantage at high traffic.
     let heavy = set.filter(|e| e.traffic.name == "heavy");
@@ -126,15 +113,7 @@ pub fn run(fast: bool) -> Experiment {
     };
 
     let findings = vec![
-        Finding::new(
-            "low-area-efficiency arrays tend to deliver lower total memory latency",
-            format!(
-                "median aggregate latency: {:.3} ms/s (eff<={EFFICIENCY_THRESHOLD}) vs {:.3} ms/s (above)",
-                low_median * 1e3,
-                high_median * 1e3
-            ),
-            low_median < high_median,
-        ),
+        efficiency_finding(low_median, high_median),
         Finding::new(
             "slight energy-per-access advantages become large power advantages in \
              high-traffic scenarios",
@@ -143,13 +122,18 @@ pub fn run(fast: bool) -> Experiment {
         ),
     ];
 
+    let medians = match (low_median, high_median) {
+        (Some(low), Some(high)) => format!(
+            "Median aggregate latency {:.3} vs {:.3} ms/s.",
+            low * 1e3,
+            high * 1e3
+        ),
+        _ => "Median aggregate latency: no data.".to_owned(),
+    };
     let summary = format!(
-        "{} feasible design points ({} low-efficiency highlighted). Median aggregate \
-         latency {:.3} vs {:.3} ms/s.",
+        "{} feasible design points ({} low-efficiency highlighted). {medians}",
         set.len(),
         low.len(),
-        low_median * 1e3,
-        high_median * 1e3
     );
 
     Experiment {
@@ -159,5 +143,60 @@ pub fn run(fast: bool) -> Experiment {
         plots: vec![("fig12_latency_vs_efficiency".into(), plot)],
         summary,
         findings,
+    }
+}
+
+/// Median aggregate latency of `set`, or `None` for an empty set.
+fn median_latency(set: &ResultSet) -> Option<f64> {
+    let mut latencies: Vec<f64> = set
+        .evaluations()
+        .iter()
+        .map(|e| e.aggregate_latency.value())
+        .collect();
+    latencies.sort_by(f64::total_cmp);
+    latencies.get(latencies.len() / 2).copied()
+}
+
+/// The paper's Fig. 12 claim checked on the two medians. A side with no
+/// feasible design points gives "no data" and a claim that does not hold.
+fn efficiency_finding(low_median: Option<f64>, high_median: Option<f64>) -> Finding {
+    let claim = "low-area-efficiency arrays tend to deliver lower total memory latency";
+    match (low_median, high_median) {
+        (Some(low), Some(high)) => Finding::new(
+            claim,
+            format!(
+                "median aggregate latency: {:.3} ms/s (eff<={EFFICIENCY_THRESHOLD}) vs {:.3} ms/s (above)",
+                low * 1e3,
+                high * 1e3
+            ),
+            low < high,
+        ),
+        _ => Finding::new(
+            claim,
+            format!(
+                "no data: a side of the eff<={EFFICIENCY_THRESHOLD} split has no feasible design points"
+            ),
+            false,
+        ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn empty_low_efficiency_set_is_no_data_not_nan() {
+        assert_eq!(median_latency(&ResultSet::new(Vec::new())), None);
+        let finding = efficiency_finding(None, Some(1.0e-3));
+        assert!(!finding.holds);
+        assert!(finding.measured.contains("no data"), "{}", finding.measured);
+        assert!(!finding.measured.contains("NaN"), "{}", finding.measured);
+    }
+
+    #[test]
+    fn present_medians_hold_when_low_efficiency_is_faster() {
+        assert!(efficiency_finding(Some(1.0e-3), Some(2.0e-3)).holds);
+        assert!(!efficiency_finding(Some(2.0e-3), Some(1.0e-3)).holds);
     }
 }

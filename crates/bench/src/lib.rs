@@ -12,7 +12,6 @@
 
 pub mod campaign;
 pub mod experiments;
-pub mod service_net;
 
 use nvmx_viz::{Csv, ScatterPlot};
 use std::path::{Path, PathBuf};

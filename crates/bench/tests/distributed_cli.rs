@@ -504,3 +504,52 @@ fn run_binary_rejects_malformed_configs_with_exit_2_and_the_section_name() {
         .unwrap();
     assert_eq!(output.status.code(), Some(2), "coordinator must exit 2");
 }
+
+#[test]
+fn run_reports_each_repeated_skip_once_with_a_count() {
+    let dir = TempDir::new("skip_lines");
+    // SRAM cannot store MLC-2: it is skipped once per capacity × target.
+    let config = write_config(
+        dir.path(),
+        r#"{
+  "name": "skip-lines",
+  "cells": {
+    "technologies": ["Stt"],
+    "tentpoles": true,
+    "reference_rram": false,
+    "sram_baseline": true
+  },
+  "array": {
+    "capacities_mib": [1, 2, 4],
+    "bits_per_cell": ["Slc", "Mlc2"],
+    "targets": ["ReadEdp", "WriteEdp", "Area"]
+  },
+  "traffic": {
+    "kind": "explicit",
+    "patterns": [
+      {"name": "t", "read_bytes_per_sec": 1e9, "write_bytes_per_sec": 1e7, "access_bytes": 64}
+    ]
+  }
+}"#,
+    );
+    let output = Command::new(RUN)
+        .arg(&config)
+        .env("NVMX_OUT", dir.path().join("out"))
+        .output()
+        .unwrap();
+    run_ok(&output, "run binary");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let skips: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.starts_with("skipped "))
+        .collect();
+    assert_eq!(skips.len(), 1, "one line per distinct skip:\n{stderr}");
+    assert!(
+        skips[0].starts_with("skipped SRAM") && skips[0].ends_with(" (×9)"),
+        "3 capacities × 3 targets collapse into one counted line: {}",
+        skips[0]
+    );
+    // The summary line on stdout still counts every skip.
+    let summary = stdout_line(&output);
+    assert!(summary.contains(", 9 skipped,"), "{summary}");
+}

@@ -75,28 +75,16 @@ fn accesses_per_line(array: &ArrayCharacterization, access_bytes: u64) -> f64 {
     (access_bytes * 8).div_ceil(array.word_bits) as f64
 }
 
-/// Every traffic-dependent field of an [`Evaluation`], computed in one
-/// place. This is *the* evaluation float expression: all scalar entry
-/// points ([`evaluate`], [`evaluate_shared`], [`evaluate_shared_traffic`])
-/// route through it, so the expression can no longer drift between copies,
-/// and the hoisted paths ([`EvalKernel::apply`],
-/// [`EvalKernel::apply_batch`]) reproduce it term for term (proptested in
-/// `tests/batch_eval_equivalence.rs`).
-struct EvalTerms {
-    reads: f64,
-    writes: f64,
-    read_power: Watts,
-    write_power: Watts,
-    utilization: f64,
-    aggregate_latency: Seconds,
-    lifetime: Option<Seconds>,
-}
-
-/// The shared evaluation expression. Re-derives the per-array invariants
-/// on every call — the hoisted [`EvalKernel`] exists precisely to avoid
-/// that on hot paths — but the expression order here is the bit-identity
-/// reference every other path must match.
-fn eval_terms(array: &ArrayCharacterization, traffic: &TrafficPattern) -> EvalTerms {
+/// Evaluates `array` under `traffic` with the analytical model.
+///
+/// This is the one scalar entry point and *the* evaluation float
+/// expression: the batched [`EvalKernel::apply_batch_with`] hoists its
+/// per-array terms and reproduces it term for term (proptested in
+/// `tests/batch_eval_equivalence.rs`). It re-derives the per-array
+/// invariants and deep-copies both records into the returned
+/// [`Evaluation`]; sweeps evaluating many pairs build [`EvalKernel`]s
+/// instead.
+pub fn evaluate(array: &ArrayCharacterization, traffic: &TrafficPattern) -> Evaluation {
     let per_line = accesses_per_line(array, traffic.access_bytes);
     let reads = traffic.read_accesses_per_sec() * per_line;
     let writes = traffic.write_accesses_per_sec() * per_line;
@@ -108,87 +96,32 @@ fn eval_terms(array: &ArrayCharacterization, traffic: &TrafficPattern) -> EvalTe
     let utilization =
         (reads * array.read_cycle.value() + writes * array.write_cycle.value()) / interleave;
 
-    let aggregate_latency = array.read_latency * reads + array.write_latency * writes;
-
-    let lifetime = memory_lifetime(array, traffic.write_bytes_per_sec);
-
-    EvalTerms {
-        reads,
-        writes,
+    Evaluation {
+        array: Arc::new(array.clone()),
+        traffic: Arc::new(traffic.clone()),
+        array_reads_per_sec: reads,
+        array_writes_per_sec: writes,
         read_power: array.read_energy.at_rate(reads),
         write_power: array.write_energy.at_rate(writes),
+        leakage_power: array.leakage,
         utilization,
-        aggregate_latency,
-        lifetime,
+        aggregate_latency: array.read_latency * reads + array.write_latency * writes,
+        lifetime: memory_lifetime(array, traffic.write_bytes_per_sec),
     }
-}
-
-impl EvalTerms {
-    /// Packages the terms with the shared records into an [`Evaluation`].
-    fn into_evaluation(
-        self,
-        array: Arc<ArrayCharacterization>,
-        traffic: Arc<TrafficPattern>,
-    ) -> Evaluation {
-        let leakage_power = array.leakage;
-        Evaluation {
-            array,
-            traffic,
-            array_reads_per_sec: self.reads,
-            array_writes_per_sec: self.writes,
-            read_power: self.read_power,
-            write_power: self.write_power,
-            leakage_power,
-            utilization: self.utilization,
-            aggregate_latency: self.aggregate_latency,
-            lifetime: self.lifetime,
-        }
-    }
-}
-
-/// Evaluates `array` under `traffic` with the analytical model.
-///
-/// Convenience wrapper over [`evaluate_shared`] that deep-copies the array
-/// record once. Hot paths evaluating one array against many patterns (the
-/// sweep engine) should wrap the array in an [`Arc`] and call
-/// [`evaluate_shared`] so each evaluation clones a pointer instead.
-pub fn evaluate(array: &ArrayCharacterization, traffic: &TrafficPattern) -> Evaluation {
-    evaluate_shared(&Arc::new(array.clone()), traffic)
-}
-
-/// Evaluates a shared `array` under `traffic`; the returned [`Evaluation`]
-/// holds a clone of the array [`Arc`] and a freshly shared copy of the
-/// traffic pattern. Callers that already hold the pattern behind an
-/// [`Arc`] should use [`evaluate_shared_traffic`] and skip the copy.
-pub fn evaluate_shared(array: &Arc<ArrayCharacterization>, traffic: &TrafficPattern) -> Evaluation {
-    eval_terms(array, traffic).into_evaluation(Arc::clone(array), Arc::new(traffic.clone()))
-}
-
-/// [`evaluate_shared`] for a traffic pattern that is already shared: the
-/// per-array invariants are re-derived per call (unlike [`EvalKernel`]),
-/// but the returned [`Evaluation`] clones both [`Arc`]s instead of copying
-/// the pattern. This is the per-pair evaluation profile of the PR 2–4
-/// engine on today's data structures, kept for the
-/// [`run_study_pr4`](crate::sweep::run_study_pr4) reference path.
-pub fn evaluate_shared_traffic(
-    array: &Arc<ArrayCharacterization>,
-    traffic: &Arc<TrafficPattern>,
-) -> Evaluation {
-    eval_terms(array, traffic).into_evaluation(Arc::clone(array), Arc::clone(traffic))
 }
 
 /// A precomputed evaluation kernel for one array: every traffic-independent
-/// sub-expression of [`evaluate_shared`] hoisted out, so a study's
+/// sub-expression of [`evaluate`] hoisted out, so a study's
 /// `arrays × traffic` product pays the per-array derivations (interleave
 /// credit, endurance-capacity product, unit unwrapping) once per array
 /// instead of once per evaluation.
 ///
-/// [`EvalKernel::apply`] preserves the floating-point expression order of
-/// [`evaluate_shared`] exactly — every hoisted value is the same
+/// [`EvalKernel::apply_batch_with`] preserves the floating-point expression
+/// order of [`evaluate`] exactly — every hoisted value is the same
 /// bit-pattern the inline expression would produce, and the per-traffic
 /// arithmetic keeps the same association — so every field of the returned
-/// [`Evaluation`] is bit-identical (proptested in
-/// `tests/prune_kernel_equivalence.rs`).
+/// [`Evaluation`]s is bit-identical (proptested in
+/// `tests/batch_eval_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub struct EvalKernel {
     array: Arc<ArrayCharacterization>,
@@ -209,8 +142,8 @@ pub struct EvalKernel {
 
 impl EvalKernel {
     /// Builds the kernel for `array`. Cost: a handful of loads and two
-    /// multiplies — build it once per array of a sweep, then apply per
-    /// traffic point.
+    /// multiplies — build it once per array of a sweep, then apply it to
+    /// the study's traffic grid.
     pub fn new(array: &Arc<ArrayCharacterization>) -> Self {
         #[allow(clippy::cast_precision_loss)]
         let capacity_bytes = array.capacity.bytes() as f64;
@@ -243,48 +176,10 @@ impl EvalKernel {
         self.word_bits
     }
 
-    /// Evaluates the kernel's array under a shared `traffic` pattern —
-    /// bit-identical to [`evaluate_shared`] on the same pair, with the
-    /// returned [`Evaluation`] holding clones of both [`Arc`]s (no string
-    /// copies on the hot path).
-    pub fn apply(&self, traffic: &Arc<TrafficPattern>) -> Evaluation {
-        let per_line = (traffic.access_bytes * 8).div_ceil(self.word_bits) as f64;
-        let reads = traffic.read_accesses_per_sec() * per_line;
-        let writes = traffic.write_accesses_per_sec() * per_line;
-
-        let utilization =
-            (reads * self.read_cycle_s + writes * self.write_cycle_s) / self.interleave;
-        let aggregate_latency = self.read_latency * reads + self.write_latency * writes;
-        // `ec / rate` associates exactly like the inline
-        // `endurance_cycles * capacity_bytes / write_bytes_per_sec`; the
-        // `<= 0.0` guard mirrors `memory_lifetime` verbatim (so even a NaN
-        // write rate behaves identically).
-        let lifetime = self.endurance_capacity.and_then(|ec| {
-            if traffic.write_bytes_per_sec <= 0.0 {
-                None
-            } else {
-                Some(Seconds::new(ec / traffic.write_bytes_per_sec))
-            }
-        });
-
-        Evaluation {
-            array: Arc::clone(&self.array),
-            traffic: Arc::clone(traffic),
-            array_reads_per_sec: reads,
-            array_writes_per_sec: writes,
-            read_power: self.read_energy.at_rate(reads),
-            write_power: self.write_energy.at_rate(writes),
-            leakage_power: self.leakage,
-            utilization,
-            aggregate_latency,
-            lifetime,
-        }
-    }
-
     /// Evaluates the kernel's array against **every** lane of `grid` in one
     /// pass, returning the evaluations in lane order — bit-identical per
-    /// field to calling [`EvalKernel::apply`] on each pattern (proptested
-    /// in `tests/batch_eval_equivalence.rs`).
+    /// field to calling [`evaluate`] on each pattern (proptested in
+    /// `tests/batch_eval_equivalence.rs`).
     ///
     /// The batch walks the grid's contiguous columnar lanes instead of
     /// chasing one pattern record per application, and derives the access
@@ -304,28 +199,6 @@ impl EvalKernel {
     /// Panics when `rates` was built for a different word width — the
     /// rates would silently belong to another array shape.
     pub fn apply_batch_with(&self, grid: &TrafficGrid, rates: &RateLanes) -> Vec<Evaluation> {
-        let mut out = Vec::with_capacity(grid.len());
-        self.apply_batch_each(grid, rates, |_, evaluation| out.push(evaluation));
-        out
-    }
-
-    /// The zero-materialization core of the batch path: applies the kernel
-    /// to every lane in lane order, handing each `(lane, Evaluation)` to
-    /// `emit` as it is produced. Engines that place evaluations into
-    /// pre-allocated slots use this directly — no intermediate `Vec`, no
-    /// second move per evaluation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rates` was built for a different word width or a
-    /// different grid — the rates would silently belong to another array
-    /// shape or traffic set.
-    pub fn apply_batch_each(
-        &self,
-        grid: &TrafficGrid,
-        rates: &RateLanes,
-        mut emit: impl FnMut(usize, Evaluation),
-    ) {
         assert_eq!(
             rates.word_bits, self.word_bits,
             "rate lanes built for word_bits={}, kernel has word_bits={}",
@@ -343,22 +216,23 @@ impl EvalKernel {
             .zip(&rates.writes)
             .zip(grid.write_bytes_per_sec())
             .zip(grid.patterns());
-        for (lane, (((&reads, &writes), &write_rate), pattern)) in lanes.enumerate() {
-            // Per-lane arithmetic is term-for-term the body of `apply`
-            // (which in turn mirrors `eval_terms`): same operands, same
-            // association, so every field is bit-identical.
-            let utilization =
-                (reads * self.read_cycle_s + writes * self.write_cycle_s) / self.interleave;
-            let aggregate_latency = self.read_latency * reads + self.write_latency * writes;
-            let lifetime = self.endurance_capacity.and_then(|ec| {
-                if write_rate <= 0.0 {
-                    None
-                } else {
-                    Some(Seconds::new(ec / write_rate))
-                }
-            });
-            emit(
-                lane,
+        lanes
+            .map(|(((&reads, &writes), &write_rate), pattern)| {
+                // Term for term the body of `evaluate`: same operands, same
+                // association, so every field is bit-identical. `ec / rate`
+                // associates exactly like `memory_lifetime`'s
+                // `endurance_cycles * capacity_bytes / write_bytes_per_sec`,
+                // and the `<= 0.0` guard mirrors it verbatim (so even a NaN
+                // write rate behaves identically).
+                let utilization =
+                    (reads * self.read_cycle_s + writes * self.write_cycle_s) / self.interleave;
+                let lifetime = self.endurance_capacity.and_then(|ec| {
+                    if write_rate <= 0.0 {
+                        None
+                    } else {
+                        Some(Seconds::new(ec / write_rate))
+                    }
+                });
                 Evaluation {
                     array: Arc::clone(&self.array),
                     traffic: Arc::clone(pattern),
@@ -368,11 +242,11 @@ impl EvalKernel {
                     write_power: self.write_energy.at_rate(writes),
                     leakage_power: self.leakage,
                     utilization,
-                    aggregate_latency,
+                    aggregate_latency: self.read_latency * reads + self.write_latency * writes,
                     lifetime,
-                },
-            );
-        }
+                }
+            })
+            .collect()
     }
 }
 

@@ -82,7 +82,7 @@ pub mod wire;
 pub mod write_buffer;
 
 pub use config::{CampaignConfig, FaultSpec, FaultStudyConfig, OutputSpec, StoreSpec, StudyConfig};
-pub use eval::{evaluate, evaluate_shared, Evaluation};
+pub use eval::{evaluate, Evaluation};
 pub use explore::{Objective, ResultSet};
 pub use fault_study::{
     injection_seed, FaultModelReport, FaultOutcome, FaultStudyResult, FaultStudyStats, FaultTrial,

@@ -54,10 +54,12 @@ pub struct StudyStats {
     pub evaluations: usize,
     /// Design points skipped (one entry per target, like the batch API).
     pub skipped: usize,
-    /// Subarray-cache counters accrued while this study ran (`None` for
-    /// uncached engine variants). Observational: when several concurrent
-    /// studies share one cache the deltas interleave, and racing double
-    /// misses may double-count — see the module docs.
+    /// Subarray-cache counters accrued while this study ran. The engine
+    /// always reports them; `None` remains for captures whose terminal
+    /// frame carries `cache: null`, which decoders still accept.
+    /// Observational: when several concurrent studies share one cache the
+    /// deltas interleave, and racing double misses may double-count — see
+    /// the module docs.
     pub cache: Option<CacheStats>,
 }
 
@@ -791,12 +793,7 @@ impl<'c> StudyExecutor<'c> {
                 &private
             }
         };
-        match self.seeds {
-            Some(seeds) => {
-                crate::sweep::run_streaming_seeded(study, self.threads, cache, seeds, sink)
-            }
-            None => crate::sweep::run_streaming_with_cache(study, self.threads, cache, sink),
-        }
+        crate::sweep::run_study_impl(study, self.threads, cache, self.seeds, sink)
     }
 }
 

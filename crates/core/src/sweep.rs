@@ -4,7 +4,7 @@
 //!
 //! # Engine design
 //!
-//! The hot path is organized around four ideas:
+//! The hot path is organized around five ideas:
 //!
 //! 1. **Shared DSE across targets, with branch-and-bound pruning.** One
 //!    job per `(cell, capacity, bits_per_cell)` — not per target. Each job
@@ -15,15 +15,14 @@
 //!    records) — skipping characterization entirely for candidates whose
 //!    provably-sound score bounds (`nvmx_nvsim::bounds`) cannot beat any
 //!    incumbent. An N-target study therefore does ~1/N of the subarray
-//!    work the naive per-target expansion (kept in [`baseline`])
-//!    performs, and only a small fraction of that after pruning.
+//!    work of a per-target expansion, and only a small fraction of that
+//!    after pruning.
 //! 2. **Memoized subarray physics across jobs.** Subarray characterization
 //!    depends on `(cell, node, geometry, depth)` but **not** on capacity,
 //!    word width, or target, so a study-wide
 //!    [`SubarrayCache`] (sharded, read-mostly) computes
 //!    each unique geometry once; every additional capacity in the study
-//!    reuses most of the previous capacities' physics. Cached and uncached
-//!    runs ([`run_study_uncached`]) are bit-identical.
+//!    reuses most of the previous capacities' physics.
 //! 3. **Lock-free fan-out.** Jobs live in an immutable pre-expanded slice;
 //!    workers claim indices with a single shared atomic counter and write
 //!    results into per-job slots. No queue mutex, no result-vector mutex,
@@ -38,10 +37,9 @@
 //!    [`EvalKernel::apply_batch_with`] computes every traffic lane in a
 //!    single pass over contiguous lanes — with the per-word-width access
 //!    rates ([`RateLanes`]) derived once per study and shared across
-//!    kernels. A claim fills its `traffic.len()` consecutive slots of the
-//!    flattened `arrays × traffic` index space, so slot (and stream)
-//!    order is identical to the scalar per-pair path, which is kept as
-//!    the PR-5 reference ([`run_study_pr5`]). Each [`Evaluation`] holds
+//!    kernels. A claim fills one array's `traffic.len()` consecutive
+//!    evaluations, so the result order is the serial `arrays × traffic`
+//!    double loop. Each [`Evaluation`] holds
 //!    `Arc<ArrayCharacterization>` + `Arc<TrafficPattern>`, so the
 //!    fan-out applies kernels and clones pointers, never records.
 //! 5. **Streaming by slot order.** While workers fill slots, the calling
@@ -53,23 +51,21 @@
 //!    entry points below are the streaming engine with a
 //!    [`NullSink`] in place of live output.
 //!
-//! Jobs and targets are expanded in the legacy report order (cell name,
-//! capacity, programming depth, then target label), so `arrays` and
-//! `evaluations` in [`StudyResult`] are byte-identical to the historical
-//! mutex-queue + sort engine — [`baseline`] exists to prove exactly that
-//! in tests and benches. `skipped` carries the same entries but in
-//! deterministic job order; the old engine recorded skips in worker
-//! completion order, which was never deterministic to begin with.
+//! Jobs and targets are expanded in report order (cell name, capacity,
+//! programming depth, then target label), so `arrays`, `evaluations`, and
+//! `skipped` in [`StudyResult`] are deterministic for any thread count.
+//! [`oracle`] is the serial, exhaustive reference every equivalence test
+//! and the bench sanity checks compare the engine against.
 
 use crate::config::{StudyConfig, UnknownNameError};
-use crate::eval::{evaluate_shared_traffic, EvalKernel, Evaluation, RateLanes};
+use crate::eval::{EvalKernel, Evaluation, RateLanes};
 use crate::stream::{NullSink, ResultSink, StudyEvent, StudyStats};
 use nvmx_celldb::CellDefinition;
 use nvmx_nvsim::{
-    characterize_targets, characterize_targets_cached, ArrayCharacterization, ArrayConfig,
-    CharacterizationError, IncumbentStore, OptimizationTarget, SubarrayCache,
+    ArrayCharacterization, ArrayConfig, CharacterizationError, IncumbentStore, OptimizationTarget,
+    SubarrayCache,
 };
-use nvmx_workloads::TrafficGrid;
+use nvmx_workloads::{TrafficGrid, TrafficPattern};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -149,7 +145,7 @@ struct Job<'a> {
 
 /// Expands the study into shared-DSE jobs, in report order (cell name,
 /// capacity, programming depth). Combined with the label-sorted target
-/// list, slot order equals the legacy sorted output order, so no
+/// list from [`resolve`], slot order is the report order, so no
 /// completion-order sort is ever needed.
 fn expand_jobs<'a>(
     study: &StudyConfig,
@@ -186,23 +182,8 @@ fn expand_jobs<'a>(
 }
 
 /// The per-job result slot: every target's winning design, or the error
-/// (reported once per target for parity with the per-target engine).
+/// (reported once per target in `skipped`).
 type JobOutcome = Result<Vec<ArrayCharacterization>, (String, CharacterizationError)>;
-
-/// Characterization jobs are coarse (one job is a full DSE pass), so
-/// workers claim them one at a time; evaluations are tiny, so workers
-/// claim them in chunks to keep the shared counter off the critical path.
-///
-/// The chunk scales with the product size: at campaign scale (tens of
-/// thousands of kernel applications, each tens of nanoseconds) a fixed
-/// small chunk would put the shared `fetch_add` back on the critical path,
-/// while a tiny study must not hand one worker the whole product. Aim for
-/// several chunks per worker, floored at 64 pairs and capped at 4096.
-/// Chunking only changes who computes a slot, never what lands in it, so
-/// results are identical for any chunk size.
-fn eval_chunk(pairs: usize, workers: usize) -> usize {
-    (pairs / (workers * 8).max(1)).clamp(64, 4096)
-}
 
 /// Caps the worker count at the request, the number of claimable items,
 /// and the machine's available parallelism — extra workers beyond any of
@@ -212,37 +193,6 @@ fn clamp_workers(threads: usize, items: usize) -> usize {
     let cores =
         std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get);
     threads.clamp(1, 32).min(items.max(1)).min(cores)
-}
-
-/// Which design-space pass the characterization workers run. The variants
-/// are observationally identical — every path returns bit-identical
-/// results — and exist so the cache can be turned off (regression proofs,
-/// benches) or replaced with the PR-1 materializing pass (benches only).
-#[derive(Clone, Copy)]
-enum DsePath<'c> {
-    /// Branch-and-bound pruned scan with subarray physics memoized in a
-    /// shared [`SubarrayCache`], optionally seeding each target's
-    /// incumbents from a prior study's recorded winners
-    /// ([`IncumbentStore`]); evaluations run batched over the
-    /// [`TrafficGrid`] lanes. The production path.
-    Cached {
-        cache: &'c SubarrayCache,
-        seeds: Option<&'c IncumbentStore>,
-    },
-    /// Pruned scan, every surviving geometry characterized from scratch;
-    /// batched evaluations.
-    Uncached,
-    /// The PR-5 reference pass: identical cached pruned scan, but with
-    /// per-pair scalar kernel applications instead of batched lanes.
-    /// Benches measure this PR's evaluation stage against it.
-    CachedScalarEval(&'c SubarrayCache),
-    /// The PR 2–4 reference pass: exhaustive (unpruned) cached scan that
-    /// materializes every candidate bank, with per-pair `evaluate_shared`
-    /// evaluations. Benches measure this PR against it.
-    CachedUnpruned(&'c SubarrayCache),
-    /// The PR-1 reference pass: packages every candidate before scoring
-    /// and deep-copies the array record into every evaluation.
-    Pr1Materialized,
 }
 
 /// Default worker count for every batch/streaming entry point that does
@@ -284,12 +234,16 @@ pub(crate) fn wait_filled<'s, T>(slot: &'s OnceLock<T>, poisoned: &AtomicBool) -
     }
 }
 
-fn run_study_impl(
-    study: &StudyConfig,
-    threads: usize,
-    path: DsePath<'_>,
-    sink: &mut dyn ResultSink,
-) -> Result<StudyResult, StudyError> {
+/// A study's resolved cells, traffic patterns, and targets.
+type Resolved = (
+    Vec<CellDefinition>,
+    Vec<TrafficPattern>,
+    Vec<OptimizationTarget>,
+);
+
+/// Resolves the study's cells, traffic, and targets (targets in report
+/// order: by label), failing on an empty cell or traffic selection.
+fn resolve(study: &StudyConfig) -> Result<Resolved, StudyError> {
     let cells = study.cells.resolve();
     if cells.is_empty() {
         return Err(StudyError::NoCells);
@@ -298,10 +252,22 @@ fn run_study_impl(
     if traffic.is_empty() {
         return Err(StudyError::NoTraffic);
     }
-    // Report order: targets by label, matching the legacy sort key.
     let mut targets = study.array.targets.clone();
     targets.sort_by_key(|target| target.label());
+    Ok((cells, traffic, targets))
+}
 
+/// The engine: every batch and streaming entry point runs this with its
+/// own cache and optional incumbent seeds. The cache's counter delta over
+/// the study rides the terminal [`StudyEvent::StudyFinished`] event.
+pub(crate) fn run_study_impl(
+    study: &StudyConfig,
+    threads: usize,
+    cache: &SubarrayCache,
+    seeds: Option<&IncumbentStore>,
+    sink: &mut dyn ResultSink,
+) -> Result<StudyResult, StudyError> {
+    let (cells, traffic, targets) = resolve(study)?;
     let jobs = expand_jobs(study, &cells, &targets);
     sink.on_event(&StudyEvent::StudyStarted {
         name: &study.name,
@@ -310,12 +276,7 @@ fn run_study_impl(
         targets: targets.len(),
         traffic: traffic.len(),
     })?;
-    let cache_before = match path {
-        DsePath::Cached { cache, .. }
-        | DsePath::CachedUnpruned(cache)
-        | DsePath::CachedScalarEval(cache) => Some((cache, cache.stats())),
-        _ => None,
-    };
+    let cache_before = cache.stats();
 
     let slots: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
     let next_job = AtomicUsize::new(0);
@@ -330,34 +291,13 @@ fn run_study_impl(
                 loop {
                     let index = next_job.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(index) else { break };
-                    let outcome = match path {
-                        DsePath::Cached { cache, seeds } => {
-                            nvmx_nvsim::dse::optimize_targets_seeded(
-                                job.cell,
-                                &job.config,
-                                &targets,
-                                Some(cache),
-                                seeds,
-                            )
-                        }
-                        DsePath::CachedScalarEval(cache) => {
-                            characterize_targets_cached(job.cell, &job.config, &targets, cache)
-                        }
-                        DsePath::Uncached => characterize_targets(job.cell, &job.config, &targets),
-                        DsePath::CachedUnpruned(cache) => {
-                            nvmx_nvsim::dse::optimize_targets_unpruned(
-                                job.cell,
-                                &job.config,
-                                &targets,
-                                Some(cache),
-                            )
-                        }
-                        DsePath::Pr1Materialized => nvmx_nvsim::dse::optimize_targets_materialized(
-                            job.cell,
-                            &job.config,
-                            &targets,
-                        ),
-                    }
+                    let outcome = nvmx_nvsim::dse::optimize_targets_seeded(
+                        job.cell,
+                        &job.config,
+                        &targets,
+                        Some(cache),
+                        seeds,
+                    )
                     .map_err(|e| (job.cell.name.clone(), e));
                     slots[index].set(outcome).expect("job slot written twice");
                 }
@@ -366,8 +306,8 @@ fn run_study_impl(
         // Stream the slots in index order as the workers fill them: event
         // order is fixed by job order, never by worker interleaving.
         // Passive sinks (the batch entry points) skip the drain entirely —
-        // the calling thread blocks in the scope join like the
-        // pre-streaming engine instead of spinning alongside the workers.
+        // the calling thread blocks in the scope join instead of spinning
+        // alongside the workers.
         if sink.is_passive() {
             return;
         }
@@ -421,26 +361,13 @@ fn run_study_impl(
         match slot.into_inner().expect("all job slots filled") {
             Ok(designs) => arrays.extend(designs),
             Err((cell, error)) => {
-                // One skipped record per target: parity with the per-target
-                // engine, which failed each target's job individually.
                 let reason = error.to_string();
                 skipped.extend(targets.iter().map(|_| (cell.clone(), reason.clone())));
             }
         }
     }
 
-    // The production path applies precomputed kernels batched over the
-    // traffic-grid lanes; the PR-5 reference applies the same kernels per
-    // pair, the PR 2–4 reference reproduces the per-pair `evaluate_shared`
-    // cost, and the PR-1 reference deep-copies the characterization record
-    // into every evaluation — so benches measure each engine as it shipped.
-    let eval_mode = match path {
-        DsePath::Cached { .. } | DsePath::Uncached => EvalMode::Batched,
-        DsePath::CachedScalarEval(_) => EvalMode::Kernels,
-        DsePath::CachedUnpruned(_) => EvalMode::SharedPerPair,
-        DsePath::Pr1Materialized => EvalMode::DeepCopy,
-    };
-    let evaluations = evaluate_all(&arrays, &traffic, threads, eval_mode, sink)?;
+    let evaluations = evaluate_all(&arrays, &traffic, threads, sink)?;
 
     // Study-wide winner per target: the feasible evaluation with the lowest
     // total power, first-in-stream-order on ties.
@@ -467,9 +394,7 @@ fn run_study_impl(
     // no-op without one). Best effort: the store only shapes future runs'
     // work, never this run's results, so publish failures are not study
     // failures.
-    if let Some((cache, _)) = cache_before {
-        let _ = cache.flush_store();
-    }
+    let _ = cache.flush_store();
 
     let stats = StudyStats {
         jobs: jobs.len(),
@@ -478,7 +403,7 @@ fn run_study_impl(
         arrays: arrays.len(),
         evaluations: evaluations.len(),
         skipped: skipped.len(),
-        cache: cache_before.map(|(cache, before)| cache.stats().since(before)),
+        cache: Some(cache.stats().since(cache_before)),
     };
     sink.on_event(&StudyEvent::StudyFinished {
         name: &study.name,
@@ -512,50 +437,7 @@ pub fn run_study_with_threads(
     study: &StudyConfig,
     threads: usize,
 ) -> Result<StudyResult, StudyError> {
-    let cache = SubarrayCache::new();
-    run_study_impl(
-        study,
-        threads,
-        DsePath::Cached {
-            cache: &cache,
-            seeds: None,
-        },
-        &mut NullSink,
-    )
-}
-
-/// The streaming engine entry used by
-/// [`StudyExecutor`](crate::stream::StudyExecutor): identical to
-/// [`run_study_with_cache`] but pushing every event to `sink`.
-pub(crate) fn run_streaming_with_cache(
-    study: &StudyConfig,
-    threads: usize,
-    cache: &SubarrayCache,
-    sink: &mut dyn ResultSink,
-) -> Result<StudyResult, StudyError> {
-    run_study_impl(study, threads, DsePath::Cached { cache, seeds: None }, sink)
-}
-
-/// [`run_streaming_with_cache`] with cross-study incumbent seeding: each
-/// job's branch-and-bound scan starts from the winners a prior identical
-/// design point recorded into `seeds`, and records its own back. Results
-/// are byte-identical to the unseeded engine; only the prune rate changes.
-pub(crate) fn run_streaming_seeded(
-    study: &StudyConfig,
-    threads: usize,
-    cache: &SubarrayCache,
-    seeds: &IncumbentStore,
-    sink: &mut dyn ResultSink,
-) -> Result<StudyResult, StudyError> {
-    run_study_impl(
-        study,
-        threads,
-        DsePath::Cached {
-            cache,
-            seeds: Some(seeds),
-        },
-        sink,
-    )
+    run_study_with_cache(study, threads, &SubarrayCache::new())
 }
 
 /// [`run_study_with_threads`] with a caller-owned [`SubarrayCache`].
@@ -563,7 +445,7 @@ pub(crate) fn run_streaming_seeded(
 /// Use this to share one cache across several studies that sweep the same
 /// cells (e.g. a capacity-axis series, or repeated runs of one config), or
 /// to observe [`SubarrayCache::stats`] after a run. Results are
-/// bit-identical to every other engine path.
+/// bit-identical to a private-cache run.
 ///
 /// # Errors
 ///
@@ -573,21 +455,15 @@ pub fn run_study_with_cache(
     threads: usize,
     cache: &SubarrayCache,
 ) -> Result<StudyResult, StudyError> {
-    run_study_impl(
-        study,
-        threads,
-        DsePath::Cached { cache, seeds: None },
-        &mut NullSink,
-    )
+    run_study_impl(study, threads, cache, None, &mut NullSink)
 }
 
 /// [`run_study_with_cache`] with the cache backed by the persistent
 /// characterization store at `store_dir` (`nvmx_nvsim::store`): L1 slab
 /// misses consult the on-disk L2 before characterizing, and newly
 /// characterized slabs are published back when the study finishes. Results
-/// are byte-identical to every other engine path — a corrupt, version-
-/// skewed, or colliding store degrades to recomputation, never to wrong
-/// data.
+/// are byte-identical to a storeless run — a corrupt, version-skewed, or
+/// colliding store degrades to recomputation, never to wrong data.
 ///
 /// # Errors
 ///
@@ -622,240 +498,65 @@ pub fn run_study_seeded(
     cache: &SubarrayCache,
     seeds: &IncumbentStore,
 ) -> Result<StudyResult, StudyError> {
-    run_study_impl(
-        study,
-        threads,
-        DsePath::Cached {
-            cache,
-            seeds: Some(seeds),
-        },
-        &mut NullSink,
-    )
-}
-
-/// [`run_study_with_threads`] with subarray memoization disabled — every
-/// job re-characterizes its geometries from scratch. Exists so tests and
-/// benches can prove cache-on/cache-off equivalence and measure the win.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-pub fn run_study_uncached(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
-    run_study_impl(study, threads, DsePath::Uncached, &mut NullSink)
-}
-
-/// The PR-1 engine: shared DSE and lock-free fan-out, but with the
-/// materializing per-candidate scoring pass and no subarray cache. Kept so
-/// `bench_sweep` measures this PR against the engine it replaced. Not part
-/// of the supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-#[doc(hidden)]
-pub fn run_study_pr1(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
-    run_study_impl(study, threads, DsePath::Pr1Materialized, &mut NullSink)
-}
-
-/// The PR 2–4 engine: exhaustive (unpruned) cached scan materializing
-/// every candidate bank, with per-pair `evaluate_shared` evaluations —
-/// no branch-and-bound pruning, no precomputed kernels. Kept so tests can
-/// prove the pruned+kernel engine byte-identical and `bench_sweep` can
-/// measure this PR against the engine it replaced. Not part of the
-/// supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-#[doc(hidden)]
-pub fn run_study_pr4(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
-    let cache = SubarrayCache::new();
-    run_study_impl(
-        study,
-        threads,
-        DsePath::CachedUnpruned(&cache),
-        &mut NullSink,
-    )
-}
-
-/// The PR-5 engine: identical cached branch-and-bound scan, but with
-/// per-pair scalar kernel applications instead of the batched traffic-grid
-/// path. Kept so tests can prove the batched engine byte-identical and
-/// `bench_sweep` can measure this PR's evaluation stage against the engine
-/// it replaced. Not part of the supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-#[doc(hidden)]
-pub fn run_study_pr5(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
-    let cache = SubarrayCache::new();
-    run_study_impl(
-        study,
-        threads,
-        DsePath::CachedScalarEval(&cache),
-        &mut NullSink,
-    )
-}
-
-/// How the evaluation stage computes each `(array, traffic)` pair. All
-/// modes produce bit-identical [`Evaluation`]s (proven in
-/// `tests/prune_kernel_equivalence.rs` and
-/// `tests/batch_eval_equivalence.rs`); they differ only in how much
-/// per-pair work they repeat, so the reference engines keep their honest
-/// cost profiles in benches.
-#[derive(Clone, Copy)]
-enum EvalMode {
-    /// One [`EvalKernel`] per array plus one [`TrafficGrid`] per study;
-    /// workers claim whole arrays and each claim computes every traffic
-    /// lane in one [`EvalKernel::apply_batch_with`] streaming over the
-    /// columnar lanes, with the per-word-width access rates
-    /// ([`RateLanes`]) derived once and shared across kernels. The
-    /// production path.
-    Batched,
-    /// One [`EvalKernel`] per array, built once; per pair a thin
-    /// traffic-point application (the PR-5 profile).
-    Kernels,
-    /// [`evaluate_shared_traffic`] per pair: re-derives the per-array
-    /// invariants every time (the PR 2–4 profile on today's shared-traffic
-    /// types — strictly no slower than the engine as it shipped, so
-    /// speedups measured against it are conservative).
-    SharedPerPair,
-    /// [`crate::eval::evaluate`] per pair: additionally deep-copies the
-    /// array record into every evaluation (the PR-1 profile).
-    DeepCopy,
+    run_study_impl(study, threads, cache, Some(seeds), &mut NullSink)
 }
 
 /// Evaluates the full `arrays × traffic` product across the worker pool,
 /// preserving the serial double-loop order and streaming each evaluation to
-/// `sink` in that order as its slot completes.
+/// `sink` in that order as its array's batch completes.
 ///
-/// Each array is wrapped in an [`Arc`] once and (in the production mode)
-/// compiled into an [`EvalKernel`]; the parallel stage then clones a
-/// pointer and applies the kernel per evaluation instead of deep-copying
-/// the record or re-deriving its invariants.
+/// The traffic set is transposed into columnar lanes once per study, each
+/// distinct word width's access-rate lanes are derived once and shared by
+/// every kernel with that width, and each array is compiled once into an
+/// [`EvalKernel`]. Workers claim whole arrays and publish an array's
+/// `traffic.len()` evaluations as one batch — one synchronized store per
+/// array, not per pair.
 fn evaluate_all(
     arrays: &[ArrayCharacterization],
-    traffic: &[nvmx_workloads::TrafficPattern],
+    traffic: &[TrafficPattern],
     threads: usize,
-    mode: EvalMode,
     sink: &mut dyn ResultSink,
 ) -> Result<Vec<Evaluation>, std::io::Error> {
-    let pairs = arrays.len() * traffic.len();
-    if pairs == 0 {
+    if arrays.is_empty() || traffic.is_empty() {
         return Ok(Vec::new());
     }
-    let shared: Vec<Arc<ArrayCharacterization>> = match mode {
-        EvalMode::Batched | EvalMode::Kernels | EvalMode::SharedPerPair => {
-            arrays.iter().map(|array| Arc::new(array.clone())).collect()
-        }
-        EvalMode::DeepCopy => Vec::new(),
-    };
-    let kernels: Vec<EvalKernel> = match mode {
-        EvalMode::Batched | EvalMode::Kernels => shared.iter().map(EvalKernel::new).collect(),
-        _ => Vec::new(),
-    };
-    // The Arc-based modes share the traffic patterns — an evaluation then
-    // costs two Arc clones instead of a string-owning deep copy.
-    let shared_traffic: Vec<Arc<nvmx_workloads::TrafficPattern>> = match mode {
-        EvalMode::Batched | EvalMode::Kernels | EvalMode::SharedPerPair => {
-            traffic.iter().map(|t| Arc::new(t.clone())).collect()
-        }
-        EvalMode::DeepCopy => Vec::new(),
-    };
-    // Batched mode transposes the traffic set into columnar lanes once per
-    // study, and derives each distinct word width's access-rate lanes once
-    // — shared by every kernel with that word width — instead of
-    // re-deriving the rates per (array, pattern) pair.
-    let grid = match mode {
-        EvalMode::Batched => Some(TrafficGrid::from_shared(shared_traffic.clone())),
-        _ => None,
-    };
+    let grid = TrafficGrid::new(traffic);
+    let kernels: Vec<EvalKernel> = arrays
+        .iter()
+        .map(|array| EvalKernel::new(&Arc::new(array.clone())))
+        .collect();
     let mut rate_sets: Vec<RateLanes> = Vec::new();
-    let mut kernel_rates: Vec<usize> = Vec::new();
-    if let Some(grid) = &grid {
-        for kernel in &kernels {
-            let slot = rate_sets
+    let kernel_rates: Vec<usize> = kernels
+        .iter()
+        .map(|kernel| {
+            rate_sets
                 .iter()
                 .position(|rates| rates.word_bits() == kernel.word_bits())
                 .unwrap_or_else(|| {
-                    rate_sets.push(RateLanes::new(grid, kernel.word_bits()));
+                    rate_sets.push(RateLanes::new(&grid, kernel.word_bits()));
                     rate_sets.len() - 1
-                });
-            kernel_rates.push(slot);
-        }
-    }
-    // Scalar modes fill one slot per (array, traffic) pair. Batched workers
-    // claim whole arrays and publish the array's `traffic.len()` evaluations
-    // as one batch — one synchronized store per array instead of one per
-    // pair — and the drain walks batches array-major with lanes in traffic
-    // order, so the evaluation (and therefore stream) order is identical to
-    // the scalar modes.
-    let slots: Vec<OnceLock<Evaluation>> = match mode {
-        EvalMode::Batched => Vec::new(),
-        _ => (0..pairs).map(|_| OnceLock::new()).collect(),
-    };
-    let batch_slots: Vec<OnceLock<Vec<Evaluation>>> = match mode {
-        EvalMode::Batched => (0..arrays.len()).map(|_| OnceLock::new()).collect(),
-        _ => Vec::new(),
-    };
-    let (claims, chunk) = match mode {
-        EvalMode::Batched => (arrays.len(), 1),
-        _ => {
-            let chunk = eval_chunk(pairs, clamp_workers(threads, pairs));
-            (pairs, chunk)
-        }
-    };
+                })
+        })
+        .collect();
+    let batch_slots: Vec<OnceLock<Vec<Evaluation>>> =
+        arrays.iter().map(|_| OnceLock::new()).collect();
     let next_claim = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
-    let workers = clamp_workers(threads, claims.div_ceil(chunk));
+    let workers = clamp_workers(threads, arrays.len());
     let mut sink_status: std::io::Result<()> = Ok(());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
                 let _flag = PanicFlag(&poisoned);
                 loop {
-                    let start = next_claim.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= claims {
+                    let index = next_claim.fetch_add(1, Ordering::Relaxed);
+                    let Some(kernel) = kernels.get(index) else {
                         break;
-                    }
-                    for index in start..(start + chunk).min(claims) {
-                        match mode {
-                            EvalMode::Batched => {
-                                let grid = grid.as_ref().expect("batched mode builds a grid");
-                                let batch = kernels[index]
-                                    .apply_batch_with(grid, &rate_sets[kernel_rates[index]]);
-                                batch_slots[index]
-                                    .set(batch)
-                                    .expect("evaluation batch written twice");
-                            }
-                            EvalMode::Kernels => {
-                                let evaluation = kernels[index / traffic.len()]
-                                    .apply(&shared_traffic[index % traffic.len()]);
-                                slots[index]
-                                    .set(evaluation)
-                                    .expect("evaluation slot written twice");
-                            }
-                            EvalMode::SharedPerPair => {
-                                let evaluation = evaluate_shared_traffic(
-                                    &shared[index / traffic.len()],
-                                    &shared_traffic[index % traffic.len()],
-                                );
-                                slots[index]
-                                    .set(evaluation)
-                                    .expect("evaluation slot written twice");
-                            }
-                            EvalMode::DeepCopy => {
-                                let evaluation = crate::eval::evaluate(
-                                    &arrays[index / traffic.len()],
-                                    &traffic[index % traffic.len()],
-                                );
-                                slots[index]
-                                    .set(evaluation)
-                                    .expect("evaluation slot written twice");
-                            }
-                        }
-                    }
+                    };
+                    let batch = kernel.apply_batch_with(&grid, &rate_sets[kernel_rates[index]]);
+                    batch_slots[index]
+                        .set(batch)
+                        .expect("evaluation batch written twice");
                 }
             });
         }
@@ -863,59 +564,31 @@ fn evaluate_all(
         if sink.is_passive() {
             return;
         }
-        match mode {
-            EvalMode::Batched => {
-                'drain: for (array_index, slot) in batch_slots.iter().enumerate() {
-                    let Some(batch) = wait_filled(slot, &poisoned) else {
-                        // A worker died; let the scope join and re-raise
-                        // its panic.
-                        break;
-                    };
-                    let base = array_index * traffic.len();
-                    for (lane, evaluation) in batch.iter().enumerate() {
-                        sink_status = sink.on_event(&StudyEvent::EvaluationProduced {
-                            index: base + lane,
-                            evaluation,
-                        });
-                        if sink_status.is_err() {
-                            // Park the claim counter past the end so workers
-                            // stop evaluating work nobody will read.
-                            next_claim.store(claims, Ordering::Relaxed);
-                            break 'drain;
-                        }
-                    }
-                }
-            }
-            _ => {
-                for (index, slot) in slots.iter().enumerate() {
-                    let Some(evaluation) = wait_filled(slot, &poisoned) else {
-                        // A worker died; let the scope join and re-raise
-                        // its panic.
-                        break;
-                    };
-                    sink_status =
-                        sink.on_event(&StudyEvent::EvaluationProduced { index, evaluation });
-                    if sink_status.is_err() {
-                        // Park the claim counter past the end so workers stop
-                        // evaluating work nobody will read.
-                        next_claim.store(claims, Ordering::Relaxed);
-                        break;
-                    }
+        'drain: for (array_index, slot) in batch_slots.iter().enumerate() {
+            let Some(batch) = wait_filled(slot, &poisoned) else {
+                // A worker died; let the scope join and re-raise its panic.
+                break;
+            };
+            let base = array_index * traffic.len();
+            for (lane, evaluation) in batch.iter().enumerate() {
+                sink_status = sink.on_event(&StudyEvent::EvaluationProduced {
+                    index: base + lane,
+                    evaluation,
+                });
+                if sink_status.is_err() {
+                    // Park the claim counter past the end so workers stop
+                    // evaluating work nobody will read.
+                    next_claim.store(arrays.len(), Ordering::Relaxed);
+                    break 'drain;
                 }
             }
         }
     });
     sink_status?;
-    Ok(match mode {
-        EvalMode::Batched => batch_slots
-            .into_iter()
-            .flat_map(|slot| slot.into_inner().expect("all evaluation batches filled"))
-            .collect(),
-        _ => slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all evaluation slots filled"))
-            .collect(),
-    })
+    Ok(batch_slots
+        .into_iter()
+        .flat_map(|slot| slot.into_inner().expect("all evaluation batches filled"))
+        .collect())
 }
 
 /// Runs a study with a worker per available CPU (capped at 16).
@@ -927,117 +600,45 @@ pub fn run_study(study: &StudyConfig) -> Result<StudyResult, StudyError> {
     run_study_with_threads(study, default_workers())
 }
 
-/// The pre-overhaul reference engine: one job per `(cell, capacity,
-/// bits_per_cell, target)`, re-running the full DSE for every target, with
-/// a mutex-guarded queue and a completion-order sort.
-///
-/// Kept (on `std::sync` primitives) so tests can prove the shared-DSE
-/// engine produces byte-identical [`StudyResult`]s and benches can measure
-/// the speedup against a faithful baseline. Not part of the supported API.
+/// The reference the engine is proven against: a serial loop over the
+/// jobs in report order, each running the exhaustive, uncached, unpruned
+/// [`nvmx_nvsim::dse::oracle`] pass, then a plain `arrays × traffic`
+/// double loop of [`crate::eval::evaluate`]. No threads, cache, bounds,
+/// kernels, or locks — slow and obviously correct. Only tests and bench
+/// sanity checks call it. Not part of the supported API.
 #[doc(hidden)]
-pub mod baseline {
-    use super::{StudyError, StudyResult};
+pub mod oracle {
+    use super::{expand_jobs, resolve, StudyError, StudyResult};
     use crate::config::StudyConfig;
     use crate::eval::evaluate;
-    use nvmx_celldb::CellDefinition;
-    use nvmx_nvsim::{characterize, ArrayCharacterization, ArrayConfig, CharacterizationError};
-    use std::sync::Mutex;
 
-    struct Job {
-        cell: CellDefinition,
-        config: ArrayConfig,
-    }
-
-    fn expand_jobs(study: &StudyConfig, cells: &[CellDefinition]) -> Vec<Job> {
-        let mut jobs = Vec::new();
-        for cell in cells {
-            for capacity in study.array.capacities() {
-                for &bits_per_cell in &study.array.bits_per_cell {
-                    for &target in &study.array.targets {
-                        jobs.push(Job {
-                            cell: cell.clone(),
-                            config: ArrayConfig {
-                                capacity,
-                                word_bits: study.array.word_bits,
-                                node: study.array.node_for(cell),
-                                bits_per_cell,
-                                target,
-                            },
-                        });
+    /// The [`StudyResult`] every engine entry point must reproduce byte
+    /// for byte: `arrays`, `evaluations`, and `skipped` (one entry per
+    /// target of each failed job).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`run_study_with_threads`](super::run_study_with_threads).
+    pub fn run_study(study: &StudyConfig) -> Result<StudyResult, StudyError> {
+        let (cells, traffic, targets) = resolve(study)?;
+        let mut arrays = Vec::new();
+        let mut skipped = Vec::new();
+        for job in expand_jobs(study, &cells, &targets) {
+            match nvmx_nvsim::dse::oracle::optimize_targets(job.cell, &job.config, &targets) {
+                Ok(designs) => arrays.extend(designs),
+                Err(error) => {
+                    for _ in &targets {
+                        skipped.push((job.cell.name.clone(), error.to_string()));
                     }
                 }
             }
         }
-        jobs
-    }
-
-    /// Reference implementation of
-    /// [`run_study_with_threads`](super::run_study_with_threads).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the main engine.
-    pub fn run_study_with_threads(
-        study: &StudyConfig,
-        threads: usize,
-    ) -> Result<StudyResult, StudyError> {
-        let cells = study.cells.resolve();
-        if cells.is_empty() {
-            return Err(StudyError::NoCells);
-        }
-        let traffic = study.traffic.resolve()?;
-        if traffic.is_empty() {
-            return Err(StudyError::NoTraffic);
-        }
-
-        let queue = Mutex::new(expand_jobs(study, &cells));
-        type Done = Vec<Result<ArrayCharacterization, (String, CharacterizationError)>>;
-        let done: Mutex<Done> = Mutex::new(Vec::new());
-
-        let workers = threads.clamp(1, 32);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let job = { queue.lock().expect("queue poisoned").pop() };
-                    let Some(job) = job else { break };
-                    let result = characterize(&job.cell, &job.config)
-                        .map_err(|e| (job.cell.name.clone(), e));
-                    done.lock().expect("results poisoned").push(result);
-                });
-            }
-        });
-
-        let mut arrays = Vec::new();
-        let mut skipped = Vec::new();
-        for outcome in done.into_inner().expect("results poisoned") {
-            match outcome {
-                Ok(array) => arrays.push(array),
-                Err((cell, error)) => skipped.push((cell, error.to_string())),
-            }
-        }
-        // Deterministic output order regardless of worker interleaving.
-        arrays.sort_by(|a, b| {
-            (
-                a.cell_name.as_str(),
-                a.capacity,
-                a.bits_per_cell,
-                a.target.label(),
-            )
-                .cmp(&(
-                    b.cell_name.as_str(),
-                    b.capacity,
-                    b.bits_per_cell,
-                    b.target.label(),
-                ))
-        });
-
-        let mut evaluations = Vec::with_capacity(arrays.len() * traffic.len());
+        let mut evaluations = Vec::new();
         for array in &arrays {
             for pattern in &traffic {
                 evaluations.push(evaluate(array, pattern));
             }
         }
-
         Ok(StudyResult {
             name: study.name.clone(),
             arrays,
@@ -1108,13 +709,17 @@ mod tests {
     }
 
     #[test]
-    fn multi_target_output_matches_baseline_engine_exactly() {
-        let study = multi_target_study();
-        let shared = run_study_with_threads(&study, 4).unwrap();
-        let reference = baseline::run_study_with_threads(&study, 1).unwrap();
-        assert_eq!(shared.arrays, reference.arrays);
-        assert_eq!(shared.evaluations, reference.evaluations);
-        assert_eq!(shared.skipped, reference.skipped);
+    fn multi_target_output_matches_the_oracle_exactly() {
+        let mut study = multi_target_study();
+        study.array.bits_per_cell = vec![BitsPerCell::Slc, BitsPerCell::Mlc2];
+        let reference = oracle::run_study(&study).unwrap();
+        assert!(!reference.skipped.is_empty(), "SRAM at MLC-2 is skipped");
+        for threads in [1, 16] {
+            let engine = run_study_with_threads(&study, threads).unwrap();
+            assert_eq!(engine.arrays, reference.arrays);
+            assert_eq!(engine.evaluations, reference.evaluations);
+            assert_eq!(engine.skipped, reference.skipped);
+        }
     }
 
     #[test]

@@ -1,17 +1,11 @@
 //! Proof obligations for the structure-of-arrays batched evaluation path:
-//!
-//! 1. Every scalar entry point agrees bit-for-bit: `evaluate`,
-//!    `evaluate_shared`, `evaluate_shared_traffic`, and `EvalKernel::apply`
-//!    all route through one shared expression (`eval_terms`), so deduping
-//!    them must not have moved a single bit.
-//! 2. [`EvalKernel::apply_batch`] over a [`TrafficGrid`] is bit-identical
-//!    per field to per-pattern [`EvalKernel::apply`], over adversarial
-//!    grids: zero-traffic lanes, infinite-endurance SRAM, 1-lane and
-//!    64+-lane grids, and shared [`RateLanes`].
+//! [`EvalKernel::apply_batch`] over a [`TrafficGrid`] is bit-identical per
+//! field to the one scalar entry point, [`evaluate`], on each lane's
+//! pattern, over adversarial grids: zero-traffic lanes,
+//! infinite-endurance SRAM, 1-lane and 64+-lane grids, and shared
+//! [`RateLanes`].
 
-use nvmexplorer_core::eval::{
-    evaluate, evaluate_shared, evaluate_shared_traffic, EvalKernel, Evaluation, RateLanes,
-};
+use nvmexplorer_core::eval::{evaluate, EvalKernel, Evaluation, RateLanes};
 use nvmx_celldb::{custom, survey, tentpole};
 use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
 use nvmx_units::Capacity;
@@ -76,40 +70,12 @@ fn lane_pattern(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite-1 regression: the shared-expression refactor keeps every
-    /// scalar entry point bit-identical to every other.
-    #[test]
-    fn all_scalar_entry_points_agree_bit_for_bit(
-        cell_pick in 0usize..64,
-        cap_exp in 0u32..4,
-        target_pick in 0usize..OptimizationTarget::ALL.len(),
-        read_mbps in 0.0f64..20.0e9,
-        write_mbps in 0.0f64..2.0e9,
-        abytes_pick in 0usize..4,
-    ) {
-        let cells = tentpole::tentpoles(survey::database());
-        let cell = &cells[cell_pick % cells.len()];
-        let config = ArrayConfig::new(Capacity::from_mebibytes(1 << cap_exp))
-            .with_target(OptimizationTarget::ALL[target_pick]);
-        if let Ok(array) = characterize(cell, &config) {
-            let array = Arc::new(array);
-            let traffic = Arc::new(lane_pattern(0, read_mbps, write_mbps, abytes_pick, false));
-            let reference = evaluate_shared(&array, &traffic);
-            let owned = evaluate(&array, &traffic);
-            let shared_traffic = evaluate_shared_traffic(&array, &traffic);
-            let from_kernel = EvalKernel::new(&array).apply(&traffic);
-            assert_bit_identical(&owned, &reference, "evaluate");
-            assert_bit_identical(&shared_traffic, &reference, "evaluate_shared_traffic");
-            assert_bit_identical(&from_kernel, &reference, "kernel apply");
-        }
-    }
-
     /// The tentpole guarantee: one batched application over the grid's
-    /// columnar lanes produces, per lane, the exact evaluation the scalar
-    /// kernel produces for that lane's pattern — including zero-traffic
-    /// lanes and 1-lane grids.
+    /// columnar lanes produces, per lane, the exact evaluation `evaluate`
+    /// produces for that lane's pattern — including zero-traffic lanes and
+    /// 1-lane grids.
     #[test]
-    fn apply_batch_is_bit_identical_to_scalar_apply(
+    fn apply_batch_is_bit_identical_to_evaluate(
         cell_pick in 0usize..64,
         cap_exp in 0u32..4,
         target_pick in 0usize..OptimizationTarget::ALL.len(),
@@ -123,22 +89,21 @@ proptest! {
         let config = ArrayConfig::new(Capacity::from_mebibytes(1 << cap_exp))
             .with_target(OptimizationTarget::ALL[target_pick]);
         if let Ok(array) = characterize(cell, &config) {
-            let array = Arc::new(array);
             let patterns: Vec<TrafficPattern> = lanes
                 .iter()
                 .enumerate()
                 .map(|(i, &(r, w, a, z))| lane_pattern(i, r, w, a, z))
                 .collect();
             let grid = TrafficGrid::new(&patterns);
-            let kernel = EvalKernel::new(&array);
+            let kernel = EvalKernel::new(&Arc::new(array.clone()));
             let batched = kernel.apply_batch(&grid);
             prop_assert_eq!(batched.len(), grid.len());
             // Shared rate lanes (the sweep engine's form) must not change
             // anything either.
             let rates = RateLanes::new(&grid, kernel.word_bits());
             let batched_shared = kernel.apply_batch_with(&grid, &rates);
-            for (lane, pattern) in grid.patterns().iter().enumerate() {
-                let scalar = kernel.apply(pattern);
+            for (lane, pattern) in patterns.iter().enumerate() {
+                let scalar = evaluate(&array, pattern);
                 assert_bit_identical(
                     &batched[lane],
                     &scalar,
@@ -161,17 +126,17 @@ proptest! {
 fn sram_and_zero_write_lanes_match_scalar_lifetimes() {
     let sram = custom::sram_16nm();
     let config = ArrayConfig::new(Capacity::from_mebibytes(2));
-    let array = Arc::new(characterize(&sram, &config).expect("SRAM characterizes"));
+    let array = characterize(&sram, &config).expect("SRAM characterizes");
     let patterns = vec![
         TrafficPattern::new("busy", 4.0e9, 1.0e8, 64),
         TrafficPattern::new("read-only", 4.0e9, 0.0, 64),
         TrafficPattern::new("idle", 0.0, 0.0, 64),
     ];
     let grid = TrafficGrid::new(&patterns);
-    let kernel = EvalKernel::new(&array);
+    let kernel = EvalKernel::new(&Arc::new(array.clone()));
     let batched = kernel.apply_batch(&grid);
-    for (lane, pattern) in grid.patterns().iter().enumerate() {
-        let scalar = kernel.apply(pattern);
+    for (lane, pattern) in patterns.iter().enumerate() {
+        let scalar = evaluate(&array, pattern);
         assert!(scalar.lifetime.is_none(), "SRAM endurance is unlimited");
         assert_bit_identical(&batched[lane], &scalar, &format!("SRAM lane {lane}"));
     }
@@ -182,11 +147,11 @@ fn sram_and_zero_write_lanes_match_scalar_lifetimes() {
         .iter()
         .find(|cell| cell.endurance_cycles.is_finite())
         .expect("tentpoles include endurance-limited cells");
-    let array = Arc::new(characterize(nvm, &config).expect("NVM characterizes"));
-    let kernel = EvalKernel::new(&array);
+    let array = characterize(nvm, &config).expect("NVM characterizes");
+    let kernel = EvalKernel::new(&Arc::new(array.clone()));
     let batched = kernel.apply_batch(&grid);
-    for (lane, pattern) in grid.patterns().iter().enumerate() {
-        let scalar = kernel.apply(pattern);
+    for (lane, pattern) in patterns.iter().enumerate() {
+        let scalar = evaluate(&array, pattern);
         assert_bit_identical(&batched[lane], &scalar, &format!("NVM lane {lane}"));
         assert_eq!(
             scalar.lifetime.is_some(),

@@ -2,11 +2,11 @@
 //! an `Arc`: the shared pointer must serialize inline (as the record) and
 //! deserialize back into an equal value.
 
-use nvmexplorer_core::eval::{evaluate, evaluate_shared, Evaluation};
+use nvmexplorer_core::eval::{evaluate, EvalKernel, Evaluation};
 use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
 use nvmx_nvsim::{characterize, ArrayConfig};
 use nvmx_units::Capacity;
-use nvmx_workloads::TrafficPattern;
+use nvmx_workloads::{TrafficGrid, TrafficPattern};
 use std::sync::Arc;
 
 fn sample() -> Evaluation {
@@ -29,7 +29,8 @@ fn evaluation_round_trips_through_serde_json() {
 #[test]
 fn shared_and_owned_evaluations_serialize_identically() {
     let eval = sample();
-    let shared = evaluate_shared(&eval.array, &eval.traffic);
+    let grid = TrafficGrid::from_shared(vec![Arc::clone(&eval.traffic)]);
+    let shared = EvalKernel::new(&eval.array).apply_batch(&grid).remove(0);
     assert_eq!(shared, eval);
     assert_eq!(
         serde_json::to_string(&shared).unwrap(),

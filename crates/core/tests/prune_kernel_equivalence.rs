@@ -1,21 +1,19 @@
 //! Proof obligations for the branch-and-bound + evaluation-kernel engine:
 //!
-//! 1. [`EvalKernel`] applications are bit-identical to [`evaluate_shared`]
-//!    over random arrays × traffic points.
-//! 2. The full pruned+kernel engine ([`run_study_with_threads`]) returns a
-//!    [`StudyResult`] byte-identical to the PR 2–4 reference engine
-//!    ([`run_study_pr4`]: exhaustive scan, per-pair shared evaluation) at
-//!    1 and 16 threads.
+//! 1. [`EvalKernel`] applications are bit-identical to [`evaluate`] over
+//!    random arrays × traffic points.
+//! 2. The full pruned+kernel engine ([`run_study_with_threads`]), cold and
+//!    incumbent-seeded, returns a [`StudyResult`] byte-identical to the
+//!    serial exhaustive oracle ([`oracle::run_study`]) at 1 and 16
+//!    threads.
 
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
-use nvmexplorer_core::eval::{evaluate_shared, EvalKernel};
-use nvmexplorer_core::sweep::{
-    run_study_pr4, run_study_pr5, run_study_seeded, run_study_with_threads, StudyResult,
-};
+use nvmexplorer_core::eval::{evaluate, EvalKernel};
+use nvmexplorer_core::sweep::{oracle, run_study_seeded, run_study_with_threads, StudyResult};
 use nvmx_celldb::{survey, tentpole};
 use nvmx_nvsim::{characterize, ArrayConfig, IncumbentStore, OptimizationTarget, SubarrayCache};
 use nvmx_units::{BitsPerCell, Capacity};
-use nvmx_workloads::TrafficPattern;
+use nvmx_workloads::{TrafficGrid, TrafficPattern};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -33,9 +31,9 @@ proptest! {
 
     /// Kernel hoisting must not move a single bit: every field of the
     /// produced [`Evaluation`] — including the endurance-limited lifetime
-    /// and the infeasible-utilization corner — matches `evaluate_shared`.
+    /// and the infeasible-utilization corner — matches `evaluate`.
     #[test]
-    fn kernel_is_bit_identical_to_evaluate_shared(
+    fn kernel_is_bit_identical_to_evaluate(
         cell_pick in 0usize..64,
         cap_exp in 0u32..4,
         target_pick in 0usize..OptimizationTarget::ALL.len(),
@@ -49,13 +47,12 @@ proptest! {
         let config = ArrayConfig::new(Capacity::from_mebibytes(1 << cap_exp))
             .with_target(OptimizationTarget::ALL[target_pick]);
         if let Ok(array) = characterize(cell, &config) {
-            let array = Arc::new(array);
-            let traffic = Arc::new(TrafficPattern::new(
-                "prop", read_mbps, write_mbps, access_bytes,
-            ));
-            let kernel = EvalKernel::new(&array);
-            let from_kernel = kernel.apply(&traffic);
-            let reference = evaluate_shared(&array, &traffic);
+            let traffic = TrafficPattern::new("prop", read_mbps, write_mbps, access_bytes);
+            let kernel = EvalKernel::new(&Arc::new(array.clone()));
+            let from_kernel = kernel
+                .apply_batch(&TrafficGrid::new(std::slice::from_ref(&traffic)))
+                .remove(0);
+            let reference = evaluate(&array, &traffic);
             prop_assert_eq!(&from_kernel, &reference, "kernel diverged for {}", &cell.name);
             // PartialEq would treat NaN fields as unequal, so a passing
             // compare already proves bit-level agreement for these inputs;
@@ -102,48 +99,27 @@ fn stress_study() -> StudyConfig {
     }
 }
 
-/// The engine-level guarantee behind the perf claim: pruning plus kernels
-/// changes nothing the study reports, at single-threaded and heavily
-/// fanned-out execution alike.
+/// The engine-level guarantee behind the perf claim: pruning, the
+/// subarray cache, and batched kernels change nothing the study reports,
+/// at single-threaded and heavily fanned-out execution alike.
 #[test]
-fn pruned_kernel_engine_matches_pr4_reference_at_1_and_16_threads() {
+fn pruned_batched_engine_matches_the_oracle_at_1_and_16_threads() {
     let study = stress_study();
-    let reference = run_study_pr4(&study, 1).expect("reference engine runs");
+    let reference = oracle::run_study(&study).expect("oracle runs");
     for threads in [1usize, 16] {
         let current = run_study_with_threads(&study, threads).expect("engine runs");
         assert_identical(&current, &reference, &format!("{threads} threads"));
     }
-    for threads in [1usize, 16] {
-        let pr4 = run_study_pr4(&study, threads).expect("reference engine runs");
-        assert_identical(&pr4, &reference, &format!("pr4 at {threads} threads"));
-    }
 }
 
-/// The batched-evaluation engine must match the PR-5 scalar-kernel engine
-/// byte-for-byte at single-threaded and fanned-out execution alike — the
-/// engine-level form of the `apply_batch` bit-identity proof.
+/// Incumbent seeding must be invisible in the results: recording and
+/// fully warm seeded runs both match the oracle at 1 and 16 threads. The
+/// first loop records the seeds; the second runs entirely warm against
+/// them.
 #[test]
-fn batched_engine_matches_pr5_scalar_engine_at_1_and_16_threads() {
+fn seeded_engine_matches_the_oracle_at_1_and_16_threads() {
     let study = stress_study();
-    let reference = run_study_pr5(&study, 1).expect("pr5 engine runs");
-    for threads in [1usize, 16] {
-        let current = run_study_with_threads(&study, threads).expect("engine runs");
-        assert_identical(
-            &current,
-            &reference,
-            &format!("batched at {threads} threads"),
-        );
-    }
-}
-
-/// Incumbent seeding must be invisible in the results: cold, recording,
-/// and fully warm seeded runs all match the unseeded engine at 1 and 16
-/// threads. The first loop records the seeds; the second runs entirely
-/// warm against them.
-#[test]
-fn seeded_engine_matches_cold_engine_at_1_and_16_threads() {
-    let study = stress_study();
-    let reference = run_study_with_threads(&study, 1).expect("engine runs");
+    let reference = oracle::run_study(&study).expect("oracle runs");
     let cache = SubarrayCache::new();
     let seeds = IncumbentStore::new();
     for round in ["recording", "warm"] {

@@ -1,14 +1,12 @@
 //! Engine-level regression tests for the lock-free shared-DSE sweep:
 //! thread-count determinism on a large multi-target study, and full
-//! `StudyResult` equivalence against the pre-overhaul baseline engine.
+//! `StudyResult` equivalence against the serial exhaustive oracle
+//! (`sweep::oracle`).
 
 use nvmexplorer_core::config::{
     ArraySettings, CellSelection, Constraints, StudyConfig, TrafficSpec,
 };
-use nvmexplorer_core::sweep::{
-    baseline, run_study_pr1, run_study_uncached, run_study_with_cache, run_study_with_threads,
-    StudyResult,
-};
+use nvmexplorer_core::sweep::{oracle, run_study_with_cache, run_study_with_threads, StudyResult};
 use nvmx_nvsim::{OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
 
@@ -72,18 +70,6 @@ fn large_multi_target_study_is_deterministic_from_1_to_16_threads() {
 }
 
 #[test]
-fn cached_and_uncached_engines_are_byte_identical() {
-    let study = large_study();
-    let cached = run_study_with_threads(&study, 8).unwrap();
-    let uncached = run_study_uncached(&study, 8).unwrap();
-    assert_results_identical(&cached, &uncached);
-    // The PR-1 materializing pass must also agree, so bench comparisons
-    // against it measure speed, never drift.
-    let pr1 = run_study_pr1(&study, 8).unwrap();
-    assert_results_identical(&cached, &pr1);
-}
-
-#[test]
 fn shared_cache_reuses_subarray_physics_across_capacities_and_runs() {
     let study = large_study();
     let cache = SubarrayCache::new();
@@ -112,24 +98,11 @@ fn shared_cache_reuses_subarray_physics_across_capacities_and_runs() {
 }
 
 #[test]
-fn shared_dse_engine_matches_the_per_target_baseline_byte_for_byte() {
+fn engine_matches_the_oracle_byte_for_byte_from_1_to_16_threads() {
     let study = large_study();
-    let shared = run_study_with_threads(&study, 8).unwrap();
-    // Single-threaded baseline: deterministic reference ordering.
-    let reference = baseline::run_study_with_threads(&study, 1).unwrap();
-    assert_eq!(
-        shared.arrays, reference.arrays,
-        "arrays must be byte-identical"
-    );
-    assert_eq!(
-        shared.evaluations, reference.evaluations,
-        "evaluations must be byte-identical"
-    );
-    // The baseline pops its job queue LIFO, so its skip order is its own;
-    // compare as sorted multisets.
-    let mut a = shared.skipped.clone();
-    let mut b = reference.skipped.clone();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b, "skipped entries must agree");
+    let reference = oracle::run_study(&study).unwrap();
+    for threads in [1, 8, 16] {
+        let engine = run_study_with_threads(&study, threads).unwrap();
+        assert_results_identical(&engine, &reference);
+    }
 }

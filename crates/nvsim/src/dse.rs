@@ -8,7 +8,7 @@
 //! lower bound ([`crate::bounds`]) says it could still beat that target's
 //! incumbent. Skipped candidates are proven non-winners, so winners — and
 //! everything derived from them — are byte-identical to the exhaustive
-//! scan (kept as [`optimize_targets_unpruned`] for proofs and benches).
+//! scan of [`oracle`], which tests and bench sanity checks compare against.
 //! Nothing is materialized per candidate: incumbents hold lightweight
 //! [`Bank`] records, and only each target's winner is packaged into a full
 //! result.
@@ -269,6 +269,26 @@ impl TargetScan {
     }
 }
 
+/// Rejects a programming depth the cell cannot store.
+fn check_depth(cell: &CellDefinition, config: &ArrayConfig) -> Result<(), CharacterizationError> {
+    if cell.supports(config.bits_per_cell) {
+        Ok(())
+    } else {
+        Err(CharacterizationError::UnsupportedBitsPerCell {
+            cell: cell.name.clone(),
+            requested: config.bits_per_cell,
+            supported: cell.max_bits_per_cell,
+        })
+    }
+}
+
+fn no_valid_organization(cell: &CellDefinition, config: &ArrayConfig) -> CharacterizationError {
+    CharacterizationError::NoValidOrganization {
+        cell: cell.name.clone(),
+        capacity: config.capacity,
+    }
+}
+
 /// Runs the organization search **once** and returns the best design under
 /// each of `targets`, in order.
 ///
@@ -280,7 +300,7 @@ impl TargetScan {
 /// some target's score lower bound ([`crate::bounds`]) leaves it a chance
 /// of beating that target's incumbent. A skipped candidate is *proven*
 /// unable to change any winner, so results are byte-identical to the
-/// exhaustive scan ([`optimize_targets_unpruned`]) — and to what a
+/// exhaustive scan ([`oracle::optimize_targets`]) — and to what a
 /// standalone [`optimize`] call per target would produce.
 ///
 /// With `cache` present, subarray physics are memoized across calls: every
@@ -333,19 +353,10 @@ pub fn optimize_targets_seeded(
     if targets.is_empty() {
         return Ok(Vec::new());
     }
-    if !cell.supports(config.bits_per_cell) {
-        return Err(CharacterizationError::UnsupportedBitsPerCell {
-            cell: cell.name.clone(),
-            requested: config.bits_per_cell,
-            supported: cell.max_bits_per_cell,
-        });
-    }
+    check_depth(cell, config)?;
     let orgs = enumerate_organizations_indexed(config);
     if orgs.is_empty() {
-        return Err(CharacterizationError::NoValidOrganization {
-            cell: cell.name.clone(),
-            capacity: config.capacity,
-        });
+        return Err(no_valid_organization(cell, config));
     }
     let tech = lookup(config.node);
     let bounds = BoundContext::new(&tech, cell, config.bits_per_cell, config.word_bits);
@@ -397,12 +408,9 @@ pub fn optimize_targets_seeded(
         // Record before consuming the scan; the write is deferred until
         // every target resolved, so a failed pass records nothing.
         let seed = seeds.map(|_| scan.to_seed());
-        let bank =
-            scan.into_winner()
-                .ok_or_else(|| CharacterizationError::NoValidOrganization {
-                    cell: cell.name.clone(),
-                    capacity: config.capacity,
-                })?;
+        let bank = scan
+            .into_winner()
+            .ok_or_else(|| no_valid_organization(cell, config))?;
         results.push((target, seed, package(cell, config, bank, target)));
     }
     if let Some(store) = seeds {
@@ -413,91 +421,6 @@ pub fn optimize_targets_seeded(
         }
     }
     Ok(results.into_iter().map(|(_, _, array)| array).collect())
-}
-
-/// The exhaustive (PR 2–4) scan: characterizes **every** candidate into a
-/// materialized bank vector, then selects per target. Observationally
-/// identical to [`optimize_targets_cached`]; kept so tests can prove the
-/// branch-and-bound scan byte-identical and benches can measure the win.
-/// Not part of the supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-#[doc(hidden)]
-pub fn optimize_targets_unpruned(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-    targets: &[OptimizationTarget],
-    cache: Option<&SubarrayCache>,
-) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
-    if targets.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !cell.supports(config.bits_per_cell) {
-        return Err(CharacterizationError::UnsupportedBitsPerCell {
-            cell: cell.name.clone(),
-            requested: config.bits_per_cell,
-            supported: cell.max_bits_per_cell,
-        });
-    }
-    let orgs = enumerate_organizations_indexed(config);
-    if orgs.is_empty() {
-        return Err(CharacterizationError::NoValidOrganization {
-            cell: cell.name.clone(),
-            capacity: config.capacity,
-        });
-    }
-    let tech = lookup(config.node);
-    let mut session = cache.map(|cache| cache.session(cell, &tech, config.bits_per_cell));
-    let banks: Vec<Bank> = orgs
-        .into_iter()
-        .map(|(org, slot)| {
-            let sub = match &mut session {
-                Some(session) => session.lookup(Some(slot), org.rows, org.cols, org.mux),
-                None => Subarray::characterize(
-                    &tech,
-                    cell,
-                    org.rows,
-                    org.cols,
-                    org.mux,
-                    config.bits_per_cell,
-                ),
-            };
-            Bank::compose(&tech, sub, org, config.word_bits)
-        })
-        .collect();
-    targets
-        .iter()
-        .map(|&target| {
-            // First strictly-better scan order matches the per-target
-            // optimizer exactly, so ties resolve identically. Incumbent
-            // scores are cached — score() per candidate, not per compare.
-            let mut best: Option<(usize, f64)> = None;
-            let mut best_unconstrained: Option<(usize, f64)> = None;
-            for (index, bank) in banks.iter().enumerate() {
-                let score = bank_score(bank, target);
-                let improves = |incumbent: Option<(usize, f64)>| match incumbent {
-                    None => true,
-                    Some((_, incumbent_score)) => score < incumbent_score,
-                };
-                if Ratio::new(bank.area_efficiency).value() >= MIN_AREA_EFFICIENCY && improves(best)
-                {
-                    best = Some((index, score));
-                }
-                if improves(best_unconstrained) {
-                    best_unconstrained = Some((index, score));
-                }
-            }
-            let (index, _) = best.or(best_unconstrained).ok_or_else(|| {
-                CharacterizationError::NoValidOrganization {
-                    cell: cell.name.clone(),
-                    capacity: config.capacity,
-                }
-            })?;
-            Ok(package(cell, config, banks[index].clone(), target))
-        })
-        .collect()
 }
 
 /// [`optimize_targets_cached`] without memoization — every geometry is
@@ -514,74 +437,6 @@ pub fn optimize_targets(
     optimize_targets_cached(cell, config, targets, None)
 }
 
-/// The pre-cache scoring path: materializes a full [`ArrayCharacterization`]
-/// for **every** candidate (two string clones + full packaging each) and
-/// clones the winner out of the candidate vector. Kept only so benches and
-/// regression tests can measure and prove the zero-copy restructure against
-/// the previous engine. Not part of the supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-#[doc(hidden)]
-pub fn optimize_targets_materialized(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-    targets: &[OptimizationTarget],
-) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
-    if targets.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !cell.supports(config.bits_per_cell) {
-        return Err(CharacterizationError::UnsupportedBitsPerCell {
-            cell: cell.name.clone(),
-            requested: config.bits_per_cell,
-            supported: cell.max_bits_per_cell,
-        });
-    }
-    let orgs = enumerate_organizations(config);
-    if orgs.is_empty() {
-        return Err(CharacterizationError::NoValidOrganization {
-            cell: cell.name.clone(),
-            capacity: config.capacity,
-        });
-    }
-    let tech = lookup(config.node);
-    let candidates: Vec<ArrayCharacterization> = orgs
-        .into_iter()
-        .map(|org| characterize_organization_with(&tech, cell, config, org))
-        .collect();
-    targets
-        .iter()
-        .map(|&target| {
-            let mut best: Option<(usize, f64)> = None;
-            let mut best_unconstrained: Option<(usize, f64)> = None;
-            for (index, candidate) in candidates.iter().enumerate() {
-                let score = candidate.score(target);
-                let improves = |incumbent: Option<(usize, f64)>| match incumbent {
-                    None => true,
-                    Some((_, incumbent_score)) => score < incumbent_score,
-                };
-                if candidate.area_efficiency.value() >= MIN_AREA_EFFICIENCY && improves(best) {
-                    best = Some((index, score));
-                }
-                if improves(best_unconstrained) {
-                    best_unconstrained = Some((index, score));
-                }
-            }
-            let (index, _) = best.or(best_unconstrained).ok_or_else(|| {
-                CharacterizationError::NoValidOrganization {
-                    cell: cell.name.clone(),
-                    capacity: config.capacity,
-                }
-            })?;
-            let mut winner = candidates[index].clone();
-            winner.target = target;
-            Ok(winner)
-        })
-        .collect()
-}
-
 /// Runs the full organization search and returns the best design under
 /// `config.target`. Thin wrapper over the shared pass in
 /// [`optimize_targets`].
@@ -591,6 +446,76 @@ pub fn optimize(
 ) -> Result<ArrayCharacterization, CharacterizationError> {
     let mut results = optimize_targets(cell, config, &[config.target])?;
     Ok(results.remove(0))
+}
+
+/// The reference the production scan is proven against: one exhaustive,
+/// uncached, unpruned pass that characterizes **every** candidate into a
+/// full record and picks each target's winner with
+/// [`ArrayCharacterization::score`] under the same two-chain
+/// `MIN_AREA_EFFICIENCY` rule (first strictly-better qualified
+/// candidate, else first strictly-better overall). Slow and obviously
+/// correct; only tests and bench sanity checks call it. Not part of the
+/// supported API.
+#[doc(hidden)]
+pub mod oracle {
+    use super::{
+        characterize_organization_with, check_depth, enumerate_organizations,
+        no_valid_organization, MIN_AREA_EFFICIENCY,
+    };
+    use crate::result::{ArrayCharacterization, OptimizationTarget};
+    use crate::technology::lookup;
+    use crate::{ArrayConfig, CharacterizationError};
+    use nvmx_celldb::CellDefinition;
+
+    /// The best design under each of `targets`, in order — what
+    /// [`optimize_targets_seeded`](super::optimize_targets_seeded) must
+    /// return bit for bit, with or without cache and seeds.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`optimize`](super::optimize).
+    pub fn optimize_targets(
+        cell: &CellDefinition,
+        config: &ArrayConfig,
+        targets: &[OptimizationTarget],
+    ) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
+        if targets.is_empty() {
+            return Ok(Vec::new());
+        }
+        check_depth(cell, config)?;
+        let tech = lookup(config.node);
+        let candidates: Vec<ArrayCharacterization> = enumerate_organizations(config)
+            .into_iter()
+            .map(|org| characterize_organization_with(&tech, cell, config, org))
+            .collect();
+        if candidates.is_empty() {
+            return Err(no_valid_organization(cell, config));
+        }
+        Ok(targets
+            .iter()
+            .map(|&target| {
+                let mut best: Option<&ArrayCharacterization> = None;
+                let mut best_unconstrained: Option<&ArrayCharacterization> = None;
+                for candidate in &candidates {
+                    let improves = |incumbent: Option<&ArrayCharacterization>| {
+                        incumbent.is_none_or(|i| candidate.score(target) < i.score(target))
+                    };
+                    if candidate.area_efficiency.value() >= MIN_AREA_EFFICIENCY && improves(best) {
+                        best = Some(candidate);
+                    }
+                    if improves(best_unconstrained) {
+                        best_unconstrained = Some(candidate);
+                    }
+                }
+                let mut winner = best
+                    .or(best_unconstrained)
+                    .expect("a non-empty candidate set has a winner")
+                    .clone();
+                winner.target = target;
+                winner
+            })
+            .collect())
+    }
 }
 
 #[cfg(test)]
@@ -650,17 +575,35 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_scan_matches_the_materialized_scoring_path() {
-        // The PR-1 engine packaged every candidate before scoring; the
-        // zero-copy scan must select and package identically.
+    fn pruned_scan_matches_the_oracle() {
+        // Cold, cached, and seeded (recording, then warm) scans must pick
+        // and package exactly the exhaustive oracle's winners, at every
+        // supported depth.
         let cell = stt();
-        for target in OptimizationTarget::ALL {
-            let config = cfg(target);
-            let fast = optimize_targets(&cell, &config, &OptimizationTarget::ALL).unwrap();
-            let reference =
-                optimize_targets_materialized(&cell, &config, &OptimizationTarget::ALL).unwrap();
-            assert_eq!(fast, reference, "scoring paths diverged under {target}");
+        for depth in [BitsPerCell::Slc, BitsPerCell::Mlc2] {
+            let config = cfg(OptimizationTarget::ReadEdp).with_bits_per_cell(depth);
+            let targets = OptimizationTarget::ALL;
+            let reference = oracle::optimize_targets(&cell, &config, &targets).unwrap();
+            let cache = SubarrayCache::new();
+            let seeds = IncumbentStore::new();
+            let runs = [
+                optimize_targets(&cell, &config, &targets).unwrap(),
+                optimize_targets_cached(&cell, &config, &targets, Some(&cache)).unwrap(),
+                optimize_targets_seeded(&cell, &config, &targets, Some(&cache), Some(&seeds))
+                    .unwrap(),
+                optimize_targets_seeded(&cell, &config, &targets, Some(&cache), Some(&seeds))
+                    .unwrap(),
+            ];
+            for run in runs {
+                assert_eq!(run, reference, "scan diverged from the oracle at {depth:?}");
+            }
         }
+        let mut sram = cfg(OptimizationTarget::ReadEdp);
+        sram.bits_per_cell = BitsPerCell::Mlc2;
+        assert_eq!(
+            oracle::optimize_targets(&custom::sram_16nm(), &sram, &OptimizationTarget::ALL),
+            optimize_targets(&custom::sram_16nm(), &sram, &OptimizationTarget::ALL),
+        );
     }
 
     #[test]

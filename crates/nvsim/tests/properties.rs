@@ -1,10 +1,10 @@
 //! Property-based tests for the array simulator: physical monotonicities
 //! and invariants over random geometries and configurations.
 
-use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
+use nvmx_celldb::{custom, survey, tentpole, CellFlavor, TechnologyClass};
 use nvmx_nvsim::subarray::Subarray;
 use nvmx_nvsim::technology::lookup;
-use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
+use nvmx_nvsim::{characterize, characterize_targets, ArrayConfig, OptimizationTarget};
 use nvmx_units::{BitsPerCell, Capacity, Meters};
 use proptest::prelude::*;
 
@@ -100,4 +100,80 @@ proptest! {
         prop_assert!(mlc.density_mbit_per_mm2() > slc.density_mbit_per_mm2());
         prop_assert!(mlc.read_latency.value() > slc.read_latency.value());
     }
+}
+
+/// Physical invariants of every characterized array across the whole cell
+/// survey: every tentpole cell plus the SRAM baseline (at its native
+/// 16 nm), the industry RRAM reference, and the back-gated FeFET, at each
+/// supported depth, under all eight targets, from 1 to 32 MiB. Every
+/// latency, cycle, energy, leakage, area, and bandwidth is finite and
+/// non-negative, area efficiency is a fraction, and area grows strictly
+/// with capacity. (Leakage is deliberately not required to grow: the
+/// target may pick a leaner organization at the larger capacity.)
+#[test]
+fn survey_wide_arrays_are_physical_and_grow_with_capacity() {
+    let mut cells = tentpole::tentpoles(survey::database());
+    cells.extend([
+        custom::sram_16nm(),
+        custom::reference_rram(),
+        custom::back_gated_fefet(),
+    ]);
+    let mut checked = 0;
+    for cell in &cells {
+        let node = if cell.technology == TechnologyClass::Sram {
+            Meters::from_nano(16.0)
+        } else {
+            Meters::from_nano(22.0)
+        };
+        for depth in BitsPerCell::ALL.into_iter().filter(|&d| cell.supports(d)) {
+            let mut previous: Option<Vec<f64>> = None;
+            for mib in [1u64, 2, 4, 8, 16, 32] {
+                let config = ArrayConfig::new(Capacity::from_mebibytes(mib))
+                    .with_node(node)
+                    .with_bits_per_cell(depth);
+                let arrays = characterize_targets(cell, &config, &OptimizationTarget::ALL)
+                    .unwrap_or_else(|e| panic!("{} {depth:?} {mib} MiB: {e}", cell.name));
+                for array in &arrays {
+                    let at = format!("{} {depth:?} {mib} MiB {}", cell.name, array.target);
+                    for (metric, value) in [
+                        ("read latency", array.read_latency.value()),
+                        ("write latency", array.write_latency.value()),
+                        ("read cycle", array.read_cycle.value()),
+                        ("write cycle", array.write_cycle.value()),
+                        ("read energy", array.read_energy.value()),
+                        ("write energy", array.write_energy.value()),
+                        ("leakage", array.leakage.value()),
+                        ("area", array.area.value()),
+                        ("read bandwidth", array.read_bandwidth),
+                        ("write bandwidth", array.write_bandwidth),
+                    ] {
+                        assert!(
+                            value.is_finite() && value >= 0.0,
+                            "{at}: {metric} = {value}"
+                        );
+                    }
+                    let efficiency = array.area_efficiency.value();
+                    assert!(
+                        (0.0..=1.0).contains(&efficiency),
+                        "{at}: efficiency {efficiency}"
+                    );
+                }
+                let areas: Vec<f64> = arrays.iter().map(|a| a.area.value()).collect();
+                if let Some(smaller) = &previous {
+                    for ((small, large), array) in smaller.iter().zip(&areas).zip(&arrays) {
+                        assert!(
+                            large > small,
+                            "{} {depth:?} {}: area {small} at {} MiB vs {large} at {mib} MiB",
+                            cell.name,
+                            array.target,
+                            mib / 2
+                        );
+                    }
+                }
+                previous = Some(areas);
+                checked += arrays.len();
+            }
+        }
+    }
+    assert_eq!(checked, 1680, "arrays checked across the survey");
 }

@@ -1,12 +1,13 @@
 //! Property proof for branch-and-bound DSE pruning: the pruned streaming
-//! scan must return bit-identical winners to the exhaustive (PR 2–4) scan
-//! for random tentpole cells, capacities, programming depths, and target
-//! subsets — with and without a subarray cache — and the score lower
-//! bounds driving the pruning must never exceed the true scores.
+//! scan must return bit-identical winners to the exhaustive oracle scan
+//! (`dse::oracle`) for random tentpole cells, capacities, programming
+//! depths, and target subsets — with and without a subarray cache — and
+//! the score lower bounds driving the pruning must never exceed the true
+//! scores.
 
 use nvmx_celldb::{survey, tentpole};
 use nvmx_nvsim::bounds::BoundContext;
-use nvmx_nvsim::dse::{enumerate_organizations, optimize_targets_unpruned};
+use nvmx_nvsim::dse::{enumerate_organizations, oracle};
 use nvmx_nvsim::{
     characterize_targets, characterize_targets_cached, characterize_targets_seeded, ArrayConfig,
     IncumbentStore, OptimizationTarget, SubarrayCache,
@@ -43,7 +44,7 @@ proptest! {
             .with_bits_per_cell(depth);
 
         let cache = SubarrayCache::new();
-        let unpruned = optimize_targets_unpruned(cell, &config, &targets, None);
+        let unpruned = oracle::optimize_targets(cell, &config, &targets);
         let pruned = characterize_targets(cell, &config, &targets);
         let pruned_cached = characterize_targets_cached(cell, &config, &targets, &cache);
 
