@@ -90,13 +90,12 @@ fn main() {
             Ok(None) => fail("server closed the connection mid-response"),
             Err(e) => fail(&format!("read failed: {e}")),
         };
-        if !ResponseFrame::is_response_line(&line) {
+        let Some(response) = ResponseFrame::parse_if_response(&line) else {
             // An event frame of a streamed session: pass through verbatim.
             println!("{line}");
             continue;
-        }
-        let response = ResponseFrame::parse(&line)
-            .unwrap_or_else(|e| fail(&format!("malformed response: {e}")));
+        };
+        let response = response.unwrap_or_else(|e| fail(&format!("malformed response: {e}")));
         match response {
             ResponseFrame::Status {
                 draining,

@@ -66,7 +66,8 @@ use nvmexplorer_core::scheduler::run_on_lanes;
 use nvmexplorer_core::sweep::StudyResult;
 use nvmexplorer_core::transport::{read_frame_line, Endpoint, Listener, TransportKind};
 use nvmexplorer_core::wire::{
-    EventReplayer, LeaseFrame, OwnedStudyEvent, SlotMerger, WireFrame, WorkerFrame, WorkerLine,
+    EventReplayer, FrameDecoder, LeaseFrame, OwnedStudyEvent, SlotMerger, WireFrame, WorkerFrame,
+    WorkerLine,
 };
 use nvmx_bench::campaign::{
     fault_csv, fault_summary_line, load_campaign, results_csv, summary_line,
@@ -508,6 +509,7 @@ fn spawn_shard(
         let mut killed = false;
         let mut reader = BufReader::new(stdout);
         let mut line = String::new();
+        let mut decoder = FrameDecoder::new();
         loop {
             match read_frame_line(&mut reader, &mut line) {
                 Ok(true) => {}
@@ -522,7 +524,7 @@ fn spawn_shard(
             if line.trim().is_empty() {
                 continue;
             }
-            match WireFrame::parse(&line) {
+            match decoder.frame(&line) {
                 Ok(frame) => {
                     if tx.send(Msg::Frame(Box::new((frame, line)))).is_err() {
                         // Receiver gone: nobody wants the rest of this
@@ -880,6 +882,7 @@ fn pump_worker_lines<R: BufRead>(
     let mut writer = Some(writer);
     let mut name = preset;
     let mut line = String::new();
+    let mut decoder = FrameDecoder::new();
     loop {
         match read_frame_line(&mut reader, &mut line) {
             Ok(true) => {}
@@ -901,7 +904,7 @@ fn pump_worker_lines<R: BufRead>(
             continue;
         }
         // One pass over the line classifies and decodes it.
-        match WorkerLine::parse(&line) {
+        match decoder.worker_line(&line) {
             Ok(WorkerLine::Control(WorkerFrame::Hello {
                 name: hello_name,
                 study,

@@ -44,7 +44,7 @@
 use nvmexplorer_core::config::CampaignConfig;
 use nvmexplorer_core::stream::StudyExecutor;
 use nvmexplorer_core::transport::{Connection, Endpoint};
-use nvmexplorer_core::wire::{RequestFrame, ResponseFrame, StreamReplayer};
+use nvmexplorer_core::wire::{RequestFrame, ResponseFrame, Served, StreamReplayer};
 use nvmx_bench::campaign::{
     fault_csv, fault_summary_line, load_campaign, results_csv, summary_line,
 };
@@ -144,16 +144,18 @@ fn run_remote(
                 std::process::exit(1);
             }
         };
-        if !ResponseFrame::is_response_line(&line) {
-            // A session event frame: feed the strict replayer, which also
-            // forwards the event into the local output sinks.
-            if let Err(e) = replayer.push_line(&line, sinks) {
+        // One pass classifies the line: a session event frame feeds the
+        // strict replayer (which also forwards the event into the local
+        // output sinks); a response brackets the session.
+        let response = match replayer.push_served_line(&line, sinks) {
+            Ok(Served::Event { .. }) => continue,
+            Ok(Served::Response(response)) => response,
+            Err(e) => {
                 eprintln!("server stream is not a valid session capture: {e}");
                 std::process::exit(1);
             }
-            continue;
-        }
-        match ResponseFrame::parse(&line) {
+        };
+        match response {
             Ok(ResponseFrame::Submitted {
                 session: id,
                 study,

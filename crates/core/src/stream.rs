@@ -394,6 +394,18 @@ impl StudyEvent<'_> {
     /// printing [`Serialize::to_value`] (proptested in
     /// `tests/codec_parity.rs`).
     pub fn write_fields(&self, out: &mut String) {
+        self.write_fields_with(out, |out, evaluation| evaluation.write_json(out));
+    }
+
+    /// [`Self::write_fields`], with `write_evaluation` appending an
+    /// `evaluation_produced` event's evaluation object — it must write
+    /// exactly what [`Serialize::write_json`] would (the memoizing
+    /// [`EventEncoder`](crate::wire::EventEncoder) copies repeated records).
+    pub(crate) fn write_fields_with(
+        &self,
+        out: &mut String,
+        write_evaluation: impl FnOnce(&mut String, &Evaluation),
+    ) {
         out.push_str("\"event\":\"");
         out.push_str(self.kind());
         out.push('"');
@@ -428,7 +440,7 @@ impl StudyEvent<'_> {
             Self::EvaluationProduced { index, evaluation } => {
                 put_uint(out, "index", *index as u64);
                 key(out, "evaluation");
-                evaluation.write_json(out);
+                write_evaluation(out, evaluation);
             }
             Self::TargetWinnerSelected { target, winner } => {
                 put_str(out, "target", target.label());

@@ -56,6 +56,12 @@
 //! record. Fault-campaign captures additionally rebuild the
 //! [`FaultOutcome`] (trials, per-model verdicts, final counters) from the
 //! version-2 fault events.
+//!
+//! Every strict reader decodes through a stream-scoped [`FrameDecoder`]:
+//! one pass per line, and each array or traffic record decoded once per
+//! stream however many evaluations repeat it (the stateless
+//! [`WireFrame::parse`] stays the reference and the error classifier).
+//! Writers share the [`EventEncoder`], which formats each record once.
 
 use crate::accuracy::AccuracyReport;
 use crate::eval::Evaluation;
@@ -63,10 +69,12 @@ use crate::fault_study::{FaultModelReport, FaultOutcome, FaultStudyStats, FaultT
 use crate::stream::{ResultSink, StudyEvent, StudyResultBuilder, StudyStats};
 use crate::sweep::StudyResult;
 use nvmx_nvsim::{ArrayCharacterization, CacheStats, L2RejectClasses, OptimizationTarget};
+use nvmx_workloads::TrafficPattern;
 use serde::{json, Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 /// The wire protocol version stamped on every written line.
 ///
@@ -1242,15 +1250,14 @@ impl ResponseFrame {
         }
     }
 
-    /// `true` when `line` looks like a service response (a JSON object
-    /// carrying a `"response"` field) rather than an event frame — the
-    /// cheap pre-test a client uses to split a session channel into event
-    /// frames and bracketing responses without parsing twice.
-    pub fn is_response_line(line: &str) -> bool {
-        matches!(
-            json::split_object(line),
-            Ok(Some(entries)) if entries.iter().any(|(k, _)| k == "response")
-        )
+    /// Classifies and parses one line of a session channel in one pass:
+    /// `None` when the line is not a response (no top-level `"response"`
+    /// field — an event frame, or no JSON object at all), otherwise
+    /// [`Self::parse`]'s result. How a client splits a session channel
+    /// into event frames and bracketing responses without parsing twice.
+    pub fn parse_if_response(line: &str) -> Option<Result<Self, FrameError>> {
+        let obj = Obj::parse(line, "response line").ok()?;
+        obj.find("response").is_some().then(|| Self::decode(&obj))
     }
 
     /// Parses one response line.
@@ -1261,7 +1268,10 @@ impl ResponseFrame {
     /// [`WIRE_SERVICE_MIN_VERSION`]`..=`[`WIRE_VERSION`];
     /// [`FrameError::Corrupt`] for anything else wrong with the line.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        let obj = &Obj::parse(line, "response line")?;
+        Self::decode(&Obj::parse(line, "response line")?)
+    }
+
+    fn decode(obj: &Obj<'_>) -> Result<Self, FrameError> {
         service_version(obj)?;
         match str_field(obj, "response")?.as_ref() {
             "submitted" => Ok(Self::Submitted {
@@ -1752,6 +1762,329 @@ impl std::fmt::Display for Shard {
     }
 }
 
+// ------------------------------------------------------------ record memo
+
+/// The longest record text a [`RecordMemo`] remembers (16 KiB — twenty
+/// times the largest array record the engine writes). Longer records are
+/// decoded and encoded as usual, just not remembered.
+const MEMO_RECORD_BYTES: usize = 16 * 1024;
+
+/// The most record text one [`RecordMemo`] holds (64 MiB). Past it,
+/// records are decoded and encoded without being remembered.
+const MEMO_TOTAL_BYTES: usize = 64 * 1024 * 1024;
+
+/// The records of one type a stream has carried, in arrival order, each
+/// with its exact JSON text. A lookup tries only three candidates — the
+/// last record matched, the one after it, and the first — which is every
+/// hit the engine's array-major stream needs: an array repeats once per
+/// traffic pattern, and the patterns repeat in order once per array.
+#[derive(Debug)]
+struct RecordMemo<T> {
+    entries: Vec<(Box<str>, Arc<T>)>,
+    last: usize,
+    bytes: usize,
+    budget: usize,
+}
+
+impl<T> Default for RecordMemo<T> {
+    fn default() -> Self {
+        Self::with_budget(MEMO_TOTAL_BYTES)
+    }
+}
+
+impl<T> RecordMemo<T> {
+    fn with_budget(budget: usize) -> Self {
+        Self {
+            entries: Vec::new(),
+            last: 0,
+            bytes: 0,
+            budget,
+        }
+    }
+
+    /// The first candidate entry `matches` accepts, which becomes the
+    /// last match.
+    fn find(&mut self, mut matches: impl FnMut(&str, &Arc<T>) -> bool) -> Option<usize> {
+        let candidates = [self.last, self.last + 1, 0];
+        let hit = candidates.iter().enumerate().find_map(|(i, &at)| {
+            let fresh = !candidates[..i].contains(&at);
+            let (text, record) = self.entries.get(at).filter(|_| fresh)?;
+            matches(text, record).then_some(at)
+        })?;
+        self.last = hit;
+        Some(hit)
+    }
+
+    /// Appends a record that missed, unless it or the memo is over its
+    /// bound.
+    fn remember(&mut self, text: &str, record: Arc<T>) {
+        if text.len() <= MEMO_RECORD_BYTES && self.bytes + text.len() <= self.budget {
+            self.bytes += text.len();
+            self.last = self.entries.len();
+            self.entries.push((text.into(), record));
+        }
+    }
+}
+
+impl<T: Deserialize> RecordMemo<T> {
+    /// Decodes the reader's next value as a record. A value whose text
+    /// equals a remembered record's is skipped in one comparison and
+    /// shares that record; any other is decoded and, when it is an object,
+    /// remembered. Exact because a remembered text is a whole object this
+    /// decoder already accepted (see [`json::Reader::skip_known`]).
+    fn decode(&mut self, r: &mut json::Reader<'_>) -> Option<Arc<T>> {
+        if let Some(at) = self.find(|text, _| r.skip_known(text)) {
+            return Some(Arc::clone(&self.entries[at].1));
+        }
+        let (record, text) = r.captured(T::from_json).ok()?;
+        let record = Arc::new(record);
+        if text.starts_with('{') {
+            self.remember(text, Arc::clone(&record));
+        }
+        Some(record)
+    }
+}
+
+impl<T: Serialize> RecordMemo<T> {
+    /// Appends `record`'s JSON text: copied when this very allocation was
+    /// written before (the memo holds a clone, so the address cannot be
+    /// reused by another record meanwhile), formatted otherwise. Never
+    /// keyed by value — `-0.0 == 0.0`, but the two print differently.
+    fn write(&mut self, record: &Arc<T>, out: &mut String) {
+        if let Some(at) = self.find(|_, held| Arc::ptr_eq(held, record)) {
+            out.push_str(&self.entries[at].0);
+            return;
+        }
+        let start = out.len();
+        record.write_json(out);
+        self.remember(&out[start..], Arc::clone(record));
+    }
+}
+
+/// The event encoder [`WireSink`] and the JSONL sink share: it writes
+/// exactly [`StudyEvent::write_fields`]'s bytes, but formats an
+/// evaluation's array and traffic records once and copies their text
+/// while the same [`Arc`] repeats.
+#[derive(Debug, Default)]
+pub struct EventEncoder {
+    arrays: RecordMemo<ArrayCharacterization>,
+    traffic: RecordMemo<TrafficPattern>,
+}
+
+impl EventEncoder {
+    /// A fresh encoder that remembers nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends `event`'s JSON object without its braces, byte-identical to
+    /// [`StudyEvent::write_fields`].
+    pub fn write_fields(&mut self, event: &StudyEvent<'_>, out: &mut String) {
+        event.write_fields_with(out, |out, evaluation| {
+            self.write_evaluation(evaluation, out);
+        });
+    }
+
+    /// The derived `Evaluation::write_json`, field for field (the
+    /// destructuring is exhaustive, so a new field cannot be missed).
+    fn write_evaluation(&mut self, evaluation: &Evaluation, out: &mut String) {
+        let Evaluation {
+            array,
+            traffic,
+            array_reads_per_sec,
+            array_writes_per_sec,
+            read_power,
+            write_power,
+            leakage_power,
+            utilization,
+            aggregate_latency,
+            lifetime,
+        } = evaluation;
+        out.push_str("{\"array\":");
+        self.arrays.write(array, out);
+        out.push_str(",\"traffic\":");
+        self.traffic.write(traffic, out);
+        let tail: [(&str, &dyn Serialize); 8] = [
+            ("array_reads_per_sec", array_reads_per_sec),
+            ("array_writes_per_sec", array_writes_per_sec),
+            ("read_power", read_power),
+            ("write_power", write_power),
+            ("leakage_power", leakage_power),
+            ("utilization", utilization),
+            ("aggregate_latency", aggregate_latency),
+            ("lifetime", lifetime),
+        ];
+        for (name, value) in tail {
+            out.push_str(",\"");
+            out.push_str(name);
+            out.push_str("\":");
+            value.write_json(out);
+        }
+        out.push('}');
+    }
+}
+
+/// A stream-scoped strict frame decoder: the same verdicts as the
+/// stateless parsers ([`WireFrame::parse`], [`WorkerLine::parse`]), from
+/// one pass over each line, and each array or traffic record whose text
+/// repeats an earlier record's decoded only once.
+///
+/// Lines in exactly the layout [`WireSink`] writes — header, `event`,
+/// then the payload fields in order — of the two per-slot kinds that
+/// carry records (`array_characterized`, `evaluation_produced`) decode
+/// in one pass through the record memos. Every other line, and every line
+/// that fails anywhere, is handed to the stateless parser, which stays the
+/// error classifier.
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    arrays: RecordMemo<ArrayCharacterization>,
+    traffic: RecordMemo<TrafficPattern>,
+}
+
+/// Consumes the next key of a fixed layout, or fails.
+fn next_key(r: &mut json::Reader<'_>, name: &str) -> Option<()> {
+    (r.object_next().ok()?.as_deref() == Some(name)).then_some(())
+}
+
+/// The value after the next key of a fixed layout, as the stateless
+/// decoders see it.
+fn next_leaf<'a>(r: &mut json::Reader<'a>, name: &str) -> Option<Leaf<'a>> {
+    next_key(r, name)?;
+    r.raw_value().ok().map(Leaf::Text)
+}
+
+fn next_index(r: &mut json::Reader<'_>) -> Option<usize> {
+    usize::try_from(next_leaf(r, "index")?.as_u64()?).ok()
+}
+
+impl FrameDecoder {
+    /// A fresh decoder that remembers nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Decodes one wire line; the same result as [`WireFrame::parse`].
+    ///
+    /// # Errors
+    ///
+    /// As [`WireFrame::parse`].
+    pub fn frame(&mut self, line: &str) -> Result<WireFrame, FrameError> {
+        match self.record_frame(line) {
+            Some(frame) => Ok(frame),
+            None => WireFrame::parse(line),
+        }
+    }
+
+    /// Decodes one line of a worker connection; the same result as
+    /// [`WorkerLine::parse`].
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerLine::parse`].
+    pub fn worker_line(&mut self, line: &str) -> Result<WorkerLine, FrameError> {
+        match self.record_frame(line) {
+            Some(frame) => Ok(WorkerLine::Event(Box::new(frame))),
+            None => WorkerLine::parse(line),
+        }
+    }
+
+    /// Decodes one line of a served session channel: a response when the
+    /// line has a top-level `response` key, an event frame otherwise.
+    fn served_line(&mut self, line: &str) -> Result<ServedLine, FrameError> {
+        if let Some(frame) = self.record_frame(line) {
+            return Ok(ServedLine::Event(Box::new(frame)));
+        }
+        let obj = Obj::parse(line, "wire line")?;
+        if obj.find("response").is_some() {
+            Ok(ServedLine::Response(ResponseFrame::decode(&obj)))
+        } else {
+            WireFrame::decode(&obj).map(|frame| ServedLine::Event(Box::new(frame)))
+        }
+    }
+
+    /// Record text the decoder currently remembers, in bytes — at most
+    /// 64 MiB per record type, however hostile the stream.
+    pub fn remembered_bytes(&self) -> usize {
+        self.arrays.bytes + self.traffic.bytes
+    }
+
+    /// The one-pass decode of a record-carrying frame in [`WireSink`]'s
+    /// layout; `None` hands the line to the stateless parser. Accepting
+    /// only that layout (no duplicate, unknown or reordered key, so no
+    /// `worker` or `response` key either) is what makes the result the
+    /// stateless parser's: every value is read by the same typed decoder
+    /// it would use, or is a remembered record's exact text.
+    fn record_frame(&mut self, line: &str) -> Option<WireFrame> {
+        let r = &mut json::Reader::new(line);
+        if r.object_start().ok()?.as_deref() != Some("v") {
+            return None;
+        }
+        let version = Leaf::Text(r.raw_value().ok()?).as_u64()?;
+        if !(WIRE_MIN_VERSION..=WIRE_VERSION).contains(&version) {
+            return None;
+        }
+        let study = next_leaf(r, "study")?.as_str()?.into_owned();
+        let seq = next_leaf(r, "seq")?.as_u64()?;
+        let event = match next_leaf(r, "event")?.as_str()?.as_ref() {
+            "array_characterized" => OwnedStudyEvent::ArrayCharacterized {
+                index: next_index(r)?,
+                array: {
+                    next_key(r, "array")?;
+                    ArrayCharacterization::clone(&*self.arrays.decode(r)?)
+                },
+            },
+            "evaluation_produced" => OwnedStudyEvent::EvaluationProduced {
+                index: next_index(r)?,
+                evaluation: {
+                    next_key(r, "evaluation")?;
+                    self.evaluation(r)?
+                },
+            },
+            _ => return None,
+        };
+        (r.object_next().ok()?.is_none() && r.finish().is_ok()).then_some(WireFrame {
+            version,
+            study,
+            seq,
+            event,
+        })
+    }
+
+    /// The derived `Evaluation::from_json` for the layout it is written
+    /// in, with the array and traffic records read through the memos.
+    fn evaluation(&mut self, r: &mut json::Reader<'_>) -> Option<Evaluation> {
+        fn member<T: Deserialize>(r: &mut json::Reader<'_>, name: &str) -> Option<T> {
+            next_key(r, name)?;
+            T::from_json(r).ok()
+        }
+        if r.object_start().ok()?.as_deref() != Some("array") {
+            return None;
+        }
+        let array = self.arrays.decode(r)?;
+        next_key(r, "traffic")?;
+        let traffic = self.traffic.decode(r)?;
+        let evaluation = Evaluation {
+            array,
+            traffic,
+            array_reads_per_sec: member(r, "array_reads_per_sec")?,
+            array_writes_per_sec: member(r, "array_writes_per_sec")?,
+            read_power: member(r, "read_power")?,
+            write_power: member(r, "write_power")?,
+            leakage_power: member(r, "leakage_power")?,
+            utilization: member(r, "utilization")?,
+            aggregate_latency: member(r, "aggregate_latency")?,
+            lifetime: member(r, "lifetime")?,
+        };
+        r.object_next().ok()?.is_none().then_some(evaluation)
+    }
+}
+
+/// One decoded line of a served session channel.
+enum ServedLine {
+    Response(Result<ResponseFrame, FrameError>),
+    Event(Box<WireFrame>),
+}
+
 // ------------------------------------------------------------------- sink
 
 /// A [`ResultSink`] that serializes every event as a versioned wire line.
@@ -1762,7 +2095,8 @@ impl std::fmt::Display for Shard {
 /// [`Value`] tree) and handed to the writer in a single `write_all`, then
 /// flushed: a downstream coordinator sees events as they happen, and a
 /// killed worker leaves a clean prefix of its residue class rather than a
-/// torn line. The study name is captured from the `study_started` event,
+/// torn line. An [`EventEncoder`] formats each evaluation record once per
+/// stream. The study name is captured from the `study_started` event,
 /// which the engine guarantees comes first.
 #[derive(Debug)]
 pub struct WireSink<W: Write> {
@@ -1771,6 +2105,7 @@ pub struct WireSink<W: Write> {
     /// `{"v":…,"study":…,"seq":` for the current study.
     header: String,
     line: String,
+    encoder: EventEncoder,
     seq: u64,
     written: u64,
 }
@@ -1790,6 +2125,7 @@ impl<W: Write> WireSink<W> {
             shard,
             header,
             line: String::new(),
+            encoder: EventEncoder::new(),
             seq: 0,
             written: 0,
         }
@@ -1827,7 +2163,7 @@ impl<W: Write> ResultSink for WireSink<W> {
         line.push_str(&self.header);
         json::write_u64(line, seq);
         line.push(',');
-        event.write_fields(line);
+        self.encoder.write_fields(event, line);
         line.push_str("}\n");
         self.out.write_all(line.as_bytes())?;
         self.out.flush()?;
@@ -2039,6 +2375,19 @@ pub struct Replay {
     pub fault: Option<FaultOutcome>,
 }
 
+/// What one line of a served session channel was (see
+/// [`StreamReplayer::push_served_line`]).
+#[derive(Debug)]
+pub enum Served {
+    /// An event frame, applied (or a blank line).
+    Event {
+        /// `true` when it was the stream's terminal frame.
+        terminal: bool,
+    },
+    /// A service response, decoded — or why it is malformed.
+    Response(Result<ResponseFrame, FrameError>),
+}
+
 /// An incremental strict replayer: the line-at-a-time core of
 /// [`replay_into`], shared with clients that receive frames over a socket
 /// rather than from a finished capture file.
@@ -2049,6 +2398,7 @@ pub struct Replay {
 /// for captures: one study per stream, contiguous slot order from zero,
 /// supported versions only, nothing after the terminal frame.
 pub struct StreamReplayer {
+    decoder: FrameDecoder,
     replayer: EventReplayer,
     study: Option<String>,
     frames: u64,
@@ -2066,6 +2416,7 @@ impl StreamReplayer {
     /// A replayer that has consumed nothing.
     pub fn new() -> Self {
         Self {
+            decoder: FrameDecoder::new(),
             replayer: EventReplayer::new(),
             study: None,
             frames: 0,
@@ -2096,17 +2447,58 @@ impl StreamReplayer {
     /// after the terminal event, or sink failures (as [`WireError::Io`]).
     pub fn push_line(&mut self, line: &str, sink: &mut dyn ResultSink) -> Result<bool, WireError> {
         self.lineno += 1;
-        let lineno = self.lineno;
         if line.trim().is_empty() {
             return Ok(false);
         }
+        let frame = self.decoder.frame(line);
+        self.apply(frame, sink)
+    }
+
+    /// Applies one line of a served session channel (a `submit` or
+    /// `events` connection), which carries the session's event frames
+    /// bracketed by service responses: a line with a top-level `response`
+    /// key is decoded and handed back, any other line is applied like
+    /// [`push_line`](Self::push_line) would. One pass over the line does
+    /// both. Response lines do not count towards the line numbers in
+    /// errors.
+    ///
+    /// # Errors
+    ///
+    /// As [`push_line`](Self::push_line), for event lines.
+    pub fn push_served_line(
+        &mut self,
+        line: &str,
+        sink: &mut dyn ResultSink,
+    ) -> Result<Served, WireError> {
+        if line.trim().is_empty() {
+            return self
+                .push_line(line, sink)
+                .map(|terminal| Served::Event { terminal });
+        }
+        let frame = match self.decoder.served_line(line) {
+            Ok(ServedLine::Response(response)) => return Ok(Served::Response(response)),
+            Ok(ServedLine::Event(frame)) => Ok(*frame),
+            Err(e) => Err(e),
+        };
+        self.lineno += 1;
+        let terminal = self.apply(frame, sink)?;
+        Ok(Served::Event { terminal })
+    }
+
+    /// Applies one decoded event line under the strict stream rules.
+    fn apply(
+        &mut self,
+        frame: Result<WireFrame, FrameError>,
+        sink: &mut dyn ResultSink,
+    ) -> Result<bool, WireError> {
+        let lineno = self.lineno;
         if self.finished() {
             return Err(WireError::Corrupt {
                 line: lineno,
                 reason: "frames after study_finished".to_owned(),
             });
         }
-        let frame = WireFrame::parse(line).map_err(|e| e.at(lineno))?;
+        let frame = frame.map_err(|e| e.at(lineno))?;
         match &self.study {
             None => self.study = Some(frame.study.clone()),
             Some(expected) if *expected != frame.study => {
@@ -2500,8 +2892,11 @@ mod tests {
         ];
         for response in responses {
             let line = response.to_line();
-            assert!(ResponseFrame::is_response_line(&line));
             let back = ResponseFrame::parse(&line).unwrap();
+            assert_eq!(
+                ResponseFrame::parse_if_response(&line).unwrap().unwrap(),
+                back
+            );
             assert_eq!(back, response);
             assert_eq!(back.to_line(), line, "parse -> encode must be identity");
         }
@@ -2542,7 +2937,7 @@ mod tests {
         }
         // An event frame is not a response line.
         let event = r#"{"v":3,"study":"s","seq":0,"event":"study_started","name":"s","cells":1,"jobs":1,"targets":1,"traffic":1}"#;
-        assert!(!ResponseFrame::is_response_line(event));
+        assert!(ResponseFrame::parse_if_response(event).is_none());
     }
 
     // ------------------------------------------------------ control frames
@@ -2643,6 +3038,34 @@ mod tests {
         let event = r#"{"v":4,"study":"s","seq":0,"event":"study_started","name":"s","cells":1,"jobs":1,"targets":1,"traffic":1}"#;
         assert!(!WorkerFrame::is_worker_line(event));
         assert!(!LeaseFrame::is_lease_line(event));
+    }
+
+    #[test]
+    fn record_memo_tries_the_last_match_its_successor_and_the_first() {
+        let mut memo = RecordMemo::default();
+        for n in 0..5u32 {
+            memo.remember(&format!("{{\"n\":{n}}}"), Arc::new(n));
+        }
+        let mut find = |n: u32| memo.find(|_, record| **record == n);
+        assert_eq!(find(4), Some(4), "the last remembered record");
+        assert_eq!(find(0), Some(0), "the first");
+        assert_eq!(find(1), Some(1), "the successor of the last match");
+        assert_eq!(find(3), None, "no other candidate is tried");
+        assert_eq!(find(1), Some(1));
+        assert_eq!(find(2), Some(2));
+    }
+
+    #[test]
+    fn record_memo_stops_remembering_at_its_bounds() {
+        let mut memo = RecordMemo::with_budget(100);
+        memo.remember(&"x".repeat(MEMO_RECORD_BYTES + 1), Arc::new(0));
+        assert_eq!((memo.entries.len(), memo.bytes), (0, 0));
+        for n in 0..20u32 {
+            memo.remember(&format!("{{\"n\":{n:04}}}"), Arc::new(n));
+        }
+        assert_eq!((memo.entries.len(), memo.bytes), (10, 100));
+        assert_eq!(MEMO_TOTAL_BYTES, 64 << 20);
+        assert_eq!(MEMO_RECORD_BYTES, 16 << 10);
     }
 
     #[test]

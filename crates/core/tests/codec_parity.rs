@@ -12,6 +12,16 @@
 //!   one-pass [`WireFrame::parse`] agrees with parsing a `Value` and
 //!   calling [`WireFrame::from_value`]: the same frame when accepted, the
 //!   same [`FrameError`] variant when rejected.
+//! - **Memoized decode:** the same lines through a stream-scoped
+//!   [`FrameDecoder`], fresh and warmed by a real capture (so its
+//!   array and traffic records are remembered), plus mutations aimed at
+//!   the memo's boundaries — a flipped byte inside a remembered record,
+//!   garbage after one, one cut at its closing brace, array text under the
+//!   `traffic` key, a duplicate `array` key whose second value is
+//!   remembered.
+//! - **Memoized encode:** [`EventEncoder`] against the tree printer with
+//!   shared and unshared records, and with two distinct records that are
+//!   equal by `PartialEq` but print differently (`-0.0` and `0.0`).
 
 use nvmexplorer_core::accuracy::AccuracyReport;
 use nvmexplorer_core::config::{
@@ -22,7 +32,9 @@ use nvmexplorer_core::eval::Evaluation;
 use nvmexplorer_core::fault_study::{FaultModelReport, FaultStudyStats, FaultTrial};
 use nvmexplorer_core::stream::{StudyEvent, StudyExecutor, StudyStats};
 use nvmexplorer_core::sweep::{run_study_with_threads, StudyResult};
-use nvmexplorer_core::wire::{FrameError, WireFrame, WireSink, WIRE_VERSION};
+use nvmexplorer_core::wire::{
+    EventEncoder, FrameDecoder, FrameError, WireFrame, WireSink, WorkerLine, WIRE_VERSION,
+};
 use nvmx_celldb::TechnologyClass;
 use nvmx_nvsim::{CacheStats, L2RejectClasses, OptimizationTarget};
 use nvmx_units::{BitsPerCell, Joules, Ratio, Seconds, SquareMillimeters, Watts};
@@ -111,7 +123,11 @@ fn small_study() -> StudyConfig {
             ..ArraySettings::default()
         },
         traffic: TrafficSpec::Explicit {
-            patterns: vec![TrafficPattern::new("t", 1.0e9, 1.0e7, 64)],
+            // Two patterns: every array repeats, and the patterns cycle.
+            patterns: vec![
+                TrafficPattern::new("t", 1.0e9, 1.0e7, 64),
+                TrafficPattern::new("u", 2.0e8, 4.0e8, 32),
+            ],
         },
         constraints: Constraints::default(),
         output: Default::default(),
@@ -342,7 +358,78 @@ fn check_every_event_kind(d: &mut Draws) -> Vec<String> {
         json::write_value(&mut oracle, &Value::Object(header));
         assert_eq!(line, &oracle, "wire line {seq} differs from its tree");
     }
+    check_memoized_evaluations(&eval, d);
     lines
+}
+
+/// The tree printer's wire line for `event` at `seq` in study `s`.
+fn oracle_line(seq: usize, event: &StudyEvent<'_>) -> String {
+    let mut fields = vec![
+        ("v".to_owned(), Value::Uint(WIRE_VERSION)),
+        ("study".to_owned(), Value::Str("s".to_owned())),
+        ("seq".to_owned(), Value::Uint(seq as u64)),
+    ];
+    if let Value::Object(body) = event.to_value() {
+        fields.extend(body);
+    }
+    print(fields)
+}
+
+/// Encodes evaluations through one [`EventEncoder`] — the same records
+/// again (shared `Arc`s), equal copies (unshared), and two records equal
+/// by `PartialEq` that print differently (`-0.0` against `0.0`) — and
+/// decodes them through one [`FrameDecoder`]. Every line must match the
+/// tree printer, decode like the tree path, and re-encode to itself (the
+/// byte check a sign confusion would fail: `-0.0 == 0.0`).
+fn check_memoized_evaluations(eval: &Evaluation, d: &mut Draws) {
+    let unshared = Evaluation {
+        array: Arc::new((*eval.array).clone()),
+        traffic: Arc::new((*eval.traffic).clone()),
+        ..eval.clone()
+    };
+    // Built on a real evaluation: the hostile one may hold a NaN, which
+    // equals nothing.
+    let real = &study_result().evaluations[d.below(study_result().evaluations.len())];
+    let twin = |zero: f64| {
+        let mut array = (*real.array).clone();
+        array.read_latency = Seconds::new(zero);
+        let mut traffic = (*real.traffic).clone();
+        traffic.write_bytes_per_sec = zero;
+        Evaluation {
+            array: Arc::new(array),
+            traffic: Arc::new(traffic),
+            ..real.clone()
+        }
+    };
+    let (negative, positive) = (twin(-0.0), twin(0.0));
+    assert_eq!(negative, positive, "the twins are equal by value");
+    let sequence = [
+        eval,
+        &eval.clone(),
+        &unshared,
+        &negative,
+        &positive,
+        &negative,
+        &positive,
+        eval,
+    ];
+    let mut encoder = EventEncoder::new();
+    let mut decoder = FrameDecoder::new();
+    for (seq, evaluation) in sequence.into_iter().enumerate() {
+        let event = StudyEvent::EvaluationProduced {
+            index: d.below(1000),
+            evaluation,
+        };
+        let mut line = format!("{{\"v\":{WIRE_VERSION},\"study\":\"s\",\"seq\":{seq},");
+        encoder.write_fields(&event, &mut line);
+        line.push('}');
+        assert_eq!(line, oracle_line(seq, &event), "memoized encoding {seq}");
+        let decoded = decoder.frame(&line);
+        assert_agree(&line, "stream decoder", &decoded, &oracle_parse(&line));
+        if let Ok(frame) = decoded {
+            assert_eq!(frame.to_line(), line, "decoded record {seq} re-encodes");
+        }
+    }
 }
 
 /// The tree path: parse a `Value`, then decode it.
@@ -353,17 +440,56 @@ fn oracle_parse(line: &str) -> Result<WireFrame, FrameError> {
     WireFrame::from_value(&value)
 }
 
-fn assert_same_decode(line: &str) {
-    let direct = WireFrame::parse(line);
-    let oracle = oracle_parse(line);
-    match (&direct, &oracle) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "decoders disagree on {line:?}"),
+/// A decoder that has decoded the whole real capture, so every real array
+/// and traffic record is remembered.
+fn warmed_decoder() -> FrameDecoder {
+    let mut decoder = FrameDecoder::new();
+    for line in real_lines() {
+        decoder.frame(line).expect("real lines decode");
+    }
+    decoder
+}
+
+fn assert_agree<T: PartialEq + std::fmt::Debug>(
+    line: &str,
+    what: &str,
+    direct: &Result<T, FrameError>,
+    oracle: &Result<T, FrameError>,
+) {
+    match (direct, oracle) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{what} disagrees on {line:?}"),
         (Err(FrameError::Version { found: a }), Err(FrameError::Version { found: b })) => {
-            assert_eq!(a, b, "version errors disagree on {line:?}");
+            assert_eq!(a, b, "{what}: version errors disagree on {line:?}");
         }
         (Err(FrameError::Corrupt { .. }), Err(FrameError::Corrupt { .. })) => {}
-        _ => panic!("decoders disagree on {line:?}:\n direct {direct:?}\n oracle {oracle:?}"),
+        _ => panic!("{what} disagrees on {line:?}:\n direct {direct:?}\n oracle {oracle:?}"),
     }
+}
+
+/// `line` decodes like the tree path through the stateless parser and
+/// through a fresh and a warmed [`FrameDecoder`] — as a frame, and as a
+/// worker-connection line like the stateless [`WorkerLine::parse`].
+fn assert_same_decode(line: &str) {
+    let oracle = oracle_parse(line);
+    assert_agree(line, "WireFrame::parse", &WireFrame::parse(line), &oracle);
+    for (what, mut decoder) in [("fresh", FrameDecoder::new()), ("warmed", warmed_decoder())] {
+        assert_agree(line, what, &decoder.frame(line), &oracle);
+        // Decoding again meets the line's own records in the memo.
+        assert_agree(line, what, &decoder.frame(line), &oracle);
+    }
+    let worker = WorkerLine::parse(line);
+    assert_agree(
+        line,
+        "fresh worker line",
+        &FrameDecoder::new().worker_line(line),
+        &worker,
+    );
+    assert_agree(
+        line,
+        "warmed worker line",
+        &warmed_decoder().worker_line(line),
+        &worker,
+    );
 }
 
 /// Rebuilds a line from a mutated top-level entry list.
@@ -521,6 +647,110 @@ fn mutate(line: &str, d: &mut Draws) -> String {
     }
 }
 
+/// Prints one value as the encoders do.
+fn text_of(value: &Value) -> String {
+    let mut out = String::new();
+    json::write_value(&mut out, value);
+    out
+}
+
+/// The records a line carries — a top-level `array`, or the `array` and
+/// `traffic` of its `evaluation` — as `(key, byte offset, text)`.
+fn records(line: &str) -> Vec<(&'static str, usize, String)> {
+    let Ok(Value::Object(entries)) = serde_json::from_str::<Value>(line) else {
+        return Vec::new();
+    };
+    let mut found = Vec::new();
+    for (key, value) in &entries {
+        match (key.as_str(), value) {
+            ("array", _) => found.push(("array", text_of(value))),
+            ("evaluation", Value::Object(inner)) => {
+                for (key, value) in inner {
+                    match key.as_str() {
+                        "array" => found.push(("array", text_of(value))),
+                        "traffic" => found.push(("traffic", text_of(value))),
+                        _ => {}
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    found
+        .into_iter()
+        .filter_map(|(key, text)| line.find(&text).map(|at| (key, at, text)))
+        .collect()
+}
+
+/// The real lines that carry records.
+fn record_lines() -> Vec<&'static String> {
+    real_lines()
+        .iter()
+        .filter(|line| !records(line).is_empty())
+        .collect()
+}
+
+/// One mutation at the boundary of a record the warmed decoder remembers.
+fn mutate_record(line: &str, d: &mut Draws) -> String {
+    let found = records(line);
+    let (key, at, text) = &found[d.below(found.len())];
+    let end = at + text.len();
+    match d.below(5) {
+        // A flipped byte inside the remembered record.
+        0 => {
+            let mut bytes = line.as_bytes().to_vec();
+            let i = at + d.below(text.len());
+            if bytes[i].is_ascii() {
+                bytes[i] = FLIPS[d.below(FLIPS.len())];
+            }
+            String::from_utf8(bytes).unwrap_or_else(|_| line.to_owned())
+        }
+        // The remembered record followed by garbage.
+        1 => {
+            const GARBAGE: [&str; 9] = [" x", "}", ",", "]", "\"", "0", "{}", ",}", " "];
+            format!(
+                "{}{}{}",
+                &line[..end],
+                GARBAGE[d.below(GARBAGE.len())],
+                &line[end..]
+            )
+        }
+        // The record cut at its closing brace: the line ends after it or
+        // before it, or continues without it.
+        2 => match d.below(3) {
+            0 => line[..end].to_owned(),
+            1 => line[..end - 1].to_owned(),
+            _ => format!("{}{}", &line[..end - 1], &line[end..]),
+        },
+        // Array text under the `traffic` key.
+        3 => match found.iter().find(|(key, ..)| *key == "traffic") {
+            Some((_, traffic_at, traffic)) => {
+                let array = &found.iter().find(|(key, ..)| *key == "array").unwrap().2;
+                format!(
+                    "{}{array}{}",
+                    &line[..*traffic_at],
+                    &line[traffic_at + traffic.len()..]
+                )
+            }
+            None => line.to_owned(),
+        },
+        // A duplicate key whose second value is a remembered record (of
+        // the same type, or the other one): the first occurrence wins.
+        _ => {
+            let lines = record_lines();
+            let other = records(lines[d.below(lines.len())]);
+            let (_, _, second) = &other[d.below(other.len())];
+            let first = if d.next() % 3 == 0 {
+                "{\"zz_unknown\":null}"
+            } else {
+                text.as_str()
+            };
+            let prefix = &line[..*at];
+            format!("{prefix}{first},\"{key}\":{second}{}", &line[end..])
+        }
+    }
+}
+
 #[test]
 fn text_form_pins_floats_and_escapes() {
     let mut out = String::new();
@@ -570,6 +800,20 @@ proptest! {
             if let Ok(frame) = WireFrame::parse(line) {
                 prop_assert_eq!(&frame.to_line(), line);
             }
+        }
+    }
+
+    #[test]
+    fn memo_boundary_mutations_decode_like_the_tree_path(seed in any::<u64>()) {
+        let mut d = Draws(seed);
+        let lines = record_lines();
+        let line = lines[d.below(lines.len())];
+        let mut mutated = mutate_record(line, &mut d);
+        assert_same_decode(&mutated);
+        // Stack a second one when the first left a record to aim at.
+        if !records(&mutated).is_empty() {
+            mutated = mutate_record(&mutated, &mut d);
+            assert_same_decode(&mutated);
         }
     }
 

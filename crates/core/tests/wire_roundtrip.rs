@@ -12,8 +12,8 @@ use nvmexplorer_core::fault_study::FaultStudyResult;
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
 use nvmexplorer_core::sweep::{run_study_with_threads, StudyResult};
 use nvmexplorer_core::wire::{
-    replay, replay_into, EventReplayer, OwnedStudyEvent, Shard, SlotMerger, StreamReplayer,
-    WireError, WireFrame, WireSink, WIRE_VERSION,
+    replay, replay_into, EventReplayer, FrameDecoder, FrameError, OwnedStudyEvent, ResponseFrame,
+    Served, Shard, SlotMerger, StreamReplayer, WireError, WireFrame, WireSink, WIRE_VERSION,
 };
 use nvmx_celldb::TechnologyClass;
 use nvmx_nvsim::OptimizationTarget;
@@ -360,6 +360,167 @@ fn stream_replayer_matches_batch_replay_line_by_line() {
     assert_eq!(a.study, b.study);
     assert_eq!(a.frames, b.frames);
     assert_identical("incremental vs batch", &a.result, &b.result);
+}
+
+/// A strict replay decodes each array and traffic record once: every
+/// evaluation of an array shares the `Arc` its `array_characterized` frame
+/// decoded, and every evaluation under a pattern shares one `Arc` — so
+/// the counts of distinct pointers are the counts of array frames and of
+/// resolved patterns, on any machine.
+#[test]
+fn replay_shares_each_array_and_traffic_record() {
+    let mut study = small_study();
+    study.array.capacities_mib = vec![1, 2, 4];
+    study.traffic = TrafficSpec::Explicit {
+        patterns: vec![
+            TrafficPattern::new("t", 1.0e9, 1.0e7, 64),
+            TrafficPattern::new("u", 2.0e8, 4.0e8, 32),
+            TrafficPattern::new("w", 5.0e7, 5.0e7, 8),
+        ],
+    };
+    let lines = capture_shard(&study, Shard::WHOLE, 2);
+    let array_frames = lines
+        .iter()
+        .filter(|line| line.contains(r#""event":"array_characterized""#))
+        .count();
+    let replayed = replay(std::io::Cursor::new(capture_text(&lines))).expect("replays");
+    let evaluations = &replayed.result.evaluations;
+    assert_eq!(
+        evaluations.len(),
+        array_frames * 3,
+        "every array meets every pattern"
+    );
+    let distinct = |pointers: Vec<usize>| {
+        pointers
+            .into_iter()
+            .collect::<std::collections::HashSet<_>>()
+            .len()
+    };
+    let arrays = distinct(
+        evaluations
+            .iter()
+            .map(|e| std::sync::Arc::as_ptr(&e.array) as usize)
+            .collect(),
+    );
+    let traffic = distinct(
+        evaluations
+            .iter()
+            .map(|e| std::sync::Arc::as_ptr(&e.traffic) as usize)
+            .collect(),
+    );
+    assert_eq!(arrays, array_frames);
+    assert_eq!(traffic, 3);
+}
+
+/// On a served session channel, any line with a top-level `response` key
+/// is a response — even one that also carries every field of an event
+/// frame — and response lines leave the replay's line count alone.
+#[test]
+fn served_lines_with_a_response_key_are_responses() {
+    let lines = capture_shard(&small_study(), Shard::WHOLE, 1);
+    let array = lines
+        .iter()
+        .find(|line| line.contains(r#""event":"array_characterized""#))
+        .unwrap();
+    let body = array.strip_suffix('}').unwrap();
+    let mut replayer = StreamReplayer::new();
+    let sink = &mut nvmexplorer_core::stream::NullSink;
+    let draining = ResponseFrame::Draining.to_line();
+    for (line, decodes) in [
+        (format!(r#"{body},"response":"draining"}}"#), true),
+        (
+            format!(r#"{{"response":"draining",{}"#, &body[1..]) + "}",
+            true,
+        ),
+        (format!(r#"{body},"response":7}}"#), false),
+        (draining.clone(), true),
+    ] {
+        match replayer.push_served_line(&line, sink) {
+            Ok(Served::Response(Ok(ResponseFrame::Draining))) => assert!(decodes, "{line}"),
+            Ok(Served::Response(Err(FrameError::Corrupt { .. }))) => assert!(!decodes, "{line}"),
+            other => panic!("{line} is a response, got {other:?}"),
+        }
+        assert_eq!(
+            ResponseFrame::parse_if_response(&line).map(|r| r.is_ok()),
+            Some(decodes)
+        );
+    }
+    assert_eq!(replayer.frames(), 0);
+    for line in &lines {
+        assert!(ResponseFrame::parse_if_response(line).is_none());
+        match replayer.push_served_line(line, sink) {
+            Ok(Served::Event { .. }) => {}
+            other => panic!("{line} is an event frame, got {other:?}"),
+        }
+    }
+    assert!(replayer.finished());
+    // The terminal `done` response follows the last frame.
+    assert!(matches!(
+        replayer.push_served_line(&draining, sink),
+        Ok(Served::Response(Ok(ResponseFrame::Draining)))
+    ));
+    // Line numbers count event lines only.
+    let mut replayer = StreamReplayer::new();
+    replayer.push_served_line(&draining, sink).unwrap();
+    match replayer.push_served_line("{not json", sink) {
+        Err(WireError::Corrupt { line: 1, .. }) => {}
+        other => panic!("expected a corrupt line 1, got {other:?}"),
+    }
+}
+
+/// Records padded past the memo's per-record bound (with whitespace or
+/// an unknown key) decode exactly and are not remembered; many distinct
+/// records are each remembered once, within the bound.
+#[test]
+fn hostile_records_decode_exactly_and_the_memo_stays_bounded() {
+    const RECORD_BOUND: usize = 16 * 1024;
+    const MEMO_BOUND: usize = 64 * 1024 * 1024;
+    let lines = capture_shard(&small_study(), Shard::WHOLE, 1);
+    let evaluation = lines
+        .iter()
+        .find(|line| line.contains(r#""event":"evaluation_produced""#))
+        .unwrap();
+    let mut decoder = FrameDecoder::new();
+    let same = |decoder: &mut FrameDecoder, line: &str| match (
+        decoder.frame(line),
+        WireFrame::parse(line),
+    ) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b),
+        (Err(FrameError::Corrupt { .. }), Err(FrameError::Corrupt { .. })) => {}
+        (a, b) => panic!("decoder {a:?} against stateless {b:?}"),
+    };
+    let spaces = " ".repeat(RECORD_BOUND);
+    let pad = format!(r#""zz_pad":"{}","#, "x".repeat(RECORD_BOUND));
+    for padding in [spaces.as_str(), pad.as_str()] {
+        let padded = evaluation
+            .replacen(r#""array":{"#, &format!(r#""array":{{{padding}"#), 1)
+            .replacen(r#""traffic":{"#, &format!(r#""traffic":{{{padding}"#), 1);
+        for _ in 0..3 {
+            same(&mut decoder, &padded);
+            assert_eq!(
+                decoder.remembered_bytes(),
+                0,
+                "oversized records are not remembered"
+            );
+        }
+        // A padded record that breaks off mid-padding is still corrupt.
+        same(&mut decoder, &padded[..padded.len() / 2]);
+    }
+    // Each distinct record is remembered once: the array on its first
+    // line, then one traffic record per name.
+    let record = |line: &str, key: &str| {
+        let value: serde::Value = serde_json::from_str(line).unwrap();
+        let record = value.get("evaluation").and_then(|e| e.get(key)).unwrap();
+        serde_json::to_string(record).unwrap().len()
+    };
+    let mut expected = record(evaluation, "array");
+    for n in 0..2000 {
+        let line = evaluation.replacen(r#""name":"t""#, &format!(r#""name":"t{n}""#), 1);
+        same(&mut decoder, &line);
+        expected += record(&line, "traffic");
+        assert_eq!(decoder.remembered_bytes(), expected);
+    }
+    assert!(expected < MEMO_BOUND);
 }
 
 /// Version-2 captures (written before the service frames landed) must

@@ -22,6 +22,7 @@
 use crate::csv::{num_into, push_escaped};
 use crate::table::AsciiTable;
 use nvmexplorer_core::stream::{ResultSink, StudyEvent};
+use nvmexplorer_core::wire::EventEncoder;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
@@ -177,6 +178,7 @@ pub struct JsonlSink<W: Write> {
     out: W,
     events: usize,
     line: String,
+    encoder: EventEncoder,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -186,6 +188,7 @@ impl<W: Write> JsonlSink<W> {
             out,
             events: 0,
             line: String::new(),
+            encoder: EventEncoder::new(),
         }
     }
 
@@ -202,11 +205,11 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> ResultSink for JsonlSink<W> {
     fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
-        // Encoded straight into one reused buffer (no `Value` tree), one
-        // `write_all` per line.
+        // Encoded straight into one reused buffer (no `Value` tree, each
+        // repeated record copied), one `write_all` per line.
         self.line.clear();
         self.line.push('{');
-        event.write_fields(&mut self.line);
+        self.encoder.write_fields(event, &mut self.line);
         self.line.push_str("}\n");
         self.out.write_all(self.line.as_bytes())?;
         self.events += 1;
