@@ -1,16 +1,18 @@
 //! Criterion bench: the event codec on its own — `WireSink` and
 //! `JsonlSink` encoding the `large_campaign` study's events (the engine
 //! is not timed: the events come from a finished result), and strict
-//! `wire::replay` of its capture.
+//! `wire::replay` of its capture — next to the results-CSV layer over the
+//! same result: `results_csv(..).render()` and `CsvSink`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
 use nvmexplorer_core::sweep::StudyResult;
 use nvmexplorer_core::wire::{self, WireSink};
+use nvmx_bench::campaign::results_csv;
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::BitsPerCell;
-use nvmx_viz::sink::JsonlSink;
+use nvmx_viz::sink::{CsvSink, JsonlSink};
 use std::sync::OnceLock;
 
 /// The `large_campaign` study of `bench_sweep`: six capacities, both
@@ -112,5 +114,24 @@ fn bench_replay(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_replay);
+fn bench_results_csv(c: &mut Criterion) {
+    let mut group = c.benchmark_group("results_csv");
+    group.sample_size(10);
+    group.bench_function("results_csv_render", |b| {
+        let (result, _) = fixture();
+        let study = large_campaign_study();
+        b.iter(|| results_csv(&study, result).render().len());
+    });
+    group.bench_function("csv_sink", |b| {
+        let (result, _) = fixture();
+        b.iter(|| {
+            let mut sink = CsvSink::new(Vec::new());
+            encode(result, &mut sink);
+            sink.into_inner().len()
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_encode, bench_replay, bench_results_csv);
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 use nvmexplorer_core::config::{CampaignConfig, StudyConfig};
 use nvmexplorer_core::fault_study::FaultOutcome;
 use nvmexplorer_core::sweep::StudyResult;
-use nvmx_viz::csv::Csv;
+use nvmx_viz::csv::{ArrayCells, Csv};
 
 /// Atomic artifact publication — the shared temp+rename writer
 /// ([`nvmexplorer_core::fsutil`]), re-exported under its historical home so
@@ -46,9 +46,10 @@ pub fn load_campaign(path: &str) -> Result<CampaignConfig, String> {
 /// evaluation, with the study's constraint filter applied as a column
 /// (each row tested directly via
 /// [`Constraints::admits`](nvmexplorer_core::config::Constraints) — no
-/// cloned result set, no identity re-matching). Identical inputs produce
-/// identical bytes — the runner and the wire-replay path share this
-/// function for exactly that reason.
+/// cloned result set, no identity re-matching). Each array's cells are
+/// formatted once and copied into its other rows ([`ArrayCells`]).
+/// Identical inputs produce identical bytes — the runner and the
+/// wire-replay path share this function for exactly that reason.
 pub fn results_csv(study: &StudyConfig, result: &StudyResult) -> Csv {
     let mut csv = Csv::new([
         "cell",
@@ -70,28 +71,18 @@ pub fn results_csv(study: &StudyConfig, result: &StudyResult) -> Csv {
         "feasible",
         "meets_constraints",
     ]);
+    let mut array_cells = ArrayCells::new();
     for eval in &result.evaluations {
-        let a = &eval.array;
-        // Every cell is formatted straight into the document body.
+        let (prefix, middle) = array_cells.get(&eval.array);
         csv.push_row()
-            .text(&a.cell_name)
-            .text(a.technology.label())
-            .num(a.capacity.as_mebibytes())
-            .display(a.bits_per_cell)
-            .text(a.target.label())
+            .cells(prefix, ArrayCells::PREFIX)
             .text(&eval.traffic.name)
-            .num(a.read_latency.value() * 1e9)
-            .num(a.write_latency.value() * 1e9)
-            .num(a.read_energy.value() * 1e12)
-            .num(a.write_energy.value() * 1e12)
-            .num(a.leakage.value() * 1e3)
-            .num(a.area.value())
-            .num(a.density_mbit_per_mm2())
+            .cells(middle, ArrayCells::MIDDLE)
             .num(eval.total_power().value() * 1e3)
             .num(eval.aggregate_latency.value() * 1e3)
             .num(eval.lifetime_years())
-            .display(eval.is_feasible())
-            .display(study.constraints.admits(eval));
+            .bool(eval.is_feasible())
+            .bool(study.constraints.admits(eval));
     }
     csv
 }
@@ -206,6 +197,75 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with("cell,technology,"));
         assert_eq!(a.lines().count(), 1 + result.evaluations.len());
+    }
+
+    /// `result` with every evaluation's array deep-cloned into its own
+    /// `Arc`, so no two rows share an allocation.
+    fn unshared(result: &StudyResult) -> StudyResult {
+        let mut out = result.clone();
+        for eval in &mut out.evaluations {
+            eval.array = std::sync::Arc::new((*eval.array).clone());
+        }
+        out
+    }
+
+    #[test]
+    fn results_csv_bytes_do_not_depend_on_array_sharing_or_order() {
+        let mut study = small_study();
+        study.traffic = TrafficSpec::Explicit {
+            patterns: (1..=3)
+                .map(|i| {
+                    nvmx_workloads::TrafficPattern::new(
+                        format!("t,{i}"),
+                        1.0e9 * i as f64,
+                        1.0e7,
+                        64,
+                    )
+                })
+                .collect(),
+        };
+        let result = run_study_with_threads(&study, 2).unwrap();
+        let shared = results_csv(&study, &result).render();
+        assert_eq!(results_csv(&study, &unshared(&result)).render(), shared);
+
+        // Rows alternate between arrays (A, B, A, ...), so the memo misses
+        // in the middle of each array's rows; each row must still be the
+        // row the in-order rendering gave that evaluation.
+        let half = result.evaluations.len() / 2;
+        let order: Vec<usize> = (0..half).flat_map(|i| [i, half + i]).collect();
+        let mut reordered = result.clone();
+        reordered.evaluations = order
+            .iter()
+            .map(|&i| result.evaluations[i].clone())
+            .collect();
+        let text = results_csv(&study, &reordered).render();
+        assert_eq!(results_csv(&study, &unshared(&reordered)).render(), text);
+        let rows: Vec<&str> = shared.lines().skip(1).collect();
+        for (line, &i) in text.lines().skip(1).zip(&order) {
+            assert_eq!(line, rows[i]);
+        }
+    }
+
+    #[test]
+    fn results_csv_memo_keys_by_allocation_not_value() {
+        let study = small_study();
+        let mut result = run_study_with_threads(&study, 2).unwrap();
+        let first = result.evaluations[0].clone();
+        // A value-equal array in a distinct `Arc`, then one that differs
+        // only in a memoized field, interleaved with the original.
+        let mut twin = first.clone();
+        twin.array = std::sync::Arc::new((*first.array).clone());
+        let mut other = first.clone();
+        let mut array = (*first.array).clone();
+        array.read_latency = nvmx_units::Seconds::new(array.read_latency.value() * 2.0);
+        other.array = std::sync::Arc::new(array);
+        result.evaluations = vec![first.clone(), twin, other, first];
+        let text = results_csv(&study, &result).render();
+        let rows: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(rows[0], rows[1]);
+        assert_eq!(rows[0], rows[3]);
+        assert_ne!(rows[0], rows[2]);
+        assert_eq!(text, results_csv(&study, &unshared(&result)).render());
     }
 
     #[test]

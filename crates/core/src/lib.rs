@@ -87,6 +87,9 @@ pub use explore::{Objective, ResultSet};
 pub use fault_study::{
     injection_seed, FaultModelReport, FaultOutcome, FaultStudyResult, FaultStudyStats, FaultTrial,
 };
+/// The array record every [`Evaluation`] shares, re-exported so result
+/// consumers can name it without depending on `nvmx_nvsim`.
+pub use nvmx_nvsim::ArrayCharacterization;
 pub use scheduler::{SchedulerReport, StudyOutcome, StudyScheduler};
 pub use service::{
     Admission, AdmitError, CampaignService, EventCursor, ServiceConfig, ServiceStatus,

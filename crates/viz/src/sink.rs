@@ -19,11 +19,10 @@
 //! [`OutputSpec`](nvmexplorer_core::config::OutputSpec) asks for, which is
 //! how the config-driven runner and scheduler wire per-study outputs.
 
-use crate::csv::{num_into, push_escaped};
+use crate::csv::{num_into, push_escaped, ArrayCells};
 use crate::table::AsciiTable;
 use nvmexplorer_core::stream::{ResultSink, StudyEvent};
 use nvmexplorer_core::wire::EventEncoder;
-use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
 
@@ -54,7 +53,8 @@ pub const CSV_COLUMNS: [&str; 19] = [
 ///
 /// The header is written on the first `study_started` event; several
 /// studies may stream into one sink (the `study` column disambiguates).
-/// Rows flush when each study finishes.
+/// Rows flush when each study finishes. An array's cells are formatted
+/// once and copied for each of its evaluations (see [`ArrayCells`]).
 ///
 /// # Examples
 ///
@@ -66,10 +66,12 @@ pub const CSV_COLUMNS: [&str; 19] = [
 #[derive(Debug)]
 pub struct CsvSink<W: Write> {
     out: W,
+    /// The current study's name, escaped.
     study: String,
     header_written: bool,
     rows: usize,
     line: String,
+    array_cells: ArrayCells,
 }
 
 impl<W: Write> CsvSink<W> {
@@ -81,6 +83,7 @@ impl<W: Write> CsvSink<W> {
             header_written: false,
             rows: 0,
             line: String::new(),
+            array_cells: ArrayCells::new(),
         }
     }
 
@@ -100,35 +103,27 @@ impl<W: Write> ResultSink for CsvSink<W> {
     fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
         match event {
             StudyEvent::StudyStarted { name, .. } => {
-                self.study = (*name).to_owned();
+                self.study.clear();
+                push_escaped(&mut self.study, name);
                 if !self.header_written {
                     writeln!(self.out, "{}", CSV_COLUMNS.join(","))?;
                     self.header_written = true;
                 }
             }
             StudyEvent::EvaluationProduced { evaluation, .. } => {
-                let a = &evaluation.array;
-                // One reused line buffer, every cell formatted in place.
+                let (prefix, middle) = self.array_cells.get(&evaluation.array);
+                // One reused line buffer: the array's cells copied, the
+                // rest formatted in place.
                 let line = &mut self.line;
                 line.clear();
-                push_escaped(line, &self.study);
+                line.push_str(&self.study);
                 line.push(',');
-                push_escaped(line, &a.cell_name);
+                line.push_str(prefix);
                 line.push(',');
-                line.push_str(a.technology.label());
-                line.push(',');
-                num_into(line, a.capacity.as_mebibytes());
-                write!(line, ",{},{},", a.bits_per_cell, a.target.label())
-                    .expect("writing to a String cannot fail");
                 push_escaped(line, &evaluation.traffic.name);
+                line.push(',');
+                line.push_str(middle);
                 for value in [
-                    a.read_latency.value() * 1e9,
-                    a.write_latency.value() * 1e9,
-                    a.read_energy.value() * 1e12,
-                    a.write_energy.value() * 1e12,
-                    a.leakage.value() * 1e3,
-                    a.area.value(),
-                    a.density_mbit_per_mm2(),
                     evaluation.total_power().value() * 1e3,
                     evaluation.utilization,
                     evaluation.aggregate_latency.value() * 1e3,
@@ -478,6 +473,95 @@ mod tests {
         assert_eq!(text.lines().count(), 1 + result.evaluations.len());
         assert!(text.contains("sink-test"));
         assert!(text.contains("STT"));
+    }
+
+    /// `result`'s evaluations streamed through a fresh [`CsvSink`].
+    fn sink_csv(result: &nvmexplorer_core::sweep::StudyResult) -> String {
+        let mut sink = CsvSink::new(Vec::new());
+        let started = StudyEvent::StudyStarted {
+            name: "memo, \"test\"",
+            cells: 0,
+            jobs: 0,
+            targets: 0,
+            traffic: 0,
+        };
+        sink.on_event(&started).unwrap();
+        for (index, evaluation) in result.evaluations.iter().enumerate() {
+            sink.on_event(&StudyEvent::EvaluationProduced { index, evaluation })
+                .unwrap();
+        }
+        String::from_utf8(sink.into_inner()).unwrap()
+    }
+
+    /// `result` with every evaluation's array deep-cloned into its own
+    /// `Arc`, so no two rows share an allocation.
+    fn unshared(
+        result: &nvmexplorer_core::sweep::StudyResult,
+    ) -> nvmexplorer_core::sweep::StudyResult {
+        let mut out = result.clone();
+        for eval in &mut out.evaluations {
+            eval.array = std::sync::Arc::new((*eval.array).clone());
+        }
+        out
+    }
+
+    #[test]
+    fn csv_sink_bytes_do_not_depend_on_array_sharing_or_order() {
+        let mut study = small_study();
+        study.traffic = TrafficSpec::Explicit {
+            patterns: (1..=3)
+                .map(|i| {
+                    nvmx_workloads::TrafficPattern::new(
+                        format!("t,{i}"),
+                        1.0e9 * i as f64,
+                        1.0e7,
+                        64,
+                    )
+                })
+                .collect(),
+        };
+        let result = nvmexplorer_core::sweep::run_study(&study).unwrap();
+        let shared = sink_csv(&result);
+        assert!(shared
+            .lines()
+            .nth(1)
+            .unwrap()
+            .starts_with("\"memo, \"\"test\"\"\",STT"));
+        assert_eq!(sink_csv(&unshared(&result)), shared);
+
+        // Rows alternate between arrays (A, B, A, ...), so the memo misses
+        // in the middle of each array's rows.
+        let half = result.evaluations.len() / 2;
+        let order: Vec<usize> = (0..half).flat_map(|i| [i, half + i]).collect();
+        let mut reordered = result.clone();
+        reordered.evaluations = order
+            .iter()
+            .map(|&i| result.evaluations[i].clone())
+            .collect();
+        let text = sink_csv(&reordered);
+        assert_eq!(sink_csv(&unshared(&reordered)), text);
+        let rows: Vec<&str> = shared.lines().skip(1).collect();
+        for (line, &i) in text.lines().skip(1).zip(&order) {
+            assert_eq!(line, rows[i]);
+        }
+
+        // Value-equal arrays in distinct `Arc`s print the same cells; an
+        // array differing in one memoized field does not.
+        let first = result.evaluations[0].clone();
+        let mut twin = first.clone();
+        twin.array = std::sync::Arc::new((*first.array).clone());
+        let mut other = first.clone();
+        let mut array = (*first.array).clone();
+        array.area = nvmx_units::SquareMillimeters::new(array.area.value() * 2.0);
+        other.array = std::sync::Arc::new(array);
+        let mut mixed = result.clone();
+        mixed.evaluations = vec![first.clone(), twin, other, first];
+        let text = sink_csv(&mixed);
+        let rows: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(rows[0], rows[1]);
+        assert_eq!(rows[0], rows[3]);
+        assert_ne!(rows[0], rows[2]);
+        assert_eq!(sink_csv(&unshared(&mixed)), text);
     }
 
     #[test]
