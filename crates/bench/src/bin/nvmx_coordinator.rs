@@ -1,49 +1,37 @@
 //! `nvmx-coordinator` — distributed campaign runner over the JSONL wire
 //! protocol.
 //!
-//! `run` shards each study of a campaign across N local `nvmx-worker`
-//! processes (residue-class shards `0/N .. N-1/N` of the deterministic
-//! event-slot space), merges their wire streams back into strict slot
-//! order with `core::wire::SlotMerger`, and feeds the merged stream to the
-//! study's configured result sinks plus an optional capture file. Worker
-//! death is survivable: a dead shard is re-spawned (workers are
-//! deterministic, so the replacement re-emits its whole residue class) and
-//! duplicate slots are deduplicated by sequence number, so the rebuilt
-//! `StudyResult` is byte-identical to an in-process run — as is the
-//! merged stream, except possibly the *observational* cache counters on
-//! the final `study_finished` line (each worker has its own cache, and
-//! racing threads may double-count a miss; see the core stream docs).
-//! Studies in a multi-config campaign are distributed
-//! over supervisor lanes with the same lock-free queue discipline as
-//! `core::scheduler::StudyScheduler`.
+//! `run` distributes each study of a campaign over N `nvmx-worker`
+//! processes under the version-4 *lease* protocol (`core::reshard`).
+//! Workers say `hello` over a framed connection — child pipes by default,
+//! or a TCP listener or Unix socket with `--transport tcp|unix`, which is
+//! how workers on other hosts join — heartbeat from a dedicated thread,
+//! and emit only the slot ranges the coordinator leases to them. Every
+//! worker computes the full deterministic stream, so any worker can serve
+//! any range; `core::wire::SlotMerger` merges the leased ranges back into
+//! strict slot order, drops duplicate slots by sequence number, and feeds
+//! the merged stream to the study's configured result sinks plus an
+//! optional capture file. The rebuilt `StudyResult` is byte-identical to
+//! an in-process run — as is the merged stream, except possibly the
+//! *observational* cache counters on the final `study_finished` line (each
+//! worker has its own cache, and racing threads may double-count a miss;
+//! see the core stream docs). Studies in a multi-config campaign are
+//! distributed over supervisor lanes with the same lock-free queue
+//! discipline as `core::scheduler::StudyScheduler`.
+//!
+//! The supervisor measures per-worker throughput with an EWMA, kills
+//! workers that miss their heartbeat deadline, re-leases a dead or stalled
+//! worker's undrained ranges to healthy ones (capped exponential
+//! `--respawn-backoff`; past `--max-respawns` the worker is abandoned and
+//! its leases flow to the survivors), and lets idle fast workers steal the
+//! undelivered tail from slow ones. Every re-leased range is reported in
+//! the summary.
 //!
 //! Fault-injection campaigns (configs with a top-level `fault` section)
-//! are first-class: the fault stream shards, merges, resumes, and replays
+//! are first-class: the fault stream leases, merges, resumes, and replays
 //! exactly like a plain study — per-trial injection seeds ride the wire,
 //! so a respawned worker's trials are bit-identical — and the summary and
 //! `--fault-csv` artifacts diff clean against the in-process `run` binary.
-//!
-//! Failure handling goes beyond death: a shard that owns the next
-//! expected slot but emits nothing for `--shard-stall-timeout` seconds is
-//! declared hung, killed, and respawned (with deterministic exponential
-//! `--respawn-backoff`); a shard that exhausts `--max-respawns` degrades
-//! gracefully — one final recovery worker with every injection hook
-//! disarmed re-covers its residue class, and the degradation is reported
-//! in the run summary.
-//!
-//! `--transport pipe|tcp|unix` switches the campaign from fixed residue
-//! classes to the version-4 *lease* protocol (`core::reshard`): workers
-//! say `hello` over a framed connection (child pipes, a TCP listener, or
-//! a Unix socket — the socket families are how shards on other hosts
-//! join), heartbeat from a dedicated thread, and emit only the slot
-//! ranges the coordinator leases to them. The supervisor measures
-//! per-worker throughput with an EWMA, kills workers that miss their
-//! heartbeat deadline, re-leases a dead or stalled worker's undrained
-//! ranges to healthy ones (capped exponential respawn backoff; past
-//! `--max-respawns` the worker is abandoned and its leases simply flow to
-//! the survivors), and lets idle fast workers steal the undelivered tail
-//! from slow ones. Merged output stays slot-ordered and byte-identical
-//! to a local run; every re-leased range is reported in the summary.
 //!
 //! `replay` strictly re-reads a captured `.jsonl` (rejecting unknown
 //! versions, out-of-order or duplicate slots, and truncation) and rebuilds
@@ -85,9 +73,9 @@ const USAGE: &str = "usage:
   nvmx-coordinator run --config <study.json> [--config <more.json> ...]
       [--workers N] [--threads T] [--lanes L] [--capture DIR] [--store DIR]
       [--worker-bin PATH] [--max-respawns K] [--respawn-backoff MS]
-      [--shard-stall-timeout SECS] [--transport pipe|tcp|unix] [--lease-size SLOTS]
-      [--inject-die SHARD:FRAMES] [--inject-die-always]
-      [--inject-stall SHARD:FRAMES] [--inject-throttle SHARD:MS]
+      [--transport pipe|tcp|unix] [--lease-size SLOTS]
+      [--inject-die WORKER:FRAMES] [--inject-stall WORKER:FRAMES]
+      [--inject-throttle WORKER:MS]
   nvmx-coordinator replay --input <capture.jsonl>
       [--config <study.json>] [--csv PATH] [--fault-csv PATH]";
 
@@ -113,45 +101,31 @@ struct RunOptions {
     lanes: usize,
     capture: Option<PathBuf>,
     /// Persistent characterization store directory, forwarded to every
-    /// worker shard (`--store`), so all shards on this host share warm
-    /// physics. Overrides the configs' `store` sections.
+    /// worker (`--store`), so all workers on this host share warm physics.
+    /// Overrides the configs' `store` sections.
     store: Option<String>,
     worker_bin: PathBuf,
     inject_die: Option<(u64, u64)>,
-    /// Re-arm `--inject-die` on every respawn of the victim shard, so its
-    /// respawn budget deterministically exhausts — the graceful-degradation
-    /// test hook.
-    inject_die_always: bool,
     inject_stall: Option<(u64, u64)>,
-    /// Slow-worker injection for leased mode: the victim sleeps this many
-    /// milliseconds per emitted frame, so its leases drain slowly and the
-    /// resharder's steal policy has something to migrate.
+    /// Slow-worker injection: the victim sleeps this many milliseconds per
+    /// emitted frame, so its leases drain slowly and the resharder's steal
+    /// policy has something to migrate.
     inject_throttle: Option<(u64, u64)>,
     max_respawns: u32,
     /// Base of the deterministic exponential respawn backoff:
     /// `base · 2^(attempt-1)` ms, capped at [`MAX_BACKOFF_MS`]. Zero (the
     /// default) respawns immediately.
     respawn_backoff_ms: u64,
-    /// A shard that owns the next expected slot but emits nothing for this
-    /// long is declared hung, killed, and respawned like a dead one. In
-    /// leased mode this is the heartbeat deadline instead (default 3 s —
-    /// heartbeats flow regardless of compute progress, so the deadline can
-    /// be much tighter than the residue-mode stall timeout's 300 s).
-    stall_timeout: Option<Duration>,
-    /// `--transport` switches from residue-class shards to the lease
-    /// protocol over the given connection family.
-    transport: Option<TransportKind>,
-    /// Fixed lease size in slots (leased mode). Overrides the adaptive
-    /// EWMA sizing — mainly a test/CI hook to force leases to spread over
-    /// every worker on small streams.
+    /// The connection family workers speak the lease protocol over.
+    transport: TransportKind,
+    /// Fixed lease size in slots. Overrides the adaptive EWMA sizing —
+    /// mainly a test/CI hook to force leases to spread over every worker
+    /// on small streams.
     lease_size: Option<u64>,
 }
 
 /// Ceiling on one backoff sleep, however high the attempt count climbs.
 const MAX_BACKOFF_MS: u64 = 10_000;
-
-/// Residue-mode default for `--shard-stall-timeout`.
-const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(300);
 
 fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
     let mut configs = Vec::new();
@@ -162,13 +136,11 @@ fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
     let mut store = None;
     let mut worker_bin = None;
     let mut inject_die = None;
-    let mut inject_die_always = false;
     let mut inject_stall = None;
     let mut inject_throttle = None;
     let mut max_respawns = 3;
     let mut respawn_backoff_ms = 0;
-    let mut stall_timeout = None;
-    let mut transport = None;
+    let mut transport = TransportKind::Pipe;
     let mut lease_size = None;
     let mut args = args.into_iter();
     while let Some(flag) = args.next() {
@@ -202,7 +174,6 @@ fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
             "--inject-die" => {
                 inject_die = Some(parse_injection("--inject-die", &value("--inject-die")?)?);
             }
-            "--inject-die-always" => inject_die_always = true,
             "--inject-stall" => {
                 inject_stall = Some(parse_injection(
                     "--inject-stall",
@@ -215,7 +186,7 @@ fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
                     &value("--inject-throttle")?,
                 )?);
             }
-            "--transport" => transport = Some(TransportKind::parse(&value("--transport")?)?),
+            "--transport" => transport = TransportKind::parse(&value("--transport")?)?,
             "--lease-size" => {
                 lease_size = Some(
                     value("--lease-size")?
@@ -235,14 +206,6 @@ fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
                     .parse::<u64>()
                     .map_err(|_| "--respawn-backoff expects milliseconds".to_owned())?;
             }
-            "--shard-stall-timeout" => {
-                let secs = value("--shard-stall-timeout")?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s > 0.0)
-                    .ok_or("--shard-stall-timeout expects seconds > 0")?;
-                stall_timeout = Some(Duration::from_secs_f64(secs));
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -257,20 +220,11 @@ fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
         if let Some((victim, _)) = spec {
             if victim >= workers {
                 return Err(format!(
-                    "{flag} shard {victim} is out of range for --workers {workers} \
-                     (valid shards: 0..{workers})"
+                    "{flag} worker {victim} is out of range for --workers {workers} \
+                     (valid workers: 0..{workers})"
                 ));
             }
         }
-    }
-    if inject_die_always && inject_die.is_none() {
-        return Err("--inject-die-always needs --inject-die".to_owned());
-    }
-    if inject_throttle.is_some() && transport.is_none() {
-        return Err("--inject-throttle needs --transport (leased mode only)".to_owned());
-    }
-    if lease_size.is_some() && transport.is_none() {
-        return Err("--lease-size needs --transport (leased mode only)".to_owned());
     }
     Ok(RunOptions {
         configs,
@@ -281,26 +235,24 @@ fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
         store,
         worker_bin: worker_bin.unwrap_or_else(default_worker_bin),
         inject_die,
-        inject_die_always,
         inject_stall,
         inject_throttle,
         max_respawns,
         respawn_backoff_ms,
-        stall_timeout,
         transport,
         lease_size,
     })
 }
 
-/// Parses a `SHARD:FRAMES` failure-injection spec.
+/// Parses a `WORKER:FRAMES` failure-injection spec.
 fn parse_injection(flag: &str, spec: &str) -> Result<(u64, u64), String> {
-    let (shard, frames) = spec
+    let (worker, frames) = spec
         .split_once(':')
-        .ok_or_else(|| format!("{flag} `{spec}` is not SHARD:FRAMES"))?;
+        .ok_or_else(|| format!("{flag} `{spec}` is not WORKER:FRAMES"))?;
     Ok((
-        shard
+        worker
             .parse::<u64>()
-            .map_err(|_| format!("{flag} shard must be an unsigned integer"))?,
+            .map_err(|_| format!("{flag} worker must be an unsigned integer"))?,
         frames
             .parse::<u64>()
             .map_err(|_| format!("{flag} frames must be an unsigned integer"))?,
@@ -362,11 +314,8 @@ fn cmd_run(args: Vec<String>) -> i32 {
 
     // Studies are distributed over supervisor lanes exactly like the
     // in-process scheduler distributes them over executor lanes.
-    let outcomes = run_on_lanes(&campaign, options.lanes, |_, (path, config)| match options
-        .transport
-    {
-        Some(kind) => run_leased_study(path, config, &options, kind),
-        None => run_distributed_study(path, config, &options),
+    let outcomes = run_on_lanes(&campaign, options.lanes, |_, (path, config)| {
+        run_leased_study(path, config, &options)
     });
 
     let mut code = 0;
@@ -391,10 +340,7 @@ fn cmd_run(args: Vec<String>) -> i32 {
                     },
                     match run.abandoned {
                         0 => String::new(),
-                        n => match options.transport {
-                            Some(_) => format!(", {n} workers abandoned"),
-                            None => format!(", {n} shards degraded to recovery workers"),
-                        },
+                        n => format!(", {n} workers abandoned"),
                     },
                     match &run.capture {
                         Some(p) => format!(", capture -> {}", p.display()),
@@ -418,422 +364,19 @@ struct DistributedRun {
     frames: u64,
     duplicates: u64,
     respawns: u32,
-    /// Slot ranges that moved between workers (leased mode; always zero
-    /// under residue-class sharding).
+    /// Slot ranges that moved between workers.
     migrations: u64,
-    /// Shards that exhausted their respawn budget: re-covered by an
-    /// unarmed recovery worker in residue mode, abandoned (leases flow to
-    /// the survivors) in leased mode.
+    /// Workers that exhausted their respawn budget; their leases flowed
+    /// to the survivors.
     abandoned: u32,
     capture: Option<PathBuf>,
 }
 
-/// Messages from a per-worker stdout reader thread to the merge loop.
-enum Msg {
-    /// A parsed frame plus the raw line it came from (written verbatim to
-    /// the capture — no re-serialization on the merge hot path).
-    Frame(Box<(WireFrame, String)>),
-    /// A line failed strict parsing (corrupt or wrong protocol version).
-    Bad(String),
-    /// The worker's stream ended.
-    Eof { ok: bool, detail: String },
-}
-
-/// How many frames one shard's channel may buffer before its reader
-/// thread blocks in `send`. A blocked reader stops draining the worker's
-/// stdout pipe, the pipe fills, and the worker itself blocks on `write` —
-/// OS backpressure end to end. The *transport* therefore holds at most
-/// `workers × CAP` frames in flight regardless of study size, even while
-/// a dead shard is re-run from scratch and the live shards race ahead.
-/// (The coordinator's total footprint is still O(study): like the
-/// in-process `run` binary, it assembles the full `StudyResult` for the
-/// summary and results CSV — the bounded part is the merge path, not the
-/// result assembly.)
-const SHARD_QUEUE_CAP: usize = 64;
-
-/// Locks a mutex, riding through poisoning (a reader thread that panicked
+/// Locks a mutex, riding through poisoning (a waiter thread that panicked
 /// while holding the child lock must not take the merge loop down with it
 /// — the child state is a plain handle, valid regardless).
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Spawns one worker process for `shard` and a reader thread pumping its
-/// stdout into `tx` (a bounded [`mpsc::sync_channel`]). The child is held
-/// behind a shared kill handle: the reader locks it to kill (protocol
-/// breakage, merge loop gone) and to reap on EOF, while the merge loop
-/// holds a clone so the stall detector can kill a hung worker that will
-/// never EOF on its own. Every exit path of [`run_distributed_study`]
-/// drops the receivers, which surfaces to the reader as a `send` error, so
-/// no error path can strand a live worker.
-fn spawn_shard(
-    path: &str,
-    shard: u64,
-    options: &RunOptions,
-    die_after: Option<u64>,
-    stall_after: Option<u64>,
-    tx: mpsc::SyncSender<Msg>,
-) -> Result<Arc<Mutex<Child>>, String> {
-    let mut command = Command::new(&options.worker_bin);
-    command
-        .arg("--config")
-        .arg(path)
-        .arg("--shard")
-        .arg(format!("{shard}/{}", options.workers))
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped());
-    if let Some(threads) = options.threads {
-        command.arg("--threads").arg(threads.to_string());
-    }
-    if let Some(store) = &options.store {
-        command.arg("--store").arg(store);
-    }
-    if let Some(frames) = die_after {
-        command.arg("--die-after").arg(frames.to_string());
-    }
-    if let Some(frames) = stall_after {
-        command.arg("--stall-after").arg(frames.to_string());
-    }
-    let mut child = command.spawn().map_err(|e| {
-        format!(
-            "cannot spawn worker `{}`: {e}",
-            options.worker_bin.display()
-        )
-    })?;
-    let stdout = child.stdout.take().expect("stdout was piped");
-    let handle = Arc::new(Mutex::new(child));
-    let child = Arc::clone(&handle);
-    std::thread::spawn(move || {
-        let mut ok = true;
-        let mut detail = String::new();
-        let mut killed = false;
-        let mut reader = BufReader::new(stdout);
-        let mut line = String::new();
-        let mut decoder = FrameDecoder::new();
-        loop {
-            match read_frame_line(&mut reader, &mut line) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    ok = false;
-                    detail = format!("read error: {e}");
-                    break;
-                }
-            }
-            let line = std::mem::take(&mut line);
-            if line.trim().is_empty() {
-                continue;
-            }
-            match decoder.frame(&line) {
-                Ok(frame) => {
-                    if tx.send(Msg::Frame(Box::new((frame, line)))).is_err() {
-                        // Receiver gone: nobody wants the rest of this
-                        // stream, so stop the worker instead of letting it
-                        // burn CPU computing results that will be dropped.
-                        killed = true;
-                        break;
-                    }
-                }
-                Err(e) => {
-                    // An unparseable line is one of two very different
-                    // things. If the stream *continues* past it, the worker
-                    // is alive and speaking garbage — a protocol failure,
-                    // fatal to the study. If it is the last thing in the
-                    // pipe, it is the torn tail a SIGKILL/OOM-kill leaves
-                    // when the worker died mid-write — that is worker
-                    // *death*, and the respawn path must get its chance.
-                    let mut next = String::new();
-                    if !matches!(read_frame_line(&mut reader, &mut next), Ok(false)) {
-                        ok = false;
-                        detail = e.to_string();
-                        let _ = tx.send(Msg::Bad(e.to_string()));
-                        killed = true;
-                        break;
-                    }
-                    ok = false;
-                    detail = format!("stream ended in a torn line ({e})");
-                    break;
-                }
-            }
-        }
-        if killed {
-            lock(&child).kill().ok();
-        }
-        let status = lock(&child).wait();
-        if !killed {
-            let exited_ok = matches!(&status, Ok(s) if s.success());
-            if ok && !exited_ok {
-                ok = false;
-                detail = match status {
-                    Ok(s) => format!("worker exited with {s}"),
-                    Err(e) => format!("wait failed: {e}"),
-                };
-            }
-            let _ = tx.send(Msg::Eof { ok, detail });
-        }
-    });
-    Ok(handle)
-}
-
-fn run_distributed_study(
-    path: &str,
-    config: &CampaignConfig,
-    options: &RunOptions,
-) -> Result<DistributedRun, String> {
-    let study = config.study();
-    let shards = options.workers;
-    let capture_path = options
-        .capture
-        .as_ref()
-        .map(|dir| dir.join(format!("{}.jsonl", study.name)));
-    // The capture streams through the shared atomic writer — a hidden
-    // sibling temp file renamed into place only after the merged stream
-    // completed and flushed — so a killed coordinator can never leave a
-    // torn capture at the published path.
-    let mut capture = match &capture_path {
-        Some(p) => Some(std::io::BufWriter::new(
-            AtomicFileWriter::create(p)
-                .map_err(|e| format!("cannot create capture `{}`: {e}", p.display()))?,
-        )),
-        None => None,
-    };
-    let mut spec_sinks = nvmx_viz::sink::SpecSinks::new(&study.output)
-        .map_err(|e| format!("cannot open output sinks: {e}"))?;
-
-    // One bounded channel per shard. The receivers live in this function's
-    // scope, so *every* exit path — including a failed spawn below —
-    // drops them, which errors out the reader threads' sends and makes
-    // them kill + reap their workers. No error path strands a process.
-    let mut senders = Vec::with_capacity(usize::try_from(shards).expect("fits usize"));
-    let mut receivers = Vec::with_capacity(senders.capacity());
-    for _ in 0..shards {
-        let (tx, rx) = mpsc::sync_channel::<Msg>(SHARD_QUEUE_CAP);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let mut handles = Vec::with_capacity(senders.capacity());
-    for shard in 0..shards {
-        let die_after = options
-            .inject_die
-            .filter(|&(victim, _)| victim == shard)
-            .map(|(_, frames)| frames);
-        let stall_after = options
-            .inject_stall
-            .filter(|&(victim, _)| victim == shard)
-            .map(|(_, frames)| frames);
-        let index = usize::try_from(shard).expect("shard fits usize");
-        handles.push(spawn_shard(
-            path,
-            shard,
-            options,
-            die_after,
-            stall_after,
-            senders[index].clone(),
-        )?);
-    }
-
-    let stall_timeout = options.stall_timeout.unwrap_or(DEFAULT_STALL_TIMEOUT);
-    let mut merger: SlotMerger<(WireFrame, String)> = SlotMerger::new();
-    let mut replayer = EventReplayer::new();
-    let mut finished = false;
-    let mut frames = 0u64;
-    let mut respawns = 0u32;
-    let shard_count = usize::try_from(shards).expect("shard count fits usize");
-    let mut attempts = vec![0u32; shard_count];
-    // Shards that exhausted their respawn budget and are now covered by an
-    // unarmed recovery worker. A second failure after that is fatal.
-    let mut abandoned = vec![false; shard_count];
-
-    // Slot `seq` can only come from shard `seq % n`, so the merge loop
-    // receives exclusively from the shard that owns the next expected
-    // slot. Shards running ahead park in their own bounded channels (and,
-    // transitively, their stdout pipes) instead of accumulating in
-    // coordinator memory.
-    let mut merge = || -> Result<(), String> {
-        while !finished {
-            let owner = usize::try_from(merger.next_expected() % shards).expect("fits usize");
-            // We hold a sender per shard (for respawns), so the channel
-            // can never disconnect under us. The timeout is the stall
-            // detector: the owner of the next expected slot emitting
-            // nothing for that long means it is hung (a worker that
-            // *died* EOFs immediately), so it is killed and takes the
-            // same respawn path as a dead one.
-            let msg = match receivers[owner].recv_timeout(stall_timeout) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    eprintln!(
-                        "  [{}] shard {owner}/{shards} stalled (no frame for {:.1}s); killing",
-                        study.name,
-                        stall_timeout.as_secs_f64()
-                    );
-                    lock(&handles[owner]).kill().ok();
-                    // The reader sees EOF and reports the death through
-                    // the normal channel; loop back around to handle it.
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("a sender is always held")
-                }
-            };
-            match msg {
-                Msg::Frame(boxed) => {
-                    let (frame, line) = *boxed;
-                    if frame.study != study.name {
-                        return Err(format!(
-                            "worker streamed study `{}`, expected `{}`",
-                            frame.study, study.name
-                        ));
-                    }
-                    let seq = frame.seq;
-                    // Deliver each slot exactly once, in slot order: the
-                    // raw worker line verbatim to the capture (parse →
-                    // encode is the identity, but why pay the re-encode),
-                    // the decoded event (winners re-linked) into the
-                    // study's configured sinks. A respawned worker's
-                    // replayed prefix arrives as duplicates and is dropped
-                    // by the merger.
-                    merger
-                        .offer(seq, (frame, line), &mut |_seq,
-                                                         (frame, line): (
-                            WireFrame,
-                            String,
-                        )| {
-                            if let Some(out) = capture.as_mut() {
-                                writeln!(out, "{line}")?;
-                            }
-                            if matches!(
-                                frame.event,
-                                OwnedStudyEvent::StudyFinished { .. }
-                                    | OwnedStudyEvent::FaultStudyFinished { .. }
-                            ) {
-                                finished = true;
-                            }
-                            replayer.apply(&frame.event, &mut spec_sinks)?;
-                            frames += 1;
-                            Ok::<(), std::io::Error>(())
-                        })
-                        .map_err(|e| format!("sink failed at slot {seq}: {e}"))?;
-                }
-                Msg::Bad(detail) => {
-                    return Err(format!("shard {owner}/{shards}: {detail}"));
-                }
-                Msg::Eof { ok: true, .. } => {
-                    // A worker that exits 0 has emitted its whole residue
-                    // class, so its queue cannot run dry while it still
-                    // owns the next slot — unless the worker is broken.
-                    return Err(format!(
-                        "shard {owner}/{shards} ended cleanly before the stream completed"
-                    ));
-                }
-                Msg::Eof { ok: false, detail } => {
-                    if attempts[owner] >= options.max_respawns {
-                        if abandoned[owner] {
-                            return Err(format!(
-                                "shard {owner}/{shards} failed {} times and its recovery \
-                                 worker failed too (last: {detail})",
-                                attempts[owner] + 1
-                            ));
-                        }
-                        // Graceful degradation: the shard's respawn budget
-                        // is spent, but its residue class is recoverable —
-                        // sharding partitions *emission*, not computation,
-                        // so one final worker with every injection hook
-                        // disarmed re-covers the lost slots and the
-                        // campaign completes.
-                        abandoned[owner] = true;
-                        eprintln!(
-                            "  [{}] shard {owner}/{shards} exhausted its respawn budget \
-                             ({} attempts; last: {detail}); degrading to an unarmed \
-                             recovery worker",
-                            study.name,
-                            attempts[owner] + 1
-                        );
-                        handles[owner] = spawn_shard(
-                            path,
-                            owner as u64,
-                            options,
-                            None,
-                            None,
-                            senders[owner].clone(),
-                        )?;
-                        continue;
-                    }
-                    attempts[owner] += 1;
-                    respawns += 1;
-                    eprintln!(
-                        "  [{}] shard {owner}/{shards} died ({detail}); respawning (attempt {})",
-                        study.name, attempts[owner]
-                    );
-                    // Deterministic exponential backoff before the respawn:
-                    // base · 2^(attempt-1), capped. Zero base (the default)
-                    // respawns immediately.
-                    let backoff = options
-                        .respawn_backoff_ms
-                        .saturating_mul(1u64 << (attempts[owner] - 1).min(31))
-                        .min(MAX_BACKOFF_MS);
-                    if backoff > 0 {
-                        std::thread::sleep(Duration::from_millis(backoff));
-                    }
-                    // Respawns re-arm the crash injection only under
-                    // `--inject-die-always` (the degradation test hook);
-                    // otherwise the fresh worker runs clean, re-emits its
-                    // whole residue class, and the merger dedups the slots
-                    // that already arrived.
-                    let die_after = options
-                        .inject_die
-                        .filter(|&(victim, _)| options.inject_die_always && victim == owner as u64)
-                        .map(|(_, frames)| frames);
-                    handles[owner] = spawn_shard(
-                        path,
-                        owner as u64,
-                        options,
-                        die_after,
-                        None,
-                        senders[owner].clone(),
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    };
-    let outcome = merge();
-    // Done (or failed): drop the channels. Blocked reader sends error out,
-    // and readers with workers still running kill and reap them instead of
-    // letting orphans burn CPU.
-    drop(senders);
-    drop(receivers);
-    if outcome.is_err() {
-        // Abort: discard the partial capture so only complete captures
-        // ever appear — dropping the uncommitted writer removes its temp
-        // file and leaves any previously published capture untouched.
-        if let Some(out) = capture.take() {
-            if let Ok(writer) = out.into_inner() {
-                writer.discard();
-            }
-        }
-    }
-    outcome?;
-
-    if let Some(out) = capture.take() {
-        // Flush, close, and atomically publish the finished capture.
-        out.into_inner()
-            .map_err(|e| format!("capture flush failed: {e}"))?
-            .commit()
-            .map_err(|e| format!("cannot finalize capture: {e}"))?;
-    }
-    let (result, fault) = replayer
-        .finish_parts()
-        .ok_or_else(|| "merged stream did not finish".to_owned())?;
-    Ok(DistributedRun {
-        result,
-        fault,
-        frames,
-        duplicates: merger.duplicates(),
-        respawns,
-        migrations: 0,
-        abandoned: abandoned.iter().filter(|&&a| a).count() as u32,
-        capture: capture_path,
-    })
 }
 
 // --------------------------------------------------- leased transport run
@@ -952,12 +495,6 @@ fn pump_worker_lines<R: BufRead>(
     let _ = tx.send(NetEv::Gone { name });
 }
 
-/// Leased-mode worker names are `w0..wN-1`; recovers the index for
-/// injection-flag matching.
-fn worker_index(name: &str) -> Option<u64> {
-    name.strip_prefix('w')?.parse().ok()
-}
-
 /// One leased worker process plus the spawn generation its death-waiter
 /// thread reports under.
 struct LeasedChild {
@@ -990,16 +527,15 @@ impl LeasedState {
 /// Spawns one leased worker (`--connect`) plus a waiter thread that
 /// reports the process's death into the merge loop. Pipe children get a
 /// reader thread pumping their stdout; socket children connect back to
-/// the listener on their own.
-#[allow(clippy::too_many_arguments)]
+/// the listener on their own. `armed` is the worker index whose
+/// `--inject-*` hooks this spawn carries; respawns pass `None` and run
+/// clean.
 fn spawn_leased_worker(
     path: &str,
     name: &str,
     spec: &str,
     options: &RunOptions,
-    die_after: Option<u64>,
-    stall_after: Option<u64>,
-    throttle: Option<u64>,
+    armed: Option<u64>,
     generation: u64,
     tx: &mpsc::SyncSender<NetEv>,
 ) -> Result<Arc<Mutex<Child>>, String> {
@@ -1017,14 +553,14 @@ fn spawn_leased_worker(
     if let Some(store) = &options.store {
         command.arg("--store").arg(store);
     }
-    if let Some(frames) = die_after {
-        command.arg("--die-after").arg(frames.to_string());
-    }
-    if let Some(frames) = stall_after {
-        command.arg("--stall-after").arg(frames.to_string());
-    }
-    if let Some(ms) = throttle {
-        command.arg("--throttle").arg(ms.to_string());
+    for (flag, hook) in [
+        ("--die-after", options.inject_die),
+        ("--stall-after", options.inject_stall),
+        ("--throttle", options.inject_throttle),
+    ] {
+        if let Some((_, value)) = hook.filter(|&(victim, _)| Some(victim) == armed) {
+            command.arg(flag).arg(value.to_string());
+        }
     }
     let pipe = spec == "pipe";
     if pipe {
@@ -1120,17 +656,8 @@ fn apply_actions(
                     lock(&old.handle).kill().ok();
                 }
                 let generation = state.children.get(&worker).map_or(0, |c| c.generation + 1);
-                // Respawns run clean unless the degradation hook re-arms
-                // the crash injection.
-                let die_after = options
-                    .inject_die
-                    .filter(|&(victim, _)| {
-                        options.inject_die_always && worker_index(&worker) == Some(victim)
-                    })
-                    .map(|(_, frames)| frames);
-                let handle = spawn_leased_worker(
-                    path, &worker, spec, options, die_after, None, None, generation, tx,
-                )?;
+                let handle =
+                    spawn_leased_worker(path, &worker, spec, options, None, generation, tx)?;
                 state
                     .children
                     .insert(worker, LeasedChild { generation, handle });
@@ -1148,7 +675,7 @@ fn apply_actions(
     Ok(())
 }
 
-/// Runs one study under the lease protocol over `kind` transport. Every
+/// Runs one study under the lease protocol over `--transport`. Every
 /// worker computes the full deterministic stream; the [`Resharder`]
 /// decides which slot ranges each one emits, re-leasing on death, stall,
 /// or slowness, and the merged capture stays byte-identical to a local
@@ -1157,10 +684,9 @@ fn run_leased_study(
     path: &str,
     config: &CampaignConfig,
     options: &RunOptions,
-    kind: TransportKind,
 ) -> Result<DistributedRun, String> {
     let study = config.study();
-    let shards = options.workers;
+    let workers = options.workers;
     let capture_path = options
         .capture
         .as_ref()
@@ -1181,6 +707,7 @@ fn run_leased_study(
     // Socket transports bind before any worker spawns, so the connect
     // spec (with the resolved ephemeral TCP port) is known up front. The
     // accept loop polls non-blocking so it can wind down with the study.
+    let kind = options.transport;
     let spec = match kind {
         TransportKind::Pipe => "pipe".to_owned(),
         TransportKind::Tcp | TransportKind::Unix => {
@@ -1232,9 +759,6 @@ fn run_leased_study(
     let epoch = Instant::now();
     let defaults = ReshardConfig::default();
     let mut resharder = Resharder::new(ReshardConfig {
-        heartbeat_timeout_ms: options
-            .stall_timeout
-            .map_or(3_000, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
         respawn_backoff_ms: options.respawn_backoff_ms,
         max_backoff_ms: MAX_BACKOFF_MS,
         max_respawns: options.max_respawns,
@@ -1251,25 +775,13 @@ fn run_leased_study(
         respawns: 0,
         abandoned: 0,
     };
-    for index in 0..shards {
+    for index in 0..workers {
         let name = format!("w{index}");
         resharder.expect_worker(
             &name,
             u64::try_from(epoch.elapsed().as_millis()).unwrap_or(0),
         );
-        let pick =
-            |spec: Option<(u64, u64)>| spec.filter(|&(victim, _)| victim == index).map(|(_, v)| v);
-        let handle = spawn_leased_worker(
-            path,
-            &name,
-            &spec,
-            options,
-            pick(options.inject_die),
-            pick(options.inject_stall),
-            pick(options.inject_throttle),
-            0,
-            &tx,
-        )?;
+        let handle = spawn_leased_worker(path, &name, &spec, options, Some(index), 0, &tx)?;
         state.children.insert(
             name,
             LeasedChild {
@@ -1392,7 +904,7 @@ fn run_leased_study(
             reported_migrations = resharder.migrations().len();
             if resharder.live_workers() == 0 {
                 return Err(format!(
-                    "all {shards} workers are dead or abandoned; the stream cannot complete"
+                    "all {workers} workers are dead or abandoned; the stream cannot complete"
                 ));
             }
         }

@@ -1,82 +1,73 @@
-//! `nvmx-worker` — one shard of a distributed study campaign.
+//! `nvmx-worker` — one worker of a distributed study campaign.
 //!
-//! Runs a study from a JSON config and streams the versioned JSONL wire
-//! protocol (`core::wire`) to stdout (default) or a file/FIFO. A worker
-//! given shard `i/n` emits exactly the event slots with `seq % n == i`;
-//! n workers with shards `0/n .. n-1/n` partition the study's
-//! deterministic event stream, and `nvmx-coordinator` merges them back in
-//! slot order.
+//! Runs a study from a JSON config and speaks the version-4 lease
+//! protocol (`core::wire`, `core::reshard`) to a supervising
+//! `nvmx-coordinator`: it says `hello`, heartbeats from a dedicated timer
+//! thread, computes the **full** study into an in-memory line buffer, and
+//! emits exactly the slot ranges the coordinator leases to it — so a slow
+//! or dead worker's ranges can drain to healthy ones, and the coordinator
+//! merges every worker's ranges back in slot order.
 //!
-//! Sharding partitions *emission*, not *computation*: every worker runs
-//! the full study, which is what makes a re-spawned replacement's output
-//! bit-identical with no coordination state. A single study at `--shard
-//! i/n` therefore costs n× total CPU — the compute-dividing axis is the
-//! coordinator's multi-study `--lanes` campaign, not the shard count.
+//! Leases partition *emission*, not *computation*: every worker runs the
+//! full study, which is what makes a re-spawned replacement's output
+//! bit-identical with no coordination state. A single study over n
+//! workers therefore costs n× total CPU — the compute-dividing axis is the
+//! coordinator's multi-study `--lanes` campaign, not the worker count.
 //!
-//! ```text
-//! nvmx-worker --config config/quickstart.json --shard 0/2 --threads 2
-//! ```
-//!
-//! A config carrying a top-level `fault` section runs as a fault-injection
-//! campaign: the same residue-class sharding applies to the fault stream
-//! (trial slots, verdicts, and the campaign's own terminal event), and the
-//! per-trial injection seeds ride the wire so a respawned replacement is
-//! still bit-identical.
-//!
-//! # Leased mode (`--connect`)
-//!
-//! With `--connect`, the worker stops owning a fixed residue class and
-//! instead speaks the version-4 lease protocol to a supervising
-//! coordinator (`core::reshard`): it says `hello`, heartbeats from a
-//! dedicated timer thread, computes the **full** study into an in-memory
-//! line buffer, and emits exactly the slot ranges the coordinator leases
-//! to it — so a slow or dead worker's ranges can drain to healthy ones.
 //! `--connect pipe` frames the worker's own stdin/stdout (the coordinator
 //! holds the pipe pair); `--connect unix:…`/`tcp:…` dials out, which is
-//! how shards on *other hosts* join a campaign, and reconnects with
+//! how workers on *other hosts* join a campaign, and reconnects with
 //! `resume` on a dropped socket (the merger's dedup absorbs re-sent
 //! slots).
 //!
+//! ```text
+//! nvmx-worker --config config/quickstart.json --connect tcp:10.0.0.5:7071 --threads 2
+//! ```
+//!
+//! A config carrying a top-level `fault` section runs as a fault-injection
+//! campaign: the fault stream (trial slots, verdicts, and the campaign's
+//! own terminal event) is leased the same way, and the per-trial
+//! injection seeds ride the wire so a respawned replacement is still
+//! bit-identical.
+//!
 //! Flags:
 //! - `--config <path>`   study config JSON (required)
-//! - `--shard I/N`       residue-class shard to emit (default `0/1`)
+//! - `--connect SPEC`    lease channel: `pipe`, `unix:PATH`, or `tcp:HOST:PORT` (required)
 //! - `--threads T`       characterization/evaluation workers (default: CPUs, capped at 16)
-//! - `--out <path>`      write the wire stream to a file/FIFO instead of stdout
-//! - `--connect SPEC`    leased mode: `pipe`, `unix:PATH`, or `tcp:HOST:PORT`
 //! - `--name NAME`       worker name for the lease protocol (default `worker-<pid>`)
-//! - `--throttle MS`     slow-worker hook: sleep MS per emitted frame (leased
-//!   mode only) — drives the coordinator's throughput-aware resharding in
-//!   tests and CI
+//! - `--throttle MS`     slow-worker hook: sleep MS per emitted frame —
+//!   drives the coordinator's throughput-aware resharding in tests and CI
 //! - `--die-after K`     crash-test hook: exit(137) after emitting K frames,
-//!   simulating a worker killed mid-run (the coordinator's resume path and
-//!   the CI distributed-smoke job drive this deterministically)
+//!   simulating a worker killed mid-lease (the coordinator's re-lease and
+//!   respawn path and the CI smoke jobs drive this deterministically)
 //! - `--stall-after K`   hang-test hook: after emitting K frames, flush and
 //!   stop making progress (SIGSTOP on unix, a sleep-forever loop otherwise)
-//!   — simulating a live-but-hung worker for the coordinator's stall
-//!   detector
+//!   — simulating a live-but-hung worker for the coordinator's heartbeat
+//!   deadline
 //! - `--store DIR`       back the run with the persistent characterization
 //!   store (overrides the config's `store` section): published slabs are
 //!   loaded instead of recomputed, new slabs are published back, and the
-//!   L2 counters are reported on stderr. The wire stream is byte-identical
-//!   either way, so every worker in a campaign may share one store.
+//!   L2 counters are reported on stderr when the worker exits. The wire
+//!   stream is byte-identical either way, so every worker in a campaign
+//!   may share one store.
 //!
 //! Exit codes: `0` success, `1` study failed, `2` usage or config error
 //! (config parse failures print the offending section).
 
 use nvmexplorer_core::config::CampaignConfig;
-use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
+use nvmexplorer_core::stream::StudyExecutor;
 use nvmexplorer_core::transport::{read_frame_line, Connection, Endpoint};
-use nvmexplorer_core::wire::{LeaseFrame, Shard, WireSink, WorkerFrame};
+use nvmexplorer_core::wire::{LeaseFrame, WireSink, WorkerFrame};
 use nvmx_nvsim::SubarrayCache;
 use std::collections::{HashSet, VecDeque};
 use std::io::{BufWriter, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-const USAGE: &str = "usage: nvmx-worker --config <study.json> [--shard I/N] [--threads T] \
-                     [--out PATH] [--connect pipe|unix:PATH|tcp:HOST:PORT] [--name NAME] \
+const USAGE: &str = "usage: nvmx-worker --config <study.json> \
+                     --connect pipe|unix:PATH|tcp:HOST:PORT [--threads T] [--name NAME] \
                      [--throttle MS] [--die-after K] [--stall-after K] [--store DIR]";
 
 /// Simulates a worker that stops making progress without dying: already
@@ -93,46 +84,10 @@ fn stall_forever() -> ! {
     }
 }
 
-/// Wraps a [`WireSink`] with the deterministic failure-injection hooks:
-/// exit(137) after `die_after` written frames (simulated SIGKILL — no
-/// cleanup, no final events), or freeze after `stall_after` frames
-/// (simulated hang). Already-written lines are flushed per line, so the
-/// coordinator always sees a clean prefix of the shard's residue class.
-struct HazardSink<W: Write> {
-    inner: WireSink<W>,
-    die_after: Option<u64>,
-    stall_after: Option<u64>,
-}
-
-impl<W: Write> HazardSink<W> {
-    /// Pre- and post-checks so `--die-after 0` / `--stall-after 0` really
-    /// emit zero frames (the "failed before producing anything" case).
-    fn check(&self) {
-        let written = self.inner.frames_written();
-        if self.die_after.is_some_and(|limit| written >= limit) {
-            std::process::exit(137);
-        }
-        if self.stall_after.is_some_and(|limit| written >= limit) {
-            stall_forever();
-        }
-    }
-}
-
-impl<W: Write> ResultSink for HazardSink<W> {
-    fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
-        self.check();
-        self.inner.on_event(event)?;
-        self.check();
-        Ok(())
-    }
-}
-
 struct Options {
     config: String,
-    shard: Shard,
+    connect: String,
     threads: Option<usize>,
-    out: Option<String>,
-    connect: Option<String>,
     name: Option<String>,
     throttle_ms: Option<u64>,
     die_after: Option<u64>,
@@ -143,10 +98,8 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     let mut config = None;
-    let mut shard = Shard::WHOLE;
-    let mut threads = None;
-    let mut out = None;
     let mut connect = None;
+    let mut threads = None;
     let mut name = None;
     let mut throttle_ms = None;
     let mut die_after = None;
@@ -156,7 +109,6 @@ fn parse_args() -> Result<Options, String> {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
         match flag.as_str() {
             "--config" => config = Some(value("--config")?),
-            "--shard" => shard = Shard::parse(&value("--shard")?)?,
             "--threads" => {
                 threads = Some(
                     value("--threads")?
@@ -164,7 +116,6 @@ fn parse_args() -> Result<Options, String> {
                         .map_err(|_| "--threads expects an unsigned integer".to_owned())?,
                 );
             }
-            "--out" => out = Some(value("--out")?),
             "--connect" => connect = Some(value("--connect")?),
             "--name" => name = Some(value("--name")?),
             "--throttle" => {
@@ -194,10 +145,8 @@ fn parse_args() -> Result<Options, String> {
     }
     Ok(Options {
         config: config.ok_or_else(|| "--config is required".to_owned())?,
-        shard,
+        connect: connect.ok_or_else(|| "--connect is required".to_owned())?,
         threads,
-        out,
-        connect,
         name,
         throttle_ms,
         die_after,
@@ -205,8 +154,6 @@ fn parse_args() -> Result<Options, String> {
         store,
     })
 }
-
-// ------------------------------------------------------------ leased mode
 
 /// The full deterministic event stream, accumulating as the compute
 /// thread runs. `lines[seq]` is the serialized wire line for slot `seq`.
@@ -284,10 +231,10 @@ impl Link {
     }
 }
 
-/// A `Write` that turns the byte stream of an unsharded [`WireSink`] back
-/// into whole lines and appends them to the shared buffer — the compute
-/// thread's sink in leased mode. Lines are found with a slice search and
-/// each is copied once, into its shared allocation.
+/// A `Write` that turns the byte stream of a [`WireSink`] back into whole
+/// lines and appends them to the shared buffer — the compute thread's
+/// sink. Lines are found with a slice search and each is copied once,
+/// into its shared allocation.
 struct LineBuffer {
     shared: Arc<NetShared>,
     partial: Vec<u8>,
@@ -323,14 +270,38 @@ impl Write for LineBuffer {
     }
 }
 
-/// Runs the campaign in leased mode: compute everything, emit what the
-/// coordinator leases. Returns the process exit code.
+/// The persistent store backing a run: its directory and the cache that
+/// counts its L2 traffic.
+type Store<'a> = Option<(&'a Path, &'a SubarrayCache)>;
+
+/// Ends the process with `code`, first reporting the store's L2 counters
+/// on stderr (telemetry only — the wire stream is unaffected). The
+/// compute thread may still be running when a lease exchange ends, so the
+/// worker leaves through here instead of returning to `main`. The
+/// injected crash of `--die-after` bypasses it, like the SIGKILL it
+/// simulates.
+fn leave(code: i32, store: Store<'_>) -> ! {
+    if let Some((dir, cache)) = store {
+        let stats = cache.stats();
+        eprintln!(
+            "store {}: l2_hits={} l2_misses={} l2_rejects={}",
+            dir.display(),
+            stats.l2_hits,
+            stats.l2_misses,
+            stats.l2_rejects,
+        );
+    }
+    std::process::exit(code)
+}
+
+/// Runs the campaign: compute everything, emit what the coordinator
+/// leases.
 fn run_leased(
     options: &Options,
     campaign: &CampaignConfig,
     executor: &StudyExecutor<'_>,
-    spec: &str,
-) -> i32 {
+    store: Store<'_>,
+) -> ! {
     let name = options
         .name
         .clone()
@@ -354,6 +325,7 @@ fn run_leased(
 
     // First connection. `pipe` frames stdin/stdout; sockets dial out with
     // a short retry loop (the coordinator may still be binding).
+    let spec = options.connect.as_str();
     let pipe = spec == "pipe";
     let endpoint = if pipe {
         None
@@ -362,7 +334,7 @@ fn run_leased(
             Ok(endpoint) => Some(endpoint),
             Err(e) => {
                 eprintln!("{e}");
-                return 2;
+                leave(2, store);
             }
         }
     };
@@ -388,7 +360,7 @@ fn run_leased(
     } else {
         match connect(false) {
             Some(conn) => conn,
-            None => return 1,
+            None => leave(1, store),
         }
     };
     let (mut reader, writer) = conn.into_split();
@@ -399,7 +371,7 @@ fn run_leased(
         resume: false,
     };
     if link.send_now(&hello.to_line()).is_err() && pipe {
-        return 1;
+        leave(1, store);
     }
 
     // Compute thread: the full study into the line buffer, then `done`.
@@ -416,11 +388,14 @@ fn run_leased(
                 CampaignConfig::Study(study) => executor.run(study, &mut sink).map(|_| ()),
                 CampaignConfig::Fault(fault) => executor.run_fault(fault, &mut sink).map(|_| ()),
             };
-            let seen = sink.events_seen();
+            let seen = sink.frames_written();
             let mut buffered = compute_shared.buffered.lock().unwrap();
             match run {
                 Ok(()) => buffered.done = true,
-                Err(e) => buffered.failed = Some(e.to_string()),
+                Err(e) => {
+                    eprintln!("study failed: {e}");
+                    buffered.failed = Some(e.to_string());
+                }
             }
             drop(buffered);
             compute_shared.buffer_wake.notify_all();
@@ -547,7 +522,7 @@ fn run_leased(
                 Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                     eprintln!("bad lease line from coordinator: {e}");
                     shutdown(&shared);
-                    std::process::exit(1);
+                    leave(1, store);
                 }
                 Err(_) => false,
             };
@@ -556,11 +531,11 @@ fn run_leased(
                 // coordinator; socket workers try to rejoin.
                 if pipe || run_failed(&shared) {
                     shutdown(&shared);
-                    std::process::exit(if run_failed(&shared) { 1 } else { 0 });
+                    leave(i32::from(run_failed(&shared)), store);
                 }
                 let Some(conn) = connect(true) else {
                     shutdown(&shared);
-                    std::process::exit(1);
+                    leave(1, store);
                 };
                 let (new_reader, new_writer) = conn.into_split();
                 reader = new_reader;
@@ -598,12 +573,12 @@ fn run_leased(
                 }
                 Ok(LeaseFrame::Shutdown) => {
                     shutdown(&shared);
-                    std::process::exit(if run_failed(&shared) { 1 } else { 0 });
+                    leave(i32::from(run_failed(&shared)), store);
                 }
                 Err(e) => {
                     eprintln!("bad lease line from coordinator: {e}");
                     shutdown(&shared);
-                    std::process::exit(1);
+                    leave(1, store);
                 }
             }
         }
@@ -633,7 +608,7 @@ fn main() {
     });
 
     // The flag overrides the config's `store` section; the cache is owned
-    // here so the L2 counters can be reported after the run.
+    // here so the L2 counters can be reported when the worker leaves.
     let store_dir: Option<PathBuf> = options
         .store
         .clone()
@@ -656,40 +631,6 @@ fn main() {
         executor = executor.cache(cache);
     }
 
-    if let Some(spec) = &options.connect {
-        std::process::exit(run_leased(&options, &campaign, &executor, spec));
-    }
-
-    let out: Box<dyn Write> = match &options.out {
-        Some(path) => Box::new(std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create `{path}`: {e}");
-            std::process::exit(1);
-        })),
-        None => Box::new(std::io::stdout().lock()),
-    };
-    let mut sink = HazardSink {
-        inner: WireSink::sharded(out, options.shard),
-        die_after: options.die_after,
-        stall_after: options.stall_after,
-    };
-
-    let run = match &campaign {
-        CampaignConfig::Study(study) => executor.run(study, &mut sink).map(|_| ()),
-        CampaignConfig::Fault(fault) => executor.run_fault(fault, &mut sink).map(|_| ()),
-    };
-    if let Err(e) = run {
-        eprintln!("study failed: {e}");
-        std::process::exit(1);
-    }
-    // Telemetry only — the wire stream on stdout/`--out` is unaffected.
-    if let (Some(dir), Some(cache)) = (&store_dir, &cache) {
-        let stats = cache.stats();
-        eprintln!(
-            "store {}: l2_hits={} l2_misses={} l2_rejects={}",
-            dir.display(),
-            stats.l2_hits,
-            stats.l2_misses,
-            stats.l2_rejects,
-        );
-    }
+    let store = store_dir.as_deref().zip(cache.as_ref());
+    run_leased(&options, &campaign, &executor, store)
 }

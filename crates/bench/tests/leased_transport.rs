@@ -1,9 +1,9 @@
-//! Process-level proof for the lease-based socket transport: `nvmx-coordinator
-//! --transport pipe|tcp|unix` driving real `nvmx-worker --connect` shards must
+//! Process-level proof for the lease transports: `nvmx-coordinator
+//! --transport pipe|tcp|unix` driving real `nvmx-worker --connect` workers must
 //! produce output byte-identical to the in-process `run` binary — including
 //! under the acceptance fault mix of one killed, one emission-stalled, and one
 //! throttled worker, with the summary showing slot ranges re-leased between
-//! workers.
+//! workers, and over a shared warm characterization store.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -186,8 +186,6 @@ fn tcp_campaign_survives_killed_stalled_and_throttled_workers() {
             "2:3",
             "--inject-throttle",
             "3:150",
-            "--shard-stall-timeout",
-            "2",
             "--respawn-backoff",
             "50",
         ],
@@ -216,4 +214,52 @@ fn tcp_campaign_survives_killed_stalled_and_throttled_workers() {
         replay_bytes, csv,
         "hostile leased run diverged from the in-process run"
     );
+}
+
+/// Reads the `l2_hits=N` counter off a worker's `store …` stderr line.
+fn l2_hits(line: &str) -> Option<u64> {
+    let rest = line.strip_prefix("store ")?;
+    let count = rest.split("l2_hits=").nth(1)?;
+    count.split(' ').next()?.parse().ok()
+}
+
+/// Workers sharing a warm store load its slabs instead of recomputing
+/// them, report their L2 counters on stderr as they leave the lease
+/// exchange, and still merge to the in-process summary.
+#[test]
+fn warm_store_leased_run_reports_l2_hits() {
+    let dir = TempDir::new("store");
+    let config = dir.path().join("study.json");
+    std::fs::write(&config, CONFIG).unwrap();
+    let (summary, csv) = baseline(dir.path(), &config);
+
+    // A local run publishes every slab the study needs.
+    let store = dir.path().join("store");
+    let output = Command::new(RUN)
+        .arg(&config)
+        .args(["--store".as_ref(), store.as_os_str()])
+        .env("NVMX_OUT", dir.path().join("cold"))
+        .output()
+        .unwrap();
+    run_ok(&output, "cold run binary");
+
+    let store_arg = store.to_str().expect("temp paths are UTF-8");
+    let (output, capture) = leased_run(
+        dir.path(),
+        &config,
+        "pipe",
+        2,
+        &["--store", store_arg],
+        "warm",
+    );
+    assert_eq!(stdout_line(&output), summary, "warm-store summary diverged");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.lines().filter_map(l2_hits).any(|hits| hits > 0),
+        "no worker reported loading from the warm store:\n{stderr}"
+    );
+
+    let (replay_summary, replay_bytes) = replay_csv(dir.path(), &config, &capture, "warm");
+    assert_eq!(replay_summary, summary);
+    assert_eq!(replay_bytes, csv, "warm-store leased run diverged");
 }

@@ -20,7 +20,7 @@
 //! distinct slots can never share an RNG stream — and carried on the wire
 //! in each trial frame. A distributed fault campaign therefore replays
 //! byte-identically, including after a worker kill/resume: the respawned
-//! worker re-derives the exact seeds its residue class owns.
+//! worker re-derives the exact seeds of whatever slots it is leased.
 
 use crate::accuracy::{self, AccuracyReport};
 use crate::config::FaultStudyConfig;
@@ -128,7 +128,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// For a fixed `campaign_seed` the map `slot → seed` is a composition of
 /// bijections (odd-constant multiply, xor, SplitMix64 finalizer), so
 /// distinct slots are *guaranteed* distinct seeds — disjoint trial slots
-/// can never share an RNG stream, no matter how trials are sharded across
+/// can never share an RNG stream, no matter how trials are split across
 /// threads or worker processes.
 pub fn injection_seed(campaign_seed: u64, slot: u64) -> u64 {
     splitmix64(campaign_seed ^ slot.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -231,7 +231,7 @@ impl StudyExecutor<'_> {
 
         // One task per (model, trial) slot. Seeds are a pure function of
         // the slot coordinate, so the trial set is independent of thread
-        // count and shard layout.
+        // count and lease layout.
         let tasks: Vec<(usize, u32, u64)> = (0..models.len())
             .flat_map(|m| {
                 (0..trials_per_model).map(move |t| {

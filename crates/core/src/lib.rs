@@ -17,7 +17,7 @@
 //! 3. [`scheduler::StudyScheduler`] — shard a queue of studies across
 //!    concurrent lanes over one warm subarray cache,
 //! 4. [`wire`] — the versioned JSONL wire protocol carrying the event
-//!    stream across process/host boundaries ([`wire::WireSink`] shard
+//!    stream across process/host boundaries ([`wire::WireSink`] stream
 //!    writers, [`wire::SlotMerger`] slot-order merging, [`wire::replay`]
 //!    deterministic capture replay) — what the `nvmx-worker` /
 //!    `nvmx-coordinator` binaries speak,
@@ -100,7 +100,7 @@ pub use stream::{
 };
 pub use sweep::{run_study, StudyResult};
 pub use wire::{
-    LeaseFrame, OwnedStudyEvent, RequestFrame, ResponseFrame, SessionBrief, Shard, SlotMerger,
+    LeaseFrame, OwnedStudyEvent, RequestFrame, ResponseFrame, SessionBrief, SlotMerger,
     StreamReplayer, WireError, WireFrame, WireSink, WorkerFrame, WIRE_MIN_VERSION,
     WIRE_SERVICE_MIN_VERSION, WIRE_VERSION, WIRE_WORKER_MIN_VERSION,
 };

@@ -1,16 +1,16 @@
 //! Lease-based supervision and throughput-aware resharding for
 //! distributed campaigns.
 //!
-//! The residue-class sharding of [`crate::wire::Shard`] fixes each
-//! worker's slot set at spawn time: a slow host gates the whole campaign
-//! and a dead one stalls it until a respawn replays its entire class. The
-//! [`Resharder`] replaces that static partition with *leases*: the
-//! coordinator grants half-open slot ranges to workers one chunk at a
-//! time, sized by each worker's measured frame throughput (an EWMA over
-//! arrival counts), and moves ranges between workers as their health
-//! changes — dead and stalled workers' undrained leases drain to healthy
-//! ones, and once the frontier is exhausted idle fast workers *steal* the
-//! undelivered tail from slow ones.
+//! A static partition of the slot space would fix each worker's slot set
+//! at spawn time: a slow host would gate the whole campaign and a dead one
+//! would stall it until a respawn replayed its entire share. The
+//! [`Resharder`] uses *leases* instead: the coordinator grants half-open
+//! slot ranges to workers one chunk at a time, sized by each worker's
+//! measured frame throughput (an EWMA over arrival counts), and moves
+//! ranges between workers as their health changes — dead and stalled
+//! workers' undrained leases drain to healthy ones, and once the frontier
+//! is exhausted idle fast workers *steal* the undelivered tail from slow
+//! ones.
 //!
 //! This is safe because leases gate **emission, not computation**: every
 //! worker computes the full deterministic stream (the engine's `seq` is a
@@ -54,9 +54,9 @@ pub struct ReshardConfig {
     pub respawn_backoff_ms: u64,
     /// Ceiling of the exponential respawn backoff.
     pub max_backoff_ms: u64,
-    /// Respawns per worker before it is abandoned. Unlike the residue
-    /// coordinator, abandonment needs no recovery worker: the abandoned
-    /// worker's leases simply flow to the survivors.
+    /// Respawns per worker before it is abandoned. Abandonment needs no
+    /// recovery worker: the abandoned worker's leases simply flow to the
+    /// survivors.
     pub max_respawns: u32,
     /// A steal requires the thief's EWMA to exceed the victim's by this
     /// factor, so two comparable workers never thrash a range between

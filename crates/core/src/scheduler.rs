@@ -30,7 +30,7 @@ use std::sync::OnceLock;
 ///
 /// This is the scheduler's lane engine, factored out so other multi-task
 /// drivers — notably the `nvmx-coordinator` binary, whose "tasks" are
-/// *studies each sharded across N worker processes* — shard work the exact
+/// *studies each leased across N worker processes* — shard work the exact
 /// same way the in-process scheduler does.
 ///
 /// `lanes` is clamped to `1..=tasks.len()`. Panics in `run` propagate after

@@ -53,7 +53,7 @@
 
 use crate::config::{CampaignConfig, ConfigError};
 use crate::stream::{ResultSink, StudyEvent, StudyExecutor};
-use crate::wire::{SessionBrief, Shard, WireSink};
+use crate::wire::{SessionBrief, WireSink};
 use nvmx_nvsim::{CacheStats, IncumbentStore, SubarrayCache};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -403,7 +403,7 @@ impl ServiceInner {
 
         let before = self.cache.stats();
         let mut sink = SessionSink {
-            wire: WireSink::sharded(LogWriter::new(session), Shard::WHOLE),
+            wire: WireSink::new(LogWriter::new(session)),
             session,
         };
         let executor = StudyExecutor::with_threads(self.config.workers)

@@ -34,15 +34,16 @@
 //! header) written by `JsonlSink` parses with the same event decoder
 //! ([`OwnedStudyEvent::from_value`]).
 //!
-//! # Sharding and resume
+//! # Leases and resume
 //!
-//! [`WireSink`] stamps the header and can *shard*: a sink configured as
-//! shard `i/n` emits only the lines whose `seq % n == i`. N workers running
-//! the same study with shards `0/n .. n-1/n` therefore partition the stream
-//! exactly, and a coordinator merges them back with [`SlotMerger`], which
-//! buffers out-of-order arrivals and silently drops duplicate slots — so
-//! re-spawning a dead worker (which replays its whole residue class) is
-//! idempotent by construction.
+//! [`WireSink`] stamps the header on every event of the stream. Because
+//! `seq` is a global coordinate, N workers running the same study can
+//! each emit only the contiguous slot ranges a coordinator leases to them
+//! ([`LeaseFrame`], `crate::reshard`), and the coordinator merges the
+//! ranges back with [`SlotMerger`], which buffers out-of-order arrivals
+//! and silently drops duplicate slots — so re-leasing a dead worker's
+//! range to another worker, or a respawned worker re-sending slots that
+//! already arrived, is idempotent by construction.
 //!
 //! # Replay
 //!
@@ -79,10 +80,9 @@ use std::sync::Arc;
 /// The wire protocol version stamped on every written line.
 ///
 /// Version 4 (this release) adds the worker-supervision control frames
-/// ([`WorkerFrame`], [`LeaseFrame`]) that socket-connected `nvmx-worker`
-/// shards and the lease-granting coordinator speak, plus the optional
-/// per-class `l2_reject_*` store counters on the `study_finished` cache
-/// object. The event-frame format is otherwise unchanged from version 3
+/// ([`WorkerFrame`], [`LeaseFrame`]) that `nvmx-worker` processes and the
+/// lease-granting coordinator speak, plus the optional per-class
+/// `l2_reject_*` store counters on the `study_finished` cache object. The event-frame format is otherwise unchanged from version 3
 /// (which added the service request/response frames [`RequestFrame`] /
 /// [`ResponseFrame`]), version 2 (fault-campaign events), and version 1.
 /// Readers accept every version down to [`WIRE_MIN_VERSION`] — pre-fault,
@@ -1688,80 +1688,6 @@ impl LeaseFrame {
     }
 }
 
-// ----------------------------------------------------------------- shards
-
-/// A residue-class shard of the slot space: shard `i/n` owns every slot
-/// with `seq % n == i`. Round-robin (rather than contiguous ranges) means
-/// no worker needs to know the stream length in advance, and a merging
-/// coordinator always knows which shard its next slot must come from —
-/// `nvmx-coordinator` exploits that to read only the owning shard's
-/// (bounded) queue, so shards racing ahead park in their own stdout pipes
-/// instead of the coordinator's memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// Shard index, `< count`.
-    pub index: u64,
-    /// Total shard count, `>= 1`.
-    pub count: u64,
-}
-
-impl Default for Shard {
-    fn default() -> Self {
-        Self::WHOLE
-    }
-}
-
-impl Shard {
-    /// The unsharded stream: one shard owning every slot.
-    pub const WHOLE: Self = Self { index: 0, count: 1 };
-
-    /// Shard `index` of `count`.
-    ///
-    /// # Errors
-    ///
-    /// When `count` is zero or `index >= count`.
-    pub fn of(index: u64, count: u64) -> Result<Self, String> {
-        if count == 0 {
-            return Err("shard count must be >= 1".to_owned());
-        }
-        if index >= count {
-            return Err(format!("shard index {index} out of range for /{count}"));
-        }
-        Ok(Self { index, count })
-    }
-
-    /// Parses the CLI form `"I/N"` (e.g. `"0/2"`).
-    ///
-    /// # Errors
-    ///
-    /// A description of what was malformed.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let (index, count) = spec
-            .split_once('/')
-            .ok_or_else(|| format!("shard spec `{spec}` is not of the form I/N"))?;
-        let index: u64 = index
-            .trim()
-            .parse()
-            .map_err(|_| format!("shard index `{index}` is not an unsigned integer"))?;
-        let count: u64 = count
-            .trim()
-            .parse()
-            .map_err(|_| format!("shard count `{count}` is not an unsigned integer"))?;
-        Self::of(index, count)
-    }
-
-    /// Whether this shard owns slot `seq`.
-    pub fn owns(&self, seq: u64) -> bool {
-        seq % self.count == self.index
-    }
-}
-
-impl std::fmt::Display for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
 // ------------------------------------------------------------ record memo
 
 /// The longest record text a [`RecordMemo`] remembers (16 KiB — twenty
@@ -2089,55 +2015,41 @@ enum ServedLine {
 
 /// A [`ResultSink`] that serializes every event as a versioned wire line.
 ///
-/// The sink numbers *all* events (so `seq` is the global slot coordinate)
-/// but writes only the lines its [`Shard`] owns. Each line is encoded
-/// straight into one reused buffer (header, then the event's fields — no
-/// [`Value`] tree) and handed to the writer in a single `write_all`, then
-/// flushed: a downstream coordinator sees events as they happen, and a
-/// killed worker leaves a clean prefix of its residue class rather than a
-/// torn line. An [`EventEncoder`] formats each evaluation record once per
-/// stream. The study name is captured from the `study_started` event,
-/// which the engine guarantees comes first.
+/// The sink numbers every event in order (so `seq` is the global slot
+/// coordinate). Each line is encoded straight into one reused buffer
+/// (header, then the event's fields — no [`Value`] tree) and handed to the
+/// writer in a single `write_all`, then flushed: a downstream reader sees
+/// events as they happen, and a killed writer leaves a clean prefix of the
+/// stream rather than a torn line. An [`EventEncoder`] formats each
+/// evaluation record once per stream. The study name is captured from the
+/// `study_started` event, which the engine guarantees comes first.
 #[derive(Debug)]
 pub struct WireSink<W: Write> {
     out: W,
-    shard: Shard,
     /// `{"v":…,"study":…,"seq":` for the current study.
     header: String,
     line: String,
     encoder: EventEncoder,
+    /// Lines written so far, which is also the next line's `seq`.
     seq: u64,
-    written: u64,
 }
 
 impl<W: Write> WireSink<W> {
-    /// An unsharded sink: every event goes to `out`.
+    /// A sink writing every event to `out`.
     pub fn new(out: W) -> Self {
-        Self::sharded(out, Shard::WHOLE)
-    }
-
-    /// A sink emitting only the slots `shard` owns.
-    pub fn sharded(out: W, shard: Shard) -> Self {
         let mut header = String::new();
         write_header(&mut header, "");
         Self {
             out,
-            shard,
             header,
             line: String::new(),
             encoder: EventEncoder::new(),
             seq: 0,
-            written: 0,
         }
     }
 
-    /// Lines actually written (this shard's slots only).
+    /// Lines written so far.
     pub fn frames_written(&self) -> u64 {
-        self.written
-    }
-
-    /// Events observed (all slots, whether or not this shard wrote them).
-    pub fn events_seen(&self) -> u64 {
         self.seq
     }
 
@@ -2153,21 +2065,16 @@ impl<W: Write> ResultSink for WireSink<W> {
             self.header.clear();
             write_header(&mut self.header, name);
         }
-        let seq = self.seq;
-        self.seq += 1;
-        if !self.shard.owns(seq) {
-            return Ok(());
-        }
         let line = &mut self.line;
         line.clear();
         line.push_str(&self.header);
-        json::write_u64(line, seq);
+        json::write_u64(line, self.seq);
         line.push(',');
         self.encoder.write_fields(event, line);
         line.push_str("}\n");
         self.out.write_all(line.as_bytes())?;
         self.out.flush()?;
-        self.written += 1;
+        self.seq += 1;
         Ok(())
     }
 }
@@ -2179,8 +2086,8 @@ impl<W: Write> ResultSink for WireSink<W> {
 ///
 /// Generic over the payload so the coordinator can carry `(WireFrame,
 /// raw line)` pairs and tests can merge plain integers. Duplicates are
-/// *dropped, not rejected*: a re-spawned worker replays its entire residue
-/// class, and the merger absorbing already-delivered slots is exactly what
+/// *dropped, not rejected*: a re-leased range may overlap slots another
+/// worker already delivered, and the merger absorbing them is exactly what
 /// makes resume idempotent. (The strict single-stream readers — [`replay`]
 /// — do reject duplicates; a captured file has no business repeating
 /// itself.)
@@ -2608,20 +2515,6 @@ pub fn replay_into<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_parsing_and_ownership() {
-        let shard = Shard::parse("1/3").unwrap();
-        assert_eq!(shard, Shard::of(1, 3).unwrap());
-        assert!(!shard.owns(0));
-        assert!(shard.owns(1));
-        assert!(shard.owns(4));
-        assert_eq!(shard.to_string(), "1/3");
-        assert!(Shard::parse("3/3").is_err());
-        assert!(Shard::parse("0/0").is_err());
-        assert!(Shard::parse("nope").is_err());
-        assert!(Shard::WHOLE.owns(17));
-    }
 
     #[test]
     fn merger_reorders_and_dedups() {

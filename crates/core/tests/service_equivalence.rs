@@ -15,7 +15,7 @@ use nvmexplorer_core::config::CampaignConfig;
 use nvmexplorer_core::service::{CampaignService, ServiceConfig, SessionPhase};
 use nvmexplorer_core::stream::StudyExecutor;
 use nvmexplorer_core::sweep::StudyResult;
-use nvmexplorer_core::wire::{replay, Shard, WireSink};
+use nvmexplorer_core::wire::{replay, WireSink};
 use proptest::prelude::*;
 
 fn assert_identical(label: &str, a: &StudyResult, b: &StudyResult) {
@@ -35,7 +35,7 @@ fn strip_cache(line: &str) -> &str {
 /// Runs `config` cold and locally, capturing its full wire stream.
 fn local_capture(config: &str) -> Vec<String> {
     let campaign = CampaignConfig::from_json(config).expect("config parses");
-    let mut sink = WireSink::sharded(Vec::new(), Shard::WHOLE);
+    let mut sink = WireSink::new(Vec::new());
     let executor = StudyExecutor::with_threads(2);
     match &campaign {
         CampaignConfig::Study(study) => {

@@ -1,5 +1,5 @@
 //! The wire protocol's proof obligations: for any study config, the
-//! in-process run, a sharded run merged coordinator-style from N workers,
+//! in-process run, a leased run merged coordinator-style from N workers,
 //! and a strict replay of the captured JSONL all yield **byte-identical**
 //! [`StudyResult`]s — and the strict parser rejects every malformed stream
 //! it claims to reject.
@@ -13,7 +13,7 @@ use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
 use nvmexplorer_core::sweep::{run_study_with_threads, StudyResult};
 use nvmexplorer_core::wire::{
     replay, replay_into, EventReplayer, FrameDecoder, FrameError, OwnedStudyEvent, ResponseFrame,
-    Served, Shard, SlotMerger, StreamReplayer, WireError, WireFrame, WireSink, WIRE_VERSION,
+    Served, SlotMerger, StreamReplayer, WireError, WireFrame, WireSink, WIRE_VERSION,
 };
 use nvmx_celldb::TechnologyClass;
 use nvmx_nvsim::OptimizationTarget;
@@ -28,9 +28,9 @@ fn assert_identical(label: &str, a: &StudyResult, b: &StudyResult) {
     assert_eq!(a.skipped, b.skipped, "{label}: skipped differ");
 }
 
-/// Runs the study at `threads`, capturing the full wire stream for `shard`.
-fn capture_shard(study: &StudyConfig, shard: Shard, threads: usize) -> Vec<String> {
-    let mut sink = WireSink::sharded(Vec::new(), shard);
+/// Runs the study at `threads`, capturing its whole wire stream.
+fn capture_whole(study: &StudyConfig, threads: usize) -> Vec<String> {
+    let mut sink = WireSink::new(Vec::new());
     StudyExecutor::with_threads(threads)
         .run(study, &mut sink)
         .expect("study runs");
@@ -48,12 +48,35 @@ fn strip_cache(line: &str) -> String {
     line.split(",\"cache\":").next().unwrap().to_owned()
 }
 
-/// Merges shard captures the way the coordinator does — out-of-order
-/// offers buffered by [`SlotMerger`], duplicates dropped — returning the
-/// merged capture and the rebuilt result. `rotation` picks which shard the
-/// adversarial interleave drains first.
-fn merge_shards(shards: &[Vec<String>], rotation: usize) -> (Vec<String>, StudyResult) {
-    let mut queues: Vec<std::collections::VecDeque<WireFrame>> = shards
+/// Slots per lease in the merge tests: small enough that every worker
+/// holds several ranges of even the smallest generated study.
+const LEASE: usize = 3;
+
+/// Splits each worker's whole capture into the contiguous lease ranges a
+/// coordinator grants: `LEASE`-slot ranges of the global `seq` dealt
+/// round-robin over the workers. The first worker then re-sends the
+/// second range, as a worker does once that range is re-leased to it, so
+/// the merger must dedup it.
+fn lease_ranges(captures: &[Vec<String>]) -> Vec<Vec<String>> {
+    let workers = captures.len();
+    let slots = captures[0].len();
+    let mut emitted = vec![Vec::new(); workers];
+    for (range, start) in (0..slots).step_by(LEASE).enumerate() {
+        let owner = range % workers;
+        let end = (start + LEASE).min(slots);
+        emitted[owner].extend_from_slice(&captures[owner][start..end]);
+    }
+    let resent = LEASE..(2 * LEASE).min(slots);
+    emitted[0].extend_from_slice(&captures[0][resent]);
+    emitted
+}
+
+/// Merges the workers' leased emissions the way the coordinator does —
+/// out-of-order offers buffered by [`SlotMerger`], duplicates dropped —
+/// returning the merged capture and the rebuilt result. `rotation` picks
+/// which worker the adversarial interleave drains first.
+fn merge_shards(workers: &[Vec<String>], rotation: usize) -> (Vec<String>, StudyResult) {
+    let mut queues: Vec<std::collections::VecDeque<WireFrame>> = workers
         .iter()
         .map(|lines| {
             lines
@@ -69,10 +92,9 @@ fn merge_shards(shards: &[Vec<String>], rotation: usize) -> (Vec<String>, StudyR
         capture.push(frame.to_line());
         replayer.apply(&frame.event, &mut nvmexplorer_core::stream::NullSink)
     };
-    // Round-robin starting from an arbitrary shard: early slots from the
-    // other shards must buffer until the rotation comes around.
+    // Round-robin starting from an arbitrary worker: early slots from the
+    // other workers must buffer until the rotation comes around.
     let mut remaining = true;
-    let mut duplicates = Vec::new();
     let count = queues.len();
     while remaining {
         remaining = false;
@@ -80,17 +102,9 @@ fn merge_shards(shards: &[Vec<String>], rotation: usize) -> (Vec<String>, StudyR
             let queue = &mut queues[(i + rotation) % count];
             if let Some(frame) = queue.pop_front() {
                 remaining = remaining || !queue.is_empty();
-                // A "respawned worker" replays old slots: re-offer every
-                // fourth frame later and expect it to be deduplicated.
-                if frame.seq % 4 == 0 {
-                    duplicates.push(frame.clone());
-                }
                 merger.offer(frame.seq, frame, &mut deliver).unwrap();
             }
         }
-    }
-    for frame in duplicates {
-        merger.offer(frame.seq, frame, &mut deliver).unwrap();
     }
     assert_eq!(merger.pending(), 0, "merge left buffered slots");
     assert!(merger.duplicates() > 0, "dedup path never exercised");
@@ -145,7 +159,7 @@ fn capture_text(lines: &[String]) -> String {
 
 #[test]
 fn every_wire_line_reencodes_byte_identically() {
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 2);
+    let lines = capture_whole(&small_study(), 2);
     assert!(lines.len() >= 4);
     for line in &lines {
         let frame = WireFrame::parse(line).expect("line parses");
@@ -155,7 +169,7 @@ fn every_wire_line_reencodes_byte_identically() {
 
 #[test]
 fn sram_infinite_endurance_survives_the_wire() {
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 1);
+    let lines = capture_whole(&small_study(), 1);
     let text = capture_text(&lines);
     assert!(
         text.contains("\"endurance_cycles\":1e999"),
@@ -178,7 +192,7 @@ fn replayed_sink_traffic_matches_the_original_run() {
     StudyExecutor::with_threads(1)
         .run(&study, &mut original)
         .unwrap();
-    let lines = capture_shard(&study, Shard::WHOLE, 1);
+    let lines = capture_whole(&study, 1);
     let mut replayed = Tape::default();
     let summary = replay_into(std::io::Cursor::new(capture_text(&lines)), &mut replayed).unwrap();
     assert_eq!(summary.study, study.name);
@@ -194,7 +208,7 @@ fn replayed_sink_traffic_matches_the_original_run() {
 
 #[test]
 fn strict_replay_rejects_malformed_streams() {
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 2);
+    let lines = capture_whole(&small_study(), 2);
     let parse = |text: String| replay(std::io::Cursor::new(text));
 
     // Corrupt line.
@@ -283,7 +297,7 @@ fn strict_replay_rejects_malformed_streams() {
 /// file an older release of this very tool produced.
 #[test]
 fn pre_prune_counter_captures_still_replay() {
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 2);
+    let lines = capture_whole(&small_study(), 2);
     let legacy: Vec<String> = lines
         .iter()
         .map(|line| {
@@ -317,7 +331,7 @@ fn pre_prune_counter_captures_still_replay() {
 /// protocol version with the payload bytes untouched.
 #[test]
 fn version1_captures_still_replay_and_reencode_as_current() {
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 2);
+    let lines = capture_whole(&small_study(), 2);
     let legacy: Vec<String> = lines
         .iter()
         .map(|line| line.replacen(&format!("{{\"v\":{WIRE_VERSION},"), "{\"v\":1,", 1))
@@ -342,7 +356,7 @@ fn version1_captures_still_replay_and_reencode_as_current() {
 /// where it reports the terminal frame.
 #[test]
 fn stream_replayer_matches_batch_replay_line_by_line() {
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 2);
+    let lines = capture_whole(&small_study(), 2);
     let mut incremental = StreamReplayer::new();
     for (i, line) in lines.iter().enumerate() {
         let terminal = incremental
@@ -378,7 +392,7 @@ fn replay_shares_each_array_and_traffic_record() {
             TrafficPattern::new("w", 5.0e7, 5.0e7, 8),
         ],
     };
-    let lines = capture_shard(&study, Shard::WHOLE, 2);
+    let lines = capture_whole(&study, 2);
     let array_frames = lines
         .iter()
         .filter(|line| line.contains(r#""event":"array_characterized""#))
@@ -417,7 +431,7 @@ fn replay_shares_each_array_and_traffic_record() {
 /// frame — and response lines leave the replay's line count alone.
 #[test]
 fn served_lines_with_a_response_key_are_responses() {
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 1);
+    let lines = capture_whole(&small_study(), 1);
     let array = lines
         .iter()
         .find(|line| line.contains(r#""event":"array_characterized""#))
@@ -475,7 +489,7 @@ fn served_lines_with_a_response_key_are_responses() {
 fn hostile_records_decode_exactly_and_the_memo_stays_bounded() {
     const RECORD_BOUND: usize = 16 * 1024;
     const MEMO_BOUND: usize = 64 * 1024 * 1024;
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 1);
+    let lines = capture_whole(&small_study(), 1);
     let evaluation = lines
         .iter()
         .find(|line| line.contains(r#""event":"evaluation_produced""#))
@@ -528,7 +542,7 @@ fn hostile_records_decode_exactly_and_the_memo_stays_bounded() {
 /// request/response frames only, never touching the event encoding.
 #[test]
 fn version2_captures_still_replay_and_reencode_as_current() {
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 2);
+    let lines = capture_whole(&small_study(), 2);
     let legacy: Vec<String> = lines
         .iter()
         .map(|line| line.replacen(&format!("{{\"v\":{WIRE_VERSION},"), "{\"v\":2,", 1))
@@ -566,14 +580,10 @@ fn small_fault_campaign() -> FaultStudyConfig {
     }
 }
 
-/// Runs the fault campaign at `threads`, capturing the wire stream for
-/// `shard` alongside the in-process result.
-fn capture_fault_shard(
-    campaign: &FaultStudyConfig,
-    shard: Shard,
-    threads: usize,
-) -> (Vec<String>, FaultStudyResult) {
-    let mut sink = WireSink::sharded(Vec::new(), shard);
+/// Runs the fault campaign at `threads`, capturing its whole wire stream
+/// alongside the in-process result.
+fn capture_fault(campaign: &FaultStudyConfig, threads: usize) -> (Vec<String>, FaultStudyResult) {
+    let mut sink = WireSink::new(Vec::new());
     let result = StudyExecutor::with_threads(threads)
         .run_fault(campaign, &mut sink)
         .expect("fault campaign runs");
@@ -586,13 +596,12 @@ fn capture_fault_shard(
 }
 
 /// The fault-campaign acceptance bar: the wire carries the injection
-/// seeds, the sharded merge reproduces the unsharded capture byte for
-/// byte, and strict replay rebuilds both the base study result and the
+/// seeds, the leased merge reproduces the whole capture byte for byte, and strict replay rebuilds both the base study result and the
 /// full [`FaultOutcome`].
 #[test]
 fn fault_campaign_survives_sharding_merge_and_replay() {
     let campaign = small_fault_campaign();
-    let (whole, direct) = capture_fault_shard(&campaign, Shard::WHOLE, 2);
+    let (whole, direct) = capture_fault(&campaign, 2);
 
     let has = |tag: &str| whole.iter().any(|l| l.contains(tag));
     assert!(has("\"event\":\"fault_trial_produced\""));
@@ -611,19 +620,15 @@ fn fault_campaign_survives_sharding_merge_and_replay() {
     let fault = replayed.fault.expect("fault outcome reconstructed");
     assert_eq!(fault, direct.fault);
 
-    // Sharded captures at mixed thread counts merge back to the same
-    // bytes, and the merged capture replays to the same outcome.
-    for count in [2u64, 3] {
-        let shards: Vec<Vec<String>> = (0..count)
-            .map(|i| capture_fault_shard(&campaign, Shard::of(i, count).unwrap(), 1 + i as usize).0)
+    // Leased ranges of captures at mixed thread counts merge back to the
+    // same bytes, and the merged capture replays to the same outcome.
+    for count in [2usize, 3] {
+        let captures: Vec<Vec<String>> = (0..count)
+            .map(|i| capture_fault(&campaign, 1 + i).0)
             .collect();
-        let (capture, merged) = merge_shards(&shards, 1);
+        let (capture, merged) = merge_shards(&lease_ranges(&captures), 1);
         assert_identical("merged(fault)", &merged, &direct.study);
-        assert_eq!(
-            capture.len(),
-            whole.len(),
-            "shards must partition the stream"
-        );
+        assert_eq!(capture.len(), whole.len(), "leases must cover the stream");
         for (m, w) in capture.iter().zip(&whole) {
             assert_eq!(strip_cache(m), strip_cache(w));
         }
@@ -634,7 +639,7 @@ fn fault_campaign_survives_sharding_merge_and_replay() {
 
 #[test]
 fn winner_lines_referencing_unknown_evaluations_are_rejected() {
-    let lines = capture_shard(&small_study(), Shard::WHOLE, 2);
+    let lines = capture_whole(&small_study(), 2);
     let tampered: Vec<String> = lines
         .iter()
         .map(|line| {
@@ -648,25 +653,6 @@ fn winner_lines_referencing_unknown_evaluations_are_rejected() {
     match replay(std::io::Cursor::new(capture_text(&tampered))) {
         Err(WireError::UnknownWinner { cell, .. }) => assert!(cell.starts_with("ghost-")),
         other => panic!("expected UnknownWinner, got {other:?}"),
-    }
-}
-
-#[test]
-fn shard_partition_is_exact_and_disjoint() {
-    let study = small_study();
-    let whole = capture_shard(&study, Shard::WHOLE, 2);
-    for count in [2u64, 3] {
-        let shards: Vec<Vec<String>> = (0..count)
-            .map(|i| capture_shard(&study, Shard::of(i, count).unwrap(), 2))
-            .collect();
-        let total: usize = shards.iter().map(Vec::len).sum();
-        assert_eq!(total, whole.len(), "shards must partition the stream");
-        for (i, lines) in shards.iter().enumerate() {
-            for line in lines {
-                let frame = WireFrame::parse(line).unwrap();
-                assert_eq!(frame.seq % count, i as u64, "slot in wrong shard");
-            }
-        }
     }
 }
 
@@ -736,30 +722,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The acceptance bar: in-process run ≡ coordinator-style
-    /// sharded merge ≡ replay of the capture, byte-identical, at 1 and N
+    /// leased merge ≡ replay of the capture, byte-identical, at 1 and N
     /// workers — for any study config.
     #[test]
     fn in_process_sharded_and_replayed_results_are_byte_identical(study in arb_study()) {
         let batch = run_study_with_threads(&study, 4).unwrap();
 
-        // 1 worker: a single unsharded capture.
-        let whole = capture_shard(&study, Shard::WHOLE, 1);
+        // 1 worker: a single whole capture.
+        let whole = capture_whole(&study, 1);
         let replayed = replay(std::io::Cursor::new(capture_text(&whole))).unwrap();
         assert_identical("replay(1 worker)", &replayed.result, &batch);
         prop_assert_eq!(replayed.frames as usize, whole.len());
 
-        // N workers at mixed thread counts, merged out of order with
-        // injected duplicates, then replayed from the merged capture.
-        for count in [2u64, 3] {
-            let shards: Vec<Vec<String>> = (0..count)
-                .map(|i| {
-                    capture_shard(&study, Shard::of(i, count).unwrap(), 1 + i as usize)
-                })
-                .collect();
-            let (capture, merged) = merge_shards(&shards, 1);
+        // N workers at mixed thread counts, their lease ranges merged out
+        // of order with a re-sent range, then replayed from the merged
+        // capture.
+        for count in [2usize, 3] {
+            let captures: Vec<Vec<String>> =
+                (0..count).map(|i| capture_whole(&study, 1 + i)).collect();
+            let (capture, merged) = merge_shards(&lease_ranges(&captures), 1);
             assert_identical("merged", &merged, &batch);
 
-            // The merged capture is the unsharded capture, byte for byte
+            // The merged capture is the whole capture, byte for byte
             // (modulo the observational cache counters on the final line).
             prop_assert_eq!(capture.len(), whole.len());
             for (m, w) in capture.iter().zip(&whole) {
