@@ -382,11 +382,14 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 // --------------------------------------------------- leased transport run
 
 /// Messages from connection readers and child waiters to the leased merge
-/// loop.
+/// loop. `link` names the connection a reader pumps (see
+/// [`LeasedState::links`]), so the echo of a killed incarnation's
+/// connection is told apart from the current one.
 enum NetEv {
     /// A worker said `hello`; its write half rides along so the merge
     /// loop can send it lease frames.
     Connected {
+        link: u64,
         name: String,
         study: String,
         writer: Box<dyn Write + Send>,
@@ -402,11 +405,12 @@ enum NetEv {
     /// a live worker, or the torn tail a SIGKILL leaves mid-write. Both
     /// take the death-and-re-lease path.
     Bad {
+        link: u64,
         name: Option<String>,
         detail: String,
     },
     /// A connection ended. `None` when it died before saying `hello`.
-    Gone { name: Option<String> },
+    Gone { link: u64, name: Option<String> },
     /// A spawned child exited — attributes deaths even when the worker
     /// never connected. `generation` guards against a stale waiter
     /// reporting the previous incarnation of a respawned name.
@@ -415,11 +419,13 @@ enum NetEv {
 
 /// Reads one worker connection, splitting the stream into control frames
 /// and event frames. `preset` names the worker ahead of its `hello`
-/// (known a priori for pipe children).
+/// (known a priori for pipe children); `link` tags the connection-level
+/// events.
 fn pump_worker_lines<R: BufRead>(
     mut reader: R,
     writer: Box<dyn Write + Send>,
     preset: Option<String>,
+    link: u64,
     tx: &mpsc::SyncSender<NetEv>,
 ) {
     let mut writer = Some(writer);
@@ -435,6 +441,7 @@ fn pump_worker_lines<R: BufRead>(
                 // a plain read error is the connection ending.
                 if e.kind() == std::io::ErrorKind::InvalidData {
                     let _ = tx.send(NetEv::Bad {
+                        link,
                         name: name.clone(),
                         detail: e.to_string(),
                     });
@@ -457,6 +464,7 @@ fn pump_worker_lines<R: BufRead>(
                 if let Some(writer) = writer.take() {
                     if tx
                         .send(NetEv::Connected {
+                            link,
                             name: hello_name,
                             study,
                             writer,
@@ -485,6 +493,7 @@ fn pump_worker_lines<R: BufRead>(
             }
             Err(e) => {
                 let _ = tx.send(NetEv::Bad {
+                    link,
                     name: name.clone(),
                     detail: e.to_string(),
                 });
@@ -492,7 +501,7 @@ fn pump_worker_lines<R: BufRead>(
             }
         }
     }
-    let _ = tx.send(NetEv::Gone { name });
+    let _ = tx.send(NetEv::Gone { link, name });
 }
 
 /// One leased worker process plus the spawn generation its death-waiter
@@ -506,12 +515,30 @@ struct LeasedChild {
 /// and the failure counters for the run summary.
 struct LeasedState {
     writers: HashMap<String, Box<dyn Write + Send>>,
+    /// The connection each worker name currently speaks over: a pipe
+    /// child's spawn generation, fixed at spawn, or a socket's accept
+    /// number, taken at `hello`. A killed or dead incarnation's reader
+    /// reports on a link no longer listed here; its `Gone` and `Bad` are
+    /// ignored so they cannot retire the respawned incarnation.
+    links: HashMap<String, u64>,
     children: HashMap<String, LeasedChild>,
     respawns: u32,
     abandoned: u32,
 }
 
 impl LeasedState {
+    /// Whether `link` is the connection `name` currently speaks over.
+    fn is_current(&self, name: &str, link: u64) -> bool {
+        self.links.get(name) == Some(&link)
+    }
+
+    /// Forgets `name`'s connection: no more lease frames go to it, and
+    /// its reader's closing events are stale from here on.
+    fn disconnect(&mut self, name: &str) {
+        self.writers.remove(name);
+        self.links.remove(name);
+    }
+
     /// Best-effort lease-frame send; a broken writer surfaces as `Gone`
     /// from the connection reader, which drives recovery.
     fn send(&mut self, worker: &str, frame: &LeaseFrame) {
@@ -584,6 +611,7 @@ fn spawn_leased_worker(
                 BufReader::new(stdout),
                 Box::new(stdin),
                 Some(preset),
+                generation,
                 &pump_tx,
             );
         });
@@ -645,7 +673,7 @@ fn apply_actions(
                 if let Some(child) = state.children.get(&worker) {
                     lock(&child.handle).kill().ok();
                 }
-                state.writers.remove(&worker);
+                state.disconnect(&worker);
             }
             Action::Respawn { worker } => {
                 state.respawns += 1;
@@ -655,9 +683,13 @@ fn apply_actions(
                 if let Some(old) = state.children.get(&worker) {
                     lock(&old.handle).kill().ok();
                 }
+                state.disconnect(&worker);
                 let generation = state.children.get(&worker).map_or(0, |c| c.generation + 1);
                 let handle =
                     spawn_leased_worker(path, &worker, spec, options, None, generation, tx)?;
+                if spec == "pipe" {
+                    state.links.insert(worker.clone(), generation);
+                }
                 state
                     .children
                     .insert(worker, LeasedChild { generation, handle });
@@ -668,7 +700,7 @@ fn apply_actions(
                     "  [{study_name}] worker {worker} exhausted its respawn budget; abandoned \
                      (its leases flow to the surviving workers)"
                 );
-                state.writers.remove(&worker);
+                state.disconnect(&worker);
             }
         }
     }
@@ -730,26 +762,38 @@ fn run_leased_study(
                 .map_err(|e| format!("cannot poll `{endpoint}`: {e}"))?;
             let stop = Arc::clone(&stop_accepting);
             let accept_tx = tx.clone();
-            std::thread::spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    return; // drops the listener (and any unix socket path)
-                }
-                match listener.accept() {
-                    Ok(stream) => {
-                        let _ = stream.set_nonblocking(false);
-                        let writer: Box<dyn Write + Send> = match stream.try_clone() {
-                            Ok(clone) => Box::new(clone),
-                            Err(_) => continue,
-                        };
-                        let conn_tx = accept_tx.clone();
-                        std::thread::spawn(move || {
-                            pump_worker_lines(BufReader::new(stream), writer, None, &conn_tx);
-                        });
+            std::thread::spawn(move || {
+                // Numbers each accepted connection: its `link`.
+                let mut accepted = 0u64;
+                loop {
+                    if stop.load(Ordering::Relaxed) {
+                        return; // drops the listener (and any unix socket path)
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
+                    match listener.accept() {
+                        Ok(stream) => {
+                            let _ = stream.set_nonblocking(false);
+                            let writer: Box<dyn Write + Send> = match stream.try_clone() {
+                                Ok(clone) => Box::new(clone),
+                                Err(_) => continue,
+                            };
+                            let conn_tx = accept_tx.clone();
+                            let link = accepted;
+                            accepted += 1;
+                            std::thread::spawn(move || {
+                                pump_worker_lines(
+                                    BufReader::new(stream),
+                                    writer,
+                                    None,
+                                    link,
+                                    &conn_tx,
+                                );
+                            });
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                            std::thread::sleep(Duration::from_millis(25));
+                        }
+                        Err(_) => std::thread::sleep(Duration::from_millis(25)),
                     }
-                    Err(_) => std::thread::sleep(Duration::from_millis(25)),
                 }
             });
             spec
@@ -771,6 +815,7 @@ fn run_leased_study(
     });
     let mut state = LeasedState {
         writers: HashMap::new(),
+        links: HashMap::new(),
         children: HashMap::new(),
         respawns: 0,
         abandoned: 0,
@@ -782,6 +827,9 @@ fn run_leased_study(
             u64::try_from(epoch.elapsed().as_millis()).unwrap_or(0),
         );
         let handle = spawn_leased_worker(path, &name, &spec, options, Some(index), 0, &tx)?;
+        if kind == TransportKind::Pipe {
+            state.links.insert(name.clone(), 0);
+        }
         state.children.insert(
             name,
             LeasedChild {
@@ -802,6 +850,7 @@ fn run_leased_study(
             let now = u64::try_from(epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
             match rx.recv_timeout(Duration::from_millis(100)) {
                 Ok(NetEv::Connected {
+                    link,
                     name,
                     study: hello_study,
                     writer,
@@ -812,8 +861,16 @@ fn run_leased_study(
                             study.name
                         ));
                     }
-                    state.writers.insert(name.clone(), writer);
-                    resharder.worker_connected(&name, now);
+                    // A pipe child's link is fixed at spawn, so a late
+                    // `hello` from a killed incarnation is dropped; a
+                    // socket's link is whichever connection says `hello`.
+                    if kind != TransportKind::Pipe {
+                        state.links.insert(name.clone(), link);
+                    }
+                    if state.is_current(&name, link) {
+                        state.writers.insert(name.clone(), writer);
+                        resharder.worker_connected(&name, now);
+                    }
                 }
                 Ok(NetEv::Control { name, frame }) => match frame {
                     WorkerFrame::Heartbeat { .. } => resharder.note_heard(&name, now),
@@ -854,7 +911,8 @@ fn run_leased_study(
                         .map_err(|e| format!("sink failed at slot {seq}: {e}"))?;
                     resharder.delivered(merger.next_expected());
                 }
-                Ok(NetEv::Bad { name, detail }) => match name {
+                Ok(NetEv::Bad { link, name, detail }) => match name {
+                    Some(name) if !state.is_current(&name, link) => {}
                     Some(name) => {
                         eprintln!(
                             "  [{}] worker {name} broke protocol ({detail}); dropping it",
@@ -863,7 +921,7 @@ fn run_leased_study(
                         if let Some(child) = state.children.get(&name) {
                             lock(&child.handle).kill().ok();
                         }
-                        state.writers.remove(&name);
+                        state.disconnect(&name);
                         let actions = resharder.worker_dead(&name, now);
                         apply_actions(actions, &mut state, &study.name, path, &spec, options, &tx)?;
                     }
@@ -872,9 +930,9 @@ fn run_leased_study(
                         study.name
                     ),
                 },
-                Ok(NetEv::Gone { name }) => {
-                    if let Some(name) = name {
-                        state.writers.remove(&name);
+                Ok(NetEv::Gone { link, name }) => {
+                    if let Some(name) = name.filter(|name| state.is_current(name, link)) {
+                        state.disconnect(&name);
                         let actions = resharder.worker_dead(&name, now);
                         if !actions.is_empty() {
                             eprintln!("  [{}] worker {name} died", study.name);

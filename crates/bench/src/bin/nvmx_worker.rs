@@ -32,7 +32,8 @@
 //!
 //! Flags:
 //! - `--config <path>`   study config JSON (required)
-//! - `--connect SPEC`    lease channel: `pipe`, `unix:PATH`, or `tcp:HOST:PORT` (required)
+//! - `--connect SPEC`    lease channel (required): `pipe`, `unix:PATH`, or
+//!   `tcp:HOST:PORT`
 //! - `--threads T`       characterization/evaluation workers (default: CPUs, capped at 16)
 //! - `--name NAME`       worker name for the lease protocol (default `worker-<pid>`)
 //! - `--throttle MS`     slow-worker hook: sleep MS per emitted frame —
@@ -283,13 +284,17 @@ type Store<'a> = Option<(&'a Path, &'a SubarrayCache)>;
 fn leave(code: i32, store: Store<'_>) -> ! {
     if let Some((dir, cache)) = store {
         let stats = cache.stats();
-        eprintln!(
-            "store {}: l2_hits={} l2_misses={} l2_rejects={}",
+        // One write for the whole line: workers share the coordinator's
+        // stderr, and `eprintln!` writes each piece separately, so two
+        // workers leaving at once would interleave mid-line.
+        let line = format!(
+            "store {}: l2_hits={} l2_misses={} l2_rejects={}\n",
             dir.display(),
             stats.l2_hits,
             stats.l2_misses,
             stats.l2_rejects,
         );
+        let _ = std::io::stderr().write_all(line.as_bytes());
     }
     std::process::exit(code)
 }

@@ -238,6 +238,47 @@ fn killed_worker_resumes_to_identical_results() {
     );
 }
 
+/// A hung worker is killed at its heartbeat deadline and respawned once,
+/// at the default respawn backoff of 0. The killed incarnation's reader
+/// reports its pipe closing only after the respawn is already running;
+/// that late report must not retire the new incarnation, which would
+/// burn the respawn budget and abandon the worker. At 2 workers the
+/// other worker is throttled so the run outlasts the 3 s deadline
+/// instead of stealing the hung worker's tail and finishing first.
+#[test]
+fn hung_worker_respawns_once_at_the_default_backoff() {
+    let dir = TempDir::new("hung");
+    let config = write_config(dir.path(), CONFIG);
+    let (summary, csv) = in_process_baseline(dir.path(), &config);
+
+    for (workers, extra) in [(1u64, vec![]), (2, vec!["--inject-throttle", "1:600"])] {
+        let label = format!("hung{workers}");
+        let mut args = vec!["--lease-size", "2", "--inject-stall", "0:3"];
+        args.extend(extra);
+        let (output, capture) = coordinate(dir.path(), &config, workers, &args, &label);
+        assert_eq!(stdout_line(&output), summary, "{workers} workers");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            stderr.matches("missed its heartbeat deadline").count(),
+            1,
+            "{workers} workers: one stall, one kill:\n{stderr}"
+        );
+        assert_eq!(
+            stderr.matches("respawning").count(),
+            1,
+            "{workers} workers: one kill, one respawn:\n{stderr}"
+        );
+        assert!(
+            !stderr.contains("abandoned"),
+            "{workers} workers: a hung worker must not be abandoned:\n{stderr}"
+        );
+
+        let (replay_summary, replay_bytes) = replay_csv(dir.path(), &config, &capture, &label);
+        assert_eq!(replay_summary, summary);
+        assert_eq!(replay_bytes, csv, "{workers} workers: replay diverged");
+    }
+}
+
 /// The crash artifact a *real* SIGKILL/OOM-kill leaves is a torn partial
 /// line in the pipe (the worker died mid-write). The coordinator must
 /// take that as worker death — re-lease, respawn and converge — not as a

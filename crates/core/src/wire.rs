@@ -82,8 +82,9 @@ use std::sync::Arc;
 /// Version 4 (this release) adds the worker-supervision control frames
 /// ([`WorkerFrame`], [`LeaseFrame`]) that `nvmx-worker` processes and the
 /// lease-granting coordinator speak, plus the optional per-class
-/// `l2_reject_*` store counters on the `study_finished` cache object. The event-frame format is otherwise unchanged from version 3
-/// (which added the service request/response frames [`RequestFrame`] /
+/// `l2_reject_*` store counters on the `study_finished` cache object.
+/// The event-frame format is otherwise unchanged from version 3 (which
+/// added the service request/response frames [`RequestFrame`] /
 /// [`ResponseFrame`]), version 2 (fault-campaign events), and version 1.
 /// Readers accept every version down to [`WIRE_MIN_VERSION`] — pre-fault,
 /// pre-service, and pre-lease captures replay unchanged; every other

@@ -596,8 +596,9 @@ fn capture_fault(campaign: &FaultStudyConfig, threads: usize) -> (Vec<String>, F
 }
 
 /// The fault-campaign acceptance bar: the wire carries the injection
-/// seeds, the leased merge reproduces the whole capture byte for byte, and strict replay rebuilds both the base study result and the
-/// full [`FaultOutcome`].
+/// seeds, the leased merge reproduces the whole capture byte for byte,
+/// and strict replay rebuilds both the base study result and the full
+/// [`FaultOutcome`].
 #[test]
 fn fault_campaign_survives_sharding_merge_and_replay() {
     let campaign = small_fault_campaign();
