@@ -52,7 +52,7 @@ use nvmexplorer_core::fsutil::AtomicFileWriter;
 use nvmexplorer_core::reshard::{Action, ReshardConfig, Resharder};
 use nvmexplorer_core::scheduler::run_on_lanes;
 use nvmexplorer_core::sweep::StudyResult;
-use nvmexplorer_core::transport::{read_frame_line, Endpoint, Listener, TransportKind};
+use nvmexplorer_core::transport::{read_frame_line, Connection, Endpoint, Listener, TransportKind};
 use nvmexplorer_core::wire::{
     EventReplayer, FrameDecoder, LeaseFrame, OwnedStudyEvent, SlotMerger, WireFrame, WorkerFrame,
     WorkerLine,
@@ -772,21 +772,15 @@ fn run_leased_study(
                     match listener.accept() {
                         Ok(stream) => {
                             let _ = stream.set_nonblocking(false);
-                            let writer: Box<dyn Write + Send> = match stream.try_clone() {
-                                Ok(clone) => Box::new(clone),
-                                Err(_) => continue,
+                            let Ok(conn) = Connection::from_stream(stream) else {
+                                continue;
                             };
+                            let (reader, writer) = conn.into_split();
                             let conn_tx = accept_tx.clone();
                             let link = accepted;
                             accepted += 1;
                             std::thread::spawn(move || {
-                                pump_worker_lines(
-                                    BufReader::new(stream),
-                                    writer,
-                                    None,
-                                    link,
-                                    &conn_tx,
-                                );
+                                pump_worker_lines(reader, writer, None, link, &conn_tx);
                             });
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

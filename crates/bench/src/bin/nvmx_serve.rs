@@ -50,9 +50,9 @@
 //! Exit codes: `0` clean drain, `1` runtime failure, `2` usage error.
 
 use nvmexplorer_core::service::{CampaignService, ServiceConfig};
-use nvmexplorer_core::transport::{read_frame_line, Endpoint, Listener, Stream};
+use nvmexplorer_core::transport::{read_frame_line, Connection, Endpoint, Listener, Stream};
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -108,7 +108,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// The buffered write half of a client connection.
-type ClientWriter = BufWriter<Stream>;
+type ClientWriter = BufWriter<Box<dyn Write + Send>>;
 
 /// Writes one response line and flushes; an `Err` means the client is
 /// gone.
@@ -176,11 +176,11 @@ fn stream_session(
 /// Serves one connection until the client closes it, a write fails, or a
 /// shutdown request arrives.
 fn handle(service: &CampaignService, stream: Stream, drain: &AtomicBool, listen: &Endpoint) {
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => BufWriter::with_capacity(64 * 1024, writer),
-        Err(_) => return,
+    let Ok(conn) = Connection::from_stream(stream) else {
+        return;
     };
-    let mut reader = BufReader::new(stream);
+    let (mut reader, writer) = conn.into_split();
+    let mut writer = BufWriter::with_capacity(64 * 1024, writer);
     let mut line = String::new();
     loop {
         match read_frame_line(&mut reader, &mut line) {
@@ -304,7 +304,7 @@ fn main() {
     std::io::stdout().flush().ok();
 
     let draining = Arc::new(AtomicBool::new(false));
-    let mut handlers = Vec::new();
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !draining.load(Ordering::Acquire) {
         let stream = match listener.accept() {
             Ok(stream) => stream,
@@ -315,6 +315,15 @@ fn main() {
         };
         if draining.load(Ordering::Acquire) {
             break;
+        }
+        // A finished handler's thread keeps its stack mapped until it is
+        // joined; join those before adding another.
+        for handler in std::mem::take(&mut handlers) {
+            if handler.is_finished() {
+                let _ = handler.join();
+            } else {
+                handlers.push(handler);
+            }
         }
         let service = Arc::clone(&service);
         let draining = Arc::clone(&draining);

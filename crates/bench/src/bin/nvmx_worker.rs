@@ -56,9 +56,9 @@
 //! (config parse failures print the offending section).
 
 use nvmexplorer_core::config::CampaignConfig;
-use nvmexplorer_core::stream::StudyExecutor;
+use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
 use nvmexplorer_core::transport::{read_frame_line, Connection, Endpoint};
-use nvmexplorer_core::wire::{LeaseFrame, WireSink, WorkerFrame};
+use nvmexplorer_core::wire::{LeaseFrame, LineEncoder, WorkerFrame};
 use nvmx_nvsim::SubarrayCache;
 use std::collections::{HashSet, VecDeque};
 use std::io::{BufWriter, Write};
@@ -232,41 +232,18 @@ impl Link {
     }
 }
 
-/// A `Write` that turns the byte stream of a [`WireSink`] back into whole
-/// lines and appends them to the shared buffer — the compute thread's
-/// sink. Lines are found with a slice search and each is copied once,
-/// into its shared allocation.
-struct LineBuffer {
+/// The compute thread's sink: appends each event's wire line to the
+/// shared buffer, waking the emitter.
+struct BufferSink {
+    lines: LineEncoder,
     shared: Arc<NetShared>,
-    partial: Vec<u8>,
 }
 
-impl LineBuffer {
-    fn publish(&self, line: &[u8]) {
-        let line: Arc<str> = Arc::from(std::str::from_utf8(line).expect("wire lines are UTF-8"));
+impl ResultSink for BufferSink {
+    fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
+        let line = Arc::from(self.lines.encode(event));
         self.shared.buffered.lock().unwrap().lines.push(line);
         self.shared.buffer_wake.notify_all();
-    }
-}
-
-impl Write for LineBuffer {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut rest = buf;
-        while let Some(at) = rest.iter().position(|&b| b == b'\n') {
-            if self.partial.is_empty() {
-                self.publish(&rest[..at]);
-            } else {
-                let mut line = std::mem::take(&mut self.partial);
-                line.extend_from_slice(&rest[..at]);
-                self.publish(&line);
-            }
-            rest = &rest[at + 1..];
-        }
-        self.partial.extend_from_slice(rest);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
 }
@@ -385,15 +362,15 @@ fn run_leased(
         let compute_shared = Arc::clone(&shared);
         let compute_link = Arc::clone(&link);
         scope.spawn(move || {
-            let mut sink = WireSink::new(LineBuffer {
+            let mut sink = BufferSink {
+                lines: LineEncoder::new(),
                 shared: Arc::clone(&compute_shared),
-                partial: Vec::new(),
-            });
+            };
             let run = match campaign {
                 CampaignConfig::Study(study) => executor.run(study, &mut sink).map(|_| ()),
                 CampaignConfig::Fault(fault) => executor.run_fault(fault, &mut sink).map(|_| ()),
             };
-            let seen = sink.frames_written();
+            let seen = sink.lines.frames_written();
             let mut buffered = compute_shared.buffered.lock().unwrap();
             match run {
                 Ok(()) => buffered.done = true,

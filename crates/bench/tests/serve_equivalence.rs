@@ -10,7 +10,7 @@
 //! test, and CI's `serve-smoke` job repeats the diff on the shipped
 //! release binaries with a shared store.
 
-use nvmexplorer_core::wire::RequestFrame;
+use nvmexplorer_core::wire::{RequestFrame, ResponseFrame};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -118,6 +118,11 @@ impl Daemon {
     /// Spawns the daemon on an ephemeral TCP port and waits for its
     /// `nvmx-serve listening <spec>` line.
     fn spawn(store: Option<&Path>) -> Self {
+        Self::start(&mut Self::command(store))
+    }
+
+    /// The daemon's command line, for a test that adds to it.
+    fn command(store: Option<&Path>) -> Command {
         let mut command = Command::new(SERVE);
         command
             .args(["--listen", "tcp:127.0.0.1:0", "--lanes", "2"])
@@ -126,6 +131,11 @@ impl Daemon {
         if let Some(dir) = store {
             command.arg("--store").arg(dir);
         }
+        command
+    }
+
+    /// Starts `command` and waits for its listening line.
+    fn start(command: &mut Command) -> Self {
         let mut child = command.spawn().unwrap();
         let stdout = child.stdout.as_mut().unwrap();
         let mut line = String::new();
@@ -142,6 +152,33 @@ impl Daemon {
     fn connect_raw(&self) -> TcpStream {
         let addr = self.spec.strip_prefix("tcp:").unwrap();
         TcpStream::connect(addr).unwrap()
+    }
+
+    /// Sends each line on one raw connection and returns one decoded
+    /// response per line.
+    fn ask(&self, lines: &[String]) -> Vec<ResponseFrame> {
+        let mut stream = self.connect_raw();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        lines
+            .iter()
+            .map(|line| {
+                stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+                let mut response = String::new();
+                reader.read_line(&mut response).unwrap();
+                ResponseFrame::parse(response.trim_end()).unwrap()
+            })
+            .collect()
+    }
+
+    /// The daemon's virtual memory size in kB, from `/proc`.
+    fn vm_size_kb(&self) -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id())).unwrap();
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix("VmSize:"))
+            .and_then(|kb| kb.trim().strip_suffix("kB"))
+            .and_then(|kb| kb.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no VmSize in:\n{status}"))
     }
 
     /// Sends `shutdown` via `nvmx-client` and asserts the daemon drains
@@ -363,5 +400,67 @@ fn remote_usage_and_rejection_exit_codes() {
         "rejection must name the section"
     );
 
+    daemon.shutdown();
+}
+
+/// One deeply nested request line is a bad request, not a crashed daemon:
+/// a ~20 KB `submit` whose config nests 10,000 levels and a ~200 KB
+/// `status` carrying a 100,000-level field each get an `error` response,
+/// and the daemon keeps answering other connections.
+#[test]
+fn deeply_nested_requests_get_an_error_and_the_daemon_survives() {
+    let daemon = Daemon::spawn(None);
+    let submit = format!(
+        r#"{{"v":4,"request":"submit","config":{}1{}}}"#,
+        r#"{"k":"#.repeat(10_000),
+        "}".repeat(10_000)
+    );
+    let status = format!(
+        r#"{{"v":4,"request":"status","x":{}1{}}}"#,
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    for response in daemon.ask(&[submit, status]) {
+        match response {
+            ResponseFrame::Error { reason } => {
+                assert!(reason.contains("nests deeper"), "{reason}");
+            }
+            other => panic!("expected an error response, got {other:?}"),
+        }
+    }
+    let answer = daemon.ask(&[RequestFrame::Status.to_line()]);
+    assert!(
+        matches!(answer[..], [ResponseFrame::Status { .. }]),
+        "{answer:?}"
+    );
+    daemon.shutdown();
+}
+
+/// Finished connection handlers are released as the daemon goes: 300
+/// sequential `status` connections must not leave 300 thread stacks
+/// (2 MiB each) mapped.
+///
+/// glibc reserves 64 MiB of address space for each malloc arena it
+/// creates, and it creates one whenever two handler threads happen to
+/// overlap — a one-off reservation, bounded by its arena limit, that
+/// would swamp the bound at random. `MALLOC_ARENA_MAX=1` keeps every
+/// thread on the main arena, so the thread stacks are what is measured.
+#[test]
+fn finished_connections_release_their_threads() {
+    let mut command = Daemon::command(None);
+    command.env("MALLOC_ARENA_MAX", "1");
+    let daemon = Daemon::start(&mut command);
+    let status = [RequestFrame::Status.to_line()];
+    daemon.ask(&status);
+    let before = daemon.vm_size_kb();
+    for _ in 0..300 {
+        let answer = daemon.ask(&status);
+        assert!(matches!(answer[..], [ResponseFrame::Status { .. }]));
+    }
+    let grown = daemon.vm_size_kb().saturating_sub(before);
+    assert!(
+        grown < 64 * 1024,
+        "300 connections grew VmSize by {grown} kB"
+    );
     daemon.shutdown();
 }

@@ -53,7 +53,7 @@
 
 use crate::config::{CampaignConfig, ConfigError};
 use crate::stream::{ResultSink, StudyEvent, StudyExecutor};
-use crate::wire::{SessionBrief, WireSink};
+use crate::wire::{LineEncoder, SessionBrief};
 use nvmx_nvsim::{CacheStats, IncumbentStore, SubarrayCache};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -239,7 +239,7 @@ pub struct Admission {
 /// appends never contend with the service-wide lock.
 struct SessionState {
     phase: SessionPhase,
-    /// Every complete wire line the session has emitted, in slot order.
+    /// Every wire line the session has emitted, in slot order.
     /// Emptied when the session is reaped.
     lines: Vec<Arc<str>>,
     /// The campaign, parked here until a lane claims it.
@@ -403,7 +403,7 @@ impl ServiceInner {
 
         let before = self.cache.stats();
         let mut sink = SessionSink {
-            wire: WireSink::new(LogWriter::new(session)),
+            lines: LineEncoder::new(),
             session,
         };
         let executor = StudyExecutor::with_threads(self.config.workers)
@@ -413,7 +413,6 @@ impl ServiceInner {
             CampaignConfig::Study(study) => executor.run(study, &mut sink).map(|_| ()),
             CampaignConfig::Fault(fault) => executor.run_fault(fault, &mut sink).map(|_| ()),
         };
-        sink.wire.into_inner().flush_partial();
         let delta = self.cache.stats().since(before);
 
         match outcome {
@@ -441,10 +440,11 @@ impl ServiceInner {
 /// back to [`SessionPhase::Cancelled`] via the session's flag.
 const CANCELLED: &str = "session cancelled";
 
-/// Forwards events into the session's wire log, aborting the run between
-/// events once the session is cancelled.
+/// Appends each event's wire line to the session log, waking cursors as
+/// it lands, and aborts the run between events once the session is
+/// cancelled.
 struct SessionSink<'s> {
-    wire: WireSink<LogWriter<'s>>,
+    lines: LineEncoder,
     session: &'s Session,
 }
 
@@ -453,75 +453,14 @@ impl ResultSink for SessionSink<'_> {
         if self.session.cancelled.load(Ordering::Acquire) {
             return Err(std::io::Error::other(CANCELLED));
         }
-        self.wire.on_event(event)
-    }
-}
-
-/// An [`std::io::Write`] that appends complete lines to the session log,
-/// waking cursors as each line lands.
-struct LogWriter<'s> {
-    session: &'s Session,
-    partial: Vec<u8>,
-}
-
-impl<'s> LogWriter<'s> {
-    fn new(session: &'s Session) -> Self {
-        Self {
-            session,
-            partial: Vec::new(),
-        }
-    }
-
-    /// Publishes a trailing unterminated line, if any (defensive: the
-    /// wire sink always writes whole lines).
-    fn flush_partial(self) {
-        if !self.partial.is_empty() {
-            let mut state = self.session.state.lock().expect("session lock");
-            state.lines.push(log_line(&self.partial));
-            drop(state);
-            self.session.wake.notify_all();
-        }
-    }
-}
-
-/// One log line, copied once into its shared allocation (the wire sink
-/// writes UTF-8; anything else is repaired rather than dropped).
-fn log_line(bytes: &[u8]) -> Arc<str> {
-    match std::str::from_utf8(bytes) {
-        Ok(line) => Arc::from(line),
-        Err(_) => Arc::from(String::from_utf8_lossy(bytes).as_ref()),
-    }
-}
-
-impl std::io::Write for LogWriter<'_> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut rest = buf;
-        let mut published = false;
-        {
-            let mut state = self.session.state.lock().expect("session lock");
-            while let Some(at) = rest.iter().position(|&b| b == b'\n') {
-                // A whole line in `buf` (the wire sink's case) is copied
-                // straight into the log; only a line split across writes
-                // goes through `partial`.
-                if self.partial.is_empty() {
-                    state.lines.push(log_line(&rest[..at]));
-                } else {
-                    self.partial.extend_from_slice(&rest[..at]);
-                    state.lines.push(log_line(&self.partial));
-                    self.partial.clear();
-                }
-                rest = &rest[at + 1..];
-                published = true;
-            }
-        }
-        self.partial.extend_from_slice(rest);
-        if published {
-            self.session.wake.notify_all();
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
+        let line = Arc::from(self.lines.encode(event));
+        self.session
+            .state
+            .lock()
+            .expect("session lock")
+            .lines
+            .push(line);
+        self.session.wake.notify_all();
         Ok(())
     }
 }

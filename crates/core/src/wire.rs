@@ -58,11 +58,15 @@
 //! [`FaultOutcome`] (trials, per-model verdicts, final counters) from the
 //! version-2 fault events.
 //!
-//! Every strict reader decodes through a stream-scoped [`FrameDecoder`]:
-//! one pass per line, and each array or traffic record decoded once per
-//! stream however many evaluations repeat it (the stateless
-//! [`WireFrame::parse`] stays the reference and the error classifier).
-//! Writers share the [`EventEncoder`], which formats each record once.
+//! The codec has one path in each direction. Every strict reader decodes
+//! through a stream-scoped [`FrameDecoder`]: the record-carrying lines
+//! that make up nearly every study in one pass, each array or traffic
+//! record decoded once per stream however many evaluations repeat it, and
+//! every other line and every error through the [`Value`] tree, which is
+//! also the oracle the one-pass path is proptested against. Every wire
+//! writer encodes through a [`LineEncoder`], which [`WireSink`] wraps; it
+//! shares the [`EventEncoder`], which formats each record once, with the
+//! JSONL sink.
 
 use crate::accuracy::AccuracyReport;
 use crate::eval::Evaluation;
@@ -72,7 +76,6 @@ use crate::sweep::StudyResult;
 use nvmx_nvsim::{ArrayCharacterization, CacheStats, L2RejectClasses, OptimizationTarget};
 use nvmx_workloads::TrafficPattern;
 use serde::{json, Deserialize, Serialize, Value};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -371,166 +374,35 @@ pub enum OwnedStudyEvent {
     },
 }
 
-/// One JSON object as the frame decoders see it: a parsed [`Value`] tree
-/// (the [`OwnedStudyEvent::from_value`] oracle path) or one wire line
-/// split once into top-level `(key, raw value text)` entries (the
-/// production path — no tree, strings borrowed from the line). Both
-/// answer the same lookups with the same first-occurrence-wins rule, so
-/// one set of decoders serves both.
-enum Obj<'a> {
-    Tree(&'a [(String, Value)]),
-    Text(Vec<(Cow<'a, str>, &'a str)>),
-}
+/// The top-level entries of one JSON object, in text order: what every
+/// stateless decoder reads a line as. Lookups take the first occurrence of
+/// a key.
+type Obj = [(String, Value)];
 
-/// One field value of an [`Obj`].
-#[derive(Clone, Copy)]
-enum Leaf<'a> {
-    Tree(&'a Value),
-    Text(&'a str),
-}
-
-impl<'a> Obj<'a> {
-    /// Splits one line, validating the whole text. `what` names the line
-    /// kind in the not-an-object error.
-    fn parse(line: &'a str, what: &str) -> Result<Self, FrameError> {
-        match json::split_object(line) {
-            Ok(Some(entries)) => Ok(Self::Text(entries)),
-            Ok(None) => Err(FrameError::corrupt(format!("{what} is not a JSON object"))),
-            Err(e) => Err(FrameError::corrupt(format!("not valid JSON: {e}"))),
-        }
-    }
-
-    fn find(&self, name: &str) -> Option<Leaf<'_>> {
-        match self {
-            Self::Tree(entries) => entries
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| Leaf::Tree(v)),
-            Self::Text(entries) => entries
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| Leaf::Text(v)),
-        }
+/// Parses one line into its top-level entries — the [`Value`] tree the
+/// stateless decoders share with [`WireFrame::from_value`]. `what` names
+/// the line kind in the not-an-object error.
+fn parse_object(line: &str, what: &str) -> Result<Vec<(String, Value)>, FrameError> {
+    let mut reader = json::Reader::new(line);
+    match reader
+        .value()
+        .and_then(|value| reader.finish().map(|()| value))
+    {
+        Ok(Value::Object(entries)) => Ok(entries),
+        Ok(_) => Err(FrameError::corrupt(format!("{what} is not a JSON object"))),
+        Err(e) => Err(FrameError::corrupt(format!("not valid JSON: {e}"))),
     }
 }
 
-impl<'a> Leaf<'a> {
-    /// The number a text leaf holds, parsed without allocating.
-    fn number(text: &str) -> Option<Value> {
-        match text.as_bytes().first() {
-            Some(b'-' | b'0'..=b'9') => json::Reader::new(text).number().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_u64(self) -> Option<u64> {
-        match self {
-            Self::Tree(v) => v.as_u64(),
-            Self::Text(t) => Self::number(t)?.as_u64(),
-        }
-    }
-
-    fn as_f64(self) -> Option<f64> {
-        match self {
-            Self::Tree(v) => v.as_f64(),
-            Self::Text(t) => Self::number(t)?.as_f64(),
-        }
-    }
-
-    fn as_bool(self) -> Option<bool> {
-        match self {
-            Self::Tree(v) => v.as_bool(),
-            Self::Text("true") => Some(true),
-            Self::Text("false") => Some(false),
-            Self::Text(_) => None,
-        }
-    }
-
-    fn as_str(self) -> Option<Cow<'a, str>> {
-        match self {
-            Self::Tree(v) => v.as_str().map(Cow::Borrowed),
-            Self::Text(t) if t.starts_with('"') => json::Reader::new(t).string().ok(),
-            Self::Text(_) => None,
-        }
-    }
-
-    fn is_null(self) -> bool {
-        matches!(self, Self::Tree(Value::Null) | Self::Text("null"))
-    }
-
-    fn kind(self) -> &'static str {
-        match self {
-            Self::Tree(v) => v.kind(),
-            Self::Text(t) => match t.as_bytes().first() {
-                Some(b'n') => "null",
-                Some(b't' | b'f') => "bool",
-                Some(b'"') => "string",
-                Some(b'[') => "array",
-                Some(b'{') => "object",
-                _ => "number",
-            },
-        }
-    }
-
-    fn object(self) -> Option<Obj<'a>> {
-        match self {
-            Self::Tree(v) => v.as_object().map(Obj::Tree),
-            Self::Text(t) => json::split_object(t).ok().flatten().map(Obj::Text),
-        }
-    }
-
-    fn items(self) -> Option<Vec<Leaf<'a>>> {
-        match self {
-            Self::Tree(v) => v
-                .as_array()
-                .map(|items| items.iter().map(Leaf::Tree).collect()),
-            Self::Text(t) if t.starts_with('[') => {
-                let mut reader = json::Reader::new(t);
-                let mut items = Vec::new();
-                if reader.array_start().ok()? {
-                    loop {
-                        items.push(Leaf::Text(reader.raw_value().ok()?));
-                        if !reader.array_next().ok()? {
-                            break;
-                        }
-                    }
-                }
-                Some(items)
-            }
-            Self::Text(_) => None,
-        }
-    }
-
-    /// Decodes a typed payload: `from_value` on the tree path, the typed
-    /// `from_json` reader on the text path.
-    fn decode<T: Deserialize>(self) -> Result<T, serde::Error> {
-        match self {
-            Self::Tree(v) => T::from_value(v),
-            Self::Text(t) => {
-                let mut reader = json::Reader::new(t);
-                let decoded = T::from_json(&mut reader)?;
-                reader.finish()?;
-                Ok(decoded)
-            }
-        }
-    }
-
-    fn to_value(self) -> Result<Value, FrameError> {
-        match self {
-            Self::Tree(v) => Ok(v.clone()),
-            Self::Text(t) => json::Reader::new(t)
-                .value()
-                .map_err(|e| FrameError::corrupt(format!("not valid JSON: {e}"))),
-        }
-    }
+fn find<'v>(obj: &'v Obj, name: &str) -> Option<&'v Value> {
+    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
-fn field<'v>(obj: &'v Obj<'_>, name: &str) -> Result<Leaf<'v>, FrameError> {
-    obj.find(name)
-        .ok_or_else(|| FrameError::corrupt(format!("missing field `{name}`")))
+fn field<'v>(obj: &'v Obj, name: &str) -> Result<&'v Value, FrameError> {
+    find(obj, name).ok_or_else(|| FrameError::corrupt(format!("missing field `{name}`")))
 }
 
-fn uint_field(obj: &Obj<'_>, name: &str) -> Result<u64, FrameError> {
+fn uint_field(obj: &Obj, name: &str) -> Result<u64, FrameError> {
     field(obj, name)?
         .as_u64()
         .ok_or_else(|| FrameError::corrupt(format!("field `{name}` is not an unsigned integer")))
@@ -540,8 +412,8 @@ fn uint_field(obj: &Obj<'_>, name: &str) -> Result<u64, FrameError> {
 /// present-but-malformed one is still corrupt). For counters added to the
 /// version-1 cache object after the fact — older captures simply never
 /// observed them.
-fn uint_field_or(obj: &Obj<'_>, name: &str, default: u64) -> Result<u64, FrameError> {
-    match obj.find(name) {
+fn uint_field_or(obj: &Obj, name: &str, default: u64) -> Result<u64, FrameError> {
+    match find(obj, name) {
         None => Ok(default),
         Some(v) => v.as_u64().ok_or_else(|| {
             FrameError::corrupt(format!("field `{name}` is not an unsigned integer"))
@@ -549,39 +421,39 @@ fn uint_field_or(obj: &Obj<'_>, name: &str, default: u64) -> Result<u64, FrameEr
     }
 }
 
-fn usize_field(obj: &Obj<'_>, name: &str) -> Result<usize, FrameError> {
+fn usize_field(obj: &Obj, name: &str) -> Result<usize, FrameError> {
     usize::try_from(uint_field(obj, name)?)
         .map_err(|_| FrameError::corrupt(format!("field `{name}` out of range")))
 }
 
-fn str_field<'v>(obj: &'v Obj<'_>, name: &str) -> Result<Cow<'v, str>, FrameError> {
+fn str_field<'v>(obj: &'v Obj, name: &str) -> Result<&'v str, FrameError> {
     field(obj, name)?
         .as_str()
         .ok_or_else(|| FrameError::corrupt(format!("field `{name}` is not a string")))
 }
 
-fn string_field(obj: &Obj<'_>, name: &str) -> Result<String, FrameError> {
-    str_field(obj, name).map(Cow::into_owned)
+fn string_field(obj: &Obj, name: &str) -> Result<String, FrameError> {
+    str_field(obj, name).map(str::to_owned)
 }
 
-fn float_field(obj: &Obj<'_>, name: &str) -> Result<f64, FrameError> {
+fn float_field(obj: &Obj, name: &str) -> Result<f64, FrameError> {
     field(obj, name)?
         .as_f64()
         .ok_or_else(|| FrameError::corrupt(format!("field `{name}` is not a number")))
 }
 
-fn bool_field(obj: &Obj<'_>, name: &str) -> Result<bool, FrameError> {
+fn bool_field(obj: &Obj, name: &str) -> Result<bool, FrameError> {
     field(obj, name)?
         .as_bool()
         .ok_or_else(|| FrameError::corrupt(format!("field `{name}` is not a boolean")))
 }
 
-fn u32_field(obj: &Obj<'_>, name: &str) -> Result<u32, FrameError> {
+fn u32_field(obj: &Obj, name: &str) -> Result<u32, FrameError> {
     u32::try_from(uint_field(obj, name)?)
         .map_err(|_| FrameError::corrupt(format!("field `{name}` out of range")))
 }
 
-fn target_field(obj: &Obj<'_>, name: &str) -> Result<OptimizationTarget, FrameError> {
+fn target_field(obj: &Obj, name: &str) -> Result<OptimizationTarget, FrameError> {
     let label = str_field(obj, name)?;
     OptimizationTarget::ALL
         .into_iter()
@@ -590,17 +462,15 @@ fn target_field(obj: &Obj<'_>, name: &str) -> Result<OptimizationTarget, FrameEr
 }
 
 /// A typed payload field (`array`, `evaluation`, `bits_per_cell`).
-fn payload_field<T: Deserialize>(obj: &Obj<'_>, name: &str, what: &str) -> Result<T, FrameError> {
-    field(obj, name)?
-        .decode()
-        .map_err(|e| FrameError::corrupt(format!("bad {what}: {e}")))
+fn payload_field<T: Deserialize>(obj: &Obj, name: &str, what: &str) -> Result<T, FrameError> {
+    T::from_value(field(obj, name)?).map_err(|e| FrameError::corrupt(format!("bad {what}: {e}")))
 }
 
 /// Decodes the per-class `l2_reject_*` counters of a wire cache object.
 /// The writer emits each class only when nonzero (a clean run's cache
 /// object is byte-identical to a v3 writer's), so every class decodes
 /// with a zero default.
-fn reject_classes_from(cache: &Obj<'_>) -> Result<L2RejectClasses, FrameError> {
+fn reject_classes_from(cache: &Obj) -> Result<L2RejectClasses, FrameError> {
     Ok(L2RejectClasses {
         io: uint_field_or(cache, "l2_reject_io", 0)?,
         version: uint_field_or(cache, "l2_reject_version", 0)?,
@@ -628,27 +498,26 @@ fn push_reject_classes(fields: &mut Vec<(String, Value)>, classes: &L2RejectClas
 
 /// Decodes the flat field block shared by `study_finished` and
 /// `fault_study_finished`.
-fn finished_stats(obj: &Obj<'_>) -> Result<StudyStats, FrameError> {
-    let cache = field(obj, "cache")?;
-    let cache = match cache.object() {
-        _ if cache.is_null() => None,
+fn finished_stats(obj: &Obj) -> Result<StudyStats, FrameError> {
+    let cache = match field(obj, "cache")? {
+        Value::Null => None,
         // `pruned` joined the version-1 cache object in PR 5, the `l2_*`
         // store counters in PR 8, the per-class `l2_reject_*` breakdown in
         // v4; captures from older writers decode as zeros instead of
         // failing strict replay.
-        Some(cache) => Some(CacheStats {
-            hits: uint_field(&cache, "hits")?,
-            misses: uint_field(&cache, "misses")?,
-            pruned: uint_field_or(&cache, "pruned", 0)?,
-            l2_hits: uint_field_or(&cache, "l2_hits", 0)?,
-            l2_misses: uint_field_or(&cache, "l2_misses", 0)?,
-            l2_rejects: uint_field_or(&cache, "l2_rejects", 0)?,
-            l2_reject_classes: reject_classes_from(&cache)?,
+        Value::Object(cache) => Some(CacheStats {
+            hits: uint_field(cache, "hits")?,
+            misses: uint_field(cache, "misses")?,
+            pruned: uint_field_or(cache, "pruned", 0)?,
+            l2_hits: uint_field_or(cache, "l2_hits", 0)?,
+            l2_misses: uint_field_or(cache, "l2_misses", 0)?,
+            l2_rejects: uint_field_or(cache, "l2_rejects", 0)?,
+            l2_reject_classes: reject_classes_from(cache)?,
         }),
-        None => {
+        other => {
             return Err(FrameError::corrupt(format!(
                 "field `cache` is neither null nor an object, got {}",
-                cache.kind()
+                other.kind()
             )))
         }
     };
@@ -675,12 +544,11 @@ impl OwnedStudyEvent {
         let obj = value
             .as_object()
             .ok_or_else(|| FrameError::corrupt("event line is not a JSON object"))?;
-        Self::decode(&Obj::Tree(obj))
+        Self::decode(obj)
     }
 
-    fn decode(obj: &Obj<'_>) -> Result<Self, FrameError> {
-        let kind = str_field(obj, "event")?;
-        match kind.as_ref() {
+    fn decode(obj: &Obj) -> Result<Self, FrameError> {
+        match str_field(obj, "event")? {
             "study_started" => Ok(Self::StudyStarted {
                 name: string_field(obj, "name")?,
                 cells: usize_field(obj, "cells")?,
@@ -909,11 +777,12 @@ impl WireFrame {
     /// [`WIRE_MIN_VERSION`]`..=`[`WIRE_VERSION`];
     /// [`FrameError::Corrupt`] for anything else wrong with the line.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        Self::decode(&Obj::parse(line, "wire line")?)
+        Self::decode(&parse_object(line, "wire line")?)
     }
 
     /// Decodes a frame from a parsed [`Value`] tree — the reference path
-    /// [`Self::parse`] is proptested against (`tests/codec_parity.rs`).
+    /// [`FrameDecoder`]'s one-pass decode is proptested against
+    /// (`tests/codec_parity.rs`).
     ///
     /// # Errors
     ///
@@ -922,11 +791,11 @@ impl WireFrame {
         let obj = value
             .as_object()
             .ok_or_else(|| FrameError::corrupt("wire line is not a JSON object"))?;
-        Self::decode(&Obj::Tree(obj))
+        Self::decode(obj)
     }
 
     /// `v` is checked before anything else is decoded.
-    fn decode(obj: &Obj<'_>) -> Result<Self, FrameError> {
+    fn decode(obj: &Obj) -> Result<Self, FrameError> {
         let version = uint_field(obj, "v")?;
         if !(WIRE_MIN_VERSION..=WIRE_VERSION).contains(&version) {
             return Err(FrameError::Version { found: version });
@@ -1001,24 +870,24 @@ fn cache_value(stats: &CacheStats) -> Value {
 
 /// Decodes a wire cache object (missing counters default to zero, exactly
 /// like the `study_finished` decoder — older writers never observed them).
-fn cache_from(value: Leaf<'_>) -> Result<CacheStats, FrameError> {
+fn cache_from(value: &Value) -> Result<CacheStats, FrameError> {
     let obj = value
-        .object()
+        .as_object()
         .ok_or_else(|| FrameError::corrupt("cache block is not a JSON object"))?;
     Ok(CacheStats {
-        hits: uint_field_or(&obj, "hits", 0)?,
-        misses: uint_field_or(&obj, "misses", 0)?,
-        pruned: uint_field_or(&obj, "pruned", 0)?,
-        l2_hits: uint_field_or(&obj, "l2_hits", 0)?,
-        l2_misses: uint_field_or(&obj, "l2_misses", 0)?,
-        l2_rejects: uint_field_or(&obj, "l2_rejects", 0)?,
-        l2_reject_classes: reject_classes_from(&obj)?,
+        hits: uint_field_or(obj, "hits", 0)?,
+        misses: uint_field_or(obj, "misses", 0)?,
+        pruned: uint_field_or(obj, "pruned", 0)?,
+        l2_hits: uint_field_or(obj, "l2_hits", 0)?,
+        l2_misses: uint_field_or(obj, "l2_misses", 0)?,
+        l2_rejects: uint_field_or(obj, "l2_rejects", 0)?,
+        l2_reject_classes: reject_classes_from(obj)?,
     })
 }
 
 /// Checks the `v` header of a service frame: requests/responses exist only
 /// since [`WIRE_SERVICE_MIN_VERSION`].
-fn service_version(obj: &Obj<'_>) -> Result<u64, FrameError> {
+fn service_version(obj: &Obj) -> Result<u64, FrameError> {
     let version = uint_field(obj, "v")?;
     if !(WIRE_SERVICE_MIN_VERSION..=WIRE_VERSION).contains(&version) {
         return Err(FrameError::Version { found: version });
@@ -1089,13 +958,13 @@ impl RequestFrame {
     /// [`WIRE_SERVICE_MIN_VERSION`]`..=`[`WIRE_VERSION`];
     /// [`FrameError::Corrupt`] for anything else wrong with the line.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        let obj = &Obj::parse(line, "request line")?;
+        let obj = &parse_object(line, "request line")?;
         service_version(obj)?;
-        match str_field(obj, "request")?.as_ref() {
+        match str_field(obj, "request")? {
             "submit" => Ok(Self::Submit {
                 priority: u8::try_from(uint_field_or(obj, "priority", 0)?)
                     .map_err(|_| FrameError::corrupt("field `priority` out of range (0..=255)"))?,
-                config: field(obj, "config")?.to_value()?,
+                config: field(obj, "config")?.clone(),
             }),
             "status" => Ok(Self::Status),
             "cancel" => Ok(Self::Cancel {
@@ -1159,9 +1028,9 @@ impl SessionBrief {
         ])
     }
 
-    fn decode(value: Leaf<'_>) -> Result<Self, FrameError> {
-        let obj = &value
-            .object()
+    fn decode(value: &Value) -> Result<Self, FrameError> {
+        let obj = value
+            .as_object()
             .ok_or_else(|| FrameError::corrupt("session row is not a JSON object"))?;
         Ok(Self {
             session: uint_field(obj, "session")?,
@@ -1257,8 +1126,8 @@ impl ResponseFrame {
     /// [`Self::parse`]'s result. How a client splits a session channel
     /// into event frames and bracketing responses without parsing twice.
     pub fn parse_if_response(line: &str) -> Option<Result<Self, FrameError>> {
-        let obj = Obj::parse(line, "response line").ok()?;
-        obj.find("response").is_some().then(|| Self::decode(&obj))
+        let obj = parse_object(line, "response line").ok()?;
+        find(&obj, "response").is_some().then(|| Self::decode(&obj))
     }
 
     /// Parses one response line.
@@ -1269,12 +1138,12 @@ impl ResponseFrame {
     /// [`WIRE_SERVICE_MIN_VERSION`]`..=`[`WIRE_VERSION`];
     /// [`FrameError::Corrupt`] for anything else wrong with the line.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        Self::decode(&Obj::parse(line, "response line")?)
+        Self::decode(&parse_object(line, "response line")?)
     }
 
-    fn decode(obj: &Obj<'_>) -> Result<Self, FrameError> {
+    fn decode(obj: &Obj) -> Result<Self, FrameError> {
         service_version(obj)?;
-        match str_field(obj, "response")?.as_ref() {
+        match str_field(obj, "response")? {
             "submitted" => Ok(Self::Submitted {
                 session: uint_field(obj, "session")?,
                 study: string_field(obj, "study")?,
@@ -1282,7 +1151,7 @@ impl ResponseFrame {
             }),
             "status" => {
                 let rows = field(obj, "sessions")?;
-                let rows = rows.items().ok_or_else(|| {
+                let rows = rows.as_array().ok_or_else(|| {
                     FrameError::corrupt(format!(
                         "field `sessions` is not an array, got {}",
                         rows.kind()
@@ -1293,7 +1162,7 @@ impl ResponseFrame {
                     queue_depth: uint_field(obj, "queue_depth")?,
                     capacity: uint_field(obj, "capacity")?,
                     sessions: rows
-                        .into_iter()
+                        .iter()
                         .map(SessionBrief::decode)
                         .collect::<Result<_, _>>()?,
                     cache: cache_from(field(obj, "cache")?)?,
@@ -1306,23 +1175,18 @@ impl ResponseFrame {
             "done" => Ok(Self::Done {
                 session: uint_field(obj, "session")?,
                 outcome: string_field(obj, "outcome")?,
-                error: match obj.find("error") {
-                    None => None,
-                    Some(v) if v.is_null() => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .ok_or_else(|| {
-                                FrameError::corrupt(format!(
-                                    "field `error` is neither null nor a string, got {}",
-                                    v.kind()
-                                ))
-                            })?
-                            .into_owned(),
-                    ),
+                error: match find(obj, "error") {
+                    None | Some(Value::Null) => None,
+                    Some(Value::Str(error)) => Some(error.clone()),
+                    Some(other) => {
+                        return Err(FrameError::corrupt(format!(
+                            "field `error` is neither null nor a string, got {}",
+                            other.kind()
+                        )))
+                    }
                 },
-                cache: match obj.find("cache") {
-                    None => None,
-                    Some(v) if v.is_null() => None,
+                cache: match find(obj, "cache") {
+                    None | Some(Value::Null) => None,
                     Some(v) => Some(cache_from(v)?),
                 },
             }),
@@ -1401,30 +1265,12 @@ impl ResponseFrame {
 
 /// Checks the `v` header of a worker-supervision control frame: worker and
 /// lease lines exist only since [`WIRE_WORKER_MIN_VERSION`].
-fn worker_version(obj: &Obj<'_>) -> Result<u64, FrameError> {
+fn worker_version(obj: &Obj) -> Result<u64, FrameError> {
     let version = uint_field(obj, "v")?;
     if !(WIRE_WORKER_MIN_VERSION..=WIRE_VERSION).contains(&version) {
         return Err(FrameError::Version { found: version });
     }
     Ok(version)
-}
-
-/// `true` when `line` looks like a frame of the given control family (a
-/// JSON object whose `key` field is a *string tag*) — the cheap pre-test
-/// a reader uses to split a mixed channel without parsing twice. The
-/// string-value requirement matters: a `{"worker":"drained","lease":3}`
-/// line carries a numeric `lease` field without being a lease frame.
-fn has_tag(line: &str, key: &str) -> bool {
-    Obj::parse(line, "").is_ok_and(|obj| is_tagged(&obj, key))
-}
-
-fn is_tagged(obj: &Obj<'_>, key: &str) -> bool {
-    match obj {
-        Obj::Tree(entries) => entries
-            .iter()
-            .any(|(k, v)| k == key && matches!(v, Value::Str(_))),
-        Obj::Text(entries) => entries.iter().any(|(k, v)| k == key && v.starts_with('"')),
-    }
 }
 
 /// A worker → coordinator control line of the lease protocol (protocol
@@ -1486,12 +1332,6 @@ impl WorkerFrame {
         }
     }
 
-    /// `true` when `line` looks like a worker control line (a JSON object
-    /// carrying a `"worker"` field) rather than an event frame.
-    pub fn is_worker_line(line: &str) -> bool {
-        has_tag(line, "worker")
-    }
-
     /// Parses one worker control line.
     ///
     /// # Errors
@@ -1500,12 +1340,12 @@ impl WorkerFrame {
     /// [`WIRE_WORKER_MIN_VERSION`]`..=`[`WIRE_VERSION`];
     /// [`FrameError::Corrupt`] for anything else wrong with the line.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        Self::decode(&Obj::parse(line, "worker line")?)
+        Self::decode(&parse_object(line, "worker line")?)
     }
 
-    fn decode(obj: &Obj<'_>) -> Result<Self, FrameError> {
+    fn decode(obj: &Obj) -> Result<Self, FrameError> {
         worker_version(obj)?;
-        match str_field(obj, "worker")?.as_ref() {
+        match str_field(obj, "worker")? {
             "hello" => Ok(Self::Hello {
                 name: string_field(obj, "name")?,
                 study: string_field(obj, "study")?,
@@ -1556,9 +1396,9 @@ impl WorkerFrame {
 }
 
 /// One line of a leased worker's connection: a control line or an event
-/// frame, told apart and decoded in one pass. Equivalent to
-/// [`WorkerFrame::is_worker_line`] followed by [`WorkerFrame::parse`] or
-/// [`WireFrame::parse`], without scanning the line twice.
+/// frame, told apart and decoded from one parse. A line is a control line
+/// when it carries a `"worker"` key whose value is a string tag; any other
+/// line is an event frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkerLine {
     /// A `hello`/`heartbeat`/`drained`/`done` control line.
@@ -1575,8 +1415,11 @@ impl WorkerLine {
     ///
     /// The [`FrameError`] of whichever parser the line's family selects.
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        let obj = Obj::parse(line, "wire line")?;
-        if is_tagged(&obj, "worker") {
+        let obj = parse_object(line, "wire line")?;
+        if obj
+            .iter()
+            .any(|(k, v)| k == "worker" && matches!(v, Value::Str(_)))
+        {
             WorkerFrame::decode(&obj).map(Self::Control)
         } else {
             WireFrame::decode(&obj).map(|frame| Self::Event(Box::new(frame)))
@@ -1627,12 +1470,6 @@ impl LeaseFrame {
         }
     }
 
-    /// `true` when `line` looks like a lease control line (a JSON object
-    /// carrying a `"lease"` field).
-    pub fn is_lease_line(line: &str) -> bool {
-        has_tag(line, "lease")
-    }
-
     /// Parses one lease control line.
     ///
     /// # Errors
@@ -1642,9 +1479,9 @@ impl LeaseFrame {
     /// [`FrameError::Corrupt`] for anything else wrong with the line
     /// (including a `grant` whose range is empty or inverted).
     pub fn parse(line: &str) -> Result<Self, FrameError> {
-        let obj = &Obj::parse(line, "lease line")?;
+        let obj = &parse_object(line, "lease line")?;
         worker_version(obj)?;
-        match str_field(obj, "lease")?.as_ref() {
+        match str_field(obj, "lease")? {
             "grant" => {
                 let start = uint_field(obj, "start")?;
                 let end = uint_field(obj, "end")?;
@@ -1851,17 +1688,20 @@ impl EventEncoder {
     }
 }
 
-/// A stream-scoped strict frame decoder: the same verdicts as the
-/// stateless parsers ([`WireFrame::parse`], [`WorkerLine::parse`]), from
-/// one pass over each line, and each array or traffic record whose text
-/// repeats an earlier record's decoded only once.
+/// The stream-scoped strict frame decoder, the production decoder of
+/// every reader: the same verdicts as the stateless parsers
+/// ([`WireFrame::parse`], [`WorkerLine::parse`]), and each array or
+/// traffic record whose text repeats an earlier record's decoded only
+/// once.
 ///
 /// Lines in exactly the layout [`WireSink`] writes — header, `event`,
 /// then the payload fields in order — of the two per-slot kinds that
 /// carry records (`array_characterized`, `evaluation_produced`) decode
-/// in one pass through the record memos. Every other line, and every line
-/// that fails anywhere, is handed to the stateless parser, which stays the
-/// error classifier.
+/// in one pass through the record memos. Those are nearly every line of a
+/// study. Every other line (control, service and non-record event lines)
+/// and every line that fails anywhere is decoded through the [`Value`]
+/// tree, which is also the reference the one-pass path is proptested
+/// against.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     arrays: RecordMemo<ArrayCharacterization>,
@@ -1873,15 +1713,11 @@ fn next_key(r: &mut json::Reader<'_>, name: &str) -> Option<()> {
     (r.object_next().ok()?.as_deref() == Some(name)).then_some(())
 }
 
-/// The value after the next key of a fixed layout, as the stateless
-/// decoders see it.
-fn next_leaf<'a>(r: &mut json::Reader<'a>, name: &str) -> Option<Leaf<'a>> {
+/// The value after the next key of a fixed layout, read by the typed
+/// decoder that accepts exactly what the tree path's field rule accepts.
+fn next_value<T: Deserialize>(r: &mut json::Reader<'_>, name: &str) -> Option<T> {
     next_key(r, name)?;
-    r.raw_value().ok().map(Leaf::Text)
-}
-
-fn next_index(r: &mut json::Reader<'_>) -> Option<usize> {
-    usize::try_from(next_leaf(r, "index")?.as_u64()?).ok()
+    T::from_json(r).ok()
 }
 
 impl FrameDecoder {
@@ -1921,8 +1757,8 @@ impl FrameDecoder {
         if let Some(frame) = self.record_frame(line) {
             return Ok(ServedLine::Event(Box::new(frame)));
         }
-        let obj = Obj::parse(line, "wire line")?;
-        if obj.find("response").is_some() {
+        let obj = parse_object(line, "wire line")?;
+        if find(&obj, "response").is_some() {
             Ok(ServedLine::Response(ResponseFrame::decode(&obj)))
         } else {
             WireFrame::decode(&obj).map(|frame| ServedLine::Event(Box::new(frame)))
@@ -1939,29 +1775,31 @@ impl FrameDecoder {
     /// layout; `None` hands the line to the stateless parser. Accepting
     /// only that layout (no duplicate, unknown or reordered key, so no
     /// `worker` or `response` key either) is what makes the result the
-    /// stateless parser's: every value is read by the same typed decoder
-    /// it would use, or is a remembered record's exact text.
+    /// stateless parser's: every value is read by a typed decoder that
+    /// accepts exactly what the tree's field rule accepts, or is a
+    /// remembered record's exact text.
     fn record_frame(&mut self, line: &str) -> Option<WireFrame> {
         let r = &mut json::Reader::new(line);
         if r.object_start().ok()?.as_deref() != Some("v") {
             return None;
         }
-        let version = Leaf::Text(r.raw_value().ok()?).as_u64()?;
+        let version = u64::from_json(r).ok()?;
         if !(WIRE_MIN_VERSION..=WIRE_VERSION).contains(&version) {
             return None;
         }
-        let study = next_leaf(r, "study")?.as_str()?.into_owned();
-        let seq = next_leaf(r, "seq")?.as_u64()?;
-        let event = match next_leaf(r, "event")?.as_str()?.as_ref() {
+        let study = next_value(r, "study")?;
+        let seq = next_value(r, "seq")?;
+        next_key(r, "event")?;
+        let event = match r.string().ok()?.as_ref() {
             "array_characterized" => OwnedStudyEvent::ArrayCharacterized {
-                index: next_index(r)?,
+                index: next_value(r, "index")?,
                 array: {
                     next_key(r, "array")?;
                     ArrayCharacterization::clone(&*self.arrays.decode(r)?)
                 },
             },
             "evaluation_produced" => OwnedStudyEvent::EvaluationProduced {
-                index: next_index(r)?,
+                index: next_value(r, "index")?,
                 evaluation: {
                     next_key(r, "evaluation")?;
                     self.evaluation(r)?
@@ -1980,10 +1818,6 @@ impl FrameDecoder {
     /// The derived `Evaluation::from_json` for the layout it is written
     /// in, with the array and traffic records read through the memos.
     fn evaluation(&mut self, r: &mut json::Reader<'_>) -> Option<Evaluation> {
-        fn member<T: Deserialize>(r: &mut json::Reader<'_>, name: &str) -> Option<T> {
-            next_key(r, name)?;
-            T::from_json(r).ok()
-        }
         if r.object_start().ok()?.as_deref() != Some("array") {
             return None;
         }
@@ -1993,14 +1827,14 @@ impl FrameDecoder {
         let evaluation = Evaluation {
             array,
             traffic,
-            array_reads_per_sec: member(r, "array_reads_per_sec")?,
-            array_writes_per_sec: member(r, "array_writes_per_sec")?,
-            read_power: member(r, "read_power")?,
-            write_power: member(r, "write_power")?,
-            leakage_power: member(r, "leakage_power")?,
-            utilization: member(r, "utilization")?,
-            aggregate_latency: member(r, "aggregate_latency")?,
-            lifetime: member(r, "lifetime")?,
+            array_reads_per_sec: next_value(r, "array_reads_per_sec")?,
+            array_writes_per_sec: next_value(r, "array_writes_per_sec")?,
+            read_power: next_value(r, "read_power")?,
+            write_power: next_value(r, "write_power")?,
+            leakage_power: next_value(r, "leakage_power")?,
+            utilization: next_value(r, "utilization")?,
+            aggregate_latency: next_value(r, "aggregate_latency")?,
+            lifetime: next_value(r, "lifetime")?,
         };
         r.object_next().ok()?.is_none().then_some(evaluation)
     }
@@ -2014,34 +1848,36 @@ enum ServedLine {
 
 // ------------------------------------------------------------------- sink
 
-/// A [`ResultSink`] that serializes every event as a versioned wire line.
+/// Encodes a study's events as wire lines: the header for the current
+/// study and the next `seq`, then the event's fields through an
+/// [`EventEncoder`] — no [`Value`] tree. The study name is captured from
+/// the `study_started` event, which the engine guarantees comes first.
 ///
-/// The sink numbers every event in order (so `seq` is the global slot
-/// coordinate). Each line is encoded straight into one reused buffer
-/// (header, then the event's fields — no [`Value`] tree) and handed to the
-/// writer in a single `write_all`, then flushed: a downstream reader sees
-/// events as they happen, and a killed writer leaves a clean prefix of the
-/// stream rather than a torn line. An [`EventEncoder`] formats each
-/// evaluation record once per stream. The study name is captured from the
-/// `study_started` event, which the engine guarantees comes first.
+/// [`WireSink`] writes its lines to a byte stream; the service's session
+/// log and a leased worker's line buffer keep each one as a string.
 #[derive(Debug)]
-pub struct WireSink<W: Write> {
-    out: W,
+pub struct LineEncoder {
     /// `{"v":…,"study":…,"seq":` for the current study.
     header: String,
+    /// The last line, newline included (reused across lines).
     line: String,
     encoder: EventEncoder,
-    /// Lines written so far, which is also the next line's `seq`.
+    /// Lines encoded so far, which is also the next line's `seq`.
     seq: u64,
 }
 
-impl<W: Write> WireSink<W> {
-    /// A sink writing every event to `out`.
-    pub fn new(out: W) -> Self {
+impl Default for LineEncoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LineEncoder {
+    /// An encoder whose first line carries `seq` 0.
+    pub fn new() -> Self {
         let mut header = String::new();
         write_header(&mut header, "");
         Self {
-            out,
             header,
             line: String::new(),
             encoder: EventEncoder::new(),
@@ -2049,19 +1885,19 @@ impl<W: Write> WireSink<W> {
         }
     }
 
-    /// Lines written so far.
+    /// Lines encoded so far.
     pub fn frames_written(&self) -> u64 {
         self.seq
     }
 
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
+    /// Encodes `event` as the next line and returns it, without a newline.
+    pub fn encode(&mut self, event: &StudyEvent<'_>) -> &str {
+        let line = self.encode_terminated(event);
+        &line[..line.len() - 1]
     }
-}
 
-impl<W: Write> ResultSink for WireSink<W> {
-    fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
+    /// [`Self::encode`]'s line with its newline.
+    fn encode_terminated(&mut self, event: &StudyEvent<'_>) -> &str {
         if let StudyEvent::StudyStarted { name, .. } = event {
             self.header.clear();
             write_header(&mut self.header, name);
@@ -2073,10 +1909,48 @@ impl<W: Write> ResultSink for WireSink<W> {
         line.push(',');
         self.encoder.write_fields(event, line);
         line.push_str("}\n");
-        self.out.write_all(line.as_bytes())?;
-        self.out.flush()?;
         self.seq += 1;
-        Ok(())
+        line
+    }
+}
+
+/// A [`ResultSink`] that serializes every event as a versioned wire line.
+///
+/// Each line from the sink's [`LineEncoder`] (so `seq` is the global slot
+/// coordinate) is handed to the writer in a single `write_all`, then
+/// flushed: a downstream reader sees events as they happen, and a killed
+/// writer leaves a clean prefix of the stream rather than a torn line.
+#[derive(Debug)]
+pub struct WireSink<W: Write> {
+    out: W,
+    lines: LineEncoder,
+}
+
+impl<W: Write> WireSink<W> {
+    /// A sink writing every event to `out`.
+    pub fn new(out: W) -> Self {
+        Self {
+            out,
+            lines: LineEncoder::new(),
+        }
+    }
+
+    /// Lines encoded so far (every one written, unless a write failed).
+    pub fn frames_written(&self) -> u64 {
+        self.lines.frames_written()
+    }
+
+    /// Consumes the sink, returning the writer.
+    pub fn into_inner(self) -> W {
+        self.out
+    }
+}
+
+impl<W: Write> ResultSink for WireSink<W> {
+    fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
+        let line = self.lines.encode_terminated(event);
+        self.out.write_all(line.as_bytes())?;
+        self.out.flush()
     }
 }
 
@@ -2861,8 +2735,11 @@ mod tests {
         ];
         for frame in frames {
             let line = frame.to_line();
-            assert!(WorkerFrame::is_worker_line(&line));
-            assert!(!LeaseFrame::is_lease_line(&line));
+            assert_eq!(
+                WorkerLine::parse(&line).unwrap(),
+                WorkerLine::Control(frame.clone())
+            );
+            assert!(LeaseFrame::parse(&line).is_err());
             assert!(line.starts_with(&format!(
                 r#"{{"v":{WIRE_VERSION},"worker":"{}""#,
                 frame.kind()
@@ -2886,8 +2763,10 @@ mod tests {
         ];
         for frame in frames {
             let line = frame.to_line();
-            assert!(LeaseFrame::is_lease_line(&line));
-            assert!(!WorkerFrame::is_worker_line(&line));
+            assert!(!matches!(
+                WorkerLine::parse(&line),
+                Ok(WorkerLine::Control(_))
+            ));
             let back = LeaseFrame::parse(&line).unwrap();
             assert_eq!(back, frame);
             assert_eq!(back.to_line(), line, "parse -> encode must be identity");
@@ -2928,10 +2807,124 @@ mod tests {
             LeaseFrame::parse(&line),
             Err(FrameError::Corrupt { .. })
         ));
-        // An event frame is neither a worker nor a lease line.
+        // An event frame is neither a worker nor a lease line, and a
+        // non-string `worker` key does not make a line a control line.
         let event = r#"{"v":4,"study":"s","seq":0,"event":"study_started","name":"s","cells":1,"jobs":1,"targets":1,"traffic":1}"#;
-        assert!(!WorkerFrame::is_worker_line(event));
-        assert!(!LeaseFrame::is_lease_line(event));
+        assert!(matches!(WorkerLine::parse(event), Ok(WorkerLine::Event(_))));
+        assert!(LeaseFrame::parse(event).is_err());
+        let stray = event.replacen(r#""traffic":1}"#, r#""traffic":1,"worker":7}"#, 1);
+        assert!(matches!(
+            WorkerLine::parse(&stray),
+            Ok(WorkerLine::Event(_))
+        ));
+    }
+
+    #[test]
+    fn line_encoder_yields_the_wire_sinks_bytes_line_for_line() {
+        let stats = StudyStats {
+            jobs: 1,
+            targets: 1,
+            traffic_patterns: 1,
+            arrays: 0,
+            evaluations: 0,
+            skipped: 1,
+            cache: None,
+        };
+        let started = |name| StudyEvent::StudyStarted {
+            name,
+            cells: 1,
+            jobs: 1,
+            targets: 1,
+            traffic: 1,
+        };
+        let skipped = StudyEvent::DesignSkipped {
+            cell: "STT \"opt\"",
+            target: OptimizationTarget::ReadEdp,
+            reason: "no fit",
+        };
+        let finished = |name| StudyEvent::StudyFinished {
+            name,
+            stats: &stats,
+        };
+        // A second `study_started` renames the header mid-stream.
+        let events = [
+            started("first"),
+            skipped,
+            finished("first"),
+            started("second"),
+            skipped,
+            finished("second"),
+        ];
+        let mut sink = WireSink::new(Vec::new());
+        let mut encoder = LineEncoder::new();
+        let mut lines = Vec::new();
+        for event in &events {
+            sink.on_event(event).unwrap();
+            lines.push(encoder.encode(event).to_owned());
+        }
+        assert_eq!(encoder.frames_written(), sink.frames_written());
+        let written = String::from_utf8(sink.into_inner()).unwrap();
+        assert_eq!(written, lines.join("\n") + "\n");
+        assert!(lines[4].starts_with(r#"{"v":4,"study":"second","seq":4,"#));
+        for (seq, line) in lines.iter().enumerate() {
+            assert_eq!(WireFrame::parse(line).unwrap().seq, seq as u64);
+        }
+    }
+
+    #[test]
+    fn hundred_thousand_deep_lines_are_corrupt_not_a_stack_overflow() {
+        // A small stack, like a connection handler's: recursing once per
+        // level would overflow it long before the line ended.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deep = |head: &str| {
+                    format!(
+                        "{head},\"x\":{}1{}}}",
+                        "[".repeat(100_000),
+                        "]".repeat(100_000)
+                    )
+                };
+                let corrupt = |result: Result<(), FrameError>, what: &str| {
+                    assert!(
+                        matches!(result, Err(FrameError::Corrupt { .. })),
+                        "{what}: {result:?}"
+                    );
+                };
+                let event = deep(r#"{"v":4,"study":"s","seq":0,"event":"study_started""#);
+                corrupt(WireFrame::parse(&event).map(drop), "WireFrame::parse");
+                corrupt(FrameDecoder::new().frame(&event).map(drop), "frame");
+                corrupt(
+                    FrameDecoder::new().worker_line(&event).map(drop),
+                    "worker_line",
+                );
+                let worker = deep(r#"{"v":4,"worker":"heartbeat""#);
+                corrupt(
+                    FrameDecoder::new().worker_line(&worker).map(drop),
+                    "worker_line on a control line",
+                );
+                let request = deep(r#"{"v":4,"request":"status""#);
+                corrupt(RequestFrame::parse(&request).map(drop), "RequestFrame");
+                let submit = format!(
+                    r#"{{"v":4,"request":"submit","config":{}1{}}}"#,
+                    "{\"k\":".repeat(10_000),
+                    "}".repeat(10_000)
+                );
+                corrupt(RequestFrame::parse(&submit).map(drop), "submit config");
+                let response = deep(r#"{"v":4,"response":"draining""#);
+                corrupt(ResponseFrame::parse(&response).map(drop), "ResponseFrame");
+                // Not JSON this reader accepts, so not a response line.
+                assert!(ResponseFrame::parse_if_response(&response).is_none());
+                let lease = deep(r#"{"v":4,"lease":"shutdown""#);
+                corrupt(LeaseFrame::parse(&lease).map(drop), "LeaseFrame");
+                match replay(std::io::Cursor::new(event)) {
+                    Err(WireError::Corrupt { line: 1, .. }) => {}
+                    other => panic!("replay: {other:?}"),
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]
@@ -2976,7 +2969,7 @@ mod tests {
         // Clean run: the cache object is byte-identical to a v3 writer's.
         let clean = serde_json::to_string(&cache_value(&stats)).unwrap();
         assert!(!clean.contains("l2_reject_io"));
-        assert_eq!(cache_from(Leaf::Tree(&cache_value(&stats))).unwrap(), stats);
+        assert_eq!(cache_from(&cache_value(&stats)).unwrap(), stats);
         // Version-skewed run: only the observed classes appear.
         stats.l2_rejects = 3;
         stats.l2_reject_classes.version = 2;
@@ -2985,6 +2978,6 @@ mod tests {
         assert!(skewed.contains(r#""l2_reject_version":2"#));
         assert!(skewed.contains(r#""l2_reject_corrupt":1"#));
         assert!(!skewed.contains("l2_reject_io"));
-        assert_eq!(cache_from(Leaf::Tree(&cache_value(&stats))).unwrap(), stats);
+        assert_eq!(cache_from(&cache_value(&stats)).unwrap(), stats);
     }
 }
