@@ -2,7 +2,9 @@
 //! simulator, and DNN inference (the pieces behind Figs. 6-9 and 13).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nvmx_workloads::cache::{run_profile, spec2017_llc_traffic, spec2017_profiles, LlcConfig};
+use nvmx_workloads::cache::{
+    run_profile, run_profile_checkpoints, spec2017_llc_traffic, spec2017_profiles, LlcConfig,
+};
 use nvmx_workloads::graph::preferential_attachment;
 use nvmx_workloads::nn::trained_classifier;
 
@@ -33,6 +35,21 @@ fn bench_llc(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             spec2017_llc_traffic(100_000, seed)
+        });
+    });
+    // The suite at Fig. 14's and Fig. 9's lengths in one pass per profile,
+    // as the paper experiments share it.
+    c.bench_function("llc_suite_checkpoints_250k_400k", |b| {
+        let profiles = spec2017_profiles();
+        let mut seed = 0;
+        b.iter(|| {
+            seed += 1;
+            profiles
+                .iter()
+                .map(|p| {
+                    run_profile_checkpoints(LlcConfig::default(), p, &[250_000, 400_000], seed)
+                })
+                .collect::<Vec<_>>()
         });
     });
 }

@@ -1,6 +1,13 @@
 //! Runs every experiment in paper order, printing each report and writing
 //! all artifacts, then a final `total deviating findings: N` line.
 //!
+//! The experiments run one after another in this one process, so the
+//! inputs they share are computed once (`nvmx_bench::experiments::shared`)
+//! while each experiment spreads its own independent kernels over the
+//! cores. Running the experiments themselves concurrently would stack
+//! their peak memory for little further gain. The output is byte-identical
+//! to running each `fig*`/`table*` binary on its own.
+//!
 //! Deviations are reported, not fatal: the exit code is 0 whatever `N` is,
 //! so callers that time or diff the run are not cut short. Gate on the
 //! printed `[DEV]` claims and the final line instead.

@@ -3,6 +3,7 @@
 //! graph + SPEC-class traffic.
 
 use crate::experiments::characterize_study;
+use crate::experiments::shared::social_bfs;
 use crate::{Experiment, Finding};
 use nvmexplorer_core::eval::{evaluate, Evaluation};
 use nvmx_celldb::custom::{back_gated_fefet, sram_16nm};
@@ -10,7 +11,6 @@ use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, AsciiTable, Csv, ScatterPlot};
-use nvmx_workloads::graph::{accelerator_traffic, facebook_like, wikipedia_like};
 use nvmx_workloads::traffic::log_sweep;
 
 /// Regenerates the back-gated FeFET co-design study.
@@ -25,10 +25,7 @@ pub fn run(fast: bool) -> Experiment {
 
     let (rs, ws) = if fast { (3, 3) } else { (6, 5) };
     let mut patterns = log_sweep(0.05e9, 10.0e9, rs, 1.0e6, 400.0e6, ws, 8);
-    for graph in [facebook_like(7), wikipedia_like(7)] {
-        let (_, counter) = graph.bfs(0);
-        patterns.push(accelerator_traffic(&graph, "BFS8MB", counter, 2.5e8));
-    }
+    patterns.extend(social_bfs().iter().map(|bfs| bfs.traffic("BFS8MB", 2.5e8)));
 
     let mut csv = Csv::new([
         "cell",

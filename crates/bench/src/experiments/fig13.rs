@@ -2,9 +2,11 @@
 //! storage filtered by whether image-classification accuracy survives the
 //! technology's fault rates.
 
+use crate::experiments::shared::lanes;
 use crate::experiments::{characterize_study, opt_cell, pess_cell};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::accuracy::accuracy_under_storage;
+use nvmexplorer_core::scheduler::run_on_lanes;
 use nvmx_celldb::{CellDefinition, TechnologyClass};
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::{BitsPerCell, Capacity};
@@ -55,50 +57,60 @@ pub fn run(fast: bool) -> Experiment {
     }
     let mut rows: Vec<Row> = Vec::new();
 
-    for cell in &cells {
-        for bits in [BitsPerCell::Slc, BitsPerCell::Mlc2] {
-            let report = accuracy_under_storage(cell, bits, trials);
-            let ok = report.is_acceptable(TOLERANCE);
-            let mut density = 0.0;
-            for capacity_mib in [8u64, 16] {
-                let array = characterize_study(
-                    cell,
-                    Capacity::from_mebibytes(capacity_mib),
-                    256,
-                    OptimizationTarget::ReadEdp,
-                    bits,
-                );
-                if capacity_mib == 16 {
-                    density = array.density_mbit_per_mm2();
-                }
-                csv.row([
-                    cell.name.clone(),
-                    num(cell.area.value()),
-                    bits.to_string(),
-                    capacity_mib.to_string(),
-                    num(array.density_mbit_per_mm2()),
-                    num(array.read_latency.value() * 1e9),
-                    num(report.bit_error_rate),
-                    num(report.mean),
-                    num(report.baseline),
-                    ok.to_string(),
-                ]);
-            }
-            table.row(vec![
-                cell.name.clone(),
-                bits.to_string(),
-                format!("{:.2e}", report.bit_error_rate),
-                format!("{:.3}", report.mean),
-                ok.to_string(),
-                format!("{density:.0}"),
-            ]);
-            rows.push(Row {
-                cell: cell.name.clone(),
+    // Each (cell, depth) pair's accuracy trials and arrays are independent
+    // of every other pair's.
+    let pairs: Vec<(&CellDefinition, BitsPerCell)> = cells
+        .iter()
+        .flat_map(|cell| [BitsPerCell::Slc, BitsPerCell::Mlc2].map(|bits| (cell, bits)))
+        .collect();
+    let measured = run_on_lanes(&pairs, lanes(), |_, &(cell, bits)| {
+        let arrays = [8u64, 16].map(|capacity_mib| {
+            let array = characterize_study(
+                cell,
+                Capacity::from_mebibytes(capacity_mib),
+                256,
+                OptimizationTarget::ReadEdp,
                 bits,
-                density,
-                ok,
-            });
+            );
+            (capacity_mib, array)
+        });
+        (accuracy_under_storage(cell, bits, trials), arrays)
+    });
+
+    for (&(cell, bits), (report, arrays)) in pairs.iter().zip(&measured) {
+        let ok = report.is_acceptable(TOLERANCE);
+        let mut density = 0.0;
+        for (capacity_mib, array) in arrays {
+            if *capacity_mib == 16 {
+                density = array.density_mbit_per_mm2();
+            }
+            csv.row([
+                cell.name.clone(),
+                num(cell.area.value()),
+                bits.to_string(),
+                capacity_mib.to_string(),
+                num(array.density_mbit_per_mm2()),
+                num(array.read_latency.value() * 1e9),
+                num(report.bit_error_rate),
+                num(report.mean),
+                num(report.baseline),
+                ok.to_string(),
+            ]);
         }
+        table.row(vec![
+            cell.name.clone(),
+            bits.to_string(),
+            format!("{:.2e}", report.bit_error_rate),
+            format!("{:.3}", report.mean),
+            ok.to_string(),
+            format!("{density:.0}"),
+        ]);
+        rows.push(Row {
+            cell: cell.name.clone(),
+            bits,
+            density,
+            ok,
+        });
     }
 
     let find = |name: &str, bits: BitsPerCell| -> &Row {

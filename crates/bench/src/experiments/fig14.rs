@@ -1,34 +1,28 @@
 //! Fig. 14 — write buffering: masking write latency and/or coalescing write
 //! traffic broadens the set of viable eNVMs for write-heavy workloads.
 
+use crate::experiments::shared::{social_bfs, spec_suites};
 use crate::experiments::{characterize_study, study_cells};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::write_buffer::{evaluate_with_buffer, WriteBuffer};
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, AsciiTable, Csv};
-use nvmx_workloads::cache::spec2017_llc_traffic;
-use nvmx_workloads::graph::{accelerator_traffic, facebook_like};
 use nvmx_workloads::TrafficPattern;
 
 /// Regenerates the write-buffer sweep for SPEC2017-class and
 /// Facebook-Graph-BFS traffic.
 pub fn run(fast: bool) -> Experiment {
-    let lookups = if fast { 60_000 } else { 250_000 };
-
     // Facebook-Graph-BFS on the 8 MB scratchpad (5e7 edges/s keeps the
     // read stream within reach of slow-write arrays so the write buffer is
     // the deciding factor, as in the paper).
-    let fb = facebook_like(7);
-    let (_, counter) = fb.bfs(0);
-    let bfs_traffic = accelerator_traffic(&fb, "BFS", counter, 5.0e7);
+    let bfs_traffic = social_bfs()[0].traffic("BFS", 5.0e7);
 
     // A representative (median-write) SPEC benchmark against the 16 MB LLC;
     // the paper's SPEC claim is about FeFET becoming a lower-power
     // *alternative* across the suite, not about its worst case.
-    let spec = spec2017_llc_traffic(lookups, 17);
     let spec_traffic = {
-        let mut sorted = spec.clone();
+        let mut sorted = spec_suites(fast).fig14.clone();
         sorted.sort_by(|a, b| {
             a.traffic
                 .write_bytes_per_sec

@@ -2,11 +2,13 @@
 //! continuous 60 FPS operation (left) and energy per inference under
 //! intermittent operation (right), across deployment scenarios.
 
+use crate::experiments::shared::lanes;
 use crate::experiments::{characterize_study, study_cells};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::accuracy::accuracy_under_storage;
 use nvmexplorer_core::eval::evaluate;
 use nvmexplorer_core::intermittent::{daily_energy, IntermittentScenario};
+use nvmexplorer_core::scheduler::run_on_lanes;
 use nvmx_celldb::TechnologyClass;
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::{BitsPerCell, Capacity};
@@ -61,32 +63,36 @@ pub fn run(fast: bool) -> Experiment {
     let mut fefet_ratio: f64 = 0.0;
     let mut pcm_rram_stt_min_ratio = f64::MAX;
 
+    // Neither the array nor the accuracy verdict depends on the use case.
+    // Accuracy gate: SLC fault rates must keep the classifier within 5 %
+    // of baseline (paper: "maintain DNN accuracy targets").
+    let gated_arrays = run_on_lanes(&cells, lanes(), |_, cell| {
+        let array = characterize_study(
+            cell,
+            capacity,
+            256,
+            OptimizationTarget::ReadEdp,
+            BitsPerCell::Slc,
+        );
+        let accuracy_ok = cell.technology == TechnologyClass::Sram
+            || accuracy_under_storage(cell, BitsPerCell::Slc, trials).is_acceptable(0.05);
+        (array, accuracy_ok)
+    });
+
     for use_case in continuous_use_cases() {
         let traffic = use_case.continuous_traffic(fps);
         // Evaluate all cells first, then derive ratios (SRAM power must be
         // known before any comparison).
         let mut results: Vec<(String, TechnologyClass, f64, bool, bool)> = Vec::new();
-        for cell in &cells {
-            let array = characterize_study(
-                cell,
-                capacity,
-                256,
-                OptimizationTarget::ReadEdp,
-                BitsPerCell::Slc,
-            );
-            let eval = evaluate(&array, &traffic);
-            // Accuracy gate: SLC fault rates must keep the classifier
-            // within 5 % of baseline (paper: "maintain DNN accuracy
-            // targets").
-            let accuracy_ok = cell.technology == TechnologyClass::Sram
-                || accuracy_under_storage(cell, BitsPerCell::Slc, trials).is_acceptable(0.05);
+        for (cell, (array, accuracy_ok)) in cells.iter().zip(&gated_arrays) {
+            let eval = evaluate(array, &traffic);
             let power_mw = eval.total_power().value() * 1e3;
             results.push((
                 cell.name.clone(),
                 cell.technology,
                 power_mw,
                 eval.is_feasible(),
-                accuracy_ok,
+                *accuracy_ok,
             ));
         }
         let sram_power = results

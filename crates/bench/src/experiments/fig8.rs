@@ -2,13 +2,13 @@
 //! rate, aggregate latency vs write rate, and projected lifetime, over
 //! generic traffic plus BFS points from the synthetic social graphs.
 
+use crate::experiments::shared::social_bfs;
 use crate::experiments::{characterize_study, study_cells};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::eval::{evaluate, Evaluation};
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
-use nvmx_workloads::graph::{accelerator_traffic, facebook_like, wikipedia_like};
 use nvmx_workloads::traffic::log_sweep;
 use nvmx_workloads::TrafficPattern;
 
@@ -22,10 +22,11 @@ pub fn traffic_set(fast: bool) -> Vec<TrafficPattern> {
     // leakage-dominated regime (where FeFET wins) is visible, matching the
     // Fig. 8 x-axis extent.
     let mut patterns = log_sweep(0.05e9, 10.0e9, rs, 1.0e6, 100.0e6, ws, 8);
-    for graph in [facebook_like(7), wikipedia_like(7)] {
-        let (_, counter) = graph.bfs(0);
-        patterns.push(accelerator_traffic(&graph, "BFS", counter, EDGES_PER_SEC));
-    }
+    patterns.extend(
+        social_bfs()
+            .iter()
+            .map(|bfs| bfs.traffic("BFS", EDGES_PER_SEC)),
+    );
     patterns
 }
 

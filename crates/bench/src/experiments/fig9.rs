@@ -1,18 +1,17 @@
 //! Fig. 9 — non-volatile 16 MB LLC under SPEC CPU2017-class traffic:
 //! per-benchmark power, aggregate latency, and lifetime.
 
+use crate::experiments::shared::spec_suites;
 use crate::experiments::{characterize_study, study_cells};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::eval::{evaluate, Evaluation};
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
-use nvmx_workloads::cache::spec2017_llc_traffic;
 
 /// Regenerates the SPEC LLC study.
 pub fn run(fast: bool) -> Experiment {
-    let lookups = if fast { 60_000 } else { 400_000 };
-    let suite = spec2017_llc_traffic(lookups, 17);
+    let suite = &spec_suites(fast).fig9;
     let cells = study_cells();
     let capacity = Capacity::from_mebibytes(16);
 
@@ -55,7 +54,7 @@ pub fn run(fast: bool) -> Experiment {
         let mut p = Vec::new();
         let mut l = Vec::new();
         let mut lt = Vec::new();
-        for bench in &suite {
+        for bench in suite {
             let eval = evaluate(&array, &bench.traffic);
             csv.row([
                 cell.name.clone(),

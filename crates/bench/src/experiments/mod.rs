@@ -13,6 +13,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod shared;
 pub mod table1;
 pub mod table2;
 pub mod table3;

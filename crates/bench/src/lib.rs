@@ -7,6 +7,13 @@
 //! wrappers; integration tests and criterion benches call the same
 //! functions.
 //!
+//! Inputs several experiments share (the SPEC LLC suite, the social
+//! graphs' BFS counts) are memoized once per process in
+//! [`experiments::shared`], and independent kernels inside an experiment
+//! run across threads. Neither changes a byte: every report and artifact
+//! is identical whether an experiment runs alone, after the others, or
+//! on any number of cores.
+//!
 //! Set `NVMX_FAST=1` to run reduced-size variants (fewer sweep points,
 //! fewer fault trials) — used by the test suite.
 

@@ -14,13 +14,28 @@ use nvmx_workloads::nn::{trained_classifier, QuantizedMlp};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
-static CLASSIFIER: OnceLock<(QuantizedMlp, Dataset)> = OnceLock::new();
+/// The shared classifier, its test set, and its fault-free accuracy on it.
+struct Classifier {
+    model: QuantizedMlp,
+    test: Dataset,
+    baseline: f64,
+}
+
+static CLASSIFIER: OnceLock<Classifier> = OnceLock::new();
 
 /// Training seed for the shared fault-study classifier.
 const DNN_SEED: u64 = 2022;
 
-fn classifier() -> &'static (QuantizedMlp, Dataset) {
-    CLASSIFIER.get_or_init(|| trained_classifier(DNN_SEED))
+fn classifier() -> &'static Classifier {
+    CLASSIFIER.get_or_init(|| {
+        let (model, test) = trained_classifier(DNN_SEED);
+        let baseline = model.accuracy(&test);
+        Classifier {
+            model,
+            test,
+            baseline,
+        }
+    })
 }
 
 /// Accuracy measurement for one `(cell, programming depth)` pair.
@@ -54,8 +69,7 @@ impl AccuracyReport {
 /// Fault-free accuracy of the process-wide shared classifier — the
 /// baseline every fault trial is compared against.
 pub fn baseline_accuracy() -> f64 {
-    let (clean, test) = classifier();
-    clean.accuracy(test)
+    classifier().baseline
 }
 
 /// Runs one fault trial on the shared classifier with an explicit
@@ -68,7 +82,9 @@ pub fn baseline_accuracy() -> f64 {
 /// trial this function ran. Pure function of `(model, seed)` — safe to
 /// fan out across threads.
 pub fn fault_trial(model: &FaultModel, seed: u64) -> (nvmx_fault::InjectionReport, f64) {
-    let (clean, test) = classifier();
+    let Classifier {
+        model: clean, test, ..
+    } = classifier();
     let mut corrupted = clean.weight_bytes();
     let report = model.inject_seeded(&mut corrupted, seed);
     let mut faulty = clean.clone();
@@ -89,8 +105,11 @@ pub fn accuracy_under_storage(
 
 /// Measures classifier accuracy under an explicit fault model.
 pub fn accuracy_under_model(model: &FaultModel, trials: u32) -> AccuracyReport {
-    let (clean, test) = classifier();
-    let baseline = clean.accuracy(test);
+    let Classifier {
+        model: clean,
+        test,
+        baseline,
+    } = classifier();
     let pristine = clean.weight_bytes();
 
     let mut sum = 0.0;
@@ -107,7 +126,7 @@ pub fn accuracy_under_model(model: &FaultModel, trials: u32) -> AccuracyReport {
     }
 
     AccuracyReport {
-        baseline,
+        baseline: *baseline,
         mean: sum / f64::from(trials),
         worst,
         bit_error_rate: model.bit_error_rate(),

@@ -8,10 +8,11 @@
 //! targets), the application traffic, and the constraints used to filter
 //! results.
 
+use crate::scheduler::run_on_lanes;
 use nvmx_celldb::{custom, tentpole, CellDefinition, TechnologyClass};
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::{BitsPerCell, Capacity, Meters};
-use nvmx_workloads::cache::spec2017_llc_traffic;
+use nvmx_workloads::cache::{run_profile, spec2017_profiles, LlcConfig};
 use nvmx_workloads::dnn::{self, DnnUseCase, StoragePolicy};
 use nvmx_workloads::graph;
 use nvmx_workloads::traffic::{log_sweep, TrafficPattern};
@@ -547,6 +548,17 @@ impl TrafficSpec {
     ///
     /// Returns [`UnknownNameError`] for unrecognized model/graph names.
     pub fn resolve(&self) -> Result<Vec<TrafficPattern>, UnknownNameError> {
+        self.resolve_on_lanes(1)
+    }
+
+    /// [`resolve`](Self::resolve) with a `spec_llc` suite's profiles
+    /// simulated across up to `lanes` threads. Each profile is an
+    /// independent, seeded simulation, so the patterns are the same at
+    /// every lane count.
+    pub(crate) fn resolve_on_lanes(
+        &self,
+        lanes: usize,
+    ) -> Result<Vec<TrafficPattern>, UnknownNameError> {
         match self {
             Self::Explicit { patterns } => Ok(patterns.clone()),
             Self::GenericSweep {
@@ -585,10 +597,11 @@ impl TrafficSpec {
                 };
                 Ok(vec![use_case.continuous_traffic(*fps)])
             }
-            Self::SpecLlc { lookups, seed } => Ok(spec2017_llc_traffic(*lookups, *seed)
-                .into_iter()
-                .map(|t| t.traffic)
-                .collect()),
+            Self::SpecLlc { lookups, seed } => {
+                Ok(run_on_lanes(&spec2017_profiles(), lanes, |_, profile| {
+                    run_profile(LlcConfig::default(), profile, *lookups, *seed).traffic
+                }))
+            }
             Self::GraphBfs {
                 graph: graph_name,
                 edges_per_sec,
@@ -931,6 +944,42 @@ mod tests {
             access_bytes: 8,
         };
         assert_eq!(sweep.resolve().unwrap().len(), 9);
+    }
+
+    #[test]
+    fn spec_llc_resolves_the_same_on_every_lane_count() {
+        let spec = TrafficSpec::SpecLlc {
+            lookups: 20_000,
+            seed: 29,
+        };
+        let bits = |patterns: Vec<TrafficPattern>| -> Vec<(String, u64, u64, u64)> {
+            patterns
+                .into_iter()
+                .map(|p| {
+                    (
+                        p.name,
+                        p.read_bytes_per_sec.to_bits(),
+                        p.write_bytes_per_sec.to_bits(),
+                        p.access_bytes,
+                    )
+                })
+                .collect()
+        };
+        let serial = bits(
+            nvmx_workloads::cache::spec2017_llc_traffic(20_000, 29)
+                .into_iter()
+                .map(|t| t.traffic)
+                .collect(),
+        );
+        assert_eq!(serial.len(), spec2017_profiles().len());
+        assert_eq!(bits(spec.resolve().unwrap()), serial);
+        for lanes in [1, 2, 16] {
+            assert_eq!(
+                bits(spec.resolve_on_lanes(lanes).unwrap()),
+                serial,
+                "{lanes} lanes"
+            );
+        }
     }
 
     #[test]

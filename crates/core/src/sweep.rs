@@ -241,14 +241,15 @@ type Resolved = (
     Vec<OptimizationTarget>,
 );
 
-/// Resolves the study's cells, traffic, and targets (targets in report
-/// order: by label), failing on an empty cell or traffic selection.
-fn resolve(study: &StudyConfig) -> Result<Resolved, StudyError> {
+/// Resolves the study's cells, traffic (simulated traffic across up to
+/// `lanes` threads), and targets (targets in report order: by label),
+/// failing on an empty cell or traffic selection.
+fn resolve(study: &StudyConfig, lanes: usize) -> Result<Resolved, StudyError> {
     let cells = study.cells.resolve();
     if cells.is_empty() {
         return Err(StudyError::NoCells);
     }
-    let traffic = study.traffic.resolve()?;
+    let traffic = study.traffic.resolve_on_lanes(lanes)?;
     if traffic.is_empty() {
         return Err(StudyError::NoTraffic);
     }
@@ -267,7 +268,7 @@ pub(crate) fn run_study_impl(
     seeds: Option<&IncumbentStore>,
     sink: &mut dyn ResultSink,
 ) -> Result<StudyResult, StudyError> {
-    let (cells, traffic, targets) = resolve(study)?;
+    let (cells, traffic, targets) = resolve(study, clamp_workers(threads, usize::MAX))?;
     let jobs = expand_jobs(study, &cells, &targets);
     sink.on_event(&StudyEvent::StudyStarted {
         name: &study.name,
@@ -620,7 +621,7 @@ pub mod oracle {
     ///
     /// Same conditions as [`run_study_with_threads`](super::run_study_with_threads).
     pub fn run_study(study: &StudyConfig) -> Result<StudyResult, StudyError> {
-        let (cells, traffic, targets) = resolve(study)?;
+        let (cells, traffic, targets) = resolve(study, 1)?;
         let mut arrays = Vec::new();
         let mut skipped = Vec::new();
         for job in expand_jobs(study, &cells, &targets) {

@@ -149,12 +149,6 @@ impl Llc {
         self.stats
     }
 
-    /// Empties every set and zeroes the statistics, keeping the allocation.
-    fn reset(&mut self) {
-        self.states.fill(LineState::Empty);
-        self.stats = LlcStats::default();
-    }
-
     /// Processes one access at byte address `addr`.
     pub fn access(&mut self, addr: u64, is_write: bool) {
         self.stats.lookups += 1;
@@ -280,55 +274,76 @@ pub fn run_profile(
     lookups: u64,
     seed: u64,
 ) -> LlcTraffic {
-    simulate(&mut Llc::new(config), profile, lookups, seed)
+    run_profile_checkpoints(config, profile, &[lookups], seed)
+        .pop()
+        .expect("one snapshot per length")
 }
 
-/// [`run_profile`] on a caller-owned, empty `llc`.
-fn simulate(llc: &mut Llc, profile: &BenchProfile, lookups: u64, seed: u64) -> LlcTraffic {
-    let config = llc.config();
+/// Runs `profile` through one fresh LLC of `config` and snapshots its
+/// traffic after each of `lengths` lookups, so a single simulation serves
+/// several run lengths.
+///
+/// Each snapshot is bit-identical to a separate [`run_profile`] at that
+/// length: the address stream depends only on `seed`, and the cache state
+/// and counts only on the lookups so far.
+///
+/// # Panics
+///
+/// Panics when `lengths` is not in ascending order.
+pub fn run_profile_checkpoints(
+    config: LlcConfig,
+    profile: &BenchProfile,
+    lengths: &[u64],
+    seed: u64,
+) -> Vec<LlcTraffic> {
+    assert!(
+        lengths.windows(2).all(|pair| pair[0] <= pair[1]),
+        "checkpoint lengths must ascend: {lengths:?}"
+    );
+    let mut llc = Llc::new(config);
     let mut rng = StdRng::seed_from_u64(seed);
     let lines_in_footprint = (profile.footprint_bytes / config.line_bytes).max(1);
     let lines_in_hot = (profile.hot_bytes / config.line_bytes).max(1);
     let mut stream_pos: u64 = 0;
 
-    for _ in 0..lookups {
-        let is_write = rng.gen_bool(profile.write_fraction);
-        let addr = if rng.gen_bool(profile.hot_fraction) {
-            // Zipf-flavored hot-region revisit: bias toward low line ids.
-            let u: f64 = rng.gen_range(0.0f64..1.0);
-            let line = ((u * u) * lines_in_hot as f64) as u64;
-            line * config.line_bytes
-        } else {
-            // Streaming through the cold footprint.
-            stream_pos = (stream_pos + 1) % lines_in_footprint;
-            (lines_in_hot + stream_pos) % lines_in_footprint * config.line_bytes
-        };
-        llc.access(addr, is_write);
-    }
+    let mut snapshots = Vec::with_capacity(lengths.len());
+    for &length in lengths {
+        for _ in llc.stats.lookups..length {
+            let is_write = rng.gen_bool(profile.write_fraction);
+            let addr = if rng.gen_bool(profile.hot_fraction) {
+                // Zipf-flavored hot-region revisit: bias toward low line ids.
+                let u: f64 = rng.gen_range(0.0f64..1.0);
+                let line = ((u * u) * lines_in_hot as f64) as u64;
+                line * config.line_bytes
+            } else {
+                // Streaming through the cold footprint.
+                stream_pos = (stream_pos + 1) % lines_in_footprint;
+                (lines_in_hot + stream_pos) % lines_in_footprint * config.line_bytes
+            };
+            llc.access(addr, is_write);
+        }
 
-    let stats = llc.stats();
-    let seconds_simulated = lookups as f64 / profile.lookups_per_sec;
-    LlcTraffic {
-        name: profile.name.clone(),
-        traffic: TrafficPattern::new(
-            profile.name.clone(),
-            stats.array_reads() as f64 * config.line_bytes as f64 / seconds_simulated,
-            stats.array_writes() as f64 * config.line_bytes as f64 / seconds_simulated,
-            config.line_bytes,
-        ),
-        miss_rate: stats.miss_rate(),
+        let stats = llc.stats();
+        let seconds_simulated = length as f64 / profile.lookups_per_sec;
+        snapshots.push(LlcTraffic {
+            name: profile.name.clone(),
+            traffic: TrafficPattern::new(
+                profile.name.clone(),
+                stats.array_reads() as f64 * config.line_bytes as f64 / seconds_simulated,
+                stats.array_writes() as f64 * config.line_bytes as f64 / seconds_simulated,
+                config.line_bytes,
+            ),
+            miss_rate: stats.miss_rate(),
+        });
     }
+    snapshots
 }
 
 /// Runs the full SPEC-like suite against the default 16 MiB LLC.
 pub fn spec2017_llc_traffic(lookups_per_benchmark: u64, seed: u64) -> Vec<LlcTraffic> {
-    let mut llc = Llc::new(LlcConfig::default());
     spec2017_profiles()
         .iter()
-        .map(|p| {
-            llc.reset();
-            simulate(&mut llc, p, lookups_per_benchmark, seed)
-        })
+        .map(|p| run_profile(LlcConfig::default(), p, lookups_per_benchmark, seed))
         .collect()
 }
 

@@ -236,13 +236,42 @@ pub fn accelerator_traffic(
     counter: MemoryCounter,
     edges_per_sec: f64,
 ) -> TrafficPattern {
-    let exec_seconds = graph.num_edges() as f64 / edges_per_sec;
-    TrafficPattern::new(
-        format!("{}-{kernel_name}", graph.name),
-        counter.read_bytes() as f64 / exec_seconds,
-        counter.write_bytes() as f64 / exec_seconds,
-        8,
-    )
+    KernelCounts::new(graph, counter).traffic(kernel_name, edges_per_sec)
+}
+
+/// A kernel's access counts together with the two graph facts
+/// [`accelerator_traffic`] reads (name and edge count), so the counts can
+/// outlive the graph they came from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelCounts {
+    /// The graph's display name.
+    pub graph: String,
+    /// The graph's edge count.
+    pub edges: usize,
+    /// What the kernel read and wrote.
+    pub counter: MemoryCounter,
+}
+
+impl KernelCounts {
+    /// Keeps `graph`'s name and edge count alongside `counter`.
+    pub fn new(graph: &Graph, counter: MemoryCounter) -> Self {
+        Self {
+            graph: graph.name.clone(),
+            edges: graph.num_edges(),
+            counter,
+        }
+    }
+
+    /// [`accelerator_traffic`] on the graph these counts came from.
+    pub fn traffic(&self, kernel_name: &str, edges_per_sec: f64) -> TrafficPattern {
+        let exec_seconds = self.edges as f64 / edges_per_sec;
+        TrafficPattern::new(
+            format!("{}-{kernel_name}", self.graph),
+            self.counter.read_bytes() as f64 / exec_seconds,
+            self.counter.write_bytes() as f64 / exec_seconds,
+            8,
+        )
+    }
 }
 
 #[cfg(test)]

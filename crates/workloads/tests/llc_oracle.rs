@@ -8,7 +8,10 @@
 //! keeps its sets in recency order instead and must report the same
 //! [`LlcStats`] after every access, for every geometry it accepts.
 
-use nvmx_workloads::cache::{spec2017_llc_traffic, Llc, LlcConfig, LlcStats};
+use nvmx_workloads::cache::{
+    run_profile, run_profile_checkpoints, spec2017_llc_traffic, spec2017_profiles, BenchProfile,
+    Llc, LlcConfig, LlcStats, LlcTraffic,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -311,4 +314,80 @@ fn spec_suite_traffic_is_pinned_bit_for_bit() {
         );
         assert_eq!(got.miss_rate.to_bits(), miss, "{name} miss rate");
     }
+}
+
+/// The run lengths the paper figures read (1, fast mode's 60k, the pinned
+/// 100k, Fig. 14's 250k and Fig. 9's 400k).
+const CHECKPOINTS: [u64; 5] = [1, 60_000, 100_000, 250_000, 400_000];
+
+/// `(name, read rate bits, write rate bits, access bytes, miss rate bits)`.
+fn traffic_bits(t: &LlcTraffic) -> (&str, u64, u64, u64, u64) {
+    (
+        &t.name,
+        t.traffic.read_bytes_per_sec.to_bits(),
+        t.traffic.write_bytes_per_sec.to_bits(),
+        t.traffic.access_bytes,
+        t.miss_rate.to_bits(),
+    )
+}
+
+/// Asserts that one checkpointed run of `profile` snapshots exactly what a
+/// separate `run_profile` gives at each of `CHECKPOINTS`.
+fn assert_checkpoints_match_separate_runs(config: LlcConfig, profile: &BenchProfile, seed: u64) {
+    let snapshots = run_profile_checkpoints(config, profile, &CHECKPOINTS, seed);
+    assert_eq!(snapshots.len(), CHECKPOINTS.len());
+    for (snapshot, &length) in snapshots.iter().zip(&CHECKPOINTS) {
+        let separate = run_profile(config, profile, length, seed);
+        assert_eq!(
+            traffic_bits(snapshot),
+            traffic_bits(&separate),
+            "{} seed {seed} at {length} lookups ({config:?})",
+            profile.name
+        );
+    }
+}
+
+#[test]
+fn checkpoints_equal_separate_runs_for_every_profile() {
+    let profiles = spec2017_profiles();
+    // Profiles are independent; split them over two threads to halve the
+    // unoptimized test build's wall time.
+    std::thread::scope(|scope| {
+        for half in profiles.chunks(profiles.len().div_ceil(2)) {
+            scope.spawn(move || {
+                for profile in half {
+                    for seed in [3, 17, 0xdead_beef] {
+                        assert_checkpoints_match_separate_runs(LlcConfig::default(), profile, seed);
+                    }
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn checkpoints_equal_separate_runs_on_a_small_odd_geometry() {
+    // 1 MiB, 12-way, 32 B lines: a non-power-of-two set count, and far
+    // more evictions and writebacks than the 16 MiB default.
+    let config = LlcConfig {
+        capacity_bytes: 1 << 20,
+        ways: 12,
+        line_bytes: 32,
+    };
+    let profiles = spec2017_profiles();
+    for profile in [&profiles[0], &profiles[7], &profiles[13]] {
+        assert_checkpoints_match_separate_runs(config, profile, 5);
+    }
+}
+
+#[test]
+fn checkpoints_may_repeat_a_length_and_must_ascend() {
+    let profile = &spec2017_profiles()[2];
+    let config = LlcConfig::default();
+    let twice = run_profile_checkpoints(config, profile, &[5_000, 5_000], 1);
+    assert_eq!(traffic_bits(&twice[0]), traffic_bits(&twice[1]));
+    assert!(run_profile_checkpoints(config, profile, &[], 1).is_empty());
+    let descending =
+        std::panic::catch_unwind(|| run_profile_checkpoints(config, profile, &[10, 9], 1));
+    assert!(descending.is_err());
 }
