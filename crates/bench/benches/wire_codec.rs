@@ -2,17 +2,22 @@
 //! `JsonlSink` encoding the `large_campaign` study's events (the engine
 //! is not timed: the events come from a finished result), and strict
 //! `wire::replay` of its capture — next to the results-CSV layer over the
-//! same result: `results_csv(..).render()` and `CsvSink`.
+//! same result: `results_csv(..).render()` and `CsvSink`. The `reshard`
+//! group times the lease supervisor the coordinator's merge loop ticks
+//! once per arriving frame.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
+use nvmexplorer_core::reshard::{Action, ReshardConfig, Resharder};
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
 use nvmexplorer_core::sweep::StudyResult;
-use nvmexplorer_core::wire::{self, WireSink};
+use nvmexplorer_core::wire::{self, SlotMerger, WireSink};
 use nvmx_bench::campaign::results_csv;
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::BitsPerCell;
 use nvmx_viz::sink::{CsvSink, JsonlSink};
+use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::OnceLock;
 
 /// The `large_campaign` study of `bench_sweep`: six capacities, both
@@ -133,5 +138,85 @@ fn bench_results_csv(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_replay, bench_results_csv);
+/// Slots in a `campaign_large` capture.
+const CAMPAIGN_SLOTS: u64 = 31_613;
+
+/// Drives `total` slots through two equally fast simulated workers under
+/// the default [`ReshardConfig`]: they alternate frames, 100 frames per
+/// simulated millisecond (a leased `campaign_large` run's rate), report
+/// each drained lease, and the supervisor ticks once per frame. Returns
+/// the number of leases granted.
+fn supervise(total: u64) -> u64 {
+    const NAMES: [&str; 2] = ["w0", "w1"];
+    let mut resharder = Resharder::new(ReshardConfig::default());
+    let mut merger = SlotMerger::new();
+    // Each worker's granted leases, FIFO: (id, next slot, end).
+    let mut leases: [VecDeque<(u64, u64, u64)>; 2] = Default::default();
+    let mut granted = 0u64;
+    let mut apply = |actions: Vec<Action>, leases: &mut [VecDeque<(u64, u64, u64)>; 2]| {
+        for action in actions {
+            match action {
+                Action::Grant {
+                    worker,
+                    lease,
+                    start,
+                    end,
+                } => {
+                    granted += 1;
+                    leases[usize::from(worker == NAMES[1])].push_back((lease, start, end));
+                }
+                Action::Revoke { worker, lease } => {
+                    leases[usize::from(worker == NAMES[1])].retain(|l| l.0 != lease);
+                }
+                _ => {}
+            }
+        }
+    };
+    for name in NAMES {
+        resharder.worker_connected(name, 0);
+        resharder.worker_done(name, total, 0);
+    }
+    apply(resharder.tick(0), &mut leases);
+    let mut frames = 0u64;
+    while merger.next_expected() < total {
+        for (w, name) in NAMES.into_iter().enumerate() {
+            let Some((id, slot, end)) = leases[w].front_mut() else {
+                continue;
+            };
+            let (id, seq) = (*id, *slot);
+            *slot += 1;
+            let drained = *slot >= *end;
+            let now = frames / 100;
+            frames += 1;
+            resharder.frame_arrived(name, now);
+            merger
+                .offer(seq, (), &mut |_, ()| Ok::<(), Infallible>(()))
+                .expect("infallible");
+            resharder.delivered(merger.next_expected());
+            if drained {
+                leases[w].pop_front();
+                resharder.lease_drained(name, id, now);
+            }
+            apply(resharder.tick(now), &mut leases);
+        }
+    }
+    granted
+}
+
+fn bench_reshard(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reshard");
+    group.sample_size(10);
+    group.bench_function("tick_per_frame_2_workers", |b| {
+        b.iter(|| supervise(CAMPAIGN_SLOTS));
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_encode,
+    bench_replay,
+    bench_results_csv,
+    bench_reshard
+);
 criterion_main!(benches);

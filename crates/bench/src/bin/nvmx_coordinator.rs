@@ -127,6 +127,10 @@ struct RunOptions {
 /// Ceiling on one backoff sleep, however high the attempt count climbs.
 const MAX_BACKOFF_MS: u64 = 10_000;
 
+/// How long the wind-down waits for workers to exit on `shutdown` before
+/// it kills the rest.
+const WIND_DOWN: Duration = Duration::from_millis(50);
+
 fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
     let mut configs = Vec::new();
     let mut workers = 2;
@@ -964,13 +968,23 @@ fn run_leased_study(
     };
     let outcome = merge();
 
-    // Wind down: stop accepting, ask live workers to exit, then make sure
-    // no child outlives the run (a SIGSTOPped stall victim never would).
+    // Wind down: stop accepting, ask live workers to exit and give them
+    // up to `WIND_DOWN` to do so (their store lines print on the way
+    // out), then make sure no child outlives the run (a SIGSTOPped stall
+    // victim never would).
     stop_accepting.store(true, Ordering::Relaxed);
     for name in state.writers.keys().cloned().collect::<Vec<_>>() {
         state.send(&name, &LeaseFrame::Shutdown);
     }
-    std::thread::sleep(Duration::from_millis(50));
+    let deadline = Instant::now() + WIND_DOWN;
+    while Instant::now() < deadline
+        && state
+            .children
+            .values()
+            .any(|child| matches!(lock(&child.handle).try_wait(), Ok(None)))
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     for child in state.children.values() {
         let mut child = lock(&child.handle);
         child.kill().ok();

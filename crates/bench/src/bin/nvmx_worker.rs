@@ -3,16 +3,20 @@
 //! Runs a study from a JSON config and speaks the version-4 lease
 //! protocol (`core::wire`, `core::reshard`) to a supervising
 //! `nvmx-coordinator`: it says `hello`, heartbeats from a dedicated timer
-//! thread, computes the **full** study into an in-memory line buffer, and
-//! emits exactly the slot ranges the coordinator leases to it — so a slow
-//! or dead worker's ranges can drain to healthy ones, and the coordinator
-//! merges every worker's ranges back in slot order.
+//! thread, buffers the full study's events in memory as they are
+//! computed, and emits exactly the slot ranges the coordinator leases to
+//! it — so a slow or dead worker's ranges can drain to healthy ones, and
+//! the coordinator merges every worker's ranges back in slot order.
 //!
 //! Leases partition *emission*, not *computation*: every worker runs the
 //! full study, which is what makes a re-spawned replacement's output
 //! bit-identical with no coordination state. A single study over n
-//! workers therefore costs n× total CPU — the compute-dividing axis is the
-//! coordinator's multi-study `--lanes` campaign, not the worker count.
+//! workers therefore costs n× the compute — the compute-dividing axis is
+//! the coordinator's multi-study `--lanes` campaign, not the worker
+//! count. Encoding is not repeated: each evaluation (nearly every slot) is
+//! buffered as a value and encoded only when a lease emits its slot, so
+//! the fleet encodes each line about once. Every other event is buffered
+//! as its encoded line.
 //!
 //! `--connect pipe` frames the worker's own stdin/stdout (the coordinator
 //! holds the pipe pair); `--connect unix:…`/`tcp:…` dials out, which is
@@ -56,6 +60,7 @@
 //! (config parse failures print the offending section).
 
 use nvmexplorer_core::config::CampaignConfig;
+use nvmexplorer_core::eval::Evaluation;
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
 use nvmexplorer_core::transport::{read_frame_line, Connection, Endpoint};
 use nvmexplorer_core::wire::{LeaseFrame, LineEncoder, WorkerFrame};
@@ -156,10 +161,23 @@ fn parse_args() -> Result<Options, String> {
     })
 }
 
+/// One slot of the buffered stream.
+#[derive(Clone)]
+enum Slot {
+    /// The slot's encoded wire line.
+    Line(Arc<str>),
+    /// An `evaluation_produced` event's `(index, evaluation)`, encoded
+    /// only if a lease emits the slot.
+    Evaluation(usize, Evaluation),
+}
+
 /// The full deterministic event stream, accumulating as the compute
-/// thread runs. `lines[seq]` is the serialized wire line for slot `seq`.
+/// thread runs. `slots[seq]` is slot `seq`.
 struct Buffered {
-    lines: Vec<Arc<str>>,
+    slots: Vec<Slot>,
+    /// An encoder for the emitter, forked from the compute side's once
+    /// `study_started` set the header; the emitter takes it.
+    encoder: Option<LineEncoder>,
     done: bool,
     failed: Option<String>,
 }
@@ -232,17 +250,30 @@ impl Link {
     }
 }
 
-/// The compute thread's sink: appends each event's wire line to the
-/// shared buffer, waking the emitter.
+/// The compute thread's sink: appends each event's slot to the shared
+/// buffer, waking the emitter.
 struct BufferSink {
     lines: LineEncoder,
+    /// Slots buffered so far: the next event's `seq`.
+    seq: u64,
     shared: Arc<NetShared>,
 }
 
 impl ResultSink for BufferSink {
     fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
-        let line = Arc::from(self.lines.encode(event));
-        self.shared.buffered.lock().unwrap().lines.push(line);
+        let slot = match event {
+            StudyEvent::EvaluationProduced { index, evaluation } => {
+                Slot::Evaluation(*index, (*evaluation).clone())
+            }
+            _ => Slot::Line(Arc::from(self.lines.encode_at(self.seq, event))),
+        };
+        self.seq += 1;
+        let mut buffered = self.shared.buffered.lock().unwrap();
+        if matches!(event, StudyEvent::StudyStarted { .. }) {
+            buffered.encoder = Some(self.lines.fork());
+        }
+        buffered.slots.push(slot);
+        drop(buffered);
         self.shared.buffer_wake.notify_all();
         Ok(())
     }
@@ -291,7 +322,8 @@ fn run_leased(
     let study_name = campaign.study().name.clone();
     let shared = Arc::new(NetShared {
         buffered: Mutex::new(Buffered {
-            lines: Vec::new(),
+            slots: Vec::new(),
+            encoder: None,
             done: false,
             failed: None,
         }),
@@ -356,7 +388,7 @@ fn run_leased(
         leave(1, store);
     }
 
-    // Compute thread: the full study into the line buffer, then `done`.
+    // Compute thread: the full study into the slot buffer, then `done`.
     // Panics and study errors both surface as `failed`.
     std::thread::scope(|scope| {
         let compute_shared = Arc::clone(&shared);
@@ -364,13 +396,14 @@ fn run_leased(
         scope.spawn(move || {
             let mut sink = BufferSink {
                 lines: LineEncoder::new(),
+                seq: 0,
                 shared: Arc::clone(&compute_shared),
             };
             let run = match campaign {
                 CampaignConfig::Study(study) => executor.run(study, &mut sink).map(|_| ()),
                 CampaignConfig::Fault(fault) => executor.run_fault(fault, &mut sink).map(|_| ()),
             };
-            let seen = sink.lines.frames_written();
+            let seen = sink.seq;
             let mut buffered = compute_shared.buffered.lock().unwrap();
             match run {
                 Ok(()) => buffered.done = true,
@@ -403,7 +436,7 @@ fn run_leased(
                 return;
             }
             drop(control);
-            let seen = beat_shared.buffered.lock().unwrap().lines.len() as u64;
+            let seen = beat_shared.buffered.lock().unwrap().slots.len() as u64;
             let beat = WorkerFrame::Heartbeat {
                 seen,
                 sent: beat_shared.sent.load(Ordering::Relaxed),
@@ -412,12 +445,14 @@ fn run_leased(
         });
 
         // Emitter thread: walk granted leases in FIFO order, sending each
-        // slot's buffered line as the compute thread produces it.
+        // slot's line as the compute thread produces it — encoding it
+        // here when it is an evaluation.
         let emit_shared = Arc::clone(&shared);
         let emit_link = Arc::clone(&link);
         let throttle = options.throttle_ms;
         let die_after = options.die_after;
         let stall_after = options.stall_after;
+        let mut encoder: Option<LineEncoder> = None;
         scope.spawn(move || loop {
             // Take the next grant (or stop on shutdown).
             let (id, start, end) = {
@@ -441,15 +476,18 @@ fn run_leased(
                 // Wait for the compute thread to reach this slot — after
                 // delivering what is already buffered, so waiting on
                 // compute never holds back emitted frames.
-                let line = {
+                let slot = {
                     let mut buffered = emit_shared.buffered.lock().unwrap();
                     let mut flushed = false;
                     loop {
                         if buffered.failed.is_some() {
                             return;
                         }
-                        if (seq as usize) < buffered.lines.len() {
-                            break Some(Arc::clone(&buffered.lines[seq as usize]));
+                        if let Some(slot) = buffered.slots.get(seq as usize).cloned() {
+                            if encoder.is_none() {
+                                encoder = buffered.encoder.take();
+                            }
+                            break Some(slot);
                         }
                         if buffered.done {
                             break None; // lease reaches past the stream end
@@ -464,7 +502,20 @@ fn run_leased(
                         }
                     }
                 };
-                let Some(line) = line else { break };
+                let Some(slot) = slot else { break };
+                let line = match &slot {
+                    Slot::Line(line) => line,
+                    Slot::Evaluation(index, evaluation) => encoder
+                        .as_mut()
+                        .expect("study_started precedes every evaluation")
+                        .encode_at(
+                            seq,
+                            &StudyEvent::EvaluationProduced {
+                                index: *index,
+                                evaluation,
+                            },
+                        ),
+                };
                 let sent = emit_shared.sent.load(Ordering::Relaxed);
                 if die_after.is_some_and(|limit| sent >= limit) {
                     let _ = emit_link.flush();
@@ -479,10 +530,10 @@ fn run_leased(
                     // coordinator measures its true emission rate.
                     Some(ms) => {
                         std::thread::sleep(Duration::from_millis(ms));
-                        let _ = emit_link.send_now(&line);
+                        let _ = emit_link.send_now(line);
                     }
                     None => {
-                        let _ = emit_link.send(&line);
+                        let _ = emit_link.send(line);
                     }
                 }
                 emit_shared.sent.fetch_add(1, Ordering::Relaxed);

@@ -63,6 +63,29 @@ const FAULT_CONFIG: &str = r#"{
   }
 }"#;
 
+/// A multi-array study: ten arrays, each with a run of nine evaluations
+/// (a 3×3 traffic grid), so 5-slot leases cut through the runs.
+const MULTI_CONFIG: &str = r#"{
+  "name": "dist-multi",
+  "cells": {
+    "technologies": ["Stt", "Rram"],
+    "tentpoles": true,
+    "reference_rram": false,
+    "sram_baseline": true
+  },
+  "array": {"capacities_mib": [1, 2], "targets": ["ReadEdp"]},
+  "traffic": {
+    "kind": "generic_sweep",
+    "read_min": 1e8,
+    "read_max": 1e10,
+    "read_steps": 3,
+    "write_min": 1e5,
+    "write_max": 1e8,
+    "write_steps": 3,
+    "access_bytes": 8
+  }
+}"#;
+
 struct TempDir(PathBuf);
 
 impl TempDir {
@@ -448,6 +471,47 @@ fn fault_campaign_survives_a_killed_and_a_stalled_shard() {
         fault,
         "fault-trial CSV diverged"
     );
+}
+
+/// Workers encode each evaluation only when a lease emits its slot. The
+/// capture must still equal the one-worker capture byte for byte when
+/// 5-slot leases over three workers cut each array's run of evaluations,
+/// so every worker's encoder meets arrays out of order. At equal
+/// `--threads` even `study_finished`'s cache counters match.
+#[test]
+fn five_slot_leases_over_three_workers_capture_the_one_worker_bytes() {
+    let dir = TempDir::new("lazy");
+    let multi = dir.path().join("multi.json");
+    std::fs::write(&multi, MULTI_CONFIG).unwrap();
+    let fault = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../config/fault_quickstart.json");
+    for (config, name) in [(&multi, "dist-multi"), (&fault, "fault_quickstart")] {
+        let capture = |workers: &str, extra: &[&str]| -> String {
+            let capture_dir = dir.path().join(format!("{name}-{workers}"));
+            let output = Command::new(COORDINATOR)
+                .arg("run")
+                .args(["--config".as_ref(), config.as_os_str()])
+                .args(["--workers", workers, "--threads", "1"])
+                .args(extra)
+                .args(["--capture".as_ref(), capture_dir.as_os_str()])
+                .args(["--worker-bin", WORKER])
+                .output()
+                .unwrap();
+            run_ok(&output, &format!("{name} at {workers} workers"));
+            std::fs::read_to_string(capture_dir.join(format!("{name}.jsonl"))).unwrap()
+        };
+        let one = capture("1", &[]);
+        let three = capture("3", &["--lease-size", "5"]);
+        assert!(
+            one.lines().count() > 30,
+            "{name}: stream too short to spread"
+        );
+        let diverged = one.lines().zip(three.lines()).position(|(a, b)| a != b);
+        assert_eq!(
+            diverged, None,
+            "{name}: captures differ at line {diverged:?}"
+        );
+        assert_eq!(one.len(), three.len(), "{name}: capture lengths differ");
+    }
 }
 
 /// A worker whose respawn budget is exhausted is abandoned: its leases

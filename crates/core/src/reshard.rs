@@ -24,7 +24,9 @@
 //! leave only as [`Action`] values returned from [`Resharder::tick`] — so
 //! the whole supervision protocol is testable without sockets, processes,
 //! or sleeps (proptest drives it through arbitrary connect/stall/die/
-//! reconnect schedules in `tests/reshard_properties.rs`).
+//! reconnect schedules in `tests/reshard_properties.rs`). It keeps only
+//! **live** leases — one leaves when drained, orphaned, or stolen — so a
+//! tick scans a few leases per worker, never every lease of the run.
 
 use std::collections::BTreeMap;
 
@@ -216,8 +218,6 @@ struct LeaseState {
     worker: String,
     start: u64,
     end: u64,
-    drained: bool,
-    revoked: bool,
 }
 
 /// The lease-granting supervisor: tracks worker health and throughput,
@@ -228,6 +228,7 @@ struct LeaseState {
 pub struct Resharder {
     config: ReshardConfig,
     workers: BTreeMap<String, WorkerState>,
+    /// Live leases by id. Ids only grow, so id order is grant order.
     leases: BTreeMap<u64, LeaseState>,
     next_lease: u64,
     /// Next slot never covered by any grant.
@@ -304,13 +305,12 @@ impl Resharder {
         }
     }
 
-    /// The worker reported every owned slot of `lease` emitted.
+    /// The worker reported every owned slot of `lease` emitted. A late
+    /// report for a lease it already lost (stolen or orphaned) is a no-op.
     pub fn lease_drained(&mut self, name: &str, lease: u64, now_ms: u64) {
         self.note_heard(name, now_ms);
-        if let Some(state) = self.leases.get_mut(&lease) {
-            if state.worker == name && !state.revoked {
-                state.drained = true;
-            }
+        if self.leases.get(&lease).is_some_and(|l| l.worker == name) {
+            self.leases.remove(&lease);
         }
     }
 
@@ -361,8 +361,8 @@ impl Resharder {
 
     /// Advances time: expires heartbeats (kill + orphan), fires due
     /// respawns, grants orphaned and frontier ranges to idle workers, and
-    /// steals from slow workers when the frontier is dry. Call it on
-    /// every merge-loop timeout and after every state-changing event.
+    /// steals when the frontier is dry. Call it after every merge-loop
+    /// event and timeout; it scans only the live leases.
     pub fn tick(&mut self, now_ms: u64) -> Vec<Action> {
         let mut actions = Vec::new();
 
@@ -446,12 +446,9 @@ impl Resharder {
         actions
     }
 
-    /// `true` when the worker holds at least one live (undrained,
-    /// unrevoked) lease.
+    /// `true` when the worker holds at least one live lease.
     fn has_outstanding(&self, name: &str) -> bool {
-        self.leases
-            .values()
-            .any(|l| l.worker == name && !l.drained && !l.revoked)
+        self.leases.values().any(|l| l.worker == name)
     }
 
     /// Pops the next orphaned range still worth re-granting (clipped to
@@ -501,8 +498,6 @@ impl Resharder {
                 worker: name.to_owned(),
                 start,
                 end,
-                drained: false,
-                revoked: false,
             },
         );
         actions.push(Action::Grant {
@@ -525,14 +520,15 @@ impl Resharder {
         if matches!(worker.phase, Phase::Dead | Phase::Abandoned) {
             return actions;
         }
-        // Orphan every live lease the worker held.
-        for state in self.leases.values_mut() {
-            if state.worker == name && !state.drained && !state.revoked {
-                state.revoked = true;
+        // Orphan every live lease the worker held, in grant order.
+        self.leases.retain(|_, state| {
+            let held = state.worker == name;
+            if held {
                 self.orphans
                     .push((state.start, state.end, name.to_owned(), reason));
             }
-        }
+            !held
+        });
         worker.ewma = 0.0;
         if worker.respawns >= self.config.max_respawns {
             worker.phase = Phase::Abandoned;
@@ -581,7 +577,7 @@ impl Resharder {
             let victim = self
                 .leases
                 .iter()
-                .filter(|(_, l)| !l.drained && !l.revoked && l.worker != thief)
+                .filter(|(_, l)| l.worker != thief)
                 .filter(|(_, l)| l.end > l.start.max(self.delivered))
                 .filter(|(_, l)| {
                     let owner = &self.workers[&l.worker];
@@ -605,7 +601,7 @@ impl Resharder {
             let Some((lease, from, start, end)) = victim else {
                 return;
             };
-            self.leases.get_mut(&lease).expect("victim exists").revoked = true;
+            self.leases.remove(&lease);
             actions.push(Action::Revoke {
                 worker: from.clone(),
                 lease,

@@ -1854,7 +1854,10 @@ enum ServedLine {
 /// the `study_started` event, which the engine guarantees comes first.
 ///
 /// [`WireSink`] writes its lines to a byte stream; the service's session
-/// log and a leased worker's line buffer keep each one as a string.
+/// log and a leased worker's slot buffer keep each one as a string. A
+/// line's bytes depend only on the header, its `seq` and the event — not
+/// on what the encoder wrote before — so [`Self::encode_at`] may encode
+/// a stream's lines in any order.
 #[derive(Debug)]
 pub struct LineEncoder {
     /// `{"v":…,"study":…,"seq":` for the current study.
@@ -1890,14 +1893,37 @@ impl LineEncoder {
         self.seq
     }
 
+    /// A fresh encoder — nothing remembered, first `seq` 0 — whose lines
+    /// carry this encoder's current study header.
+    pub fn fork(&self) -> Self {
+        Self {
+            header: self.header.clone(),
+            ..Self::new()
+        }
+    }
+
     /// Encodes `event` as the next line and returns it, without a newline.
     pub fn encode(&mut self, event: &StudyEvent<'_>) -> &str {
         let line = self.encode_terminated(event);
         &line[..line.len() - 1]
     }
 
+    /// Encodes `event` as the line for slot `seq` and returns it, without
+    /// a newline. The running count ([`Self::frames_written`]) is left
+    /// alone.
+    pub fn encode_at(&mut self, seq: u64, event: &StudyEvent<'_>) -> &str {
+        let line = self.write_line(seq, event);
+        &line[..line.len() - 1]
+    }
+
     /// [`Self::encode`]'s line with its newline.
     fn encode_terminated(&mut self, event: &StudyEvent<'_>) -> &str {
+        self.seq += 1;
+        self.write_line(self.seq - 1, event)
+    }
+
+    /// Formats `event` as the line for slot `seq`, newline included.
+    fn write_line(&mut self, seq: u64, event: &StudyEvent<'_>) -> &str {
         if let StudyEvent::StudyStarted { name, .. } = event {
             self.header.clear();
             write_header(&mut self.header, name);
@@ -1905,11 +1931,10 @@ impl LineEncoder {
         let line = &mut self.line;
         line.clear();
         line.push_str(&self.header);
-        json::write_u64(line, self.seq);
+        json::write_u64(line, seq);
         line.push(',');
         self.encoder.write_fields(event, line);
         line.push_str("}\n");
-        self.seq += 1;
         line
     }
 }
@@ -2869,6 +2894,80 @@ mod tests {
         for (seq, line) in lines.iter().enumerate() {
             assert_eq!(WireFrame::parse(line).unwrap().seq, seq as u64);
         }
+    }
+
+    /// A leased worker encodes only the slots it is leased, in lease
+    /// order, with a forked encoder: every line must still equal the one
+    /// an in-order encoder writes, whatever its memo saw before.
+    #[test]
+    fn lines_encoded_at_shuffled_seqs_equal_the_in_order_lines() {
+        use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
+        use nvmx_nvsim::{characterize, ArrayConfig};
+        use nvmx_units::Capacity;
+
+        let arrays: Vec<Arc<ArrayCharacterization>> = [2, 4]
+            .into_iter()
+            .map(|mib| {
+                let cell =
+                    tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
+                let config = ArrayConfig::new(Capacity::from_mebibytes(mib));
+                Arc::new(characterize(&cell, &config).unwrap())
+            })
+            .collect();
+        let traffic: Vec<Arc<TrafficPattern>> = (1..=3)
+            .map(|k| {
+                let pattern = TrafficPattern::new(format!("t{k}"), 1.0e8 * f64::from(k), 1.0e6, 64);
+                Arc::new(pattern)
+            })
+            .collect();
+        let evaluations: Vec<Evaluation> = arrays
+            .iter()
+            .flat_map(|array| {
+                traffic.iter().map(|pattern| Evaluation {
+                    array: Arc::clone(array),
+                    traffic: Arc::clone(pattern),
+                    ..crate::eval::evaluate(array, pattern)
+                })
+            })
+            .collect();
+        let started = StudyEvent::StudyStarted {
+            name: "shuffled",
+            cells: 1,
+            jobs: 2,
+            targets: 1,
+            traffic: 3,
+        };
+        let mut events = vec![started];
+        events.extend(
+            arrays
+                .iter()
+                .enumerate()
+                .map(|(index, array)| StudyEvent::ArrayCharacterized { index, array }),
+        );
+        events.extend(
+            evaluations
+                .iter()
+                .enumerate()
+                .map(|(index, evaluation)| StudyEvent::EvaluationProduced { index, evaluation }),
+        );
+
+        let mut in_order = LineEncoder::new();
+        let expected: Vec<String> = events
+            .iter()
+            .map(|event| in_order.encode(event).to_owned())
+            .collect();
+        let mut shuffled = in_order.fork();
+        // Backwards, then odd slots before even ones: the memo sees
+        // every array out of its run.
+        let order = (0..events.len())
+            .rev()
+            .chain((1..events.len()).step_by(2))
+            .chain((0..events.len()).step_by(2));
+        for seq in order {
+            let line = shuffled.encode_at(seq as u64, &events[seq]);
+            assert_eq!(line, expected[seq], "slot {seq}");
+        }
+        assert_eq!(shuffled.frames_written(), 0, "encode_at keeps no count");
     }
 
     #[test]

@@ -40,6 +40,9 @@ enum Op {
     Stall(usize),
     /// SIGCONT analog: a stalled worker resumes before the deadline.
     Resume(usize),
+    /// The worker's emitter hangs for good while its heartbeats go on:
+    /// it is never killed, and only a steal moves its lease.
+    Wedge(usize),
     /// A down worker's replacement process (re)connects on its own —
     /// the remote-shard reconnect path.
     Connect(usize),
@@ -55,6 +58,8 @@ struct SimWorker {
     connected: bool,
     /// SIGSTOPped: no emission, no heartbeats, connection still open.
     stopped: bool,
+    /// Emitter hung: no emission, but heartbeats continue.
+    wedged: bool,
     /// Permanently out (the supervisor abandoned it).
     gone: bool,
     /// This incarnation already reported `done`.
@@ -70,22 +75,40 @@ struct Sim {
     committed: Vec<u64>,
     now: u64,
     total: u64,
+    /// Run a supervisor round after every served frame, as the
+    /// coordinator's merge loop ticks after every message.
+    tick_every_frame: bool,
+    /// Every effect the supervisor returned, in the order applied.
+    actions: Vec<Action>,
+    /// Leases a worker lost to a revoke, kill or death, as
+    /// `(worker, lease)`: a drain it reports for one of them is late.
+    dropped: Vec<(String, u64)>,
+}
+
+/// The proptest schedules' supervisor knobs: short deadlines and small
+/// leases, so a few dozen ops exercise every transition.
+fn sim_config() -> ReshardConfig {
+    ReshardConfig {
+        heartbeat_timeout_ms: 1_000,
+        initial_lease: 8,
+        min_lease: 4,
+        max_lease: 64,
+        target_lease_ms: 500,
+        ewma_alpha: 0.4,
+        respawn_backoff_ms: 100,
+        max_backoff_ms: 800,
+        max_respawns: 3,
+        steal_ratio: 1.5,
+    }
 }
 
 impl Sim {
     fn new(n_workers: usize, total: u64) -> Self {
-        let mut resharder = Resharder::new(ReshardConfig {
-            heartbeat_timeout_ms: 1_000,
-            initial_lease: 8,
-            min_lease: 4,
-            max_lease: 64,
-            target_lease_ms: 500,
-            ewma_alpha: 0.4,
-            respawn_backoff_ms: 100,
-            max_backoff_ms: 800,
-            max_respawns: 3,
-            steal_ratio: 1.5,
-        });
+        Self::with_config(n_workers, total, sim_config())
+    }
+
+    fn with_config(n_workers: usize, total: u64, config: ReshardConfig) -> Self {
+        let mut resharder = Resharder::new(config);
         let mut workers = BTreeMap::new();
         for i in 0..n_workers {
             let name = format!("w{i}");
@@ -99,6 +122,9 @@ impl Sim {
             committed: Vec::new(),
             now: 0,
             total,
+            tick_every_frame: false,
+            actions: Vec::new(),
+            dropped: Vec::new(),
         }
     }
 
@@ -112,7 +138,7 @@ impl Sim {
     /// emitter thread does.
     fn progress(&mut self, name: &str, k: u8) {
         let state = self.workers.get_mut(name).expect("known worker");
-        if !state.connected || state.stopped {
+        if !state.connected || state.stopped || state.wedged {
             return;
         }
         if !state.done {
@@ -121,6 +147,9 @@ impl Sim {
         }
         for _ in 0..k {
             let state = self.workers.get_mut(name).expect("known worker");
+            if !state.connected {
+                break; // killed by a tick between two frames
+            }
             let Some(&(lease, cursor, end)) = state.grants.first() else {
                 break;
             };
@@ -142,6 +171,9 @@ impl Sim {
                 state.grants.remove(0);
                 self.resharder.lease_drained(name, lease, self.now);
             }
+            if self.tick_every_frame {
+                self.round();
+            }
         }
     }
 
@@ -151,6 +183,7 @@ impl Sim {
     fn apply(&mut self, actions: Vec<Action>) {
         let mut queue: VecDeque<Action> = actions.into();
         while let Some(action) = queue.pop_front() {
+            self.actions.push(action.clone());
             match action {
                 Action::Grant {
                     worker,
@@ -168,12 +201,15 @@ impl Sim {
                 Action::Revoke { worker, lease } => {
                     let state = self.workers.get_mut(&worker).expect("known worker");
                     state.grants.retain(|g| g.0 != lease);
+                    self.dropped.push((worker, lease));
                 }
                 Action::Kill { worker } => {
                     let state = self.workers.get_mut(&worker).expect("known worker");
                     state.connected = false;
                     state.stopped = false;
-                    state.grants.clear();
+                    state.wedged = false;
+                    let lost = state.grants.drain(..).map(|g| (worker.clone(), g.0));
+                    self.dropped.extend(lost);
                     queue.extend(self.resharder.worker_dead(&worker, self.now));
                 }
                 Action::Respawn { worker } => {
@@ -181,6 +217,7 @@ impl Sim {
                     if !state.gone {
                         state.connected = true;
                         state.stopped = false;
+                        state.wedged = false;
                         state.done = false;
                         state.grants.clear();
                         self.resharder.worker_connected(&worker, self.now);
@@ -223,7 +260,9 @@ impl Sim {
                 if state.connected {
                     state.connected = false;
                     state.stopped = false;
-                    state.grants.clear();
+                    state.wedged = false;
+                    let lost = state.grants.drain(..).map(|g| (name.clone(), g.0));
+                    self.dropped.extend(lost);
                     let actions = self.resharder.worker_dead(&name, self.now);
                     self.apply(actions);
                 }
@@ -243,12 +282,18 @@ impl Sim {
                     self.resharder.note_heard(&name, self.now);
                 }
             }
+            Op::Wedge(i) => {
+                let name = self.name(i);
+                let state = self.workers.get_mut(&name).expect("known worker");
+                state.wedged = state.connected;
+            }
             Op::Connect(i) => {
                 let name = self.name(i);
                 let state = self.workers.get_mut(&name).expect("known worker");
                 if !state.connected && !state.gone {
                     state.connected = true;
                     state.stopped = false;
+                    state.wedged = false;
                     state.done = false;
                     state.grants.clear();
                     self.resharder.worker_connected(&name, self.now);
@@ -369,4 +414,200 @@ proptest! {
             prop_assert_eq!(migration.reason, MigrationReason::Steal);
         }
     }
+}
+
+// ------------------------------------------------------- pinned schedules
+
+/// SplitMix64, so the pinned schedules never depend on proptest's
+/// generator.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// FNV-1a (64-bit) of `text`, continuing from `hash`.
+fn fnv1a(hash: u64, text: &str) -> u64 {
+    text.bytes().fold(hash, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// A long campaign on a fixed schedule: each 10 ms step every healthy
+/// worker heartbeats and serves a random `0..=speed` frames, the
+/// supervisor ticks after every frame (as the merge loop does), and
+/// `faults` fire at fixed steps. Small leases make thousands of grants.
+struct Pinned {
+    seed: u64,
+    total: u64,
+    /// Most frames each worker serves per step; the slowest worker is the
+    /// tail's steal victim.
+    speeds: &'static [u64],
+    target_lease_ms: u64,
+    /// `(step, op)`: the deaths, stalls and resumes of the schedule.
+    faults: &'static [(u64, Op)],
+}
+
+impl Pinned {
+    /// Runs the schedule to completion and returns the FNV-1a hash of
+    /// every supervisor action and the migration log (their `Debug`
+    /// text), plus the finished simulation. Along the way every late
+    /// drain — for a lease its worker lost to a steal, kill or death —
+    /// must leave the supervisor's state untouched.
+    fn run(&self) -> (u64, Sim) {
+        let config = ReshardConfig {
+            max_lease: 12,
+            target_lease_ms: self.target_lease_ms,
+            ..sim_config()
+        };
+        let mut sim = Sim::with_config(self.speeds.len(), self.total, config);
+        sim.tick_every_frame = true;
+        let mut rng = SplitMix(self.seed);
+        for i in 0..self.speeds.len() {
+            sim.step(Op::Connect(i));
+        }
+        let mut step = 0u64;
+        while sim.merger.next_expected() < self.total {
+            step += 1;
+            assert!(step < 100_000, "schedule did not converge");
+            assert!(
+                sim.resharder.live_workers() > 0,
+                "schedule abandoned every worker"
+            );
+            sim.drain_late();
+            for &(_, op) in self.faults.iter().filter(|(at, _)| *at == step) {
+                sim.step(op);
+            }
+            for (i, &speed) in self.speeds.iter().enumerate() {
+                let name = sim.name(i);
+                let state = &sim.workers[&name];
+                if state.connected && !state.stopped {
+                    sim.resharder.note_heard(&name, sim.now);
+                }
+                let frames = u8::try_from(rng.below(speed + 1)).expect("small speed");
+                sim.progress(&name, frames);
+            }
+            sim.now += 10;
+            sim.round();
+        }
+        sim.drain_late();
+        let hash = sim
+            .actions
+            .iter()
+            .fold(FNV_OFFSET, |h, action| fnv1a(h, &format!("{action:?}\n")));
+        let hash = fnv1a(hash, &format!("{:?}", sim.resharder.migrations()));
+        (hash, sim)
+    }
+}
+
+impl Sim {
+    /// Reports a late drain for every lease a worker lost since the last
+    /// call, each of which must leave the supervisor's state untouched.
+    fn drain_late(&mut self) {
+        for (worker, lease) in std::mem::take(&mut self.dropped) {
+            // Heard first, so the comparison isolates the drain.
+            self.resharder.note_heard(&worker, self.now);
+            let before = format!("{:?}", self.resharder);
+            self.resharder.lease_drained(&worker, lease, self.now);
+            assert_eq!(
+                before,
+                format!("{:?}", self.resharder),
+                "late drain of lease {lease} from {worker} changed the supervisor"
+            );
+        }
+    }
+}
+
+/// Checks a pinned schedule's coverage, delivery and decisions.
+fn check_pinned(schedule: &Pinned, expected: u64) {
+    let (hash, sim) = schedule.run();
+    assert_eq!(sim.committed, (0..schedule.total).collect::<Vec<_>>());
+    let grants = sim
+        .actions
+        .iter()
+        .filter(|a| matches!(a, Action::Grant { .. }))
+        .count();
+    assert!(grants >= 2_000, "only {grants} leases granted");
+    for reason in [
+        MigrationReason::Death,
+        MigrationReason::Stall,
+        MigrationReason::Steal,
+    ] {
+        assert!(
+            sim.resharder
+                .migrations()
+                .iter()
+                .any(|m| m.reason == reason),
+            "no {} migration in the schedule",
+            reason.as_str()
+        );
+    }
+    assert_eq!(
+        hash, expected,
+        "the supervisor's decisions changed (hash {hash:#018x})"
+    );
+}
+
+/// Two workers over the `campaign_large` stream length: each dies once
+/// and is stalled into a kill once, one stall resumes before its
+/// deadline, and the slower worker's emitter hangs mid-lease near the
+/// end, so the other steals its undelivered tail. The hash was taken
+/// when the supervisor still kept drained and revoked leases, so it pins
+/// that dropping them changed no decision.
+#[test]
+fn pinned_two_worker_schedule_decides_as_before() {
+    check_pinned(
+        &Pinned {
+            seed: 1,
+            total: 31_613,
+            speeds: &[6, 2],
+            target_lease_ms: 500,
+            faults: &[
+                (400, Op::Die(1)),
+                (1_500, Op::Stall(0)),
+                (2_600, Op::Stall(1)),
+                (2_640, Op::Resume(1)),
+                (4_000, Op::Die(0)),
+                (5_200, Op::Stall(1)),
+                (6_500, Op::Wedge(1)),
+            ],
+        },
+        0x205e_7e99_0cee_b5d9,
+    );
+}
+
+/// Three workers, one of them slow enough to get minimum-size leases;
+/// a wedged emitter's tail is stolen.
+#[test]
+fn pinned_three_worker_schedule_decides_as_before() {
+    check_pinned(
+        &Pinned {
+            seed: 2,
+            total: 30_000,
+            speeds: &[5, 4, 1],
+            target_lease_ms: 100,
+            faults: &[
+                (300, Op::Die(2)),
+                (1_200, Op::Stall(1)),
+                (2_500, Op::Die(0)),
+                (3_100, Op::Stall(2)),
+                (3_130, Op::Resume(2)),
+                (4_400, Op::Stall(0)),
+                (5_000, Op::Wedge(1)),
+            ],
+        },
+        0x3d53_d32a_d7ff_74d1,
+    );
 }
