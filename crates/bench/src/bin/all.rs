@@ -13,10 +13,9 @@
 //! printed `[DEV]` claims and the final line instead.
 
 fn main() {
-    let fast = nvmx_bench::fast_mode();
     let mut deviations = 0;
     for id in nvmx_bench::EXPERIMENT_IDS {
-        let experiment = nvmx_bench::run_experiment(id, fast).expect("known id");
+        let experiment = nvmx_bench::run_experiment(id, false).expect("known id");
         println!("{}", experiment.report());
         experiment
             .write_artifacts(nvmx_bench::output_dir().join(id))

@@ -8,24 +8,16 @@ use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
 
 /// Regenerates the 16 MB iso-capacity array comparison.
-pub fn run(fast: bool) -> Experiment {
+pub fn run() -> Experiment {
     let capacity = Capacity::from_mebibytes(16);
-    let targets: &[OptimizationTarget] = if fast {
-        &[
-            OptimizationTarget::ReadLatency,
-            OptimizationTarget::ReadEnergy,
-            OptimizationTarget::WriteEdp,
-        ]
-    } else {
-        &[
-            OptimizationTarget::ReadLatency,
-            OptimizationTarget::ReadEnergy,
-            OptimizationTarget::ReadEdp,
-            OptimizationTarget::WriteLatency,
-            OptimizationTarget::WriteEnergy,
-            OptimizationTarget::WriteEdp,
-        ]
-    };
+    let targets = [
+        OptimizationTarget::ReadLatency,
+        OptimizationTarget::ReadEnergy,
+        OptimizationTarget::ReadEdp,
+        OptimizationTarget::WriteLatency,
+        OptimizationTarget::WriteEnergy,
+        OptimizationTarget::WriteEdp,
+    ];
     let cells = study_cells();
 
     let mut csv = Csv::new([
@@ -53,7 +45,7 @@ pub fn run(fast: bool) -> Experiment {
     for cell in &cells {
         let mut reads = Vec::new();
         let mut writes = Vec::new();
-        for &target in targets {
+        for target in targets {
             let array = characterize_study(cell, capacity, 512, target, BitsPerCell::Slc);
             csv.row([
                 array.cell_name.clone(),

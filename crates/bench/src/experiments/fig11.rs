@@ -14,7 +14,7 @@ use nvmx_viz::{csv::num, AsciiTable, Csv, ScatterPlot};
 use nvmx_workloads::traffic::log_sweep;
 
 /// Regenerates the back-gated FeFET co-design study.
-pub fn run(fast: bool) -> Experiment {
+pub fn run() -> Experiment {
     let capacity = Capacity::from_mebibytes(8);
     let cells = vec![
         sram_16nm(),
@@ -23,8 +23,7 @@ pub fn run(fast: bool) -> Experiment {
         back_gated_fefet(),
     ];
 
-    let (rs, ws) = if fast { (3, 3) } else { (6, 5) };
-    let mut patterns = log_sweep(0.05e9, 10.0e9, rs, 1.0e6, 400.0e6, ws, 8);
+    let mut patterns = log_sweep(0.05e9, 10.0e9, 6, 1.0e6, 400.0e6, 5, 8);
     patterns.extend(social_bfs().iter().map(|bfs| bfs.traffic("BFS8MB", 2.5e8)));
 
     let mut csv = Csv::new([

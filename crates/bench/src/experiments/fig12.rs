@@ -15,13 +15,9 @@ use nvmx_workloads::TrafficPattern;
 const EFFICIENCY_THRESHOLD: f64 = 0.45;
 
 /// Regenerates the area-efficiency filter study on 8 MB arrays.
-pub fn run(fast: bool) -> Experiment {
+pub fn run() -> Experiment {
     let capacity = Capacity::from_mebibytes(8);
-    let targets: &[OptimizationTarget] = if fast {
-        &[OptimizationTarget::ReadLatency, OptimizationTarget::Area]
-    } else {
-        &OptimizationTarget::ALL
-    };
+    let targets = &OptimizationTarget::ALL;
     // A band of traffic scenarios (the paper: "across many traffic
     // scenarios").
     let traffics = [

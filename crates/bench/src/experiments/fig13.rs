@@ -16,8 +16,8 @@ use nvmx_viz::{csv::num, AsciiTable, Csv};
 const TOLERANCE: f64 = 0.05;
 
 /// Regenerates the MLC reliability/density study.
-pub fn run(fast: bool) -> Experiment {
-    let trials = if fast { 1 } else { 4 };
+pub fn run() -> Experiment {
+    let trials = 4;
     // The paper's fault-modeled subset: RRAM, CTT, FeFET (Sec. II-B2), with
     // small (optimistic) and large (pessimistic) cell sizes.
     let cells: Vec<CellDefinition> = vec![

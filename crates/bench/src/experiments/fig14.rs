@@ -12,7 +12,7 @@ use nvmx_workloads::TrafficPattern;
 
 /// Regenerates the write-buffer sweep for SPEC2017-class and
 /// Facebook-Graph-BFS traffic.
-pub fn run(fast: bool) -> Experiment {
+pub fn run() -> Experiment {
     // Facebook-Graph-BFS on the 8 MB scratchpad (5e7 edges/s keeps the
     // read stream within reach of slow-write arrays so the write buffer is
     // the deciding factor, as in the paper).
@@ -22,7 +22,7 @@ pub fn run(fast: bool) -> Experiment {
     // the paper's SPEC claim is about FeFET becoming a lower-power
     // *alternative* across the suite, not about its worst case.
     let spec_traffic = {
-        let mut sorted = spec_suites(fast).fig14.clone();
+        let mut sorted = spec_suites().fig14.clone();
         sorted.sort_by(|a, b| {
             a.traffic
                 .write_bytes_per_sec

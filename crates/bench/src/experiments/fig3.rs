@@ -10,13 +10,9 @@ use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
 
 /// Regenerates the Fig. 3 array-level comparison at 4 MB.
-pub fn run(fast: bool) -> Experiment {
+pub fn run() -> Experiment {
     let capacity = Capacity::from_mebibytes(4);
-    let targets: &[OptimizationTarget] = if fast {
-        &[OptimizationTarget::ReadEdp, OptimizationTarget::WriteEdp]
-    } else {
-        &OptimizationTarget::ALL
-    };
+    let targets = &OptimizationTarget::ALL;
 
     let mut csv = Csv::new([
         "cell",

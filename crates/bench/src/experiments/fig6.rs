@@ -35,10 +35,10 @@ pub fn continuous_use_cases() -> Vec<DnnUseCase> {
 }
 
 /// Regenerates both panels of Fig. 6.
-pub fn run(fast: bool) -> Experiment {
+pub fn run() -> Experiment {
     let cells = study_cells();
     let fps = 60.0;
-    let trials = if fast { 1 } else { 3 };
+    let trials = 3;
 
     let mut csv = Csv::new([
         "panel",

@@ -33,8 +33,8 @@ fn crossover(a: &[(f64, nvmx_units::Joules)], b: &[(f64, nvmx_units::Joules)]) -
 }
 
 /// Regenerates both panels of Fig. 7.
-pub fn run(fast: bool) -> Experiment {
-    let steps = if fast { 6 } else { 15 };
+pub fn run() -> Experiment {
+    let steps = 15;
     let cells = study_cells();
 
     let mut csv = Csv::new(["workload", "cell", "inferences_per_day", "energy_j_per_day"]);

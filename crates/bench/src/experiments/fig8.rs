@@ -16,12 +16,11 @@ use nvmx_workloads::TrafficPattern;
 const EDGES_PER_SEC: f64 = 2.5e8;
 
 /// The Fig. 8 traffic set: generic grid + BFS points (named `*-BFS`).
-pub fn traffic_set(fast: bool) -> Vec<TrafficPattern> {
-    let (rs, ws) = if fast { (3, 3) } else { (6, 5) };
+fn traffic_set() -> Vec<TrafficPattern> {
     // Reads swept below the paper's 1 GB/s floor as well so the low-rate
     // leakage-dominated regime (where FeFET wins) is visible, matching the
     // Fig. 8 x-axis extent.
-    let mut patterns = log_sweep(0.05e9, 10.0e9, rs, 1.0e6, 100.0e6, ws, 8);
+    let mut patterns = log_sweep(0.05e9, 10.0e9, 6, 1.0e6, 100.0e6, 5, 8);
     patterns.extend(
         social_bfs()
             .iter()
@@ -31,10 +30,10 @@ pub fn traffic_set(fast: bool) -> Vec<TrafficPattern> {
 }
 
 /// Regenerates the three Fig. 8 panels.
-pub fn run(fast: bool) -> Experiment {
+pub fn run() -> Experiment {
     let cells = study_cells();
     let capacity = Capacity::from_mebibytes(8);
-    let patterns = traffic_set(fast);
+    let patterns = traffic_set();
 
     let mut csv = Csv::new([
         "cell",

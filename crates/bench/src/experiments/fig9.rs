@@ -10,8 +10,8 @@ use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
 
 /// Regenerates the SPEC LLC study.
-pub fn run(fast: bool) -> Experiment {
-    let suite = &spec_suites(fast).fig9;
+pub fn run() -> Experiment {
+    let suite = &spec_suites().fig9;
     let cells = study_cells();
     let capacity = Capacity::from_mebibytes(16);
 

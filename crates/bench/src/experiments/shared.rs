@@ -15,6 +15,9 @@ use std::sync::OnceLock;
 /// Seed of the SPEC-class LLC simulations behind Figs. 9 and 14.
 const SPEC_SEED: u64 = 17;
 
+/// LLC lookups per SPEC benchmark behind Figs. 14 and 9, in that order.
+const SPEC_LOOKUPS: [u64; 2] = [250_000, 400_000];
+
 /// Seed of the synthetic social graphs behind Figs. 8, 11 and 14.
 const GRAPH_SEED: u64 = 7;
 
@@ -28,26 +31,20 @@ pub fn lanes() -> usize {
 /// lengths of Figs. 14 and 9.
 #[derive(Debug)]
 pub struct SpecSuites {
-    /// 250k lookups per benchmark (60k in fast mode).
+    /// 250k lookups per benchmark.
     pub fig14: Vec<LlcTraffic>,
-    /// 400k lookups per benchmark (60k in fast mode).
+    /// 400k lookups per benchmark.
     pub fig9: Vec<LlcTraffic>,
 }
 
-/// The [`SpecSuites`] of full or `fast` mode. Each profile runs once, is
-/// snapshotted at both lengths (the shorter run is a prefix of the longer
-/// one), and the profiles are spread over [`lanes`].
-pub fn spec_suites(fast: bool) -> &'static SpecSuites {
-    static FULL: OnceLock<SpecSuites> = OnceLock::new();
-    static FAST: OnceLock<SpecSuites> = OnceLock::new();
-    let (memo, lengths) = if fast {
-        (&FAST, [60_000, 60_000])
-    } else {
-        (&FULL, [250_000, 400_000])
-    };
-    memo.get_or_init(|| {
+/// The memoized [`SpecSuites`]. Each profile runs once, is snapshotted at
+/// both lengths (the shorter run is a prefix of the longer one), and the
+/// profiles are spread over [`lanes`].
+pub fn spec_suites() -> &'static SpecSuites {
+    static MEMO: OnceLock<SpecSuites> = OnceLock::new();
+    MEMO.get_or_init(|| {
         let runs = run_on_lanes(&spec2017_profiles(), lanes(), |_, profile| {
-            run_profile_checkpoints(LlcConfig::default(), profile, &lengths, SPEC_SEED)
+            run_profile_checkpoints(LlcConfig::default(), profile, &SPEC_LOOKUPS, SPEC_SEED)
         });
         let (fig14, fig9) = runs
             .into_iter()

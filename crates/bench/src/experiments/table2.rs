@@ -158,7 +158,7 @@ fn winner(
 }
 
 /// Regenerates Table II.
-pub fn run(_fast: bool) -> Experiment {
+pub fn run() -> Experiment {
     let cells = study_cells();
     let mut csv = Csv::new([
         "use_case", "task", "storage", "priority", "opt_envm", "alt_envm",

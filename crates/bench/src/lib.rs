@@ -13,9 +13,6 @@
 //! run across threads. Neither changes a byte: every report and artifact
 //! is identical whether an experiment runs alone, after the others, or
 //! on any number of cores.
-//!
-//! Set `NVMX_FAST=1` to run reduced-size variants (fewer sweep points,
-//! fewer fault trials) — used by the test suite.
 
 pub mod campaign;
 pub mod experiments;
@@ -113,14 +110,6 @@ pub fn output_dir() -> PathBuf {
     std::env::var_os("NVMX_OUT").map_or_else(|| PathBuf::from("output"), PathBuf::from)
 }
 
-/// `true` when reduced-size experiment variants are requested
-/// (`NVMX_FAST=1`).
-pub fn fast_mode() -> bool {
-    std::env::var("NVMX_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 /// All experiment ids, in paper order.
 pub const EXPERIMENT_IDS: [&str; 16] = [
     "fig1", "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "table2", "fig8", "fig9", "fig10",
@@ -129,25 +118,26 @@ pub const EXPERIMENT_IDS: [&str; 16] = [
 
 /// Runs one experiment by id.
 ///
-/// Returns `None` for unknown ids.
-pub fn run_experiment(id: &str, fast: bool) -> Option<Experiment> {
+/// Returns `None` for unknown ids. `_fast` is ignored; it goes when the
+/// end-to-end benchmark stops passing it.
+pub fn run_experiment(id: &str, _fast: bool) -> Option<Experiment> {
     use experiments as x;
     Some(match id {
         "fig1" => x::fig1::run(),
         "table1" => x::table1::run(),
-        "fig3" => x::fig3::run(fast),
+        "fig3" => x::fig3::run(),
         "fig4" => x::fig4::run(),
         "fig5" => x::fig5::run(),
-        "fig6" => x::fig6::run(fast),
-        "fig7" => x::fig7::run(fast),
-        "table2" => x::table2::run(fast),
-        "fig8" => x::fig8::run(fast),
-        "fig9" => x::fig9::run(fast),
-        "fig10" => x::fig10::run(fast),
-        "fig11" => x::fig11::run(fast),
-        "fig12" => x::fig12::run(fast),
-        "fig13" => x::fig13::run(fast),
-        "fig14" => x::fig14::run(fast),
+        "fig6" => x::fig6::run(),
+        "fig7" => x::fig7::run(),
+        "table2" => x::table2::run(),
+        "fig8" => x::fig8::run(),
+        "fig9" => x::fig9::run(),
+        "fig10" => x::fig10::run(),
+        "fig11" => x::fig11::run(),
+        "fig12" => x::fig12::run(),
+        "fig13" => x::fig13::run(),
+        "fig14" => x::fig14::run(),
         "table3" => x::table3::run(),
         _ => return None,
     })
@@ -156,8 +146,7 @@ pub fn run_experiment(id: &str, fast: bool) -> Option<Experiment> {
 /// Binary entry point shared by all `fig*`/`table*` targets: run, print the
 /// report, write artifacts.
 pub fn main_for(id: &str) {
-    let fast = fast_mode();
-    let experiment = run_experiment(id, fast).unwrap_or_else(|| {
+    let experiment = run_experiment(id, false).unwrap_or_else(|| {
         eprintln!("unknown experiment `{id}`; known: {EXPERIMENT_IDS:?}");
         std::process::exit(2);
     });
@@ -183,7 +172,7 @@ mod tests {
     fn dispatcher_knows_all_ids() {
         // Don't *run* them here (integration tests do); just check unknown
         // ids are rejected and ids are unique.
-        assert!(run_experiment("fig999", true).is_none());
+        assert!(run_experiment("fig999", false).is_none());
         let mut ids = EXPERIMENT_IDS.to_vec();
         ids.sort_unstable();
         ids.dedup();

@@ -2,6 +2,10 @@
 //! interactive Tableau dashboard. Log or linear axes, per-series colors,
 //! decade grid lines, and a legend.
 
+use nvmexplorer_core::fsutil::AtomicFileWriter;
+use std::io::Write;
+use std::path::Path;
+
 /// A named series of `(x, y)` points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
@@ -240,17 +244,22 @@ impl ScatterPlot {
         svg
     }
 
-    /// Writes the SVG to `path`, creating parent directories.
+    /// Writes the SVG to `path`, creating parent directories. Like
+    /// [`Csv::write_to`](crate::Csv::write_to), it publishes atomically
+    /// (sibling temp file + rename): an interrupted write leaves the
+    /// previous file intact, never a truncated one.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    pub fn write_to(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         let path = path.as_ref();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        std::fs::write(path, self.render())
+        let mut file = AtomicFileWriter::create(path)?;
+        file.write_all(self.render().as_bytes())?;
+        file.commit()
     }
 }
 
@@ -314,6 +323,29 @@ mod tests {
         let path = dir.join("plot.svg");
         sample().write_to(&path).unwrap();
         assert!(std::fs::read_to_string(&path).unwrap().contains("</svg>"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn overwrites_atomically_without_leaving_temp_files() {
+        let dir = std::env::temp_dir().join(format!("nvmx_viz_svg_atomic_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plot.svg");
+        std::fs::write(&path, "stale").unwrap();
+        // A second name for the old file: a rename replaces the file and
+        // leaves this one alone, a write in place would truncate it.
+        let old = dir.join("old.svg");
+        std::fs::hard_link(&path, &old).unwrap();
+        let plot = sample();
+        plot.write_to(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), plot.render());
+        assert_eq!(std::fs::read_to_string(&old).unwrap(), "stale");
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["old.svg", "plot.svg"], "temp sibling left behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

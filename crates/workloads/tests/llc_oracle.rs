@@ -316,8 +316,8 @@ fn spec_suite_traffic_is_pinned_bit_for_bit() {
     }
 }
 
-/// The run lengths the paper figures read (1, fast mode's 60k, the pinned
-/// 100k, Fig. 14's 250k and Fig. 9's 400k).
+/// Short and long run lengths: 1, an intermediate 60k, the pinned 100k,
+/// and the lengths the paper figures read (Fig. 14's 250k, Fig. 9's 400k).
 const CHECKPOINTS: [u64; 5] = [1, 60_000, 100_000, 250_000, 400_000];
 
 /// `(name, read rate bits, write rate bits, access bytes, miss rate bits)`.

@@ -1,13 +1,14 @@
-//! Smoke-runs every paper experiment in fast mode and checks the headline
-//! findings hold (the full-size variants run via the `fig*` binaries).
+//! Runs every paper experiment in the configuration the `fig*`/`table*`
+//! binaries publish and checks its findings. Every finding holds except
+//! in `fig8` and `fig14`, whose two known deviations the `all` ledger
+//! reports; those two are checked for non-empty findings and CSV data.
 
 use nvmx_bench::{run_experiment, EXPERIMENT_IDS};
 
-/// Experiments cheap enough to run at full size in tests.
 #[test]
 fn survey_and_validation_experiments_hold() {
     for id in ["fig1", "table1", "fig4", "table3"] {
-        let experiment = run_experiment(id, true).expect("known id");
+        let experiment = run_experiment(id, false).expect("known id");
         assert!(
             experiment.all_findings_hold(),
             "{id} deviated:\n{}",
@@ -20,7 +21,7 @@ fn survey_and_validation_experiments_hold() {
 #[test]
 fn array_level_experiments_hold() {
     for id in ["fig3", "fig5", "fig10"] {
-        let experiment = run_experiment(id, true).expect("known id");
+        let experiment = run_experiment(id, false).expect("known id");
         assert!(
             experiment.all_findings_hold(),
             "{id} deviated:\n{}",
@@ -32,18 +33,12 @@ fn array_level_experiments_hold() {
 #[test]
 fn dnn_experiments_produce_findings() {
     for id in ["fig6", "fig7", "table2"] {
-        let experiment = run_experiment(id, true).expect("known id");
+        let experiment = run_experiment(id, false).expect("known id");
         assert!(!experiment.findings.is_empty(), "{id} must check findings");
         assert!(!experiment.csv.is_empty());
-        // Core claims that must hold even in fast mode:
-        let core_holds = experiment
-            .findings
-            .iter()
-            .filter(|f| f.claim.contains("4x") || f.claim.contains("crossover"))
-            .all(|f| f.holds);
         assert!(
-            core_holds,
-            "{id} core claim deviated:\n{}",
+            experiment.all_findings_hold(),
+            "{id} deviated:\n{}",
             experiment.report()
         );
     }
@@ -52,16 +47,24 @@ fn dnn_experiments_produce_findings() {
 #[test]
 fn system_experiments_produce_findings() {
     for id in ["fig8", "fig9", "fig11", "fig12", "fig13", "fig14"] {
-        let experiment = run_experiment(id, true).expect("known id");
+        let experiment = run_experiment(id, false).expect("known id");
         assert!(!experiment.findings.is_empty(), "{id} must check findings");
         assert!(!experiment.csv.is_empty(), "{id} must emit CSV data");
+        // The ledger's two known deviations sit in fig8 and fig14.
+        if !["fig8", "fig14"].contains(&id) {
+            assert!(
+                experiment.all_findings_hold(),
+                "{id} deviated:\n{}",
+                experiment.report()
+            );
+        }
     }
 }
 
 #[test]
 fn artifacts_write_to_disk() {
-    let experiment = run_experiment("fig1", true).expect("known id");
-    let dir = std::env::temp_dir().join("nvmx_experiment_smoke");
+    let experiment = run_experiment("fig1", false).expect("known id");
+    let dir = std::env::temp_dir().join(format!("nvmx_experiment_smoke-{}", std::process::id()));
     let written = experiment.write_artifacts(&dir).expect("writes");
     assert!(!written.is_empty());
     for path in &written {
