@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
 use nvmexplorer_core::eval::evaluate;
-use nvmexplorer_core::sweep::run_study_with_threads;
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
 use nvmx_nvsim::{characterize, characterize_targets, ArrayConfig, OptimizationTarget};
 use nvmx_units::Capacity;
@@ -45,10 +45,18 @@ fn bench_study(c: &mut Criterion) {
     let mut group = c.benchmark_group("study_sweep");
     group.sample_size(10);
     group.bench_function("serial", |b| {
-        b.iter(|| run_study_with_threads(&study(), 1).unwrap());
+        b.iter(|| {
+            StudyExecutor::with_threads(1)
+                .run(&study(), &mut NullSink)
+                .unwrap()
+        });
     });
     group.bench_function("threads_8", |b| {
-        b.iter(|| run_study_with_threads(&study(), 8).unwrap());
+        b.iter(|| {
+            StudyExecutor::with_threads(8)
+                .run(&study(), &mut NullSink)
+                .unwrap()
+        });
     });
     group.finish();
 }
@@ -61,7 +69,11 @@ fn bench_multi_target(c: &mut Criterion) {
             BenchmarkId::new("shared_dse", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| run_study_with_threads(&multi_target_study(), threads).unwrap());
+                b.iter(|| {
+                    StudyExecutor::with_threads(threads)
+                        .run(&multi_target_study(), &mut NullSink)
+                        .unwrap()
+                });
             },
         );
     }

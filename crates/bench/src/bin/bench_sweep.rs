@@ -72,7 +72,7 @@ use nvmexplorer_core::config::{
 };
 use nvmexplorer_core::scheduler::StudyScheduler;
 use nvmexplorer_core::stream::{NullSink, StudyExecutor};
-use nvmexplorer_core::sweep::{self, oracle};
+use nvmexplorer_core::sweep::oracle;
 use nvmx_nvsim::{IncumbentStore, OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
 use std::fmt::Write as _;
@@ -355,9 +355,15 @@ fn main() {
     let three = three_target_study();
     let multi = multi_capacity_study();
     let large = large_campaign_study();
-    let three_reference = sweep::run_study_with_threads(&three, 8).expect("engine runs");
-    let reference = sweep::run_study_with_threads(&multi, 8).expect("engine runs");
-    let large_reference = sweep::run_study_with_threads(&large, 8).expect("large study runs");
+    let three_reference = StudyExecutor::with_threads(8)
+        .run(&three, &mut NullSink)
+        .expect("engine runs");
+    let reference = StudyExecutor::with_threads(8)
+        .run(&multi, &mut NullSink)
+        .expect("engine runs");
+    let large_reference = StudyExecutor::with_threads(8)
+        .run(&large, &mut NullSink)
+        .expect("large study runs");
     for (name, engine, study) in [
         ("three_target", &three_reference, &three),
         ("multi_capacity", &reference, &multi),
@@ -381,13 +387,18 @@ fn main() {
     let queue = campaign_queue();
     let queue_evaluations = {
         let shared_cache = SubarrayCache::new();
-        let report = StudyScheduler::with_workers(8)
-            .lanes(2)
-            .run_queue_silent(&queue, &shared_cache);
+        let report = StudyScheduler::with_workers(8).lanes(2).run_queue(
+            &queue,
+            &shared_cache,
+            None,
+            |_, _| Box::new(NullSink),
+        );
         assert!(report.all_succeeded(), "scheduler queue must run");
         let mut total = 0usize;
         for (study, outcome) in queue.iter().zip(&report.outcomes) {
-            let standalone = sweep::run_study_with_threads(study, 8).expect("standalone runs");
+            let standalone = StudyExecutor::with_threads(8)
+                .run(study, &mut NullSink)
+                .expect("standalone runs");
             let scheduled = outcome.result.as_ref().expect("checked above");
             assert_eq!(
                 scheduled.arrays, standalone.arrays,
@@ -415,7 +426,9 @@ fn main() {
         fault_reference, fault_single,
         "fault campaign diverged across thread counts; refusing to record bench"
     );
-    let fault_base = sweep::run_study_with_threads(&fault.study, 8).expect("base study runs");
+    let fault_base = StudyExecutor::with_threads(8)
+        .run(&fault.study, &mut NullSink)
+        .expect("base study runs");
     assert_eq!(
         fault_reference.study.arrays, fault_base.arrays,
         "fault campaign's base study diverged from a plain run; refusing to record bench"
@@ -424,7 +437,10 @@ fn main() {
 
     // --- Cache + prune behavior on the multi-capacity study ---------------
     let cache = SubarrayCache::new();
-    sweep::run_study_with_cache(&multi, 8, &cache).expect("cached run for stats");
+    StudyExecutor::with_threads(8)
+        .cache(&cache)
+        .run(&multi, &mut NullSink)
+        .expect("cached run for stats");
     let stats = cache.stats();
 
     // --- three_target, multi_capacity, and large_campaign groups ----------
@@ -433,7 +449,11 @@ fn main() {
             .into_iter()
             .map(|threads| {
                 let ms = median_ms(reps, || {
-                    drop(sweep::run_study_with_threads(study, threads).unwrap());
+                    drop(
+                        StudyExecutor::with_threads(threads)
+                            .run(study, &mut NullSink)
+                            .unwrap(),
+                    );
                 });
                 (threads, ms)
             })
@@ -442,7 +462,10 @@ fn main() {
     let three_rows = current_rows(&three, reps);
     let multi_rows = current_rows(&multi, reps);
     let large_cache = SubarrayCache::new();
-    sweep::run_study_with_cache(&large, 8, &large_cache).expect("large run for stats");
+    StudyExecutor::with_threads(8)
+        .cache(&large_cache)
+        .run(&large, &mut NullSink)
+        .expect("large run for stats");
     let large_stats = large_cache.stats();
     let large_rows = current_rows(&large, reps_large);
 
@@ -450,9 +473,12 @@ fn main() {
     // Cross-study cache behavior, measured once (single-lane so the warm-up
     // order is deterministic: later studies hit what earlier ones missed).
     let campaign_cache = SubarrayCache::new();
-    let campaign_report = StudyScheduler::with_workers(8)
-        .lanes(1)
-        .run_queue_silent(&queue, &campaign_cache);
+    let campaign_report = StudyScheduler::with_workers(8).lanes(1).run_queue(
+        &queue,
+        &campaign_cache,
+        None,
+        |_, _| Box::new(NullSink),
+    );
     let campaign_stats = campaign_cache.stats();
 
     // The seeded queue (PR 6): same studies, same single-lane determinism,
@@ -461,10 +487,11 @@ fn main() {
     // Results must stay byte-identical to the unseeded queue.
     let seeded_cache = SubarrayCache::new();
     let seed_store = IncumbentStore::new();
-    let seeded_report = StudyScheduler::with_workers(8).lanes(1).run_queue_seeded(
+    let seeded_report = StudyScheduler::with_workers(8).lanes(1).run_queue(
         &queue,
         &seeded_cache,
-        &seed_store,
+        Some(&seed_store),
+        |_, _| Box::new(NullSink),
     );
     assert!(seeded_report.all_succeeded(), "seeded queue must run");
     for (cold, warm) in campaign_report.outcomes.iter().zip(&seeded_report.outcomes) {
@@ -490,14 +517,21 @@ fn main() {
             // The pre-scheduler serving pattern: each study runs alone with
             // a private cache.
             for study in &queue {
-                drop(sweep::run_study_with_threads(study, workers).unwrap());
+                drop(
+                    StudyExecutor::with_threads(workers)
+                        .run(study, &mut NullSink)
+                        .unwrap(),
+                );
             }
         });
         let scheduler_ms = median_ms(reps, || {
             let cache = SubarrayCache::new();
-            let report = StudyScheduler::with_workers(workers)
-                .lanes(2)
-                .run_queue_silent(&queue, &cache);
+            let report = StudyScheduler::with_workers(workers).lanes(2).run_queue(
+                &queue,
+                &cache,
+                None,
+                |_, _| Box::new(NullSink),
+            );
             assert!(report.all_succeeded());
         });
         study_rows.push((workers, sequential_ms, scheduler_ms));
@@ -521,8 +555,10 @@ fn main() {
     let store_dir = std::env::temp_dir().join(format!("nvmx_bench_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let cold_store_cache = SubarrayCache::with_store(&store_dir).expect("store dir opens");
-    let cold_store_result =
-        sweep::run_study_with_cache(&multi, 8, &cold_store_cache).expect("cold-store run");
+    let cold_store_result = StudyExecutor::with_threads(8)
+        .cache(&cold_store_cache)
+        .run(&multi, &mut NullSink)
+        .expect("cold-store run");
     assert_eq!(
         reference.arrays, cold_store_result.arrays,
         "cold-store arrays diverged; refusing to record bench"
@@ -538,8 +574,10 @@ fn main() {
         })
         .unwrap_or(0);
     let warm_store_cache = SubarrayCache::with_store(&store_dir).expect("store dir reopens");
-    let warm_store_result =
-        sweep::run_study_with_cache(&multi, 8, &warm_store_cache).expect("warm-store run");
+    let warm_store_result = StudyExecutor::with_threads(8)
+        .cache(&warm_store_cache)
+        .run(&multi, &mut NullSink)
+        .expect("warm-store run");
     assert_eq!(
         reference.arrays, warm_store_result.arrays,
         "warm-store arrays diverged; refusing to record bench"
@@ -559,13 +597,23 @@ fn main() {
         let cold_ms = median_ms(reps, || {
             let _ = std::fs::remove_dir_all(&store_dir);
             let cache = SubarrayCache::with_store(&store_dir).expect("store dir opens");
-            drop(sweep::run_study_with_cache(&multi, threads, &cache).unwrap());
+            drop(
+                StudyExecutor::with_threads(threads)
+                    .cache(&cache)
+                    .run(&multi, &mut NullSink)
+                    .unwrap(),
+            );
         });
         // The cold reps leave the store fully published; each warm rep
         // attaches a fresh cache, modelling a new process joining it.
         let warm_ms = median_ms(reps, || {
             let cache = SubarrayCache::with_store(&store_dir).expect("store dir reopens");
-            drop(sweep::run_study_with_cache(&multi, threads, &cache).unwrap());
+            drop(
+                StudyExecutor::with_threads(threads)
+                    .cache(&cache)
+                    .run(&multi, &mut NullSink)
+                    .unwrap(),
+            );
         });
         store_rows.push((threads, cold_ms, warm_ms));
     }
@@ -670,7 +718,7 @@ fn main() {
     );
     json.push_str("    \"engines\": {\n");
     json.push_str(
-        "      \"sequential\": \"3x run_study_with_threads, one private SubarrayCache per study (pre-scheduler serving pattern)\",\n",
+        "      \"sequential\": \"3x StudyExecutor::run, one private SubarrayCache per study (pre-scheduler serving pattern)\",\n",
     );
     json.push_str(
         "      \"scheduler\": \"StudyScheduler, 2 lanes sharing the worker budget and one warm SubarrayCache\"\n",
@@ -832,7 +880,7 @@ fn main() {
     }
     json.push_str("    ]\n  }\n}\n");
 
-    nvmx_bench::campaign::write_file_atomic(std::path::Path::new(&out_path), json.as_bytes())
+    nvmexplorer_core::fsutil::write_file_atomic(std::path::Path::new(&out_path), json.as_bytes())
         .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     print!("{json}");
     let multi_one = multi_rows.iter().find(|(t, _)| *t == 1).unwrap();

@@ -13,11 +13,6 @@ use nvmexplorer_core::fault_study::FaultOutcome;
 use nvmexplorer_core::sweep::StudyResult;
 use nvmx_viz::csv::{ArrayCells, Csv};
 
-/// Atomic artifact publication — the shared temp+rename writer
-/// ([`nvmexplorer_core::fsutil`]), re-exported under its historical home so
-/// the campaign binaries and bench keep one import path.
-pub use nvmexplorer_core::fsutil::write_file_atomic;
-
 /// Loads and parses a study config file.
 ///
 /// # Errors
@@ -167,7 +162,7 @@ pub fn summary_line(study: &StudyConfig, result: &StudyResult) -> String {
 mod tests {
     use super::*;
     use nvmexplorer_core::config::{CellSelection, TrafficSpec};
-    use nvmexplorer_core::sweep::run_study_with_threads;
+    use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 
     fn small_study() -> StudyConfig {
         StudyConfig {
@@ -191,7 +186,9 @@ mod tests {
     #[test]
     fn results_csv_is_a_pure_function_of_the_result() {
         let study = small_study();
-        let result = run_study_with_threads(&study, 2).unwrap();
+        let result = StudyExecutor::with_threads(2)
+            .run(&study, &mut NullSink)
+            .unwrap();
         let a = results_csv(&study, &result).render();
         let b = results_csv(&study, &result).render();
         assert_eq!(a, b);
@@ -224,7 +221,9 @@ mod tests {
                 })
                 .collect(),
         };
-        let result = run_study_with_threads(&study, 2).unwrap();
+        let result = StudyExecutor::with_threads(2)
+            .run(&study, &mut NullSink)
+            .unwrap();
         let shared = results_csv(&study, &result).render();
         assert_eq!(results_csv(&study, &unshared(&result)).render(), shared);
 
@@ -249,7 +248,9 @@ mod tests {
     #[test]
     fn results_csv_memo_keys_by_allocation_not_value() {
         let study = small_study();
-        let mut result = run_study_with_threads(&study, 2).unwrap();
+        let mut result = StudyExecutor::with_threads(2)
+            .run(&study, &mut NullSink)
+            .unwrap();
         let first = result.evaluations[0].clone();
         // A value-equal array in a distinct `Arc`, then one that differs
         // only in a memoized field, interleaved with the original.
@@ -271,7 +272,9 @@ mod tests {
     #[test]
     fn summary_line_counts_the_result() {
         let study = small_study();
-        let result = run_study_with_threads(&study, 2).unwrap();
+        let result = StudyExecutor::with_threads(2)
+            .run(&study, &mut NullSink)
+            .unwrap();
         let line = summary_line(&study, &result);
         assert!(line.contains("campaign-unit"));
         assert!(line.contains(&format!("{} evaluations", result.evaluations.len())));
@@ -280,7 +283,6 @@ mod tests {
     #[test]
     fn fault_csv_and_summary_are_pure_functions_of_the_outcome() {
         use nvmexplorer_core::config::{FaultSpec, FaultStudyConfig};
-        use nvmexplorer_core::stream::{NullSink, StudyExecutor};
         let campaign = FaultStudyConfig {
             study: small_study(),
             fault: FaultSpec {

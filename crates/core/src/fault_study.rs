@@ -26,7 +26,7 @@ use crate::accuracy::{self, AccuracyReport};
 use crate::config::FaultStudyConfig;
 use crate::scheduler::run_on_lanes_streaming;
 use crate::stream::{ResultSink, StudyEvent, StudyExecutor, StudyStats};
-use crate::sweep::{StudyError, StudyResult};
+use crate::sweep::{clamp_workers, StudyError, StudyResult};
 use nvmx_fault::FaultModel;
 use nvmx_units::BitsPerCell;
 
@@ -242,9 +242,12 @@ impl StudyExecutor<'_> {
             .map(|(m, t, slot)| (m, t, injection_seed(config.fault.seed, slot)))
             .collect();
 
+        let mut emit = |index: usize, trial: &FaultTrial| {
+            sink.on_event(&StudyEvent::FaultTrialProduced { index, trial })
+        };
         let trials = run_on_lanes_streaming(
             &tasks,
-            self.threads(),
+            clamp_workers(self.threads(), tasks.len()),
             |_, &(m, t, seed)| {
                 let spec = &models[m];
                 let (injection, accuracy) = accuracy::fault_trial(&spec.model, seed);
@@ -261,12 +264,7 @@ impl StudyExecutor<'_> {
                     accuracy,
                 }
             },
-            |index, trial| {
-                if passive {
-                    return Ok(());
-                }
-                sink.on_event(&StudyEvent::FaultTrialProduced { index, trial })
-            },
+            (!passive).then_some(&mut emit as _),
         )
         .map_err(StudyError::from)?;
 

@@ -10,12 +10,15 @@
 //!
 //! 1. [`config::StudyConfig`] — JSON-loadable cross-stack study spec (with
 //!    a per-study [`config::OutputSpec`] naming where results stream),
-//! 2. [`sweep::run_study`] — expand + characterize + evaluate (batch), or
-//!    [`stream::StudyExecutor`] — the same engine pushing a deterministic
-//!    [`stream::StudyEvent`] stream to [`stream::ResultSink`]s while it
-//!    runs,
-//! 3. [`scheduler::StudyScheduler`] — shard a queue of studies across
-//!    concurrent lanes over one warm subarray cache,
+//! 2. [`stream::StudyExecutor`] — the engine's one front door: expand +
+//!    characterize + evaluate with a chosen thread count, shared cache,
+//!    persistent store, or incumbent seeds, pushing a deterministic
+//!    [`stream::StudyEvent`] stream to a [`stream::ResultSink`] while it
+//!    runs ([`sweep::run_study`] is the one-line batch default),
+//! 3. [`scheduler::StudyScheduler::run_queue`] — shard a queue of studies
+//!    across concurrent lanes over one warm subarray cache, on the same
+//!    slot-ordered lane engine ([`scheduler::run_on_lanes_streaming`])
+//!    every fan-out in the crate uses,
 //! 4. [`wire`] — the versioned JSONL wire protocol carrying the event
 //!    stream across process/host boundaries ([`wire::WireSink`] stream
 //!    writers, [`wire::SlotMerger`] slot-order merging, [`wire::replay`]

@@ -11,73 +11,70 @@
 //! per-study cache delta so operators can watch the cross-study hit rate
 //! climb as the cache warms.
 //!
-//! Studies are popped in queue order (lock-free atomic index, like the
-//! sweep engine's job fan-out) and their outcomes are returned in queue
-//! order regardless of completion interleaving. Each study's own
+//! The module also owns the crate's one lane engine,
+//! [`run_on_lanes_streaming`]: the queue's studies, the sweep's
+//! characterization and evaluation stages, and the fault-trial fan-out are
+//! all claimed through its lock-free atomic index. Studies are popped in
+//! queue order and their outcomes are returned in queue order regardless
+//! of completion interleaving. Each study's own
 //! [`StudyResult`] is deterministic; only the *cache counter deltas* depend
 //! on scheduling, since concurrent lanes flush into the same counters.
 
 use crate::config::StudyConfig;
-use crate::stream::{NullSink, ResultSink, StudyExecutor};
+use crate::stream::{ResultSink, StudyExecutor};
 use crate::sweep::{StudyError, StudyResult};
 use nvmx_nvsim::{CacheStats, IncumbentStore, SubarrayCache};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Runs `run(index, task)` for every task, popped lock-free (shared atomic
-/// index) across `lanes` scoped threads, returning the outcomes **in task
-/// order** regardless of completion interleaving.
+/// Runs `run(index, task)` for every task across `lanes` scoped threads,
+/// returning the outcomes **in task order** regardless of completion
+/// interleaving: a passive [`run_on_lanes_streaming`].
 ///
-/// This is the scheduler's lane engine, factored out so other multi-task
-/// drivers — notably the `nvmx-coordinator` binary, whose "tasks" are
-/// *studies each leased across N worker processes* — shard work the exact
-/// same way the in-process scheduler does.
-///
-/// `lanes` is clamped to `1..=tasks.len()`. Panics in `run` propagate after
-/// all lanes join (scoped-thread semantics).
+/// Multi-task drivers with nothing to stream use this — notably the
+/// `nvmx-coordinator` binary, whose "tasks" are *studies each leased across
+/// N worker processes*, so they shard work the exact same way the
+/// in-process scheduler does.
 pub fn run_on_lanes<T, R, F>(tasks: &[T], lanes: usize, run: F) -> Vec<R>
 where
     T: Sync,
     R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let slots: Vec<OnceLock<R>> = tasks.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let lanes = lanes.clamp(1, tasks.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..lanes {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(index) else { break };
-                let outcome = run(index, task);
-                assert!(slots[index].set(outcome).is_ok(), "lane slot written twice");
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("all lane slots filled"))
-        .collect()
+    run_on_lanes_streaming(tasks, lanes, run, None).expect("a passive run has no drain to fail")
 }
 
-/// Like [`run_on_lanes`], but additionally delivers each outcome to
-/// `drain` **in task order while later tasks are still running** — the
-/// same slot-order streaming pattern the sweep engine uses for its event
-/// emission, factored here for other slot-ordered producers (the
-/// fault-study trial fan-out).
+/// The per-outcome consumer [`run_on_lanes_streaming`] calls in task
+/// order on the calling thread.
+pub type Drain<'d, R> = &'d mut dyn FnMut(usize, &R) -> std::io::Result<()>;
+
+/// The lane engine: runs `run(index, task)` for every task, claimed
+/// lock-free (one shared atomic index) across `lanes` scoped threads, and
+/// returns the outcomes **in task order**. Every fan-out in the crate —
+/// the sweep's characterization and evaluation stages, the fault-trial
+/// fan-out, the study queue — runs on this one loop.
 ///
-/// `drain` runs on the calling thread. An `Err` from `drain` stops
-/// delivery (in-flight tasks still complete) and is returned; the
-/// completed outcomes are returned otherwise, in task order.
+/// With `Some(drain)`, the calling thread also delivers each outcome to
+/// `drain` in task order *while later tasks are still running*, so event
+/// order is fixed by task order, never by worker interleaving. With `None`
+/// (a passive sink) the caller simply joins the lanes instead of spinning
+/// alongside them.
+///
+/// `lanes` is clamped to `1..=tasks.len()` and nothing else: callers that
+/// compute on the lanes cap them at the core count themselves
+/// ([`crate::sweep`]'s `clamp_workers`), while lanes that mostly wait (the
+/// coordinator's lease supervisors) take the count as given. A panic in
+/// `run` stops the drain and propagates after all lanes join.
 ///
 /// # Errors
 ///
-/// The first `drain` error, verbatim.
+/// The first `drain` error, verbatim. It also parks the claim counter, so
+/// the lanes finish the tasks they hold and claim no new ones.
 pub fn run_on_lanes_streaming<T, R, F>(
     tasks: &[T],
     lanes: usize,
     run: F,
-    mut drain: impl FnMut(usize, &R) -> std::io::Result<()>,
+    drain: Option<Drain<'_, R>>,
 ) -> std::io::Result<Vec<R>>
 where
     T: Sync,
@@ -85,40 +82,106 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let slots: Vec<OnceLock<R>> = tasks.iter().map(|_| OnceLock::new()).collect();
+    let slots_ref = &slots;
+    let fill = |index: usize| {
+        let outcome = run(index, &tasks[index]);
+        assert!(
+            slots_ref[index].set(outcome).is_ok(),
+            "lane slot written twice"
+        );
+    };
+    let mut deliver = drain.map(|drain| {
+        move |index: usize, poisoned: &AtomicBool| {
+            wait_filled(&slots_ref[index], poisoned).map(|outcome| drain(index, outcome))
+        }
+    });
+    fan_out(
+        tasks.len(),
+        lanes,
+        &fill,
+        deliver.as_mut().map(|deliver| deliver as Deliver<'_>),
+    )?;
+    Ok(slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("all lane slots filled"))
+        .collect())
+}
+
+/// Waits for slot `index` to fill and hands it to the drain: `None` when a
+/// lane died and the slot may never fill.
+type Deliver<'d> = &'d mut dyn FnMut(usize, &AtomicBool) -> Option<std::io::Result<()>>;
+
+/// The type-erased core of [`run_on_lanes_streaming`]: the claim loop and
+/// the in-order drain, compiled once rather than once per task type, so
+/// each caller instantiates only the slot bookkeeping around it.
+fn fan_out(
+    tasks: usize,
+    lanes: usize,
+    fill: &(dyn Fn(usize) + Sync),
+    deliver: Option<Deliver<'_>>,
+) -> std::io::Result<()> {
     let next = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
-    let lanes = lanes.clamp(1, tasks.len().max(1));
-    let mut drain_err = None;
+    let mut drained = Ok(());
     std::thread::scope(|scope| {
-        for _ in 0..lanes {
+        for _ in 0..lanes.clamp(1, tasks.max(1)) {
             scope.spawn(|| {
-                let _flag = crate::sweep::PanicFlag(&poisoned);
+                let _flag = PanicFlag(&poisoned);
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(task) = tasks.get(index) else { break };
-                    let outcome = run(index, task);
-                    assert!(slots[index].set(outcome).is_ok(), "lane slot written twice");
+                    if index >= tasks {
+                        break;
+                    }
+                    fill(index);
                 }
             });
         }
-        for (index, slot) in slots.iter().enumerate() {
+        let Some(deliver) = deliver else { return };
+        for index in 0..tasks {
             // `None` means a lane died; stop draining and let the scope
             // re-raise its panic at join.
-            let Some(outcome) = crate::sweep::wait_filled(slot, &poisoned) else {
+            let Some(delivered) = deliver(index, &poisoned) else {
                 return;
             };
-            if let Err(e) = drain(index, outcome) {
-                drain_err = Some(e);
+            if delivered.is_err() {
+                // Nobody will read the rest: park the claim counter past
+                // the end so the lanes stop picking up new tasks.
+                next.store(tasks, Ordering::Relaxed);
+                drained = delivered;
                 return;
             }
         }
     });
-    match drain_err {
-        Some(e) => Err(e),
-        None => Ok(slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all lane slots filled"))
-            .collect()),
+    drained
+}
+
+/// Arms a poison flag if the owning lane unwinds, so the drain never spins
+/// forever on a slot its (dead) lane will never fill. The panic itself
+/// still propagates: the drain stops waiting, the scope joins its threads,
+/// and `std::thread::scope` re-raises the lane's panic.
+struct PanicFlag<'a>(&'a AtomicBool);
+
+impl Drop for PanicFlag<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// Blocks until `slot` is filled by a lane, yielding the timeslice while it
+/// waits; `None` when a lane died and the slot may never fill. The drain
+/// walks slots in index order, and lanes claim tasks in the same order, so
+/// the wait is almost always short — but correctness never depends on that.
+fn wait_filled<'s, T>(slot: &'s OnceLock<T>, poisoned: &AtomicBool) -> Option<&'s T> {
+    loop {
+        if let Some(value) = slot.get() {
+            return Some(value);
+        }
+        if poisoned.load(Ordering::Acquire) {
+            return None;
+        }
+        std::thread::yield_now();
     }
 }
 
@@ -145,7 +208,7 @@ impl StudyOutcome {
     }
 }
 
-/// Everything a [`StudyScheduler::run_queue_with`] call produced.
+/// Everything a [`StudyScheduler::run_queue`] call produced.
 #[derive(Debug)]
 pub struct SchedulerReport {
     /// Per-study outcomes, in queue order.
@@ -175,6 +238,7 @@ impl SchedulerReport {
 /// ```
 /// use nvmexplorer_core::config::{StudyConfig, TrafficSpec};
 /// use nvmexplorer_core::scheduler::StudyScheduler;
+/// use nvmexplorer_core::stream::NullSink;
 /// use nvmx_nvsim::SubarrayCache;
 ///
 /// let make = |name: &str| {
@@ -196,7 +260,7 @@ impl SchedulerReport {
 /// // One lane: `b` runs strictly after `a`, so it reuses `a`'s physics.
 /// let report = StudyScheduler::with_workers(2)
 ///     .lanes(1)
-///     .run_queue_silent(&[make("a"), make("b")], &cache);
+///     .run_queue(&[make("a"), make("b")], &cache, None, |_, _| Box::new(NullSink));
 /// assert!(report.all_succeeded());
 /// assert!(report.outcomes[1].cache_hit_rate() > 0.9);
 /// ```
@@ -242,7 +306,7 @@ impl StudyScheduler {
     }
 
     /// The `(active lanes, worker threads per lane)` plan for a queue of
-    /// `studies` — the single source of truth [`Self::run_queue_with`]
+    /// `studies` — the single source of truth [`Self::run_queue`]
     /// executes: lanes never exceed the queue length, and the thread
     /// budget is split across the lanes that actually run.
     pub fn plan_for(&self, studies: usize) -> (usize, usize) {
@@ -250,59 +314,30 @@ impl StudyScheduler {
         (lanes, (self.workers / lanes).max(1))
     }
 
-    /// Worker threads each lane's study executor receives when every lane
-    /// is occupied (queues at least as long as the lane count). Shorter
-    /// queues concentrate the budget — use [`Self::plan_for`] for the
-    /// exact figure.
-    pub fn threads_per_lane(&self) -> usize {
-        self.plan_for(usize::MAX).1
-    }
-
-    /// Runs every queued study, building one sink per study with
-    /// `make_sink` (called on the lane thread, receiving the queue index
-    /// and the config — return a [`NullSink`] boxed if a study needs no
-    /// output).
-    ///
+    /// Runs every queued study over the shared `cache`, building one sink
+    /// per study with `make_sink` (called on the lane thread, receiving the
+    /// queue index and the config — return a boxed
+    /// [`NullSink`](crate::stream::NullSink) if a study needs no output).
     /// Outcomes come back in queue order. A failed study (bad config, sink
     /// error) never blocks the rest of the queue.
-    pub fn run_queue_with<F>(
-        &self,
-        queue: &[StudyConfig],
-        cache: &SubarrayCache,
-        make_sink: F,
-    ) -> SchedulerReport
-    where
-        F: Fn(usize, &StudyConfig) -> Box<dyn ResultSink> + Sync,
-    {
-        self.run_queue_impl(queue, cache, None, make_sink)
-    }
-
-    /// [`Self::run_queue_with`] with cross-study incumbent seeding: every
-    /// lane shares `seeds`, so a study whose design points overlap an
-    /// earlier (or concurrently finished) study's starts its
-    /// branch-and-bound scans from the recorded winners. Results are
-    /// byte-identical to the unseeded queue — seeding only tightens score
-    /// bounds — but warm studies prune far more candidates; compare the
-    /// per-outcome [`StudyOutcome::cache`] prune counts.
     ///
-    /// With more than one lane, *which* studies run warm depends on lane
-    /// interleaving (a study can finish before or after its twin starts).
-    /// The results never change; only the measured prune rate does. Use
-    /// one lane when the warm/cold split itself must be deterministic.
-    pub fn run_queue_with_seeds<F>(
-        &self,
-        queue: &[StudyConfig],
-        cache: &SubarrayCache,
-        seeds: &IncumbentStore,
-        make_sink: F,
-    ) -> SchedulerReport
-    where
-        F: Fn(usize, &StudyConfig) -> Box<dyn ResultSink> + Sync,
-    {
-        self.run_queue_impl(queue, cache, Some(seeds), make_sink)
-    }
-
-    fn run_queue_impl<F>(
+    /// A cache built with [`SubarrayCache::with_store`] backs the whole
+    /// queue with the persistent characterization store: the queue pays
+    /// characterization cost at most once per fingerprint, and any later
+    /// run over the same directory starts warm. Results are byte-identical
+    /// to a storeless queue; the L2 traffic shows up in the report's `l2_*`
+    /// cache counters.
+    ///
+    /// With `Some(seeds)`, every lane shares one [`IncumbentStore`], so a
+    /// study whose design points overlap an earlier (or concurrently
+    /// finished) study's starts its branch-and-bound scans from the
+    /// recorded winners. Results are byte-identical to the unseeded queue —
+    /// seeding only tightens score bounds — but warm studies prune far more
+    /// candidates; compare the per-outcome [`StudyOutcome::cache`] prune
+    /// counts. With more than one lane, *which* studies run warm depends on
+    /// lane interleaving; use one lane when the warm/cold split itself must
+    /// be deterministic.
+    pub fn run_queue<F>(
         &self,
         queue: &[StudyConfig],
         cache: &SubarrayCache,
@@ -333,57 +368,13 @@ impl StudyScheduler {
             cache: cache.stats(),
         }
     }
-
-    /// [`Self::run_queue_with`] over a queue-owned cache backed by the
-    /// persistent characterization store at `store_dir`
-    /// (`nvmx_nvsim::store`): every lane shares one store-backed cache, so
-    /// the queue pays characterization cost at most once per fingerprint —
-    /// and any later run over the same directory (this process or another)
-    /// starts warm. Results are byte-identical to a storeless queue; the
-    /// L2 traffic shows up in the report's `l2_*` cache counters.
-    ///
-    /// # Errors
-    ///
-    /// When the store directory cannot be created.
-    pub fn run_queue_with_store<F>(
-        &self,
-        queue: &[StudyConfig],
-        store_dir: impl Into<std::path::PathBuf>,
-        make_sink: F,
-    ) -> std::io::Result<SchedulerReport>
-    where
-        F: Fn(usize, &StudyConfig) -> Box<dyn ResultSink> + Sync,
-    {
-        let cache = SubarrayCache::with_store(store_dir)?;
-        Ok(self.run_queue_impl(queue, &cache, None, make_sink))
-    }
-
-    /// [`Self::run_queue_with`] discarding all events — batch semantics
-    /// over a shared cache.
-    pub fn run_queue_silent(
-        &self,
-        queue: &[StudyConfig],
-        cache: &SubarrayCache,
-    ) -> SchedulerReport {
-        self.run_queue_with(queue, cache, |_, _| Box::new(NullSink))
-    }
-
-    /// [`Self::run_queue_with_seeds`] discarding all events.
-    pub fn run_queue_seeded(
-        &self,
-        queue: &[StudyConfig],
-        cache: &SubarrayCache,
-        seeds: &IncumbentStore,
-    ) -> SchedulerReport {
-        self.run_queue_with_seeds(queue, cache, seeds, |_, _| Box::new(NullSink))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
-    use crate::sweep::run_study_with_threads;
+    use crate::stream::NullSink;
     use nvmx_celldb::TechnologyClass;
 
     fn study(name: &str, capacity_mib: u64) -> StudyConfig {
@@ -412,15 +403,18 @@ mod tests {
     fn queue_results_match_standalone_runs_in_queue_order() {
         let queue = vec![study("q0", 2), study("q1", 4), study("q2", 2)];
         let cache = SubarrayCache::new();
-        let report = StudyScheduler::with_workers(4)
-            .lanes(2)
-            .run_queue_silent(&queue, &cache);
+        let report =
+            StudyScheduler::with_workers(4)
+                .lanes(2)
+                .run_queue(&queue, &cache, None, |_, _| Box::new(NullSink));
         assert!(report.all_succeeded());
         assert_eq!(report.outcomes.len(), 3);
         for (i, outcome) in report.outcomes.iter().enumerate() {
             assert_eq!(outcome.index, i);
             assert_eq!(outcome.name, queue[i].name);
-            let standalone = run_study_with_threads(&queue[i], 2).unwrap();
+            let standalone = StudyExecutor::with_threads(2)
+                .run(&queue[i], &mut NullSink)
+                .unwrap();
             let scheduled = outcome.result.as_ref().unwrap();
             assert_eq!(scheduled.arrays, standalone.arrays);
             assert_eq!(scheduled.evaluations, standalone.evaluations);
@@ -434,9 +428,10 @@ mod tests {
         let cache = SubarrayCache::new();
         // Single lane: deterministic queue order, so `warm` runs after
         // `cold` and must hit on every grid geometry.
-        let report = StudyScheduler::with_workers(2)
-            .lanes(1)
-            .run_queue_silent(&queue, &cache);
+        let report =
+            StudyScheduler::with_workers(2)
+                .lanes(1)
+                .run_queue(&queue, &cache, None, |_, _| Box::new(NullSink));
         assert!(report.all_succeeded());
         assert!(report.outcomes[0].cache.misses > 0);
         assert_eq!(
@@ -454,9 +449,12 @@ mod tests {
         let queue = vec![study("s0", 2), study("s1", 4)];
         let sched = StudyScheduler::with_workers(2).lanes(1);
 
-        let cold = sched
-            .run_queue_with_store(&queue, &dir, |_, _| Box::new(crate::stream::NullSink))
-            .unwrap();
+        let cold = sched.run_queue(
+            &queue,
+            &SubarrayCache::with_store(&dir).unwrap(),
+            None,
+            |_, _| Box::new(NullSink),
+        );
         assert!(cold.all_succeeded());
         assert!(cold.cache.l2_misses > 0, "cold queue found slabs on disk");
         assert_eq!(cold.cache.l2_hits, 0);
@@ -464,15 +462,20 @@ mod tests {
         // A second scheduler over the same directory models a later
         // process: every slab loads from the store, and the results stay
         // byte-identical to standalone storeless runs.
-        let warm = sched
-            .run_queue_with_store(&queue, &dir, |_, _| Box::new(crate::stream::NullSink))
-            .unwrap();
+        let warm = sched.run_queue(
+            &queue,
+            &SubarrayCache::with_store(&dir).unwrap(),
+            None,
+            |_, _| Box::new(NullSink),
+        );
         assert!(warm.all_succeeded());
         assert!(warm.cache.l2_hits > 0, "warm queue re-characterized");
         assert_eq!(warm.cache.l2_misses, 0);
         assert_eq!(warm.cache.l2_rejects, 0);
         for (outcome, config) in warm.outcomes.iter().zip(&queue) {
-            let standalone = run_study_with_threads(config, 2).unwrap();
+            let standalone = StudyExecutor::with_threads(2)
+                .run(config, &mut NullSink)
+                .unwrap();
             let scheduled = outcome.result.as_ref().unwrap();
             assert_eq!(scheduled.arrays, standalone.arrays);
             assert_eq!(scheduled.evaluations, standalone.evaluations);
@@ -493,7 +496,8 @@ mod tests {
         };
         let queue = vec![bad, study("good", 2)];
         let cache = SubarrayCache::new();
-        let report = StudyScheduler::with_workers(2).run_queue_silent(&queue, &cache);
+        let report = StudyScheduler::with_workers(2)
+            .run_queue(&queue, &cache, None, |_, _| Box::new(NullSink));
         assert!(!report.all_succeeded());
         assert!(matches!(
             report.outcomes[0].result,
@@ -507,8 +511,31 @@ mod tests {
     fn lane_and_thread_budgets_clamp_sanely() {
         let sched = StudyScheduler::with_workers(8).lanes(3);
         assert_eq!(sched.workers(), 8);
-        assert_eq!(sched.threads_per_lane(), 2);
+        assert_eq!(sched.plan_for(usize::MAX).1, 2);
         let one = StudyScheduler::with_workers(1).lanes(5);
-        assert_eq!(one.threads_per_lane(), 1);
+        assert_eq!(one.plan_for(usize::MAX).1, 1);
+    }
+
+    #[test]
+    fn drain_error_stops_claiming_new_tasks() {
+        let tasks: Vec<usize> = (0..1_000).collect();
+        let ran = AtomicUsize::new(0);
+        let mut fail_at_first = |_: usize, _: &usize| Err(std::io::Error::other("peer gone"));
+        let result = run_on_lanes_streaming(
+            &tasks,
+            2,
+            |_, &task| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                task
+            },
+            Some(&mut fail_at_first),
+        );
+        let err = result.expect_err("the drain error is returned");
+        assert_eq!(err.to_string(), "peer gone");
+        // The lanes finish what they hold when the drain fails, plus
+        // whatever they claim before the drain thread is scheduled again.
+        let ran = ran.into_inner();
+        assert!(ran <= 64, "{ran} of 1000 tasks ran after the drain failed");
     }
 }

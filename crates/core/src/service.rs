@@ -11,7 +11,8 @@
 //!   submission order). A full queue or a draining service rejects with a
 //!   typed [`AdmitError`] instead of blocking the caller.
 //! - **Execution** — a fixed pool of lane threads (the service-resident
-//!   equivalent of [`StudyScheduler::run_on_lanes`](crate::scheduler))
+//!   equivalent of
+//!   [`StudyScheduler::run_queue`](crate::scheduler::StudyScheduler::run_queue))
 //!   pops sessions in priority order and runs them through
 //!   [`StudyExecutor`] against **one shared warm
 //!   [`SubarrayCache`]** — optionally backed by the persistent

@@ -4,8 +4,8 @@
 //!
 //! # Why streaming
 //!
-//! The batch entry points ([`run_study`](crate::sweep::run_study) and
-//! friends) materialize the full [`StudyResult`] before a caller can observe
+//! The batch entry point ([`run_study`](crate::sweep::run_study))
+//! materializes the full [`StudyResult`] before a caller can observe
 //! anything — fine for a 5-array quickstart, hopeless for a
 //! multi-gigabyte sweep served from a queue. This module inverts that:
 //! every characterization and evaluation is pushed to a sink *as its slot

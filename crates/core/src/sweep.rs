@@ -25,10 +25,11 @@
 //!    reuses most of the previous capacities' physics.
 //! 3. **Lock-free fan-out.** Jobs live in an immutable pre-expanded slice;
 //!    workers claim indices with a single shared atomic counter and write
-//!    results into per-job slots. No queue mutex, no result-vector mutex,
-//!    and the output order is fixed by the job order rather than by worker
-//!    interleaving — determinism by construction, with no post-hoc sort of
-//!    completion order. Jobs borrow the resolved [`CellDefinition`]s
+//!    results into per-job slots; both stages run on the crate's one lane
+//!    engine, [`run_on_lanes_streaming`]. No queue mutex, no result-vector
+//!    mutex, and the output order is fixed by the job order rather than by
+//!    worker interleaving — determinism by construction, with no post-hoc
+//!    sort of completion order. Jobs borrow the resolved [`CellDefinition`]s
 //!    instead of cloning them.
 //! 4. **Batched structure-of-arrays evaluation.** The resolved traffic
 //!    set is transposed once into a columnar
@@ -47,9 +48,9 @@
 //!    characterization/evaluation to a
 //!    [`ResultSink`] — results can leave the
 //!    process while the sweep is still running, and the event order is
-//!    deterministic by the same argument as the result order. The batch
-//!    entry points below are the streaming engine with a
-//!    [`NullSink`] in place of live output.
+//!    deterministic by the same argument as the result order. A passive
+//!    sink such as [`NullSink`] (what [`run_study`] uses) skips the drain,
+//!    and the calling thread just joins the workers.
 //!
 //! Jobs and targets are expanded in report order (cell name, capacity,
 //! programming depth, then target label), so `arrays`, `evaluations`, and
@@ -59,15 +60,15 @@
 
 use crate::config::{StudyConfig, UnknownNameError};
 use crate::eval::{EvalKernel, Evaluation, RateLanes};
-use crate::stream::{NullSink, ResultSink, StudyEvent, StudyStats};
+use crate::scheduler::run_on_lanes_streaming;
+use crate::stream::{NullSink, ResultSink, StudyEvent, StudyExecutor, StudyStats};
 use nvmx_celldb::CellDefinition;
 use nvmx_nvsim::{
     ArrayCharacterization, ArrayConfig, CharacterizationError, IncumbentStore, OptimizationTarget,
     SubarrayCache,
 };
 use nvmx_workloads::{TrafficGrid, TrafficPattern};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Outcome of a study run.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,7 +190,7 @@ type JobOutcome = Result<Vec<ArrayCharacterization>, (String, CharacterizationEr
 /// and the machine's available parallelism — extra workers beyond any of
 /// those only add spawn cost and scheduler churn, never throughput.
 /// Output is index-addressed, so the worker count never affects results.
-fn clamp_workers(threads: usize, items: usize) -> usize {
+pub(crate) fn clamp_workers(threads: usize, items: usize) -> usize {
     let cores =
         std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get);
     threads.clamp(1, 32).min(items.max(1)).min(cores)
@@ -200,38 +201,6 @@ fn clamp_workers(threads: usize, items: usize) -> usize {
 /// at 16.
 pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get().min(16))
-}
-
-/// Arms a poison flag if the owning worker unwinds, so the streaming
-/// drainer never spins forever on a slot its (dead) worker will never
-/// fill. The panic itself still propagates: the drainer stops waiting,
-/// the scope joins its threads, and `std::thread::scope` re-raises the
-/// worker's panic — exactly the pre-streaming batch behavior.
-pub(crate) struct PanicFlag<'a>(pub(crate) &'a AtomicBool);
-
-impl Drop for PanicFlag<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// Blocks until `slot` is filled by a worker, yielding the timeslice while
-/// it waits; `None` when a worker died and the slot may never fill. The
-/// drainer walks slots in index order, and workers claim jobs in the same
-/// order, so the wait is almost always short — but correctness never
-/// depends on that.
-pub(crate) fn wait_filled<'s, T>(slot: &'s OnceLock<T>, poisoned: &AtomicBool) -> Option<&'s T> {
-    loop {
-        if let Some(value) = slot.get() {
-            return Some(value);
-        }
-        if poisoned.load(Ordering::Acquire) {
-            return None;
-        }
-        std::thread::yield_now();
-    }
 }
 
 /// A study's resolved cells, traffic patterns, and targets.
@@ -279,87 +248,55 @@ pub(crate) fn run_study_impl(
     })?;
     let cache_before = cache.stats();
 
-    let slots: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
-    let next_job = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-
-    let workers = clamp_workers(threads, jobs.len());
-    let mut sink_status: std::io::Result<()> = Ok(());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _flag = PanicFlag(&poisoned);
-                loop {
-                    let index = next_job.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(index) else { break };
-                    let outcome = nvmx_nvsim::dse::optimize_targets_seeded(
-                        job.cell,
-                        &job.config,
-                        &targets,
-                        Some(cache),
-                        seeds,
-                    )
-                    .map_err(|e| (job.cell.name.clone(), e));
-                    slots[index].set(outcome).expect("job slot written twice");
+    // Stream the outcomes in job order as the lanes finish them: event
+    // order is fixed by job order, never by worker interleaving. Passive
+    // sinks (`run_study`'s `NullSink`) skip the drain entirely.
+    let passive = sink.is_passive();
+    let mut emitted = 0usize;
+    let mut emit = |_: usize, outcome: &JobOutcome| -> std::io::Result<()> {
+        match outcome {
+            Ok(designs) => {
+                for array in designs {
+                    sink.on_event(&StudyEvent::ArrayCharacterized {
+                        index: emitted,
+                        array,
+                    })?;
+                    emitted += 1;
                 }
-            });
-        }
-        // Stream the slots in index order as the workers fill them: event
-        // order is fixed by job order, never by worker interleaving.
-        // Passive sinks (the batch entry points) skip the drain entirely —
-        // the calling thread blocks in the scope join instead of spinning
-        // alongside the workers.
-        if sink.is_passive() {
-            return;
-        }
-        let mut emitted = 0usize;
-        'drain: for slot in &slots {
-            let Some(outcome) = wait_filled(slot, &poisoned) else {
-                // A worker died; stop draining so the scope can join and
-                // re-raise its panic.
-                break 'drain;
-            };
-            match outcome {
-                Ok(designs) => {
-                    for array in designs {
-                        sink_status = sink.on_event(&StudyEvent::ArrayCharacterized {
-                            index: emitted,
-                            array,
-                        });
-                        emitted += 1;
-                        if sink_status.is_err() {
-                            break 'drain;
-                        }
-                    }
-                }
-                Err((cell, error)) => {
-                    let reason = error.to_string();
-                    for &target in &targets {
-                        sink_status = sink.on_event(&StudyEvent::DesignSkipped {
-                            cell,
-                            target,
-                            reason: &reason,
-                        });
-                        if sink_status.is_err() {
-                            break 'drain;
-                        }
-                    }
+            }
+            Err((cell, error)) => {
+                let reason = error.to_string();
+                for &target in &targets {
+                    sink.on_event(&StudyEvent::DesignSkipped {
+                        cell,
+                        target,
+                        reason: &reason,
+                    })?;
                 }
             }
         }
-        if sink_status.is_err() {
-            // The study is aborting: park the claim counter past the end so
-            // workers stop picking up new jobs instead of computing results
-            // nobody will read.
-            next_job.store(jobs.len(), Ordering::Relaxed);
-        }
-    });
-    sink_status?;
+        Ok(())
+    };
+    let outcomes = run_on_lanes_streaming(
+        &jobs,
+        clamp_workers(threads, jobs.len()),
+        |_, job| {
+            nvmx_nvsim::dse::optimize_targets_seeded(
+                job.cell,
+                &job.config,
+                &targets,
+                Some(cache),
+                seeds,
+            )
+            .map_err(|e| (job.cell.name.clone(), e))
+        },
+        (!passive).then_some(&mut emit as _),
+    )?;
 
     let mut arrays = Vec::with_capacity(jobs.len() * targets.len());
     let mut skipped = Vec::new();
-    for slot in slots {
-        match slot.into_inner().expect("all job slots filled") {
+    for outcome in outcomes {
+        match outcome {
             Ok(designs) => arrays.extend(designs),
             Err((cell, error)) => {
                 let reason = error.to_string();
@@ -419,89 +356,6 @@ pub(crate) fn run_study_impl(
     })
 }
 
-/// Runs a full study: characterize every design point, evaluate against
-/// every traffic pattern.
-///
-/// Characterization fans out lock-free across `threads` workers (atomic
-/// index over a pre-expanded job slice, results into pre-allocated slots),
-/// with one shared design-space pass covering all optimization targets per
-/// `(cell, capacity, bits_per_cell)` point and a study-private
-/// [`SubarrayCache`] sharing subarray physics across the capacity axis. The
-/// evaluation product is then fanned out over the same pool. Output order
-/// is deterministic regardless of `threads`.
-///
-/// # Errors
-///
-/// Returns [`StudyError`] when the config resolves to no cells, no traffic,
-/// or references unknown model names.
-pub fn run_study_with_threads(
-    study: &StudyConfig,
-    threads: usize,
-) -> Result<StudyResult, StudyError> {
-    run_study_with_cache(study, threads, &SubarrayCache::new())
-}
-
-/// [`run_study_with_threads`] with a caller-owned [`SubarrayCache`].
-///
-/// Use this to share one cache across several studies that sweep the same
-/// cells (e.g. a capacity-axis series, or repeated runs of one config), or
-/// to observe [`SubarrayCache::stats`] after a run. Results are
-/// bit-identical to a private-cache run.
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-pub fn run_study_with_cache(
-    study: &StudyConfig,
-    threads: usize,
-    cache: &SubarrayCache,
-) -> Result<StudyResult, StudyError> {
-    run_study_impl(study, threads, cache, None, &mut NullSink)
-}
-
-/// [`run_study_with_cache`] with the cache backed by the persistent
-/// characterization store at `store_dir` (`nvmx_nvsim::store`): L1 slab
-/// misses consult the on-disk L2 before characterizing, and newly
-/// characterized slabs are published back when the study finishes. Results
-/// are byte-identical to a storeless run — a corrupt, version-skewed, or
-/// colliding store degrades to recomputation, never to wrong data.
-///
-/// # Errors
-///
-/// [`StudyError::Store`] when the store directory cannot be created, plus
-/// the same conditions as [`run_study_with_threads`].
-pub fn run_study_with_store(
-    study: &StudyConfig,
-    threads: usize,
-    store_dir: impl Into<std::path::PathBuf>,
-) -> Result<StudyResult, StudyError> {
-    let cache = SubarrayCache::with_store(store_dir).map_err(StudyError::Store)?;
-    run_study_with_cache(study, threads, &cache)
-}
-
-/// [`run_study_with_cache`] with cross-study incumbent seeding.
-///
-/// Each job's branch-and-bound scan starts from the final incumbents a
-/// prior *identical* design point (same cell, node, programming depth,
-/// capacity, and word width) recorded into `seeds`, and records its own
-/// winners back after a successful pass. Seeding only tightens the score
-/// bounds, so results are byte-identical to [`run_study_with_cache`] for
-/// any thread count (proven in `tests/prune_kernel_equivalence.rs`); warm
-/// studies simply prune more candidates — watch the delta with
-/// [`SubarrayCache::stats`] and [`IncumbentStore::stats`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_study_with_threads`].
-pub fn run_study_seeded(
-    study: &StudyConfig,
-    threads: usize,
-    cache: &SubarrayCache,
-    seeds: &IncumbentStore,
-) -> Result<StudyResult, StudyError> {
-    run_study_impl(study, threads, cache, Some(seeds), &mut NullSink)
-}
-
 /// Evaluates the full `arrays × traffic` product across the worker pool,
 /// preserving the serial double-loop order and streaming each evaluation to
 /// `sink` in that order as its array's batch completes.
@@ -539,66 +393,38 @@ fn evaluate_all(
                 })
         })
         .collect();
-    let batch_slots: Vec<OnceLock<Vec<Evaluation>>> =
-        arrays.iter().map(|_| OnceLock::new()).collect();
-    let next_claim = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-    let workers = clamp_workers(threads, arrays.len());
-    let mut sink_status: std::io::Result<()> = Ok(());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _flag = PanicFlag(&poisoned);
-                loop {
-                    let index = next_claim.fetch_add(1, Ordering::Relaxed);
-                    let Some(kernel) = kernels.get(index) else {
-                        break;
-                    };
-                    let batch = kernel.apply_batch_with(&grid, &rate_sets[kernel_rates[index]]);
-                    batch_slots[index]
-                        .set(batch)
-                        .expect("evaluation batch written twice");
-                }
-            });
+    let passive = sink.is_passive();
+    let mut emit = |array_index: usize, batch: &Vec<Evaluation>| -> std::io::Result<()> {
+        let base = array_index * traffic.len();
+        for (lane, evaluation) in batch.iter().enumerate() {
+            sink.on_event(&StudyEvent::EvaluationProduced {
+                index: base + lane,
+                evaluation,
+            })?;
         }
-        // Passive sinks skip the drain, as in the characterization stage.
-        if sink.is_passive() {
-            return;
-        }
-        'drain: for (array_index, slot) in batch_slots.iter().enumerate() {
-            let Some(batch) = wait_filled(slot, &poisoned) else {
-                // A worker died; let the scope join and re-raise its panic.
-                break;
-            };
-            let base = array_index * traffic.len();
-            for (lane, evaluation) in batch.iter().enumerate() {
-                sink_status = sink.on_event(&StudyEvent::EvaluationProduced {
-                    index: base + lane,
-                    evaluation,
-                });
-                if sink_status.is_err() {
-                    // Park the claim counter past the end so workers stop
-                    // evaluating work nobody will read.
-                    next_claim.store(arrays.len(), Ordering::Relaxed);
-                    break 'drain;
-                }
-            }
-        }
-    });
-    sink_status?;
-    Ok(batch_slots
-        .into_iter()
-        .flat_map(|slot| slot.into_inner().expect("all evaluation batches filled"))
-        .collect())
+        Ok(())
+    };
+    let batches = run_on_lanes_streaming(
+        &kernels,
+        clamp_workers(threads, arrays.len()),
+        |index, kernel| kernel.apply_batch_with(&grid, &rate_sets[kernel_rates[index]]),
+        (!passive).then_some(&mut emit as _),
+    )?;
+    Ok(batches.into_iter().flatten().collect())
 }
 
-/// Runs a study with a worker per available CPU (capped at 16).
+/// Runs a full study with a worker per available CPU (capped at 16):
+/// characterize every design point, evaluate against every traffic
+/// pattern. The one-line default; [`StudyExecutor`] sets the thread count,
+/// shares a cache or a persistent store, seeds incumbents, and streams
+/// events.
 ///
 /// # Errors
 ///
-/// See [`run_study_with_threads`].
+/// Returns [`StudyError`] when the config resolves to no cells, no traffic,
+/// or references unknown model names.
 pub fn run_study(study: &StudyConfig) -> Result<StudyResult, StudyError> {
-    run_study_with_threads(study, default_workers())
+    StudyExecutor::new().run(study, &mut NullSink)
 }
 
 /// The reference the engine is proven against: a serial loop over the
@@ -619,7 +445,7 @@ pub mod oracle {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`run_study_with_threads`](super::run_study_with_threads).
+    /// Same conditions as [`run_study`](super::run_study).
     pub fn run_study(study: &StudyConfig) -> Result<StudyResult, StudyError> {
         let (cells, traffic, targets) = resolve(study, 1)?;
         let mut arrays = Vec::new();
@@ -656,6 +482,10 @@ mod tests {
     use nvmx_celldb::TechnologyClass;
     use nvmx_units::BitsPerCell;
 
+    fn engine(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
+        StudyExecutor::with_threads(threads).run(study, &mut NullSink)
+    }
+
     fn small_study() -> StudyConfig {
         StudyConfig {
             name: "test".into(),
@@ -691,7 +521,7 @@ mod tests {
 
     #[test]
     fn study_produces_arrays_and_evaluations() {
-        let result = run_study_with_threads(&small_study(), 4).unwrap();
+        let result = engine(&small_study(), 4).unwrap();
         // 2 classes × 2 flavors + SRAM = 5 arrays, 1 traffic pattern each.
         assert_eq!(result.arrays.len(), 5);
         assert_eq!(result.evaluations.len(), 5);
@@ -700,8 +530,8 @@ mod tests {
 
     #[test]
     fn output_order_is_deterministic_across_thread_counts() {
-        let one = run_study_with_threads(&small_study(), 1).unwrap();
-        let many = run_study_with_threads(&small_study(), 8).unwrap();
+        let one = engine(&small_study(), 1).unwrap();
+        let many = engine(&small_study(), 8).unwrap();
         let names = |r: &StudyResult| -> Vec<String> {
             r.arrays.iter().map(|a| a.cell_name.clone()).collect()
         };
@@ -716,7 +546,7 @@ mod tests {
         let reference = oracle::run_study(&study).unwrap();
         assert!(!reference.skipped.is_empty(), "SRAM at MLC-2 is skipped");
         for threads in [1, 16] {
-            let engine = run_study_with_threads(&study, threads).unwrap();
+            let engine = engine(&study, threads).unwrap();
             assert_eq!(engine.arrays, reference.arrays);
             assert_eq!(engine.evaluations, reference.evaluations);
             assert_eq!(engine.skipped, reference.skipped);
@@ -727,7 +557,7 @@ mod tests {
     fn unsupported_mlc_lands_in_skipped() {
         let mut study = small_study();
         study.array.bits_per_cell = vec![BitsPerCell::Mlc2];
-        let result = run_study_with_threads(&study, 2).unwrap();
+        let result = engine(&study, 2).unwrap();
         // SRAM cannot do MLC; the NVMs can.
         assert_eq!(result.skipped.len(), 1);
         assert!(result.skipped[0].0.contains("SRAM"));
@@ -738,7 +568,7 @@ mod tests {
     fn multi_target_skip_is_reported_per_target() {
         let mut study = multi_target_study();
         study.array.bits_per_cell = vec![BitsPerCell::Mlc2];
-        let result = run_study_with_threads(&study, 4).unwrap();
+        let result = engine(&study, 4).unwrap();
         // SRAM fails once per target, like the per-target engine reported.
         assert_eq!(result.skipped.len(), 3);
         assert!(result.skipped.iter().all(|(cell, _)| cell.contains("SRAM")));
@@ -756,9 +586,6 @@ mod tests {
             back_gated_fefet: false,
             custom: vec![],
         };
-        assert!(matches!(
-            run_study_with_threads(&study, 2),
-            Err(StudyError::NoCells)
-        ));
+        assert!(matches!(engine(&study, 2), Err(StudyError::NoCells)));
     }
 }

@@ -30,8 +30,8 @@ use nvmexplorer_core::config::{
 };
 use nvmexplorer_core::eval::Evaluation;
 use nvmexplorer_core::fault_study::{FaultModelReport, FaultStudyStats, FaultTrial};
-use nvmexplorer_core::stream::{StudyEvent, StudyExecutor, StudyStats};
-use nvmexplorer_core::sweep::{run_study_with_threads, StudyResult};
+use nvmexplorer_core::stream::{NullSink, StudyEvent, StudyExecutor, StudyStats};
+use nvmexplorer_core::sweep::StudyResult;
 use nvmexplorer_core::wire::{
     EventEncoder, FrameDecoder, FrameError, WireFrame, WireSink, WorkerLine, WIRE_VERSION,
 };
@@ -137,7 +137,11 @@ fn small_study() -> StudyConfig {
 
 fn study_result() -> &'static StudyResult {
     static RESULT: OnceLock<StudyResult> = OnceLock::new();
-    RESULT.get_or_init(|| run_study_with_threads(&small_study(), 1).expect("study runs"))
+    RESULT.get_or_init(|| {
+        StudyExecutor::with_threads(1)
+            .run(&small_study(), &mut NullSink)
+            .expect("study runs")
+    })
 }
 
 /// Every line of a real study capture plus a small fault campaign's.

@@ -11,9 +11,8 @@
 //!    store an earlier run published to).
 
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
-use nvmexplorer_core::sweep::{
-    oracle, run_study_seeded, run_study_with_store, run_study_with_threads, StudyError, StudyResult,
-};
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
+use nvmexplorer_core::sweep::{oracle, StudyError, StudyResult};
 use nvmx_celldb::TechnologyClass;
 use nvmx_nvsim::{IncumbentStore, OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
@@ -128,7 +127,7 @@ proptest! {
             Ok(reference) => reference,
             Err(error) => {
                 // An empty selection must fail the engine the same way.
-                let engine = run_study_with_threads(&study, threads);
+                let engine = StudyExecutor::with_threads(threads).run(&study, &mut NullSink);
                 prop_assert!(
                     matches!(
                         (&error, &engine),
@@ -141,18 +140,29 @@ proptest! {
             }
         };
 
-        let cold = run_study_with_threads(&study, threads).expect("cold engine runs");
+        let cold = StudyExecutor::with_threads(threads)
+            .run(&study, &mut NullSink)
+            .expect("cold engine runs");
         assert_identical(&cold, &reference, "cold");
 
         let cache = SubarrayCache::new();
         let seeds = IncumbentStore::new();
-        run_study_seeded(&study, threads, &cache, &seeds).expect("recording pass runs");
-        let warm = run_study_seeded(&study, threads, &cache, &seeds).expect("warm pass runs");
+        let seeded = StudyExecutor::with_threads(threads).cache(&cache).seeds(&seeds);
+        seeded.run(&study, &mut NullSink).expect("recording pass runs");
+        let warm = seeded.run(&study, &mut NullSink).expect("warm pass runs");
         assert_identical(&warm, &reference, "warm seeded");
 
+        // A fresh store-backed executor per run: the second run's slabs
+        // come from disk, not from the first run's in-memory cache.
         let store = StoreDir::new();
-        run_study_with_store(&study, threads, &store.0).expect("publishing run");
-        let stored = run_study_with_store(&study, threads, &store.0).expect("store-backed run");
+        let run_stored = || {
+            StudyExecutor::with_threads(threads)
+                .store(&store.0)
+                .expect("store opens")
+                .run(&study, &mut NullSink)
+        };
+        run_stored().expect("publishing run");
+        let stored = run_stored().expect("store-backed run");
         assert_identical(&stored, &reference, "store-backed");
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! 1. [`EvalKernel`] applications are bit-identical to [`evaluate`] over
 //!    random arrays × traffic points.
-//! 2. The full pruned+kernel engine ([`run_study_with_threads`]), cold and
+//! 2. The full pruned+kernel engine ([`StudyExecutor::run`]), cold and
 //!    incumbent-seeded, returns a [`StudyResult`] byte-identical to the
 //!    serial exhaustive oracle ([`oracle::run_study`]) at 1 and 16
 //!    threads.
 
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
 use nvmexplorer_core::eval::{evaluate, EvalKernel};
-use nvmexplorer_core::sweep::{oracle, run_study_seeded, run_study_with_threads, StudyResult};
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
+use nvmexplorer_core::sweep::{oracle, StudyResult};
 use nvmx_celldb::{survey, tentpole};
 use nvmx_nvsim::{characterize, ArrayConfig, IncumbentStore, OptimizationTarget, SubarrayCache};
 use nvmx_units::{BitsPerCell, Capacity};
@@ -107,7 +108,9 @@ fn pruned_batched_engine_matches_the_oracle_at_1_and_16_threads() {
     let study = stress_study();
     let reference = oracle::run_study(&study).expect("oracle runs");
     for threads in [1usize, 16] {
-        let current = run_study_with_threads(&study, threads).expect("engine runs");
+        let current = StudyExecutor::with_threads(threads)
+            .run(&study, &mut NullSink)
+            .expect("engine runs");
         assert_identical(&current, &reference, &format!("{threads} threads"));
     }
 }
@@ -124,8 +127,11 @@ fn seeded_engine_matches_the_oracle_at_1_and_16_threads() {
     let seeds = IncumbentStore::new();
     for round in ["recording", "warm"] {
         for threads in [1usize, 16] {
-            let seeded =
-                run_study_seeded(&study, threads, &cache, &seeds).expect("seeded engine runs");
+            let seeded = StudyExecutor::with_threads(threads)
+                .cache(&cache)
+                .seeds(&seeds)
+                .run(&study, &mut NullSink)
+                .expect("seeded engine runs");
             assert_identical(
                 &seeded,
                 &reference,

@@ -1,11 +1,11 @@
-//! Equivalence proof for store-backed studies: `run_study_with_store`
+//! Equivalence proof for store-backed studies: `StudyExecutor::store`
 //! must produce results byte-identical to the storeless engine at every
 //! thread count, cold store and warm store alike — and must keep doing so
 //! after the store is corrupted on disk, when every load degrades to
 //! recomputation.
 
 use nvmexplorer_core::config::{CellSelection, StudyConfig, TrafficSpec};
-use nvmexplorer_core::sweep::{run_study_with_store, run_study_with_threads};
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 use std::path::{Path, PathBuf};
 
 fn small_study() -> StudyConfig {
@@ -59,12 +59,22 @@ fn store_backed_results_match_storeless_at_every_thread_count() {
     let study = small_study();
     let dir = temp_dir("threads");
     for threads in [1usize, 16] {
-        let reference = run_study_with_threads(&study, threads).expect("storeless run");
-        let cold = run_study_with_store(&study, threads, &dir).expect("cold-store run");
+        let reference = StudyExecutor::with_threads(threads)
+            .run(&study, &mut NullSink)
+            .expect("storeless run");
+        let cold = StudyExecutor::with_threads(threads)
+            .store(&dir)
+            .expect("store opens")
+            .run(&study, &mut NullSink)
+            .expect("cold-store run");
         assert_eq!(reference.arrays, cold.arrays, "{threads} threads, cold");
         assert_eq!(reference.evaluations, cold.evaluations);
         assert_eq!(reference.skipped, cold.skipped);
-        let warm = run_study_with_store(&study, threads, &dir).expect("warm-store run");
+        let warm = StudyExecutor::with_threads(threads)
+            .store(&dir)
+            .expect("store opens")
+            .run(&study, &mut NullSink)
+            .expect("warm-store run");
         assert_eq!(reference.arrays, warm.arrays, "{threads} threads, warm");
         assert_eq!(reference.evaluations, warm.evaluations);
         assert_eq!(reference.skipped, warm.skipped);
@@ -75,12 +85,22 @@ fn store_backed_results_match_storeless_at_every_thread_count() {
 #[test]
 fn a_corrupted_store_still_yields_storeless_results() {
     let study = small_study();
-    let reference = run_study_with_threads(&study, 2).expect("storeless run");
+    let reference = StudyExecutor::with_threads(2)
+        .run(&study, &mut NullSink)
+        .expect("storeless run");
     let dir = temp_dir("corrupt");
-    let _ = run_study_with_store(&study, 2, &dir).expect("publishing run");
+    let _ = StudyExecutor::with_threads(2)
+        .store(&dir)
+        .expect("store opens")
+        .run(&study, &mut NullSink)
+        .expect("publishing run");
     corrupt_every_slab(&dir);
     for threads in [1usize, 16] {
-        let damaged = run_study_with_store(&study, threads, &dir).expect("corrupt-store run");
+        let damaged = StudyExecutor::with_threads(threads)
+            .store(&dir)
+            .expect("store opens")
+            .run(&study, &mut NullSink)
+            .expect("corrupt-store run");
         assert_eq!(
             reference.arrays, damaged.arrays,
             "corruption changed the winners at {threads} threads"

@@ -6,8 +6,10 @@
 use nvmexplorer_core::config::{
     ArraySettings, CellSelection, Constraints, StudyConfig, TrafficSpec,
 };
-use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor, StudyResultBuilder};
-use nvmexplorer_core::sweep::{run_study_with_cache, StudyResult};
+use nvmexplorer_core::stream::{
+    NullSink, ResultSink, StudyEvent, StudyExecutor, StudyResultBuilder,
+};
+use nvmexplorer_core::sweep::StudyResult;
 use nvmx_celldb::TechnologyClass;
 use nvmx_nvsim::{OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
@@ -94,7 +96,10 @@ fn stress_study() -> StudyConfig {
 fn streamed_assembly_is_byte_identical_to_the_batch_engine() {
     let study = stress_study();
     let cache = SubarrayCache::new();
-    let batch = run_study_with_cache(&study, 8, &cache).unwrap();
+    let batch = StudyExecutor::with_threads(8)
+        .cache(&cache)
+        .run(&study, &mut NullSink)
+        .unwrap();
     for threads in [1usize, 4, 16] {
         let mut builder = StudyResultBuilder::new();
         let returned = StudyExecutor::with_threads(threads)
@@ -203,12 +208,16 @@ fn arb_study() -> impl Strategy<Value = StudyConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For *any* config: the stream-assembled result equals
-    /// `run_study_with_cache`, and the stream is thread-count invariant.
+    /// For *any* config: the stream-assembled result (a drained run) equals
+    /// a passive `NullSink` run (the engine's join-only path), and the
+    /// stream is thread-count invariant.
     #[test]
     fn any_config_streams_byte_identically(study in arb_study()) {
         let cache = SubarrayCache::new();
-        let batch = run_study_with_cache(&study, 4, &cache).unwrap();
+        let batch = StudyExecutor::with_threads(4)
+            .cache(&cache)
+            .run(&study, &mut NullSink)
+            .unwrap();
 
         let mut builder = StudyResultBuilder::new();
         let mut serial = Tape::default();

@@ -6,7 +6,8 @@
 use nvmexplorer_core::config::{
     ArraySettings, CellSelection, Constraints, StudyConfig, TrafficSpec,
 };
-use nvmexplorer_core::sweep::{oracle, run_study_with_cache, run_study_with_threads, StudyResult};
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
+use nvmexplorer_core::sweep::{oracle, StudyResult};
 use nvmx_nvsim::{OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
 
@@ -54,7 +55,9 @@ fn assert_results_identical(a: &StudyResult, b: &StudyResult) {
 #[test]
 fn large_multi_target_study_is_deterministic_from_1_to_16_threads() {
     let study = large_study();
-    let serial = run_study_with_threads(&study, 1).unwrap();
+    let serial = StudyExecutor::with_threads(1)
+        .run(&study, &mut NullSink)
+        .unwrap();
     // The default selection spans 14 cells × 2 capacities × 2 depths ×
     // 3 targets; make sure the study is actually big enough to interleave.
     assert!(
@@ -64,7 +67,7 @@ fn large_multi_target_study_is_deterministic_from_1_to_16_threads() {
     );
     assert!(!serial.skipped.is_empty(), "SRAM at MLC-2 must be skipped");
     for threads in [2, 4, 8, 16] {
-        let parallel = run_study_with_threads(&study, threads);
+        let parallel = StudyExecutor::with_threads(threads).run(&study, &mut NullSink);
         assert_results_identical(&serial, &parallel.unwrap());
     }
 }
@@ -73,7 +76,10 @@ fn large_multi_target_study_is_deterministic_from_1_to_16_threads() {
 fn shared_cache_reuses_subarray_physics_across_capacities_and_runs() {
     let study = large_study();
     let cache = SubarrayCache::new();
-    let first = run_study_with_cache(&study, 8, &cache).unwrap();
+    let first = StudyExecutor::with_threads(8)
+        .cache(&cache)
+        .run(&study, &mut NullSink)
+        .unwrap();
     let cold = cache.stats();
     assert!(cold.misses > 0, "cold run must characterize something");
     // Two capacities × two depths per cell share one geometry space: the
@@ -87,7 +93,10 @@ fn shared_cache_reuses_subarray_physics_across_capacities_and_runs() {
 
     // A second run over the same cache is served entirely from memory and
     // still produces byte-identical results.
-    let second = run_study_with_cache(&study, 8, &cache).unwrap();
+    let second = StudyExecutor::with_threads(8)
+        .cache(&cache)
+        .run(&study, &mut NullSink)
+        .unwrap();
     assert_results_identical(&first, &second);
     let warm = cache.stats();
     assert_eq!(
@@ -102,7 +111,9 @@ fn engine_matches_the_oracle_byte_for_byte_from_1_to_16_threads() {
     let study = large_study();
     let reference = oracle::run_study(&study).unwrap();
     for threads in [1, 8, 16] {
-        let engine = run_study_with_threads(&study, threads).unwrap();
+        let engine = StudyExecutor::with_threads(threads)
+            .run(&study, &mut NullSink)
+            .unwrap();
         assert_results_identical(&engine, &reference);
     }
 }

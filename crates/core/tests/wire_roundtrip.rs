@@ -9,8 +9,8 @@ use nvmexplorer_core::config::{
     TrafficSpec,
 };
 use nvmexplorer_core::fault_study::FaultStudyResult;
-use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
-use nvmexplorer_core::sweep::{run_study_with_threads, StudyResult};
+use nvmexplorer_core::stream::{NullSink, ResultSink, StudyEvent, StudyExecutor};
+use nvmexplorer_core::sweep::StudyResult;
 use nvmexplorer_core::wire::{
     replay, replay_into, EventReplayer, FrameDecoder, FrameError, OwnedStudyEvent, ResponseFrame,
     Served, SlotMerger, StreamReplayer, WireError, WireFrame, WireSink, WIRE_VERSION,
@@ -727,7 +727,7 @@ proptest! {
     /// workers — for any study config.
     #[test]
     fn in_process_sharded_and_replayed_results_are_byte_identical(study in arb_study()) {
-        let batch = run_study_with_threads(&study, 4).unwrap();
+        let batch = StudyExecutor::with_threads(4).run(&study, &mut NullSink).unwrap();
 
         // 1 worker: a single whole capture.
         let whole = capture_whole(&study, 1);

@@ -399,9 +399,9 @@ pub fn from_spec(
 }
 
 /// A boxed fan-out over the sinks of [`from_spec`] — one owned sink per
-/// study, as [`StudyScheduler::run_queue_with`] expects.
+/// study, as [`StudyScheduler::run_queue`] expects.
 ///
-/// [`StudyScheduler::run_queue_with`]: nvmexplorer_core::scheduler::StudyScheduler::run_queue_with
+/// [`StudyScheduler::run_queue`]: nvmexplorer_core::scheduler::StudyScheduler::run_queue
 #[derive(Default)]
 pub struct SpecSinks {
     sinks: Vec<Box<dyn ResultSink>>,

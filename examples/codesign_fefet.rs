@@ -2,7 +2,7 @@
 //! custom cell — the back-gated FeFET — and quantify what its faster writes
 //! and higher endurance buy at the application level.
 //!
-//! Run with: `cargo run -p nvmx-bench --release --example codesign_fefet`
+//! Run with: `cargo run -p nvmexplorer --release --example codesign_fefet`
 
 use nvmexplorer_core::eval::evaluate;
 use nvmx_celldb::custom::{back_gated_fefet, sram_16nm};

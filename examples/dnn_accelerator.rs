@@ -2,7 +2,7 @@
 //! buffers for ResNet26 at 60 FPS, check fault-rate accuracy gates, and
 //! compare continuous power against intermittent energy per inference.
 //!
-//! Run with: `cargo run -p nvmx-bench --release --example dnn_accelerator`
+//! Run with: `cargo run -p nvmexplorer --release --example dnn_accelerator`
 
 use nvmexplorer_core::accuracy::accuracy_under_storage;
 use nvmexplorer_core::eval::evaluate;

@@ -3,7 +3,7 @@
 //! scratchpad traffic, and ask which eNVM can replace an 8 MB eDRAM
 //! scratchpad.
 //!
-//! Run with: `cargo run -p nvmx-bench --release --example graph_analytics`
+//! Run with: `cargo run -p nvmexplorer --release --example graph_analytics`
 
 use nvmexplorer_core::eval::evaluate;
 use nvmx_celldb::tentpole;

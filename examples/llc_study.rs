@@ -2,7 +2,7 @@
 //! a real 16 MiB set-associative LLC, then evaluate every eNVM as a drop-in
 //! replacement — including a write-buffer rescue for slow writers.
 //!
-//! Run with: `cargo run -p nvmx-bench --release --example llc_study`
+//! Run with: `cargo run -p nvmexplorer --release --example llc_study`
 
 use nvmexplorer_core::write_buffer::{evaluate_with_buffer, WriteBuffer};
 use nvmx_celldb::tentpole;

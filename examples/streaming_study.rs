@@ -61,9 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (cell, node, geometry, depth) — never on capacity — so later studies
     // mostly reuse what earlier ones characterized.
     let cache = SubarrayCache::new();
-    let report = StudyScheduler::new().lanes(2).run_queue_with(
+    let report = StudyScheduler::new().lanes(2).run_queue(
         &queue,
         &cache,
+        None,
         |_, study| -> Box<dyn ResultSink> {
             match SpecSinks::new(&study.output) {
                 Ok(sinks) => Box::new(sinks),

@@ -9,6 +9,7 @@
 
 use nvmexplorer_core::config::{ArraySettings, StudyConfig, TrafficSpec};
 use nvmexplorer_core::scheduler::StudyScheduler;
+use nvmexplorer_core::stream::NullSink;
 use nvmx_nvsim::{IncumbentStore, OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
 
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seeds = IncumbentStore::new();
     let report = StudyScheduler::new()
         .lanes(1)
-        .run_queue_seeded(&queue, &cache, &seeds);
+        .run_queue(&queue, &cache, Some(&seeds), |_, _| Box::new(NullSink));
 
     println!("warm-start campaign over {} studies:\n", queue.len());
     let mut cold_rate = None;
