@@ -111,14 +111,8 @@ fn main() {
                     );
                 }
                 println!(
-                    "queue {queue_depth}/{capacity}{}  cache hits={} misses={} pruned={} l2_hits={} l2_misses={} l2_rejects={}",
+                    "queue {queue_depth}/{capacity}{}  cache {cache}",
                     if draining { " (draining)" } else { "" },
-                    cache.hits,
-                    cache.misses,
-                    cache.pruned,
-                    cache.l2_hits,
-                    cache.l2_misses,
-                    cache.l2_rejects,
                 );
                 return;
             }
@@ -140,15 +134,7 @@ fn main() {
                 cache,
             } => {
                 let cache = cache.unwrap_or_default();
-                eprintln!(
-                    "session {session}: {outcome} cache hits={} misses={} pruned={} l2_hits={} l2_misses={} l2_rejects={}",
-                    cache.hits,
-                    cache.misses,
-                    cache.pruned,
-                    cache.l2_hits,
-                    cache.l2_misses,
-                    cache.l2_rejects,
-                );
+                eprintln!("session {session}: {outcome} cache {cache}");
                 match outcome.as_str() {
                     "finished" => return,
                     _ => fail(&error.unwrap_or(outcome)),

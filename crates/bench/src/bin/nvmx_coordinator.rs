@@ -9,15 +9,18 @@
 //! and emit only the slot ranges the coordinator leases to them. Every
 //! worker computes the full deterministic stream, so any worker can serve
 //! any range; `core::wire::SlotMerger` merges the leased ranges back into
-//! strict slot order, drops duplicate slots by sequence number, and feeds
-//! the merged stream to the study's configured result sinks plus an
-//! optional capture file. The rebuilt `StudyResult` is byte-identical to
-//! an in-process run — as is the merged stream, except possibly the
-//! *observational* cache counters on the final `study_finished` line (each
-//! worker has its own cache, and racing threads may double-count a miss;
-//! see the core stream docs). Studies in a multi-config campaign are
-//! distributed over supervisor lanes with the same lock-free queue
-//! discipline as `core::scheduler::StudyScheduler`.
+//! strict slot order and drops duplicate slots by sequence number. The
+//! merged stream goes to an optional capture file and through
+//! `core::wire::StreamReplayer` — the strict consumer behind `replay` and
+//! `run --connect` — into the study's configured result sinks. Every
+//! worker connection, pipe or socket, is one `transport::Connection`. The
+//! rebuilt `StudyResult` is byte-identical to an in-process run — as is
+//! the merged stream, except possibly the *observational* cache counters
+//! on the final `study_finished` line (each worker has its own cache, and
+//! racing threads may double-count a miss; see the core stream docs).
+//! Studies in a multi-config campaign are distributed over supervisor
+//! lanes with the same lock-free queue discipline as
+//! `core::scheduler::StudyScheduler`.
 //!
 //! The supervisor measures per-worker throughput with an EWMA, kills
 //! workers that miss their heartbeat deadline, re-leases a dead or stalled
@@ -52,19 +55,20 @@ use nvmexplorer_core::fsutil::AtomicFileWriter;
 use nvmexplorer_core::reshard::{Action, ReshardConfig, Resharder};
 use nvmexplorer_core::scheduler::run_on_lanes;
 use nvmexplorer_core::sweep::StudyResult;
-use nvmexplorer_core::transport::{read_frame_line, Connection, Endpoint, Listener, TransportKind};
+use nvmexplorer_core::transport::{
+    Connection, Endpoint, FrameWriter, Listener, Stream, TransportKind,
+};
 use nvmexplorer_core::wire::{
-    EventReplayer, FrameDecoder, LeaseFrame, OwnedStudyEvent, SlotMerger, WireFrame, WorkerFrame,
-    WorkerLine,
+    FrameDecoder, LeaseFrame, SlotMerger, StreamReplayer, WireFrame, WorkerFrame, WorkerLine,
 };
 use nvmx_bench::campaign::{
     fault_csv, fault_summary_line, load_campaign, results_csv, summary_line,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -396,7 +400,7 @@ enum NetEv {
         link: u64,
         name: String,
         study: String,
-        writer: Box<dyn Write + Send>,
+        writer: FrameWriter,
     },
     /// A worker control frame (heartbeat / drained / done).
     Control { name: String, frame: WorkerFrame },
@@ -422,12 +426,12 @@ enum NetEv {
 }
 
 /// Reads one worker connection, splitting the stream into control frames
-/// and event frames. `preset` names the worker ahead of its `hello`
+/// and event frames; the write half rides to the merge loop with the
+/// worker's `hello`. `preset` names the worker ahead of its `hello`
 /// (known a priori for pipe children); `link` tags the connection-level
 /// events.
-fn pump_worker_lines<R: BufRead>(
-    mut reader: R,
-    writer: Box<dyn Write + Send>,
+fn pump_worker_lines(
+    Connection { mut reader, writer }: Connection,
     preset: Option<String>,
     link: u64,
     tx: &mpsc::SyncSender<NetEv>,
@@ -437,7 +441,7 @@ fn pump_worker_lines<R: BufRead>(
     let mut line = String::new();
     let mut decoder = FrameDecoder::new();
     loop {
-        match read_frame_line(&mut reader, &mut line) {
+        match reader.next_line(&mut line) {
             Ok(true) => {}
             Ok(false) => break,
             Err(e) => {
@@ -453,9 +457,6 @@ fn pump_worker_lines<R: BufRead>(
                 }
                 break;
             }
-        }
-        if line.trim().is_empty() {
-            continue;
         }
         // One pass over the line classifies and decodes it.
         match decoder.worker_line(&line) {
@@ -518,7 +519,7 @@ struct LeasedChild {
 /// Mutable side-state of the leased merge loop: connections, processes,
 /// and the failure counters for the run summary.
 struct LeasedState {
-    writers: HashMap<String, Box<dyn Write + Send>>,
+    writers: HashMap<String, FrameWriter>,
     /// The connection each worker name currently speaks over: a pipe
     /// child's spawn generation, fixed at spawn, or a socket's accept
     /// number, taken at `hello`. A killed or dead incarnation's reader
@@ -547,10 +548,7 @@ impl LeasedState {
     /// from the connection reader, which drives recovery.
     fn send(&mut self, worker: &str, frame: &LeaseFrame) {
         if let Some(writer) = self.writers.get_mut(worker) {
-            let _ = writer
-                .write_all(frame.to_line().as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .and_then(|()| writer.flush());
+            let _ = writer.send_now(&frame.to_line());
         }
     }
 }
@@ -608,17 +606,10 @@ fn spawn_leased_worker(
     if pipe {
         let stdout = child.stdout.take().expect("stdout was piped");
         let stdin = child.stdin.take().expect("stdin was piped");
+        let conn = Connection::from_parts(stdout, stdin);
         let pump_tx = tx.clone();
         let preset = name.to_owned();
-        std::thread::spawn(move || {
-            pump_worker_lines(
-                BufReader::new(stdout),
-                Box::new(stdin),
-                Some(preset),
-                generation,
-                &pump_tx,
-            );
-        });
+        std::thread::spawn(move || pump_worker_lines(conn, Some(preset), generation, &pump_tx));
     }
     let handle = Arc::new(Mutex::new(child));
     let waiter = Arc::clone(&handle);
@@ -711,6 +702,80 @@ fn apply_actions(
     Ok(())
 }
 
+/// Numbers the lease sockets this process binds: a unix socket is named
+/// by pid and this counter, never by the study (whose name may hold a `/`
+/// or overflow the socket path limit), so concurrent lanes never collide.
+static LEASE_SOCKETS: AtomicU64 = AtomicU64::new(0);
+
+/// The accept thread of a socket transport: it blocks in `accept` and
+/// hands each connection to a pump thread, numbering it as its `link`.
+/// Dropping the acceptor stops it the way `nvmx-serve` stops on
+/// `shutdown` — a stop flag, then a connect to its own listener to wake
+/// the blocked `accept` — and joins it, so the listener (and a unix
+/// socket's file) is gone when the study returns.
+struct Acceptor {
+    stop: Arc<AtomicBool>,
+    /// The bound address (TCP's ephemeral port resolved): what workers
+    /// dial, and what the wake-up connects to.
+    wake: Endpoint,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Binds a fresh lease endpoint of a socket `kind` and starts
+    /// accepting on it.
+    fn bind(kind: TransportKind, tx: &mpsc::SyncSender<NetEv>) -> Result<Self, String> {
+        let endpoint = if kind == TransportKind::Unix {
+            Endpoint::Unix(std::env::temp_dir().join(format!(
+                "nvmx-lease-{}-{}.sock",
+                std::process::id(),
+                LEASE_SOCKETS.fetch_add(1, Ordering::Relaxed)
+            )))
+        } else {
+            Endpoint::parse("tcp:127.0.0.1:0")?
+        };
+        let listener =
+            Listener::bind(&endpoint).map_err(|e| format!("cannot bind `{endpoint}`: {e}"))?;
+        let wake = Endpoint::parse(&listener.local_spec())?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let tx = tx.clone();
+        let thread = std::thread::spawn(move || {
+            for link in 0u64.. {
+                let accepted = listener.accept();
+                if stopped.load(Ordering::Acquire) {
+                    return; // drops the listener (and any unix socket path)
+                }
+                let Ok(conn) = accepted.and_then(Connection::from_stream) else {
+                    continue;
+                };
+                let conn_tx = tx.clone();
+                std::thread::spawn(move || pump_worker_lines(conn, None, link, &conn_tx));
+            }
+        });
+        Ok(Self {
+            stop,
+            wake,
+            thread: Some(thread),
+        })
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        // Pairs with the accept thread's Acquire load, which follows the
+        // `accept` this connect wakes.
+        self.stop.store(true, Ordering::Release);
+        // Without a wake-up connection the thread stays parked in
+        // `accept`; joining it then would hang the run, so it is left.
+        if Stream::connect(&self.wake).is_ok() {
+            if let Some(thread) = self.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+}
+
 /// Runs one study under the lease protocol over `--transport`. Every
 /// worker computes the full deterministic stream; the [`Resharder`]
 /// decides which slot ranges each one emits, re-leasing on death, stall,
@@ -738,65 +803,17 @@ fn run_leased_study(
         .map_err(|e| format!("cannot open output sinks: {e}"))?;
 
     let (tx, rx) = mpsc::sync_channel::<NetEv>(1024);
-    let stop_accepting = Arc::new(AtomicBool::new(false));
 
     // Socket transports bind before any worker spawns, so the connect
-    // spec (with the resolved ephemeral TCP port) is known up front. The
-    // accept loop polls non-blocking so it can wind down with the study.
+    // spec (with the resolved ephemeral TCP port) is known up front.
     let kind = options.transport;
-    let spec = match kind {
-        TransportKind::Pipe => "pipe".to_owned(),
-        TransportKind::Tcp | TransportKind::Unix => {
-            let endpoint = match kind {
-                TransportKind::Tcp => Endpoint::parse("tcp:127.0.0.1:0")?,
-                _ => {
-                    let socket = std::env::temp_dir().join(format!(
-                        "nvmx-lease-{}-{}.sock",
-                        std::process::id(),
-                        study.name
-                    ));
-                    Endpoint::parse(&format!("unix:{}", socket.display()))?
-                }
-            };
-            let listener =
-                Listener::bind(&endpoint).map_err(|e| format!("cannot bind `{endpoint}`: {e}"))?;
-            let spec = listener.local_spec();
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| format!("cannot poll `{endpoint}`: {e}"))?;
-            let stop = Arc::clone(&stop_accepting);
-            let accept_tx = tx.clone();
-            std::thread::spawn(move || {
-                // Numbers each accepted connection: its `link`.
-                let mut accepted = 0u64;
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        return; // drops the listener (and any unix socket path)
-                    }
-                    match listener.accept() {
-                        Ok(stream) => {
-                            let _ = stream.set_nonblocking(false);
-                            let Ok(conn) = Connection::from_stream(stream) else {
-                                continue;
-                            };
-                            let (reader, writer) = conn.into_split();
-                            let conn_tx = accept_tx.clone();
-                            let link = accepted;
-                            accepted += 1;
-                            std::thread::spawn(move || {
-                                pump_worker_lines(reader, writer, None, link, &conn_tx);
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(25)),
-                    }
-                }
-            });
-            spec
-        }
+    let acceptor = match kind {
+        TransportKind::Pipe => None,
+        TransportKind::Tcp | TransportKind::Unix => Some(Acceptor::bind(kind, &tx)?),
     };
+    let spec = acceptor
+        .as_ref()
+        .map_or_else(|| "pipe".to_owned(), |acceptor| acceptor.wake.to_string());
 
     let epoch = Instant::now();
     let defaults = ReshardConfig::default();
@@ -838,13 +855,11 @@ fn run_leased_study(
     }
 
     let mut merger: SlotMerger<(WireFrame, String)> = SlotMerger::new();
-    let mut replayer = EventReplayer::new();
-    let mut finished = false;
-    let mut frames = 0u64;
+    let mut replayer = StreamReplayer::new();
     let mut reported_migrations = 0usize;
 
     let mut merge = || -> Result<(), String> {
-        while !finished {
+        while !replayer.finished() {
             let now = u64::try_from(epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
             match rx.recv_timeout(Duration::from_millis(100)) {
                 Ok(NetEv::Connected {
@@ -878,35 +893,17 @@ fn run_leased_study(
                 },
                 Ok(NetEv::Frame { name, boxed }) => {
                     resharder.frame_arrived(&name, now);
-                    let (frame, line) = *boxed;
-                    if frame.study != study.name {
-                        return Err(format!(
-                            "worker streamed study `{}`, expected `{}`",
-                            frame.study, study.name
-                        ));
-                    }
-                    let seq = frame.seq;
+                    let seq = boxed.0.seq;
                     merger
-                        .offer(seq, (frame, line), &mut |_seq,
-                                                         (frame, line): (
-                            WireFrame,
-                            String,
-                        )| {
+                        .offer(seq, *boxed, &mut |_seq, (frame, line)| {
                             if let Some(out) = capture.as_mut() {
                                 writeln!(out, "{line}")?;
                             }
-                            if matches!(
-                                frame.event,
-                                OwnedStudyEvent::StudyFinished { .. }
-                                    | OwnedStudyEvent::FaultStudyFinished { .. }
-                            ) {
-                                finished = true;
-                            }
-                            replayer.apply(&frame.event, &mut spec_sinks)?;
-                            frames += 1;
-                            Ok::<(), std::io::Error>(())
+                            replayer
+                                .push_frame(frame, &mut spec_sinks)
+                                .map(|_terminal| ())
                         })
-                        .map_err(|e| format!("sink failed at slot {seq}: {e}"))?;
+                        .map_err(|e| format!("merged stream failed at slot {seq}: {e}"))?;
                     resharder.delivered(merger.next_expected());
                 }
                 Ok(NetEv::Bad { link, name, detail }) => match name {
@@ -966,13 +963,26 @@ fn run_leased_study(
         }
         Ok(())
     };
-    let outcome = merge();
+    let outcome = merge().and_then(|()| {
+        let replay = replayer
+            .finish()
+            .map_err(|e| format!("merged stream did not finish: {e}"))?;
+        // Every frame matched the first one's study; that must be this one.
+        if replay.study != study.name {
+            return Err(format!(
+                "workers streamed study `{}`, expected `{}`",
+                replay.study, study.name
+            ));
+        }
+        Ok(replay)
+    });
 
-    // Wind down: stop accepting, ask live workers to exit and give them
-    // up to `WIND_DOWN` to do so (their store lines print on the way
-    // out), then make sure no child outlives the run (a SIGSTOPped stall
-    // victim never would).
-    stop_accepting.store(true, Ordering::Relaxed);
+    // Wind down: stop accepting (joining the accept thread removes a unix
+    // socket's file), ask live workers to exit and give them up to
+    // `WIND_DOWN` to do so (their store lines print on the way out), then
+    // make sure no child outlives the run (a SIGSTOPped stall victim never
+    // would).
+    drop(acceptor);
     for name in state.writers.keys().cloned().collect::<Vec<_>>() {
         state.send(&name, &LeaseFrame::Shutdown);
     }
@@ -998,7 +1008,7 @@ fn run_leased_study(
             }
         }
     }
-    outcome?;
+    let replay = outcome?;
 
     if let Some(out) = capture.take() {
         out.into_inner()
@@ -1006,13 +1016,10 @@ fn run_leased_study(
             .commit()
             .map_err(|e| format!("cannot finalize capture: {e}"))?;
     }
-    let (result, fault) = replayer
-        .finish_parts()
-        .ok_or_else(|| "merged stream did not finish".to_owned())?;
     Ok(DistributedRun {
-        result,
-        fault,
-        frames,
+        result: replay.result,
+        fault: replay.fault,
+        frames: replay.frames,
         duplicates: merger.duplicates(),
         respawns: state.respawns,
         migrations: u64::try_from(resharder.migrations().len()).unwrap_or(u64::MAX),

@@ -50,9 +50,9 @@
 //! Exit codes: `0` clean drain, `1` runtime failure, `2` usage error.
 
 use nvmexplorer_core::service::{CampaignService, ServiceConfig};
-use nvmexplorer_core::transport::{read_frame_line, Connection, Endpoint, Listener, Stream};
+use nvmexplorer_core::transport::{Connection, Endpoint, FrameWriter, Listener, Stream};
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -107,30 +107,18 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// The buffered write half of a client connection.
-type ClientWriter = BufWriter<Box<dyn Write + Send>>;
-
-/// Writes one response line and flushes; an `Err` means the client is
-/// gone.
-fn respond(stream: &mut ClientWriter, response: &ResponseFrame) -> std::io::Result<()> {
-    let mut line = response.to_line();
-    line.push('\n');
-    stream.write_all(line.as_bytes())?;
-    stream.flush()
-}
-
 /// Streams a session's event channel to the client: every retained frame
 /// from the start, then live until terminal, then the `done` response.
 /// Frames go out through the connection's buffer: every line already in
 /// the log is drained, and the buffer is flushed only before the cursor
 /// blocks and at the terminal frame — a few large socket writes instead of
-/// two small ones per frame. Returns `Err` only when the client is gone —
+/// one small one per frame. Returns `Err` only when the client is gone —
 /// the session itself is untouched either way (it writes to the
 /// server-side log, never to this socket).
 fn stream_session(
     service: &CampaignService,
     session: u64,
-    stream: &mut ClientWriter,
+    writer: &mut FrameWriter,
 ) -> std::io::Result<()> {
     let mut cursor = service
         .events(session)
@@ -139,51 +127,54 @@ fn stream_session(
         let line = match cursor.try_next_line() {
             Some(line) => line,
             None => {
-                stream.flush()?;
+                writer.flush()?;
                 match cursor.next_line() {
                     Some(line) => line,
                     None => break,
                 }
             }
         };
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
+        writer.send(&line)?;
     }
     let snapshot = cursor.snapshot();
     eprintln!(
-        "session {} ({}): {} cache hits={} misses={} pruned={} l2_hits={} l2_misses={} l2_rejects={}",
+        "session {} ({}): {} cache {}",
         snapshot.session,
         snapshot.study,
         snapshot.phase.as_str(),
-        snapshot.cache.map_or(0, |c| c.hits),
-        snapshot.cache.map_or(0, |c| c.misses),
-        snapshot.cache.map_or(0, |c| c.pruned),
-        snapshot.cache.map_or(0, |c| c.l2_hits),
-        snapshot.cache.map_or(0, |c| c.l2_misses),
-        snapshot.cache.map_or(0, |c| c.l2_rejects),
+        snapshot.cache.unwrap_or_default(),
     );
-    respond(
-        stream,
-        &ResponseFrame::Done {
-            session: snapshot.session,
-            outcome: snapshot.phase.as_str().to_owned(),
-            error: snapshot.error,
-            cache: snapshot.cache,
-        },
-    )
+    let done = ResponseFrame::Done {
+        session: snapshot.session,
+        outcome: snapshot.phase.as_str().to_owned(),
+        error: snapshot.error,
+        cache: snapshot.cache,
+    };
+    writer.send_now(&done.to_line())
+}
+
+/// The response to a request for a session this daemon never admitted.
+fn unknown_session(session: u64) -> String {
+    ResponseFrame::Error {
+        reason: format!("unknown session {session}"),
+    }
+    .to_line()
 }
 
 /// Serves one connection until the client closes it, a write fails, or a
-/// shutdown request arrives.
+/// shutdown request arrives. Every response is delivered at once; an
+/// `Err` from a send means the client is gone.
 fn handle(service: &CampaignService, stream: Stream, drain: &AtomicBool, listen: &Endpoint) {
-    let Ok(conn) = Connection::from_stream(stream) else {
+    let Ok(Connection {
+        mut reader,
+        mut writer,
+    }) = Connection::from_stream(stream)
+    else {
         return;
     };
-    let (mut reader, writer) = conn.into_split();
-    let mut writer = BufWriter::with_capacity(64 * 1024, writer);
     let mut line = String::new();
     loop {
-        match read_frame_line(&mut reader, &mut line) {
+        match reader.next_line(&mut line) {
             Ok(true) => {}
             Ok(false) => return,
             Err(e) => {
@@ -191,19 +182,19 @@ fn handle(service: &CampaignService, stream: Stream, drain: &AtomicBool, listen:
                 // say why, then drop the connection.
                 if e.kind() == std::io::ErrorKind::InvalidData {
                     let reason = format!("bad request: {e}");
-                    let _ = respond(&mut writer, &ResponseFrame::Error { reason });
+                    let _ = writer.send_now(&ResponseFrame::Error { reason }.to_line());
                 }
                 return;
             }
-        }
-        if line.trim().is_empty() {
-            continue;
         }
         let request = match RequestFrame::parse(&line) {
             Ok(request) => request,
             Err(e) => {
                 let reason = format!("bad request: {e}");
-                if respond(&mut writer, &ResponseFrame::Error { reason }).is_err() {
+                if writer
+                    .send_now(&ResponseFrame::Error { reason }.to_line())
+                    .is_err()
+                {
                     return;
                 }
                 continue;
@@ -219,59 +210,44 @@ fn handle(service: &CampaignService, stream: Stream, drain: &AtomicBool, listen:
                             study: admitted.study,
                             queue_depth: admitted.queue_depth,
                         };
-                        respond(&mut writer, &submitted).is_ok()
+                        writer.send_now(&submitted.to_line()).is_ok()
                             && stream_session(service, admitted.session, &mut writer).is_ok()
                     }
-                    Err(e) => respond(
-                        &mut writer,
-                        &ResponseFrame::Error {
-                            reason: e.to_string(),
-                        },
-                    )
-                    .is_ok(),
+                    Err(e) => {
+                        let reason = e.to_string();
+                        writer
+                            .send_now(&ResponseFrame::Error { reason }.to_line())
+                            .is_ok()
+                    }
                 }
             }
             RequestFrame::Status => {
                 let status = service.status();
-                respond(
-                    &mut writer,
-                    &ResponseFrame::Status {
-                        draining: status.draining,
-                        queue_depth: status.queue_depth,
-                        capacity: status.capacity,
-                        sessions: status.sessions.iter().map(|s| s.brief()).collect(),
-                        cache: status.cache,
-                    },
-                )
-                .is_ok()
+                let response = ResponseFrame::Status {
+                    draining: status.draining,
+                    queue_depth: status.queue_depth,
+                    capacity: status.capacity,
+                    sessions: status.sessions.iter().map(|s| s.brief()).collect(),
+                    cache: status.cache,
+                };
+                writer.send_now(&response.to_line()).is_ok()
             }
             RequestFrame::Cancel { session } => match service.cancel(session) {
                 Some(active) => {
-                    respond(&mut writer, &ResponseFrame::Cancelled { session, active }).is_ok()
+                    let response = ResponseFrame::Cancelled { session, active };
+                    writer.send_now(&response.to_line()).is_ok()
                 }
-                None => respond(
-                    &mut writer,
-                    &ResponseFrame::Error {
-                        reason: format!("unknown session {session}"),
-                    },
-                )
-                .is_ok(),
+                None => writer.send_now(&unknown_session(session)).is_ok(),
             },
             RequestFrame::Events { session } => {
                 if service.session(session).is_some() {
                     stream_session(service, session, &mut writer).is_ok()
                 } else {
-                    respond(
-                        &mut writer,
-                        &ResponseFrame::Error {
-                            reason: format!("unknown session {session}"),
-                        },
-                    )
-                    .is_ok()
+                    writer.send_now(&unknown_session(session)).is_ok()
                 }
             }
             RequestFrame::Shutdown => {
-                let _ = respond(&mut writer, &ResponseFrame::Draining);
+                let _ = writer.send_now(&ResponseFrame::Draining.to_line());
                 service.shutdown();
                 drain.store(true, Ordering::Release);
                 // Unblock the acceptor so the main thread notices.
@@ -342,8 +318,5 @@ fn main() {
     for handler in handlers {
         let _ = handler.join();
     }
-    eprintln!(
-        "nvmx-serve drained: cache hits={} misses={} pruned={} l2_hits={} l2_misses={} l2_rejects={}",
-        stats.hits, stats.misses, stats.pruned, stats.l2_hits, stats.l2_misses, stats.l2_rejects,
-    );
+    eprintln!("nvmx-serve drained: cache {stats}");
 }

@@ -18,11 +18,17 @@
 //! the fleet encodes each line about once. Every other event is buffered
 //! as its encoded line.
 //!
+//! The lease channel is one `transport::Connection`, whatever carries it:
 //! `--connect pipe` frames the worker's own stdin/stdout (the coordinator
 //! holds the pipe pair); `--connect unix:…`/`tcp:…` dials out, which is
 //! how workers on *other hosts* join a campaign, and reconnects with
 //! `resume` on a dropped socket (the merger's dedup absorbs re-sent
-//! slots).
+//! slots). The main thread reads lease frames from the connection's
+//! `FrameReader`; the compute, heartbeat and emitter threads share its
+//! `FrameWriter`, which buffers emitted frames and delivers them before
+//! the emitter blocks, at the end of each lease and before a fault hook
+//! fires, while control lines (`hello`, `heartbeat`, `done`) go out at
+//! once. A reconnect swaps in the new connection's two halves.
 //!
 //! ```text
 //! nvmx-worker --config config/quickstart.json --connect tcp:10.0.0.5:7071 --threads 2
@@ -62,11 +68,11 @@
 use nvmexplorer_core::config::CampaignConfig;
 use nvmexplorer_core::eval::Evaluation;
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
-use nvmexplorer_core::transport::{read_frame_line, Connection, Endpoint};
+use nvmexplorer_core::transport::{Connection, Endpoint, FrameWriter};
 use nvmexplorer_core::wire::{LeaseFrame, LineEncoder, WorkerFrame};
 use nvmx_nvsim::SubarrayCache;
 use std::collections::{HashSet, VecDeque};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -202,52 +208,11 @@ struct NetControl {
     shutdown: bool,
 }
 
-/// The socket/pipe write half, shared by every sending thread. Replaced
-/// wholesale on a reconnect; send failures are tolerated (the reader
-/// thread notices the broken connection and drives recovery).
-///
-/// Lines are buffered, not flushed per frame: the emitter flushes before
-/// it blocks (waiting for compute or for a grant), at the end of each
-/// lease, and before a fault hook fires; control lines (hello,
-/// heartbeat, done) go out immediately through [`Self::send_now`].
-struct Link {
-    writer: Mutex<BufWriter<Box<dyn Write + Send>>>,
-}
-
-impl Link {
-    fn new(writer: Box<dyn Write + Send>) -> Self {
-        Self {
-            writer: Mutex::new(BufWriter::with_capacity(64 * 1024, writer)),
-        }
-    }
-
-    fn writer(&self) -> std::sync::MutexGuard<'_, BufWriter<Box<dyn Write + Send>>> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Buffers one line.
-    fn send(&self, line: &str) -> std::io::Result<()> {
-        let mut writer = self.writer();
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")
-    }
-
-    /// Delivers everything buffered so far.
-    fn flush(&self) -> std::io::Result<()> {
-        self.writer().flush()
-    }
-
-    /// Buffers one line and delivers it (with anything buffered before).
-    fn send_now(&self, line: &str) -> std::io::Result<()> {
-        let mut writer = self.writer();
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()
-    }
-
-    fn replace(&self, writer: Box<dyn Write + Send>) {
-        *self.writer() = BufWriter::with_capacity(64 * 1024, writer);
-    }
+/// Locks the connection's write half, riding through poisoning: a sender
+/// that panicked mid-line leaves at worst a torn line, which the
+/// coordinator treats as a dead worker.
+fn lock(writer: &Mutex<FrameWriter>) -> std::sync::MutexGuard<'_, FrameWriter> {
+    writer.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The compute thread's sink: appends each event's slot to the shared
@@ -377,14 +342,18 @@ fn run_leased(
             None => leave(1, store),
         }
     };
-    let (mut reader, writer) = conn.into_split();
-    let link = Arc::new(Link::new(writer));
+    let Connection { mut reader, writer } = conn;
+    // The write half, shared by every sending thread (see the module doc
+    // for when it flushes) and replaced wholesale on a reconnect. Send
+    // failures are tolerated: the reader notices the broken connection
+    // and drives recovery.
+    let link = Arc::new(Mutex::new(writer));
     let hello = WorkerFrame::Hello {
         name: name.clone(),
         study: study_name.clone(),
         resume: false,
     };
-    if link.send_now(&hello.to_line()).is_err() && pipe {
+    if lock(&link).send_now(&hello.to_line()).is_err() && pipe {
         leave(1, store);
     }
 
@@ -421,7 +390,7 @@ fn run_leased(
                 seen,
                 sent: compute_shared.sent.load(Ordering::Relaxed),
             };
-            let _ = compute_link.send_now(&done.to_line());
+            let _ = lock(&compute_link).send_now(&done.to_line());
         });
 
         // Heartbeat thread: liveness decoupled from compute progress, so a
@@ -441,7 +410,7 @@ fn run_leased(
                 seen,
                 sent: beat_shared.sent.load(Ordering::Relaxed),
             };
-            let _ = beat_link.send_now(&beat.to_line());
+            let _ = lock(&beat_link).send_now(&beat.to_line());
         });
 
         // Emitter thread: walk granted leases in FIFO order, sending each
@@ -496,7 +465,7 @@ fn run_leased(
                             buffered = emit_shared.buffer_wake.wait(buffered).unwrap();
                         } else {
                             drop(buffered);
-                            let _ = emit_link.flush();
+                            let _ = lock(&emit_link).flush();
                             flushed = true;
                             buffered = emit_shared.buffered.lock().unwrap();
                         }
@@ -518,11 +487,11 @@ fn run_leased(
                 };
                 let sent = emit_shared.sent.load(Ordering::Relaxed);
                 if die_after.is_some_and(|limit| sent >= limit) {
-                    let _ = emit_link.flush();
+                    let _ = lock(&emit_link).flush();
                     std::process::exit(137);
                 }
                 if stall_after.is_some_and(|limit| sent >= limit) {
-                    let _ = emit_link.flush();
+                    let _ = lock(&emit_link).flush();
                     stall_forever();
                 }
                 match throttle {
@@ -530,27 +499,27 @@ fn run_leased(
                     // coordinator measures its true emission rate.
                     Some(ms) => {
                         std::thread::sleep(Duration::from_millis(ms));
-                        let _ = emit_link.send_now(line);
+                        let _ = lock(&emit_link).send_now(line);
                     }
                     None => {
-                        let _ = emit_link.send(line);
+                        let _ = lock(&emit_link).send(line);
                     }
                 }
                 emit_shared.sent.fetch_add(1, Ordering::Relaxed);
             }
             if !revoked {
                 let drained = WorkerFrame::Drained { lease: id };
-                let _ = emit_link.send(&drained.to_line());
+                let _ = lock(&emit_link).send(&drained.to_line());
             }
             // End of lease: deliver it before waiting for the next grant.
-            let _ = emit_link.flush();
+            let _ = lock(&emit_link).flush();
         });
 
         // Reader (this thread): lease frames in, reconnect on a dropped
         // socket, stop on shutdown.
         let mut line = String::new();
         loop {
-            let more = match read_frame_line(&mut reader, &mut line) {
+            let more = match reader.next_line(&mut line) {
                 Ok(more) => more,
                 Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                     eprintln!("bad lease line from coordinator: {e}");
@@ -570,9 +539,8 @@ fn run_leased(
                     shutdown(&shared);
                     leave(1, store);
                 };
-                let (new_reader, new_writer) = conn.into_split();
-                reader = new_reader;
-                link.replace(new_writer);
+                reader = conn.reader;
+                *lock(&link) = conn.writer;
                 // Stale grants died with the old connection; the
                 // coordinator re-grants after the resume hello.
                 {
@@ -584,14 +552,10 @@ fn run_leased(
                     study: study_name.clone(),
                     resume: true,
                 };
-                let _ = link.send_now(&hello.to_line());
+                let _ = lock(&link).send_now(&hello.to_line());
                 continue;
             }
-            let trimmed = line.trim_end();
-            if trimmed.is_empty() {
-                continue;
-            }
-            match LeaseFrame::parse(trimmed) {
+            match LeaseFrame::parse(&line) {
                 Ok(LeaseFrame::Grant { id, start, end }) => {
                     let mut control = shared.control.lock().unwrap();
                     control.grants.push_back((id, start, end));

@@ -171,15 +171,7 @@ fn run_remote(
                 cache,
             }) => {
                 let cache = cache.unwrap_or_default();
-                eprintln!(
-                    "session {session}: {outcome} cache hits={} misses={} pruned={} l2_hits={} l2_misses={} l2_rejects={}",
-                    cache.hits,
-                    cache.misses,
-                    cache.pruned,
-                    cache.l2_hits,
-                    cache.l2_misses,
-                    cache.l2_rejects,
-                );
+                eprintln!("session {session}: {outcome} cache {cache}");
                 if outcome != "finished" {
                     eprintln!("study failed: {}", error.unwrap_or(outcome));
                     std::process::exit(1);

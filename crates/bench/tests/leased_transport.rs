@@ -86,18 +86,28 @@ fn baseline(dir: &Path, config: &Path) -> (String, Vec<u8>) {
     (stdout_line(&output), csv)
 }
 
-/// Runs a leased-transport campaign; `extra` carries the fault flags.
+/// Runs a leased-transport campaign of the study named `study`; `extra`
+/// carries the fault flags. The coordinator gets a fresh temp directory of
+/// its own, which must be empty again when it exits: a unix transport's
+/// lease socket is removed on every run.
 fn leased_run(
     dir: &Path,
     config: &Path,
+    study: &str,
     transport: &str,
     workers: u64,
     extra: &[&str],
     label: &str,
 ) -> (Output, PathBuf) {
     let capture_dir = dir.join(label);
+    // A `/` in a study name nests its capture one directory down.
+    let capture = capture_dir.join(format!("{study}.jsonl"));
+    std::fs::create_dir_all(capture.parent().unwrap()).unwrap();
+    let tmp = dir.join(format!("{label}_tmp"));
+    std::fs::create_dir_all(&tmp).unwrap();
     let mut command = Command::new(COORDINATOR);
     command
+        .env("TMPDIR", &tmp)
         .arg("run")
         .args(["--config".as_ref(), config.as_os_str()])
         .args(["--workers", &workers.to_string()])
@@ -113,7 +123,15 @@ fn leased_run(
         &output,
         &format!("nvmx-coordinator run --transport {transport}"),
     );
-    (output, capture_dir.join("lease-smoke.jsonl"))
+    let left: Vec<_> = std::fs::read_dir(&tmp)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert!(
+        left.is_empty(),
+        "a --transport {transport} run left {left:?} in its temp directory"
+    );
+    (output, capture)
 }
 
 fn replay_csv(dir: &Path, config: &Path, capture: &Path, label: &str) -> (String, Vec<u8>) {
@@ -130,7 +148,10 @@ fn replay_csv(dir: &Path, config: &Path, capture: &Path, label: &str) -> (String
 }
 
 /// Clean 3-worker campaigns over the pipe and unix transports produce the
-/// same bytes as each other and as the in-process run.
+/// same bytes as each other and as the in-process run, and leave no
+/// socket behind. The unix socket's path does not depend on the study
+/// name: a 90-character name and one holding a `/` run over unix too,
+/// with captures byte-identical to their pipe runs.
 #[test]
 fn pipe_and_unix_leased_runs_match_the_local_run() {
     let dir = TempDir::new("clean");
@@ -139,10 +160,12 @@ fn pipe_and_unix_leased_runs_match_the_local_run() {
     let (summary, csv) = baseline(dir.path(), &config);
     assert!(summary.starts_with("study `lease-smoke`:"), "{summary}");
 
-    let (pipe_out, pipe_capture) = leased_run(dir.path(), &config, "pipe", 3, &[], "pipe");
+    let (pipe_out, pipe_capture) =
+        leased_run(dir.path(), &config, "lease-smoke", "pipe", 3, &[], "pipe");
     assert_eq!(stdout_line(&pipe_out), summary, "pipe summary diverged");
 
-    let (unix_out, unix_capture) = leased_run(dir.path(), &config, "unix", 3, &[], "unix");
+    let (unix_out, unix_capture) =
+        leased_run(dir.path(), &config, "lease-smoke", "unix", 3, &[], "unix");
     assert_eq!(stdout_line(&unix_out), summary, "unix summary diverged");
 
     assert_eq!(
@@ -154,6 +177,36 @@ fn pipe_and_unix_leased_runs_match_the_local_run() {
     let (replay_summary, replay_bytes) = replay_csv(dir.path(), &config, &unix_capture, "unix");
     assert_eq!(replay_summary, summary);
     assert_eq!(replay_bytes, csv, "leased run diverged from in-process run");
+
+    for (index, study) in ["n".repeat(90), "a/b".to_owned()].iter().enumerate() {
+        let config = dir.path().join(format!("renamed_{index}.json"));
+        let renamed = CONFIG.replacen("\"lease-smoke\"", &format!("\"{study}\""), 1);
+        std::fs::write(&config, renamed).unwrap();
+        let (pipe_out, pipe_capture) = leased_run(
+            dir.path(),
+            &config,
+            study,
+            "pipe",
+            3,
+            &[],
+            &format!("pipe_{index}"),
+        );
+        let (unix_out, unix_capture) = leased_run(
+            dir.path(),
+            &config,
+            study,
+            "unix",
+            3,
+            &[],
+            &format!("unix_{index}"),
+        );
+        assert_eq!(stdout_line(&unix_out), stdout_line(&pipe_out), "{study}");
+        assert_eq!(
+            std::fs::read(&pipe_capture).unwrap(),
+            std::fs::read(&unix_capture).unwrap(),
+            "study `{study}`: pipe and unix captures must be byte-identical"
+        );
+    }
 }
 
 /// The acceptance scenario: a TCP campaign at 4 workers where one worker
@@ -170,13 +223,22 @@ fn tcp_campaign_survives_killed_stalled_and_throttled_workers() {
     let (summary, csv) = baseline(dir.path(), &config);
 
     // A clean leased run pins the reference capture bytes.
-    let (_, clean_capture) = leased_run(dir.path(), &config, "tcp", 2, &[], "tcp_clean");
+    let (_, clean_capture) = leased_run(
+        dir.path(),
+        &config,
+        "lease-smoke",
+        "tcp",
+        2,
+        &[],
+        "tcp_clean",
+    );
 
     // Die/stall thresholds of 3 with 2-slot leases guarantee the fault
     // lands mid-lease (an undrained lease → a re-lease migration).
     let (output, capture) = leased_run(
         dir.path(),
         &config,
+        "lease-smoke",
         "tcp",
         4,
         &[
@@ -247,6 +309,7 @@ fn warm_store_leased_run_reports_l2_hits() {
     let (output, capture) = leased_run(
         dir.path(),
         &config,
+        "lease-smoke",
         "pipe",
         2,
         &["--store", store_arg],

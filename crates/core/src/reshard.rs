@@ -607,6 +607,13 @@ impl Resharder {
                 lease,
             });
             self.grant(&thief, start, end, actions);
+            // The thief's frame silence counts from this hand-over: it has
+            // not had a chance to emit the range yet. Otherwise two
+            // frame-silent workers would steal the range back and forth
+            // forever inside this loop.
+            if let Some(worker) = self.workers.get_mut(&thief) {
+                worker.last_frame_ms = now_ms;
+            }
             self.migrations.push(Migration {
                 start,
                 end,
@@ -748,6 +755,46 @@ mod tests {
         assert_eq!((steal.start, steal.end), (16, 32));
         assert_eq!(steal.from, "slow");
         assert_eq!(steal.to, "fast");
+    }
+
+    /// Two workers that are both frame-silent (heartbeating, no frames)
+    /// must not steal one range back and forth: a tick ends, and the range
+    /// moves at most once.
+    #[test]
+    fn frame_silent_workers_do_not_steal_a_range_back_and_forth() {
+        let mut r = Resharder::new(config());
+        r.worker_connected("w0", 0);
+        r.worker_connected("w1", 0);
+        r.worker_done("w0", 16, 0);
+        r.tick(0); // w0: 0..8, w1: 8..16
+        for _ in 0..8 {
+            r.frame_arrived("w0", 100);
+        }
+        r.frame_arrived("w1", 100);
+        r.lease_drained("w0", 0, 150);
+        r.delivered(9);
+        let actions = r.tick(300); // fast w0 steals w1's tail 9..16
+        assert_eq!(grants(&actions), vec![("w0".to_owned(), 9, 16)]);
+
+        // Both fall silent but keep heartbeating: w1 (idle) may take the
+        // range from frame-silent w0, but the range must not bounce.
+        r.note_heard("w0", 1_500);
+        r.note_heard("w1", 1_500);
+        let actions = r.tick(1_600);
+        let steals = r
+            .migrations()
+            .iter()
+            .filter(|m| m.reason == MigrationReason::Steal)
+            .count();
+        assert!(steals <= 3, "the range bounced: {steals} steals");
+        assert!(grants(&actions).len() <= 2, "{actions:?}");
+        // Nor across ticks: a range just handed over gets a full heartbeat
+        // window before its new owner counts as frame-silent.
+        let before = r.migrations().len();
+        r.note_heard("w0", 1_700);
+        r.note_heard("w1", 1_700);
+        r.tick(1_700);
+        assert_eq!(r.migrations().len(), before, "{:?}", r.migrations());
     }
 
     #[test]

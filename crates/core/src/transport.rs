@@ -16,12 +16,18 @@
 //! and one started with `--connect tcp:…` run the identical protocol loop;
 //! only the byte carrier differs.
 //!
+//! [`Connection`] is the only way a protocol peer reads or writes those
+//! bytes. Its two halves own the framing: a [`FrameReader`] yields whole
+//! lines, bounded by [`MAX_FRAME_BYTES`] and with blank lines skipped, and
+//! a [`FrameWriter`] buffers lines until the peer flushes. Every client,
+//! daemon, worker and coordinator frames its lines through them.
+//!
 //! Everything here is synchronous std networking — the protocol is
 //! line-oriented JSONL and the peers are thread-per-connection; no async
 //! runtime is needed (or available offline).
 
 use crate::wire::MAX_FRAME_BYTES;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -122,20 +128,6 @@ impl Listener {
             Self::Tcp(listener) => listener.accept().map(|(s, _)| Stream::Tcp(s)),
         }
     }
-
-    /// Switches blocking mode for `accept` — a supervisor's accept loop
-    /// polls non-blocking so it can notice a stop flag instead of parking
-    /// in `accept` forever.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying `set_nonblocking` failure.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            Self::Unix(listener, _) => listener.set_nonblocking(nonblocking),
-            Self::Tcp(listener) => listener.set_nonblocking(nonblocking),
-        }
-    }
 }
 
 impl Drop for Listener {
@@ -178,33 +170,6 @@ impl Stream {
         match self {
             Self::Unix(s) => s.try_clone().map(Self::Unix),
             Self::Tcp(s) => s.try_clone().map(Self::Tcp),
-        }
-    }
-
-    /// Shuts down the write half, signalling end-of-requests to the peer
-    /// while the read half keeps draining responses.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shutdown failures.
-    pub fn shutdown_write(&self) -> io::Result<()> {
-        match self {
-            Self::Unix(s) => s.shutdown(std::net::Shutdown::Write),
-            Self::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
-        }
-    }
-
-    /// Switches blocking mode for reads and writes. Streams accepted from
-    /// a non-blocking [`Listener`] should be put back into blocking mode
-    /// before line-framed use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying `set_nonblocking` failure.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            Self::Unix(s) => s.set_nonblocking(nonblocking),
-            Self::Tcp(s) => s.set_nonblocking(nonblocking),
         }
     }
 }
@@ -278,18 +243,93 @@ impl std::fmt::Display for TransportKind {
     }
 }
 
+/// Bytes a [`FrameWriter`] buffers before it writes through on its own.
+const WRITE_BUFFER_BYTES: usize = 64 * 1024;
+
+/// The bounded read half of a [`Connection`]: yields whole frame lines,
+/// skipping blank ones, through [`read_frame_line`].
+pub struct FrameReader {
+    inner: BufReader<Box<dyn Read + Send>>,
+}
+
+impl FrameReader {
+    /// Reads the next non-blank frame line into `line` (a caller-owned
+    /// buffer, reused across calls), without its terminator. Returns
+    /// `Ok(false)` at a clean end of input.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_frame_line`]: [`io::ErrorKind::InvalidData`] for a line
+    /// over [`MAX_FRAME_BYTES`] or one that is not UTF-8; read failures
+    /// propagate.
+    pub fn next_line(&mut self, line: &mut String) -> io::Result<bool> {
+        while read_frame_line(&mut self.inner, line)? {
+            if !line.trim().is_empty() {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+}
+
+/// The buffered write half of a [`Connection`]: [`send`](Self::send)
+/// buffers one line, [`flush`](Self::flush) delivers everything buffered,
+/// and [`send_now`](Self::send_now) does both. The buffer (64 KiB) writes
+/// through on its own only when it fills.
+pub struct FrameWriter {
+    inner: BufWriter<Box<dyn Write + Send>>,
+}
+
+impl FrameWriter {
+    /// Buffers one frame line; the newline is appended here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures of a full buffer's write-through.
+    pub fn send(&mut self, line: &str) -> io::Result<()> {
+        self.inner.write_all(line.as_bytes())?;
+        self.inner.write_all(b"\n")
+    }
+
+    /// Delivers every buffered line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures — on a socket, the usual sign the peer is
+    /// gone.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+
+    /// Buffers one frame line and delivers it, with anything buffered
+    /// before it.
+    ///
+    /// # Errors
+    ///
+    /// As [`flush`](Self::flush).
+    pub fn send_now(&mut self, line: &str) -> io::Result<()> {
+        self.send(line)?;
+        self.flush()
+    }
+}
+
 /// A line-framed duplex connection: reads and writes whole `\n`-terminated
-/// JSONL frames, flushing per line so the peer sees frames as they happen.
+/// JSONL frames — the one way a protocol peer touches a socket or pipe.
 ///
-/// The read and write halves are independent objects (a socket dup, or the
-/// two ends of a pipe pair), so one thread can block in
-/// [`recv_line`](Self::recv_line) while another
-/// [`send_line`](Self::send_line)s — the shape both the worker (reader
-/// thread for leases, emitter thread for frames) and the coordinator
-/// (reader thread per worker, supervisor granting leases) rely on.
+/// [`send_line`](Self::send_line) and [`recv_line`](Self::recv_line) serve
+/// a peer that talks from one thread. The halves are independent objects
+/// (a socket dup, or the two ends of a pipe pair), so a peer that reads on
+/// one thread and writes on others takes them apart — by
+/// [`into_split`](Self::into_split) or by destructuring
+/// `Connection { reader, writer }`. The worker reads leases on its main
+/// thread while its emitter, heartbeat and compute threads share the
+/// writer; the coordinator pumps each worker's reader on its own thread
+/// and grants leases through the writer from the merge loop.
 pub struct Connection {
-    reader: BufReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
+    /// The bounded frame-line reader.
+    pub reader: FrameReader,
+    /// The buffered frame-line writer.
+    pub writer: FrameWriter,
 }
 
 impl Connection {
@@ -300,10 +340,7 @@ impl Connection {
     /// Propagates the dup of the write half.
     pub fn from_stream(stream: Stream) -> io::Result<Self> {
         let writer = stream.try_clone()?;
-        Ok(Self {
-            reader: BufReader::new(Box::new(stream)),
-            writer: Box::new(writer),
-        })
+        Ok(Self::from_parts(stream, writer))
     }
 
     /// Dials an endpoint and frames the connection.
@@ -319,15 +356,22 @@ impl Connection {
     /// worker whose coordinator holds the other ends as the child's pipes.
     /// Anything else the process wants to say must go to stderr.
     pub fn pipe() -> Self {
-        Self::from_parts(Box::new(io::stdin()), Box::new(io::stdout()))
+        Self::from_parts(io::stdin(), io::stdout())
     }
 
     /// Frames an arbitrary read/write pair (a child's stdout/stdin from
     /// the parent side, or an in-memory pair in tests).
-    pub fn from_parts(reader: Box<dyn Read + Send>, writer: Box<dyn Write + Send>) -> Self {
+    pub fn from_parts(
+        reader: impl Read + Send + 'static,
+        writer: impl Write + Send + 'static,
+    ) -> Self {
         Self {
-            reader: BufReader::new(reader),
-            writer,
+            reader: FrameReader {
+                inner: BufReader::new(Box::new(reader)),
+            },
+            writer: FrameWriter {
+                inner: BufWriter::with_capacity(WRITE_BUFFER_BYTES, Box::new(writer)),
+            },
         }
     }
 
@@ -338,25 +382,24 @@ impl Connection {
     /// Propagates write failures — on a socket, the usual sign the peer is
     /// gone.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.writer.send_now(line)
     }
 
-    /// Reads the next frame line, without its newline. `Ok(None)` is a
-    /// clean end-of-stream — the peer closed the connection.
+    /// Reads the next non-blank frame line, without its newline.
+    /// `Ok(None)` is a clean end-of-stream — the peer closed the
+    /// connection.
     ///
     /// # Errors
     ///
-    /// Propagates read failures.
+    /// As [`FrameReader::next_line`].
     pub fn recv_line(&mut self) -> io::Result<Option<String>> {
         let mut line = String::new();
-        Ok(read_frame_line(&mut self.reader, &mut line)?.then_some(line))
+        Ok(self.reader.next_line(&mut line)?.then_some(line))
     }
 
-    /// Splits the connection into its buffered read half and write half,
-    /// for peers that put the two on different threads.
-    pub fn into_split(self) -> (BufReader<Box<dyn Read + Send>>, Box<dyn Write + Send>) {
+    /// Splits the connection into its read half and write half, for peers
+    /// that put the two on different threads.
+    pub fn into_split(self) -> (FrameReader, FrameWriter) {
         (self.reader, self.writer)
     }
 }
@@ -365,12 +408,11 @@ impl Connection {
 /// its `\n` / `\r\n` terminator. Returns `Ok(false)` at a clean end of
 /// input; an unterminated final line is still returned.
 ///
-/// This is the one line reader of every protocol path — connections,
-/// service clients and daemons, the coordinator's worker pumps, and
-/// strict replay — and it is bounded: a line longer than
-/// [`MAX_FRAME_BYTES`] fails as soon as the bound is crossed, so a peer
-/// that streams bytes without ever sending a newline costs at most one
-/// bounded buffer.
+/// This is the one line reader of every protocol path — each
+/// [`FrameReader`], and strict replay of a capture — and it is bounded: a
+/// line longer than [`MAX_FRAME_BYTES`] fails as soon as the bound is
+/// crossed, so a peer that streams bytes without ever sending a newline
+/// costs at most one bounded buffer.
 ///
 /// # Errors
 ///
@@ -471,8 +513,9 @@ mod tests {
 
     #[test]
     fn a_peer_that_never_sends_a_newline_fails_bounded() {
-        let mut conn = Connection::from_parts(Box::new(Endless), Box::new(io::sink()));
-        let err = conn.recv_line().unwrap_err();
+        let mut line = String::new();
+        let (mut reader, _) = Connection::from_parts(Endless, io::sink()).into_split();
+        let err = reader.next_line(&mut line).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // The same over a real socket: the sender is cut off once the
@@ -488,11 +531,74 @@ mod tests {
             let chunk = [b'a'; 64 * 1024];
             while stream.write_all(&chunk).is_ok() {}
         });
-        let mut conn = Connection::connect(&endpoint).unwrap();
-        let err = conn.recv_line().unwrap_err();
+        let (mut reader, writer) = Connection::connect(&endpoint).unwrap().into_split();
+        let err = reader.next_line(&mut line).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        drop(conn);
+        drop((reader, writer));
         sender.join().unwrap();
+    }
+
+    /// An in-memory peer: every byte written reaches it at once.
+    #[derive(Clone, Default)]
+    struct Peer(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Peer {
+        fn received(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl Write for Peer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_sent_line_reaches_the_peer_only_when_flushed() {
+        let peer = Peer::default();
+        let (_, mut writer) = Connection::from_parts(io::empty(), peer.clone()).into_split();
+        writer.send("first").unwrap();
+        writer.send("second").unwrap();
+        assert_eq!(peer.received(), "", "send only buffers");
+        writer.flush().unwrap();
+        assert_eq!(peer.received(), "first\nsecond\n");
+        writer.send("third").unwrap();
+        assert_eq!(peer.received(), "first\nsecond\n");
+        writer.send_now("fourth").unwrap();
+        assert_eq!(peer.received(), "first\nsecond\nthird\nfourth\n");
+
+        let mut conn = Connection::from_parts(io::empty(), peer.clone());
+        conn.send_line("fifth").unwrap();
+        assert!(
+            peer.received().ends_with("fourth\nfifth\n"),
+            "send_line flushes"
+        );
+    }
+
+    #[test]
+    fn the_reader_skips_blank_lines() {
+        let input = "\n  \r\nfirst\n\n\t\nsecond\r\n\n";
+        let (mut reader, _) =
+            Connection::from_parts(io::Cursor::new(input), io::sink()).into_split();
+        let mut line = String::new();
+        assert!(reader.next_line(&mut line).unwrap());
+        assert_eq!(line, "first");
+        assert!(reader.next_line(&mut line).unwrap());
+        assert_eq!(line, "second");
+        assert!(
+            !reader.next_line(&mut line).unwrap(),
+            "trailing blanks end the stream"
+        );
+
+        let mut conn = Connection::from_parts(io::Cursor::new("\n\nonly\n"), io::sink());
+        assert_eq!(conn.recv_line().unwrap().as_deref(), Some("only"));
+        assert_eq!(conn.recv_line().unwrap(), None);
     }
 
     #[test]

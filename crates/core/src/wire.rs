@@ -332,7 +332,7 @@ pub enum OwnedStudyEvent {
     /// See [`StudyEvent::TargetWinnerSelected`]. The wire carries the
     /// winner's identity (cell, traffic, total power), not the full
     /// evaluation — the evaluation itself already streamed as an earlier
-    /// `evaluation_produced` line, and [`EventReplayer`] re-links the two.
+    /// `evaluation_produced` line, and [`StreamReplayer`] re-links the two.
     TargetWinnerSelected {
         /// The optimization target.
         target: OptimizationTarget,
@@ -626,8 +626,7 @@ impl OwnedStudyEvent {
 
     /// The borrowed view of this event, or `None` for
     /// `target_winner_selected` (whose full evaluation is not on the wire —
-    /// use [`EventReplayer`] to re-link it against the streamed
-    /// evaluations).
+    /// [`StreamReplayer`] re-links it against the streamed evaluations).
     pub fn as_event(&self) -> Option<StudyEvent<'_>> {
         match self {
             Self::StudyStarted {
@@ -2064,109 +2063,6 @@ impl<T> SlotMerger<T> {
 
 // ----------------------------------------------------------------- replay
 
-/// Marker payload inside the `io::Error` [`EventReplayer::apply`] returns
-/// when a winner line matches no streamed evaluation — a *typed* marker,
-/// so strict readers can distinguish it from any `InvalidData` error a
-/// caller's sink happens to raise while handling the same event.
-#[derive(Debug)]
-struct WinnerLookupFailed {
-    cell: String,
-}
-
-impl std::fmt::Display for WinnerLookupFailed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "winner `{}` matches no streamed evaluation", self.cell)
-    }
-}
-
-impl std::error::Error for WinnerLookupFailed {}
-
-/// Feeds decoded wire events into a [`ResultSink`] and a
-/// [`StudyResultBuilder`], re-linking `target_winner_selected` lines to the
-/// full evaluations that streamed earlier so downstream sinks observe the
-/// exact event sequence the original engine emitted.
-#[derive(Debug, Default)]
-pub struct EventReplayer {
-    builder: StudyResultBuilder,
-}
-
-impl EventReplayer {
-    /// A fresh replayer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Applies one decoded event: forwards the borrowed view to `sink` and
-    /// records it in the internal builder.
-    ///
-    /// # Errors
-    ///
-    /// Sink failures propagate unchanged; a winner that matches no
-    /// streamed evaluation is reported as an
-    /// [`std::io::ErrorKind::InvalidData`] error carrying a typed marker
-    /// (strict readers surface it as [`WireError::UnknownWinner`] without
-    /// ever confusing it with a sink's own `InvalidData`).
-    pub fn apply(
-        &mut self,
-        event: &OwnedStudyEvent,
-        sink: &mut dyn ResultSink,
-    ) -> std::io::Result<()> {
-        match event.as_event() {
-            Some(borrowed) => {
-                sink.on_event(&borrowed)?;
-                self.builder.on_event(&borrowed)
-            }
-            None => {
-                let OwnedStudyEvent::TargetWinnerSelected {
-                    target,
-                    cell,
-                    traffic,
-                    total_power_w,
-                } = event
-                else {
-                    unreachable!("only winner events have no borrowed view")
-                };
-                // The winner is, by the engine's selection rule, an earlier
-                // evaluation in stream order; find it and re-emit the full
-                // event. Power compares bit-exact because the wire encoding
-                // round-trips floats exactly.
-                let winner = self
-                    .builder
-                    .evaluations()
-                    .iter()
-                    .find(|e| {
-                        e.array.target == *target
-                            && e.array.cell_name == *cell
-                            && e.traffic.name == *traffic
-                            && e.total_power().value().to_bits() == total_power_w.to_bits()
-                    })
-                    .ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            WinnerLookupFailed { cell: cell.clone() },
-                        )
-                    })?;
-                sink.on_event(&StudyEvent::TargetWinnerSelected {
-                    target: *target,
-                    winner,
-                })
-            }
-        }
-    }
-
-    /// The rebuilt result, or `None` when no terminal event was applied.
-    pub fn finish(self) -> Option<StudyResult> {
-        self.builder.finish()
-    }
-
-    /// The rebuilt result plus the fault-campaign outcome (for streams
-    /// terminated by `fault_study_finished`), or `None` when no terminal
-    /// event was applied.
-    pub fn finish_parts(self) -> Option<(StudyResult, Option<FaultOutcome>)> {
-        self.builder.finish_parts()
-    }
-}
-
 /// A successfully replayed capture.
 #[derive(Debug)]
 pub struct Replay {
@@ -2195,18 +2091,24 @@ pub enum Served {
     Response(Result<ResponseFrame, FrameError>),
 }
 
-/// An incremental strict replayer: the line-at-a-time core of
-/// [`replay_into`], shared with clients that receive frames over a socket
-/// rather than from a finished capture file.
+/// The one strict consumer of a wire stream: the line-at-a-time core of
+/// [`replay_into`], of clients that receive frames over a socket rather
+/// than from a finished capture file, and of the coordinator's merge of
+/// leased worker ranges.
 ///
 /// Feed every line through [`push_line`](Self::push_line) (blank lines are
 /// ignored; the return value reports whether the stream just terminated),
-/// then call [`finish`](Self::finish). The same strictness rules apply as
-/// for captures: one study per stream, contiguous slot order from zero,
-/// supported versions only, nothing after the terminal frame.
+/// or every already decoded frame through [`push_frame`](Self::push_frame),
+/// then call [`finish`](Self::finish). The same strictness rules apply
+/// either way: one study per stream, contiguous slot order from zero,
+/// supported versions only, nothing after the terminal frame. Each event
+/// is forwarded to the caller's sink and recorded in a
+/// [`StudyResultBuilder`]; a `target_winner_selected` frame is re-linked to
+/// the full evaluation that streamed earlier, so the sink observes the
+/// exact event sequence the original engine emitted.
 pub struct StreamReplayer {
     decoder: FrameDecoder,
-    replayer: EventReplayer,
+    builder: StudyResultBuilder,
     study: Option<String>,
     frames: u64,
     lineno: u64,
@@ -2224,7 +2126,7 @@ impl StreamReplayer {
     pub fn new() -> Self {
         Self {
             decoder: FrameDecoder::new(),
-            replayer: EventReplayer::new(),
+            builder: StudyResultBuilder::default(),
             study: None,
             frames: 0,
             lineno: 0,
@@ -2259,6 +2161,24 @@ impl StreamReplayer {
         }
         let frame = self.decoder.frame(line);
         self.apply(frame, sink)
+    }
+
+    /// Applies one decoded frame — a slot of a stream merged from several
+    /// sources, say — under the same rules as [`push_line`](Self::push_line)
+    /// (errors name the frame's position in the stream as its line).
+    /// Returns `Ok(true)` when it was the stream's terminal frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`push_line`](Self::push_line), except that the frame is
+    /// already decoded.
+    pub fn push_frame(
+        &mut self,
+        frame: WireFrame,
+        sink: &mut dyn ResultSink,
+    ) -> Result<bool, WireError> {
+        self.lineno += 1;
+        self.apply(Ok(frame), sink)
     }
 
     /// Applies one line of a served session channel (a `submit` or
@@ -2337,18 +2257,45 @@ impl StreamReplayer {
             &frame.event,
             OwnedStudyEvent::StudyFinished { .. } | OwnedStudyEvent::FaultStudyFinished { .. }
         );
-        self.replayer.apply(&frame.event, sink).map_err(|e| {
-            match e
-                .get_ref()
-                .and_then(|inner| inner.downcast_ref::<WinnerLookupFailed>())
-            {
-                Some(lookup) => WireError::UnknownWinner {
-                    line: lineno,
-                    cell: lookup.cell.clone(),
-                },
-                None => WireError::Io(e),
+        match frame.event.as_event() {
+            Some(event) => {
+                sink.on_event(&event)?;
+                self.builder.on_event(&event)?;
             }
-        })?;
+            None => {
+                let OwnedStudyEvent::TargetWinnerSelected {
+                    target,
+                    cell,
+                    traffic,
+                    total_power_w,
+                } = &frame.event
+                else {
+                    unreachable!("only winner events have no borrowed view")
+                };
+                // The winner is, by the engine's selection rule, an earlier
+                // evaluation in stream order; find it and re-emit the full
+                // event. Power compares bit-exact because the wire encoding
+                // round-trips floats exactly.
+                let winner = self
+                    .builder
+                    .evaluations()
+                    .iter()
+                    .find(|e| {
+                        e.array.target == *target
+                            && e.array.cell_name == *cell
+                            && e.traffic.name == *traffic
+                            && e.total_power().value().to_bits() == total_power_w.to_bits()
+                    })
+                    .ok_or_else(|| WireError::UnknownWinner {
+                        line: lineno,
+                        cell: cell.clone(),
+                    })?;
+                sink.on_event(&StudyEvent::TargetWinnerSelected {
+                    target: *target,
+                    winner,
+                })?;
+            }
+        }
         self.frames += 1;
         if terminal {
             self.finished = true;
@@ -2369,7 +2316,7 @@ impl StreamReplayer {
             });
         }
         let (result, fault) = self
-            .replayer
+            .builder
             .finish_parts()
             .expect("finished stream builds a result");
         Ok(Replay {

@@ -12,8 +12,8 @@ use nvmexplorer_core::fault_study::FaultStudyResult;
 use nvmexplorer_core::stream::{NullSink, ResultSink, StudyEvent, StudyExecutor};
 use nvmexplorer_core::sweep::StudyResult;
 use nvmexplorer_core::wire::{
-    replay, replay_into, EventReplayer, FrameDecoder, FrameError, OwnedStudyEvent, ResponseFrame,
-    Served, SlotMerger, StreamReplayer, WireError, WireFrame, WireSink, WIRE_VERSION,
+    replay, replay_into, FrameDecoder, FrameError, OwnedStudyEvent, ResponseFrame, Served,
+    SlotMerger, StreamReplayer, WireError, WireFrame, WireSink, WIRE_VERSION,
 };
 use nvmx_celldb::TechnologyClass;
 use nvmx_nvsim::OptimizationTarget;
@@ -86,11 +86,13 @@ fn merge_shards(workers: &[Vec<String>], rotation: usize) -> (Vec<String>, Study
         })
         .collect();
     let mut merger = SlotMerger::new();
-    let mut replayer = EventReplayer::new();
+    let mut replayer = StreamReplayer::new();
     let mut capture = Vec::new();
     let mut deliver = |_seq: u64, frame: WireFrame| {
         capture.push(frame.to_line());
-        replayer.apply(&frame.event, &mut nvmexplorer_core::stream::NullSink)
+        replayer
+            .push_frame(frame, &mut nvmexplorer_core::stream::NullSink)
+            .map(|_terminal| ())
     };
     // Round-robin starting from an arbitrary worker: early slots from the
     // other workers must buffer until the rotation comes around.
@@ -108,7 +110,8 @@ fn merge_shards(workers: &[Vec<String>], rotation: usize) -> (Vec<String>, Study
     }
     assert_eq!(merger.pending(), 0, "merge left buffered slots");
     assert!(merger.duplicates() > 0, "dedup path never exercised");
-    (capture, replayer.finish().expect("merged stream finished"))
+    let replay = replayer.finish().expect("merged stream finished");
+    (capture, replay.result)
 }
 
 /// Records serialized events, so replayed sink traffic can be compared
@@ -374,6 +377,51 @@ fn stream_replayer_matches_batch_replay_line_by_line() {
     assert_eq!(a.study, b.study);
     assert_eq!(a.frames, b.frames);
     assert_identical("incremental vs batch", &a.result, &b.result);
+}
+
+/// Decoded frames pushed one by one (the coordinator's merged stream) go
+/// through the same strict rules as lines: a frame after the terminal
+/// frame and a frame of another study are both rejected.
+#[test]
+fn push_frame_rejects_frames_after_the_terminal_and_study_changes() {
+    let frames: Vec<WireFrame> = capture_whole(&small_study(), 2)
+        .iter()
+        .map(|line| WireFrame::parse(line).expect("capture lines parse"))
+        .collect();
+    let sink = &mut nvmexplorer_core::stream::NullSink;
+
+    let mut after_terminal = StreamReplayer::new();
+    for (i, frame) in frames.iter().enumerate() {
+        let terminal = after_terminal.push_frame(frame.clone(), sink).unwrap();
+        assert_eq!(terminal, i + 1 == frames.len());
+    }
+    let mut extra = frames.last().unwrap().clone();
+    extra.seq += 1;
+    match after_terminal.push_frame(extra, sink) {
+        Err(WireError::Corrupt { line, reason }) => {
+            assert_eq!(line as usize, frames.len() + 1);
+            assert!(reason.contains("after study_finished"), "{reason}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+
+    let mut renamed = StreamReplayer::new();
+    renamed.push_frame(frames[0].clone(), sink).unwrap();
+    let mut imposter = frames[1].clone();
+    imposter.study = "imposter".into();
+    match renamed.push_frame(imposter, sink) {
+        Err(WireError::StudyMismatch {
+            line,
+            expected,
+            found,
+        }) => {
+            assert_eq!(line, 2);
+            assert_eq!(expected, "wire-unit");
+            assert_eq!(found, "imposter");
+        }
+        other => panic!("expected StudyMismatch, got {other:?}"),
+    }
+    assert_eq!(renamed.frames(), 1, "a rejected frame is not applied");
 }
 
 /// A strict replay decodes each array and traffic record once: every

@@ -159,6 +159,18 @@ pub struct CacheStats {
     pub l2_reject_classes: L2RejectClasses,
 }
 
+/// The counter clause every binary prints after `cache`:
+/// `hits=.. misses=.. pruned=.. l2_hits=.. l2_misses=.. l2_rejects=..`.
+impl std::fmt::Display for CacheStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "hits={} misses={} pruned={} l2_hits={} l2_misses={} l2_rejects={}",
+            self.hits, self.misses, self.pruned, self.l2_hits, self.l2_misses, self.l2_rejects
+        )
+    }
+}
+
 impl CacheStats {
     /// Total lookups (pruned candidates never look up).
     pub fn lookups(&self) -> u64 {
