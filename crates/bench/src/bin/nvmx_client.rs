@@ -21,27 +21,25 @@
 //! on the artifact path so local and remote runs share every output
 //! byte (see `docs/PROTOCOL.md` § Determinism contract).
 //!
+//! Flags are read by the campaign binaries' shared reader
+//! (`nvmx_bench::cli`), which owns the usage-error wording.
+//!
 //! Exit codes: `0` success, `1` the server reported an error or the
 //! session failed, `2` usage error.
 
 use nvmexplorer_core::transport::{Connection, Endpoint};
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame};
+use nvmx_bench::cli::{usage_error, Flags};
+use nvmx_bench::fail;
 
 const USAGE: &str = "usage: nvmx-client --connect ADDR <status | events SESSION | cancel SESSION | shutdown>\n       ADDR is unix:PATH or tcp:HOST:PORT";
 
 fn parse_args() -> Result<(Endpoint, RequestFrame), String> {
-    let mut args = std::env::args().skip(1);
-    let mut connect = None;
-    let mut command: Option<String> = None;
-    let mut session: Option<u64> = None;
-    while let Some(arg) = args.next() {
+    let mut flags = Flags::from_env();
+    let (mut connect, mut command, mut session) = (None, None, None);
+    while let Some(arg) = flags.next_arg() {
         match arg.as_str() {
-            "--connect" => {
-                let spec = args
-                    .next()
-                    .ok_or_else(|| "--connect expects a value".to_owned())?;
-                connect = Some(Endpoint::parse(&spec)?);
-            }
+            "--connect" => connect = Some(Endpoint::parse(&flags.value()?)?),
             "status" | "events" | "cancel" | "shutdown" if command.is_none() => {
                 command = Some(arg);
             }
@@ -52,7 +50,7 @@ fn parse_args() -> Result<(Endpoint, RequestFrame), String> {
                         .map_err(|_| format!("`{other}` is not a session id"))?,
                 );
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            _ => return Err(flags.unexpected()),
         }
     }
     let connect = connect.ok_or_else(|| "--connect is required".to_owned())?;
@@ -68,34 +66,26 @@ fn parse_args() -> Result<(Endpoint, RequestFrame), String> {
     Ok((connect, request))
 }
 
-fn fail(reason: &str) -> ! {
-    eprintln!("{reason}");
-    std::process::exit(1);
-}
-
 fn main() {
-    let (endpoint, request) = parse_args().unwrap_or_else(|e| {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2);
-    });
+    let (endpoint, request) = parse_args().unwrap_or_else(|e| usage_error(e, USAGE));
     let mut client = Connection::connect(&endpoint)
-        .unwrap_or_else(|e| fail(&format!("cannot connect to {endpoint}: {e}")));
+        .unwrap_or_else(|e| fail!(1, "cannot connect to {endpoint}: {e}"));
     client
         .send_line(&request.to_line())
-        .unwrap_or_else(|e| fail(&format!("cannot send request: {e}")));
+        .unwrap_or_else(|e| fail!(1, "cannot send request: {e}"));
 
     loop {
         let line = match client.recv_line() {
             Ok(Some(line)) => line,
-            Ok(None) => fail("server closed the connection mid-response"),
-            Err(e) => fail(&format!("read failed: {e}")),
+            Ok(None) => fail!(1, "server closed the connection mid-response"),
+            Err(e) => fail!(1, "read failed: {e}"),
         };
         let Some(response) = ResponseFrame::parse_if_response(&line) else {
             // An event frame of a streamed session: pass through verbatim.
             println!("{line}");
             continue;
         };
-        let response = response.unwrap_or_else(|e| fail(&format!("malformed response: {e}")));
+        let response = response.unwrap_or_else(|e| fail!(1, "malformed response: {e}"));
         match response {
             ResponseFrame::Status {
                 draining,
@@ -137,17 +127,18 @@ fn main() {
                 eprintln!("session {session}: {outcome} cache {cache}");
                 match outcome.as_str() {
                     "finished" => return,
-                    _ => fail(&error.unwrap_or(outcome)),
+                    _ => fail!(1, "{}", error.unwrap_or(outcome)),
                 }
             }
             ResponseFrame::Draining => {
                 println!("server is draining");
                 return;
             }
-            ResponseFrame::Error { reason } => fail(&format!("server: {reason}")),
-            ResponseFrame::Submitted { .. } => {
-                fail("unexpected `submitted` response (use `run --connect` to submit)")
-            }
+            ResponseFrame::Error { reason } => fail!(1, "server: {reason}"),
+            ResponseFrame::Submitted { .. } => fail!(
+                1,
+                "unexpected `submitted` response (use `run --connect` to submit)"
+            ),
         }
     }
 }

@@ -22,8 +22,9 @@
 //! lanes with the same lock-free queue discipline as
 //! `core::scheduler::StudyScheduler`.
 //!
-//! The supervisor measures per-worker throughput with an EWMA, kills
-//! workers that miss their heartbeat deadline, re-leases a dead or stalled
+//! The supervisor polls its children's exits from the merge loop (every
+//! 100 ms), measures per-worker throughput with an EWMA, kills workers
+//! that miss their heartbeat deadline, re-leases a dead or stalled
 //! worker's undrained ranges to healthy ones (capped exponential
 //! `--respawn-backoff`; past `--max-respawns` the worker is abandoned and
 //! its leases flow to the survivors), and lets idle fast workers steal the
@@ -61,16 +62,16 @@ use nvmexplorer_core::transport::{
 use nvmexplorer_core::wire::{
     FrameDecoder, LeaseFrame, SlotMerger, StreamReplayer, WireFrame, WorkerFrame, WorkerLine,
 };
-use nvmx_bench::campaign::{
-    fault_csv, fault_summary_line, load_campaign, results_csv, summary_line,
-};
+use nvmx_bench::campaign::{load_campaign, write_artifacts};
+use nvmx_bench::cli::{usage_error, Flags};
+use nvmx_bench::fail;
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage:
@@ -88,10 +89,7 @@ fn main() {
     let code = match args.next().as_deref() {
         Some("run") => cmd_run(args.collect()),
         Some("replay") => cmd_replay(args.collect()),
-        _ => {
-            eprintln!("{USAGE}");
-            2
-        }
+        _ => fail!(2, "{USAGE}"),
     };
     std::process::exit(code);
 }
@@ -135,95 +133,57 @@ const MAX_BACKOFF_MS: u64 = 10_000;
 /// it kills the rest.
 const WIND_DOWN: Duration = Duration::from_millis(50);
 
+/// How often the merge loop checks whether a worker process has exited.
+/// A worker that dies before it says `hello` on a socket has no
+/// connection to report it; this check is what sees it.
+const CHILD_POLL_MS: u64 = 100;
+
 fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
-    let mut configs = Vec::new();
-    let mut workers = 2;
-    let mut threads = None;
-    let mut lanes = 1;
-    let mut capture = None;
-    let mut store = None;
-    let mut worker_bin = None;
-    let mut inject_die = None;
-    let mut inject_stall = None;
-    let mut inject_throttle = None;
-    let mut max_respawns = 3;
-    let mut respawn_backoff_ms = 0;
-    let mut transport = TransportKind::Pipe;
-    let mut lease_size = None;
-    let mut args = args.into_iter();
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
+    let mut flags = Flags::new(args);
+    let mut options = RunOptions {
+        configs: Vec::new(),
+        workers: 2,
+        threads: None,
+        lanes: 1,
+        capture: None,
+        store: None,
+        worker_bin: default_worker_bin(),
+        inject_die: None,
+        inject_stall: None,
+        inject_throttle: None,
+        max_respawns: 3,
+        respawn_backoff_ms: 0,
+        transport: TransportKind::Pipe,
+        lease_size: None,
+    };
+    while let Some(flag) = flags.next_arg() {
+        let o = &mut options;
         match flag.as_str() {
-            "--config" => configs.push(value("--config")?),
-            "--workers" => {
-                workers = value("--workers")?
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("--workers expects an integer >= 1")?;
-            }
-            "--threads" => {
-                threads = Some(
-                    value("--threads")?
-                        .parse::<usize>()
-                        .map_err(|_| "--threads expects an unsigned integer".to_owned())?,
-                );
-            }
-            "--lanes" => {
-                lanes = value("--lanes")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("--lanes expects an integer >= 1")?;
-            }
-            "--capture" => capture = Some(PathBuf::from(value("--capture")?)),
-            "--store" => store = Some(value("--store")?),
-            "--worker-bin" => worker_bin = Some(PathBuf::from(value("--worker-bin")?)),
-            "--inject-die" => {
-                inject_die = Some(parse_injection("--inject-die", &value("--inject-die")?)?);
-            }
-            "--inject-stall" => {
-                inject_stall = Some(parse_injection(
-                    "--inject-stall",
-                    &value("--inject-stall")?,
-                )?);
-            }
-            "--inject-throttle" => {
-                inject_throttle = Some(parse_injection(
-                    "--inject-throttle",
-                    &value("--inject-throttle")?,
-                )?);
-            }
-            "--transport" => transport = TransportKind::parse(&value("--transport")?)?,
-            "--lease-size" => {
-                lease_size = Some(
-                    value("--lease-size")?
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or("--lease-size expects an integer >= 1")?,
-                );
-            }
-            "--max-respawns" => {
-                max_respawns = value("--max-respawns")?
-                    .parse::<u32>()
-                    .map_err(|_| "--max-respawns expects an unsigned integer".to_owned())?;
-            }
-            "--respawn-backoff" => {
-                respawn_backoff_ms = value("--respawn-backoff")?
-                    .parse::<u64>()
-                    .map_err(|_| "--respawn-backoff expects milliseconds".to_owned())?;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+            "--config" => o.configs.push(flags.value()?),
+            "--workers" => o.workers = flags.count()?,
+            "--threads" => o.threads = Some(flags.parse("an unsigned integer")?),
+            "--lanes" => o.lanes = flags.count()?,
+            "--capture" => o.capture = Some(flags.value()?.into()),
+            "--store" => o.store = Some(flags.value()?),
+            "--worker-bin" => o.worker_bin = flags.value()?.into(),
+            "--inject-die" => o.inject_die = Some(flags.pair("WORKER:FRAMES")?),
+            "--inject-stall" => o.inject_stall = Some(flags.pair("WORKER:FRAMES")?),
+            "--inject-throttle" => o.inject_throttle = Some(flags.pair("WORKER:MS")?),
+            "--transport" => o.transport = TransportKind::parse(&flags.value()?)?,
+            "--lease-size" => o.lease_size = Some(flags.count()?),
+            "--max-respawns" => o.max_respawns = flags.parse("an unsigned integer")?,
+            "--respawn-backoff" => o.respawn_backoff_ms = flags.parse("milliseconds")?,
+            _ => return Err(flags.unexpected()),
         }
     }
-    if configs.is_empty() {
+    if options.configs.is_empty() {
         return Err("at least one --config is required".to_owned());
     }
+    let workers = options.workers;
     for (flag, spec) in [
-        ("--inject-die", inject_die),
-        ("--inject-stall", inject_stall),
-        ("--inject-throttle", inject_throttle),
+        ("--inject-die", options.inject_die),
+        ("--inject-stall", options.inject_stall),
+        ("--inject-throttle", options.inject_throttle),
     ] {
         if let Some((victim, _)) = spec {
             if victim >= workers {
@@ -234,37 +194,7 @@ fn parse_run_args(args: Vec<String>) -> Result<RunOptions, String> {
             }
         }
     }
-    Ok(RunOptions {
-        configs,
-        workers,
-        threads,
-        lanes,
-        capture,
-        store,
-        worker_bin: worker_bin.unwrap_or_else(default_worker_bin),
-        inject_die,
-        inject_stall,
-        inject_throttle,
-        max_respawns,
-        respawn_backoff_ms,
-        transport,
-        lease_size,
-    })
-}
-
-/// Parses a `WORKER:FRAMES` failure-injection spec.
-fn parse_injection(flag: &str, spec: &str) -> Result<(u64, u64), String> {
-    let (worker, frames) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("{flag} `{spec}` is not WORKER:FRAMES"))?;
-    Ok((
-        worker
-            .parse::<u64>()
-            .map_err(|_| format!("{flag} worker must be an unsigned integer"))?,
-        frames
-            .parse::<u64>()
-            .map_err(|_| format!("{flag} frames must be an unsigned integer"))?,
-    ))
+    Ok(options)
 }
 
 /// The worker binary ships next to the coordinator.
@@ -279,24 +209,15 @@ fn default_worker_bin() -> PathBuf {
 }
 
 fn cmd_run(args: Vec<String>) -> i32 {
-    let options = match parse_run_args(args) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
-    };
+    let options = parse_run_args(args).unwrap_or_else(|e| usage_error(e, USAGE));
     // Load every config up front: a typo'd campaign fails before any
     // worker spawns, with the offending file and section named.
     let mut campaign = Vec::new();
     for path in &options.configs {
-        match load_campaign(path) {
-            Ok(config) => campaign.push((path.clone(), config)),
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
+        campaign.push((
+            path,
+            load_campaign(path).unwrap_or_else(|e| fail!(2, "{e}")),
+        ));
     }
     // Study names key the capture files (`<dir>/<name>.jsonl`) and the
     // summary lines; duplicates would silently clobber one capture with
@@ -306,17 +227,20 @@ fn cmd_run(args: Vec<String>) -> i32 {
             .iter()
             .find(|(_, earlier)| earlier.name() == config.name())
         {
-            eprintln!(
+            fail!(
+                2,
                 "duplicate study name `{}`: declared by both `{other}` and `{path}`",
                 config.name()
             );
-            return 2;
         }
     }
     if let Some(dir) = &options.capture {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create capture directory `{}`: {e}", dir.display());
-            return 1;
+            fail!(
+                1,
+                "cannot create capture directory `{}`: {e}",
+                dir.display()
+            );
         }
     }
 
@@ -331,30 +255,22 @@ fn cmd_run(args: Vec<String>) -> i32 {
         let study = config.study();
         match outcome {
             Ok(run) => {
-                match &run.fault {
-                    Some(fault) => println!("{}", fault_summary_line(study, &run.result, fault)),
-                    None => println!("{}", summary_line(study, &run.result)),
-                }
-                eprintln!(
-                    "  [{}] {} workers, {} frames merged, {} duplicate slots deduped, {} respawns{}{}{}",
-                    study.name,
-                    options.workers,
-                    run.frames,
-                    run.duplicates,
-                    run.respawns,
-                    match run.migrations {
-                        0 => String::new(),
-                        n => format!(", {n} slot ranges re-leased"),
-                    },
-                    match run.abandoned {
-                        0 => String::new(),
-                        n => format!(", {n} workers abandoned"),
-                    },
-                    match &run.capture {
-                        Some(p) => format!(", capture -> {}", p.display()),
-                        None => String::new(),
-                    }
+                write_artifacts(Some(study), &run.result, run.fault.as_ref(), None, None)
+                    .unwrap_or_else(|e| fail!(1, "{e}"));
+                let mut line = format!(
+                    "  [{}] {} workers, {} frames merged, {} duplicate slots deduped, {} respawns",
+                    study.name, options.workers, run.frames, run.duplicates, run.respawns
                 );
+                if run.migrations > 0 {
+                    line += &format!(", {} slot ranges re-leased", run.migrations);
+                }
+                if run.abandoned > 0 {
+                    line += &format!(", {} workers abandoned", run.abandoned);
+                }
+                if let Some(capture) = &run.capture {
+                    line += &format!(", capture -> {}", capture.display());
+                }
+                eprintln!("{line}");
             }
             Err(e) => {
                 eprintln!("study `{}` ({path}) failed: {e}", study.name);
@@ -380,19 +296,12 @@ struct DistributedRun {
     capture: Option<PathBuf>,
 }
 
-/// Locks a mutex, riding through poisoning (a waiter thread that panicked
-/// while holding the child lock must not take the merge loop down with it
-/// — the child state is a plain handle, valid regardless).
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 // --------------------------------------------------- leased transport run
 
-/// Messages from connection readers and child waiters to the leased merge
-/// loop. `link` names the connection a reader pumps (see
-/// [`LeasedState::links`]), so the echo of a killed incarnation's
-/// connection is told apart from the current one.
+/// Messages from connection readers to the leased merge loop. `link`
+/// names the connection a reader pumps (see [`LeasedState::links`]), so
+/// the echo of a killed incarnation's connection is told apart from the
+/// current one.
 enum NetEv {
     /// A worker said `hello`; its write half rides along so the merge
     /// loop can send it lease frames.
@@ -419,10 +328,6 @@ enum NetEv {
     },
     /// A connection ended. `None` when it died before saying `hello`.
     Gone { link: u64, name: Option<String> },
-    /// A spawned child exited — attributes deaths even when the worker
-    /// never connected. `generation` guards against a stale waiter
-    /// reporting the previous incarnation of a respawned name.
-    Exited { name: String, generation: u64 },
 }
 
 /// Reads one worker connection, splitting the stream into control frames
@@ -509,16 +414,24 @@ fn pump_worker_lines(
     let _ = tx.send(NetEv::Gone { link, name });
 }
 
-/// One leased worker process plus the spawn generation its death-waiter
-/// thread reports under.
+/// One leased worker process and its spawn generation (a pipe child's
+/// link).
 struct LeasedChild {
     generation: u64,
-    handle: Arc<Mutex<Child>>,
+    process: Child,
 }
 
-/// Mutable side-state of the leased merge loop: connections, processes,
-/// and the failure counters for the run summary.
-struct LeasedState {
+/// Side-state of the leased merge loop: what a spawn needs, the
+/// connections and processes, and the failure counters for the run
+/// summary.
+struct LeasedState<'a> {
+    study: &'a str,
+    /// The study's config file, passed to every worker.
+    path: &'a str,
+    /// The `--connect` spec workers get: `pipe`, or the bound socket.
+    spec: String,
+    options: &'a RunOptions,
+    tx: mpsc::SyncSender<NetEv>,
     writers: HashMap<String, FrameWriter>,
     /// The connection each worker name currently speaks over: a pipe
     /// child's spawn generation, fixed at spawn, or a socket's accept
@@ -531,7 +444,7 @@ struct LeasedState {
     abandoned: u32,
 }
 
-impl LeasedState {
+impl LeasedState<'_> {
     /// Whether `link` is the connection `name` currently speaks over.
     fn is_current(&self, name: &str, link: u64) -> bool {
         self.links.get(name) == Some(&link)
@@ -544,6 +457,26 @@ impl LeasedState {
         self.links.remove(name);
     }
 
+    /// Kills `name`'s process, if it has one, and forgets its connection.
+    fn kill(&mut self, name: &str) {
+        if let Some(child) = self.children.get_mut(name) {
+            child.process.kill().ok();
+        }
+        self.disconnect(name);
+    }
+
+    /// The workers whose current process has exited, in name order. The
+    /// merge loop retires each (a no-op for one already retired).
+    fn exited(&mut self) -> Vec<String> {
+        let mut names: Vec<String> = (self.children.iter_mut())
+            .filter_map(|(name, child)| {
+                matches!(child.process.try_wait(), Ok(Some(_))).then(|| name.clone())
+            })
+            .collect();
+        names.sort_unstable();
+        names
+    }
+
     /// Best-effort lease-frame send; a broken writer surfaces as `Gone`
     /// from the connection reader, which drives recovery.
     fn send(&mut self, worker: &str, frame: &LeaseFrame) {
@@ -551,155 +484,119 @@ impl LeasedState {
             let _ = writer.send_now(&frame.to_line());
         }
     }
-}
 
-/// Spawns one leased worker (`--connect`) plus a waiter thread that
-/// reports the process's death into the merge loop. Pipe children get a
-/// reader thread pumping their stdout; socket children connect back to
-/// the listener on their own. `armed` is the worker index whose
-/// `--inject-*` hooks this spawn carries; respawns pass `None` and run
-/// clean.
-fn spawn_leased_worker(
-    path: &str,
-    name: &str,
-    spec: &str,
-    options: &RunOptions,
-    armed: Option<u64>,
-    generation: u64,
-    tx: &mpsc::SyncSender<NetEv>,
-) -> Result<Arc<Mutex<Child>>, String> {
-    let mut command = Command::new(&options.worker_bin);
-    command
-        .arg("--config")
-        .arg(path)
-        .arg("--connect")
-        .arg(spec)
-        .arg("--name")
-        .arg(name);
-    if let Some(threads) = options.threads {
-        command.arg("--threads").arg(threads.to_string());
-    }
-    if let Some(store) = &options.store {
-        command.arg("--store").arg(store);
-    }
-    for (flag, hook) in [
-        ("--die-after", options.inject_die),
-        ("--stall-after", options.inject_stall),
-        ("--throttle", options.inject_throttle),
-    ] {
-        if let Some((_, value)) = hook.filter(|&(victim, _)| Some(victim) == armed) {
-            command.arg(flag).arg(value.to_string());
+    /// Spawns worker `name` (`--connect`); the merge loop polls its exit.
+    /// A pipe child gets a reader thread pumping its stdout; a socket
+    /// child connects back to the listener on its own. `armed` is the
+    /// worker index whose `--inject-*` hooks this spawn carries; respawns
+    /// pass `None` and run clean.
+    fn spawn(&mut self, name: &str, armed: Option<u64>, generation: u64) -> Result<(), String> {
+        let options = self.options;
+        let mut command = Command::new(&options.worker_bin);
+        command.args([
+            "--config",
+            self.path,
+            "--connect",
+            &self.spec,
+            "--name",
+            name,
+        ]);
+        if let Some(threads) = options.threads {
+            command.arg("--threads").arg(threads.to_string());
         }
-    }
-    let pipe = spec == "pipe";
-    if pipe {
-        command.stdin(Stdio::piped()).stdout(Stdio::piped());
-    } else {
-        command.stdin(Stdio::null()).stdout(Stdio::null());
-    }
-    let mut child = command.spawn().map_err(|e| {
-        format!(
-            "cannot spawn worker `{}`: {e}",
-            options.worker_bin.display()
-        )
-    })?;
-    if pipe {
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let stdin = child.stdin.take().expect("stdin was piped");
-        let conn = Connection::from_parts(stdout, stdin);
-        let pump_tx = tx.clone();
-        let preset = name.to_owned();
-        std::thread::spawn(move || pump_worker_lines(conn, Some(preset), generation, &pump_tx));
-    }
-    let handle = Arc::new(Mutex::new(child));
-    let waiter = Arc::clone(&handle);
-    let exit_tx = tx.clone();
-    let exit_name = name.to_owned();
-    std::thread::spawn(move || loop {
-        match lock(&waiter).try_wait() {
-            Ok(Some(_)) => {
-                let _ = exit_tx.send(NetEv::Exited {
-                    name: exit_name,
-                    generation,
-                });
-                return;
+        if let Some(store) = &options.store {
+            command.arg("--store").arg(store);
+        }
+        for (flag, hook) in [
+            ("--die-after", options.inject_die),
+            ("--stall-after", options.inject_stall),
+            ("--throttle", options.inject_throttle),
+        ] {
+            if let Some((_, value)) = hook.filter(|&(victim, _)| Some(victim) == armed) {
+                command.arg(flag).arg(value.to_string());
             }
-            Ok(None) => {}
-            Err(_) => return,
         }
-        std::thread::sleep(Duration::from_millis(100));
-    });
-    Ok(handle)
-}
+        let pipe = self.spec == "pipe";
+        if pipe {
+            command.stdin(Stdio::piped()).stdout(Stdio::piped());
+        } else {
+            command.stdin(Stdio::null()).stdout(Stdio::null());
+        }
+        let mut process = command.spawn().map_err(|e| {
+            format!(
+                "cannot spawn worker `{}`: {e}",
+                options.worker_bin.display()
+            )
+        })?;
+        if pipe {
+            let stdout = process.stdout.take().expect("stdout was piped");
+            let stdin = process.stdin.take().expect("stdin was piped");
+            let conn = Connection::from_parts(stdout, stdin);
+            let (tx, preset) = (self.tx.clone(), name.to_owned());
+            std::thread::spawn(move || pump_worker_lines(conn, Some(preset), generation, &tx));
+            self.links.insert(name.to_owned(), generation);
+        }
+        let child = LeasedChild {
+            generation,
+            process,
+        };
+        self.children.insert(name.to_owned(), child);
+        Ok(())
+    }
 
-/// Carries out the effects the [`Resharder`] decided on: lease frames to
-/// writers, kills and respawns to processes, abandonments to the log.
-fn apply_actions(
-    actions: Vec<Action>,
-    state: &mut LeasedState,
-    study_name: &str,
-    path: &str,
-    spec: &str,
-    options: &RunOptions,
-    tx: &mpsc::SyncSender<NetEv>,
-) -> Result<(), String> {
-    for action in actions {
-        match action {
-            Action::Grant {
-                worker,
-                lease,
-                start,
-                end,
-            } => state.send(
-                &worker,
-                &LeaseFrame::Grant {
-                    id: lease,
+    /// Carries out the effects the [`Resharder`] decided on: lease frames
+    /// to writers, kills and respawns to processes, abandonments to the
+    /// log.
+    fn apply(&mut self, actions: Vec<Action>) -> Result<(), String> {
+        let study = self.study;
+        for action in actions {
+            match action {
+                Action::Grant {
+                    worker,
+                    lease,
                     start,
                     end,
-                },
-            ),
-            Action::Revoke { worker, lease } => {
-                state.send(&worker, &LeaseFrame::Revoke { id: lease });
-            }
-            Action::Kill { worker } => {
-                eprintln!(
-                    "  [{study_name}] worker {worker} missed its heartbeat deadline; killing"
-                );
-                if let Some(child) = state.children.get(&worker) {
-                    lock(&child.handle).kill().ok();
+                } => self.send(
+                    &worker,
+                    &LeaseFrame::Grant {
+                        id: lease,
+                        start,
+                        end,
+                    },
+                ),
+                Action::Revoke { worker, lease } => {
+                    self.send(&worker, &LeaseFrame::Revoke { id: lease });
                 }
-                state.disconnect(&worker);
-            }
-            Action::Respawn { worker } => {
-                state.respawns += 1;
-                eprintln!("  [{study_name}] respawning worker {worker}");
-                // Never two processes under one name: the previous
-                // incarnation is dead or wedged either way.
-                if let Some(old) = state.children.get(&worker) {
-                    lock(&old.handle).kill().ok();
+                Action::Kill { worker } => {
+                    eprintln!("  [{study}] worker {worker} missed its heartbeat deadline; killing");
+                    self.kill(&worker);
                 }
-                state.disconnect(&worker);
-                let generation = state.children.get(&worker).map_or(0, |c| c.generation + 1);
-                let handle =
-                    spawn_leased_worker(path, &worker, spec, options, None, generation, tx)?;
-                if spec == "pipe" {
-                    state.links.insert(worker.clone(), generation);
+                Action::Respawn { worker } => {
+                    self.respawns += 1;
+                    eprintln!("  [{study}] respawning worker {worker}");
+                    // Never two processes under one name: the previous
+                    // incarnation is dead or wedged either way, and is
+                    // reaped here so it does not linger as a zombie.
+                    let generation = self.children.remove(&worker).map_or(0, |mut old| {
+                        old.process.kill().ok();
+                        old.process.wait().ok();
+                        old.generation + 1
+                    });
+                    self.disconnect(&worker);
+                    self.spawn(&worker, None, generation)?;
                 }
-                state
-                    .children
-                    .insert(worker, LeasedChild { generation, handle });
-            }
-            Action::Abandon { worker } => {
-                state.abandoned += 1;
-                eprintln!(
-                    "  [{study_name}] worker {worker} exhausted its respawn budget; abandoned \
-                     (its leases flow to the surviving workers)"
-                );
-                state.disconnect(&worker);
+                Action::Abandon { worker } => {
+                    self.abandoned += 1;
+                    eprintln!(
+                        "  [{study}] worker {worker} exhausted its respawn budget; abandoned \
+                         (its leases flow to the surviving workers)"
+                    );
+                    self.disconnect(&worker);
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Numbers the lease sockets this process binds: a unix socket is named
@@ -829,6 +726,11 @@ fn run_leased_study(
         ..defaults
     });
     let mut state = LeasedState {
+        study: &study.name,
+        path,
+        spec,
+        options,
+        tx,
         writers: HashMap::new(),
         links: HashMap::new(),
         children: HashMap::new(),
@@ -841,22 +743,13 @@ fn run_leased_study(
             &name,
             u64::try_from(epoch.elapsed().as_millis()).unwrap_or(0),
         );
-        let handle = spawn_leased_worker(path, &name, &spec, options, Some(index), 0, &tx)?;
-        if kind == TransportKind::Pipe {
-            state.links.insert(name.clone(), 0);
-        }
-        state.children.insert(
-            name,
-            LeasedChild {
-                generation: 0,
-                handle,
-            },
-        );
+        state.spawn(&name, Some(index), 0)?;
     }
 
     let mut merger: SlotMerger<(WireFrame, String)> = SlotMerger::new();
     let mut replayer = StreamReplayer::new();
     let mut reported_migrations = 0usize;
+    let mut next_poll_ms = CHILD_POLL_MS;
 
     let mut merge = || -> Result<(), String> {
         while !replayer.finished() {
@@ -913,12 +806,8 @@ fn run_leased_study(
                             "  [{}] worker {name} broke protocol ({detail}); dropping it",
                             study.name
                         );
-                        if let Some(child) = state.children.get(&name) {
-                            lock(&child.handle).kill().ok();
-                        }
-                        state.disconnect(&name);
-                        let actions = resharder.worker_dead(&name, now);
-                        apply_actions(actions, &mut state, &study.name, path, &spec, options, &tx)?;
+                        state.kill(&name);
+                        state.apply(resharder.worker_dead(&name, now))?;
                     }
                     None => eprintln!(
                         "  [{}] dropping an anonymous connection: {detail}",
@@ -932,15 +821,7 @@ fn run_leased_study(
                         if !actions.is_empty() {
                             eprintln!("  [{}] worker {name} died", study.name);
                         }
-                        apply_actions(actions, &mut state, &study.name, path, &spec, options, &tx)?;
-                    }
-                }
-                Ok(NetEv::Exited { name, generation }) => {
-                    // Only the current incarnation's waiter counts; a
-                    // stale one must not kill a respawned worker's state.
-                    if state.children.get(&name).map(|c| c.generation) == Some(generation) {
-                        let actions = resharder.worker_dead(&name, now);
-                        apply_actions(actions, &mut state, &study.name, path, &spec, options, &tx)?;
+                        state.apply(actions)?;
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -949,8 +830,15 @@ fn run_leased_study(
                 }
             }
             let now = u64::try_from(epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
-            let actions = resharder.tick(now);
-            apply_actions(actions, &mut state, &study.name, path, &spec, options, &tx)?;
+            // Child exits are polled on a timer, not per frame: the loop
+            // wakes at least every 100 ms either way.
+            if now >= next_poll_ms {
+                next_poll_ms = now + CHILD_POLL_MS;
+                for name in state.exited() {
+                    state.apply(resharder.worker_dead(&name, now))?;
+                }
+            }
+            state.apply(resharder.tick(now))?;
             for migration in &resharder.migrations()[reported_migrations..] {
                 eprintln!("  [{}] re-lease: {migration}", study.name);
             }
@@ -988,17 +876,13 @@ fn run_leased_study(
     }
     let deadline = Instant::now() + WIND_DOWN;
     while Instant::now() < deadline
-        && state
-            .children
-            .values()
-            .any(|child| matches!(lock(&child.handle).try_wait(), Ok(None)))
+        && (state.children.values_mut()).any(|child| matches!(child.process.try_wait(), Ok(None)))
     {
         std::thread::sleep(Duration::from_millis(1));
     }
-    for child in state.children.values() {
-        let mut child = lock(&child.handle);
-        child.kill().ok();
-        child.wait().ok();
+    for child in state.children.values_mut() {
+        child.process.kill().ok();
+        child.process.wait().ok();
     }
 
     if outcome.is_err() {
@@ -1031,103 +915,63 @@ fn run_leased_study(
 // ---------------------------------------------------------------- replay
 
 fn cmd_replay(args: Vec<String>) -> i32 {
-    let mut input = None;
-    let mut config = None;
-    let mut csv = None;
-    let mut fault_csv_path = None;
-    let mut args = args.into_iter();
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
-        let outcome = match flag.as_str() {
-            "--input" => value("--input").map(|v| input = Some(v)),
-            "--config" => value("--config").map(|v| config = Some(v)),
-            "--csv" => value("--csv").map(|v| csv = Some(v)),
-            "--fault-csv" => value("--fault-csv").map(|v| fault_csv_path = Some(v)),
-            other => Err(format!("unknown flag `{other}`")),
+    let mut flags = Flags::new(args);
+    let (mut input, mut config, mut csv, mut fault_csv) = (None, None, None, None);
+    while let Some(flag) = flags.next_arg() {
+        let slot = match flag.as_str() {
+            "--input" => &mut input,
+            "--config" => &mut config,
+            "--csv" => &mut csv,
+            "--fault-csv" => &mut fault_csv,
+            _ => usage_error(flags.unexpected(), USAGE),
         };
-        if let Err(e) = outcome {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
+        *slot = Some(flags.value().unwrap_or_else(|e| usage_error(e, USAGE)));
     }
-    let Some(input) = input else {
-        eprintln!("--input is required\n{USAGE}");
-        return 2;
-    };
+    let input = input.unwrap_or_else(|| usage_error("--input is required", USAGE));
     if csv.is_some() && config.is_none() {
-        eprintln!("--csv needs --config (the constraint filter lives in the study config)");
-        return 2;
+        fail!(
+            2,
+            "--csv needs --config (the constraint filter lives in the study config)"
+        );
     }
-    let campaign = match config.as_deref().map(load_campaign).transpose() {
-        Ok(campaign) => campaign,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let campaign =
+        (config.as_deref().map(load_campaign).transpose()).unwrap_or_else(|e| fail!(2, "{e}"));
     let study = campaign.as_ref().map(|c| c.study());
 
-    let file = match std::fs::File::open(&input) {
-        Ok(file) => file,
-        Err(e) => {
-            eprintln!("cannot open `{input}`: {e}");
-            return 1;
-        }
-    };
-    let replay = match nvmexplorer_core::wire::replay(BufReader::new(file)) {
-        Ok(replay) => replay,
-        Err(e) => {
-            eprintln!("replay of `{input}` failed: {e}");
-            return 1;
-        }
-    };
-
-    if fault_csv_path.is_some() && replay.fault.is_none() {
-        eprintln!("--fault-csv given, but `{input}` is not a fault-campaign capture");
-        return 1;
+    let file =
+        std::fs::File::open(&input).unwrap_or_else(|e| fail!(1, "cannot open `{input}`: {e}"));
+    let replay = nvmexplorer_core::wire::replay(BufReader::new(file))
+        .unwrap_or_else(|e| fail!(1, "replay of `{input}` failed: {e}"));
+    if fault_csv.is_some() && replay.fault.is_none() {
+        fail!(
+            1,
+            "--fault-csv given, but `{input}` is not a fault-campaign capture"
+        );
     }
-    match &study {
-        Some(study) => {
-            if study.name != replay.study {
-                eprintln!(
-                    "capture carries study `{}`, config names `{}`",
-                    replay.study, study.name
-                );
-                return 1;
-            }
-            match &replay.fault {
-                Some(fault) => println!("{}", fault_summary_line(study, &replay.result, fault)),
-                None => println!("{}", summary_line(study, &replay.result)),
-            }
-            if let Some(csv_path) = csv {
-                let csv_path = Path::new(&csv_path);
-                // `Csv::write_to` creates parent directories itself.
-                if let Err(e) = results_csv(study, &replay.result).write_to(csv_path) {
-                    eprintln!("cannot write `{}`: {e}", csv_path.display());
-                    return 1;
-                }
-                eprintln!("  [{}] results -> {}", replay.study, csv_path.display());
-            }
-        }
-        None => {
-            println!(
-                "study `{}`: {} arrays, {} evaluations, {} skipped ({} frames)",
-                replay.study,
-                replay.result.arrays.len(),
-                replay.result.evaluations.len(),
-                replay.result.skipped.len(),
-                replay.frames
-            );
-        }
+    match study {
+        Some(study) if study.name != replay.study => fail!(
+            1,
+            "capture carries study `{}`, config names `{}`",
+            replay.study,
+            study.name
+        ),
+        Some(_) => {}
+        None => println!(
+            "study `{}`: {} arrays, {} evaluations, {} skipped ({} frames)",
+            replay.study,
+            replay.result.arrays.len(),
+            replay.result.evaluations.len(),
+            replay.result.skipped.len(),
+            replay.frames
+        ),
     }
-    if let Some(path) = fault_csv_path {
-        let path = Path::new(&path);
-        let fault = replay.fault.as_ref().expect("checked above");
-        if let Err(e) = fault_csv(fault).write_to(path) {
-            eprintln!("cannot write `{}`: {e}", path.display());
-            return 1;
-        }
-        eprintln!("  [{}] fault trials -> {}", replay.study, path.display());
-    }
+    write_artifacts(
+        study,
+        &replay.result,
+        replay.fault.as_ref(),
+        csv.as_deref().map(Path::new),
+        fault_csv.as_deref().map(Path::new),
+    )
+    .unwrap_or_else(|e| fail!(1, "{e}"));
     0
 }

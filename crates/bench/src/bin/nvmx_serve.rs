@@ -19,7 +19,7 @@
 //! - `--workers N` — characterization/evaluation threads per running
 //!   session (default: one per CPU, capped at 16).
 //! - `--lanes N` — sessions that run concurrently (default 1).
-//! - `--capacity N` — admission-queue bound (default 64).
+//! - `--capacity N` — admission-queue bound (default 64, at least 1).
 //! - `--store DIR` — back the shared cache with the persistent
 //!   characterization store, shared across every tenant.
 //! - `--session-ttl SECS` — garbage-collect a finished session's
@@ -47,64 +47,50 @@
 //! counters, which reflect the warm shared cache (see `docs/PROTOCOL.md`
 //! § Determinism contract). CI's `serve-smoke` job diffs exactly this.
 //!
+//! Flags are read by the campaign binaries' shared reader
+//! (`nvmx_bench::cli`), which owns the usage-error wording.
+//!
 //! Exit codes: `0` clean drain, `1` runtime failure, `2` usage error.
 
 use nvmexplorer_core::service::{CampaignService, ServiceConfig};
+use nvmexplorer_core::stream::StudyExecutor;
 use nvmexplorer_core::transport::{Connection, Endpoint, FrameWriter, Listener, Stream};
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame};
+use nvmx_bench::cli::{usage_error, Flags};
+use nvmx_bench::fail;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const USAGE: &str = "usage: nvmx-serve --listen ADDR [--workers N] [--lanes N] [--capacity N] [--store DIR] [--session-ttl SECS]\n       ADDR is unix:PATH or tcp:HOST:PORT";
 
-struct Args {
-    listen: Endpoint,
-    config: ServiceConfig,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
+fn parse_args() -> Result<(Endpoint, ServiceConfig), String> {
+    let mut flags = Flags::from_env();
     let mut listen = None;
     // Default workers: what a local `run` would use (one per CPU, capped
     // at 16) — submitted sessions then match local-run wall-clock.
     let mut config = ServiceConfig {
-        workers: nvmexplorer_core::stream::StudyExecutor::new().threads(),
+        workers: StudyExecutor::new().threads(),
         ..ServiceConfig::default()
     };
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--listen" => listen = Some(Endpoint::parse(&value("--listen")?)?),
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--lanes" => {
-                config.lanes = value("--lanes")?
-                    .parse()
-                    .map_err(|e| format!("--lanes: {e}"))?;
-            }
-            "--capacity" => {
-                config.capacity = value("--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-            }
-            "--store" => config.store = Some(value("--store")?.into()),
+    while let Some(flag) = flags.next_arg() {
+        match flag.as_str() {
+            "--listen" => listen = Some(Endpoint::parse(&flags.value()?)?),
+            "--workers" => config.workers = flags.parse("an unsigned integer")?,
+            "--lanes" => config.lanes = flags.parse("an unsigned integer")?,
+            // Every submit is queued before a lane claims it, so a bound
+            // of 0 would reject them all.
+            "--capacity" => config.capacity = flags.count()?,
+            "--store" => config.store = Some(flags.value()?.into()),
             "--session-ttl" => {
-                let secs: u64 = value("--session-ttl")?
-                    .parse()
-                    .map_err(|e| format!("--session-ttl: {e}"))?;
-                config.session_ttl = Some(std::time::Duration::from_secs(secs));
+                config.session_ttl = Some(Duration::from_secs(flags.parse("seconds")?))
             }
-            other => return Err(format!("unknown argument `{other}`")),
+            _ => return Err(flags.unexpected()),
         }
     }
-    Ok(Args {
-        listen: listen.ok_or_else(|| "--listen is required".to_owned())?,
-        config,
-    })
+    let listen = listen.ok_or_else(|| "--listen is required".to_owned())?;
+    Ok((listen, config))
 }
 
 /// Streams a session's event channel to the client: every retained frame
@@ -262,18 +248,12 @@ fn handle(service: &CampaignService, stream: Stream, drain: &AtomicBool, listen:
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2);
-    });
-    let service = Arc::new(CampaignService::start(args.config).unwrap_or_else(|e| {
-        eprintln!("cannot start service: {e}");
-        std::process::exit(1);
-    }));
-    let listener = Listener::bind(&args.listen).unwrap_or_else(|e| {
-        eprintln!("cannot bind {}: {e}", args.listen);
-        std::process::exit(1);
-    });
+    let (listen, config) = parse_args().unwrap_or_else(|e| usage_error(e, USAGE));
+    let service = Arc::new(
+        CampaignService::start(config).unwrap_or_else(|e| fail!(1, "cannot start service: {e}")),
+    );
+    let listener =
+        Listener::bind(&listen).unwrap_or_else(|e| fail!(1, "cannot bind {listen}: {e}"));
     let bound =
         Endpoint::parse(&listener.local_spec()).expect("a bound listener reports a valid spec");
     println!("nvmx-serve listening {bound}");
@@ -311,10 +291,9 @@ fn main() {
     // Graceful drain: every queued and running session completes, then
     // the store is flushed. Connection handlers streaming those sessions
     // finish with them.
-    let stats = service.drain().unwrap_or_else(|e| {
-        eprintln!("store flush failed during drain: {e}");
-        std::process::exit(1);
-    });
+    let stats = service
+        .drain()
+        .unwrap_or_else(|e| fail!(1, "store flush failed during drain: {e}"));
     for handler in handlers {
         let _ = handler.join();
     }

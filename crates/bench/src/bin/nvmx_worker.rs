@@ -62,6 +62,9 @@
 //!   stream is byte-identical either way, so every worker in a campaign
 //!   may share one store.
 //!
+//! Flags, store and study-or-fault dispatch are the campaign binaries'
+//! shared plumbing (`nvmx_bench::cli`, `nvmx_bench::campaign`).
+//!
 //! Exit codes: `0` success, `1` study failed, `2` usage or config error
 //! (config parse failures print the offending section).
 
@@ -70,10 +73,10 @@ use nvmexplorer_core::eval::Evaluation;
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
 use nvmexplorer_core::transport::{Connection, Endpoint, FrameWriter};
 use nvmexplorer_core::wire::{LeaseFrame, LineEncoder, WorkerFrame};
-use nvmx_nvsim::SubarrayCache;
+use nvmx_bench::campaign::{self, load_campaign, Store};
+use nvmx_bench::cli::{usage_error, Flags};
+use nvmx_bench::fail;
 use std::collections::{HashSet, VecDeque};
-use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -96,6 +99,7 @@ fn stall_forever() -> ! {
     }
 }
 
+#[derive(Default)]
 struct Options {
     config: String,
     connect: String,
@@ -108,63 +112,25 @@ struct Options {
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut args = std::env::args().skip(1);
-    let mut config = None;
-    let mut connect = None;
-    let mut threads = None;
-    let mut name = None;
-    let mut throttle_ms = None;
-    let mut die_after = None;
-    let mut stall_after = None;
-    let mut store = None;
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
+    let mut flags = Flags::from_env();
+    let mut options = Options::default();
+    let (mut config, mut connect) = (None, None);
+    while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--config" => config = Some(value("--config")?),
-            "--threads" => {
-                threads = Some(
-                    value("--threads")?
-                        .parse::<usize>()
-                        .map_err(|_| "--threads expects an unsigned integer".to_owned())?,
-                );
-            }
-            "--connect" => connect = Some(value("--connect")?),
-            "--name" => name = Some(value("--name")?),
-            "--throttle" => {
-                throttle_ms = Some(
-                    value("--throttle")?
-                        .parse::<u64>()
-                        .map_err(|_| "--throttle expects milliseconds".to_owned())?,
-                );
-            }
-            "--die-after" => {
-                die_after = Some(
-                    value("--die-after")?
-                        .parse::<u64>()
-                        .map_err(|_| "--die-after expects an unsigned integer".to_owned())?,
-                );
-            }
-            "--stall-after" => {
-                stall_after = Some(
-                    value("--stall-after")?
-                        .parse::<u64>()
-                        .map_err(|_| "--stall-after expects an unsigned integer".to_owned())?,
-                );
-            }
-            "--store" => store = Some(value("--store")?),
-            other => return Err(format!("unknown flag `{other}`")),
+            "--config" => config = Some(flags.value()?),
+            "--connect" => connect = Some(flags.value()?),
+            "--threads" => options.threads = Some(flags.parse("an unsigned integer")?),
+            "--name" => options.name = Some(flags.value()?),
+            "--throttle" => options.throttle_ms = Some(flags.parse("milliseconds")?),
+            "--die-after" => options.die_after = Some(flags.parse("an unsigned integer")?),
+            "--stall-after" => options.stall_after = Some(flags.parse("an unsigned integer")?),
+            "--store" => options.store = Some(flags.value()?),
+            _ => return Err(flags.unexpected()),
         }
     }
-    Ok(Options {
-        config: config.ok_or_else(|| "--config is required".to_owned())?,
-        connect: connect.ok_or_else(|| "--connect is required".to_owned())?,
-        threads,
-        name,
-        throttle_ms,
-        die_after,
-        stall_after,
-        store,
-    })
+    options.config = config.ok_or_else(|| "--config is required".to_owned())?;
+    options.connect = connect.ok_or_else(|| "--connect is required".to_owned())?;
+    Ok(options)
 }
 
 /// One slot of the buffered stream.
@@ -179,6 +145,7 @@ enum Slot {
 
 /// The full deterministic event stream, accumulating as the compute
 /// thread runs. `slots[seq]` is slot `seq`.
+#[derive(Default)]
 struct Buffered {
     slots: Vec<Slot>,
     /// An encoder for the emitter, forked from the compute side's once
@@ -190,6 +157,7 @@ struct Buffered {
 
 /// Lease-protocol state shared between the reader (main thread), the
 /// emitter, the heartbeat timer, and the compute thread.
+#[derive(Default)]
 struct NetShared {
     buffered: Mutex<Buffered>,
     /// Pending grants (FIFO) + revocations + shutdown flag.
@@ -202,6 +170,7 @@ struct NetShared {
     sent: AtomicU64,
 }
 
+#[derive(Default)]
 struct NetControl {
     grants: VecDeque<(u64, u64, u64)>, // (id, start, end)
     revoked: HashSet<u64>,
@@ -244,30 +213,15 @@ impl ResultSink for BufferSink {
     }
 }
 
-/// The persistent store backing a run: its directory and the cache that
-/// counts its L2 traffic.
-type Store<'a> = Option<(&'a Path, &'a SubarrayCache)>;
-
 /// Ends the process with `code`, first reporting the store's L2 counters
 /// on stderr (telemetry only — the wire stream is unaffected). The
 /// compute thread may still be running when a lease exchange ends, so the
 /// worker leaves through here instead of returning to `main`. The
 /// injected crash of `--die-after` bypasses it, like the SIGKILL it
 /// simulates.
-fn leave(code: i32, store: Store<'_>) -> ! {
-    if let Some((dir, cache)) = store {
-        let stats = cache.stats();
-        // One write for the whole line: workers share the coordinator's
-        // stderr, and `eprintln!` writes each piece separately, so two
-        // workers leaving at once would interleave mid-line.
-        let line = format!(
-            "store {}: l2_hits={} l2_misses={} l2_rejects={}\n",
-            dir.display(),
-            stats.l2_hits,
-            stats.l2_misses,
-            stats.l2_rejects,
-        );
-        let _ = std::io::stderr().write_all(line.as_bytes());
+fn leave(code: i32, store: Option<&Store>) -> ! {
+    if let Some(store) = store {
+        store.report();
     }
     std::process::exit(code)
 }
@@ -278,45 +232,23 @@ fn run_leased(
     options: &Options,
     campaign: &CampaignConfig,
     executor: &StudyExecutor<'_>,
-    store: Store<'_>,
+    store: Option<&Store>,
 ) -> ! {
     let name = options
         .name
         .clone()
         .unwrap_or_else(|| format!("worker-{}", std::process::id()));
     let study_name = campaign.study().name.clone();
-    let shared = Arc::new(NetShared {
-        buffered: Mutex::new(Buffered {
-            slots: Vec::new(),
-            encoder: None,
-            done: false,
-            failed: None,
-        }),
-        control: Mutex::new(NetControl {
-            grants: VecDeque::new(),
-            revoked: HashSet::new(),
-            shutdown: false,
-        }),
-        buffer_wake: Condvar::new(),
-        control_wake: Condvar::new(),
-        sent: AtomicU64::new(0),
-    });
+    let shared = Arc::new(NetShared::default());
 
     // First connection. `pipe` frames stdin/stdout; sockets dial out with
     // a short retry loop (the coordinator may still be binding).
     let spec = options.connect.as_str();
     let pipe = spec == "pipe";
-    let endpoint = if pipe {
-        None
-    } else {
-        match Endpoint::parse(spec) {
-            Ok(endpoint) => Some(endpoint),
-            Err(e) => {
-                eprintln!("{e}");
-                leave(2, store);
-            }
-        }
-    };
+    let endpoint = ((!pipe).then(|| Endpoint::parse(spec)).transpose()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        leave(2, store)
+    });
     let connect = |resume: bool| -> Option<Connection> {
         let endpoint = endpoint.as_ref()?;
         let attempts = if resume { 25 } else { 50 };
@@ -337,10 +269,7 @@ fn run_leased(
     let conn = if pipe {
         Connection::pipe()
     } else {
-        match connect(false) {
-            Some(conn) => conn,
-            None => leave(1, store),
-        }
+        connect(false).unwrap_or_else(|| leave(1, store))
     };
     let Connection { mut reader, writer } = conn;
     // The write half, shared by every sending thread (see the module doc
@@ -368,10 +297,7 @@ fn run_leased(
                 seq: 0,
                 shared: Arc::clone(&compute_shared),
             };
-            let run = match campaign {
-                CampaignConfig::Study(study) => executor.run(study, &mut sink).map(|_| ()),
-                CampaignConfig::Fault(fault) => executor.run_fault(fault, &mut sink).map(|_| ()),
-            };
+            let run = executor.run_campaign(campaign, &mut sink).map(|_| ());
             let seen = sink.seq;
             let mut buffered = compute_shared.buffered.lock().unwrap();
             match run {
@@ -595,39 +521,12 @@ fn shutdown(shared: &NetShared) {
 }
 
 fn main() {
-    let options = parse_args().unwrap_or_else(|e| {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2);
-    });
-    let campaign = nvmx_bench::campaign::load_campaign(&options.config).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-
+    let options = parse_args().unwrap_or_else(|e| usage_error(e, USAGE));
+    let campaign = load_campaign(&options.config).unwrap_or_else(|e| fail!(2, "{e}"));
     // The flag overrides the config's `store` section; the cache is owned
     // here so the L2 counters can be reported when the worker leaves.
-    let store_dir: Option<PathBuf> = options
-        .store
-        .clone()
-        .or_else(|| campaign.study().store.dir.clone())
-        .map(PathBuf::from);
-    let cache = store_dir.as_ref().map(|dir| {
-        SubarrayCache::with_store(dir).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot open characterization store `{}`: {e}",
-                dir.display()
-            );
-            std::process::exit(1);
-        })
-    });
-    let mut executor = match options.threads {
-        Some(threads) => StudyExecutor::with_threads(threads),
-        None => StudyExecutor::new(),
-    };
-    if let Some(cache) = &cache {
-        executor = executor.cache(cache);
-    }
-
-    let store = store_dir.as_deref().zip(cache.as_ref());
-    run_leased(&options, &campaign, &executor, store)
+    let store =
+        Store::open(options.store.clone(), campaign.study()).unwrap_or_else(|e| fail!(1, "{e}"));
+    let executor = campaign::executor(options.threads, store.as_ref());
+    run_leased(&options, &campaign, &executor, store.as_ref())
 }

@@ -11,9 +11,10 @@
 //! section, those sinks additionally stream while the study runs (CSV rows
 //! per evaluation, JSONL events, terminal summary).
 //!
-//! The CSV schema and the final summary line are shared with
-//! `nvmx-coordinator` (`nvmx_bench::campaign`), so a distributed run's
-//! replayed capture diffs clean against this binary's output.
+//! The store opener and the artifact writer (CSV schemas, summary line)
+//! are shared with the other campaign binaries (`nvmx_bench::campaign`),
+//! so a distributed run's replayed capture diffs clean against this
+//! binary's output.
 //!
 //! A config carrying a top-level `fault` section runs as a fault-injection
 //! campaign: the base study's results CSV is written as usual, plus
@@ -41,16 +42,14 @@
 //! or config error — malformed configs are rejected (never a panic) with
 //! the offending section named on stderr.
 
-use nvmexplorer_core::config::CampaignConfig;
-use nvmexplorer_core::stream::StudyExecutor;
+use nvmexplorer_core::fault_study::FaultOutcome;
+use nvmexplorer_core::sweep::StudyResult;
 use nvmexplorer_core::transport::{Connection, Endpoint};
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame, Served, StreamReplayer};
-use nvmx_bench::campaign::{
-    fault_csv, fault_summary_line, load_campaign, results_csv, summary_line,
-};
-use nvmx_nvsim::SubarrayCache;
+use nvmx_bench::campaign::{self, load_campaign, write_artifacts, Store};
+use nvmx_bench::cli::{usage_error, Flags};
+use nvmx_bench::fail;
 use nvmx_viz::sink::SpecSinks;
-use std::path::PathBuf;
 
 const USAGE: &str = "usage: run <config.json> [--store DIR] [--connect ADDR [--priority N]]";
 
@@ -62,24 +61,15 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut config = None;
-    let mut store = None;
-    let mut connect = None;
-    let mut priority = 0;
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} expects a value"));
+    let mut flags = Flags::from_env();
+    let (mut config, mut store, mut connect, mut priority) = (None, None, None, 0);
+    while let Some(arg) = flags.next_arg() {
         match arg.as_str() {
-            "--store" => store = Some(value("--store")?),
-            "--connect" => connect = Some(Endpoint::parse(&value("--connect")?)?),
-            "--priority" => {
-                priority = value("--priority")?
-                    .parse()
-                    .map_err(|e| format!("--priority: {e}"))?;
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            path if config.is_none() => config = Some(path.to_owned()),
-            extra => return Err(format!("unexpected argument `{extra}`")),
+            "--store" => store = Some(flags.value()?),
+            "--connect" => connect = Some(Endpoint::parse(&flags.value()?)?),
+            "--priority" => priority = flags.parse("an integer 0..=255")?,
+            _ if arg.starts_with("--") || config.is_some() => return Err(flags.unexpected()),
+            _ => config = Some(arg),
         }
     }
     if connect.is_none() && priority != 0 {
@@ -107,42 +97,27 @@ fn run_remote(
     endpoint: &Endpoint,
     priority: u8,
     sinks: &mut SpecSinks,
-) -> (
-    nvmexplorer_core::sweep::StudyResult,
-    Option<nvmexplorer_core::fault_study::FaultOutcome>,
-) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read `{path}`: {e}");
-        std::process::exit(2);
-    });
-    let config: serde::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("`{path}` is not valid JSON: {e}");
-        std::process::exit(2);
-    });
-    let mut client = Connection::connect(endpoint).unwrap_or_else(|e| {
-        eprintln!("cannot connect to {endpoint}: {e}");
-        std::process::exit(1);
-    });
+) -> (StudyResult, Option<FaultOutcome>) {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail!(2, "cannot read `{path}`: {e}"));
+    let config: serde::Value =
+        serde_json::from_str(&text).unwrap_or_else(|e| fail!(2, "`{path}` is not valid JSON: {e}"));
+    let mut client = Connection::connect(endpoint)
+        .unwrap_or_else(|e| fail!(1, "cannot connect to {endpoint}: {e}"));
     client
         .send_line(&RequestFrame::Submit { priority, config }.to_line())
-        .unwrap_or_else(|e| {
-            eprintln!("cannot submit: {e}");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|e| fail!(1, "cannot submit: {e}"));
 
     let mut replayer = StreamReplayer::new();
     let mut session = None;
     loop {
         let line = match client.recv_line() {
             Ok(Some(line)) => line,
-            Ok(None) => {
-                eprintln!("server closed the connection before the session finished");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("read failed: {e}");
-                std::process::exit(1);
-            }
+            Ok(None) => fail!(
+                1,
+                "server closed the connection before the session finished"
+            ),
+            Err(e) => fail!(1, "read failed: {e}"),
         };
         // One pass classifies the line: a session event frame feeds the
         // strict replayer (which also forwards the event into the local
@@ -150,10 +125,7 @@ fn run_remote(
         let response = match replayer.push_served_line(&line, sinks) {
             Ok(Served::Event { .. }) => continue,
             Ok(Served::Response(response)) => response,
-            Err(e) => {
-                eprintln!("server stream is not a valid session capture: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail!(1, "server stream is not a valid session capture: {e}"),
         };
         match response {
             Ok(ResponseFrame::Submitted {
@@ -173,92 +145,42 @@ fn run_remote(
                 let cache = cache.unwrap_or_default();
                 eprintln!("session {session}: {outcome} cache {cache}");
                 if outcome != "finished" {
-                    eprintln!("study failed: {}", error.unwrap_or(outcome));
-                    std::process::exit(1);
+                    fail!(1, "study failed: {}", error.unwrap_or(outcome));
                 }
                 break;
             }
             Ok(ResponseFrame::Error { reason }) => {
-                eprintln!("server: {reason}");
-                std::process::exit(if session.is_none() { 2 } else { 1 });
+                fail!(if session.is_none() { 2 } else { 1 }, "server: {reason}")
             }
-            Ok(other) => {
-                eprintln!("unexpected `{}` response mid-session", other.kind());
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("malformed response: {e}");
-                std::process::exit(1);
-            }
+            Ok(other) => fail!(1, "unexpected `{}` response mid-session", other.kind()),
+            Err(e) => fail!(1, "malformed response: {e}"),
         }
     }
-    let replay = replayer.finish().unwrap_or_else(|e| {
-        eprintln!("session stream did not finish cleanly: {e}");
-        std::process::exit(1);
-    });
+    let replay = replayer
+        .finish()
+        .unwrap_or_else(|e| fail!(1, "session stream did not finish cleanly: {e}"));
     (replay.result, replay.fault)
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2);
-    });
-    let (path, store_flag) = (args.config.clone(), args.store.clone());
-    let campaign = load_campaign(&path).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let args = parse_args().unwrap_or_else(|e| usage_error(e, USAGE));
+    let campaign = load_campaign(&args.config).unwrap_or_else(|e| fail!(2, "{e}"));
     let study = campaign.study();
 
-    let mut sinks = SpecSinks::new(&study.output).unwrap_or_else(|e| {
-        eprintln!("cannot open output sinks: {e}");
-        std::process::exit(1);
-    });
+    let mut sinks =
+        SpecSinks::new(&study.output).unwrap_or_else(|e| fail!(1, "cannot open output sinks: {e}"));
     // The flag overrides the config's `store` section; either way the cache
     // is owned here so the L2 counters can be reported after the run.
-    // Under --connect the server owns cache and store; both stay unset.
-    let store_dir: Option<PathBuf> = match &args.connect {
+    // Under --connect the server owns cache and store.
+    let store = match args.connect {
         Some(_) => None,
-        None => store_flag
-            .or_else(|| study.store.dir.clone())
-            .map(PathBuf::from),
+        None => Store::open(args.store, study).unwrap_or_else(|e| fail!(1, "{e}")),
     };
-    let cache = store_dir.as_ref().map(|dir| {
-        SubarrayCache::with_store(dir).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot open characterization store `{}`: {e}",
-                dir.display()
-            );
-            std::process::exit(1);
-        })
-    });
     let (result, fault) = match &args.connect {
-        Some(endpoint) => run_remote(&path, endpoint, args.priority, &mut sinks),
-        None => {
-            let mut executor = StudyExecutor::new();
-            if let Some(cache) = &cache {
-                executor = executor.cache(cache);
-            }
-            match &campaign {
-                CampaignConfig::Study(study) => {
-                    let result = executor.run(study, &mut sinks).unwrap_or_else(|e| {
-                        eprintln!("study failed: {e}");
-                        std::process::exit(1);
-                    });
-                    (result, None)
-                }
-                CampaignConfig::Fault(campaign) => {
-                    let result = executor
-                        .run_fault(campaign, &mut sinks)
-                        .unwrap_or_else(|e| {
-                            eprintln!("study failed: {e}");
-                            std::process::exit(1);
-                        });
-                    (result.study, Some(result.fault))
-                }
-            }
-        }
+        Some(endpoint) => run_remote(&args.config, endpoint, args.priority, &mut sinks),
+        None => campaign::executor(None, store.as_ref())
+            .run_campaign(&campaign, &mut sinks)
+            .unwrap_or_else(|e| fail!(1, "study failed: {e}")),
     };
     // One line per distinct (cell, reason), in first-occurrence order: an
     // unrealizable cell is skipped once per target, capacity, and depth,
@@ -274,39 +196,18 @@ fn main() {
         eprintln!("skipped {cell}: {reason} (×{count})");
     }
 
-    let out = nvmx_bench::output_dir().join(format!("{}_results.csv", study.name));
-    results_csv(study, &result)
-        .write_to(&out)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot write results: {e}");
-            std::process::exit(1);
-        });
-    match &fault {
-        Some(fault) => {
-            let fault_out = nvmx_bench::output_dir().join(format!("{}_fault.csv", study.name));
-            fault_csv(fault).write_to(&fault_out).unwrap_or_else(|e| {
-                eprintln!("cannot write fault results: {e}");
-                std::process::exit(1);
-            });
-            println!("{}", fault_summary_line(study, &result, fault));
-            eprintln!("  [{}] results -> {}", study.name, out.display());
-            eprintln!("  [{}] fault trials -> {}", study.name, fault_out.display());
-        }
-        None => {
-            println!("{}", summary_line(study, &result));
-            eprintln!("  [{}] results -> {}", study.name, out.display());
-        }
-    }
+    let out = nvmx_bench::output_dir();
+    write_artifacts(
+        Some(study),
+        &result,
+        fault.as_ref(),
+        Some(&out.join(format!("{}_results.csv", study.name))),
+        Some(&out.join(format!("{}_fault.csv", study.name))),
+    )
+    .unwrap_or_else(|e| fail!(1, "{e}"));
     // Store telemetry goes to stderr only: stdout (summary line) and the
     // results CSV must stay byte-identical with and without a warm store.
-    if let (Some(dir), Some(cache)) = (&store_dir, &cache) {
-        let stats = cache.stats();
-        eprintln!(
-            "store {}: l2_hits={} l2_misses={} l2_rejects={}",
-            dir.display(),
-            stats.l2_hits,
-            stats.l2_misses,
-            stats.l2_rejects,
-        );
+    if let Some(store) = &store {
+        store.report();
     }
 }

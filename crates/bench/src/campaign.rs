@@ -1,7 +1,8 @@
 //! Shared plumbing for the campaign binaries (`run`, `nvmx-worker`,
-//! `nvmx-coordinator`): the canonical results-CSV schema, the canonical
-//! study summary line, and config loading with artifact-style exit
-//! semantics.
+//! `nvmx-coordinator`): config loading with artifact-style exit
+//! semantics, the one store opener ([`Store`]), the canonical results-CSV
+//! and fault-CSV schemas, the canonical summary lines, and the one writer
+//! of a finished campaign's artifacts ([`write_artifacts`]).
 //!
 //! Everything here is deliberately a pure function of `(StudyConfig,
 //! StudyResult)`, so the in-process runner and a wire-replayed capture
@@ -10,31 +11,135 @@
 
 use nvmexplorer_core::config::{CampaignConfig, StudyConfig};
 use nvmexplorer_core::fault_study::FaultOutcome;
+use nvmexplorer_core::stream::StudyExecutor;
 use nvmexplorer_core::sweep::StudyResult;
+use nvmx_nvsim::SubarrayCache;
 use nvmx_viz::csv::{ArrayCells, Csv};
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
-/// Loads and parses a study config file.
+/// Loads a campaign config file: a plain study, or — when the JSON carries
+/// a top-level `fault` section — a fault-injection campaign layered over
+/// it.
 ///
 /// # Errors
 ///
 /// A ready-to-print message: unreadable files and malformed configs both
 /// name the path, and parse failures carry the offending section (via
 /// [`ConfigError`](nvmexplorer_core::config::ConfigError)'s display form).
-pub fn load_config(path: &str) -> Result<StudyConfig, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    StudyConfig::from_json(&json).map_err(|e| format!("invalid study config `{path}`: {e}"))
-}
-
-/// Loads a campaign config file: a plain study, or — when the JSON carries
-/// a top-level `fault` section — a fault-injection campaign layered over
-/// it. Same exit semantics as [`load_config`].
-///
-/// # Errors
-///
-/// A ready-to-print message naming the path and the offending section.
 pub fn load_campaign(path: &str) -> Result<CampaignConfig, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     CampaignConfig::from_json(&json).map_err(|e| format!("invalid study config `{path}`: {e}"))
+}
+
+/// The persistent characterization store a run is backed by: its
+/// directory and the cache that counts its L2 traffic.
+pub struct Store {
+    dir: PathBuf,
+    cache: SubarrayCache,
+}
+
+impl Store {
+    /// Opens the store `flag` (a `--store DIR` value) names, else the one
+    /// `study`'s `store` section names; `None` when neither names one.
+    ///
+    /// # Errors
+    ///
+    /// ``cannot open characterization store `<dir>`: <cause>`` when the
+    /// directory cannot be created.
+    pub fn open(flag: Option<String>, study: &StudyConfig) -> Result<Option<Self>, String> {
+        let Some(dir) = flag.or_else(|| study.store.dir.clone()).map(PathBuf::from) else {
+            return Ok(None);
+        };
+        let cache = SubarrayCache::with_store(&dir).map_err(|e| {
+            format!(
+                "cannot open characterization store `{}`: {e}",
+                dir.display()
+            )
+        })?;
+        Ok(Some(Self { dir, cache }))
+    }
+
+    /// Prints the L2 counters so far on stderr:
+    /// `store <dir>: l2_hits=… l2_misses=… l2_rejects=…`. One write for
+    /// the whole line: workers share their coordinator's stderr, and
+    /// `eprintln!` writes each piece separately, so two workers reporting
+    /// at once would interleave mid-line.
+    pub fn report(&self) {
+        let stats = self.cache.stats();
+        let line = format!(
+            "store {}: l2_hits={} l2_misses={} l2_rejects={}\n",
+            self.dir.display(),
+            stats.l2_hits,
+            stats.l2_misses,
+            stats.l2_rejects,
+        );
+        let _ = std::io::stderr().write_all(line.as_bytes());
+    }
+}
+
+/// An executor with `threads` workers (default: one per CPU, capped at
+/// 16), sharing `store`'s cache when there is one.
+pub fn executor(threads: Option<usize>, store: Option<&Store>) -> StudyExecutor<'_> {
+    let executor = threads.map_or_else(StudyExecutor::new, StudyExecutor::with_threads);
+    match store {
+        Some(store) => executor.cache(&store.cache),
+        None => executor,
+    }
+}
+
+/// Writes a finished campaign's artifacts, the same way in every binary:
+/// the results CSV to `results` (which needs the study's config, for its
+/// constraint filter) and, for a fault campaign, the fault CSV to
+/// `fault_out`; then, with the config, the summary line on stdout
+/// ([`fault_summary_line`] for a fault campaign, else [`summary_line`]);
+/// then one `  [<study>] results -> <path>` or `  [<study>] fault trials
+/// -> <path>` line on stderr per CSV written. A capture replayed without
+/// its config gets no summary line and no results CSV.
+///
+/// # Errors
+///
+/// ``cannot write `<path>`: <cause>`` for the first CSV that fails;
+/// nothing is printed then.
+pub fn write_artifacts(
+    study: Option<&StudyConfig>,
+    result: &StudyResult,
+    fault: Option<&FaultOutcome>,
+    results: Option<&Path>,
+    fault_out: Option<&Path>,
+) -> Result<(), String> {
+    let mut written = Vec::new();
+    let mut write = |what, csv: Csv, path: &'_ Path| {
+        csv.write_to(path)
+            .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
+        written.push((what, path.to_owned()));
+        Ok::<_, String>(())
+    };
+    if let (Some(study), Some(path)) = (study, results) {
+        write("results", results_csv(study, result), path)?;
+    }
+    if let (Some(fault), Some(path)) = (fault, fault_out) {
+        write("fault trials", fault_csv(fault), path)?;
+    }
+    if let Some(study) = study {
+        println!("{}", campaign_summary_line(study, result, fault));
+    }
+    for (what, path) in written {
+        eprintln!("  [{}] {what} -> {}", result.name, path.display());
+    }
+    Ok(())
+}
+
+/// [`fault_summary_line`] for a fault campaign, else [`summary_line`].
+fn campaign_summary_line(
+    study: &StudyConfig,
+    result: &StudyResult,
+    fault: Option<&FaultOutcome>,
+) -> String {
+    match fault {
+        Some(fault) => fault_summary_line(study, result, fault),
+        None => summary_line(study, result),
+    }
 }
 
 /// The artifact-style results table: one row per `array × traffic`
@@ -135,15 +240,6 @@ pub fn fault_summary_line(
     )
 }
 
-/// How many evaluations pass the study's constraint filter.
-pub fn constrained_count(study: &StudyConfig, result: &StudyResult) -> usize {
-    result
-        .evaluations
-        .iter()
-        .filter(|e| study.constraints.admits(e))
-        .count()
-}
-
 /// The canonical one-line study summary, printed identically by the `run`
 /// binary, `nvmx-coordinator run`, and `nvmx-coordinator replay` so CI can
 /// diff the three paths textually.
@@ -154,7 +250,9 @@ pub fn summary_line(study: &StudyConfig, result: &StudyResult) -> String {
         result.arrays.len(),
         result.evaluations.len(),
         result.skipped.len(),
-        constrained_count(study, result),
+        (result.evaluations.iter())
+            .filter(|e| study.constraints.admits(e))
+            .count(),
     )
 }
 
@@ -280,10 +378,9 @@ mod tests {
         assert!(line.contains(&format!("{} evaluations", result.evaluations.len())));
     }
 
-    #[test]
-    fn fault_csv_and_summary_are_pure_functions_of_the_outcome() {
+    fn small_fault_campaign() -> nvmexplorer_core::config::FaultStudyConfig {
         use nvmexplorer_core::config::{FaultSpec, FaultStudyConfig};
-        let campaign = FaultStudyConfig {
+        FaultStudyConfig {
             study: small_study(),
             fault: FaultSpec {
                 trials: 2,
@@ -293,7 +390,78 @@ mod tests {
                 raw_bers: vec![1.0e-3],
                 tolerance: 0.05,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn write_artifacts_writes_the_canonical_bytes() {
+        let dir = std::env::temp_dir().join(format!(
+            "nvmx_campaign_artifacts_test_{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (results, fault_out) = (dir.join("results.csv"), dir.join("fault.csv"));
+        let read = |path: &Path| std::fs::read_to_string(path).unwrap();
+        let executor = StudyExecutor::with_threads(2);
+
+        // A plain study: its results CSV, no fault CSV, the plain line.
+        let study = small_study();
+        let result = executor.run(&study, &mut NullSink).unwrap();
+        write_artifacts(
+            Some(&study),
+            &result,
+            None,
+            Some(&results),
+            Some(&fault_out),
+        )
+        .unwrap();
+        assert_eq!(read(&results), results_csv(&study, &result).render());
+        assert!(!fault_out.exists(), "a plain study has no fault CSV");
+        assert_eq!(
+            campaign_summary_line(&study, &result, None),
+            summary_line(&study, &result)
+        );
+
+        // A fault campaign: both CSVs and the fault campaign's line.
+        let campaign = small_fault_campaign();
+        let run = executor.run_fault(&campaign, &mut NullSink).unwrap();
+        let (study, fault) = (&campaign.study, Some(&run.fault));
+        write_artifacts(
+            Some(study),
+            &run.study,
+            fault,
+            Some(&results),
+            Some(&fault_out),
+        )
+        .unwrap();
+        assert_eq!(read(&results), results_csv(study, &run.study).render());
+        assert_eq!(read(&fault_out), fault_csv(&run.fault).render());
+        assert_eq!(
+            campaign_summary_line(study, &run.study, fault),
+            fault_summary_line(study, &run.study, &run.fault)
+        );
+
+        // Without the config (a bare replay) only the fault CSV is written.
+        std::fs::remove_file(&results).unwrap();
+        std::fs::remove_file(&fault_out).unwrap();
+        write_artifacts(None, &run.study, fault, Some(&results), Some(&fault_out)).unwrap();
+        assert!(!results.exists());
+        assert_eq!(read(&fault_out), fault_csv(&run.fault).render());
+
+        // A CSV that cannot be written names its path.
+        let blocked = results.join("under-a-file.csv");
+        std::fs::write(&results, "").unwrap();
+        let err = write_artifacts(Some(study), &run.study, None, Some(&blocked), None).unwrap_err();
+        assert!(
+            err.starts_with(&format!("cannot write `{}`: ", blocked.display())),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fault_csv_and_summary_are_pure_functions_of_the_outcome() {
+        let campaign = small_fault_campaign();
         let result = StudyExecutor::with_threads(2)
             .run_fault(&campaign, &mut NullSink)
             .unwrap();
@@ -346,15 +514,15 @@ mod tests {
     }
 
     #[test]
-    fn load_config_errors_name_the_path_and_section() {
-        let err = load_config("/nonexistent/nope.json").unwrap_err();
+    fn load_campaign_errors_name_the_path_and_section() {
+        let err = load_campaign("/nonexistent/nope.json").unwrap_err();
         assert!(err.contains("nope.json"));
         let dir =
             std::env::temp_dir().join(format!("nvmx_campaign_cfg_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("bad.json");
         std::fs::write(&bad, r#"{"name": "x", "trafic": {}}"#).unwrap();
-        let err = load_config(bad.to_str().unwrap()).unwrap_err();
+        let err = load_campaign(bad.to_str().unwrap()).unwrap_err();
         assert!(err.contains("trafic"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -15,6 +15,7 @@
 //! on any number of cores.
 
 pub mod campaign;
+pub mod cli;
 pub mod experiments;
 
 use nvmx_viz::{Csv, ScatterPlot};
@@ -146,21 +147,13 @@ pub fn run_experiment(id: &str, _fast: bool) -> Option<Experiment> {
 /// Binary entry point shared by all `fig*`/`table*` targets: run, print the
 /// report, write artifacts.
 pub fn main_for(id: &str) {
-    let experiment = run_experiment(id, false).unwrap_or_else(|| {
-        eprintln!("unknown experiment `{id}`; known: {EXPERIMENT_IDS:?}");
-        std::process::exit(2);
-    });
+    let experiment = run_experiment(id, false)
+        .unwrap_or_else(|| fail!(2, "unknown experiment `{id}`; known: {EXPERIMENT_IDS:?}"));
     println!("{}", experiment.report());
-    match experiment.write_artifacts(output_dir().join(id)) {
-        Ok(paths) => {
-            for p in paths {
-                println!("wrote {}", p.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("failed to write artifacts: {e}");
-            std::process::exit(1);
-        }
+    let paths = (experiment.write_artifacts(output_dir().join(id)))
+        .unwrap_or_else(|e| fail!(1, "failed to write artifacts: {e}"));
+    for p in paths {
+        println!("wrote {}", p.display());
     }
 }
 

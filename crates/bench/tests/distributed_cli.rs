@@ -7,7 +7,8 @@
 //! configs and retired flags.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 const RUN: &str = env!("CARGO_BIN_EXE_run");
 const WORKER: &str = env!("CARGO_BIN_EXE_nvmx-worker");
@@ -580,6 +581,50 @@ fn retired_residue_flags_exit_2() {
         .unwrap();
     assert_eq!(output.status.code(), Some(2), "worker --shard");
     assert!(String::from_utf8_lossy(&output.stderr).contains("unknown flag `--shard`"));
+}
+
+/// A worker that exits before it says `hello` on a socket has no
+/// connection whose end could report it: the coordinator's poll of its
+/// children is the only detector. Two such workers, each respawned once,
+/// leave no live worker, and the run fails instead of waiting forever.
+#[test]
+fn workers_exiting_before_hello_on_a_socket_are_detected_and_abandoned() {
+    use std::os::unix::fs::PermissionsExt;
+
+    let dir = TempDir::new("exit_at_once");
+    let config = write_config(dir.path(), CONFIG);
+    let script = dir.path().join("exit-at-once.sh");
+    std::fs::write(&script, "#!/bin/sh\nexit 0\n").unwrap();
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+    for transport in ["unix", "tcp"] {
+        let mut coordinator = Command::new(COORDINATOR)
+            .arg("run")
+            .args(["--config".as_ref(), config.as_os_str()])
+            .args(["--transport", transport, "--max-respawns", "1"])
+            .arg("--worker-bin")
+            .arg(&script)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // Undetected deaths would leave the coordinator waiting forever.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while coordinator.try_wait().unwrap().is_none() {
+            if Instant::now() > deadline {
+                coordinator.kill().ok();
+                coordinator.wait().ok();
+                panic!("{transport}: the coordinator never saw its workers exit");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let output = coordinator.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{transport}:\n{stderr}");
+        assert!(
+            stderr.contains("all 2 workers are dead or abandoned"),
+            "{transport}:\n{stderr}"
+        );
+    }
 }
 
 #[test]

@@ -401,6 +401,19 @@ fn remote_usage_and_rejection_exit_codes() {
     );
 
     daemon.shutdown();
+
+    // Every submit is queued before a lane claims it, so a daemon bounded
+    // at 0 could admit nothing: the bound is a usage error.
+    let output = Daemon::command(None)
+        .args(["--capacity", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2), "--capacity 0");
+    assert!(
+        String::from_utf8_lossy(&output.stderr).contains("--capacity expects an integer >= 1"),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
 }
 
 /// One deeply nested request line is a bad request, not a crashed daemon:

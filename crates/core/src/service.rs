@@ -410,14 +410,11 @@ impl ServiceInner {
         let executor = StudyExecutor::with_threads(self.config.workers)
             .cache(&self.cache)
             .seeds(&self.seeds);
-        let outcome = match &campaign {
-            CampaignConfig::Study(study) => executor.run(study, &mut sink).map(|_| ()),
-            CampaignConfig::Fault(fault) => executor.run_fault(fault, &mut sink).map(|_| ()),
-        };
+        let outcome = executor.run_campaign(&campaign, &mut sink);
         let delta = self.cache.stats().since(before);
 
         match outcome {
-            Ok(()) => session.finish(SessionPhase::Finished, None, Some(delta)),
+            Ok(_) => session.finish(SessionPhase::Finished, None, Some(delta)),
             Err(e) => {
                 if session.cancelled.load(Ordering::Acquire) {
                     // The sink aborted the run on the cancel flag; the

@@ -32,7 +32,9 @@
 //! `stats.cache` is observability data, not an invariant — everything else
 //! in the stream is exact.
 
+use crate::config::CampaignConfig;
 use crate::eval::Evaluation;
+use crate::fault_study::FaultOutcome;
 use crate::sweep::StudyResult;
 use nvmx_nvsim::{
     ArrayCharacterization, CacheStats, IncumbentStore, OptimizationTarget, SubarrayCache,
@@ -622,7 +624,7 @@ impl StudyResultBuilder {
     /// outcome when the stream was a fault campaign (terminal event
     /// `fault_study_finished`); `None` in the second slot for plain
     /// studies.
-    pub fn finish_parts(self) -> Option<(StudyResult, Option<crate::fault_study::FaultOutcome>)> {
+    pub fn finish_parts(self) -> Option<(StudyResult, Option<FaultOutcome>)> {
         if !self.finished {
             return None;
         }
@@ -632,13 +634,11 @@ impl StudyResultBuilder {
             evaluations: self.evaluations,
             skipped: self.skipped,
         };
-        let fault = self
-            .fault_stats
-            .map(|stats| crate::fault_study::FaultOutcome {
-                trials: self.fault_trials,
-                reports: self.fault_reports,
-                stats,
-            });
+        let fault = self.fault_stats.map(|stats| FaultOutcome {
+            trials: self.fault_trials,
+            reports: self.fault_reports,
+            stats,
+        });
         Some((result, fault))
     }
 }
@@ -807,6 +807,26 @@ impl<'c> StudyExecutor<'c> {
         };
         crate::sweep::run_study_impl(study, self.threads, cache, self.seeds, sink)
     }
+
+    /// Runs a campaign config — a plain study through [`Self::run`], a
+    /// fault campaign through [`Self::run_fault`] — returning the study's
+    /// result plus, for a fault campaign, its fault outcome.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run`] and [`Self::run_fault`].
+    pub fn run_campaign(
+        &self,
+        campaign: &CampaignConfig,
+        sink: &mut dyn ResultSink,
+    ) -> Result<(StudyResult, Option<FaultOutcome>), crate::sweep::StudyError> {
+        match campaign {
+            CampaignConfig::Study(study) => Ok((self.run(study, sink)?, None)),
+            CampaignConfig::Fault(fault) => {
+                (self.run_fault(fault, sink)).map(|result| (result.study, Some(result.fault)))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -875,6 +895,71 @@ mod tests {
         assert_eq!(arrays, result.arrays.len());
         assert_eq!(evals, result.evaluations.len());
         assert!(recorder.kinds.contains(&"target_winner_selected"));
+    }
+
+    /// Records every event's JSON object, in order.
+    #[derive(Default)]
+    struct Lines(Vec<String>);
+
+    impl ResultSink for Lines {
+        fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
+            let mut line = String::new();
+            event.write_json(&mut line);
+            self.0.push(line);
+            Ok(())
+        }
+    }
+
+    /// What [`StudyResultBuilder::finish_parts`] rebuilds.
+    type Parts = Option<(StudyResult, Option<FaultOutcome>)>;
+
+    /// Runs `run` with a fresh event recorder and result builder behind
+    /// one sink, returning what it returned, the events, and the rebuilt
+    /// parts.
+    fn observed<T>(run: impl FnOnce(&mut dyn ResultSink) -> T) -> (T, Vec<String>, Parts) {
+        let (mut lines, mut builder) = (Lines::default(), StudyResultBuilder::new());
+        let out = run(&mut MultiSink::new().with(&mut lines).with(&mut builder));
+        (out, lines.0, builder.finish_parts())
+    }
+
+    #[test]
+    fn run_campaign_streams_and_returns_what_run_and_run_fault_do() {
+        use crate::config::{FaultSpec, FaultStudyConfig};
+        // One thread and a private cache per run: even the terminal
+        // event's cache counters repeat exactly.
+        let executor = StudyExecutor::with_threads(1);
+        let study = small_study();
+        let (direct, direct_lines, direct_parts) = observed(|sink| executor.run(&study, sink));
+        let campaign = CampaignConfig::Study(study.clone());
+        let (via, via_lines, via_parts) = observed(|sink| executor.run_campaign(&campaign, sink));
+        let direct = direct.unwrap();
+        assert_eq!(via.unwrap(), (direct.clone(), None));
+        assert_eq!(via_lines, direct_lines);
+        assert_eq!(via_parts, direct_parts);
+        assert_eq!(via_parts, Some((direct, None)));
+
+        let fault = FaultStudyConfig {
+            study,
+            fault: FaultSpec {
+                trials: 2,
+                seed: 5,
+                bits_per_cell: vec![nvmx_units::BitsPerCell::Slc],
+                temperatures_c: vec![25.0],
+                raw_bers: vec![1.0e-3],
+                tolerance: 0.05,
+            },
+        };
+        let (direct, direct_lines, direct_parts) =
+            observed(|sink| executor.run_fault(&fault, sink));
+        let campaign = CampaignConfig::Fault(fault);
+        let (via, via_lines, via_parts) = observed(|sink| executor.run_campaign(&campaign, sink));
+        let direct = direct.unwrap();
+        let expected = (direct.study, Some(direct.fault));
+        assert_eq!(via.unwrap(), expected);
+        assert!(via_lines.last().unwrap().contains("fault_study_finished"));
+        assert_eq!(via_lines, direct_lines);
+        assert_eq!(via_parts, direct_parts);
+        assert_eq!(via_parts, Some(expected));
     }
 
     #[test]
