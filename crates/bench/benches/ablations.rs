@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvmexplorer_core::eval::evaluate;
 use nvmx_celldb::{survey, tentpole, CellFlavor, TechnologyClass};
-use nvmx_nvsim::{characterize, dse, ArrayConfig};
+use nvmx_nvsim::{characterize, dse, ArrayConfig, OptimizationTarget};
 use nvmx_units::Capacity;
 use nvmx_workloads::TrafficPattern;
 
@@ -19,7 +19,7 @@ fn ablation_dse_granularity(c: &mut Criterion) {
         b.iter(|| dse::enumerate_organizations(&config));
     });
     group.bench_function("full_optimize", |b| {
-        b.iter(|| dse::optimize(&cell, &config).unwrap());
+        b.iter(|| characterize(&cell, &config, OptimizationTarget::ReadEdp).unwrap());
     });
     group.finish();
 }
@@ -35,7 +35,7 @@ fn ablation_tentpole_vs_full_survey(c: &mut Criterion) {
         b.iter(|| {
             cells
                 .iter()
-                .filter_map(|cell| characterize(cell, &config).ok())
+                .filter_map(|cell| characterize(cell, &config, OptimizationTarget::ReadEdp).ok())
                 .count()
         });
     });
@@ -53,7 +53,7 @@ fn ablation_tentpole_vs_full_survey(c: &mut Criterion) {
         b.iter(|| {
             cells
                 .iter()
-                .filter_map(|cell| characterize(cell, &config).ok())
+                .filter_map(|cell| characterize(cell, &config, OptimizationTarget::ReadEdp).ok())
                 .count()
         });
     });
@@ -64,7 +64,12 @@ fn ablation_tentpole_vs_full_survey(c: &mut Criterion) {
 /// accumulation over one second of simulated traffic.
 fn ablation_longpole_vs_per_access(c: &mut Criterion) {
     let cell = tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
-    let array = characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap();
+    let array = characterize(
+        &cell,
+        &ArrayConfig::new(Capacity::from_mebibytes(2)),
+        OptimizationTarget::ReadEdp,
+    )
+    .unwrap();
     let traffic = TrafficPattern::new("t", 1.0e9, 10.0e6, 64);
     let mut group = c.benchmark_group("ablation_eval");
     group.bench_function("analytic_longpole", |b| {

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nvmx_celldb::{custom, tentpole, CellFlavor, TechnologyClass};
-use nvmx_nvsim::{characterize, ArrayConfig};
+use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
 use nvmx_units::Capacity;
 
 fn bench_characterization(c: &mut Criterion) {
@@ -12,11 +12,11 @@ fn bench_characterization(c: &mut Criterion) {
         let config = ArrayConfig::new(Capacity::from_mebibytes(mib));
         let stt = tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
         group.bench_with_input(BenchmarkId::new("stt_opt", mib), &config, |b, config| {
-            b.iter(|| characterize(&stt, config).unwrap());
+            b.iter(|| characterize(&stt, config, OptimizationTarget::ReadEdp).unwrap());
         });
         let sram = custom::sram_16nm();
         group.bench_with_input(BenchmarkId::new("sram", mib), &config, |b, config| {
-            b.iter(|| characterize(&sram, config).unwrap());
+            b.iter(|| characterize(&sram, config, OptimizationTarget::ReadEdp).unwrap());
         });
     }
     group.finish();

@@ -6,7 +6,9 @@ use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, Traffi
 use nvmexplorer_core::eval::evaluate;
 use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
-use nvmx_nvsim::{characterize, characterize_targets, ArrayConfig, OptimizationTarget};
+use nvmx_nvsim::{
+    characterize, characterize_targets, ArrayConfig, OptimizationTarget, SubarrayCache,
+};
 use nvmx_units::Capacity;
 use nvmx_workloads::TrafficPattern;
 
@@ -87,13 +89,22 @@ fn bench_characterize_targets(c: &mut Criterion) {
     let config = ArrayConfig::new(Capacity::from_mebibytes(2));
     let mut group = c.benchmark_group("characterize_all_targets");
     group.bench_function("shared_pass", |b| {
-        b.iter(|| characterize_targets(&cell, &config, &OptimizationTarget::ALL).unwrap());
+        b.iter(|| {
+            characterize_targets(
+                &cell,
+                &config,
+                &OptimizationTarget::ALL,
+                &SubarrayCache::new(),
+                None,
+            )
+            .unwrap()
+        });
     });
     group.bench_function("per_target", |b| {
         b.iter(|| {
             OptimizationTarget::ALL
                 .into_iter()
-                .map(|t| characterize(&cell, &config.with_target(t)).unwrap())
+                .map(|t| characterize(&cell, &config, t).unwrap())
                 .collect::<Vec<_>>()
         });
     });
@@ -102,7 +113,12 @@ fn bench_characterize_targets(c: &mut Criterion) {
 
 fn bench_evaluate(c: &mut Criterion) {
     let cell = tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
-    let array = characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap();
+    let array = characterize(
+        &cell,
+        &ArrayConfig::new(Capacity::from_mebibytes(2)),
+        OptimizationTarget::ReadEdp,
+    )
+    .unwrap();
     let traffic = TrafficPattern::new("t", 2.0e9, 20.0e6, 64);
     c.bench_function("evaluate_single_pair", |b| {
         b.iter(|| evaluate(&array, &traffic));

@@ -696,7 +696,7 @@ fn run_leased_study(
         )),
         None => None,
     };
-    let mut spec_sinks = nvmx_viz::sink::SpecSinks::new(&study.output)
+    let mut spec_sinks = nvmx_viz::sink::from_spec(&study.output)
         .map_err(|e| format!("cannot open output sinks: {e}"))?;
 
     let (tx, rx) = mpsc::sync_channel::<NetEv>(1024);

@@ -43,13 +43,13 @@
 //! the offending section named on stderr.
 
 use nvmexplorer_core::fault_study::FaultOutcome;
+use nvmexplorer_core::stream::MultiSink;
 use nvmexplorer_core::sweep::StudyResult;
 use nvmexplorer_core::transport::{Connection, Endpoint};
 use nvmexplorer_core::wire::{RequestFrame, ResponseFrame, Served, StreamReplayer};
 use nvmx_bench::campaign::{self, load_campaign, write_artifacts, Store};
 use nvmx_bench::cli::{usage_error, Flags};
 use nvmx_bench::fail;
-use nvmx_viz::sink::SpecSinks;
 
 const USAGE: &str = "usage: run <config.json> [--store DIR] [--connect ADDR [--priority N]]";
 
@@ -96,7 +96,7 @@ fn run_remote(
     path: &str,
     endpoint: &Endpoint,
     priority: u8,
-    sinks: &mut SpecSinks,
+    sinks: &mut MultiSink,
 ) -> (StudyResult, Option<FaultOutcome>) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail!(2, "cannot read `{path}`: {e}"));
@@ -167,8 +167,8 @@ fn main() {
     let campaign = load_campaign(&args.config).unwrap_or_else(|e| fail!(2, "{e}"));
     let study = campaign.study();
 
-    let mut sinks =
-        SpecSinks::new(&study.output).unwrap_or_else(|e| fail!(1, "cannot open output sinks: {e}"));
+    let mut sinks = nvmx_viz::sink::from_spec(&study.output)
+        .unwrap_or_else(|e| fail!(1, "cannot open output sinks: {e}"));
     // The flag overrides the config's `store` section; either way the cache
     // is owned here so the L2 counters can be reported after the run.
     // Under --connect the server owns cache and store.

@@ -47,9 +47,9 @@ pub fn characterize_study(
         word_bits,
         node,
         bits_per_cell,
-        target,
     };
-    characterize(cell, &config).unwrap_or_else(|e| panic!("characterizing {}: {e}", cell.name))
+    characterize(cell, &config, target)
+        .unwrap_or_else(|e| panic!("characterizing {}: {e}", cell.name))
 }
 
 /// Characterizes every study cell at one capacity/word/target (SLC).

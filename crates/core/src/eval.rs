@@ -314,19 +314,24 @@ pub fn memory_lifetime(array: &ArrayCharacterization, write_bytes_per_sec: f64) 
 mod tests {
     use super::*;
     use nvmx_celldb::{custom, tentpole, CellFlavor, TechnologyClass};
-    use nvmx_nvsim::{characterize, ArrayConfig};
+    use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
     use nvmx_units::{Capacity, Meters};
 
     fn array(tech: TechnologyClass, flavor: CellFlavor) -> ArrayCharacterization {
         let cell = tentpole::tentpole_cell(tech, flavor).unwrap();
-        characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap()
+        characterize(
+            &cell,
+            &ArrayConfig::new(Capacity::from_mebibytes(2)),
+            OptimizationTarget::ReadEdp,
+        )
+        .unwrap()
     }
 
     fn sram_array() -> ArrayCharacterization {
         let cell = custom::sram_16nm();
         let config =
             ArrayConfig::new(Capacity::from_mebibytes(2)).with_node(Meters::from_nano(16.0));
-        characterize(&cell, &config).unwrap()
+        characterize(&cell, &config, OptimizationTarget::ReadEdp).unwrap()
     }
 
     #[test]

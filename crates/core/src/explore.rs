@@ -187,7 +187,7 @@ mod tests {
     use super::*;
     use crate::eval::evaluate;
     use nvmx_celldb::{custom, tentpole, CellFlavor};
-    use nvmx_nvsim::{characterize, ArrayConfig};
+    use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
     use nvmx_units::Capacity;
     use nvmx_workloads::TrafficPattern;
 
@@ -201,8 +201,12 @@ mod tests {
         ] {
             for flavor in [CellFlavor::Optimistic, CellFlavor::Pessimistic] {
                 let cell = tentpole::tentpole_cell(tech, flavor).unwrap();
-                let array =
-                    characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap();
+                let array = characterize(
+                    &cell,
+                    &ArrayConfig::new(Capacity::from_mebibytes(2)),
+                    OptimizationTarget::ReadEdp,
+                )
+                .unwrap();
                 evals.push(evaluate(&array, &traffic));
             }
         }
@@ -211,6 +215,7 @@ mod tests {
             &sram,
             &ArrayConfig::new(Capacity::from_mebibytes(2))
                 .with_node(nvmx_units::Meters::from_nano(16.0)),
+            OptimizationTarget::ReadEdp,
         )
         .unwrap();
         evals.push(evaluate(&array, &traffic));

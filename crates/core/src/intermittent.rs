@@ -192,12 +192,17 @@ pub fn continuous_equivalent(
 mod tests {
     use super::*;
     use nvmx_celldb::{custom, tentpole, CellFlavor, TechnologyClass};
-    use nvmx_nvsim::{characterize, ArrayConfig};
+    use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
     use nvmx_units::{Capacity, Meters};
 
     fn array(tech: TechnologyClass) -> ArrayCharacterization {
         let cell = tentpole::tentpole_cell(tech, CellFlavor::Optimistic).unwrap();
-        characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap()
+        characterize(
+            &cell,
+            &ArrayConfig::new(Capacity::from_mebibytes(2)),
+            OptimizationTarget::ReadEdp,
+        )
+        .unwrap()
     }
 
     fn scenario() -> IntermittentScenario {
@@ -244,6 +249,7 @@ mod tests {
         let sram = characterize(
             &cell,
             &ArrayConfig::new(Capacity::from_mebibytes(2)).with_node(Meters::from_nano(16.0)),
+            OptimizationTarget::ReadEdp,
         )
         .unwrap();
         let stt = array(TechnologyClass::Stt);
@@ -287,6 +293,7 @@ mod tests {
         let sram = characterize(
             &custom::sram_16nm(),
             &ArrayConfig::new(Capacity::from_mebibytes(2)).with_node(Meters::from_nano(16.0)),
+            OptimizationTarget::ReadEdp,
         )
         .unwrap();
         assert_eq!(scrub_energy_per_day(&sram).value(), 0.0);
@@ -295,7 +302,12 @@ mod tests {
     #[test]
     fn hot_operation_raises_scrub_energy() {
         let cell = tentpole::tentpole_cell(TechnologyClass::Rram, CellFlavor::Pessimistic).unwrap();
-        let rram = characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap();
+        let rram = characterize(
+            &cell,
+            &ArrayConfig::new(Capacity::from_mebibytes(2)),
+            OptimizationTarget::ReadEdp,
+        )
+        .unwrap();
         let reference = scrub_energy_per_day_at(&rram, 25.0);
         assert!(
             (reference.value() - scrub_energy_per_day(&rram).value()).abs()
@@ -311,6 +323,7 @@ mod tests {
         let sram = characterize(
             &custom::sram_16nm(),
             &ArrayConfig::new(Capacity::from_mebibytes(2)).with_node(Meters::from_nano(16.0)),
+            OptimizationTarget::ReadEdp,
         )
         .unwrap();
         assert_eq!(scrub_energy_per_day_at(&sram, 125.0).value(), 0.0);
@@ -321,7 +334,12 @@ mod tests {
         // Pessimistic RRAM retains ~1e3 s — it must rewrite itself ~86
         // times a day, and that cost lands in the daily total.
         let cell = tentpole::tentpole_cell(TechnologyClass::Rram, CellFlavor::Pessimistic).unwrap();
-        let rram = characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap();
+        let rram = characterize(
+            &cell,
+            &ArrayConfig::new(Capacity::from_mebibytes(2)),
+            OptimizationTarget::ReadEdp,
+        )
+        .unwrap();
         let scrub = scrub_energy_per_day(&rram);
         assert!(scrub.value() > 0.0, "short-retention array must scrub");
         let daily = daily_energy(&rram, &scenario(), 100.0);

@@ -521,10 +521,21 @@ pub trait ResultSink {
     }
 }
 
-// Boxed sinks forward transparently, so sink sets built at runtime (the
-// coordinator's per-study capture + output fan-outs) compose like any
-// other sink.
-impl ResultSink for Box<dyn ResultSink + '_> {
+// Boxed and borrowed sinks forward transparently, so sink sets built at
+// runtime (a study's `output` fan-out, a scheduler's per-study sinks) and
+// sinks the caller keeps (`MultiSink::new().with(&mut csv)`) compose like
+// any other sink.
+impl<S: ResultSink + ?Sized> ResultSink for Box<S> {
+    fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
+        (**self).on_event(event)
+    }
+
+    fn is_passive(&self) -> bool {
+        (**self).is_passive()
+    }
+}
+
+impl<S: ResultSink + ?Sized> ResultSink for &mut S {
     fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
         (**self).on_event(event)
     }
@@ -548,10 +559,14 @@ impl ResultSink for NullSink {
     }
 }
 
-/// Fans every event out to several sinks, in push order.
+/// Fans every event out to several sinks, in push order. It owns what it
+/// is given: pass a sink by value to hand it over, or `&mut sink` to keep
+/// it and read it back after the run. The fan-out is passive exactly when
+/// every member is, so an empty one (or one of summary-only sinks) lets the
+/// engine skip the streaming drain.
 #[derive(Default)]
 pub struct MultiSink<'a> {
-    sinks: Vec<&'a mut dyn ResultSink>,
+    sinks: Vec<Box<dyn ResultSink + 'a>>,
 }
 
 impl<'a> MultiSink<'a> {
@@ -562,8 +577,8 @@ impl<'a> MultiSink<'a> {
 
     /// Adds a sink; events reach sinks in push order.
     #[must_use]
-    pub fn with(mut self, sink: &'a mut dyn ResultSink) -> Self {
-        self.sinks.push(sink);
+    pub fn with(mut self, sink: impl ResultSink + 'a) -> Self {
+        self.sinks.push(Box::new(sink));
         self
     }
 }

@@ -8,21 +8,21 @@
 //!
 //! 1. **Shared DSE across targets, with branch-and-bound pruning.** One
 //!    job per `(cell, capacity, bits_per_cell)` — not per target. Each job
-//!    runs a single shared design-space pass which walks the candidate
-//!    organizations once, in deterministic order, and keeps the best
-//!    design under *every* optimization target by scoring lightweight
-//!    bank metrics in place (only winners are materialized into full
-//!    records) — skipping characterization entirely for candidates whose
-//!    provably-sound score bounds (`nvmx_nvsim::bounds`) cannot beat any
-//!    incumbent. An N-target study therefore does ~1/N of the subarray
+//!    runs one [`characterize_targets`] pass over the study's explicit
+//!    target list, which walks the candidate organizations once, in
+//!    deterministic order, and keeps the best design under *every*
+//!    optimization target by scoring lightweight bank metrics in place
+//!    (only winners are materialized into full records) — skipping
+//!    characterization entirely for candidates whose provably-sound score
+//!    bounds (`nvmx_nvsim::bounds`) cannot beat any incumbent. An N-target study therefore does ~1/N of the subarray
 //!    work of a per-target expansion, and only a small fraction of that
 //!    after pruning.
 //! 2. **Memoized subarray physics across jobs.** Subarray characterization
 //!    depends on `(cell, node, geometry, depth)` but **not** on capacity,
-//!    word width, or target, so a study-wide
-//!    [`SubarrayCache`] (sharded, read-mostly) computes
-//!    each unique geometry once; every additional capacity in the study
-//!    reuses most of the previous capacities' physics.
+//!    word width, or target, so the study-wide [`SubarrayCache`]
+//!    (sharded, read-mostly) that every pass runs through computes each
+//!    unique geometry once; every additional capacity in the study reuses
+//!    most of the previous capacities' physics.
 //! 3. **Lock-free fan-out.** Jobs live in an immutable pre-expanded slice;
 //!    workers claim indices with a single shared atomic counter and write
 //!    results into per-job slots; both stages run on the crate's one lane
@@ -64,8 +64,8 @@ use crate::scheduler::run_on_lanes_streaming;
 use crate::stream::{NullSink, ResultSink, StudyEvent, StudyExecutor, StudyStats};
 use nvmx_celldb::CellDefinition;
 use nvmx_nvsim::{
-    ArrayCharacterization, ArrayConfig, CharacterizationError, IncumbentStore, OptimizationTarget,
-    SubarrayCache,
+    characterize_targets, ArrayCharacterization, ArrayConfig, CharacterizationError,
+    IncumbentStore, OptimizationTarget, SubarrayCache,
 };
 use nvmx_workloads::{TrafficGrid, TrafficPattern};
 use std::sync::Arc;
@@ -173,7 +173,6 @@ fn expand_jobs<'a>(
                         word_bits: study.array.word_bits,
                         node: study.array.node_for(cell),
                         bits_per_cell,
-                        target: targets[0],
                     },
                 });
             }
@@ -281,14 +280,8 @@ pub(crate) fn run_study_impl(
         &jobs,
         clamp_workers(threads, jobs.len()),
         |_, job| {
-            nvmx_nvsim::dse::optimize_targets_seeded(
-                job.cell,
-                &job.config,
-                &targets,
-                Some(cache),
-                seeds,
-            )
-            .map_err(|e| (job.cell.name.clone(), e))
+            characterize_targets(job.cell, &job.config, &targets, cache, seeds)
+                .map_err(|e| (job.cell.name.clone(), e))
         },
         (!passive).then_some(&mut emit as _),
     )?;
@@ -451,7 +444,7 @@ pub mod oracle {
         let mut arrays = Vec::new();
         let mut skipped = Vec::new();
         for job in expand_jobs(study, &cells, &targets) {
-            match nvmx_nvsim::dse::oracle::optimize_targets(job.cell, &job.config, &targets) {
+            match nvmx_nvsim::dse::oracle::characterize_targets(job.cell, &job.config, &targets) {
                 Ok(designs) => arrays.extend(designs),
                 Err(error) => {
                     for _ in &targets {

@@ -2849,7 +2849,7 @@ mod tests {
     #[test]
     fn lines_encoded_at_shuffled_seqs_equal_the_in_order_lines() {
         use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
-        use nvmx_nvsim::{characterize, ArrayConfig};
+        use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
         use nvmx_units::Capacity;
 
         let arrays: Vec<Arc<ArrayCharacterization>> = [2, 4]
@@ -2858,7 +2858,7 @@ mod tests {
                 let cell =
                     tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
                 let config = ArrayConfig::new(Capacity::from_mebibytes(mib));
-                Arc::new(characterize(&cell, &config).unwrap())
+                Arc::new(characterize(&cell, &config, OptimizationTarget::ReadEdp).unwrap())
             })
             .collect();
         let traffic: Vec<Arc<TrafficPattern>> = (1..=3)

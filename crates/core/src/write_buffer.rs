@@ -88,7 +88,7 @@ pub fn evaluate_with_buffer(
 mod tests {
     use super::*;
     use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
-    use nvmx_nvsim::{characterize, ArrayConfig};
+    use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
     use nvmx_units::Capacity;
 
     fn fefet_array() -> ArrayCharacterization {
@@ -96,6 +96,7 @@ mod tests {
         characterize(
             &cell,
             &ArrayConfig::new(Capacity::from_mebibytes(8)).with_word_bits(512),
+            OptimizationTarget::ReadEdp,
         )
         .unwrap()
     }

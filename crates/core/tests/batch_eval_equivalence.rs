@@ -86,9 +86,8 @@ proptest! {
     ) {
         let cells = tentpole::tentpoles(survey::database());
         let cell = &cells[cell_pick % cells.len()];
-        let config = ArrayConfig::new(Capacity::from_mebibytes(1 << cap_exp))
-            .with_target(OptimizationTarget::ALL[target_pick]);
-        if let Ok(array) = characterize(cell, &config) {
+        let config = ArrayConfig::new(Capacity::from_mebibytes(1 << cap_exp));
+        if let Ok(array) = characterize(cell, &config, OptimizationTarget::ALL[target_pick]) {
             let patterns: Vec<TrafficPattern> = lanes
                 .iter()
                 .enumerate()
@@ -126,7 +125,8 @@ proptest! {
 fn sram_and_zero_write_lanes_match_scalar_lifetimes() {
     let sram = custom::sram_16nm();
     let config = ArrayConfig::new(Capacity::from_mebibytes(2));
-    let array = characterize(&sram, &config).expect("SRAM characterizes");
+    let array =
+        characterize(&sram, &config, OptimizationTarget::ReadEdp).expect("SRAM characterizes");
     let patterns = vec![
         TrafficPattern::new("busy", 4.0e9, 1.0e8, 64),
         TrafficPattern::new("read-only", 4.0e9, 0.0, 64),
@@ -147,7 +147,7 @@ fn sram_and_zero_write_lanes_match_scalar_lifetimes() {
         .iter()
         .find(|cell| cell.endurance_cycles.is_finite())
         .expect("tentpoles include endurance-limited cells");
-    let array = characterize(nvm, &config).expect("NVM characterizes");
+    let array = characterize(nvm, &config, OptimizationTarget::ReadEdp).expect("NVM characterizes");
     let kernel = EvalKernel::new(&Arc::new(array.clone()));
     let batched = kernel.apply_batch(&grid);
     for (lane, pattern) in patterns.iter().enumerate() {
@@ -166,7 +166,9 @@ fn sram_and_zero_write_lanes_match_scalar_lifetimes() {
 fn empty_grid_batches_to_nothing() {
     let cells = tentpole::tentpoles(survey::database());
     let config = ArrayConfig::new(Capacity::from_mebibytes(1));
-    let array = Arc::new(characterize(&cells[0], &config).expect("characterizes"));
+    let array = Arc::new(
+        characterize(&cells[0], &config, OptimizationTarget::ReadEdp).expect("characterizes"),
+    );
     let kernel = EvalKernel::new(&array);
     assert!(kernel.apply_batch(&TrafficGrid::new(&[])).is_empty());
 }

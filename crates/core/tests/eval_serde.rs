@@ -4,14 +4,19 @@
 
 use nvmexplorer_core::eval::{evaluate, EvalKernel, Evaluation};
 use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
-use nvmx_nvsim::{characterize, ArrayConfig};
+use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
 use nvmx_units::Capacity;
 use nvmx_workloads::{TrafficGrid, TrafficPattern};
 use std::sync::Arc;
 
 fn sample() -> Evaluation {
     let cell = tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
-    let array = characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap();
+    let array = characterize(
+        &cell,
+        &ArrayConfig::new(Capacity::from_mebibytes(2)),
+        OptimizationTarget::ReadEdp,
+    )
+    .unwrap();
     evaluate(&array, &TrafficPattern::new("roundtrip", 2.0e9, 20.0e6, 64))
 }
 

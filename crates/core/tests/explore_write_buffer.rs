@@ -7,13 +7,18 @@ use nvmexplorer_core::eval::evaluate;
 use nvmexplorer_core::explore::{Objective, ResultSet};
 use nvmexplorer_core::write_buffer::{evaluate_with_buffer, WriteBuffer};
 use nvmx_celldb::{custom, tentpole, CellFlavor, TechnologyClass};
-use nvmx_nvsim::{characterize, ArrayCharacterization, ArrayConfig};
+use nvmx_nvsim::{characterize, ArrayCharacterization, ArrayConfig, OptimizationTarget};
 use nvmx_units::{Capacity, Meters};
 use nvmx_workloads::TrafficPattern;
 
 fn array(tech: TechnologyClass, flavor: CellFlavor) -> ArrayCharacterization {
     let cell = tentpole::tentpole_cell(tech, flavor).unwrap();
-    characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap()
+    characterize(
+        &cell,
+        &ArrayConfig::new(Capacity::from_mebibytes(2)),
+        OptimizationTarget::ReadEdp,
+    )
+    .unwrap()
 }
 
 fn sample_set() -> ResultSet {
@@ -27,6 +32,7 @@ fn sample_set() -> ResultSet {
     let sram = characterize(
         &custom::sram_16nm(),
         &ArrayConfig::new(Capacity::from_mebibytes(2)).with_node(Meters::from_nano(16.0)),
+        OptimizationTarget::ReadEdp,
     )
     .unwrap();
     evals.push(evaluate(&sram, &traffic));

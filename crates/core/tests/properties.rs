@@ -6,7 +6,7 @@ use nvmexplorer_core::explore::{Objective, ResultSet};
 use nvmexplorer_core::intermittent::{daily_energy, IntermittentScenario};
 use nvmexplorer_core::write_buffer::{evaluate_with_buffer, WriteBuffer};
 use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
-use nvmx_nvsim::{characterize, ArrayCharacterization, ArrayConfig};
+use nvmx_nvsim::{characterize, ArrayCharacterization, ArrayConfig, OptimizationTarget};
 use nvmx_units::Capacity;
 use nvmx_workloads::TrafficPattern;
 use proptest::prelude::*;
@@ -16,7 +16,12 @@ fn stt_array() -> &'static ArrayCharacterization {
     static ARRAY: OnceLock<ArrayCharacterization> = OnceLock::new();
     ARRAY.get_or_init(|| {
         let cell = tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
-        characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap()
+        characterize(
+            &cell,
+            &ArrayConfig::new(Capacity::from_mebibytes(2)),
+            OptimizationTarget::ReadEdp,
+        )
+        .unwrap()
     })
 }
 

@@ -45,9 +45,8 @@ proptest! {
         let cells = tentpole::tentpoles(survey::database());
         let cell = &cells[cell_pick % cells.len()];
         let access_bytes = [4u64, 8, 64, 256][abytes_pick];
-        let config = ArrayConfig::new(Capacity::from_mebibytes(1 << cap_exp))
-            .with_target(OptimizationTarget::ALL[target_pick]);
-        if let Ok(array) = characterize(cell, &config) {
+        let config = ArrayConfig::new(Capacity::from_mebibytes(1 << cap_exp));
+        if let Ok(array) = characterize(cell, &config, OptimizationTarget::ALL[target_pick]) {
             let traffic = TrafficPattern::new("prop", read_mbps, write_mbps, access_bytes);
             let kernel = EvalKernel::new(&Arc::new(array.clone()));
             let from_kernel = kernel

@@ -703,8 +703,8 @@ impl SeedStats {
 /// only against the best candidate *seen so far*, even though an earlier
 /// study already proved the final winner. Threading one `IncumbentStore`
 /// through the passes (via
-/// [`characterize_targets_seeded`](crate::characterize_targets_seeded) or
-/// the core scheduler's seeded queue) records each completed pass's final
+/// [`characterize_targets`](crate::characterize_targets) or the core
+/// scheduler's seeded queue) records each completed pass's final
 /// incumbent chains and seeds later identical passes with them, so the
 /// bounds prune against the final winner from the very first candidate.
 ///

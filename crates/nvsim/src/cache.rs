@@ -8,6 +8,10 @@
 //! computes each unique geometry once per study and shares it across every
 //! job that needs it.
 //!
+//! Every design-space pass runs through a cache:
+//! [`characterize_targets`](crate::characterize_targets) takes one, and
+//! [`characterize`](crate::characterize) makes a fresh one per call.
+//!
 //! # Layout
 //!
 //! The cache is two-level, exploiting the fact that the DSE geometry space
@@ -15,8 +19,8 @@
 //! `COL_CHOICES` × `MUX_CHOICES`):
 //!
 //! 1. an outer read-mostly map `(cell fingerprint, node, depth) →` slab,
-//!    consulted **once per design-space pass** (via [`SubarrayCache::
-//!    session`]), and
+//!    consulted **once per design-space pass** (when the pass opens its
+//!    per-slab session), and
 //! 2. an inner *slab*: a fixed array of [`OnceLock`]-slotted geometries,
 //!    so the per-candidate hot path is an index computation plus one
 //!    acquire load — no hashing, no locks, no contention under the sweep
@@ -45,7 +49,7 @@ pub(crate) const SLOTS: usize = ROW_CHOICES.len() * COL_CHOICES.len() * MUX_CHOI
 
 /// Slab slot of a geometry given its *indices* into the DSE choice arrays.
 /// The enumeration pass computes this for free; [`slot_index`] recovers it
-/// from raw dimensions for ad-hoc callers.
+/// from raw dimensions.
 pub(crate) fn grid_slot(row_idx: usize, col_idx: usize, mux_idx: usize) -> usize {
     (row_idx * COL_CHOICES.len() + col_idx) * MUX_CHOICES.len() + mux_idx
 }
@@ -61,7 +65,7 @@ pub(crate) fn slot_index(rows: usize, cols: usize, mux: usize) -> Option<usize> 
 /// Everything besides geometry that [`Subarray::characterize`] reads, as a
 /// hashable key. The cell is identified by
 /// [`CellDefinition::fingerprint`] and the node by the feature-size bit
-/// pattern. Fingerprints are 64-bit hashes, so [`SubarrayCache::session`]
+/// pattern. Fingerprints are 64-bit hashes, so `SubarrayCache::session`
 /// additionally verifies the slab's stored cell against the requesting one
 /// — a collision degrades to uncached characterization, never to another
 /// cell's physics.
@@ -230,9 +234,9 @@ impl CacheStats {
 ///
 /// Create one per study (or share one across studies — keys are globally
 /// unambiguous) and thread it through
-/// [`characterize_targets_cached`](crate::characterize_targets_cached).
-/// Cached and uncached runs produce bit-identical results; only the work is
-/// shared, never approximated.
+/// [`characterize_targets`](crate::characterize_targets). A shared cache
+/// and a fresh one produce bit-identical results; only the work is shared,
+/// never approximated.
 pub struct SubarrayCache {
     slabs: RwLock<HashMap<SlabKey, Arc<Slab>>>,
     /// Optional on-disk L2: consulted on slab misses, published back by
@@ -372,7 +376,7 @@ impl SubarrayCache {
     /// the returned [`SubarraySession`] lock-free. The session binds the
     /// cell, technology, and depth, so lookups cannot mix inputs and
     /// poison the slab.
-    pub fn session<'a>(
+    pub(crate) fn session<'a>(
         &self,
         cell: &'a CellDefinition,
         tech: &'a TechnologyParams,
@@ -497,7 +501,7 @@ impl std::fmt::Debug for SubarrayCache {
 ///
 /// Hit/miss counts accumulate locally and flush to the owning cache when
 /// the session drops.
-pub struct SubarraySession<'c, 'a> {
+pub(crate) struct SubarraySession<'c, 'a> {
     cache: &'c SubarrayCache,
     /// `None` when the fingerprint key collided with a different cell's
     /// slab — every lookup then characterizes directly.
@@ -515,19 +519,15 @@ impl SubarraySession<'_, '_> {
     /// bound proved it cannot win, skipped before any cache lookup. Pruned
     /// candidates neither hit nor populate the cache; they are tallied so
     /// `hits + misses + pruned` accounts for every scanned candidate.
-    pub fn note_pruned(&mut self) {
+    pub(crate) fn note_pruned(&mut self) {
         self.pruned += 1;
     }
 
-    /// Returns the memoized characterization of the geometry, running (and
-    /// recording) it on first sight. Geometries outside the DSE grid are
-    /// characterized directly and not stored.
-    pub fn get_or_characterize(&mut self, rows: usize, cols: usize, mux: usize) -> Subarray {
-        self.lookup(slot_index(rows, cols, mux), rows, cols, mux)
-    }
-
-    /// [`Self::get_or_characterize`] with the slab slot already known (the
-    /// DSE enumeration derives it for free from its loop indices).
+    /// Returns the memoized characterization of the geometry in slab
+    /// `slot`, running (and recording) it on first sight. The DSE
+    /// enumeration derives the slot for free from its loop indices;
+    /// [`slot_index`] recovers it from raw dimensions. Off-grid geometries
+    /// (`slot` is `None`) are characterized directly and not stored.
     pub(crate) fn lookup(
         &mut self,
         slot: Option<usize>,
@@ -591,8 +591,8 @@ mod tests {
         let cache = SubarrayCache::new();
         let direct = Subarray::characterize(&tech, &cell, 512, 1024, 4, BitsPerCell::Slc);
         let mut session = cache.session(&cell, &tech, BitsPerCell::Slc);
-        let cold = session.get_or_characterize(512, 1024, 4);
-        let warm = session.get_or_characterize(512, 1024, 4);
+        let cold = session.lookup(slot_index(512, 1024, 4), 512, 1024, 4);
+        let warm = session.lookup(slot_index(512, 1024, 4), 512, 1024, 4);
         drop(session); // flush counters
         assert_eq!(direct, cold);
         assert_eq!(direct, warm);
@@ -612,14 +612,20 @@ mod tests {
         let tech = lookup(Meters::from_nano(22.0));
         let cell = stt();
         let cache = SubarrayCache::new();
-        cache
-            .session(&cell, &tech, BitsPerCell::Slc)
-            .get_or_characterize(512, 1024, 4);
+        cache.session(&cell, &tech, BitsPerCell::Slc).lookup(
+            slot_index(512, 1024, 4),
+            512,
+            1024,
+            4,
+        );
         // A second session — e.g. the same cell at another capacity — sees
         // the slab warm.
-        cache
-            .session(&cell, &tech, BitsPerCell::Slc)
-            .get_or_characterize(512, 1024, 4);
+        cache.session(&cell, &tech, BitsPerCell::Slc).lookup(
+            slot_index(512, 1024, 4),
+            512,
+            1024,
+            4,
+        );
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -644,7 +650,7 @@ mod tests {
         ] {
             cache
                 .session(cell, &tech, bpc)
-                .get_or_characterize(rows, 1024, 4);
+                .lookup(slot_index(rows, 1024, 4), rows, 1024, 4);
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().misses, 4);
@@ -657,12 +663,18 @@ mod tests {
         let cache = SubarrayCache::new();
         let t22 = lookup(Meters::from_nano(22.0));
         let t16 = lookup(Meters::from_nano(16.0));
-        let a = cache
-            .session(&cell, &t22, BitsPerCell::Slc)
-            .get_or_characterize(512, 1024, 4);
-        let b = cache
-            .session(&cell, &t16, BitsPerCell::Slc)
-            .get_or_characterize(512, 1024, 4);
+        let a = cache.session(&cell, &t22, BitsPerCell::Slc).lookup(
+            slot_index(512, 1024, 4),
+            512,
+            1024,
+            4,
+        );
+        let b = cache.session(&cell, &t16, BitsPerCell::Slc).lookup(
+            slot_index(512, 1024, 4),
+            512,
+            1024,
+            4,
+        );
         assert_ne!(a, b, "different nodes must not share an entry");
         assert_eq!(cache.len(), 2);
     }
@@ -674,7 +686,7 @@ mod tests {
         let cache = SubarrayCache::new();
         let mut session = cache.session(&cell, &tech, BitsPerCell::Slc);
         let direct = Subarray::characterize(&tech, &cell, 100, 100, 4, BitsPerCell::Slc);
-        let via_cache = session.get_or_characterize(100, 100, 4);
+        let via_cache = session.lookup(slot_index(100, 100, 4), 100, 100, 4);
         drop(session); // flush counters
         assert_eq!(direct, via_cache);
         assert!(cache.is_empty(), "off-grid results are never stored");
@@ -708,7 +720,7 @@ mod tests {
         cache.slabs.write().unwrap().insert(key, Arc::new(planted));
 
         let mut session = cache.session(&stt, &tech, BitsPerCell::Slc);
-        let got = session.get_or_characterize(512, 1024, 4);
+        let got = session.lookup(slot_index(512, 1024, 4), 512, 1024, 4);
         drop(session);
         let expected = Subarray::characterize(&tech, &stt, 512, 1024, 4, BitsPerCell::Slc);
         assert_eq!(got, expected, "collision must never serve foreign physics");
@@ -724,9 +736,12 @@ mod tests {
 
         // "Process" one: cold cache, cold store — characterizes and flushes.
         let first = SubarrayCache::with_store(&dir).unwrap();
-        let a = first
-            .session(&cell, &tech, BitsPerCell::Slc)
-            .get_or_characterize(512, 1024, 4);
+        let a = first.session(&cell, &tech, BitsPerCell::Slc).lookup(
+            slot_index(512, 1024, 4),
+            512,
+            1024,
+            4,
+        );
         assert_eq!(first.stats().l2_misses, 1, "cold store is a miss");
         assert_eq!(first.flush_store().unwrap(), 1);
         assert_eq!(first.flush_store().unwrap(), 0, "publication is write-once");
@@ -735,7 +750,7 @@ mod tests {
         // characterizing, bit-identically.
         let second = SubarrayCache::with_store(&dir).unwrap();
         let mut session = second.session(&cell, &tech, BitsPerCell::Slc);
-        let b = session.get_or_characterize(512, 1024, 4);
+        let b = session.lookup(slot_index(512, 1024, 4), 512, 1024, 4);
         drop(session);
         assert_eq!(a, b, "L2-loaded physics must be bit-identical");
         let stats = second.stats();
@@ -752,9 +767,12 @@ mod tests {
             std::fs::write(&path, bytes).unwrap();
         }
         let third = SubarrayCache::with_store(&dir).unwrap();
-        let c = third
-            .session(&cell, &tech, BitsPerCell::Slc)
-            .get_or_characterize(512, 1024, 4);
+        let c = third.session(&cell, &tech, BitsPerCell::Slc).lookup(
+            slot_index(512, 1024, 4),
+            512,
+            1024,
+            4,
+        );
         assert_eq!(a, c, "corruption must degrade to recompute, not wrong data");
         assert_eq!(third.stats().l2_rejects, 1);
         let classes = third.stats().l2_reject_classes;
@@ -782,7 +800,7 @@ mod tests {
                 scope.spawn(|| {
                     let mut session = cache.session(&cell, &tech, BitsPerCell::Slc);
                     for _ in 0..16 {
-                        let got = session.get_or_characterize(1024, 2048, 8);
+                        let got = session.lookup(slot_index(1024, 2048, 8), 1024, 2048, 8);
                         assert_eq!(got, serial);
                     }
                 });

@@ -18,7 +18,7 @@ use crate::bounds::{BoundContext, IncumbentStore, TargetSeed};
 use crate::cache::SubarrayCache;
 use crate::result::{ArrayCharacterization, OptimizationTarget};
 use crate::subarray::Subarray;
-use crate::technology::lookup;
+use crate::technology::{lookup, TechnologyParams};
 use crate::{ArrayConfig, CharacterizationError};
 use nvmx_celldb::CellDefinition;
 use nvmx_units::{Joules, Ratio, Seconds, SquareMillimeters, Watts};
@@ -102,23 +102,15 @@ pub fn enumerate_organizations(config: &ArrayConfig) -> Vec<Organization> {
         .collect()
 }
 
-/// Characterizes one organization into a full result record.
+/// Characterizes one organization into a full result record labeled
+/// `target`, with the technology table resolved by the caller (sweeps over
+/// many organizations at one node look it up once).
 pub fn characterize_organization(
+    tech: &TechnologyParams,
     cell: &CellDefinition,
     config: &ArrayConfig,
     org: Organization,
-) -> ArrayCharacterization {
-    let tech = lookup(config.node);
-    characterize_organization_with(&tech, cell, config, org)
-}
-
-/// [`characterize_organization`] with the technology lookup hoisted out, so
-/// sweeps over many organizations at one node resolve the table once.
-pub fn characterize_organization_with(
-    tech: &crate::technology::TechnologyParams,
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-    org: Organization,
+    target: OptimizationTarget,
 ) -> ArrayCharacterization {
     let sub = Subarray::characterize(
         tech,
@@ -129,7 +121,7 @@ pub fn characterize_organization_with(
         config.bits_per_cell,
     );
     let bank = Bank::compose(tech, sub, org, config.word_bits);
-    package(cell, config, bank, config.target)
+    package(cell, config, bank, target)
 }
 
 /// Materializes one characterized bank into the full result record. Called
@@ -292,39 +284,22 @@ fn no_valid_organization(cell: &CellDefinition, config: &ArrayConfig) -> Charact
 /// Runs the organization search **once** and returns the best design under
 /// each of `targets`, in order.
 ///
-/// This is the shared-DSE hot path: subarray and bank characterization do
-/// not depend on the optimization target (the target only selects among
-/// candidates), so an N-target sweep costs one enumeration pass instead of
-/// N. The pass is a branch-and-bound streaming scan: candidates are visited
-/// in deterministic enumeration order, and one is characterized only when
-/// some target's score lower bound ([`crate::bounds`]) leaves it a chance
-/// of beating that target's incumbent. A skipped candidate is *proven*
-/// unable to change any winner, so results are byte-identical to the
-/// exhaustive scan ([`oracle::optimize_targets`]) — and to what a
-/// standalone [`optimize`] call per target would produce.
+/// This is the one design-space pass: subarray and bank characterization
+/// do not depend on the optimization target (the target only selects
+/// among candidates), so an N-target sweep costs one enumeration pass
+/// instead of N. The pass is a branch-and-bound streaming scan: candidates
+/// are visited in deterministic enumeration order, and one is
+/// characterized only when some target's score lower bound
+/// ([`crate::bounds`]) leaves it a chance of beating that target's
+/// incumbent. A skipped candidate is *proven* unable to change any winner,
+/// so results are byte-identical to the exhaustive scan
+/// ([`oracle::characterize_targets`]), for any target subset.
 ///
-/// With `cache` present, subarray physics are memoized across calls: every
-/// job of a multi-capacity study that needs the same `(cell, node,
-/// geometry, depth)` reuses one characterization. Pruning composes with the
-/// cache — a pruned candidate neither hits nor populates it — and prune
-/// counts are recorded next to the hit/miss counters
-/// ([`CacheStats::pruned`](crate::cache::CacheStats)). Cached and uncached
-/// runs are bit-identical.
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`]; `config.target` is ignored in favor of
-/// the explicit `targets` list.
-pub fn optimize_targets_cached(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-    targets: &[OptimizationTarget],
-    cache: Option<&SubarrayCache>,
-) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
-    optimize_targets_seeded(cell, config, targets, cache, None)
-}
-
-/// [`optimize_targets_cached`] with cross-pass incumbent seeding.
+/// Subarray physics are memoized in `cache`: every job of a multi-capacity
+/// study that needs the same `(cell, node, geometry, depth)` reuses one
+/// characterization. Pruning composes with the cache — a pruned candidate
+/// neither hits nor populates it — and prune counts are recorded next to
+/// the hit/miss counters ([`CacheStats::pruned`](crate::cache::CacheStats)).
 ///
 /// With `seeds` present, each target's scan starts from the **final**
 /// incumbent chains a prior *identical* pass recorded — same cell,
@@ -335,19 +310,20 @@ pub fn optimize_targets_cached(
 /// byte-identical to a cold scan (proptested in
 /// `tests/prune_equivalence.rs`), while the pre-tightened incumbents let
 /// the score bounds prune every candidate that cannot beat the final
-/// winner — on a fully warm pass that is every candidate whose bound
-/// reaches the winning score, pushing the prune rate well above the cold
-/// scan's. Completed passes record their chains back into the store
+/// winner. Completed passes record their chains back into the store
 /// (write-once), so a multi-study queue warms itself as it runs.
 ///
 /// # Errors
 ///
-/// Same conditions as [`optimize`]; a failed pass records nothing.
-pub fn optimize_targets_seeded(
+/// [`CharacterizationError::UnsupportedBitsPerCell`] when the cell cannot
+/// store `config.bits_per_cell`, and
+/// [`CharacterizationError::NoValidOrganization`] when the geometry space
+/// cannot realize the capacity; a failed pass records nothing.
+pub fn characterize_targets(
     cell: &CellDefinition,
     config: &ArrayConfig,
     targets: &[OptimizationTarget],
-    cache: Option<&SubarrayCache>,
+    cache: &SubarrayCache,
     seeds: Option<&IncumbentStore>,
 ) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
     if targets.is_empty() {
@@ -362,7 +338,7 @@ pub fn optimize_targets_seeded(
     let bounds = BoundContext::new(&tech, cell, config.bits_per_cell, config.word_bits);
     // One outer-map access per pass; candidate lookups inside the session
     // are a pre-computed slot index plus an atomic load.
-    let mut session = cache.map(|cache| cache.session(cell, &tech, config.bits_per_cell));
+    let mut session = cache.session(cell, &tech, config.bits_per_cell);
     let mut scans: Vec<TargetScan> = targets
         .iter()
         .map(
@@ -381,22 +357,10 @@ pub fn optimize_targets_seeded(
             .iter()
             .all(|scan| scan.provably_loses(bounds.score_bound(&org, slot, scan.target)));
         if provably_loses {
-            if let Some(session) = &mut session {
-                session.note_pruned();
-            }
+            session.note_pruned();
             continue;
         }
-        let sub = match &mut session {
-            Some(session) => session.lookup(Some(slot), org.rows, org.cols, org.mux),
-            None => Subarray::characterize(
-                &tech,
-                cell,
-                org.rows,
-                org.cols,
-                org.mux,
-                config.bits_per_cell,
-            ),
-        };
+        let sub = session.lookup(Some(slot), org.rows, org.cols, org.mux);
         let bank = Bank::compose(&tech, sub, org, config.word_bits);
         for scan in &mut scans {
             scan.offer(&bank);
@@ -423,31 +387,6 @@ pub fn optimize_targets_seeded(
     Ok(results.into_iter().map(|(_, _, array)| array).collect())
 }
 
-/// [`optimize_targets_cached`] without memoization — every geometry is
-/// characterized from scratch.
-///
-/// # Errors
-///
-/// Same conditions as [`optimize`].
-pub fn optimize_targets(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-    targets: &[OptimizationTarget],
-) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
-    optimize_targets_cached(cell, config, targets, None)
-}
-
-/// Runs the full organization search and returns the best design under
-/// `config.target`. Thin wrapper over the shared pass in
-/// [`optimize_targets`].
-pub fn optimize(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-) -> Result<ArrayCharacterization, CharacterizationError> {
-    let mut results = optimize_targets(cell, config, &[config.target])?;
-    Ok(results.remove(0))
-}
-
 /// The reference the production scan is proven against: one exhaustive,
 /// uncached, unpruned pass that characterizes **every** candidate into a
 /// full record and picks each target's winner with
@@ -459,8 +398,8 @@ pub fn optimize(
 #[doc(hidden)]
 pub mod oracle {
     use super::{
-        characterize_organization_with, check_depth, enumerate_organizations,
-        no_valid_organization, MIN_AREA_EFFICIENCY,
+        characterize_organization, check_depth, enumerate_organizations, no_valid_organization,
+        MIN_AREA_EFFICIENCY,
     };
     use crate::result::{ArrayCharacterization, OptimizationTarget};
     use crate::technology::lookup;
@@ -468,13 +407,13 @@ pub mod oracle {
     use nvmx_celldb::CellDefinition;
 
     /// The best design under each of `targets`, in order — what
-    /// [`optimize_targets_seeded`](super::optimize_targets_seeded) must
-    /// return bit for bit, with or without cache and seeds.
+    /// [`characterize_targets`](super::characterize_targets) must return
+    /// bit for bit, on a cold or warm cache, with or without seeds.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`optimize`](super::optimize).
-    pub fn optimize_targets(
+    /// Same conditions as [`characterize_targets`](super::characterize_targets).
+    pub fn characterize_targets(
         cell: &CellDefinition,
         config: &ArrayConfig,
         targets: &[OptimizationTarget],
@@ -486,7 +425,7 @@ pub mod oracle {
         let tech = lookup(config.node);
         let candidates: Vec<ArrayCharacterization> = enumerate_organizations(config)
             .into_iter()
-            .map(|org| characterize_organization_with(&tech, cell, config, org))
+            .map(|org| characterize_organization(&tech, cell, config, org, targets[0]))
             .collect();
         if candidates.is_empty() {
             return Err(no_valid_organization(cell, config));
@@ -521,17 +460,17 @@ pub mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::characterize;
     use crate::result::OptimizationTarget;
     use nvmx_celldb::{custom, tentpole, CellFlavor, TechnologyClass};
     use nvmx_units::{BitsPerCell, Capacity, Meters};
 
-    fn cfg(target: OptimizationTarget) -> ArrayConfig {
+    fn cfg() -> ArrayConfig {
         ArrayConfig {
             capacity: Capacity::from_mebibytes(2),
             word_bits: 128,
             node: Meters::from_nano(22.0),
             bits_per_cell: BitsPerCell::Slc,
-            target,
         }
     }
 
@@ -541,7 +480,7 @@ mod tests {
 
     #[test]
     fn enumeration_is_nonempty_and_valid() {
-        let orgs = enumerate_organizations(&cfg(OptimizationTarget::ReadLatency));
+        let orgs = enumerate_organizations(&cfg());
         assert!(orgs.len() > 20, "{} orgs", orgs.len());
         for org in &orgs {
             assert!(org.active_subarrays <= org.total_subarrays);
@@ -554,9 +493,9 @@ mod tests {
     #[test]
     fn optimize_respects_target() {
         let cell = stt();
-        let lat = optimize(&cell, &cfg(OptimizationTarget::ReadLatency)).unwrap();
-        let energy = optimize(&cell, &cfg(OptimizationTarget::ReadEnergy)).unwrap();
-        let area = optimize(&cell, &cfg(OptimizationTarget::Area)).unwrap();
+        let lat = characterize(&cell, &cfg(), OptimizationTarget::ReadLatency).unwrap();
+        let energy = characterize(&cell, &cfg(), OptimizationTarget::ReadEnergy).unwrap();
+        let area = characterize(&cell, &cfg(), OptimizationTarget::Area).unwrap();
         assert!(lat.read_latency.value() <= energy.read_latency.value());
         assert!(energy.read_energy.value() <= lat.read_energy.value());
         assert!(area.area.value() <= lat.area.value());
@@ -565,9 +504,9 @@ mod tests {
     #[test]
     fn mlc_unsupported_for_sram() {
         let sram = custom::sram_16nm();
-        let mut config = cfg(OptimizationTarget::ReadLatency);
+        let mut config = cfg();
         config.bits_per_cell = BitsPerCell::Mlc2;
-        let err = optimize(&sram, &config).unwrap_err();
+        let err = characterize(&sram, &config, OptimizationTarget::ReadLatency).unwrap_err();
         assert!(matches!(
             err,
             CharacterizationError::UnsupportedBitsPerCell { .. }
@@ -576,48 +515,54 @@ mod tests {
 
     #[test]
     fn pruned_scan_matches_the_oracle() {
-        // Cold, cached, and seeded (recording, then warm) scans must pick
-        // and package exactly the exhaustive oracle's winners, at every
-        // supported depth.
+        // Cold-cache, warm-cache, and seeded (recording, then warm) scans
+        // must pick and package exactly the exhaustive oracle's winners, at
+        // every supported depth.
         let cell = stt();
         for depth in [BitsPerCell::Slc, BitsPerCell::Mlc2] {
-            let config = cfg(OptimizationTarget::ReadEdp).with_bits_per_cell(depth);
+            let config = cfg().with_bits_per_cell(depth);
             let targets = OptimizationTarget::ALL;
-            let reference = oracle::optimize_targets(&cell, &config, &targets).unwrap();
+            let reference = oracle::characterize_targets(&cell, &config, &targets).unwrap();
             let cache = SubarrayCache::new();
             let seeds = IncumbentStore::new();
             let runs = [
-                optimize_targets(&cell, &config, &targets).unwrap(),
-                optimize_targets_cached(&cell, &config, &targets, Some(&cache)).unwrap(),
-                optimize_targets_seeded(&cell, &config, &targets, Some(&cache), Some(&seeds))
-                    .unwrap(),
-                optimize_targets_seeded(&cell, &config, &targets, Some(&cache), Some(&seeds))
-                    .unwrap(),
+                characterize_targets(&cell, &config, &targets, &cache, None).unwrap(),
+                characterize_targets(&cell, &config, &targets, &cache, None).unwrap(),
+                characterize_targets(&cell, &config, &targets, &cache, Some(&seeds)).unwrap(),
+                characterize_targets(&cell, &config, &targets, &cache, Some(&seeds)).unwrap(),
             ];
             for run in runs {
                 assert_eq!(run, reference, "scan diverged from the oracle at {depth:?}");
             }
         }
-        let mut sram = cfg(OptimizationTarget::ReadEdp);
+        let mut sram = cfg();
         sram.bits_per_cell = BitsPerCell::Mlc2;
+        let cache = SubarrayCache::new();
         assert_eq!(
-            oracle::optimize_targets(&custom::sram_16nm(), &sram, &OptimizationTarget::ALL),
-            optimize_targets(&custom::sram_16nm(), &sram, &OptimizationTarget::ALL),
+            oracle::characterize_targets(&custom::sram_16nm(), &sram, &OptimizationTarget::ALL),
+            characterize_targets(
+                &custom::sram_16nm(),
+                &sram,
+                &OptimizationTarget::ALL,
+                &cache,
+                None
+            ),
         );
     }
 
     #[test]
     fn cached_pass_is_bit_identical_and_hits_on_reuse() {
         let cell = stt();
-        let config = cfg(OptimizationTarget::ReadEdp);
+        let config = cfg();
         let cache = SubarrayCache::new();
-        let uncached = optimize_targets(&cell, &config, &OptimizationTarget::ALL).unwrap();
-        let cold = optimize_targets_cached(&cell, &config, &OptimizationTarget::ALL, Some(&cache))
-            .unwrap();
-        let warm = optimize_targets_cached(&cell, &config, &OptimizationTarget::ALL, Some(&cache))
-            .unwrap();
-        assert_eq!(uncached, cold);
-        assert_eq!(uncached, warm);
+        let reference =
+            oracle::characterize_targets(&cell, &config, &OptimizationTarget::ALL).unwrap();
+        let cold =
+            characterize_targets(&cell, &config, &OptimizationTarget::ALL, &cache, None).unwrap();
+        let warm =
+            characterize_targets(&cell, &config, &OptimizationTarget::ALL, &cache, None).unwrap();
+        assert_eq!(reference, cold);
+        assert_eq!(reference, warm);
         let stats = cache.stats();
         assert_eq!(
             stats.misses as usize,
@@ -633,7 +578,7 @@ mod tests {
     #[test]
     fn bank_score_matches_packaged_score_for_every_target() {
         let cell = stt();
-        let config = cfg(OptimizationTarget::ReadLatency);
+        let config = cfg();
         let tech = lookup(config.node);
         for org in enumerate_organizations(&config).into_iter().take(8) {
             let sub = Subarray::characterize(
@@ -645,7 +590,12 @@ mod tests {
                 config.bits_per_cell,
             );
             let bank = Bank::compose(&tech, sub, org, config.word_bits);
-            let packaged = package(&cell, &config, bank.clone(), config.target);
+            let packaged = package(
+                &cell,
+                &config,
+                bank.clone(),
+                OptimizationTarget::ReadLatency,
+            );
             for target in OptimizationTarget::ALL {
                 assert_eq!(
                     bank_score(&bank, target).to_bits(),
@@ -661,8 +611,8 @@ mod tests {
         // Paper Sec. V-B: lower area efficiency correlates with lower
         // latency; conversely the area-optimal point is slower.
         let cell = stt();
-        let area_opt = optimize(&cell, &cfg(OptimizationTarget::Area)).unwrap();
-        let lat_opt = optimize(&cell, &cfg(OptimizationTarget::ReadLatency)).unwrap();
+        let area_opt = characterize(&cell, &cfg(), OptimizationTarget::Area).unwrap();
+        let lat_opt = characterize(&cell, &cfg(), OptimizationTarget::ReadLatency).unwrap();
         assert!(area_opt.read_latency.value() >= lat_opt.read_latency.value());
         assert!(area_opt.area_efficiency.value() >= lat_opt.area_efficiency.value());
     }

@@ -1,11 +1,18 @@
 //! An NVSim-class circuit-level memory-array simulator (paper Sec. II-B).
 //!
 //! Given a [`nvmx_celldb::CellDefinition`] from the cell
-//! database and an [`ArrayConfig`] (capacity, word width, node, programming
-//! depth, optimization target), this crate searches internal array
-//! organizations — subarray geometry, column muxing, bank composition — and
-//! returns the best [`ArrayCharacterization`]: read/write latency and energy,
-//! leakage, area, bandwidth, and density.
+//! database, an [`ArrayConfig`] (capacity, word width, node, programming
+//! depth), and one or more [`OptimizationTarget`]s, this crate searches
+//! internal array organizations — subarray geometry, column muxing, bank
+//! composition — and returns the best [`ArrayCharacterization`] under each
+//! target: read/write latency and energy, leakage, area, bandwidth, and
+//! density.
+//!
+//! There is one design-space pass, [`characterize_targets`]: it walks the
+//! candidate organizations once, memoizes subarray physics in a
+//! [`SubarrayCache`], optionally starts from an [`IncumbentStore`]'s
+//! recorded winners, and picks every target's winner from that single
+//! scan. [`characterize`] is the one-target shorthand over a private cache.
 //!
 //! The modeling lineage is NVSim/CACTI: Horowitz gate delays, logical-effort
 //! buffer chains, Elmore RC wires, repeated global H-trees, and
@@ -16,7 +23,8 @@
 //!
 //! ```
 //! use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
-//! use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
+//! use nvmx_nvsim::{characterize, characterize_targets, ArrayConfig};
+//! use nvmx_nvsim::{OptimizationTarget, SubarrayCache};
 //! use nvmx_units::{BitsPerCell, Capacity, Meters};
 //!
 //! # fn main() -> Result<(), nvmx_nvsim::CharacterizationError> {
@@ -27,10 +35,14 @@
 //!     word_bits: 128,
 //!     node: Meters::from_nano(22.0),
 //!     bits_per_cell: BitsPerCell::Slc,
-//!     target: OptimizationTarget::ReadEdp,
 //! };
-//! let array = characterize(&cell, &config)?;
+//! let array = characterize(&cell, &config, OptimizationTarget::ReadEdp)?;
 //! assert!(array.read_latency.value() < 10.0e-9);
+//!
+//! // Every target from one pass; the cache can be shared across calls.
+//! let cache = SubarrayCache::new();
+//! let arrays = characterize_targets(&cell, &config, &OptimizationTarget::ALL, &cache, None)?;
+//! assert_eq!(arrays.len(), OptimizationTarget::ALL.len());
 //! # Ok(())
 //! # }
 //! ```
@@ -56,6 +68,7 @@ pub mod wire;
 pub use bank::Organization;
 pub use bounds::{IncumbentStore, SeedStats};
 pub use cache::{CacheStats, L2RejectClasses, SubarrayCache};
+pub use dse::characterize_targets;
 pub use result::{ArrayCharacterization, OptimizationTarget};
 pub use store::{CharacterizationStore, StoreError, STORE_VERSION};
 
@@ -63,7 +76,9 @@ use nvmx_celldb::CellDefinition;
 use nvmx_units::{BitsPerCell, Capacity, Meters};
 use serde::{Deserialize, Serialize};
 
-/// Array-level design request: everything except the cell itself.
+/// Array-level design request: everything except the cell itself and the
+/// optimization target, which every characterization call names
+/// explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ArrayConfig {
     /// Total storage capacity.
@@ -74,28 +89,18 @@ pub struct ArrayConfig {
     pub node: Meters,
     /// Programming depth.
     pub bits_per_cell: BitsPerCell,
-    /// Optimization target for the organization search.
-    pub target: OptimizationTarget,
 }
 
 impl ArrayConfig {
     /// A sensible starting configuration: `capacity` at 22 nm, 128-bit
-    /// words, SLC, read-EDP optimized (the paper's default for buffers).
+    /// words, SLC.
     pub fn new(capacity: Capacity) -> Self {
         Self {
             capacity,
             word_bits: 128,
             node: Meters::from_nano(22.0),
             bits_per_cell: BitsPerCell::Slc,
-            target: OptimizationTarget::ReadEdp,
         }
-    }
-
-    /// Returns a copy with a different optimization target.
-    #[must_use]
-    pub fn with_target(mut self, target: OptimizationTarget) -> Self {
-        self.target = target;
-        self
     }
 
     /// Returns a copy with a different word width.
@@ -162,7 +167,10 @@ impl std::fmt::Display for CharacterizationError {
 
 impl std::error::Error for CharacterizationError {}
 
-/// Characterizes the best array for `cell` under `config`.
+/// Characterizes the best array for `cell` under `config` and `target`:
+/// one [`characterize_targets`] pass through a private, fresh
+/// [`SubarrayCache`]. Loops over many design points should call
+/// [`characterize_targets`] with one shared cache instead.
 ///
 /// # Errors
 ///
@@ -173,88 +181,10 @@ impl std::error::Error for CharacterizationError {}
 pub fn characterize(
     cell: &CellDefinition,
     config: &ArrayConfig,
+    target: OptimizationTarget,
 ) -> Result<ArrayCharacterization, CharacterizationError> {
-    dse::optimize(cell, config)
-}
-
-/// Characterizes `cell` under several optimization targets with **one**
-/// shared design-space pass.
-///
-/// Candidate organizations are enumerated and electrically characterized
-/// once; the best design under each entry of `targets` is selected from
-/// that single pass. For an N-target study this does ~1/N of the work of N
-/// [`characterize`] calls while producing identical results (the target
-/// only steers selection, never the circuit model). `config.target` is
-/// ignored; results come back in `targets` order.
-///
-/// # Errors
-///
-/// Same conditions as [`characterize`].
-pub fn characterize_targets(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-    targets: &[OptimizationTarget],
-) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
-    dse::optimize_targets(cell, config, targets)
-}
-
-/// [`characterize_targets`] with subarray physics memoized in `cache`.
-///
-/// The geometry candidates a design-space pass characterizes depend only on
-/// the cell, node, and programming depth — not on capacity, word width, or
-/// target — so consecutive calls across a study's capacity axis re-derive
-/// mostly the same subarrays. Threading one [`SubarrayCache`] through every
-/// call computes each unique geometry once for the whole study. Results are
-/// bit-identical to [`characterize_targets`]; only the work is shared.
-///
-/// # Errors
-///
-/// Same conditions as [`characterize`].
-pub fn characterize_targets_cached(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-    targets: &[OptimizationTarget],
-    cache: &SubarrayCache,
-) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
-    dse::optimize_targets_cached(cell, config, targets, Some(cache))
-}
-
-/// [`characterize_targets_cached`] with cross-pass incumbent seeding.
-///
-/// Alongside the subarray-physics memoization, each target's
-/// branch-and-bound scan starts from the final incumbents a prior
-/// *identical* pass (same cell, node, programming depth, capacity, and word
-/// width) recorded into `seeds`. Seeding only tightens the score bounds, so
-/// winners stay byte-identical to a cold scan while a warm pass prunes
-/// every candidate the final winner dominates. Completed passes record
-/// their own incumbents back into the store, warming later studies that
-/// share design points.
-///
-/// # Errors
-///
-/// Same conditions as [`characterize`].
-pub fn characterize_targets_seeded(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-    targets: &[OptimizationTarget],
-    cache: &SubarrayCache,
-    seeds: &IncumbentStore,
-) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
-    dse::optimize_targets_seeded(cell, config, targets, Some(cache), Some(seeds))
-}
-
-/// Characterizes `cell` under every optimization target (paper Fig. 3 shows
-/// arrays per technology under all targets). Runs the shared-DSE pass of
-/// [`characterize_targets`] under the hood.
-///
-/// # Errors
-///
-/// Same conditions as [`characterize`].
-pub fn characterize_all_targets(
-    cell: &CellDefinition,
-    config: &ArrayConfig,
-) -> Result<Vec<ArrayCharacterization>, CharacterizationError> {
-    characterize_targets(cell, config, &OptimizationTarget::ALL)
+    let mut results = characterize_targets(cell, config, &[target], &SubarrayCache::new(), None)?;
+    Ok(results.remove(0))
 }
 
 #[cfg(test)]
@@ -266,7 +196,14 @@ mod tests {
     fn all_targets_characterize_2mb_stt() {
         let cell = tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
         let config = ArrayConfig::new(Capacity::from_mebibytes(2));
-        let results = characterize_all_targets(&cell, &config).unwrap();
+        let results = characterize_targets(
+            &cell,
+            &config,
+            &OptimizationTarget::ALL,
+            &SubarrayCache::new(),
+            None,
+        )
+        .unwrap();
         assert_eq!(results.len(), OptimizationTarget::ALL.len());
     }
 
@@ -276,10 +213,11 @@ mod tests {
         let stt = tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
         let sram = custom::sram_16nm();
         let config = ArrayConfig::new(Capacity::from_mebibytes(2));
-        let stt_array = characterize(&stt, &config).unwrap();
+        let stt_array = characterize(&stt, &config, OptimizationTarget::ReadEdp).unwrap();
         let sram_array = characterize(
             &sram,
             &config.with_node(nvmx_units::Meters::from_nano(16.0)),
+            OptimizationTarget::ReadEdp,
         )
         .unwrap();
         let ratio = stt_array.density_mbit_per_mm2() / sram_array.density_mbit_per_mm2();
@@ -307,10 +245,8 @@ mod tests {
     fn config_builders_compose() {
         let config = ArrayConfig::new(Capacity::from_mebibytes(16))
             .with_word_bits(512)
-            .with_target(OptimizationTarget::WriteEdp)
             .with_bits_per_cell(BitsPerCell::Mlc2);
         assert_eq!(config.word_bits, 512);
-        assert_eq!(config.target, OptimizationTarget::WriteEdp);
         assert_eq!(config.bits_per_cell, BitsPerCell::Mlc2);
     }
 }

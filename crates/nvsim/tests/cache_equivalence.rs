@@ -1,13 +1,12 @@
-//! Property proof for the subarray characterization cache: cached and
-//! uncached shared-DSE passes must return bit-identical winners for random
-//! tentpole cells, capacities, programming depths, and target subsets —
-//! cold cache, warm cache, and cache shared across capacities alike.
+//! Property proof for the subarray characterization cache: cached
+//! shared-DSE passes must return winners bit-identical to the exhaustive,
+//! uncached oracle (`dse::oracle`) for random tentpole cells, capacities,
+//! programming depths, and target subsets — cold cache, warm cache, and
+//! cache shared across capacities alike.
 
 use nvmx_celldb::{survey, tentpole};
-use nvmx_nvsim::{
-    characterize_targets, characterize_targets_cached, ArrayConfig, OptimizationTarget,
-    SubarrayCache,
-};
+use nvmx_nvsim::dse::oracle;
+use nvmx_nvsim::{characterize_targets, ArrayConfig, OptimizationTarget, SubarrayCache};
 use nvmx_units::{BitsPerCell, Capacity};
 use proptest::prelude::*;
 
@@ -38,9 +37,9 @@ proptest! {
             .with_bits_per_cell(depth);
 
         let cache = SubarrayCache::new();
-        let uncached = characterize_targets(cell, &config, &targets);
-        let cold = characterize_targets_cached(cell, &config, &targets, &cache);
-        let warm = characterize_targets_cached(cell, &config, &targets, &cache);
+        let uncached = oracle::characterize_targets(cell, &config, &targets);
+        let cold = characterize_targets(cell, &config, &targets, &cache, None);
+        let warm = characterize_targets(cell, &config, &targets, &cache, None);
 
         match (uncached, cold, warm) {
             (Ok(reference), Ok(cold), Ok(warm)) => {
@@ -71,8 +70,8 @@ proptest! {
         let cache = SubarrayCache::new();
         for mib in [1u64, 2, 4, 8] {
             let config = ArrayConfig::new(Capacity::from_mebibytes(mib));
-            let reference = characterize_targets(cell, &config, &targets).unwrap();
-            let cached = characterize_targets_cached(cell, &config, &targets, &cache).unwrap();
+            let reference = oracle::characterize_targets(cell, &config, &targets).unwrap();
+            let cached = characterize_targets(cell, &config, &targets, &cache, None).unwrap();
             prop_assert_eq!(reference, cached, "divergence at {} MiB for {}", mib, &cell.name);
         }
     }
@@ -99,14 +98,14 @@ proptest! {
                 nvmx_nvsim::dse::enumerate_organizations(&config).len() as u64;
             let cache = SubarrayCache::new();
 
-            characterize_targets_cached(cell, &config, &targets, &cache).unwrap();
+            characterize_targets(cell, &config, &targets, &cache, None).unwrap();
             let cold = cache.stats();
             prop_assert_eq!(
                 cold.candidates(), candidates,
                 "cold pass dropped candidates for {}: {:?}", &cell.name, cold
             );
 
-            characterize_targets_cached(cell, &config, &targets, &cache).unwrap();
+            characterize_targets(cell, &config, &targets, &cache, None).unwrap();
             let warm = cache.stats().since(cold);
             prop_assert_eq!(
                 warm.candidates(), candidates,
@@ -145,7 +144,7 @@ fn four_capacity_study_reuses_most_subarray_characterizations() {
             for mib in [1u64, 2, 4, 8] {
                 let config =
                     ArrayConfig::new(Capacity::from_mebibytes(mib)).with_bits_per_cell(depth);
-                characterize_targets_cached(cell, &config, &OptimizationTarget::ALL, &cache)
+                characterize_targets(cell, &config, &OptimizationTarget::ALL, &cache, None)
                     .unwrap();
             }
         }

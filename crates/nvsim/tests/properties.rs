@@ -4,7 +4,9 @@
 use nvmx_celldb::{custom, survey, tentpole, CellFlavor, TechnologyClass};
 use nvmx_nvsim::subarray::Subarray;
 use nvmx_nvsim::technology::lookup;
-use nvmx_nvsim::{characterize, characterize_targets, ArrayConfig, OptimizationTarget};
+use nvmx_nvsim::{
+    characterize, characterize_targets, ArrayConfig, OptimizationTarget, SubarrayCache,
+};
 use nvmx_units::{BitsPerCell, Capacity, Meters};
 use proptest::prelude::*;
 
@@ -54,8 +56,8 @@ proptest! {
         let small_cfg = ArrayConfig::new(Capacity::from_mebibytes(1 << (cap_exp - 1)));
         let large_cfg = ArrayConfig::new(Capacity::from_mebibytes(1 << cap_exp));
         let cell = stt();
-        let small = characterize(&cell, &small_cfg).expect("characterizes");
-        let large = characterize(&cell, &large_cfg).expect("characterizes");
+        let small = characterize(&cell, &small_cfg, OptimizationTarget::ReadEdp).expect("characterizes");
+        let large = characterize(&cell, &large_cfg, OptimizationTarget::ReadEdp).expect("characterizes");
         prop_assert!(large.area.value() > small.area.value());
         prop_assert!(large.leakage.value() > small.leakage.value());
         prop_assert_eq!(large.capacity.bits(), 2 * small.capacity.bits());
@@ -68,9 +70,9 @@ proptest! {
         let target = OptimizationTarget::ALL[target_idx];
         let cell = stt();
         let config = ArrayConfig::new(Capacity::from_mebibytes(2));
-        let chosen = characterize(&cell, &config.with_target(target)).expect("ok");
+        let chosen = characterize(&cell, &config, target).expect("ok");
         for other in OptimizationTarget::ALL {
-            let alt = characterize(&cell, &config.with_target(other)).expect("ok");
+            let alt = characterize(&cell, &config, other).expect("ok");
             prop_assert!(
                 chosen.score(target) <= alt.score(target) * (1.0 + 1e-9),
                 "{target}: chosen {} vs {other}-optimized {}",
@@ -84,8 +86,8 @@ proptest! {
     fn node_scaling_shrinks_arrays(node_a in 16.0..30.0f64, node_b in 30.0..65.0f64) {
         let cell = stt();
         let config = ArrayConfig::new(Capacity::from_mebibytes(2));
-        let fine = characterize(&cell, &config.with_node(Meters::from_nano(node_a))).expect("ok");
-        let coarse = characterize(&cell, &config.with_node(Meters::from_nano(node_b))).expect("ok");
+        let fine = characterize(&cell, &config.with_node(Meters::from_nano(node_a)), OptimizationTarget::ReadEdp).expect("ok");
+        let coarse = characterize(&cell, &config.with_node(Meters::from_nano(node_b)), OptimizationTarget::ReadEdp).expect("ok");
         prop_assert!(fine.area.value() < coarse.area.value());
         prop_assert!(fine.density_mbit_per_mm2() > coarse.density_mbit_per_mm2());
     }
@@ -95,8 +97,8 @@ proptest! {
         let cell = tentpole::tentpole_cell(TechnologyClass::Rram, CellFlavor::Optimistic)
             .expect("surveyed");
         let config = ArrayConfig::new(Capacity::from_mebibytes(1 << cap_exp));
-        let slc = characterize(&cell, &config).expect("ok");
-        let mlc = characterize(&cell, &config.with_bits_per_cell(BitsPerCell::Mlc2)).expect("ok");
+        let slc = characterize(&cell, &config, OptimizationTarget::ReadEdp).expect("ok");
+        let mlc = characterize(&cell, &config.with_bits_per_cell(BitsPerCell::Mlc2), OptimizationTarget::ReadEdp).expect("ok");
         prop_assert!(mlc.density_mbit_per_mm2() > slc.density_mbit_per_mm2());
         prop_assert!(mlc.read_latency.value() > slc.read_latency.value());
     }
@@ -131,8 +133,14 @@ fn survey_wide_arrays_are_physical_and_grow_with_capacity() {
                 let config = ArrayConfig::new(Capacity::from_mebibytes(mib))
                     .with_node(node)
                     .with_bits_per_cell(depth);
-                let arrays = characterize_targets(cell, &config, &OptimizationTarget::ALL)
-                    .unwrap_or_else(|e| panic!("{} {depth:?} {mib} MiB: {e}", cell.name));
+                let arrays = characterize_targets(
+                    cell,
+                    &config,
+                    &OptimizationTarget::ALL,
+                    &SubarrayCache::new(),
+                    None,
+                )
+                .unwrap_or_else(|e| panic!("{} {depth:?} {mib} MiB: {e}", cell.name));
                 for array in &arrays {
                     let at = format!("{} {depth:?} {mib} MiB {}", cell.name, array.target);
                     for (metric, value) in [

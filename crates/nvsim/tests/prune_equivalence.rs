@@ -9,8 +9,7 @@ use nvmx_celldb::{survey, tentpole};
 use nvmx_nvsim::bounds::BoundContext;
 use nvmx_nvsim::dse::{enumerate_organizations, oracle};
 use nvmx_nvsim::{
-    characterize_targets, characterize_targets_cached, characterize_targets_seeded, ArrayConfig,
-    IncumbentStore, OptimizationTarget, SubarrayCache,
+    characterize_targets, ArrayConfig, IncumbentStore, OptimizationTarget, SubarrayCache,
 };
 use nvmx_units::{BitsPerCell, Capacity};
 use proptest::prelude::*;
@@ -44,9 +43,9 @@ proptest! {
             .with_bits_per_cell(depth);
 
         let cache = SubarrayCache::new();
-        let unpruned = oracle::optimize_targets(cell, &config, &targets);
-        let pruned = characterize_targets(cell, &config, &targets);
-        let pruned_cached = characterize_targets_cached(cell, &config, &targets, &cache);
+        let unpruned = oracle::characterize_targets(cell, &config, &targets);
+        let pruned = characterize_targets(cell, &config, &targets, &SubarrayCache::new(), None);
+        let pruned_cached = characterize_targets(cell, &config, &targets, &cache, None);
 
         match (unpruned, pruned, pruned_cached) {
             (Ok(reference), Ok(pruned), Ok(cached)) => {
@@ -89,12 +88,12 @@ proptest! {
             .with_bits_per_cell(depth);
 
         let cold_cache = SubarrayCache::new();
-        let cold = characterize_targets_cached(cell, &config, &targets, &cold_cache);
+        let cold = characterize_targets(cell, &config, &targets, &cold_cache, None);
 
         let warm_cache = SubarrayCache::new();
         let seeds = IncumbentStore::new();
-        let recording = characterize_targets_seeded(cell, &config, &targets, &warm_cache, &seeds);
-        let warm = characterize_targets_seeded(cell, &config, &targets, &warm_cache, &seeds);
+        let recording = characterize_targets(cell, &config, &targets, &warm_cache, Some(&seeds));
+        let warm = characterize_targets(cell, &config, &targets, &warm_cache, Some(&seeds));
 
         match (cold, recording, warm) {
             (Ok(reference), Ok(recording), Ok(warm)) => {
@@ -142,7 +141,13 @@ proptest! {
                 // `characterize_organization` packages through the exact
                 // bank metrics the scan compares against, so `score` here
                 // is the scan's true score bit-for-bit.
-                let packaged = nvmx_nvsim::dse::characterize_organization(cell, &config, org);
+                let packaged = nvmx_nvsim::dse::characterize_organization(
+                    &tech,
+                    cell,
+                    &config,
+                    org,
+                    OptimizationTarget::ReadEdp,
+                );
                 for target in OptimizationTarget::ALL {
                     let bound = bounds
                         .score_bound_for(&org, target)
@@ -178,7 +183,7 @@ fn pruning_skips_most_candidates_on_the_default_design_point() {
     .unwrap();
     let config = ArrayConfig::new(Capacity::from_mebibytes(2));
     let cache = SubarrayCache::new();
-    characterize_targets_cached(&cell, &config, &OptimizationTarget::ALL, &cache).unwrap();
+    characterize_targets(&cell, &config, &OptimizationTarget::ALL, &cache, None).unwrap();
     let stats = cache.stats();
     let candidates = enumerate_organizations(&config).len() as u64;
     assert_eq!(
@@ -210,16 +215,26 @@ fn warm_pass_prunes_strictly_more_with_identical_results() {
     let cache = SubarrayCache::new();
     let seeds = IncumbentStore::new();
 
-    let cold =
-        characterize_targets_seeded(&cell, &config, &OptimizationTarget::ALL, &cache, &seeds)
-            .unwrap();
+    let cold = characterize_targets(
+        &cell,
+        &config,
+        &OptimizationTarget::ALL,
+        &cache,
+        Some(&seeds),
+    )
+    .unwrap();
     let cold_stats = cache.stats();
     assert_eq!(seeds.len(), OptimizationTarget::ALL.len());
     assert_eq!(seeds.stats().recorded, OptimizationTarget::ALL.len() as u64);
 
-    let warm =
-        characterize_targets_seeded(&cell, &config, &OptimizationTarget::ALL, &cache, &seeds)
-            .unwrap();
+    let warm = characterize_targets(
+        &cell,
+        &config,
+        &OptimizationTarget::ALL,
+        &cache,
+        Some(&seeds),
+    )
+    .unwrap();
     let warm_stats = cache.stats().since(cold_stats);
     assert_eq!(cold, warm, "seeding must not change a single winner");
     assert_eq!(
@@ -256,12 +271,11 @@ fn different_capacity_never_seeds() {
     let two = ArrayConfig::new(Capacity::from_mebibytes(2));
     let four = ArrayConfig::new(Capacity::from_mebibytes(4));
 
-    characterize_targets_seeded(&cell, &two, &OptimizationTarget::ALL, &cache, &seeds).unwrap();
+    characterize_targets(&cell, &two, &OptimizationTarget::ALL, &cache, Some(&seeds)).unwrap();
     let recorded_after_first = seeds.stats().recorded;
 
     let seeded =
-        characterize_targets_seeded(&cell, &four, &OptimizationTarget::ALL, &cache, &seeds)
-            .unwrap();
+        characterize_targets(&cell, &four, &OptimizationTarget::ALL, &cache, Some(&seeds)).unwrap();
     assert_eq!(
         seeds.stats().seeded_scans,
         0,
@@ -272,6 +286,6 @@ fn different_capacity_never_seeds() {
         recorded_after_first + OptimizationTarget::ALL.len() as u64,
         "the new design point records its own seeds"
     );
-    let cold = characterize_targets_cached(&cell, &four, &OptimizationTarget::ALL, &cache).unwrap();
+    let cold = characterize_targets(&cell, &four, &OptimizationTarget::ALL, &cache, None).unwrap();
     assert_eq!(seeded, cold);
 }

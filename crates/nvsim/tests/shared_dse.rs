@@ -5,7 +5,7 @@
 
 use nvmx_celldb::{survey, tentpole};
 use nvmx_nvsim::{
-    characterize, characterize_all_targets, characterize_targets, ArrayConfig, OptimizationTarget,
+    characterize, characterize_targets, ArrayConfig, OptimizationTarget, SubarrayCache,
 };
 use nvmx_units::{BitsPerCell, Capacity};
 
@@ -18,11 +18,17 @@ fn shared_pass_matches_per_target_for_every_tentpole_cell_and_target() {
     let cells = tentpole::tentpoles(survey::database());
     assert!(!cells.is_empty(), "tentpole set must not be empty");
     for cell in &cells {
-        let shared = characterize_targets(cell, &config(), &OptimizationTarget::ALL)
-            .unwrap_or_else(|e| panic!("{}: {e}", cell.name));
+        let shared = characterize_targets(
+            cell,
+            &config(),
+            &OptimizationTarget::ALL,
+            &SubarrayCache::new(),
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", cell.name));
         assert_eq!(shared.len(), OptimizationTarget::ALL.len());
         for (result, target) in shared.iter().zip(OptimizationTarget::ALL) {
-            let standalone = characterize(cell, &config().with_target(target))
+            let standalone = characterize(cell, &config(), target)
                 .unwrap_or_else(|e| panic!("{} @ {target}: {e}", cell.name));
             assert_eq!(
                 result, &standalone,
@@ -38,9 +44,16 @@ fn shared_pass_matches_per_target_at_mlc_depths() {
     let cells = tentpole::tentpoles(survey::database());
     for cell in cells.iter().filter(|c| c.supports(BitsPerCell::Mlc2)) {
         let config = config().with_bits_per_cell(BitsPerCell::Mlc2);
-        let shared = characterize_targets(cell, &config, &OptimizationTarget::ALL).unwrap();
+        let shared = characterize_targets(
+            cell,
+            &config,
+            &OptimizationTarget::ALL,
+            &SubarrayCache::new(),
+            None,
+        )
+        .unwrap();
         for (result, target) in shared.iter().zip(OptimizationTarget::ALL) {
-            let standalone = characterize(cell, &config.with_target(target)).unwrap();
+            let standalone = characterize(cell, &config, target).unwrap();
             assert_eq!(
                 result, &standalone,
                 "MLC divergence for {} @ {target}",
@@ -51,14 +64,6 @@ fn shared_pass_matches_per_target_at_mlc_depths() {
 }
 
 #[test]
-fn all_targets_wrapper_is_the_shared_pass() {
-    let cell = cells_one();
-    let via_wrapper = characterize_all_targets(&cell, &config()).unwrap();
-    let via_targets = characterize_targets(&cell, &config(), &OptimizationTarget::ALL).unwrap();
-    assert_eq!(via_wrapper, via_targets);
-}
-
-#[test]
 fn target_subsets_and_duplicates_select_consistently() {
     let cell = cells_one();
     let subset = [
@@ -66,23 +71,26 @@ fn target_subsets_and_duplicates_select_consistently() {
         OptimizationTarget::ReadLatency,
         OptimizationTarget::Area,
     ];
-    let results = characterize_targets(&cell, &config(), &subset).unwrap();
+    let results =
+        characterize_targets(&cell, &config(), &subset, &SubarrayCache::new(), None).unwrap();
     assert_eq!(results.len(), 3);
     assert_eq!(results[0], results[2], "duplicate targets must agree");
     assert_eq!(results[0].target, OptimizationTarget::Area);
     assert_eq!(results[1].target, OptimizationTarget::ReadLatency);
     assert_eq!(
         results[0],
-        characterize(&cell, &config().with_target(OptimizationTarget::Area)).unwrap()
+        characterize(&cell, &config(), OptimizationTarget::Area).unwrap()
     );
 }
 
 #[test]
 fn empty_target_list_yields_no_results() {
     let cell = cells_one();
-    assert!(characterize_targets(&cell, &config(), &[])
-        .unwrap()
-        .is_empty());
+    assert!(
+        characterize_targets(&cell, &config(), &[], &SubarrayCache::new(), None)
+            .unwrap()
+            .is_empty()
+    );
 }
 
 fn cells_one() -> nvmx_celldb::CellDefinition {

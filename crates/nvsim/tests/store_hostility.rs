@@ -10,10 +10,8 @@
 //! directly.
 
 use nvmx_celldb::{survey, tentpole, CellDefinition};
-use nvmx_nvsim::{
-    characterize_targets, characterize_targets_cached, ArrayConfig, OptimizationTarget,
-    SubarrayCache,
-};
+use nvmx_nvsim::dse::oracle;
+use nvmx_nvsim::{characterize_targets, ArrayConfig, OptimizationTarget, SubarrayCache};
 use nvmx_units::{BitsPerCell, Capacity};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -45,7 +43,7 @@ fn cold_process(
     nvmx_nvsim::CacheStats,
 ) {
     let cache = SubarrayCache::with_store(dir).expect("store dir opens");
-    let result = characterize_targets_cached(cell, &config(), &TARGETS, &cache)
+    let result = characterize_targets(cell, &config(), &TARGETS, &cache, None)
         .expect("characterization succeeds");
     cache.flush_store().expect("store flush succeeds");
     (result, cache.stats())
@@ -66,7 +64,7 @@ fn slab_files(dir: &Path) -> Vec<PathBuf> {
 fn a_warm_store_serves_a_cold_process_bit_identically() {
     let cells = cells();
     let cell = &cells[0];
-    let reference = characterize_targets(cell, &config(), &TARGETS).expect("storeless run");
+    let reference = oracle::characterize_targets(cell, &config(), &TARGETS).expect("storeless run");
     let dir = temp_dir("warm");
 
     let (first, first_stats) = cold_process(&dir, cell);
@@ -89,7 +87,7 @@ fn a_warm_store_serves_a_cold_process_bit_identically() {
 fn every_file_pathology_degrades_to_recompute() {
     let cells = cells();
     let cell = &cells[0];
-    let reference = characterize_targets(cell, &config(), &TARGETS).expect("storeless run");
+    let reference = oracle::characterize_targets(cell, &config(), &TARGETS).expect("storeless run");
 
     type Mutation = fn(&Path);
     let truncate: Mutation = |path| {
@@ -155,7 +153,8 @@ fn a_fingerprint_collision_is_rejected_not_trusted() {
     let cells = cells();
     let (cell_a, cell_b) = (&cells[0], &cells[1]);
     assert_ne!(cell_a.fingerprint(), cell_b.fingerprint());
-    let reference = characterize_targets(cell_a, &config(), &TARGETS).expect("storeless run");
+    let reference =
+        oracle::characterize_targets(cell_a, &config(), &TARGETS).expect("storeless run");
 
     // Publish each cell into its own store, then plant cell B's slab bytes
     // at cell A's path — a simulated 64-bit fingerprint collision.
@@ -189,7 +188,7 @@ fn a_fingerprint_collision_is_rejected_not_trusted() {
 fn racing_publishers_never_tear_the_store() {
     let cells = cells();
     let cell = &cells[0];
-    let reference = characterize_targets(cell, &config(), &TARGETS).expect("storeless run");
+    let reference = oracle::characterize_targets(cell, &config(), &TARGETS).expect("storeless run");
     let dir = temp_dir("race");
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -232,7 +231,7 @@ proptest! {
     ) {
         let cells = cells();
         let cell = &cells[0];
-        let reference = characterize_targets(cell, &config(), &TARGETS).unwrap();
+        let reference = oracle::characterize_targets(cell, &config(), &TARGETS).unwrap();
         let dir = temp_dir(&format!("prop_{case}"));
         let _ = cold_process(&dir, cell);
 

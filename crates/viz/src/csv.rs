@@ -31,7 +31,8 @@ pub struct Csv {
     rows: usize,
 }
 
-/// Quotes a CSV field when it contains separators/quotes/newlines.
+/// Quotes a CSV field when it contains separators, quotes, or line breaks
+/// (`\n` or `\r`).
 pub fn escape(field: &str) -> String {
     let mut out = String::with_capacity(field.len());
     push_escaped(&mut out, field);
@@ -39,7 +40,9 @@ pub fn escape(field: &str) -> String {
 }
 
 fn needs_quotes(field: &str) -> bool {
-    field.bytes().any(|b| matches!(b, b',' | b'"' | b'\n'))
+    field
+        .bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
 }
 
 /// Appends the text `write` produces to `out`, quoted afterwards only if
@@ -54,7 +57,7 @@ fn push_written(out: &mut String, write: impl FnOnce(&mut String)) {
 }
 
 /// Appends `field` to `out`, quoted (inner quotes doubled) when it
-/// contains separators/quotes/newlines.
+/// contains separators, quotes, or line breaks (`\n` or `\r`).
 pub fn push_escaped(out: &mut String, field: &str) {
     if needs_quotes(field) {
         out.push('"');
@@ -281,13 +284,14 @@ impl Drop for Row<'_> {
 ///
 /// ```
 /// use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
-/// use nvmx_nvsim::{characterize, ArrayConfig};
+/// use nvmx_nvsim::{characterize, ArrayConfig, OptimizationTarget};
 /// use nvmx_units::Capacity;
 /// use nvmx_viz::csv::{ArrayCells, Csv};
 /// use std::sync::Arc;
 ///
 /// let cell = tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
-/// let array = characterize(&cell, &ArrayConfig::new(Capacity::from_mebibytes(2))).unwrap();
+/// let config = ArrayConfig::new(Capacity::from_mebibytes(2));
+/// let array = characterize(&cell, &config, OptimizationTarget::ReadEdp).unwrap();
 /// let array = Arc::new(array);
 /// let mut cells = ArrayCells::new();
 /// let mut csv = Csv::new(["cell", "technology", "capacity_mib", "bits_per_cell", "target"]);
@@ -476,6 +480,16 @@ mod tests {
         let mut csv = Csv::new(["x"]);
         csv.row(["hello, \"world\""]);
         assert_eq!(csv.render(), "x\n\"hello, \"\"world\"\"\"\n");
+    }
+
+    #[test]
+    fn quotes_carriage_returns() {
+        // A bare `\r` ends a record for RFC 4180 readers, so it must be
+        // quoted like `\n`.
+        assert_eq!(escape("a\rb"), "\"a\rb\"");
+        let mut csv = Csv::new(["x", "y"]);
+        csv.push_row().text("cr\r").num(0.5);
+        assert_eq!(csv.render(), "x,y\n\"cr\r\",0.5\n");
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod svg;
 pub mod table;
 
 pub use csv::Csv;
-pub use sink::{CsvSink, JsonlSink, SpecSinks, SummaryTableSink};
+pub use sink::{CsvSink, JsonlSink, SummaryTableSink};
 pub use svg::{ScatterPlot, Series};
 pub use table::AsciiTable;

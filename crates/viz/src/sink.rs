@@ -15,13 +15,14 @@
 //! - [`SummaryTableSink`] — per-target winners and study counters rendered
 //!   as an aligned table when the study finishes.
 //!
-//! [`from_spec`] builds the sink set a study's
-//! [`OutputSpec`](nvmexplorer_core::config::OutputSpec) asks for, which is
-//! how the config-driven runner and scheduler wire per-study outputs.
+//! [`from_spec`] builds the sink set a study's [`OutputSpec`] asks for, as
+//! one [`MultiSink`] fan-out, which is how the config-driven runner and
+//! scheduler wire per-study outputs.
 
 use crate::csv::{num_into, push_escaped, ArrayCells};
 use crate::table::AsciiTable;
-use nvmexplorer_core::stream::{ResultSink, StudyEvent};
+use nvmexplorer_core::config::OutputSpec;
+use nvmexplorer_core::stream::{MultiSink, ResultSink, StudyEvent};
 use nvmexplorer_core::wire::EventEncoder;
 use std::io::Write;
 use std::path::Path;
@@ -365,16 +366,14 @@ impl<W: Write> ResultSink for SummaryTableSink<W> {
 
 /// Builds the file/terminal sinks a study's `output` spec asks for: CSV and
 /// JSONL stream to buffered files (parent directories created), `summary`
-/// prints to stdout. Returns an empty vector for an empty spec — wrap the
-/// result in a [`MultiSink`](nvmexplorer_core::stream::MultiSink) or box it
-/// per study.
+/// prints to stdout. The sinks come back as one owned fan-out; an empty
+/// spec yields an empty, passive one, so the engine skips the streaming
+/// drain.
 ///
 /// # Errors
 ///
 /// Propagates file-creation failures.
-pub fn from_spec(
-    spec: &nvmexplorer_core::config::OutputSpec,
-) -> std::io::Result<Vec<Box<dyn ResultSink>>> {
+pub fn from_spec(spec: &OutputSpec) -> std::io::Result<MultiSink<'static>> {
     fn create(path: &str) -> std::io::Result<std::io::BufWriter<std::fs::File>> {
         let path = Path::new(path);
         if let Some(parent) = path.parent() {
@@ -385,61 +384,24 @@ pub fn from_spec(
         Ok(std::io::BufWriter::new(std::fs::File::create(path)?))
     }
 
-    let mut sinks: Vec<Box<dyn ResultSink>> = Vec::new();
+    let mut sinks = MultiSink::new();
     if let Some(path) = &spec.csv {
-        sinks.push(Box::new(CsvSink::new(create(path)?)));
+        sinks = sinks.with(CsvSink::new(create(path)?));
     }
     if let Some(path) = &spec.jsonl {
-        sinks.push(Box::new(JsonlSink::new(create(path)?)));
+        sinks = sinks.with(JsonlSink::new(create(path)?));
     }
     if spec.summary {
-        sinks.push(Box::new(SummaryTableSink::new(std::io::stdout())));
+        sinks = sinks.with(SummaryTableSink::new(std::io::stdout()));
     }
     Ok(sinks)
-}
-
-/// A boxed fan-out over the sinks of [`from_spec`] — one owned sink per
-/// study, as [`StudyScheduler::run_queue`] expects.
-///
-/// [`StudyScheduler::run_queue`]: nvmexplorer_core::scheduler::StudyScheduler::run_queue
-#[derive(Default)]
-pub struct SpecSinks {
-    sinks: Vec<Box<dyn ResultSink>>,
-}
-
-impl SpecSinks {
-    /// Builds every sink the spec names; an empty spec yields a no-op sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation failures.
-    pub fn new(spec: &nvmexplorer_core::config::OutputSpec) -> std::io::Result<Self> {
-        Ok(Self {
-            sinks: from_spec(spec)?,
-        })
-    }
-}
-
-impl ResultSink for SpecSinks {
-    fn on_event(&mut self, event: &StudyEvent<'_>) -> std::io::Result<()> {
-        for sink in &mut self.sinks {
-            sink.on_event(event)?;
-        }
-        Ok(())
-    }
-
-    fn is_passive(&self) -> bool {
-        // An empty output spec builds no sinks: the engine can then skip
-        // the streaming drain entirely.
-        self.sinks.iter().all(|sink| sink.is_passive())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nvmexplorer_core::config::{CellSelection, StudyConfig, TrafficSpec};
-    use nvmexplorer_core::stream::{MultiSink, StudyExecutor};
+    use nvmexplorer_core::stream::{NullSink, StudyExecutor, StudyResultBuilder};
 
     fn small_study() -> StudyConfig {
         StudyConfig {
@@ -653,6 +615,54 @@ mod tests {
     }
 
     #[test]
+    fn csv_sink_quotes_carriage_returns() {
+        let mut study = small_study();
+        study.name = "cr\rstudy".into();
+        study.traffic = TrafficSpec::Explicit {
+            patterns: vec![nvmx_workloads::TrafficPattern::new(
+                "t\r1", 1.0e9, 1.0e7, 64,
+            )],
+        };
+        let mut sink = CsvSink::new(Vec::new());
+        StudyExecutor::with_threads(1)
+            .run(&study, &mut sink)
+            .unwrap();
+        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let row = text.lines().nth(1).unwrap();
+        assert!(row.starts_with("\"cr\rstudy\",STT"), "{row:?}");
+        assert!(row.contains(",\"t\r1\","), "{row:?}");
+    }
+
+    /// An empty or summary-only `output` section must build a passive
+    /// fan-out: that is what keeps `run` without file outputs drain-free.
+    #[test]
+    fn fan_outs_are_passive_exactly_when_every_member_is() {
+        let dir = std::env::temp_dir().join(format!("nvmx_viz_passive_{}", std::process::id()));
+        let path = |name: &str| Some(dir.join(name).to_string_lossy().into_owned());
+        let passive = |spec: OutputSpec| from_spec(&spec).unwrap().is_passive();
+        assert!(passive(OutputSpec::default()));
+        assert!(passive(OutputSpec {
+            summary: true,
+            ..OutputSpec::default()
+        }));
+        assert!(!passive(OutputSpec {
+            csv: path("results.csv"),
+            ..OutputSpec::default()
+        }));
+        assert!(!passive(OutputSpec {
+            jsonl: path("events.jsonl"),
+            summary: true,
+            ..OutputSpec::default()
+        }));
+        assert!(MultiSink::new().is_passive());
+        assert!(MultiSink::new().with(&mut NullSink).is_passive());
+        assert!(!MultiSink::new()
+            .with(&mut StudyResultBuilder::new())
+            .is_passive());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn from_spec_builds_the_requested_file_sinks() {
         let dir = std::env::temp_dir().join("nvmx_viz_sink_spec_test");
         std::fs::remove_dir_all(&dir).ok();
@@ -661,7 +671,7 @@ mod tests {
             jsonl: Some(dir.join("events.jsonl").to_string_lossy().into_owned()),
             summary: false,
         };
-        let mut sinks = SpecSinks::new(&spec).unwrap();
+        let mut sinks = from_spec(&spec).unwrap();
         StudyExecutor::with_threads(2)
             .run(&small_study(), &mut sinks)
             .unwrap();

@@ -55,9 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             word_bits: 256,
             node,
             bits_per_cell: BitsPerCell::Slc,
-            target: OptimizationTarget::ReadEdp,
         };
-        let array = characterize(&cell, &config)?;
+        let array = characterize(&cell, &config, OptimizationTarget::ReadEdp)?;
         let eval = evaluate(&array, &traffic);
         let accuracy_ok = cell.technology == nvmx_celldb::TechnologyClass::Sram
             || accuracy_under_storage(&cell, BitsPerCell::Slc, 2).is_acceptable(0.05);

@@ -23,7 +23,7 @@
 use nvmexplorer_core::config::{FaultSpec, FaultStudyConfig, OutputSpec, StudyConfig, TrafficSpec};
 use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 use nvmx_units::BitsPerCell;
-use nvmx_viz::sink::SpecSinks;
+use nvmx_viz::sink::from_spec;
 use nvmx_workloads::TrafficPattern;
 
 fn campaign() -> FaultStudyConfig {
@@ -62,7 +62,7 @@ fn campaign() -> FaultStudyConfig {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let campaign = campaign();
-    let mut sinks = SpecSinks::new(&campaign.study.output)?;
+    let mut sinks = from_spec(&campaign.study.output)?;
     let result = StudyExecutor::new().run_fault(&campaign, &mut sinks)?;
 
     println!(

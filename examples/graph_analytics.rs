@@ -62,9 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             word_bits: 64,
             node,
             bits_per_cell: nvmx_units::BitsPerCell::Slc,
-            target: OptimizationTarget::ReadEdp,
         };
-        let array = characterize(&cell, &config)?;
+        let array = characterize(&cell, &config, OptimizationTarget::ReadEdp)?;
         let eval = evaluate(&array, &traffic);
         table.row(vec![
             cell.name.clone(),

@@ -64,9 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             word_bits: 512, // 64 B cache line
             node,
             bits_per_cell: nvmx_units::BitsPerCell::Slc,
-            target: OptimizationTarget::ReadEdp,
         };
-        let array = characterize(&cell, &config)?;
+        let array = characterize(&cell, &config, OptimizationTarget::ReadEdp)?;
         for (label, buffer) in [("no buffer".to_owned(), WriteBuffer::NONE)]
             .into_iter()
             .chain(std::iter::once((

@@ -15,7 +15,7 @@ use nvmexplorer_core::scheduler::StudyScheduler;
 use nvmexplorer_core::stream::{NullSink, ResultSink};
 use nvmx_nvsim::{OptimizationTarget, SubarrayCache};
 use nvmx_units::BitsPerCell;
-use nvmx_viz::sink::SpecSinks;
+use nvmx_viz::sink::from_spec;
 
 /// One slice of a capacity-axis exploration campaign: same cells, same
 /// traffic family, different buffer sizes — exactly the shape where a
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &cache,
         None,
         |_, study| -> Box<dyn ResultSink> {
-            match SpecSinks::new(&study.output) {
+            match from_spec(&study.output) {
                 Ok(sinks) => Box::new(sinks),
                 Err(e) => {
                     eprintln!(

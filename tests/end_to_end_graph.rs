@@ -14,9 +14,8 @@ fn array_for(tech: TechnologyClass, flavor: CellFlavor) -> nvmx_nvsim::ArrayChar
         word_bits: 64,
         node: Meters::from_nano(22.0),
         bits_per_cell: BitsPerCell::Slc,
-        target: OptimizationTarget::ReadEdp,
     };
-    characterize(&cell, &config).expect("characterizes")
+    characterize(&cell, &config, OptimizationTarget::ReadEdp).expect("characterizes")
 }
 
 #[test]

@@ -15,9 +15,8 @@ fn llc_array(tech: TechnologyClass, flavor: CellFlavor) -> ArrayCharacterization
         word_bits: 512,
         node: Meters::from_nano(22.0),
         bits_per_cell: BitsPerCell::Slc,
-        target: OptimizationTarget::ReadEdp,
     };
-    characterize(&cell, &config).expect("characterizes")
+    characterize(&cell, &config, OptimizationTarget::ReadEdp).expect("characterizes")
 }
 
 #[test]

@@ -20,10 +20,11 @@ fn tentpoles_bracket_published_read_latencies() {
             word_bits: 128,
             node: Meters::from_nano(22.0),
             bits_per_cell: BitsPerCell::Slc,
-            target: OptimizationTarget::ReadLatency,
         };
-        let opt_array = characterize(&opt, &config).expect("characterizes");
-        let pess_array = characterize(&pess, &config).expect("characterizes");
+        let opt_array =
+            characterize(&opt, &config, OptimizationTarget::ReadLatency).expect("characterizes");
+        let pess_array =
+            characterize(&pess, &config, OptimizationTarget::ReadLatency).expect("characterizes");
         let outcome = bracket(
             reference.read_latency.value(),
             opt_array.read_latency.value(),
@@ -54,10 +55,9 @@ fn fig4_stt_macro_is_covered() {
         word_bits: 128,
         node: Meters::from_nano(28.0), // the macro's own node
         bits_per_cell: BitsPerCell::Slc,
-        target: OptimizationTarget::ReadLatency,
     };
-    let o = characterize(&opt, &config).unwrap();
-    let p = characterize(&pess, &config).unwrap();
+    let o = characterize(&opt, &config, OptimizationTarget::ReadLatency).unwrap();
+    let p = characterize(&pess, &config, OptimizationTarget::ReadLatency).unwrap();
     let outcome = bracket(
         reference.read_latency.value(),
         o.read_latency.value(),
@@ -82,11 +82,13 @@ fn optimistic_always_beats_pessimistic_at_array_level() {
         let opt = characterize(
             &tentpole::tentpole_cell(tech, CellFlavor::Optimistic).unwrap(),
             &config,
+            OptimizationTarget::ReadEdp,
         )
         .unwrap();
         let pess = characterize(
             &tentpole::tentpole_cell(tech, CellFlavor::Pessimistic).unwrap(),
             &config,
+            OptimizationTarget::ReadEdp,
         )
         .unwrap();
         assert!(
