@@ -105,28 +105,17 @@ pub fn accuracy_under_storage(
 
 /// Measures classifier accuracy under an explicit fault model.
 pub fn accuracy_under_model(model: &FaultModel, trials: u32) -> AccuracyReport {
-    let Classifier {
-        model: clean,
-        test,
-        baseline,
-    } = classifier();
-    let pristine = clean.weight_bytes();
-
+    let trials = trials.max(1);
     let mut sum = 0.0;
     let mut worst = 1.0f64;
-    let trials = trials.max(1);
     for trial in 0..trials {
-        let mut corrupted = pristine.clone();
-        model.inject_seeded(&mut corrupted, 0x5EED_0000 + u64::from(trial));
-        let mut faulty = clean.clone();
-        faulty.load_weight_bytes(&corrupted);
-        let acc = faulty.accuracy(test);
+        let (_, acc) = fault_trial(model, 0x5EED_0000 + u64::from(trial));
         sum += acc;
         worst = worst.min(acc);
     }
 
     AccuracyReport {
-        baseline: *baseline,
+        baseline: baseline_accuracy(),
         mean: sum / f64::from(trials),
         worst,
         bit_error_rate: model.bit_error_rate(),

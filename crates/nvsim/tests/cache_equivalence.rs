@@ -23,7 +23,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn cached_winners_are_bit_identical_to_uncached(
+    fn cached_winners_are_bit_identical_to_the_oracle(
         cell_pick in 0usize..64,
         cap_exp in 0u32..4,
         depth_pick in 0usize..2,

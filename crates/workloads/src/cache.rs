@@ -9,7 +9,7 @@
 
 use crate::traffic::TrafficPattern;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Geometry of the simulated LLC (paper: 16 MiB, 16-way, 64 B lines).
@@ -81,15 +81,6 @@ impl LlcStats {
     }
 }
 
-/// Occupancy of one way. An empty way's tag is meaningless, so every
-/// `u64` stays a valid tag (no sentinel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LineState {
-    Empty,
-    Clean,
-    Dirty,
-}
-
 /// A set-associative write-back, write-allocate cache with exact LRU
 /// replacement.
 ///
@@ -98,18 +89,274 @@ enum LineState {
 /// least recently used line, writing it back if dirty. [`LlcStats`]
 /// depend only on which lines each set holds, not on their physical way.
 ///
-/// All sets share two flat vectors (tags and line states), `ways` slots
-/// per set, each set kept in recency order with the most recent line first
-/// and its empty ways at the tail. A hit rotates its line to the front; a
-/// miss shifts the set down one slot and drops the last, which is either
-/// empty or the LRU line — so neither path needs a victim scan.
+/// A byte address becomes a line address, and a line address a (set, tag)
+/// pair, by shift and mask when the divisor is a power of two and by `/`
+/// and `%` otherwise. [`Llc::new`] picks the set layout from `ways`; no
+/// caller chooses it:
+///
+/// - **Up to 16 ways: a packed recency stack, one cache line per set.** A
+///   tag stays in its physical way for as long as its line is cached. The
+///   set's 64-byte `PackedSet` holds the low 16 bits of every way's tag,
+///   a `u64` recency stack of 4-bit way numbers (most recent in the low
+///   nibble), and `u16` `valid` and `dirty` masks. The rest of each tag
+///   lives apart and is read only once some tag has needed it, so on the
+///   paper's geometry every access touches one line. A hit is a
+///   branch-free match mask over all 16 slots, ANDed with `valid`; the
+///   victim is the stack's last nibble; a hit or a fill moves its way to
+///   the front with one SWAR find-and-shift, and no tag ever moves.
+/// - **More than 16 ways: recency-ordered slots.** All sets share two flat
+///   vectors (tags and line states), `ways` slots per set, each set in
+///   recency order with the most recent line first. A hit rotates its line
+///   to the front; a miss shifts the set down one slot and drops the last.
+///
+/// Both layouts keep the same invariants, which is why neither needs a
+/// victim scan:
+///
+/// - an invalid way's tag is never read as a hit, so it may hold any
+///   stale value and every `u64` is a valid tag (no sentinel);
+/// - empty ways sit at the recency order's tail, after every valid line,
+///   so its last entry is the victim: an empty way while the set has one,
+///   else the LRU line;
+/// - only a valid line is dirty.
 #[derive(Debug, Clone)]
 pub struct Llc {
     config: LlcConfig,
-    sets: u64,
+    line: Divisor,
+    sets: Divisor,
+    layout: Layout,
+    stats: LlcStats,
+}
+
+/// Division by a fixed non-zero divisor: a shift and a mask when it is a
+/// power of two, else `/` and `%`.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    value: u64,
+    /// `log2(value)` when `value` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    fn new(value: u64) -> Self {
+        Self {
+            value,
+            shift: value.is_power_of_two().then(|| value.trailing_zeros()),
+        }
+    }
+
+    /// `(n / value, n % value)`.
+    #[inline]
+    fn div_rem(self, n: u64) -> (u64, u64) {
+        match self.shift {
+            Some(shift) => (n >> shift, n & (self.value - 1)),
+            None => (n / self.value, n % self.value),
+        }
+    }
+}
+
+/// The per-set state, chosen from the associativity.
+#[derive(Debug, Clone)]
+enum Layout {
+    Packed(PackedSets),
+    Ordered(OrderedSets),
+}
+
+/// Widest associativity a packed recency stack encodes: 16 4-bit way
+/// numbers.
+const PACKED_WAYS: usize = 16;
+
+/// One packed set, a cache line to itself: the low 16 bits of each way's
+/// tag and the set's recency stack.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct PackedSet {
+    /// The low 16 bits of way `w`'s tag, in slot `w`.
+    tags: [u16; PACKED_WAYS],
+    /// Way numbers from most (low nibble) to least recently used. The
+    /// first `ways` nibbles are a permutation of `0..ways`; the rest stay 0.
+    order: u64,
+    /// Bit `w` set when way `w` holds a line.
+    valid: u16,
+    /// Bit `w` set when way `w` holds a modified line.
+    dirty: u16,
+}
+
+/// Sets of at most [`PACKED_WAYS`] ways, with tags fixed in place. Slots
+/// past `ways` are never filled.
+#[derive(Debug, Clone)]
+struct PackedSets {
+    sets: Vec<PackedSet>,
+    /// The rest of each way's tag (`tag >> 16`): empty until the first tag
+    /// with bits above the low 16 arrives, then allocated zeroed, which is
+    /// the high half of every tag cached before it.
+    high_tags: Vec<[u64; PACKED_WAYS]>,
+    /// Bit offset of the stack's last used nibble: `4 × (ways − 1)`.
+    tail: u32,
+}
+
+/// `0x1111_…_1111`: a 1 in every nibble.
+const NIBBLE_ONES: u64 = u64::MAX / 0xF;
+
+/// Bit `w` set when `tags[w] == tag`, compared branch-free.
+#[inline(always)]
+fn match_mask<T: Copy + Eq>(tags: &[T; PACKED_WAYS], tag: T) -> u16 {
+    let mut matches = 0u16;
+    for (way, &t) in tags.iter().enumerate() {
+        matches |= u16::from(t == tag) << way;
+    }
+    matches
+}
+
+impl PackedSets {
+    fn new(sets: usize, ways: usize) -> Self {
+        // The identity permutation: way `w` in nibble `w`.
+        let order = (0..ways as u64).fold(0, |order, way| order | way << (4 * way));
+        let empty = PackedSet {
+            tags: [0; PACKED_WAYS],
+            order,
+            valid: 0,
+            dirty: 0,
+        };
+        Self {
+            sets: vec![empty; sets],
+            high_tags: Vec::new(),
+            tail: 4 * (ways as u32 - 1),
+        }
+    }
+
+    #[inline(always)]
+    fn access(&mut self, set: usize, tag: u64, is_write: bool, stats: &mut LlcStats) {
+        let (low, high) = (tag as u16, tag >> 16);
+        let (wide, set_count) = (!self.high_tags.is_empty(), self.sets.len());
+        let packed = &mut self.sets[set];
+        let mut matches = match_mask(&packed.tags, low) & packed.valid;
+        if wide {
+            matches &= match_mask(&self.high_tags[set], high);
+        } else if high != 0 {
+            matches = 0;
+        }
+        // The way to move to the front, and the bit offset of its nibble.
+        let (way, depth) = if matches != 0 {
+            if is_write {
+                stats.write_hits += 1;
+            } else {
+                stats.read_hits += 1;
+            }
+            let way = matches.trailing_zeros();
+            (way, nibble_offset(packed.order, way))
+        } else {
+            stats.misses += 1;
+            let way = (packed.order >> self.tail) as u32 & 0xF;
+            let bit = 1 << way;
+            stats.writebacks += u64::from(packed.dirty & bit != 0);
+            packed.dirty &= !bit;
+            packed.valid |= bit;
+            packed.tags[way as usize] = low;
+            if wide | (high != 0) {
+                if !wide {
+                    self.high_tags = vec![[0; PACKED_WAYS]; set_count];
+                }
+                self.high_tags[set][way as usize] = high;
+            }
+            (way, self.tail)
+        };
+        packed.dirty |= u16::from(is_write) << way;
+        packed.order = move_to_front(packed.order, way, depth);
+    }
+
+    /// Loads the cache line `access` reads for `set`, so that a batch of
+    /// touches overlaps its cache misses.
+    #[inline]
+    fn touch(&self, set: usize) -> u64 {
+        self.sets[set].order
+    }
+}
+
+/// Bit offset of the lowest nibble of `order` equal to `way`, which must
+/// occur in it. Flags every nibble of `order ^ way…way` that is zero; a
+/// borrow can only flag nibbles above the lowest zero, so the lowest flag
+/// is exact.
+#[inline]
+fn nibble_offset(order: u64, way: u32) -> u32 {
+    let x = order ^ (NIBBLE_ONES * u64::from(way));
+    let zeros = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+    zeros.trailing_zeros() & !3
+}
+
+/// `order` with the nibble at bit offset `depth` (which holds `way`)
+/// removed, the nibbles below it shifted up one, and `way` in front.
+#[inline]
+fn move_to_front(order: u64, way: u32, depth: u32) -> u64 {
+    let below = (1u64 << depth) - 1;
+    let through = (below << 4) | 0xF;
+    (order & !through) | ((order & below) << 4) | u64::from(way)
+}
+
+/// Occupancy of one recency-ordered slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LineState {
+    Empty,
+    Clean,
+    Dirty,
+}
+
+/// Sets of any associativity, each kept in recency order in `ways`
+/// consecutive slots of two flat vectors.
+#[derive(Debug, Clone)]
+struct OrderedSets {
+    ways: usize,
     tags: Vec<u64>,
     states: Vec<LineState>,
-    stats: LlcStats,
+}
+
+impl OrderedSets {
+    fn new(sets: usize, ways: usize) -> Self {
+        Self {
+            ways,
+            tags: vec![0; sets * ways],
+            states: vec![LineState::Empty; sets * ways],
+        }
+    }
+
+    fn access(&mut self, set: usize, tag: u64, is_write: bool, stats: &mut LlcStats) {
+        let ways = self.ways;
+        let first = set * ways;
+        let tags = &mut self.tags[first..first + ways];
+        let states = &mut self.states[first..first + ways];
+
+        let hit = tags
+            .iter()
+            .zip(states.iter())
+            .position(|(&t, &s)| t == tag && s != LineState::Empty);
+        // `last` is the slot the shift toward the back overwrites: the hit
+        // line's own, or on a miss the tail, whose empty or LRU line drops.
+        let (last, state) = match hit {
+            Some(way) if is_write => {
+                stats.write_hits += 1;
+                (way, LineState::Dirty)
+            }
+            Some(way) => {
+                stats.read_hits += 1;
+                (way, states[way])
+            }
+            None => {
+                stats.misses += 1;
+                if states[ways - 1] == LineState::Dirty {
+                    stats.writebacks += 1;
+                }
+                let state = if is_write {
+                    LineState::Dirty
+                } else {
+                    LineState::Clean
+                };
+                (ways - 1, state)
+            }
+        };
+        tags.copy_within(..last, 1);
+        states.copy_within(..last, 1);
+        tags[0] = tag;
+        states[0] = state;
+    }
 }
 
 impl Llc {
@@ -130,11 +377,16 @@ impl Llc {
             config.ways,
             config.line_bytes,
         );
+        let layout = if config.ways <= PACKED_WAYS {
+            Layout::Packed(PackedSets::new(sets, config.ways))
+        } else {
+            Layout::Ordered(OrderedSets::new(sets, config.ways))
+        };
         Self {
             config,
-            sets: sets as u64,
-            tags: vec![0; sets * config.ways],
-            states: vec![LineState::Empty; sets * config.ways],
+            line: Divisor::new(config.line_bytes),
+            sets: Divisor::new(sets as u64),
+            layout,
             stats: LlcStats::default(),
         }
     }
@@ -151,46 +403,29 @@ impl Llc {
 
     /// Processes one access at byte address `addr`.
     pub fn access(&mut self, addr: u64, is_write: bool) {
-        self.stats.lookups += 1;
-        let line_addr = addr / self.config.line_bytes;
-        let ways = self.config.ways;
-        let first = (line_addr % self.sets) as usize * ways;
-        let tag = line_addr / self.sets;
-        let tags = &mut self.tags[first..first + ways];
-        let states = &mut self.states[first..first + ways];
+        let (line, _) = self.line.div_rem(addr);
+        let (tag, set) = self.sets.div_rem(line);
+        self.access_set(set as usize, tag, is_write);
+    }
 
-        let hit = tags
-            .iter()
-            .zip(states.iter())
-            .position(|(&t, &s)| t == tag && s != LineState::Empty);
-        // `last` is the slot the shift toward the back overwrites: the hit
-        // line's own, or on a miss the tail, whose empty or LRU line drops.
-        let (last, state) = match hit {
-            Some(way) if is_write => {
-                self.stats.write_hits += 1;
-                (way, LineState::Dirty)
-            }
-            Some(way) => {
-                self.stats.read_hits += 1;
-                (way, states[way])
-            }
-            None => {
-                self.stats.misses += 1;
-                if states[ways - 1] == LineState::Dirty {
-                    self.stats.writebacks += 1;
-                }
-                let state = if is_write {
-                    LineState::Dirty
-                } else {
-                    LineState::Clean
-                };
-                (ways - 1, state)
-            }
-        };
-        tags.copy_within(..last, 1);
-        states.copy_within(..last, 1);
-        tags[0] = tag;
-        states[0] = state;
+    /// Processes one access to `tag` in `set`.
+    #[inline]
+    fn access_set(&mut self, set: usize, tag: u64, is_write: bool) {
+        self.stats.lookups += 1;
+        match &mut self.layout {
+            Layout::Packed(sets) => sets.access(set, tag, is_write, &mut self.stats),
+            Layout::Ordered(sets) => sets.access(set, tag, is_write, &mut self.stats),
+        }
+    }
+
+    /// Loads the cache line an access to `set` reads (see
+    /// [`PackedSets::touch`]); a no-op for the recency-ordered layout.
+    #[inline]
+    fn touch(&self, set: usize) -> u64 {
+        match &self.layout {
+            Layout::Packed(sets) => sets.touch(set),
+            Layout::Ordered(_) => 0,
+        }
     }
 }
 
@@ -301,26 +536,27 @@ pub fn run_profile_checkpoints(
         "checkpoint lengths must ascend: {lengths:?}"
     );
     let mut llc = Llc::new(config);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let lines_in_footprint = (profile.footprint_bytes / config.line_bytes).max(1);
-    let lines_in_hot = (profile.hot_bytes / config.line_bytes).max(1);
-    let mut stream_pos: u64 = 0;
+    let mut stream = AddressStream::new(config, profile, seed);
+    // Accesses are drawn and split into (set, tag) a batch at a time; every
+    // set in the batch is touched before any of its accesses runs, so their
+    // cache misses overlap. Accesses still run in draw order, and a batch
+    // never crosses a checkpoint.
+    let mut batch = [(0usize, 0u64, false); BATCH];
 
     let mut snapshots = Vec::with_capacity(lengths.len());
     for &length in lengths {
-        for _ in llc.stats.lookups..length {
-            let is_write = rng.gen_bool(profile.write_fraction);
-            let addr = if rng.gen_bool(profile.hot_fraction) {
-                // Zipf-flavored hot-region revisit: bias toward low line ids.
-                let u: f64 = rng.gen_range(0.0f64..1.0);
-                let line = ((u * u) * lines_in_hot as f64) as u64;
-                line * config.line_bytes
-            } else {
-                // Streaming through the cold footprint.
-                stream_pos = (stream_pos + 1) % lines_in_footprint;
-                (lines_in_hot + stream_pos) % lines_in_footprint * config.line_bytes
-            };
-            llc.access(addr, is_write);
+        while llc.stats.lookups < length {
+            let batch = &mut batch[..(length - llc.stats.lookups).min(BATCH as u64) as usize];
+            for access in batch.iter_mut() {
+                let (line, is_write) = stream.next_line();
+                let (tag, set) = llc.sets.div_rem(line);
+                *access = (set as usize, tag, is_write);
+            }
+            let touched = batch.iter().fold(0, |acc, &(set, ..)| acc ^ llc.touch(set));
+            std::hint::black_box(touched);
+            for &(set, tag, is_write) in batch.iter() {
+                llc.access_set(set, tag, is_write);
+            }
         }
 
         let stats = llc.stats();
@@ -337,6 +573,74 @@ pub fn run_profile_checkpoints(
         });
     }
     snapshots
+}
+
+/// Accesses drawn and touched ahead of simulating them (1.5 KiB of stack).
+const BATCH: usize = 64;
+
+/// A profile's address stream, as line addresses.
+///
+/// Per access it draws a store flag, then a hot-or-cold flag, then for a
+/// hot access a uniform `u`: the hot line is `⌊u² × hot lines⌋`, a
+/// Zipf-flavored bias toward low line ids. A cold access streams through
+/// the footprint, one line further each time, starting `hot lines` in and
+/// wrapping at its end: line `(hot lines + n) % footprint lines` on the
+/// `n`-th cold access. The flags compare integer thresholds
+/// ([`bool_threshold`]) instead of calling `gen_bool`, and the cold line
+/// advances by one and wraps by compare-and-reset instead of `%`; both
+/// give the same outcome, so each line times `line_bytes` is the byte
+/// address of that formula.
+struct AddressStream {
+    rng: StdRng,
+    write_threshold: u64,
+    hot_threshold: u64,
+    lines_in_hot: f64,
+    lines_in_footprint: u64,
+    /// The last cold line drawn.
+    cold_line: u64,
+}
+
+impl AddressStream {
+    fn new(config: LlcConfig, profile: &BenchProfile, seed: u64) -> Self {
+        let lines_in_footprint = (profile.footprint_bytes / config.line_bytes).max(1);
+        let lines_in_hot = (profile.hot_bytes / config.line_bytes).max(1);
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            write_threshold: bool_threshold(profile.write_fraction),
+            hot_threshold: bool_threshold(profile.hot_fraction),
+            lines_in_hot: lines_in_hot as f64,
+            lines_in_footprint,
+            cold_line: lines_in_hot % lines_in_footprint,
+        }
+    }
+
+    /// The next access: its line address and whether it is a store.
+    #[inline]
+    fn next_line(&mut self) -> (u64, bool) {
+        let is_write = self.rng.next_u64() >> 11 < self.write_threshold;
+        let line = if self.rng.next_u64() >> 11 < self.hot_threshold {
+            let u: f64 = self.rng.gen_range(0.0f64..1.0);
+            ((u * u) * self.lines_in_hot) as u64
+        } else {
+            self.cold_line += 1;
+            if self.cold_line == self.lines_in_footprint {
+                self.cold_line = 0;
+            }
+            self.cold_line
+        };
+        (line, is_write)
+    }
+}
+
+/// The integer form of `gen_bool(p)`: `k < bool_threshold(p)` exactly when
+/// `(k as f64) × 2⁻⁵³ < p`, for every draw `k = next_u64() >> 11` below
+/// 2⁵³. `k × 2⁻⁵³` is exact, and so is `p × 2⁵³` short of overflow, so
+/// the comparison holds for the integers below `⌈p × 2⁵³⌉`: none for NaN,
+/// zero or a negative `p`, all 2⁵³ from `p ≥ 1` on.
+fn bool_threshold(p: f64) -> u64 {
+    const DRAWS: f64 = (1u64 << 53) as f64;
+    // `as` maps NaN (which `clamp` passes through) to 0.
+    (p * DRAWS).ceil().clamp(0.0, DRAWS) as u64
 }
 
 /// Runs the full SPEC-like suite against the default 16 MiB LLC.
@@ -444,6 +748,61 @@ mod tests {
         let min = rates.iter().cloned().fold(f64::MAX, f64::min);
         let max = rates.iter().cloned().fold(0.0, f64::max);
         assert!(max / min > 30.0, "span {min}..{max}");
+    }
+
+    #[test]
+    fn bool_threshold_matches_the_float_comparison_at_the_edges() {
+        const DRAWS: u64 = 1 << 53;
+        // `gen_bool(p)` on a draw `k = next_u64() >> 11`.
+        let float_draw = |k: u64, p: f64| (k as f64) * (1.0 / DRAWS as f64) < p;
+        let edges = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -1.0,
+            f64::NEG_INFINITY,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+            1.0e300,
+            f64::INFINITY,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON / 2.0,
+            1.0 - f64::EPSILON,
+            0.5,
+            0.28,
+            1.0 / 3.0,
+            (DRAWS - 1) as f64 / DRAWS as f64,
+        ];
+        for p in edges {
+            let threshold = bool_threshold(p);
+            assert!(threshold <= DRAWS, "{p:e}");
+            let around = [threshold.wrapping_sub(1), threshold, threshold + 1];
+            for k in [0, 1, 2, DRAWS / 2, DRAWS - 2, DRAWS - 1]
+                .into_iter()
+                .chain(around)
+                .filter(|&k| k < DRAWS)
+            {
+                assert_eq!(k < threshold, float_draw(k, p), "k {k}, p {p:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn stack_moves_any_way_to_the_front() {
+        // A 16-way stack, most recent first: 15, 14, …, 0.
+        let order = (0..16u64).fold(0, |order, way| order | (15 - way) << (4 * way));
+        for way in 0..16u32 {
+            let depth = nibble_offset(order, way);
+            assert_eq!(depth, 4 * (15 - way));
+            let moved = move_to_front(order, way, depth);
+            let nibbles: Vec<u64> = (0..16).map(|i| moved >> (4 * i) & 0xF).collect();
+            let mut expected = vec![u64::from(way)];
+            expected.extend((0..16).rev().filter(|&w| w != u64::from(way)));
+            assert_eq!(nibbles, expected, "way {way}");
+        }
     }
 
     #[test]

@@ -5,14 +5,20 @@
 //! carrying `{tag, valid, dirty, lru}`, a linear hit scan, and a second
 //! scan for the victim (an invalid way first, else the smallest
 //! timestamp). It is slow but obviously exact LRU; the production [`Llc`]
-//! keeps its sets in recency order instead and must report the same
-//! [`LlcStats`] after every access, for every geometry it accepts.
+//! keeps a recency order per set instead (a packed stack up to 16 ways,
+//! recency-ordered slots above) and must report the same [`LlcStats`]
+//! after every access, for every geometry it accepts. A second oracle,
+//! the address stream in its float-draw form feeding the timestamp model,
+//! checks `run_profile`'s generator.
 
 use nvmx_workloads::cache::{
     run_profile, run_profile_checkpoints, spec2017_llc_traffic, spec2017_profiles, BenchProfile,
     Llc, LlcConfig, LlcStats, LlcTraffic,
 };
+use nvmx_workloads::TrafficPattern;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct OracleLine {
@@ -140,6 +146,94 @@ proptest! {
             oracle.access(addr, is_write);
             prop_assert_eq!(llc.stats(), oracle.stats);
         }
+    }
+}
+
+/// The address stream in its defining form, feeding the timestamp oracle:
+/// per access a float `gen_bool` store flag, a float `gen_bool` hot flag,
+/// then either a hot line `⌊u² × hot lines⌋` or the next cold line, stepped
+/// and wrapped with `%`. `run_profile` draws the same addresses with
+/// integer thresholds and a compare-and-reset wrap.
+fn reference_stats(config: LlcConfig, profile: &BenchProfile, lookups: u64, seed: u64) -> LlcStats {
+    let mut oracle = OracleLlc::new(config);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let lines_in_footprint = (profile.footprint_bytes / config.line_bytes).max(1);
+    let lines_in_hot = (profile.hot_bytes / config.line_bytes).max(1);
+    let mut stream_pos: u64 = 0;
+    for _ in 0..lookups {
+        let is_write = rng.gen_bool(profile.write_fraction);
+        let addr = if rng.gen_bool(profile.hot_fraction) {
+            let u: f64 = rng.gen_range(0.0f64..1.0);
+            let line = ((u * u) * lines_in_hot as f64) as u64;
+            line * config.line_bytes
+        } else {
+            stream_pos = (stream_pos + 1) % lines_in_footprint;
+            (lines_in_hot + stream_pos) % lines_in_footprint * config.line_bytes
+        };
+        oracle.access(addr, is_write);
+    }
+    oracle.stats
+}
+
+/// A draw probability: 0, 1, the smallest subnormal, a tiny one, or any
+/// in `[0, 1)`.
+fn fraction() -> impl Strategy<Value = f64> {
+    (0u8..5, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => 1.0,
+        2 => f64::from_bits(1),
+        3 => x * 1e-3,
+        _ => x,
+    })
+}
+
+/// A profile whose footprint and hot region are any byte counts up to
+/// 4 MiB, so line counts are mostly not powers of two and the hot region
+/// is as often larger than the footprint as not.
+fn profile() -> impl Strategy<Value = BenchProfile> {
+    (
+        (1u64..1 << 22, 1u64..1 << 22),
+        (fraction(), fraction()),
+        1.0e6f64..1.0e9,
+    )
+        .prop_map(
+            |((footprint_bytes, hot_bytes), (hot_fraction, write_fraction), lookups_per_sec)| {
+                BenchProfile {
+                    name: "generated".into(),
+                    footprint_bytes,
+                    hot_fraction,
+                    hot_bytes,
+                    write_fraction,
+                    lookups_per_sec,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn address_stream_matches_the_float_draw_reference(
+        config in geometry(),
+        profile in profile(),
+        (lookups, seed) in (1u64..2000, any::<u64>()),
+    ) {
+        let stats = reference_stats(config, &profile, lookups, seed);
+        let seconds = lookups as f64 / profile.lookups_per_sec;
+        let line_bytes = config.line_bytes as f64;
+        let expected = LlcTraffic {
+            name: profile.name.clone(),
+            traffic: TrafficPattern::new(
+                profile.name.clone(),
+                stats.array_reads() as f64 * line_bytes / seconds,
+                stats.array_writes() as f64 * line_bytes / seconds,
+                config.line_bytes,
+            ),
+            miss_rate: stats.miss_rate(),
+        };
+        let got = run_profile(config, &profile, lookups, seed);
+        prop_assert_eq!(traffic_bits(&got), traffic_bits(&expected), "{:?} {:?}", config, profile);
     }
 }
 
