@@ -142,10 +142,10 @@ fn bench_results_csv(c: &mut Criterion) {
 const CAMPAIGN_SLOTS: u64 = 31_613;
 
 /// Drives `total` slots through two equally fast simulated workers under
-/// the default [`ReshardConfig`]: they alternate frames, 100 frames per
-/// simulated millisecond (a leased `campaign_large` run's rate), report
-/// each drained lease, and the supervisor ticks once per frame. Returns
-/// the number of leases granted.
+/// the default [`ReshardConfig`] (pull-only 512-slot leases): they
+/// alternate frames, 100 frames per simulated millisecond (a leased
+/// `campaign_large` run's rate), report each drained lease, and the
+/// supervisor ticks once per frame. Returns the number of leases granted.
 fn supervise(total: u64) -> u64 {
     const NAMES: [&str; 2] = ["w0", "w1"];
     let mut resharder = Resharder::new(ReshardConfig::default());

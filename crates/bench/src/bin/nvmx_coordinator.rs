@@ -22,14 +22,18 @@
 //! lanes with the same lock-free queue discipline as
 //! `core::scheduler::StudyScheduler`.
 //!
-//! The supervisor polls its children's exits from the merge loop (every
-//! 100 ms), measures per-worker throughput with an EWMA, kills workers
-//! that miss their heartbeat deadline, re-leases a dead or stalled
-//! worker's undrained ranges to healthy ones (capped exponential
-//! `--respawn-backoff`; past `--max-respawns` the worker is abandoned and
-//! its leases flow to the survivors), and lets idle fast workers steal the
-//! undelivered tail from slow ones. Every re-leased range is reported in
-//! the summary.
+//! Leases are pull-only: every grant is `--lease-size` slots (512 by
+//! default), and a worker gets its next range when it drains its last
+//! one. The supervisor polls its children's exits from the merge loop
+//! (every 100 ms), kills workers that miss their heartbeat deadline,
+//! re-leases a dead or stalled worker's undrained ranges to healthy ones
+//! (capped exponential `--respawn-backoff`; past `--max-respawns` the
+//! worker is abandoned and its leases flow to the survivors), and, once
+//! nothing else is left to grant, moves the undelivered tail of a worker
+//! that heartbeats but has sent no frame for a whole heartbeat window to
+//! an idle one. No decision reads a worker's rate, so a fault-free run
+//! prints the same summary every time. Every re-leased range is reported
+//! in the summary.
 //!
 //! Fault-injection campaigns (configs with a top-level `fault` section)
 //! are first-class: the fault stream leases, merges, resumes, and replays
@@ -110,24 +114,21 @@ struct RunOptions {
     inject_die: Option<(u64, u64)>,
     inject_stall: Option<(u64, u64)>,
     /// Slow-worker injection: the victim sleeps this many milliseconds per
-    /// emitted frame, so its leases drain slowly and the resharder's steal
-    /// policy has something to migrate.
+    /// emitted frame, so its leases drain slowly. A slow worker that still
+    /// emits keeps its lease, so this measures what one slow host costs.
     inject_throttle: Option<(u64, u64)>,
     max_respawns: u32,
     /// Base of the deterministic exponential respawn backoff:
-    /// `base · 2^(attempt-1)` ms, capped at [`MAX_BACKOFF_MS`]. Zero (the
-    /// default) respawns immediately.
+    /// `base · 2^(attempt-1)` ms, capped at the supervisor's default
+    /// `max_backoff_ms`. Zero (the default) respawns immediately.
     respawn_backoff_ms: u64,
     /// The connection family workers speak the lease protocol over.
     transport: TransportKind,
-    /// Fixed lease size in slots. Overrides the adaptive EWMA sizing —
+    /// Slots per lease, overriding the supervisor's default of 512 —
     /// mainly a test/CI hook to force leases to spread over every worker
     /// on small streams.
     lease_size: Option<u64>,
 }
-
-/// Ceiling on one backoff sleep, however high the attempt count climbs.
-const MAX_BACKOFF_MS: u64 = 10_000;
 
 /// How long the wind-down waits for workers to exit on `shutdown` before
 /// it kills the rest.
@@ -676,8 +677,8 @@ impl Drop for Acceptor {
 /// Runs one study under the lease protocol over `--transport`. Every
 /// worker computes the full deterministic stream; the [`Resharder`]
 /// decides which slot ranges each one emits, re-leasing on death, stall,
-/// or slowness, and the merged capture stays byte-identical to a local
-/// run.
+/// or frame silence, and the merged capture stays byte-identical to a
+/// local run.
 fn run_leased_study(
     path: &str,
     config: &CampaignConfig,
@@ -716,13 +717,8 @@ fn run_leased_study(
     let defaults = ReshardConfig::default();
     let mut resharder = Resharder::new(ReshardConfig {
         respawn_backoff_ms: options.respawn_backoff_ms,
-        max_backoff_ms: MAX_BACKOFF_MS,
         max_respawns: options.max_respawns,
-        // A fixed --lease-size pins all three sizing knobs so the EWMA
-        // sizing can neither grow nor shrink leases.
-        initial_lease: options.lease_size.unwrap_or(defaults.initial_lease),
-        min_lease: options.lease_size.unwrap_or(defaults.min_lease),
-        max_lease: options.lease_size.unwrap_or(defaults.max_lease),
+        lease_size: options.lease_size.unwrap_or(defaults.lease_size),
         ..defaults
     });
     let mut state = LeasedState {

@@ -47,7 +47,8 @@
 //! - `--threads T`       characterization/evaluation workers (default: CPUs, capped at 16)
 //! - `--name NAME`       worker name for the lease protocol (default `worker-<pid>`)
 //! - `--throttle MS`     slow-worker hook: sleep MS per emitted frame —
-//!   drives the coordinator's throughput-aware resharding in tests and CI
+//!   a slow host whose leases drain slowly; it keeps each lease it still
+//!   emits on, so tests and CI use it to bound what one slow worker costs
 //! - `--die-after K`     crash-test hook: exit(137) after emitting K frames,
 //!   simulating a worker killed mid-lease (the coordinator's re-lease and
 //!   respawn path and the CI smoke jobs drive this deterministically)

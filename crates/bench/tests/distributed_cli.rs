@@ -267,8 +267,7 @@ fn killed_worker_resumes_to_identical_results() {
 /// reports its pipe closing only after the respawn is already running;
 /// that late report must not retire the new incarnation, which would
 /// burn the respawn budget and abandon the worker. At 2 workers the
-/// other worker is throttled so the run outlasts the 3 s deadline
-/// instead of stealing the hung worker's tail and finishing first.
+/// other worker is throttled so the run outlasts the 3 s deadline.
 #[test]
 fn hung_worker_respawns_once_at_the_default_backoff() {
     let dir = TempDir::new("hung");
@@ -417,10 +416,11 @@ fn fault_campaign_survives_a_killed_and_a_stalled_shard() {
     // after 5, both mid-lease (2-slot leases). The frozen worker's
     // heartbeats stop, so it misses its 3 s deadline and is killed; both
     // respawn and their ranges are re-leased. The 5 s respawn backoff
-    // keeps the killed worker out long enough that no live worker can
-    // steal the frozen worker's leases first. Heartbeats come from a
-    // dedicated thread, so a long legitimate compute gap (the classifier
-    // build before the fault phase) never reads as a stall.
+    // keeps the killed worker out long enough that no idle worker can take
+    // the frozen worker's lease for frame silence before its 3 s deadline
+    // fires. Heartbeats come from a dedicated thread, so a long legitimate
+    // compute gap (the classifier build before the fault phase) never
+    // reads as a stall.
     let capture_dir = dir.path().join("hostile");
     let output = Command::new(COORDINATOR)
         .arg("run")

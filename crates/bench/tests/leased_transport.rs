@@ -1,12 +1,13 @@
 //! Process-level proof for the lease transports: `nvmx-coordinator
 //! --transport pipe|tcp|unix` driving real `nvmx-worker --connect` workers must
 //! produce output byte-identical to the in-process `run` binary — including
-//! under the acceptance fault mix of one killed, one emission-stalled, and one
+//! under the acceptance fault mix of one killed, one frozen, and one
 //! throttled worker, with the summary showing slot ranges re-leased between
 //! workers, and over a shared warm characterization store.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 const RUN: &str = env!("CARGO_BIN_EXE_run");
 const WORKER: &str = env!("CARGO_BIN_EXE_nvmx-worker");
@@ -210,14 +211,15 @@ fn pipe_and_unix_leased_runs_match_the_local_run() {
 }
 
 /// The acceptance scenario: a TCP campaign at 3 workers where one worker
-/// is killed mid-lease, one wedges its emitter mid-lease (heartbeats
-/// continue — the frame-silence steal must reclaim its tail), and one is
+/// is killed mid-lease, one freezes mid-lease (its heartbeats stop, so it
+/// is killed at its deadline and its lease re-granted), and one is
 /// throttled per frame. The merged output must stay byte-identical to a
-/// local run, and the summary must show slot ranges re-leased between
-/// workers.
+/// local run, the summary must show slot ranges re-leased between
+/// workers, and the run must finish within a bound derived from the
+/// throttle, the deadline and the stream length.
 ///
 /// No worker of the fleet is healthy: the throttled worker 0 delivers one
-/// frame per 150 ms, so it needs seconds to drain the ~23-slot stream on
+/// frame per 150 ms, so it needs seconds to drain the 23-slot stream on
 /// its own. The die and stall victims therefore always connect while
 /// slots are left, and each fault fires whatever order the workers say
 /// `hello` in. (With a healthy worker in the fleet it could drain the
@@ -242,6 +244,7 @@ fn tcp_campaign_survives_killed_stalled_and_throttled_workers() {
 
     // Die/stall thresholds of 3 with 2-slot leases guarantee the fault
     // lands mid-lease (an undrained lease → a re-lease migration).
+    let started = Instant::now();
     let (output, capture) = leased_run(
         dir.path(),
         &config,
@@ -259,6 +262,19 @@ fn tcp_campaign_survives_killed_stalled_and_throttled_workers() {
             "50",
         ],
         "tcp_hostile",
+    );
+    // The stall victim's undrained lease blocks the merger until the 3 s
+    // heartbeat deadline kills it; the rest of the run overlaps that wait.
+    // Pull-only leases let no slot wait on more than the throttled
+    // worker's current 2-slot lease (2 × 150 ms). Even if the throttled
+    // worker emitted the whole 23-slot stream on its own after the kill,
+    // that adds 23 × 150 ms = 3.45 s. So the run ends within 3 s + 3.45 s,
+    // plus 3 s for process start-up and the debug build's compute: 9.45 s.
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(3_000 + 23 * 150 + 3_000),
+        "the hostile run took {elapsed:?}:\n{}",
+        String::from_utf8_lossy(&output.stderr)
     );
     assert_eq!(stdout_line(&output), summary, "hostile merge diverged");
     let stderr = String::from_utf8_lossy(&output.stderr);

@@ -1,16 +1,17 @@
-//! Lease-based supervision and throughput-aware resharding for
-//! distributed campaigns.
+//! Lease-based supervision for distributed campaigns.
 //!
 //! A static partition of the slot space would fix each worker's slot set
 //! at spawn time: a slow host would gate the whole campaign and a dead one
 //! would stall it until a respawn replayed its entire share. The
 //! [`Resharder`] uses *leases* instead: the coordinator grants half-open
-//! slot ranges to workers one chunk at a time, sized by each worker's
-//! measured frame throughput (an EWMA over arrival counts), and moves
-//! ranges between workers as their health changes — dead and stalled
-//! workers' undrained leases drain to healthy ones, and once the frontier
-//! is exhausted idle fast workers *steal* the undelivered tail from slow
-//! ones.
+//! slot ranges of a fixed size ([`ReshardConfig::lease_size`]) one at a
+//! time, and a worker pulls its next range when it drains its last one, so
+//! a fast worker simply drains more leases. A range moves between workers
+//! only when its owner fails: a dead or stalled worker's undrained leases
+//! drain to healthy ones, and once the frontier and the orphans are dry an
+//! idle worker takes the undelivered tail of a live owner that has sent no
+//! event frame for a whole heartbeat window. No decision reads a rate, so
+//! a fault-free fleet's grants depend only on the order its leases drain.
 //!
 //! This is safe because leases gate **emission, not computation**: every
 //! worker computes the full deterministic stream (the engine's `seq` is a
@@ -25,8 +26,8 @@
 //! the whole supervision protocol is testable without sockets, processes,
 //! or sleeps (proptest drives it through arbitrary connect/stall/die/
 //! reconnect schedules in `tests/reshard_properties.rs`). It keeps only
-//! **live** leases — one leaves when drained, orphaned, or stolen — so a
-//! tick scans a few leases per worker, never every lease of the run.
+//! **live** leases — one leaves when drained, orphaned, or re-leased — so
+//! a tick scans a few leases per worker, never every lease of the run.
 
 use std::collections::BTreeMap;
 
@@ -36,21 +37,14 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct ReshardConfig {
     /// A worker silent (no frame, heartbeat, or control line) for longer
-    /// than this is declared stalled: killed, its leases re-granted.
+    /// than this is declared stalled: killed, its leases re-granted. A
+    /// worker that still heartbeats but has sent no event frame for this
+    /// long (counted from its last grant, if later) is *frame-silent*: an
+    /// idle worker may take its undelivered tail.
     pub heartbeat_timeout_ms: u64,
-    /// Lease size (slots) granted to a worker with no throughput history.
-    pub initial_lease: u64,
-    /// Smallest lease ever granted — floors the sizing so a momentarily
-    /// slow worker is not starved into one-slot leases.
-    pub min_lease: u64,
-    /// Largest lease ever granted — caps the re-lease granularity so a
+    /// Slots per frontier grant. It also caps the re-lease granularity: a
     /// failure never orphans more than this many slots per lease.
-    pub max_lease: u64,
-    /// Leases are sized to hold roughly this many milliseconds of the
-    /// worker's measured throughput.
-    pub target_lease_ms: u64,
-    /// EWMA smoothing factor in `(0, 1]`; higher weights recent rates.
-    pub ewma_alpha: f64,
+    pub lease_size: u64,
     /// Base respawn delay after a death/stall; doubles per consecutive
     /// respawn of the same worker, capped at [`Self::max_backoff_ms`].
     pub respawn_backoff_ms: u64,
@@ -60,25 +54,16 @@ pub struct ReshardConfig {
     /// recovery worker: the abandoned worker's leases simply flow to the
     /// survivors.
     pub max_respawns: u32,
-    /// A steal requires the thief's EWMA to exceed the victim's by this
-    /// factor, so two comparable workers never thrash a range between
-    /// each other.
-    pub steal_ratio: f64,
 }
 
 impl Default for ReshardConfig {
     fn default() -> Self {
         Self {
             heartbeat_timeout_ms: 3_000,
-            initial_lease: 32,
-            min_lease: 16,
-            max_lease: 512,
-            target_lease_ms: 1_000,
-            ewma_alpha: 0.4,
+            lease_size: 512,
             respawn_backoff_ms: 250,
             max_backoff_ms: 10_000,
             max_respawns: 2,
-            steal_ratio: 1.5,
         }
     }
 }
@@ -100,8 +85,9 @@ pub enum Action {
         /// One past the last slot of the granted range.
         end: u64,
     },
-    /// Send [`crate::wire::LeaseFrame::Revoke`] to the worker (its range
-    /// was stolen; any slots it still sends are deduped).
+    /// Send [`crate::wire::LeaseFrame::Revoke`] to the worker (it was
+    /// frame-silent and its range went to an idle worker; any slots it
+    /// still sends are deduped).
     Revoke {
         /// The worker losing the lease.
         worker: String,
@@ -135,8 +121,9 @@ pub enum MigrationReason {
     Death,
     /// The previous owner missed its heartbeat deadline.
     Stall,
-    /// An idle faster worker took the undelivered tail from a slower one.
-    Steal,
+    /// The previous owner kept heartbeating but sent no event frame for a
+    /// whole heartbeat window; an idle worker took its undelivered tail.
+    Silent,
 }
 
 impl MigrationReason {
@@ -145,7 +132,7 @@ impl MigrationReason {
         match self {
             Self::Death => "death",
             Self::Stall => "stall",
-            Self::Steal => "steal",
+            Self::Silent => "silent",
         }
     }
 }
@@ -196,21 +183,13 @@ enum Phase {
 struct WorkerState {
     phase: Phase,
     last_heard_ms: u64,
-    /// When the last *event frame* arrived — heartbeats do not count.
-    /// Distinguishes a frozen process (no heartbeats either → killed)
-    /// from a wedged emitter that still heartbeats (→ stealable).
+    /// When the last *event frame* arrived or the last lease was granted —
+    /// heartbeats do not count. Distinguishes a frozen process (no
+    /// heartbeats either → killed) from a wedged emitter that still
+    /// heartbeats (→ its tail is re-leased).
     last_frame_ms: u64,
-    /// Cumulative event frames arrived from this worker.
-    frames: u64,
-    /// Frames/second EWMA, sampled at ticks.
-    ewma: f64,
-    /// `(now_ms, frames)` at the last rate sample.
-    sample: (u64, u64),
     respawns: u32,
     respawn_due_ms: u64,
-    /// `true` once the worker's engine reported `done` (it can serve any
-    /// range instantly).
-    done: bool,
 }
 
 #[derive(Debug)]
@@ -220,10 +199,10 @@ struct LeaseState {
     end: u64,
 }
 
-/// The lease-granting supervisor: tracks worker health and throughput,
-/// owns the un-leased frontier, and decides every grant, revoke, kill,
-/// respawn, and abandonment of a campaign run. See the module docs for
-/// the protocol; see [`ReshardConfig`] for the knobs.
+/// The lease-granting supervisor: tracks worker health, owns the
+/// un-leased frontier, and decides every grant, revoke, kill, respawn, and
+/// abandonment of a campaign run. See the module docs for the protocol;
+/// see [`ReshardConfig`] for the knobs.
 #[derive(Debug)]
 pub struct Resharder {
     config: ReshardConfig,
@@ -267,12 +246,8 @@ impl Resharder {
             phase: Phase::Pending,
             last_heard_ms: now_ms,
             last_frame_ms: now_ms,
-            frames: 0,
-            ewma: 0.0,
-            sample: (now_ms, 0),
             respawns: 0,
             respawn_due_ms: 0,
-            done: false,
         });
     }
 
@@ -285,14 +260,11 @@ impl Resharder {
         worker.phase = Phase::Active;
         worker.last_heard_ms = now_ms;
         worker.last_frame_ms = now_ms;
-        worker.sample = (now_ms, worker.frames);
     }
 
-    /// An event frame arrived from the worker — liveness plus one unit of
-    /// throughput.
+    /// An event frame arrived from the worker.
     pub fn frame_arrived(&mut self, name: &str, now_ms: u64) {
         if let Some(worker) = self.workers.get_mut(name) {
-            worker.frames += 1;
             worker.last_heard_ms = now_ms;
             worker.last_frame_ms = now_ms;
         }
@@ -306,7 +278,8 @@ impl Resharder {
     }
 
     /// The worker reported every owned slot of `lease` emitted. A late
-    /// report for a lease it already lost (stolen or orphaned) is a no-op.
+    /// report for a lease it already lost (re-leased or orphaned) is a
+    /// no-op.
     pub fn lease_drained(&mut self, name: &str, lease: u64, now_ms: u64) {
         self.note_heard(name, now_ms);
         if self.leases.get(&lease).is_some_and(|l| l.worker == name) {
@@ -315,12 +288,9 @@ impl Resharder {
     }
 
     /// The worker's engine finished the whole study: `total` is the exact
-    /// stream length, which caps the frontier.
+    /// stream length, which caps the frontier and every re-granted range.
     pub fn worker_done(&mut self, name: &str, total: u64, now_ms: u64) {
         self.note_heard(name, now_ms);
-        if let Some(worker) = self.workers.get_mut(name) {
-            worker.done = true;
-        }
         // Every worker computes the same deterministic stream, so the
         // first total is as good as any.
         self.total.get_or_insert(total);
@@ -354,15 +324,11 @@ impl Resharder {
             .count()
     }
 
-    /// The total stream length, once known from any worker's `done`.
-    pub fn total(&self) -> Option<u64> {
-        self.total
-    }
-
     /// Advances time: expires heartbeats (kill + orphan), fires due
-    /// respawns, grants orphaned and frontier ranges to idle workers, and
-    /// steals when the frontier is dry. Call it after every merge-loop
-    /// event and timeout; it scans only the live leases.
+    /// respawns, and gives each idle worker one range — an orphan, else a
+    /// frontier lease, else a frame-silent owner's undelivered tail. Call
+    /// it after every merge-loop event and timeout; it scans only the live
+    /// leases.
     pub fn tick(&mut self, now_ms: u64) -> Vec<Action> {
         let mut actions = Vec::new();
 
@@ -396,24 +362,9 @@ impl Resharder {
             }
         }
 
-        // 3. Refresh throughput EWMAs from frame-arrival deltas.
-        for worker in self.workers.values_mut() {
-            let (then_ms, then_frames) = worker.sample;
-            let dt_ms = now_ms.saturating_sub(then_ms);
-            if dt_ms >= 200 {
-                #[allow(clippy::cast_precision_loss)]
-                let rate = (worker.frames - then_frames) as f64 * 1000.0 / dt_ms as f64;
-                worker.ewma = if worker.ewma == 0.0 {
-                    rate
-                } else {
-                    self.config.ewma_alpha * rate + (1.0 - self.config.ewma_alpha) * worker.ewma
-                };
-                worker.sample = (now_ms, worker.frames);
-            }
-        }
-
-        // 4. Grants: orphaned ranges first (they block the merger), then
-        // fresh frontier chunks.
+        // 3. Grants, by worker name: orphaned ranges first (they block the
+        // merger), then fresh frontier leases. Only once both are dry does
+        // an idle worker take a frame-silent owner's undelivered tail.
         let idle: Vec<String> = self
             .workers
             .iter()
@@ -421,27 +372,35 @@ impl Resharder {
             .map(|(name, _)| name.clone())
             .collect();
         for name in idle {
-            while !self.has_outstanding(&name) {
-                if let Some((start, end, from, reason)) = self.next_orphan() {
-                    self.grant(&name, start, end, &mut actions);
-                    self.migrations.push(Migration {
-                        start,
-                        end,
-                        from,
-                        to: name.clone(),
-                        reason,
-                    });
-                } else if let Some((start, end)) = self.next_frontier_chunk(&name) {
-                    self.grant(&name, start, end, &mut actions);
-                } else {
-                    break;
-                }
+            if let Some((start, end, from, reason)) = self.next_orphan() {
+                self.grant(&name, start, end, now_ms, &mut actions);
+                self.migrations.push(Migration {
+                    start,
+                    end,
+                    from,
+                    to: name,
+                    reason,
+                });
+            } else if let Some((start, end)) = self.next_frontier_lease() {
+                self.grant(&name, start, end, now_ms, &mut actions);
+            } else if let Some((lease, from, start, end)) = self.silent_tail(now_ms) {
+                self.leases.remove(&lease);
+                actions.push(Action::Revoke {
+                    worker: from.clone(),
+                    lease,
+                });
+                self.grant(&name, start, end, now_ms, &mut actions);
+                self.migrations.push(Migration {
+                    start,
+                    end,
+                    from,
+                    to: name,
+                    reason: MigrationReason::Silent,
+                });
+            } else {
+                break;
             }
         }
-
-        // 5. Steals: frontier and orphans are dry, but an idle fast
-        // worker could finish a slow worker's undelivered tail sooner.
-        self.steal(now_ms, &mut actions);
 
         actions
     }
@@ -451,45 +410,52 @@ impl Resharder {
         self.leases.values().any(|l| l.worker == name)
     }
 
+    /// The part of `start..end` not yet delivered and inside the stream,
+    /// if any.
+    fn undelivered(&self, start: u64, end: u64) -> Option<(u64, u64)> {
+        let start = start.max(self.delivered);
+        let end = self.total.map_or(end, |total| end.min(total));
+        (start < end).then_some((start, end))
+    }
+
     /// Pops the next orphaned range still worth re-granting (clipped to
-    /// the delivered watermark).
+    /// the delivered watermark and the stream length).
     fn next_orphan(&mut self) -> Option<(u64, u64, String, MigrationReason)> {
         while let Some((start, end, from, reason)) = self.orphans.pop() {
-            let start = start.max(self.delivered);
-            if start < end {
+            if let Some((start, end)) = self.undelivered(start, end) {
                 return Some((start, end, from, reason));
             }
         }
         None
     }
 
-    /// The next frontier chunk for this worker, sized to its throughput;
-    /// `None` when the frontier is exhausted (or the stream length is
-    /// known and fully covered).
-    fn next_frontier_chunk(&mut self, name: &str) -> Option<(u64, u64)> {
-        if let Some(total) = self.total {
-            if self.frontier >= total {
-                return None;
-            }
-        }
-        let worker = self.workers.get(name)?;
-        let size = if worker.ewma > 0.0 {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let sized = (worker.ewma * self.config.target_lease_ms as f64 / 1000.0) as u64;
-            sized.clamp(self.config.min_lease, self.config.max_lease)
-        } else {
-            self.config.initial_lease
-        };
-        let start = self.frontier;
-        let end = match self.total {
-            Some(total) => (start + size).min(total),
-            None => start + size,
-        };
+    /// The next `lease_size` slots of the frontier (fewer at the stream's
+    /// end); `None` once the stream length is known and fully covered.
+    fn next_frontier_lease(&mut self) -> Option<(u64, u64)> {
+        let end = self.frontier.saturating_add(self.config.lease_size);
+        let (start, end) = self.undelivered(self.frontier, end)?;
         self.frontier = end;
-        (start < end).then_some((start, end))
+        Some((start, end))
     }
 
-    fn grant(&mut self, name: &str, start: u64, end: u64, actions: &mut Vec<Action>) -> u64 {
+    /// The first live lease, in grant order, whose owner has been
+    /// frame-silent past the heartbeat deadline and which still has an
+    /// undelivered tail: `(lease, owner, start, end)` of that tail.
+    fn silent_tail(&self, now_ms: u64) -> Option<(u64, String, u64, u64)> {
+        self.leases.iter().find_map(|(id, lease)| {
+            let owner = &self.workers[&lease.worker];
+            if now_ms.saturating_sub(owner.last_frame_ms) <= self.config.heartbeat_timeout_ms {
+                return None;
+            }
+            let (start, end) = self.undelivered(lease.start, lease.end)?;
+            Some((*id, lease.worker.clone(), start, end))
+        })
+    }
+
+    /// Leases `start..end` to the worker. Its frame silence counts from
+    /// here: it has not had a chance to emit the range yet, so a range
+    /// just handed over cannot move again within one heartbeat window.
+    fn grant(&mut self, name: &str, start: u64, end: u64, now_ms: u64, actions: &mut Vec<Action>) {
         let id = self.next_lease;
         self.next_lease += 1;
         self.leases.insert(
@@ -500,13 +466,15 @@ impl Resharder {
                 end,
             },
         );
+        if let Some(worker) = self.workers.get_mut(name) {
+            worker.last_frame_ms = now_ms;
+        }
         actions.push(Action::Grant {
             worker: name.to_owned(),
             lease: id,
             start,
             end,
         });
-        id
     }
 
     /// Takes a worker out of Active service: orphans its undrained
@@ -529,7 +497,6 @@ impl Resharder {
             }
             !held
         });
-        worker.ewma = 0.0;
         if worker.respawns >= self.config.max_respawns {
             worker.phase = Phase::Abandoned;
             actions.push(Action::Abandon {
@@ -547,82 +514,6 @@ impl Resharder {
         }
         actions
     }
-
-    /// When nothing new is grantable, move the undelivered tail of the
-    /// slowest worker's lease to an idle, decisively faster worker.
-    fn steal(&mut self, now_ms: u64, actions: &mut Vec<Action>) {
-        if !self.orphans.is_empty() {
-            return;
-        }
-        if let Some(total) = self.total {
-            if self.frontier < total {
-                return;
-            }
-        } else {
-            return; // frontier still open — no need to steal yet
-        }
-        loop {
-            let Some(thief) = self
-                .workers
-                .iter()
-                .filter(|(name, w)| w.phase == Phase::Active && !self.has_outstanding(name))
-                .max_by(|a, b| a.1.ewma.total_cmp(&b.1.ewma))
-                .map(|(name, _)| name.clone())
-            else {
-                return;
-            };
-            let thief_ewma = self.workers[&thief].ewma;
-            // The victim: the live lease whose owner has the lowest EWMA,
-            // with an undelivered tail worth moving.
-            let victim = self
-                .leases
-                .iter()
-                .filter(|(_, l)| l.worker != thief)
-                .filter(|(_, l)| l.end > l.start.max(self.delivered))
-                .filter(|(_, l)| {
-                    let owner = &self.workers[&l.worker];
-                    // Require a decisive speed edge (or skip while every
-                    // rate is still unknown). EWMAs measure *delivered*
-                    // frame rates, so a worker whose compute is done but
-                    // whose emission crawls — a throttled link, an
-                    // overloaded host — is still a legitimate victim. An
-                    // owner whose frames stopped for a whole heartbeat
-                    // window while it kept heartbeating (wedged emitter,
-                    // not a frozen process) is stealable outright: idle
-                    // EWMAs all decay at the same per-sample rate, so
-                    // waiting for the ratio alone could livelock.
-                    let frame_silent = now_ms.saturating_sub(owner.last_frame_ms)
-                        > self.config.heartbeat_timeout_ms;
-                    thief_ewma > 0.0
-                        && (frame_silent || thief_ewma >= owner.ewma * self.config.steal_ratio)
-                })
-                .map(|(id, l)| (*id, l.worker.clone(), l.start.max(self.delivered), l.end))
-                .next();
-            let Some((lease, from, start, end)) = victim else {
-                return;
-            };
-            self.leases.remove(&lease);
-            actions.push(Action::Revoke {
-                worker: from.clone(),
-                lease,
-            });
-            self.grant(&thief, start, end, actions);
-            // The thief's frame silence counts from this hand-over: it has
-            // not had a chance to emit the range yet. Otherwise two
-            // frame-silent workers would steal the range back and forth
-            // forever inside this loop.
-            if let Some(worker) = self.workers.get_mut(&thief) {
-                worker.last_frame_ms = now_ms;
-            }
-            self.migrations.push(Migration {
-                start,
-                end,
-                from,
-                to: thief,
-                reason: MigrationReason::Steal,
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -632,14 +523,10 @@ mod tests {
     fn config() -> ReshardConfig {
         ReshardConfig {
             heartbeat_timeout_ms: 1_000,
-            initial_lease: 8,
-            min_lease: 4,
-            max_lease: 64,
-            target_lease_ms: 1_000,
+            lease_size: 8,
             respawn_backoff_ms: 100,
             max_backoff_ms: 1_000,
             max_respawns: 1,
-            ..ReshardConfig::default()
         }
     }
 
@@ -720,45 +607,89 @@ mod tests {
         assert_eq!(r.migrations()[0].reason, MigrationReason::Stall);
     }
 
-    #[test]
-    fn idle_fast_workers_steal_from_slow_ones_once_the_frontier_dries() {
+    /// Two workers share a 32-slot stream in 16-slot leases; `fast`
+    /// drains its lease at once and idles while `slow` still owes
+    /// `17..32`.
+    fn fast_idle_slow_owing() -> Resharder {
         let mut r = Resharder::new(ReshardConfig {
-            initial_lease: 16,
+            lease_size: 16,
             ..config()
         });
         r.worker_connected("fast", 0);
         r.worker_connected("slow", 0);
         r.tick(0); // fast: 0..16, slow: 16..32
         r.worker_done("fast", 32, 100);
-        // fast emits everything it owns quickly; slow trickles.
         for t in 0..16 {
             r.frame_arrived("fast", 100 + t);
         }
         r.frame_arrived("slow", 150);
         r.lease_drained("fast", 0, 400);
-        r.delivered(16);
-        let actions = r.tick(500);
-        assert!(
-            actions
-                .iter()
-                .any(|a| matches!(a, Action::Revoke { worker, .. } if worker == "slow")),
-            "slow worker's lease must be revoked, got {actions:?}"
+        r.delivered(17);
+        r
+    }
+
+    /// Pull-only: however far an idle worker is ahead, a slow owner that
+    /// keeps emitting keeps its lease.
+    #[test]
+    fn a_slow_owner_that_still_emits_keeps_its_lease() {
+        let mut r = fast_idle_slow_owing();
+        for now in (500..=10_000).step_by(100) {
+            if now % 900 == 0 {
+                r.frame_arrived("slow", now);
+            }
+            r.note_heard("fast", now);
+            r.note_heard("slow", now);
+            let actions = r.tick(now);
+            assert!(actions.is_empty(), "at {now} ms: {actions:?}");
+        }
+        assert!(r.migrations().is_empty(), "{:?}", r.migrations());
+    }
+
+    /// An owner that heartbeats but sends no frame for a whole heartbeat
+    /// window loses its undelivered tail to the idle worker, by `Revoke`.
+    #[test]
+    fn a_frame_silent_owner_loses_its_tail_to_an_idle_worker() {
+        let mut r = fast_idle_slow_owing();
+        r.note_heard("fast", 1_100);
+        r.note_heard("slow", 1_100);
+        assert!(r.tick(1_150).is_empty(), "slow is silent for only 1000 ms");
+        let actions = r.tick(1_151);
+        assert_eq!(
+            actions,
+            vec![
+                Action::Revoke {
+                    worker: "slow".to_owned(),
+                    lease: 1,
+                },
+                Action::Grant {
+                    worker: "fast".to_owned(),
+                    lease: 2,
+                    start: 17,
+                    end: 32,
+                },
+            ]
         );
-        assert!(grants(&actions)
-            .iter()
-            .any(|(w, s, e)| w == "fast" && *s == 16 && *e == 32));
-        let steal = r
-            .migrations()
-            .iter()
-            .find(|m| m.reason == MigrationReason::Steal)
-            .expect("a steal migration is recorded");
-        assert_eq!((steal.start, steal.end), (16, 32));
-        assert_eq!(steal.from, "slow");
-        assert_eq!(steal.to, "fast");
+        assert_eq!(
+            r.migrations(),
+            [Migration {
+                start: 17,
+                end: 32,
+                from: "slow".to_owned(),
+                to: "fast".to_owned(),
+                reason: MigrationReason::Silent,
+            }]
+        );
+        assert_eq!(
+            r.migrations()[0].to_string(),
+            "slots 17..32 slow -> fast (silent)"
+        );
+        // A late drain of the revoked lease changes nothing.
+        r.lease_drained("slow", 1, 1_200);
+        assert!(r.tick(1_200).is_empty());
     }
 
     /// Two workers that are both frame-silent (heartbeating, no frames)
-    /// must not steal one range back and forth: a tick ends, and the range
+    /// must not pass one range back and forth: a tick ends, and the range
     /// moves at most once.
     #[test]
     fn frame_silent_workers_do_not_steal_a_range_back_and_forth() {
@@ -773,27 +704,31 @@ mod tests {
         r.frame_arrived("w1", 100);
         r.lease_drained("w0", 0, 150);
         r.delivered(9);
-        let actions = r.tick(300); // fast w0 steals w1's tail 9..16
+        r.note_heard("w0", 1_100);
+        r.note_heard("w1", 1_100);
+        // w1 has sent nothing since 100 ms: idle w0 takes its tail 9..16.
+        let actions = r.tick(1_101);
         assert_eq!(grants(&actions), vec![("w0".to_owned(), 9, 16)]);
+        assert_eq!(r.migrations()[0].reason, MigrationReason::Silent);
 
         // Both fall silent but keep heartbeating: w1 (idle) may take the
         // range from frame-silent w0, but the range must not bounce.
-        r.note_heard("w0", 1_500);
-        r.note_heard("w1", 1_500);
-        let actions = r.tick(1_600);
-        let steals = r
+        r.note_heard("w0", 2_150);
+        r.note_heard("w1", 2_150);
+        let actions = r.tick(2_200);
+        let silent = r
             .migrations()
             .iter()
-            .filter(|m| m.reason == MigrationReason::Steal)
+            .filter(|m| m.reason == MigrationReason::Silent)
             .count();
-        assert!(steals <= 3, "the range bounced: {steals} steals");
-        assert!(grants(&actions).len() <= 2, "{actions:?}");
+        assert!(silent <= 2, "the range bounced: {silent} re-leases");
+        assert!(grants(&actions).len() <= 1, "{actions:?}");
         // Nor across ticks: a range just handed over gets a full heartbeat
         // window before its new owner counts as frame-silent.
         let before = r.migrations().len();
-        r.note_heard("w0", 1_700);
-        r.note_heard("w1", 1_700);
-        r.tick(1_700);
+        r.note_heard("w0", 2_300);
+        r.note_heard("w1", 2_300);
+        r.tick(2_300);
         assert_eq!(r.migrations().len(), before, "{:?}", r.migrations());
     }
 
@@ -807,5 +742,29 @@ mod tests {
         r.lease_drained("w0", 0, 10);
         r.delivered(5);
         assert!(grants(&r.tick(10)).is_empty(), "nothing left to lease");
+    }
+
+    /// A lease granted before the stream length was known may run past
+    /// the stream's end; orphaned, it is re-granted only up to the end,
+    /// and not at all when nothing of it lies inside the stream.
+    #[test]
+    fn orphans_are_clipped_to_the_stream_length() {
+        for (total, regrant) in [(11, Some((8, 11))), (8, None)] {
+            let mut r = Resharder::new(config());
+            r.worker_connected("w0", 0);
+            r.worker_connected("w1", 0);
+            r.tick(0); // w0: 0..8, w1: 8..16, before the total is known
+            r.worker_done("w0", total, 10);
+            r.worker_dead("w1", 20);
+            r.lease_drained("w0", 0, 30);
+            r.delivered(8);
+            let granted: Vec<(u64, u64)> = grants(&r.tick(30))
+                .into_iter()
+                .map(|(_, start, end)| (start, end))
+                .collect();
+            assert_eq!(granted, Vec::from_iter(regrant), "total {total}");
+            let moved: Vec<(u64, u64)> = r.migrations().iter().map(|m| (m.start, m.end)).collect();
+            assert_eq!(moved, Vec::from_iter(regrant), "total {total}");
+        }
     }
 }

@@ -1299,9 +1299,11 @@ pub enum WorkerFrame {
     /// stopped *process* does.
     Heartbeat {
         /// Events the worker's engine has produced so far (the worker's
-        /// own slot cursor; drives the coordinator's throughput EWMA).
+        /// own slot cursor). The coordinator does not read it; it stays on
+        /// the wire until the next protocol version.
         seen: u64,
-        /// Event frames actually emitted under leases so far.
+        /// Event frames actually emitted under leases so far. Unread by
+        /// the coordinator, like `seen`.
         sent: u64,
     },
     /// Every slot of the named lease that this worker owns has been

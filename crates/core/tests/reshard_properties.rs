@@ -41,7 +41,7 @@ enum Op {
     /// SIGCONT analog: a stalled worker resumes before the deadline.
     Resume(usize),
     /// The worker's emitter hangs for good while its heartbeats go on:
-    /// it is never killed, and only a steal moves its lease.
+    /// it is never killed, and only a silence re-lease moves its lease.
     Wedge(usize),
     /// A down worker's replacement process (re)connects on its own —
     /// the remote-shard reconnect path.
@@ -90,15 +90,10 @@ struct Sim {
 fn sim_config() -> ReshardConfig {
     ReshardConfig {
         heartbeat_timeout_ms: 1_000,
-        initial_lease: 8,
-        min_lease: 4,
-        max_lease: 64,
-        target_lease_ms: 500,
-        ewma_alpha: 0.4,
+        lease_size: 8,
         respawn_backoff_ms: 100,
         max_backoff_ms: 800,
         max_respawns: 3,
-        steal_ratio: 1.5,
     }
 }
 
@@ -388,17 +383,17 @@ proptest! {
         for migration in sim.resharder.migrations() {
             prop_assert!(migration.start < migration.end);
             // A death/stall orphan may be re-granted to the same name's
-            // respawned incarnation; only a steal guarantees two
-            // distinct workers.
-            if migration.reason == MigrationReason::Steal {
+            // respawned incarnation; only a silence re-lease guarantees
+            // two distinct workers.
+            if migration.reason == MigrationReason::Silent {
                 prop_assert!(migration.from != migration.to);
             }
         }
     }
 
-    /// A fault-free fleet also converges (the degenerate schedule), and
-    /// deaths or stalls are impossible there — any migration the audit
-    /// log records can only be a steal racing the last range.
+    /// A fault-free fleet also converges (the degenerate schedule) on
+    /// pull-only leases: every worker keeps emitting, so no range ever
+    /// moves and the supervisor does nothing but grant.
     #[test]
     fn a_healthy_fleet_delivers_without_supervision_actions(
         n_workers in 1usize..=4,
@@ -410,8 +405,13 @@ proptest! {
         }
         prop_assert!(sim.heal(), "nobody dies in a fault-free run");
         prop_assert_eq!(&sim.committed, &(0..total).collect::<Vec<_>>());
-        for migration in sim.resharder.migrations() {
-            prop_assert_eq!(migration.reason, MigrationReason::Steal);
+        prop_assert!(
+            sim.resharder.migrations().is_empty(),
+            "a healthy fleet re-leased {:?}",
+            sim.resharder.migrations()
+        );
+        for action in &sim.actions {
+            prop_assert!(matches!(action, Action::Grant { .. }), "{:?}", action);
         }
     }
 }
@@ -448,14 +448,12 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// A long campaign on a fixed schedule: each 10 ms step every healthy
 /// worker heartbeats and serves a random `0..=speed` frames, the
 /// supervisor ticks after every frame (as the merge loop does), and
-/// `faults` fire at fixed steps. Small leases make thousands of grants.
+/// `faults` fire at fixed steps. 12-slot leases make thousands of grants.
 struct Pinned {
     seed: u64,
     total: u64,
-    /// Most frames each worker serves per step; the slowest worker is the
-    /// tail's steal victim.
+    /// Most frames each worker serves per step.
     speeds: &'static [u64],
-    target_lease_ms: u64,
     /// `(step, op)`: the deaths, stalls and resumes of the schedule.
     faults: &'static [(u64, Op)],
 }
@@ -464,12 +462,11 @@ impl Pinned {
     /// Runs the schedule to completion and returns the FNV-1a hash of
     /// every supervisor action and the migration log (their `Debug`
     /// text), plus the finished simulation. Along the way every late
-    /// drain — for a lease its worker lost to a steal, kill or death —
+    /// drain — for a lease its worker lost to a revoke, kill or death —
     /// must leave the supervisor's state untouched.
     fn run(&self) -> (u64, Sim) {
         let config = ReshardConfig {
-            max_lease: 12,
-            target_lease_ms: self.target_lease_ms,
+            lease_size: 12,
             ..sim_config()
         };
         let mut sim = Sim::with_config(self.speeds.len(), self.total, config);
@@ -543,7 +540,7 @@ fn check_pinned(schedule: &Pinned, expected: u64) {
     for reason in [
         MigrationReason::Death,
         MigrationReason::Stall,
-        MigrationReason::Steal,
+        MigrationReason::Silent,
     ] {
         assert!(
             sim.resharder
@@ -563,9 +560,10 @@ fn check_pinned(schedule: &Pinned, expected: u64) {
 /// Two workers over the `campaign_large` stream length: each dies once
 /// and is stalled into a kill once, one stall resumes before its
 /// deadline, and the slower worker's emitter hangs mid-lease near the
-/// end, so the other steals its undelivered tail. The hash was taken
-/// when the supervisor still kept drained and revoked leases, so it pins
-/// that dropping them changed no decision.
+/// end while it keeps heartbeating, so once the frontier is dry the other
+/// takes its undelivered tail. The hash pins every decision of the
+/// pull-only policy (a fixed size, re-leased only on death, stall or
+/// frame silence); a change that alters any decision must re-derive it.
 #[test]
 fn pinned_two_worker_schedule_decides_as_before() {
     check_pinned(
@@ -573,7 +571,6 @@ fn pinned_two_worker_schedule_decides_as_before() {
             seed: 1,
             total: 31_613,
             speeds: &[6, 2],
-            target_lease_ms: 500,
             faults: &[
                 (400, Op::Die(1)),
                 (1_500, Op::Stall(0)),
@@ -584,12 +581,12 @@ fn pinned_two_worker_schedule_decides_as_before() {
                 (6_500, Op::Wedge(1)),
             ],
         },
-        0x205e_7e99_0cee_b5d9,
+        0xed04_c896_f84e_29d9,
     );
 }
 
-/// Three workers, one of them slow enough to get minimum-size leases;
-/// a wedged emitter's tail is stolen.
+/// Three workers at unequal speeds, each holding one fixed-size lease at
+/// a time; a wedged emitter's tail is re-leased for frame silence.
 #[test]
 fn pinned_three_worker_schedule_decides_as_before() {
     check_pinned(
@@ -597,7 +594,6 @@ fn pinned_three_worker_schedule_decides_as_before() {
             seed: 2,
             total: 30_000,
             speeds: &[5, 4, 1],
-            target_lease_ms: 100,
             faults: &[
                 (300, Op::Die(2)),
                 (1_200, Op::Stall(1)),
@@ -608,6 +604,6 @@ fn pinned_three_worker_schedule_decides_as_before() {
                 (5_000, Op::Wedge(1)),
             ],
         },
-        0x3d53_d32a_d7ff_74d1,
+        0x7c6a_66a3_cf34_8412,
     );
 }
