@@ -1,7 +1,11 @@
 //! Criterion bench: the workload substrates — graph kernels, the LLC
-//! simulator, and DNN inference (the pieces behind Figs. 6-9 and 13).
+//! simulator, DNN inference, and the fault study's classifier training and
+//! trials (the pieces behind Figs. 6-9 and 13).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nvmexplorer_core::accuracy::{baseline_accuracy, fault_trial};
+use nvmx_fault::FaultModel;
+use nvmx_units::BitsPerCell;
 use nvmx_workloads::cache::{
     run_profile, run_profile_checkpoints, spec2017_llc_traffic, spec2017_profiles, LlcConfig,
 };
@@ -61,10 +65,36 @@ fn bench_classifier_inference(c: &mut Criterion) {
     });
 }
 
+/// The fault half of the paper suite, split: training the shared
+/// classifier (once per process) and one trial on it at three flip
+/// densities. Each trial's seed is fixed, so every sample flips the same
+/// bits (0, 7 and 723 of the 150,016 stored).
+fn bench_fault_trials(c: &mut Criterion) {
+    c.bench_function("classifier_training", |b| {
+        b.iter(|| trained_classifier(2022));
+    });
+    // Build the shared classifier outside the timed trials.
+    let _ = baseline_accuracy();
+    let mut group = c.benchmark_group("fault_trial");
+    group.sample_size(200);
+    for (label, ber, bits, seed) in [
+        ("zero_flip", 1.0e-8, BitsPerCell::Slc, 0x5EED_0000),
+        ("sparse", 1.0e-4, BitsPerCell::Slc, 0x5EED_0001),
+        ("dense", 5.0e-3, BitsPerCell::Mlc2, 0x5EED_0002),
+    ] {
+        let model = FaultModel::from_ber(ber, bits);
+        group.bench_with_input(BenchmarkId::from_parameter(label), &model, |b, model| {
+            b.iter(|| fault_trial(model, seed));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_graph_kernels,
     bench_llc,
-    bench_classifier_inference
+    bench_classifier_inference,
+    bench_fault_trials
 );
 criterion_main!(benches);

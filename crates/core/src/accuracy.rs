@@ -4,20 +4,35 @@
 //! A trained int8 classifier's weight image is stored in a given cell
 //! technology at a given programming depth, corrupted by the corresponding
 //! fault model, and re-evaluated. The trained model is built once per
-//! process and shared across studies.
+//! process and shared across studies, together with its clean per-layer
+//! outputs on the test set (≈170 KB).
+//!
+//! A trial re-evaluates incrementally: layers before the first one whose
+//! bytes the faults changed keep their clean outputs, that layer recomputes
+//! only its changed output columns, and the layers after it run in full. A
+//! trial that flips no bit scores the clean logits. This is exact, not an
+//! approximation: each output column depends only on its own weights, and
+//! the exact matrix kernels of `nvmx_workloads::tensor` sum every element in
+//! the same order however many columns run together, so every trial's
+//! accuracy is bit-identical to rebuilding the faulty model and re-running
+//! the whole forward pass ([`QuantizedMlp::accuracy`], the oracle that
+//! also yields the baseline).
 
 use nvmx_celldb::CellDefinition;
 use nvmx_fault::FaultModel;
 use nvmx_units::BitsPerCell;
 use nvmx_workloads::dataset::Dataset;
 use nvmx_workloads::nn::{trained_classifier, QuantizedMlp};
+use nvmx_workloads::tensor::Matrix;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
-/// The shared classifier, its test set, and its fault-free accuracy on it.
+/// The shared classifier, its test set, its per-layer outputs on that set,
+/// and its fault-free accuracy on it.
 struct Classifier {
     model: QuantizedMlp,
     test: Dataset,
+    outputs: Vec<Matrix>,
     baseline: f64,
 }
 
@@ -29,10 +44,12 @@ const DNN_SEED: u64 = 2022;
 fn classifier() -> &'static Classifier {
     CLASSIFIER.get_or_init(|| {
         let (model, test) = trained_classifier(DNN_SEED);
+        let outputs = model.layer_outputs(&test.images);
         let baseline = model.accuracy(&test);
         Classifier {
             model,
             test,
+            outputs,
             baseline,
         }
     })
@@ -73,8 +90,12 @@ pub fn baseline_accuracy() -> f64 {
 }
 
 /// Runs one fault trial on the shared classifier with an explicit
-/// injection seed: corrupt the weight image under `model`, reload, and
-/// re-evaluate. Returns the injection report and the degraded accuracy.
+/// injection seed: corrupt the weight image under `model` and re-evaluate.
+/// Returns the injection report and the degraded accuracy.
+///
+/// The re-evaluation recomputes only what the flipped bits reach (see the
+/// module docs) and is bit-identical to reloading the corrupted image into
+/// a copy of the model and re-running its full forward pass.
 ///
 /// This is the streamed-campaign building block: the fault-study engine
 /// derives each trial's seed from (study seed, slot coordinate) and
@@ -83,13 +104,14 @@ pub fn baseline_accuracy() -> f64 {
 /// fan out across threads.
 pub fn fault_trial(model: &FaultModel, seed: u64) -> (nvmx_fault::InjectionReport, f64) {
     let Classifier {
-        model: clean, test, ..
+        model: clean,
+        test,
+        outputs,
+        ..
     } = classifier();
-    let mut corrupted = clean.weight_bytes();
-    let report = model.inject_seeded(&mut corrupted, seed);
-    let mut faulty = clean.clone();
-    faulty.load_weight_bytes(&corrupted);
-    (report, faulty.accuracy(test))
+    let mut image = clean.weight_bytes();
+    let report = model.inject_seeded(&mut image, seed);
+    (report, clean.accuracy_with_image(test, outputs, &image))
 }
 
 /// Measures classifier accuracy with weights stored in `cell` at
@@ -181,6 +203,76 @@ mod tests {
         let report = accuracy_under_model(&model, 2);
         assert!(report.mean < report.baseline - 0.3);
         assert!(report.worst <= report.mean);
+    }
+
+    /// FNV-1a (64-bit) of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins the shipped seed-2022 classifier: its weight image, its clean
+    /// and one faulty model's logits, its baseline, and four trials from
+    /// zero flips to dense. Every value was derived on the model before the
+    /// blocked kernels and incremental trials existed, so a kernel change
+    /// that moves one bit of training or evaluation fails here.
+    #[test]
+    fn shipped_classifier_is_pinned() {
+        let Classifier {
+            model,
+            test,
+            outputs,
+            ..
+        } = classifier();
+        let image = model.weight_bytes();
+        assert_eq!(image.len(), 18_752);
+        assert_eq!(fnv1a(&image), 0x1fac_29a3_2fab_ba30, "weight image moved");
+        let logits_hash = |logits: &Matrix| {
+            let bits: Vec<u8> = logits
+                .as_slice()
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .collect();
+            fnv1a(&bits)
+        };
+        let logits = outputs.last().unwrap();
+        assert_eq!(
+            logits_hash(logits),
+            0x653b_a716_9895_f762,
+            "clean logits moved"
+        );
+        assert_eq!(
+            logits_hash(&model.forward(&test.images)),
+            logits_hash(logits)
+        );
+        let mut faulty = model.clone();
+        let mut corrupted = image.clone();
+        let dense = FaultModel::from_ber(5.0e-3, BitsPerCell::Mlc2);
+        let flipped = dense
+            .inject_seeded(&mut corrupted, 0x5EED_0002)
+            .bits_flipped;
+        assert_eq!(flipped, 723);
+        faulty.load_weight_bytes(&corrupted);
+        assert_eq!(
+            logits_hash(&faulty.forward(&test.images)),
+            0xbad4_5fec_665f_acc2,
+            "faulty logits moved"
+        );
+
+        assert_eq!(baseline_accuracy().to_bits(), 0x3fee_cccc_cccc_cccd);
+        use BitsPerCell::{Mlc2, Slc};
+        // (BER, depth, seed, bits flipped, accuracy bits)
+        for (ber, bits, seed, flipped, accuracy) in [
+            (1.0e-8, Slc, 0x5EED_0000, 0, 0x3fee_cccc_cccc_cccd),
+            (1.0e-4, Slc, 0x5EED_0001, 7, 0x3fee_e147_ae14_7ae1),
+            (5.0e-3, Mlc2, 0x5EED_0002, 723, 0x3feb_eb85_1eb8_51ec),
+            (2.0e-2, Slc, 0x5EED_0003, 3043, 0x3fd4_51eb_851e_b852),
+        ] {
+            let (report, acc) = fault_trial(&FaultModel::from_ber(ber, bits), seed);
+            assert_eq!(report.bits_flipped, flipped, "BER {ber:e}");
+            assert_eq!(acc.to_bits(), accuracy, "BER {ber:e}: accuracy {acc}");
+        }
     }
 
     #[test]

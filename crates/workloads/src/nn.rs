@@ -7,6 +7,12 @@
 //! [`crate::dataset`] plays that role. The quantized weight bytes round-trip
 //! through [`QuantizedMlp::weight_bytes`] / [`QuantizedMlp::load_weight_bytes`],
 //! which is exactly where a fault injector corrupts them.
+//!
+//! A fault trial need not rebuild the model: [`QuantizedMlp::forward_with_image`]
+//! evaluates a corrupted image by recomputing only what its changed bytes reach,
+//! starting from the clean model's [`QuantizedMlp::layer_outputs`]. Every
+//! product runs through the exact kernels of [`crate::tensor`], so it scores
+//! bit-identically to loading the image and re-running [`QuantizedMlp::accuracy`].
 
 use crate::dataset::Dataset;
 use crate::tensor::Matrix;
@@ -86,14 +92,7 @@ impl Mlp {
 
     /// Classification accuracy over a dataset.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        let logits = self.forward(&data.images);
-        let correct = data
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|&(i, &label)| logits.argmax_row(i) == label)
-            .count();
-        correct as f64 / data.len().max(1) as f64
+        accuracy_of(&self.forward(&data.images), data)
     }
 
     /// One epoch of minibatch SGD with softmax cross-entropy. Returns mean
@@ -112,9 +111,11 @@ impl Mlp {
         let mut batches = 0;
 
         for chunk in order.chunks(batch.max(1)) {
-            let bx = Matrix::from_fn(chunk.len(), data.images.cols(), |r, c| {
-                data.images.get(chunk[r], c)
-            });
+            let mut rows = Vec::with_capacity(chunk.len() * data.images.cols());
+            for &i in chunk {
+                rows.extend_from_slice(data.images.row(i));
+            }
+            let bx = Matrix::from_vec(chunk.len(), data.images.cols(), rows);
             let by: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
             total_loss += self.sgd_step(&bx, &by, lr);
             batches += 1;
@@ -159,16 +160,15 @@ impl Mlp {
             let output = &activations[i + 1];
             // ReLU gradient mask.
             if self.layers[i].relu {
-                for r in 0..delta.rows() {
-                    for c in 0..delta.cols() {
-                        if output.get(r, c) <= 0.0 {
-                            delta.set(r, c, 0.0);
-                        }
+                for (d, &o) in delta.as_mut_slice().iter_mut().zip(output.as_slice()) {
+                    if o <= 0.0 {
+                        *d = 0.0;
                     }
                 }
             }
-            let grad_w = input.transposed().matmul(&delta);
-            let next_delta = delta.matmul(&self.layers[i].weights.transposed());
+            let grad_w = input.matmul_tn(&delta);
+            // Layer 0's input gradient would flow into the data: never read.
+            let next_delta = (i > 0).then(|| delta.matmul(&self.layers[i].weights.transposed()));
             let layer = &mut self.layers[i];
             for (w, g) in layer
                 .weights
@@ -182,7 +182,9 @@ impl Mlp {
                 let g: f32 = (0..delta.rows()).map(|r| delta.get(r, c)).sum();
                 layer.bias[c] -= lr * g;
             }
-            delta = next_delta;
+            if let Some(next) = next_delta {
+                delta = next;
+            }
         }
         loss
     }
@@ -215,8 +217,9 @@ impl Mlp {
 pub struct QuantizedMlp {
     widths: Vec<usize>,
     scales: Vec<f32>,
-    /// Quantized weights, one `Vec<i8>` per layer (row-major `in × out`).
-    weights_q: Vec<Vec<i8>>,
+    /// The weight image: every layer's int8 weights (row-major `in × out`),
+    /// input layer first.
+    image: Vec<u8>,
     biases: Vec<Vec<f32>>,
     relu: Vec<bool>,
 }
@@ -226,20 +229,19 @@ impl QuantizedMlp {
     pub fn quantize(mlp: &Mlp) -> Self {
         let mut widths = vec![mlp.layers[0].weights.rows()];
         let mut scales = Vec::new();
-        let mut weights_q = Vec::new();
+        let mut image = Vec::new();
         let mut biases = Vec::new();
         let mut relu = Vec::new();
         for layer in &mlp.layers {
             widths.push(layer.weights.cols());
             let scale = layer.weights.abs_max().max(1e-9) / 127.0;
             scales.push(scale);
-            weights_q.push(
+            image.extend(
                 layer
                     .weights
                     .as_slice()
                     .iter()
-                    .map(|&w| (w / scale).round().clamp(-127.0, 127.0) as i8)
-                    .collect(),
+                    .map(|&w| (w / scale).round().clamp(-127.0, 127.0) as i8 as u8),
             );
             biases.push(layer.bias.clone());
             relu.push(layer.relu);
@@ -247,7 +249,7 @@ impl QuantizedMlp {
         Self {
             widths,
             scales,
-            weights_q,
+            image,
             biases,
             relu,
         }
@@ -255,17 +257,13 @@ impl QuantizedMlp {
 
     /// Total weight storage in bytes (what lives in the eNVM array).
     pub fn weight_bytes_len(&self) -> usize {
-        self.weights_q.iter().map(Vec::len).sum()
+        self.image.len()
     }
 
     /// Serializes all quantized weights into one contiguous byte buffer —
     /// the image a fault injector corrupts.
     pub fn weight_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.weight_bytes_len());
-        for layer in &self.weights_q {
-            out.extend(layer.iter().map(|&w| w as u8));
-        }
-        out
+        self.image.clone()
     }
 
     /// Loads (possibly corrupted) weight bytes back.
@@ -279,48 +277,147 @@ impl QuantizedMlp {
             self.weight_bytes_len(),
             "weight image size mismatch"
         );
-        let mut offset = 0;
-        for layer in &mut self.weights_q {
-            for w in layer.iter_mut() {
-                *w = bytes[offset] as i8;
-                offset += 1;
+        self.image.copy_from_slice(bytes);
+    }
+
+    /// Layer `i`'s slice of a weight image.
+    fn layer_bytes<'a>(&self, image: &'a [u8], i: usize) -> &'a [u8] {
+        let start: usize = self.widths.windows(2).take(i).map(|w| w[0] * w[1]).sum();
+        &image[start..start + self.widths[i] * self.widths[i + 1]]
+    }
+
+    /// The output columns of layer `i` whose weights differ between `image`
+    /// and this model's own image, ascending.
+    fn changed_columns(&self, image: &[u8], i: usize) -> Vec<usize> {
+        let out_dim = self.widths[i + 1];
+        let mut changed = vec![false; out_dim];
+        let pairs = self
+            .layer_bytes(image, i)
+            .iter()
+            .zip(self.layer_bytes(&self.image, i));
+        for (index, (a, b)) in pairs.enumerate() {
+            if a != b {
+                changed[index % out_dim] = true;
             }
         }
+        (0..out_dim).filter(|&j| changed[j]).collect()
+    }
+
+    /// Layer `i` over `x` with dequantized `weights`: the layer's columns,
+    /// or any selection of them with the matching `bias` entries.
+    fn dense(&self, i: usize, x: &Matrix, weights: Matrix, bias: &[f32]) -> Matrix {
+        let mut y = x.matmul(&weights);
+        y.add_row_bias(bias);
+        if self.relu[i] {
+            y.relu_inplace();
+        }
+        y
+    }
+
+    /// Layer `i` over `x` with weights dequantized from `bytes`.
+    fn layer(&self, i: usize, x: &Matrix, bytes: &[u8]) -> Matrix {
+        let weights = Matrix::from_vec(
+            self.widths[i],
+            self.widths[i + 1],
+            bytes
+                .iter()
+                .map(|&q| q as i8 as f32 * self.scales[i])
+                .collect(),
+        );
+        self.dense(i, x, weights, &self.biases[i])
+    }
+
+    /// Every layer's output over a batch, input to output: the hidden
+    /// activations, then the logits.
+    pub fn layer_outputs(&self, x: &Matrix) -> Vec<Matrix> {
+        let mut outputs: Vec<Matrix> = Vec::with_capacity(self.biases.len());
+        for i in 0..self.biases.len() {
+            let input = outputs.last().unwrap_or(x);
+            let output = self.layer(i, input, self.layer_bytes(&self.image, i));
+            outputs.push(output);
+        }
+        outputs
     }
 
     /// Forward pass with dequantized weights.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for i in 0..self.weights_q.len() {
-            let w = Matrix::from_vec(
-                self.widths[i],
-                self.widths[i + 1],
-                self.weights_q[i]
-                    .iter()
-                    .map(|&q| q as f32 * self.scales[i])
-                    .collect(),
-            );
-            let mut y = h.matmul(&w);
-            y.add_row_bias(&self.biases[i]);
-            if self.relu[i] {
-                y.relu_inplace();
-            }
-            h = y;
-        }
-        h
+        self.layer_outputs(x).pop().expect("at least one layer")
     }
 
     /// Classification accuracy over a dataset.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        let logits = self.forward(&data.images);
-        let correct = data
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|&(i, &label)| logits.argmax_row(i) == label)
-            .count();
-        correct as f64 / data.len().max(1) as f64
+        accuracy_of(&self.forward(&data.images), data)
     }
+
+    /// Classification accuracy over `data` with the weights replaced by
+    /// `image`: [`Self::forward_with_image`]'s logits, scored.
+    pub fn accuracy_with_image(&self, data: &Dataset, clean: &[Matrix], image: &[u8]) -> f64 {
+        accuracy_of(&self.forward_with_image(&data.images, clean, image), data)
+    }
+
+    /// The logits over `x` with the weights replaced by `image`,
+    /// bit-identical to loading `image` into a copy of this model and
+    /// calling [`Self::forward`]. `clean` is this model's
+    /// [`Self::layer_outputs`] over the same `x`.
+    ///
+    /// Only what `image`'s changed bytes reach is recomputed:
+    /// 1. Find the first layer whose bytes differ. With none, the weights
+    ///    are this model's and the pass is deterministic: the clean logits
+    ///    are the answer.
+    /// 2. Gather that layer's changed output columns into a packed weight
+    ///    matrix and run it through the same `matmul`, bias and ReLU. An
+    ///    output element depends only on its input row and weight column,
+    ///    and the exact kernels of [`crate::tensor`] sum it in the same
+    ///    order however many columns run together, so the packed columns
+    ///    equal the full layer's bit for bit.
+    /// 3. Scatter them into a copy of the clean output.
+    /// 4. Run the layers after it in full on the image's bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `image` or `clean` does not match this model's shape.
+    pub fn forward_with_image(&self, x: &Matrix, clean: &[Matrix], image: &[u8]) -> Matrix {
+        assert_eq!(image.len(), self.image.len(), "weight image size mismatch");
+        assert_eq!(clean.len(), self.biases.len(), "one clean output per layer");
+        let changed = (0..clean.len()).find_map(|i| {
+            let columns = self.changed_columns(image, i);
+            (!columns.is_empty()).then_some((i, columns))
+        });
+        let Some((first, columns)) = changed else {
+            return clean.last().expect("at least one layer").clone();
+        };
+
+        let out_dim = self.widths[first + 1];
+        let bytes = self.layer_bytes(image, first);
+        let packed = Matrix::from_fn(self.widths[first], columns.len(), |r, c| {
+            bytes[r * out_dim + columns[c]] as i8 as f32 * self.scales[first]
+        });
+        let bias: Vec<f32> = columns.iter().map(|&j| self.biases[first][j]).collect();
+        let input = if first == 0 { x } else { &clean[first - 1] };
+        let part = self.dense(first, input, packed, &bias);
+
+        let mut h = clean[first].clone();
+        for r in 0..h.rows() {
+            for (c, &j) in columns.iter().enumerate() {
+                h.set(r, j, part.get(r, c));
+            }
+        }
+        for i in first + 1..clean.len() {
+            h = self.layer(i, &h, self.layer_bytes(image, i));
+        }
+        h
+    }
+}
+
+/// Share of `data`'s samples whose logits row peaks at its label.
+fn accuracy_of(logits: &Matrix, data: &Dataset) -> f64 {
+    let correct = data
+        .labels
+        .iter()
+        .enumerate()
+        .filter(|&(i, &label)| logits.argmax_row(i) == label)
+        .count();
+    correct as f64 / data.len().max(1) as f64
 }
 
 /// Trains the standard fault-study classifier: a `[256, 64, 32, 10]` MLP on

@@ -1,7 +1,24 @@
 //! A minimal dense-matrix type — just enough linear algebra for the neural
 //! network substrate (no external BLAS; the nets are small by design).
+//!
+//! # Exact products
+//!
+//! [`Matrix::matmul`] and [`Matrix::matmul_tn`] are register-blocked, yet
+//! bit-identical to the textbook i-k-j loop. Every output element starts at
+//! `+0.0` and accumulates `lhs[i][k] * rhs[k][j]` over ascending `k`,
+//! skipping each `k` whose left-hand entry is zero (`+0.0` or `-0.0`), as a
+//! separate multiply then add: no fused multiply-add, no reassociation.
+//! Blocking only changes which output elements sit in registers together,
+//! never the order of any one element's sum. So a column of a product does
+//! not depend on which other columns are computed with it: multiplying by a
+//! matrix of gathered columns reproduces those columns of the full product
+//! bit for bit, which is what the fault trials' incremental re-evaluation
+//! ([`crate::nn::QuantizedMlp::forward_with_image`]) relies on.
 
 use rand::Rng;
+
+/// Output columns one accumulator block holds in registers.
+const BLOCK: usize = 16;
 
 /// A row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +116,11 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self × rhs`.
+    fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// `self × rhs`, under the exact-product contract of the module docs.
     ///
     /// # Panics
     ///
@@ -108,17 +129,26 @@ impl Matrix {
         assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let lhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(lhs_row) {
-                    *o += a * b;
-                }
-            }
+            accumulate_row(out.row_mut(i), self.row(i).iter().copied(), rhs);
+        }
+        out
+    }
+
+    /// `selfᵀ × rhs` without building the transposed copy, bit-identical to
+    /// `self.transposed().matmul(rhs)` (the exact-product contract of the
+    /// module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the row counts disagree.
+    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.rows, rhs.rows, "inner dimension mismatch");
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        let mut column = Vec::with_capacity(self.rows);
+        for i in 0..self.cols {
+            column.clear();
+            column.extend(self.data.iter().skip(i).step_by(self.cols));
+            accumulate_row(out.row_mut(i), column.iter().copied(), rhs);
         }
         out
     }
@@ -170,6 +200,38 @@ impl Matrix {
     }
 }
 
+/// `out_row[j] += Σ_k lhs[k] · rhs[k][j]` over ascending `k`, skipping zero
+/// `lhs[k]`: full [`BLOCK`]-wide chunks accumulate in registers from `+0.0`,
+/// the tail accumulates in `out_row`, which the caller zeroes.
+fn accumulate_row(out_row: &mut [f32], lhs: impl Iterator<Item = f32> + Clone, rhs: &Matrix) {
+    let n = rhs.cols;
+    if n == 0 {
+        return;
+    }
+    let blocked = n - n % BLOCK;
+    for j0 in (0..blocked).step_by(BLOCK) {
+        let mut acc = [0.0f32; BLOCK];
+        for (a, rhs_row) in lhs.clone().zip(rhs.data.chunks_exact(n)) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in acc.iter_mut().zip(&rhs_row[j0..j0 + BLOCK]) {
+                *o += a * b;
+            }
+        }
+        out_row[j0..j0 + BLOCK].copy_from_slice(&acc);
+    }
+    let tail = &mut out_row[blocked..];
+    for (a, rhs_row) in lhs.zip(rhs.data.chunks_exact(n)) {
+        if a == 0.0 {
+            continue;
+        }
+        for (o, &b) in tail.iter_mut().zip(&rhs_row[blocked..]) {
+            *o += a * b;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +251,13 @@ mod tests {
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
+    }
+
+    #[test]
+    fn matmul_tn_is_the_transposed_product() {
+        let a = Matrix::from_vec(3, 2, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
+        assert_eq!(a.matmul_tn(&b).as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
