@@ -1,24 +1,28 @@
 //! Fig. 10 — 16 MB array access characteristics in isolation, for the LLC
 //! replacement consideration.
 
-use crate::experiments::{characterize_study, study_cells};
+use crate::experiments::shared::{design, study};
 use crate::{Experiment, Finding};
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
+use nvmexplorer_core::config::StudyConfig;
+use nvmexplorer_core::sweep::StudyResult;
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
+
+/// The figure's study: `run config/paper/fig10.json` reproduces it.
+const CONFIG: &str = include_str!("../../../../config/paper/fig10.json");
 
 /// Regenerates the 16 MB iso-capacity array comparison.
 pub fn run() -> Experiment {
-    let capacity = Capacity::from_mebibytes(16);
-    let targets = [
-        OptimizationTarget::ReadLatency,
-        OptimizationTarget::ReadEnergy,
-        OptimizationTarget::ReadEdp,
-        OptimizationTarget::WriteLatency,
-        OptimizationTarget::WriteEnergy,
-        OptimizationTarget::WriteEdp,
-    ];
-    let cells = study_cells();
+    let config = StudyConfig::from_json(CONFIG).expect("config/paper/fig10.json parses");
+    report(&config, &study(&config))
+}
+
+/// The Fig. 10 report over the study's arrays, one row per cell and
+/// target in the config's order.
+pub fn report(config: &StudyConfig, result: &StudyResult) -> Experiment {
+    let mib = config.array.capacities_mib[0];
+    let bits = config.array.bits_per_cell[0];
+    let targets = &config.array.targets;
+    let cells = config.cells.resolve();
 
     let mut csv = Csv::new([
         "cell",
@@ -42,11 +46,12 @@ pub fn run() -> Experiment {
     let mut best_write_lat: Vec<(String, f64)> = Vec::new();
     let mut best_read: Vec<(String, f64, f64)> = Vec::new();
     let mut stt_points: Vec<(f64, f64)> = Vec::new();
+    let mut sram_reads: Vec<(f64, f64)> = Vec::new();
     for cell in &cells {
         let mut reads = Vec::new();
         let mut writes = Vec::new();
-        for target in targets {
-            let array = characterize_study(cell, capacity, 512, target, BitsPerCell::Slc);
+        for &target in targets {
+            let (array, _) = design(result, &cell.name, mib, bits, target);
             csv.row([
                 array.cell_name.clone(),
                 target.label().to_owned(),
@@ -64,8 +69,10 @@ pub fn run() -> Experiment {
             (bl.min(*l), be.min(*e))
         });
         best_read.push((cell.name.clone(), bl, be));
-        if cell.name == "STT-opt" {
-            stt_points = reads.clone();
+        match cell.name.as_str() {
+            "STT-opt" => stt_points = reads.clone(),
+            "SRAM-16nm" => sram_reads = reads.clone(),
+            _ => {}
         }
         read_plot.series(cell.name.clone(), reads);
         write_plot.series(cell.name.clone(), writes);
@@ -106,21 +113,6 @@ pub fn run() -> Experiment {
         .iter()
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map_or(f64::MAX, |(l, _)| *l);
-    let sram_reads: Vec<(f64, f64)> = {
-        // Recover SRAM points from the best_read pass: re-characterize per
-        // target (cheap relative to the study).
-        let sram = cells
-            .iter()
-            .find(|c| c.name == "SRAM-16nm")
-            .expect("baseline present");
-        targets
-            .iter()
-            .map(|&t| {
-                let a = characterize_study(sram, capacity, 512, t, BitsPerCell::Slc);
-                (a.read_latency.value(), a.read_energy.value())
-            })
-            .collect()
-    };
     let sram_e_span = {
         let max = sram_reads.iter().map(|(_, e)| *e).fold(0.0, f64::max);
         let min = sram_reads.iter().map(|(_, e)| *e).fold(f64::MAX, f64::min);

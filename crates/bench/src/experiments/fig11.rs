@@ -2,29 +2,28 @@
 //! endurance) vs standard FeFET tentpoles and SRAM on 8 MB arrays under
 //! graph + SPEC-class traffic.
 
-use crate::experiments::characterize_study;
-use crate::experiments::shared::social_bfs;
+use crate::experiments::shared::{only_cells, read_edp, read_edp_study, social_bfs, study};
 use crate::{Experiment, Finding};
-use nvmexplorer_core::eval::{evaluate, Evaluation};
+use nvmexplorer_core::eval::Evaluation;
 use nvmx_celldb::custom::{back_gated_fefet, sram_16nm};
 use nvmx_celldb::{tentpole, CellFlavor, TechnologyClass};
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, AsciiTable, Csv, ScatterPlot};
 use nvmx_workloads::traffic::log_sweep;
 
 /// Regenerates the back-gated FeFET co-design study.
 pub fn run() -> Experiment {
-    let capacity = Capacity::from_mebibytes(8);
-    let cells = vec![
+    let cells = only_cells(vec![
         sram_16nm(),
         tentpole::tentpole_cell(TechnologyClass::FeFet, CellFlavor::Optimistic).expect("FeFET"),
         tentpole::tentpole_cell(TechnologyClass::FeFet, CellFlavor::Pessimistic).expect("FeFET"),
         back_gated_fefet(),
-    ];
+    ]);
 
     let mut patterns = log_sweep(0.05e9, 10.0e9, 6, 1.0e6, 400.0e6, 5, 8);
     patterns.extend(social_bfs().iter().map(|bfs| bfs.traffic("BFS8MB", 2.5e8)));
+    let config = read_edp_study("fig11", cells, &[8], 64, patterns.clone());
+    let result = study(&config);
+    let cells = config.cells.resolve();
 
     let mut csv = Csv::new([
         "cell",
@@ -57,18 +56,12 @@ pub fn run() -> Experiment {
 
     let mut evals: Vec<Evaluation> = Vec::new();
     for cell in &cells {
-        let array = characterize_study(
-            cell,
-            capacity,
-            64,
-            OptimizationTarget::ReadEdp,
-            BitsPerCell::Slc,
-        );
+        let (array, cell_evals) = read_edp(&result, &cell.name, 8);
         let mut p = Vec::new();
         let mut l = Vec::new();
         let mut feasible_count = 0usize;
-        for pattern in &patterns {
-            let eval = evaluate(&array, pattern);
+        for eval in cell_evals {
+            let pattern = &eval.traffic;
             csv.row([
                 cell.name.clone(),
                 pattern.name.clone(),
@@ -88,7 +81,7 @@ pub fn run() -> Experiment {
                 ));
                 feasible_count += 1;
             }
-            evals.push(eval);
+            evals.push(eval.clone());
         }
         table.row(vec![
             cell.name.clone(),
@@ -144,25 +137,18 @@ pub fn run() -> Experiment {
 
     // Power winner counts across the read range among feasible FeFET
     // variants + SRAM (the figure's cell set).
-    let mut bg_power_wins = 0usize;
-    let mut comparable = 0usize;
-    for pattern in &patterns {
-        let candidates: Vec<&Evaluation> = evals
-            .iter()
-            .filter(|e| e.traffic.name == pattern.name && e.is_feasible())
-            .collect();
-        if candidates.is_empty() {
-            continue;
-        }
-        comparable += 1;
-        let winner = candidates
-            .iter()
-            .min_by(|a, b| a.total_power().value().total_cmp(&b.total_power().value()))
-            .map(|e| e.array.cell_name.clone());
-        if winner.as_deref() == Some("FeFET-BG") || winner.as_deref() == Some("FeFET-opt") {
-            bg_power_wins += 1;
-        }
-    }
+    let winners: Vec<&str> = (patterns.iter())
+        .filter_map(|pattern| {
+            (evals.iter())
+                .filter(|e| e.traffic.name == pattern.name && e.is_feasible())
+                .min_by(|a, b| a.total_power().value().total_cmp(&b.total_power().value()))
+                .map(|e| e.array.cell_name.as_str())
+        })
+        .collect();
+    let comparable = winners.len();
+    let bg_power_wins = (winners.iter())
+        .filter(|&&winner| winner == "FeFET-BG" || winner == "FeFET-opt")
+        .count();
 
     // BFS-specific check.
     let bfs_winner = evals
@@ -176,20 +162,8 @@ pub fn run() -> Experiment {
         .map(|e| e.array.cell_name.clone());
 
     // Array-level deltas vs standard optimistic FeFET.
-    let bg_array = characterize_study(
-        &back_gated_fefet(),
-        capacity,
-        64,
-        OptimizationTarget::ReadEdp,
-        BitsPerCell::Slc,
-    );
-    let std_array = characterize_study(
-        &cells[1],
-        capacity,
-        64,
-        OptimizationTarget::ReadEdp,
-        BitsPerCell::Slc,
-    );
+    let (bg_array, _) = read_edp(&result, "FeFET-BG", 8);
+    let (std_array, _) = read_edp(&result, &cells[1].name, 8);
 
     let findings = vec![
         Finding::new(

@@ -2,29 +2,32 @@
 //! efficiency (less periphery amortization) tend to deliver lower total
 //! memory latency.
 
-use crate::experiments::{characterize_study, study_cells};
+use crate::experiments::shared::{design, study};
 use crate::{Experiment, Finding};
-use nvmexplorer_core::eval::evaluate;
+use nvmexplorer_core::config::StudyConfig;
 use nvmexplorer_core::explore::ResultSet;
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
+use nvmexplorer_core::sweep::StudyResult;
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
-use nvmx_workloads::TrafficPattern;
 
 /// The area-efficiency threshold the study filters at.
 const EFFICIENCY_THRESHOLD: f64 = 0.45;
 
+/// The figure's study: `run config/paper/fig12.json` reproduces it. Its
+/// three traffic patterns are a band of scenarios (the paper: "across many
+/// traffic scenarios").
+const CONFIG: &str = include_str!("../../../../config/paper/fig12.json");
+
 /// Regenerates the area-efficiency filter study on 8 MB arrays.
 pub fn run() -> Experiment {
-    let capacity = Capacity::from_mebibytes(8);
-    let targets = &OptimizationTarget::ALL;
-    // A band of traffic scenarios (the paper: "across many traffic
-    // scenarios").
-    let traffics = [
-        TrafficPattern::new("light", 0.2e9, 5.0e6, 8),
-        TrafficPattern::new("medium", 2.0e9, 20.0e6, 8),
-        TrafficPattern::new("heavy", 8.0e9, 80.0e6, 8),
-    ];
+    let config = StudyConfig::from_json(CONFIG).expect("config/paper/fig12.json parses");
+    report(&config, &study(&config))
+}
+
+/// The Fig. 12 report over the study's evaluations, in the config's cell,
+/// target and traffic order.
+pub fn report(config: &StudyConfig, result: &StudyResult) -> Experiment {
+    let mib = config.array.capacities_mib[0];
+    let bits = config.array.bits_per_cell[0];
 
     let mut csv = Csv::new([
         "cell",
@@ -44,12 +47,10 @@ pub fn run() -> Experiment {
     plot.x_scale = nvmx_viz::svg::Scale::Linear;
 
     let mut evaluations = Vec::new();
-    for cell in &study_cells() {
-        for &target in targets {
-            let array = characterize_study(cell, capacity, 64, target, BitsPerCell::Slc);
-            for traffic in &traffics {
-                evaluations.push(evaluate(&array, traffic));
-            }
+    for cell in &config.cells.resolve() {
+        for &target in &config.array.targets {
+            let (_, evals) = design(result, &cell.name, mib, bits, target);
+            evaluations.extend_from_slice(evals);
         }
     }
     let set = ResultSet::new(evaluations).feasible();

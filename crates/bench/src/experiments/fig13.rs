@@ -2,15 +2,16 @@
 //! storage filtered by whether image-classification accuracy survives the
 //! technology's fault rates.
 
-use crate::experiments::shared::lanes;
-use crate::experiments::{characterize_study, opt_cell, pess_cell};
+use crate::experiments::shared::{design, lanes, only_cells, read_edp_study, study};
+use crate::experiments::{opt_cell, pess_cell};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::accuracy::accuracy_under_storage;
 use nvmexplorer_core::scheduler::run_on_lanes;
 use nvmx_celldb::{CellDefinition, TechnologyClass};
 use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
+use nvmx_units::BitsPerCell;
 use nvmx_viz::{csv::num, AsciiTable, Csv};
+use nvmx_workloads::dnn::{resnet26, DnnUseCase, StoragePolicy};
 
 /// Accuracy-degradation tolerance (fraction of baseline accuracy).
 const TOLERANCE: f64 = 0.05;
@@ -20,13 +21,21 @@ pub fn run() -> Experiment {
     let trials = 4;
     // The paper's fault-modeled subset: RRAM, CTT, FeFET (Sec. II-B2), with
     // small (optimistic) and large (pessimistic) cell sizes.
-    let cells: Vec<CellDefinition> = vec![
+    let cells = only_cells(vec![
         opt_cell(TechnologyClass::Rram),
         pess_cell(TechnologyClass::Rram),
         opt_cell(TechnologyClass::Ctt),
         opt_cell(TechnologyClass::FeFet),
         pess_cell(TechnologyClass::FeFet),
-    ];
+    ]);
+    // One study over both depths and both capacities. Only its arrays are
+    // read; its traffic is single-task image classification at 60 FPS.
+    let traffic =
+        DnnUseCase::single(resnet26(), StoragePolicy::WeightsOnly).continuous_traffic(60.0);
+    let mut config = read_edp_study("fig13", cells, &[8, 16], 256, vec![traffic]);
+    config.array.bits_per_cell = vec![BitsPerCell::Slc, BitsPerCell::Mlc2];
+    let result = study(&config);
+    let cells = config.cells.resolve();
 
     let mut csv = Csv::new([
         "cell",
@@ -57,31 +66,29 @@ pub fn run() -> Experiment {
     }
     let mut rows: Vec<Row> = Vec::new();
 
-    // Each (cell, depth) pair's accuracy trials and arrays are independent
-    // of every other pair's.
+    // Each (cell, depth) pair's accuracy trials are independent of every
+    // other pair's.
     let pairs: Vec<(&CellDefinition, BitsPerCell)> = cells
         .iter()
-        .flat_map(|cell| [BitsPerCell::Slc, BitsPerCell::Mlc2].map(|bits| (cell, bits)))
+        .flat_map(|cell| {
+            config
+                .array
+                .bits_per_cell
+                .iter()
+                .map(move |&bits| (cell, bits))
+        })
         .collect();
-    let measured = run_on_lanes(&pairs, lanes(), |_, &(cell, bits)| {
-        let arrays = [8u64, 16].map(|capacity_mib| {
-            let array = characterize_study(
-                cell,
-                Capacity::from_mebibytes(capacity_mib),
-                256,
-                OptimizationTarget::ReadEdp,
-                bits,
-            );
-            (capacity_mib, array)
-        });
-        (accuracy_under_storage(cell, bits, trials), arrays)
+    let reports = run_on_lanes(&pairs, lanes(), |_, &(cell, bits)| {
+        accuracy_under_storage(cell, bits, trials)
     });
 
-    for (&(cell, bits), (report, arrays)) in pairs.iter().zip(&measured) {
+    let read_edp = OptimizationTarget::ReadEdp;
+    for (&(cell, bits), report) in pairs.iter().zip(&reports) {
         let ok = report.is_acceptable(TOLERANCE);
         let mut density = 0.0;
-        for (capacity_mib, array) in arrays {
-            if *capacity_mib == 16 {
+        for &capacity_mib in &config.array.capacities_mib {
+            let (array, _) = design(&result, &cell.name, capacity_mib, bits, read_edp);
+            if capacity_mib == 16 {
                 density = array.density_mbit_per_mm2();
             }
             csv.row([

@@ -1,14 +1,24 @@
 //! Fig. 14 — write buffering: masking write latency and/or coalescing write
 //! traffic broadens the set of viable eNVMs for write-heavy workloads.
 
-use crate::experiments::shared::{social_bfs, spec_suites};
-use crate::experiments::{characterize_study, study_cells};
+use crate::experiments::shared::{
+    only_cells, read_edp, read_edp_study, social_bfs, spec_suites, study,
+};
 use crate::{Experiment, Finding};
+use nvmexplorer_core::config::CellSelection;
 use nvmexplorer_core::write_buffer::{evaluate_with_buffer, WriteBuffer};
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, AsciiTable, Csv};
 use nvmx_workloads::TrafficPattern;
+
+/// The study cells the sweep focuses on.
+const CANDIDATES: [&str; 6] = [
+    "FeFET-opt",
+    "FeFET-pess",
+    "STT-opt",
+    "RRAM-opt",
+    "SRAM-16nm",
+    "PCM-opt",
+];
 
 /// Regenerates the write-buffer sweep for SPEC2017-class and
 /// Facebook-Graph-BFS traffic.
@@ -31,19 +41,10 @@ pub fn run() -> Experiment {
         sorted[sorted.len() / 2].traffic.clone()
     };
 
-    let scenarios: Vec<(&str, Capacity, u64, TrafficPattern)> = vec![
-        (
-            "Facebook-Graph-BFS",
-            Capacity::from_mebibytes(8),
-            64,
-            bfs_traffic,
-        ),
-        (
-            "SPEC2017 (median-write)",
-            Capacity::from_mebibytes(16),
-            512,
-            spec_traffic,
-        ),
+    // (workload, capacity in MiB, word bits, traffic)
+    let scenarios: Vec<(&str, u64, u64, TrafficPattern)> = vec![
+        ("Facebook-Graph-BFS", 8, 64, bfs_traffic),
+        ("SPEC2017 (median-write)", 16, 512, spec_traffic),
     ];
 
     let mut csv = Csv::new([
@@ -72,32 +73,29 @@ pub fn run() -> Experiment {
     let mut fefet_spec_quarter_feasible = false;
     let mut fefet_spec_quarter_power = f64::MAX;
 
-    for (workload, capacity, word_bits, traffic) in &scenarios {
-        for cell in study_cells() {
-            // Focus the sweep on the interesting candidates.
-            if ![
-                "FeFET-opt",
-                "FeFET-pess",
-                "STT-opt",
-                "RRAM-opt",
-                "SRAM-16nm",
-                "PCM-opt",
-            ]
-            .contains(&cell.name.as_str())
-            {
-                continue;
-            }
-            let array = characterize_study(
-                &cell,
-                *capacity,
-                *word_bits,
-                OptimizationTarget::ReadEdp,
-                BitsPerCell::Slc,
-            );
+    // Focus the sweep on the interesting candidates, in study-cell order.
+    let mut candidates = CellSelection::default().resolve();
+    candidates.retain(|cell| CANDIDATES.contains(&cell.name.as_str()));
+    let candidates = only_cells(candidates);
+
+    for &(workload, capacity_mib, word_bits, ref traffic) in &scenarios {
+        // One study per workload (the two differ in word width); the
+        // write buffer's evaluation is this figure's own model.
+        let patterns = vec![traffic.clone()];
+        let config = read_edp_study(
+            "fig14",
+            candidates.clone(),
+            &[capacity_mib],
+            word_bits,
+            patterns,
+        );
+        let result = study(&config);
+        for cell in config.cells.resolve() {
+            let (array, _) = read_edp(&result, &cell.name, capacity_mib);
             for (label, buffer) in WriteBuffer::fig14_sweep() {
-                let eval = evaluate_with_buffer(&array, traffic, buffer);
+                let eval = evaluate_with_buffer(array, traffic, buffer);
                 csv.row([
-                    (*workload).to_owned(),
+                    workload.to_owned(),
                     cell.name.clone(),
                     label.clone(),
                     eval.is_feasible().to_string(),
@@ -106,7 +104,7 @@ pub fn run() -> Experiment {
                     num(eval.lifetime_years()),
                 ]);
                 table.row(vec![
-                    (*workload).to_owned(),
+                    workload.to_owned(),
                     cell.name.clone(),
                     label.clone(),
                     eval.is_feasible().to_string(),

@@ -2,17 +2,28 @@
 //! optimization target: read/write energy-vs-latency scatters, leakage, and
 //! area per technology.
 
-use crate::experiments::{characterize_study, study_cells};
+use crate::experiments::shared::{design, study};
 use crate::{Experiment, Finding};
+use nvmexplorer_core::config::StudyConfig;
+use nvmexplorer_core::sweep::StudyResult;
 use nvmx_celldb::TechnologyClass;
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
+
+/// The figure's study: `run config/paper/fig3.json` reproduces it.
+const CONFIG: &str = include_str!("../../../../config/paper/fig3.json");
 
 /// Regenerates the Fig. 3 array-level comparison at 4 MB.
 pub fn run() -> Experiment {
-    let capacity = Capacity::from_mebibytes(4);
-    let targets = &OptimizationTarget::ALL;
+    let config = StudyConfig::from_json(CONFIG).expect("config/paper/fig3.json parses");
+    report(&config, &study(&config))
+}
+
+/// The Fig. 3 report over the study's arrays, one row per cell and
+/// target in the config's order.
+pub fn report(config: &StudyConfig, result: &StudyResult) -> Experiment {
+    let mib = config.array.capacities_mib[0];
+    let bits = config.array.bits_per_cell[0];
+    let targets = &config.array.targets;
 
     let mut csv = Csv::new([
         "cell",
@@ -40,9 +51,7 @@ pub fn run() -> Experiment {
         "write energy per access (J)",
     );
 
-    let cells = study_cells();
-    let mut per_cell_read: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-    let mut per_cell_write: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
+    let cells = config.cells.resolve();
     let mut sram_read_lat = f64::MAX;
     let mut pess_pcm_write_lat = 0.0f64;
     let mut best_read_lat_per_tech: Vec<(TechnologyClass, f64)> = Vec::new();
@@ -51,7 +60,7 @@ pub fn run() -> Experiment {
         let mut reads = Vec::new();
         let mut writes = Vec::new();
         for &target in targets {
-            let array = characterize_study(cell, capacity, 128, target, BitsPerCell::Slc);
+            let (array, _) = design(result, &cell.name, mib, bits, target);
             csv.row([
                 array.cell_name.clone(),
                 array.technology.label().to_owned(),
@@ -87,15 +96,8 @@ pub fn run() -> Experiment {
                 None => best_read_lat_per_tech.push((array.technology, array.read_latency.value())),
             }
         }
-        per_cell_read.push((cell.name.clone(), reads));
-        per_cell_write.push((cell.name.clone(), writes));
-    }
-
-    for (name, points) in per_cell_read {
-        read_plot.series(name, points);
-    }
-    for (name, points) in per_cell_write {
-        write_plot.series(name, points);
+        read_plot.series(cell.name.clone(), reads);
+        write_plot.series(cell.name.clone(), writes);
     }
 
     // Claims: every eNVM attains SRAM-competitive (same order of magnitude,

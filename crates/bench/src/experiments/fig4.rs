@@ -1,16 +1,32 @@
 //! Fig. 4 — tentpole validation: modeled optimistic/pessimistic arrays must
 //! bracket published fabricated arrays of the same class and capacity.
 
-use crate::experiments::{characterize_study, opt_cell, pess_cell};
+use crate::experiments::{opt_cell, pess_cell};
 use crate::{Experiment, Finding};
+use nvmexplorer_core::config::ArraySettings;
 use nvmx_celldb::validation::{bracket, reference_arrays, BracketOutcome};
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::BitsPerCell;
+use nvmx_celldb::CellDefinition;
+use nvmx_nvsim::{characterize, ArrayCharacterization, ArrayConfig, OptimizationTarget};
+use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{csv::num, AsciiTable, Csv};
 
 /// Acceptance tolerance: the paper requires "similar in magnitude", which we
 /// encode as within 3× beyond either pole.
 const TOLERANCE: f64 = 3.0;
+
+/// One validation pole: `cell`'s read-latency-optimal SLC array at a macro's
+/// capacity. The macros are 1–32 Mb, finer than a study config's whole-MiB
+/// `capacities_mib`, so this is the one direct characterization.
+fn pole(cell: &CellDefinition, capacity: Capacity) -> ArrayCharacterization {
+    let config = ArrayConfig {
+        capacity,
+        word_bits: 128,
+        node: ArraySettings::default().node_for(cell),
+        bits_per_cell: BitsPerCell::Slc,
+    };
+    characterize(cell, &config, OptimizationTarget::ReadLatency)
+        .unwrap_or_else(|e| panic!("characterizing {}: {e}", cell.name))
+}
 
 /// Regenerates the validation exercise for every published reference array.
 pub fn run() -> Experiment {
@@ -38,20 +54,8 @@ pub fn run() -> Experiment {
     let mut stt_read_latency_outcome = BracketOutcome::Missed;
 
     for reference in reference_arrays() {
-        let opt = characterize_study(
-            &opt_cell(reference.technology),
-            reference.capacity,
-            128,
-            OptimizationTarget::ReadLatency,
-            BitsPerCell::Slc,
-        );
-        let pess = characterize_study(
-            &pess_cell(reference.technology),
-            reference.capacity,
-            128,
-            OptimizationTarget::ReadLatency,
-            BitsPerCell::Slc,
-        );
+        let opt = pole(&opt_cell(reference.technology), reference.capacity);
+        let pess = pole(&pess_cell(reference.technology), reference.capacity);
 
         let mut check = |metric: &str, measured: f64, o: f64, p: f64, scale: f64, unit: &str| {
             let outcome = bracket(measured, o, p, TOLERANCE);

@@ -1,20 +1,31 @@
 //! Fig. 5 — read characteristics and storage density of 2 MB arrays
 //! provisioned to replace the NVDLA on-chip SRAM buffer.
 
-use crate::experiments::study_arrays;
+use crate::experiments::shared::{design, study};
 use crate::{Experiment, Finding};
+use nvmexplorer_core::config::StudyConfig;
+use nvmexplorer_core::sweep::StudyResult;
 use nvmx_celldb::{CellFlavor, TechnologyClass};
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::Capacity;
+use nvmx_nvsim::ArrayCharacterization;
 use nvmx_viz::{csv::num, AsciiTable, Csv, ScatterPlot};
+
+/// The figure's study: `run config/paper/fig5.json` reproduces it.
+const CONFIG: &str = include_str!("../../../../config/paper/fig5.json");
 
 /// Regenerates the 2 MB NVDLA-buffer comparison.
 pub fn run() -> Experiment {
-    let arrays = study_arrays(
-        Capacity::from_mebibytes(2),
-        256,
-        OptimizationTarget::ReadEdp,
-    );
+    let config = StudyConfig::from_json(CONFIG).expect("config/paper/fig5.json parses");
+    report(&config, &study(&config))
+}
+
+/// The Fig. 5 report over the study's arrays, one row per cell in the
+/// config's order.
+pub fn report(config: &StudyConfig, result: &StudyResult) -> Experiment {
+    let mib = config.array.capacities_mib[0];
+    let (bits, target) = (config.array.bits_per_cell[0], config.array.targets[0]);
+    let metric = |name: &str| design(result, name, mib, bits, target).0;
+    let cells = config.cells.resolve();
+    let arrays: Vec<&ArrayCharacterization> = cells.iter().map(|c| metric(&c.name)).collect();
 
     let mut csv = Csv::new([
         "cell",
@@ -37,12 +48,6 @@ pub fn run() -> Experiment {
         "Mb/mm^2".into(),
     ]);
 
-    let metric = |name: &str| -> &nvmx_nvsim::ArrayCharacterization {
-        arrays
-            .iter()
-            .find(|a| a.cell_name == name)
-            .expect("study cell present")
-    };
     for array in &arrays {
         csv.row([
             array.cell_name.clone(),

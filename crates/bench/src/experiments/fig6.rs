@@ -2,26 +2,23 @@
 //! continuous 60 FPS operation (left) and energy per inference under
 //! intermittent operation (right), across deployment scenarios.
 
-use crate::experiments::shared::lanes;
-use crate::experiments::{characterize_study, study_cells};
+use crate::experiments::shared::{lanes, read_edp, read_edp_study, study};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::accuracy::accuracy_under_storage;
-use nvmexplorer_core::eval::evaluate;
+use nvmexplorer_core::config::CellSelection;
 use nvmexplorer_core::intermittent::{daily_energy, IntermittentScenario};
 use nvmexplorer_core::scheduler::run_on_lanes;
 use nvmx_celldb::TechnologyClass;
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
+use nvmx_units::BitsPerCell;
 use nvmx_viz::{csv::num, AsciiTable, Csv};
 use nvmx_workloads::dnn::{resnet26, DnnUseCase, StoragePolicy};
 
-/// Fits a weight image into the next power-of-two MiB capacity.
-pub fn provision_capacity(weight_bytes: u64) -> Capacity {
-    let mib = weight_bytes
+/// Fits a weight image into the next power-of-two capacity, in MiB.
+pub fn provision_mib(weight_bytes: u64) -> u64 {
+    weight_bytes
         .div_ceil(1024 * 1024)
         .next_power_of_two()
-        .max(1);
-    Capacity::from_mebibytes(mib)
+        .max(1)
 }
 
 /// The four continuous-deployment scenarios of Fig. 6-left.
@@ -36,9 +33,27 @@ pub fn continuous_use_cases() -> Vec<DnnUseCase> {
 
 /// Regenerates both panels of Fig. 6.
 pub fn run() -> Experiment {
-    let cells = study_cells();
     let fps = 60.0;
     let trials = 3;
+    let intermittent_cases = [
+        DnnUseCase::single(resnet26(), StoragePolicy::WeightsOnly),
+        DnnUseCase::multi(resnet26(), StoragePolicy::WeightsOnly),
+    ];
+
+    // One study: the left panel's 2 MB arrays under the continuous
+    // scenarios, plus the right panel's provisioned capacities (only their
+    // arrays are read).
+    let mut capacities_mib: Vec<u64> = (intermittent_cases.iter())
+        .map(|use_case| provision_mib(use_case.stored_weight_bytes()))
+        .collect();
+    capacities_mib.push(2);
+    let patterns = (continuous_use_cases().iter())
+        .map(|use_case| use_case.continuous_traffic(fps))
+        .collect();
+    let cells = CellSelection::default();
+    let config = read_edp_study("fig6", cells, &capacities_mib, 256, patterns);
+    let result = study(&config);
+    let cells = config.cells.resolve();
 
     let mut csv = Csv::new([
         "panel",
@@ -58,73 +73,47 @@ pub fn run() -> Experiment {
     let mut findings: Vec<Finding> = Vec::new();
 
     // --- Left panel: continuous operation at 60 FPS (2 MB iso-capacity) ---
-    let capacity = Capacity::from_mebibytes(2);
-    let mut single_weights_ratio: f64 = 0.0;
     let mut fefet_ratio: f64 = 0.0;
     let mut pcm_rram_stt_min_ratio = f64::MAX;
 
     // Neither the array nor the accuracy verdict depends on the use case.
     // Accuracy gate: SLC fault rates must keep the classifier within 5 %
     // of baseline (paper: "maintain DNN accuracy targets").
-    let gated_arrays = run_on_lanes(&cells, lanes(), |_, cell| {
-        let array = characterize_study(
-            cell,
-            capacity,
-            256,
-            OptimizationTarget::ReadEdp,
-            BitsPerCell::Slc,
-        );
-        let accuracy_ok = cell.technology == TechnologyClass::Sram
-            || accuracy_under_storage(cell, BitsPerCell::Slc, trials).is_acceptable(0.05);
-        (array, accuracy_ok)
+    let accuracy_oks = run_on_lanes(&cells, lanes(), |_, cell| {
+        cell.technology == TechnologyClass::Sram
+            || accuracy_under_storage(cell, BitsPerCell::Slc, trials).is_acceptable(0.05)
     });
 
-    for use_case in continuous_use_cases() {
-        let traffic = use_case.continuous_traffic(fps);
-        // Evaluate all cells first, then derive ratios (SRAM power must be
-        // known before any comparison).
-        let mut results: Vec<(String, TechnologyClass, f64, bool, bool)> = Vec::new();
-        for (cell, (array, accuracy_ok)) in cells.iter().zip(&gated_arrays) {
-            let eval = evaluate(array, &traffic);
-            let power_mw = eval.total_power().value() * 1e3;
-            results.push((
-                cell.name.clone(),
-                cell.technology,
-                power_mw,
-                eval.is_feasible(),
-                *accuracy_ok,
-            ));
-        }
-        let sram_power = results
-            .iter()
-            .find(|(_, t, ..)| *t == TechnologyClass::Sram)
-            .map(|(_, _, p, ..)| *p)
-            .expect("SRAM always evaluated");
+    let sram = (cells.iter())
+        .find(|cell| cell.technology == TechnologyClass::Sram)
+        .expect("SRAM baseline selected");
+    for (lane, use_case) in continuous_use_cases().into_iter().enumerate() {
+        let eval = |cell: &str| &read_edp(&result, cell, 2).1[lane];
+        let sram_power = eval(&sram.name).total_power().value() * 1e3;
         let mut best: Option<(String, f64)> = None;
-        for (name, tech, power_mw, feasible, accuracy_ok) in &results {
+        for (cell, accuracy_ok) in cells.iter().zip(&accuracy_oks) {
+            let (name, tech, eval) = (&cell.name, cell.technology, eval(&cell.name));
+            let power_mw = eval.total_power().value() * 1e3;
+            let feasible = eval.is_feasible();
             let excluded = !feasible || !accuracy_ok;
             csv.row([
                 "continuous".to_owned(),
                 use_case.name.clone(),
                 name.clone(),
                 tech.label().to_owned(),
-                num(*power_mw),
+                num(power_mw),
                 feasible.to_string(),
                 accuracy_ok.to_string(),
                 excluded.to_string(),
             ]);
-            if !excluded && tech.is_nonvolatile() {
-                let better = best.as_ref().is_none_or(|(_, p)| power_mw < p);
-                if better {
-                    best = Some((name.clone(), *power_mw));
-                }
+            if !excluded && tech.is_nonvolatile() && best.as_ref().is_none_or(|b| power_mw < b.1) {
+                best = Some((name.clone(), power_mw));
             }
             if use_case.name.contains("single") && use_case.storage == StoragePolicy::WeightsOnly {
                 let ratio = sram_power / power_mw;
                 match name.as_str() {
                     "PCM-opt" | "RRAM-opt" | "STT-opt" => {
                         pcm_rram_stt_min_ratio = pcm_rram_stt_min_ratio.min(ratio);
-                        single_weights_ratio = single_weights_ratio.max(ratio);
                     }
                     "FeFET-opt" => fefet_ratio = ratio,
                     _ => {}
@@ -153,10 +142,7 @@ pub fn run() -> Experiment {
 
     // --- Right panel: intermittent energy per inference at 1 IPS ----------
     let mut intermittent_rows: Vec<(String, String, f64)> = Vec::new();
-    for use_case in [
-        DnnUseCase::single(resnet26(), StoragePolicy::WeightsOnly),
-        DnnUseCase::multi(resnet26(), StoragePolicy::WeightsOnly),
-    ] {
+    for use_case in intermittent_cases {
         let scenario = IntermittentScenario {
             name: use_case.name.clone(),
             read_bytes_per_event: use_case.read_bytes_per_inference(),
@@ -164,16 +150,10 @@ pub fn run() -> Experiment {
             weight_bytes: use_case.stored_weight_bytes(),
             access_bytes: 32,
         };
-        let cap = provision_capacity(use_case.stored_weight_bytes());
+        let mib = provision_mib(use_case.stored_weight_bytes());
         for cell in &cells {
-            let array = characterize_study(
-                cell,
-                cap,
-                256,
-                OptimizationTarget::ReadEdp,
-                BitsPerCell::Slc,
-            );
-            let daily = daily_energy(&array, &scenario, 86_400.0); // 1 IPS
+            let (array, _) = read_edp(&result, &cell.name, mib);
+            let daily = daily_energy(array, &scenario, 86_400.0); // 1 IPS
             let per_inf_uj = daily.per_event().value() * 1e6;
             csv.row([
                 "intermittent-1ips".to_owned(),

@@ -1,25 +1,14 @@
 //! Fig. 7 — total memory energy vs inferences per day for intermittent
 //! operation: ResNet26 image classification (left) and ALBERT NLP (right).
 
-use crate::experiments::{characterize_study, study_cells};
+use crate::experiments::fig6::provision_mib;
+use crate::experiments::shared::{read_edp, read_edp_study, study};
 use crate::{Experiment, Finding};
+use nvmexplorer_core::config::CellSelection;
 use nvmexplorer_core::intermittent::{sweep_events_per_day, IntermittentScenario};
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
+use nvmx_units::Capacity;
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
 use nvmx_workloads::dnn::{albert, resnet26, DnnUseCase, StoragePolicy};
-
-fn scenario_for(use_case: &DnnUseCase) -> (IntermittentScenario, Capacity) {
-    let scenario = IntermittentScenario {
-        name: use_case.name.clone(),
-        read_bytes_per_event: use_case.read_bytes_per_inference(),
-        write_bytes_per_event: 0.0,
-        weight_bytes: use_case.stored_weight_bytes(),
-        access_bytes: 32,
-    };
-    let capacity = super::fig6::provision_capacity(use_case.stored_weight_bytes());
-    (scenario, capacity)
-}
 
 /// Where the energy curves of two technologies cross, if they do, searching
 /// the sampled rates.
@@ -35,7 +24,30 @@ fn crossover(a: &[(f64, nvmx_units::Joules)], b: &[(f64, nvmx_units::Joules)]) -
 /// Regenerates both panels of Fig. 7.
 pub fn run() -> Experiment {
     let steps = 15;
-    let cells = study_cells();
+    let workloads = [
+        (
+            "image-classification",
+            DnnUseCase::single(resnet26(), StoragePolicy::WeightsOnly),
+        ),
+        (
+            "nlp-albert",
+            DnnUseCase::single(albert(), StoragePolicy::WeightsOnly),
+        ),
+    ];
+
+    // One study over both workloads' provisioned capacities. Only its
+    // arrays are read; its traffic is each workload's inference stream at
+    // one inference per second.
+    let capacities_mib: Vec<u64> = (workloads.iter())
+        .map(|(_, use_case)| provision_mib(use_case.stored_weight_bytes()))
+        .collect();
+    let patterns = (workloads.iter())
+        .map(|(_, use_case)| use_case.continuous_traffic(1.0))
+        .collect();
+    let cells = CellSelection::default();
+    let config = read_edp_study("fig7", cells, &capacities_mib, 256, patterns);
+    let result = study(&config);
+    let cells = config.cells.resolve();
 
     let mut csv = Csv::new(["workload", "cell", "inferences_per_day", "energy_j_per_day"]);
     let mut plots = Vec::new();
@@ -45,17 +57,16 @@ pub fn run() -> Experiment {
     type EnergyCurve = Vec<(f64, nvmx_units::Joules)>;
     let mut image_curves: Option<(EnergyCurve, EnergyCurve)> = None;
 
-    for (label, use_case) in [
-        (
-            "image-classification",
-            DnnUseCase::single(resnet26(), StoragePolicy::WeightsOnly),
-        ),
-        (
-            "nlp-albert",
-            DnnUseCase::single(albert(), StoragePolicy::WeightsOnly),
-        ),
-    ] {
-        let (scenario, capacity) = scenario_for(&use_case);
+    for &(label, ref use_case) in &workloads {
+        let scenario = IntermittentScenario {
+            name: use_case.name.clone(),
+            read_bytes_per_event: use_case.read_bytes_per_inference(),
+            write_bytes_per_event: 0.0,
+            weight_bytes: use_case.stored_weight_bytes(),
+            access_bytes: 32,
+        };
+        let mib = provision_mib(use_case.stored_weight_bytes());
+        let capacity = Capacity::from_mebibytes(mib);
         let mut plot = ScatterPlot::log_log(
             format!("Fig.7: daily memory energy vs inferences/day ({label}, {capacity})"),
             "inferences per day",
@@ -64,14 +75,8 @@ pub fn run() -> Experiment {
         let mut fefet_curve = Vec::new();
         let mut stt_curve = Vec::new();
         for cell in &cells {
-            let array = characterize_study(
-                cell,
-                capacity,
-                256,
-                OptimizationTarget::ReadEdp,
-                BitsPerCell::Slc,
-            );
-            let curve = sweep_events_per_day(&array, &scenario, 1.0, 1.0e7, steps);
+            let (array, _) = read_edp(&result, &cell.name, mib);
+            let curve = sweep_events_per_day(array, &scenario, 1.0, 1.0e7, steps);
             for (rate, energy) in &curve {
                 csv.row([
                     label.to_owned(),

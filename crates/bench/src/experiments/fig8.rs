@@ -2,12 +2,10 @@
 //! rate, aggregate latency vs write rate, and projected lifetime, over
 //! generic traffic plus BFS points from the synthetic social graphs.
 
-use crate::experiments::shared::social_bfs;
-use crate::experiments::{characterize_study, study_cells};
+use crate::experiments::shared::{read_edp, read_edp_study, social_bfs, study};
 use crate::{Experiment, Finding};
-use nvmexplorer_core::eval::{evaluate, Evaluation};
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
+use nvmexplorer_core::config::CellSelection;
+use nvmexplorer_core::eval::Evaluation;
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
 use nvmx_workloads::traffic::log_sweep;
 use nvmx_workloads::TrafficPattern;
@@ -31,9 +29,11 @@ fn traffic_set() -> Vec<TrafficPattern> {
 
 /// Regenerates the three Fig. 8 panels.
 pub fn run() -> Experiment {
-    let cells = study_cells();
-    let capacity = Capacity::from_mebibytes(8);
     let patterns = traffic_set();
+    let pattern_count = patterns.len();
+    let config = read_edp_study("fig8", CellSelection::default(), &[8], 64, patterns);
+    let result = study(&config);
+    let cells = config.cells.resolve();
 
     let mut csv = Csv::new([
         "cell",
@@ -63,18 +63,12 @@ pub fn run() -> Experiment {
 
     let mut evals: Vec<Evaluation> = Vec::new();
     for cell in &cells {
-        let array = characterize_study(
-            cell,
-            capacity,
-            64,
-            OptimizationTarget::ReadEdp,
-            BitsPerCell::Slc,
-        );
+        let (_, cell_evals) = read_edp(&result, &cell.name, 8);
         let mut power_pts = Vec::new();
         let mut lat_pts = Vec::new();
         let mut life_pts = Vec::new();
-        for pattern in &patterns {
-            let eval = evaluate(&array, pattern);
+        for eval in cell_evals {
+            let pattern = &eval.traffic;
             csv.row([
                 cell.name.clone(),
                 pattern.name.clone(),
@@ -95,7 +89,7 @@ pub fn run() -> Experiment {
             if eval.lifetime.is_some() {
                 life_pts.push((pattern.write_accesses_per_sec(), eval.lifetime_years()));
             }
-            evals.push(eval);
+            evals.push(eval.clone());
         }
         power_plot.series(cell.name.clone(), power_pts);
         latency_plot.series(cell.name.clone(), lat_pts);
@@ -174,7 +168,7 @@ pub fn run() -> Experiment {
     let summary = format!(
         "{} traffic patterns x {} cells evaluated at 8 MB.\n\
          Low-rate power winner: {:?}; high-rate: {:?}; best latency: {:?}.",
-        patterns.len(),
+        pattern_count,
         cells.len(),
         low_rate_winner,
         high_rate_winner,

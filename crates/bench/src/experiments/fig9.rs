@@ -1,19 +1,20 @@
 //! Fig. 9 — non-volatile 16 MB LLC under SPEC CPU2017-class traffic:
 //! per-benchmark power, aggregate latency, and lifetime.
 
-use crate::experiments::shared::spec_suites;
-use crate::experiments::{characterize_study, study_cells};
+use crate::experiments::shared::{read_edp, read_edp_study, spec_suites, study};
 use crate::{Experiment, Finding};
-use nvmexplorer_core::eval::{evaluate, Evaluation};
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
+use nvmexplorer_core::config::CellSelection;
+use nvmexplorer_core::eval::Evaluation;
 use nvmx_viz::{csv::num, Csv, ScatterPlot};
 
 /// Regenerates the SPEC LLC study.
 pub fn run() -> Experiment {
     let suite = &spec_suites().fig9;
-    let cells = study_cells();
-    let capacity = Capacity::from_mebibytes(16);
+    let patterns = suite.iter().map(|bench| bench.traffic.clone()).collect();
+    // 16 MB, 64 B cache lines.
+    let config = read_edp_study("fig9", CellSelection::default(), &[16], 512, patterns);
+    let result = study(&config);
+    let cells = config.cells.resolve();
 
     let mut csv = Csv::new([
         "cell",
@@ -44,18 +45,11 @@ pub fn run() -> Experiment {
 
     let mut evals: Vec<(String, Evaluation)> = Vec::new();
     for cell in &cells {
-        let array = characterize_study(
-            cell,
-            capacity,
-            512, // 64 B cache line
-            OptimizationTarget::ReadEdp,
-            BitsPerCell::Slc,
-        );
+        let (_, cell_evals) = read_edp(&result, &cell.name, 16);
         let mut p = Vec::new();
         let mut l = Vec::new();
         let mut lt = Vec::new();
-        for bench in suite {
-            let eval = evaluate(&array, &bench.traffic);
+        for (bench, eval) in suite.iter().zip(cell_evals) {
             csv.row([
                 cell.name.clone(),
                 bench.name.clone(),
@@ -83,7 +77,7 @@ pub fn run() -> Experiment {
                     eval.lifetime_years(),
                 ));
             }
-            evals.push((bench.name.clone(), eval));
+            evals.push((bench.name.clone(), eval.clone()));
         }
         power_plot.series(cell.name.clone(), p);
         latency_plot.series(cell.name.clone(), l);
@@ -119,6 +113,23 @@ pub fn run() -> Experiment {
         .map(|(_, e)| e.lifetime_years())
         .fold(f64::MAX, f64::min);
 
+    let mut winners: Vec<String> = suite
+        .iter()
+        .filter_map(|bench| {
+            evals
+                .iter()
+                .filter(|(b, e)| *b == bench.name && e.array.nonvolatile)
+                .min_by(|a, b| {
+                    a.1.total_power()
+                        .value()
+                        .total_cmp(&b.1.total_power().value())
+                })
+                .map(|(_, e)| e.array.cell_name.clone())
+        })
+        .collect();
+    winners.sort_unstable();
+    winners.dedup();
+
     let findings = vec![
         Finding::new(
             "for high-traffic benchmarks STT provides the lowest power, lowest latency, \
@@ -137,40 +148,8 @@ pub fn run() -> Experiment {
         ),
         Finding::new(
             "the lowest-power eNVM depends on the benchmark's traffic pattern",
-            {
-                let mut winners: Vec<String> = suite
-                    .iter()
-                    .filter_map(|bench| {
-                        evals
-                            .iter()
-                            .filter(|(b, e)| *b == bench.name && e.array.nonvolatile)
-                            .min_by(|a, b| {
-                                a.1.total_power().value().total_cmp(&b.1.total_power().value())
-                            })
-                            .map(|(_, e)| e.array.cell_name.clone())
-                    })
-                    .collect();
-                winners.sort_unstable();
-                winners.dedup();
-                format!("distinct per-benchmark power winners: {winners:?}")
-            },
-            {
-                let mut winners: Vec<String> = suite
-                    .iter()
-                    .filter_map(|bench| {
-                        evals
-                            .iter()
-                            .filter(|(b, e)| *b == bench.name && e.array.nonvolatile)
-                            .min_by(|a, b| {
-                                a.1.total_power().value().total_cmp(&b.1.total_power().value())
-                            })
-                            .map(|(_, e)| e.array.cell_name.clone())
-                    })
-                    .collect();
-                winners.sort_unstable();
-                winners.dedup();
-                winners.len() >= 2
-            },
+            format!("distinct per-benchmark power winners: {winners:?}"),
+            winners.len() >= 2,
         ),
     ];
 

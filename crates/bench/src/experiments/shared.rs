@@ -1,15 +1,27 @@
-//! Inputs several experiments share, computed once per process.
+//! Inputs several experiments share, computed once per process, and the
+//! one front door through which every experiment but Fig. 4 gets its
+//! arrays and evaluations: [`study`].
 //!
-//! Each memo keeps only small derived values (traffic rates, access
-//! counts), never the caches or graphs that produced them, and each value
-//! is exactly what an experiment would compute on its own. So every
-//! artifact is byte-identical whichever experiment asks first, and a
-//! standalone `fig*` binary matches `all`.
+//! Each workload memo keeps only small derived values (traffic rates,
+//! access counts), never the caches or graphs that produced them, and
+//! each value is exactly what an experiment would compute on its own. The
+//! subarray cache behind [`study`] is the engine's own, which never
+//! changes a result. So every artifact is byte-identical whichever
+//! experiment asks first, and a standalone `fig*` binary matches `all`.
 
+use nvmexplorer_core::config::{
+    ArraySettings, CellSelection, Constraints, OutputSpec, StoreSpec, StudyConfig, TrafficSpec,
+};
+use nvmexplorer_core::eval::Evaluation;
 use nvmexplorer_core::scheduler::run_on_lanes;
-use nvmexplorer_core::stream::StudyExecutor;
+use nvmexplorer_core::stream::{NullSink, StudyExecutor};
+use nvmexplorer_core::sweep::StudyResult;
+use nvmx_celldb::CellDefinition;
+use nvmx_nvsim::{ArrayCharacterization, OptimizationTarget, SubarrayCache};
+use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_workloads::cache::{run_profile_checkpoints, spec2017_profiles, LlcConfig, LlcTraffic};
 use nvmx_workloads::graph::{facebook_like, wikipedia_like, Graph, KernelCounts};
+use nvmx_workloads::TrafficPattern;
 use std::sync::OnceLock;
 
 /// Seed of the SPEC-class LLC simulations behind Figs. 9 and 14.
@@ -25,6 +37,95 @@ const GRAPH_SEED: u64 = 7;
 /// the sweep engine's default worker count.
 pub fn lanes() -> usize {
     StudyExecutor::new().threads()
+}
+
+/// The process-wide subarray cache every [`study`] runs through, so the
+/// whole suite characterizes each (cell, node, depth) slab once.
+pub fn cache() -> &'static SubarrayCache {
+    static CACHE: OnceLock<SubarrayCache> = OnceLock::new();
+    CACHE.get_or_init(SubarrayCache::new)
+}
+
+/// Runs `config` on the production engine (the one `run`, `nvmx-serve` and
+/// `nvmx-coordinator` share) through the shared [`cache`], panicking on
+/// error: experiment configs are known-good.
+pub fn study(config: &StudyConfig) -> StudyResult {
+    (StudyExecutor::new()
+        .cache(cache())
+        .run(config, &mut NullSink))
+    .unwrap_or_else(|e| panic!("study `{}`: {e}", config.name))
+}
+
+/// A ReadEDP-optimized SLC study of `cells` at each of `capacities_mib` and
+/// `word_bits` under explicit `patterns`: every study an experiment builds
+/// in code. Callers fill the patterns from the memos here, so the engine
+/// never simulates a workload a second time.
+pub fn read_edp_study(
+    name: &str,
+    cells: CellSelection,
+    capacities_mib: &[u64],
+    word_bits: u64,
+    patterns: Vec<TrafficPattern>,
+) -> StudyConfig {
+    let mut capacities_mib = capacities_mib.to_vec();
+    capacities_mib.sort_unstable();
+    capacities_mib.dedup();
+    StudyConfig {
+        name: name.to_owned(),
+        cells,
+        array: ArraySettings {
+            capacities_mib,
+            word_bits,
+            bits_per_cell: vec![BitsPerCell::Slc],
+            targets: vec![OptimizationTarget::ReadEdp],
+            ..ArraySettings::default()
+        },
+        traffic: TrafficSpec::Explicit { patterns },
+        constraints: Constraints::default(),
+        output: OutputSpec::default(),
+        store: StoreSpec::default(),
+    }
+}
+
+/// A cell selection of exactly `cells`, in that order.
+pub fn only_cells(cells: Vec<CellDefinition>) -> CellSelection {
+    CellSelection {
+        technologies: None,
+        tentpoles: false,
+        reference_rram: false,
+        sram_baseline: false,
+        back_gated_fefet: false,
+        custom: cells,
+    }
+}
+
+/// The array and evaluations of a [`study`]'s design point, panicking when
+/// the study skipped the point or does not list it.
+pub fn design<'r>(
+    result: &'r StudyResult,
+    cell: &str,
+    capacity_mib: u64,
+    bits_per_cell: BitsPerCell,
+    target: OptimizationTarget,
+) -> (&'r ArrayCharacterization, &'r [Evaluation]) {
+    let capacity = Capacity::from_mebibytes(capacity_mib);
+    (result.design(cell, capacity, bits_per_cell, target))
+        .unwrap_or_else(|| panic!("study `{}` has no {cell} design at {capacity}", result.name))
+}
+
+/// `cell`'s design at `capacity_mib` in a [`read_edp_study`] result.
+pub fn read_edp<'r>(
+    result: &'r StudyResult,
+    cell: &str,
+    capacity_mib: u64,
+) -> (&'r ArrayCharacterization, &'r [Evaluation]) {
+    design(
+        result,
+        cell,
+        capacity_mib,
+        BitsPerCell::Slc,
+        OptimizationTarget::ReadEdp,
+    )
 }
 
 /// The SPEC CPU2017-class suite on the default 16 MiB LLC, at the run

@@ -2,13 +2,13 @@
 //! optimization priority. "Opt" picks among optimistic cells, "Alt" among
 //! pessimistic + reference cells (the paper's two assumption regimes).
 
-use crate::experiments::{characterize_study, study_cells};
+use crate::experiments::fig6::provision_mib;
+use crate::experiments::shared::{read_edp, read_edp_study, study};
 use crate::{Experiment, Finding};
-use nvmexplorer_core::eval::evaluate;
+use nvmexplorer_core::config::CellSelection;
 use nvmexplorer_core::intermittent::{daily_energy, IntermittentScenario};
+use nvmexplorer_core::sweep::StudyResult;
 use nvmx_celldb::{CellDefinition, CellFlavor, TechnologyClass};
-use nvmx_nvsim::OptimizationTarget;
-use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_viz::{AsciiTable, Csv};
 use nvmx_workloads::dnn::{albert, albert_embeddings_only, resnet26, DnnUseCase, StoragePolicy};
 
@@ -104,18 +104,21 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// The capacity a scenario's weights are provisioned at, in MiB (at least
+/// the 2 MB NVDLA buffer).
+fn scenario_mib(scenario: &Scenario) -> u64 {
+    provision_mib(scenario.use_case.stored_weight_bytes()).max(2)
+}
+
 /// Scores a cell for one scenario; lower is better. Returns `None` when the
 /// cell is excluded (infeasible at 60 FPS continuous).
-fn score(cell: &CellDefinition, scenario: &Scenario, priority: Priority) -> Option<f64> {
-    let capacity = super::fig6::provision_capacity(scenario.use_case.stored_weight_bytes())
-        .max(Capacity::from_mebibytes(2));
-    let array = characterize_study(
-        cell,
-        capacity,
-        256,
-        OptimizationTarget::ReadEdp,
-        BitsPerCell::Slc,
-    );
+fn score(
+    result: &StudyResult,
+    cell: &CellDefinition,
+    scenario: &Scenario,
+    priority: Priority,
+) -> Option<f64> {
+    let (array, evaluations) = read_edp(result, &cell.name, scenario_mib(scenario));
     if scenario.intermittent {
         let s = IntermittentScenario {
             name: scenario.task.clone(),
@@ -127,12 +130,15 @@ fn score(cell: &CellDefinition, scenario: &Scenario, priority: Priority) -> Opti
         // Feasibility at 1 IPS is trivially satisfied; latency budget is 1 s.
         match priority {
             Priority::LowPowerOrEnergy => {
-                Some(daily_energy(&array, &s, 86_400.0).per_event().value())
+                Some(daily_energy(array, &s, 86_400.0).per_event().value())
             }
             Priority::HighDensity => Some(-array.density_mbit_per_mm2()),
         }
     } else {
-        let eval = evaluate(&array, &scenario.use_case.continuous_traffic(60.0));
+        let traffic = scenario.use_case.continuous_traffic(60.0);
+        let eval = (evaluations.iter())
+            .find(|eval| *eval.traffic == traffic)
+            .expect("the study evaluates every continuous scenario");
         if !eval.is_feasible() {
             return None;
         }
@@ -144,6 +150,7 @@ fn score(cell: &CellDefinition, scenario: &Scenario, priority: Priority) -> Opti
 }
 
 fn winner(
+    result: &StudyResult,
     cells: &[CellDefinition],
     scenario: &Scenario,
     priority: Priority,
@@ -152,14 +159,25 @@ fn winner(
     cells
         .iter()
         .filter(|c| c.technology.is_nonvolatile() && flavor_filter(&c.flavor))
-        .filter_map(|c| score(c, scenario, priority).map(|s| (c.technology, s)))
+        .filter_map(|c| score(result, c, scenario, priority).map(|s| (c.technology, s)))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(t, _)| t)
 }
 
 /// Regenerates Table II.
 pub fn run() -> Experiment {
-    let cells = study_cells();
+    // One study: every cell at every scenario's provisioned capacity,
+    // under every continuous scenario's traffic.
+    let scenarios = scenarios();
+    let capacities_mib: Vec<u64> = scenarios.iter().map(scenario_mib).collect();
+    let patterns = (scenarios.iter())
+        .filter(|scenario| !scenario.intermittent)
+        .map(|scenario| scenario.use_case.continuous_traffic(60.0))
+        .collect();
+    let cells = CellSelection::default();
+    let config = read_edp_study("table2", cells, &capacities_mib, 256, patterns);
+    let result = study(&config);
+    let cells = config.cells.resolve();
     let mut csv = Csv::new([
         "use_case", "task", "storage", "priority", "opt_envm", "alt_envm",
     ]);
@@ -181,7 +199,7 @@ pub fn run() -> Experiment {
     let mut single_task_intermittent_winner = None;
     let mut continuous_low_power_winners: Vec<TechnologyClass> = Vec::new();
 
-    for scenario in scenarios() {
+    for scenario in &scenarios {
         for (priority, label) in [
             (
                 Priority::LowPowerOrEnergy,
@@ -193,10 +211,10 @@ pub fn run() -> Experiment {
             ),
             (Priority::HighDensity, "High Density"),
         ] {
-            let opt = winner(&cells, &scenario, priority, |f| {
+            let opt = winner(&result, &cells, scenario, priority, |f| {
                 matches!(f, CellFlavor::Optimistic)
             });
-            let alt = winner(&cells, &scenario, priority, |f| {
+            let alt = winner(&result, &cells, scenario, priority, |f| {
                 matches!(f, CellFlavor::Pessimistic | CellFlavor::Reference)
             });
             let fmt =
@@ -236,6 +254,15 @@ pub fn run() -> Experiment {
         }
     }
 
+    let mut distinct = continuous_low_power_winners.clone();
+    distinct.extend(density_alt_with_acts.iter().copied());
+    distinct.extend(single_task_intermittent_winner);
+    if density_opt_all_fefet {
+        distinct.push(TechnologyClass::FeFet);
+    }
+    distinct.sort_unstable();
+    distinct.dedup();
+
     let findings = vec![
         Finding::new(
             "high-density preference: FeFET under optimistic assumptions; CTT under \
@@ -268,32 +295,8 @@ pub fn run() -> Experiment {
         ),
         Finding::new(
             "no single eNVM wins every use case (the paper's central cross-stack thesis)",
-            {
-                let mut w = continuous_low_power_winners.clone();
-                w.extend(density_alt_with_acts.iter().copied());
-                if let Some(t) = single_task_intermittent_winner {
-                    w.push(t);
-                }
-                if density_opt_all_fefet {
-                    w.push(TechnologyClass::FeFet);
-                }
-                w.sort_unstable();
-                w.dedup();
-                format!("distinct winning technologies across Table II: {w:?}")
-            },
-            {
-                let mut w = continuous_low_power_winners;
-                w.extend(density_alt_with_acts.iter().copied());
-                if let Some(t) = single_task_intermittent_winner {
-                    w.push(t);
-                }
-                if density_opt_all_fefet {
-                    w.push(TechnologyClass::FeFet);
-                }
-                w.sort_unstable();
-                w.dedup();
-                w.len() >= 2
-            },
+            format!("distinct winning technologies across Table II: {distinct:?}"),
+            distinct.len() >= 2,
         ),
     ];
 

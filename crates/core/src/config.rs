@@ -660,6 +660,13 @@ mod tests {
         assert!(!cells.iter().any(|c| c.technology == TechnologyClass::Sot));
     }
 
+    /// The paper's committed configs select the default cells and rely on
+    /// them being the study cells, in the same order.
+    #[test]
+    fn default_selection_is_the_study_cells_in_order() {
+        assert_eq!(CellSelection::default().resolve(), tentpole::study_cells());
+    }
+
     #[test]
     fn selection_can_narrow_technologies() {
         let selection = CellSelection {

@@ -38,9 +38,9 @@ use std::collections::BTreeMap;
 pub struct ReshardConfig {
     /// A worker silent (no frame, heartbeat, or control line) for longer
     /// than this is declared stalled: killed, its leases re-granted. A
-    /// worker that still heartbeats but has sent no event frame for this
-    /// long (counted from its last grant, if later) is *frame-silent*: an
-    /// idle worker may take its undelivered tail.
+    /// worker that has sent no event frame for this long (counted from
+    /// its last grant, if later) and is still heard from after that is
+    /// *frame-silent*: an idle worker may take its undelivered tail.
     pub heartbeat_timeout_ms: u64,
     /// Slots per frontier grant. It also caps the re-lease granularity: a
     /// failure never orphans more than this many slots per lease.
@@ -383,7 +383,7 @@ impl Resharder {
                 });
             } else if let Some((start, end)) = self.next_frontier_lease() {
                 self.grant(&name, start, end, now_ms, &mut actions);
-            } else if let Some((lease, from, start, end)) = self.silent_tail(now_ms) {
+            } else if let Some((lease, from, start, end)) = self.silent_tail() {
                 self.leases.remove(&lease);
                 actions.push(Action::Revoke {
                     worker: from.clone(),
@@ -438,13 +438,20 @@ impl Resharder {
         Some((start, end))
     }
 
-    /// The first live lease, in grant order, whose owner has been
-    /// frame-silent past the heartbeat deadline and which still has an
-    /// undelivered tail: `(lease, owner, start, end)` of that tail.
-    fn silent_tail(&self, now_ms: u64) -> Option<(u64, String, u64, u64)> {
+    /// The first live lease, in grant order, whose owner is wedged and
+    /// which still has an undelivered tail: `(lease, owner, start, end)`
+    /// of that tail. Wedged means heard from *after* its frame deadline
+    /// (`last_frame_ms + heartbeat_timeout_ms`): alive but not emitting.
+    /// Frame silence alone does not count, because a frozen process is
+    /// frame-silent too; its heartbeats stop, and the stall kill in
+    /// [`Self::tick`] names that fault.
+    fn silent_tail(&self) -> Option<(u64, String, u64, u64)> {
         self.leases.iter().find_map(|(id, lease)| {
             let owner = &self.workers[&lease.worker];
-            if now_ms.saturating_sub(owner.last_frame_ms) <= self.config.heartbeat_timeout_ms {
+            let deadline = owner
+                .last_frame_ms
+                .saturating_add(self.config.heartbeat_timeout_ms);
+            if owner.last_heard_ms <= deadline {
                 return None;
             }
             let (start, end) = self.undelivered(lease.start, lease.end)?;
@@ -646,13 +653,19 @@ mod tests {
     }
 
     /// An owner that heartbeats but sends no frame for a whole heartbeat
-    /// window loses its undelivered tail to the idle worker, by `Revoke`.
+    /// window loses its undelivered tail to the idle worker, by `Revoke`,
+    /// once a heartbeat proves it alive past that window.
     #[test]
     fn a_frame_silent_owner_loses_its_tail_to_an_idle_worker() {
         let mut r = fast_idle_slow_owing();
-        r.note_heard("fast", 1_100);
-        r.note_heard("slow", 1_100);
+        r.note_heard("fast", 1_150);
+        r.note_heard("slow", 1_150);
         assert!(r.tick(1_150).is_empty(), "slow is silent for only 1000 ms");
+        assert!(
+            r.tick(1_151).is_empty(),
+            "slow not heard from since 1150 ms"
+        );
+        r.note_heard("slow", 1_151);
         let actions = r.tick(1_151);
         assert_eq!(
             actions,
@@ -688,6 +701,40 @@ mod tests {
         assert!(r.tick(1_200).is_empty());
     }
 
+    /// A frozen owner's last heartbeat came just after its last frame,
+    /// then nothing: it is frame-silent, but nothing proves it alive past
+    /// its frame deadline, so it must fall to the stall kill, never lose
+    /// its tail as `silent`.
+    #[test]
+    fn a_frozen_owner_is_killed_as_stalled_not_re_leased_as_silent() {
+        let mut r = fast_idle_slow_owing();
+        r.note_heard("slow", 160); // last frame at 150 ms, then frozen
+        let mut killed = false;
+        for now in 400..=1_300 {
+            r.note_heard("fast", now);
+            let actions = r.tick(now);
+            assert!(
+                r.migrations()
+                    .iter()
+                    .all(|m| m.reason != MigrationReason::Silent),
+                "at {now} ms: {:?}",
+                r.migrations()
+            );
+            if actions
+                .iter()
+                .any(|a| matches!(a, Action::Kill { worker } if worker == "slow"))
+            {
+                assert_eq!(now, 1_161, "killed at its heartbeat deadline");
+                killed = true;
+                break;
+            }
+        }
+        assert!(killed, "the frozen owner was never killed");
+        assert_eq!(r.migrations().len(), 1, "{:?}", r.migrations());
+        assert_eq!(r.migrations()[0].reason, MigrationReason::Stall);
+        assert_eq!(r.migrations()[0].to, "fast");
+    }
+
     /// Two workers that are both frame-silent (heartbeating, no frames)
     /// must not pass one range back and forth: a tick ends, and the range
     /// moves at most once.
@@ -704,8 +751,8 @@ mod tests {
         r.frame_arrived("w1", 100);
         r.lease_drained("w0", 0, 150);
         r.delivered(9);
-        r.note_heard("w0", 1_100);
-        r.note_heard("w1", 1_100);
+        r.note_heard("w0", 1_101);
+        r.note_heard("w1", 1_101);
         // w1 has sent nothing since 100 ms: idle w0 takes its tail 9..16.
         let actions = r.tick(1_101);
         assert_eq!(grants(&actions), vec![("w0".to_owned(), 9, 16)]);

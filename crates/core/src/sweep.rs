@@ -67,6 +67,7 @@ use nvmx_nvsim::{
     characterize_targets, ArrayCharacterization, ArrayConfig, CharacterizationError,
     IncumbentStore, OptimizationTarget, SubarrayCache,
 };
+use nvmx_units::{BitsPerCell, Capacity};
 use nvmx_workloads::{TrafficGrid, TrafficPattern};
 use std::sync::Arc;
 
@@ -82,6 +83,31 @@ pub struct StudyResult {
     /// Design points that could not be characterized, with reasons
     /// (e.g. SLC-only cells requested at MLC depth).
     pub skipped: Vec<(String, String)>,
+}
+
+impl StudyResult {
+    /// The design point `(cell, capacity, bits_per_cell, target)`: its
+    /// array and that array's evaluations, one per traffic pattern in the
+    /// config's traffic order. `None` when the point was skipped (see
+    /// `skipped` for why) or is not part of the study. The study's one
+    /// word width and node complete the key.
+    pub fn design(
+        &self,
+        cell: &str,
+        capacity: Capacity,
+        bits_per_cell: BitsPerCell,
+        target: OptimizationTarget,
+    ) -> Option<(&ArrayCharacterization, &[Evaluation])> {
+        let index = self.arrays.iter().position(|array| {
+            array.cell_name == cell
+                && array.capacity == capacity
+                && array.bits_per_cell == bits_per_cell
+                && array.target == target
+        })?;
+        let per_array = self.evaluations.len() / self.arrays.len();
+        let evaluations = &self.evaluations[index * per_array..(index + 1) * per_array];
+        Some((&self.arrays[index], evaluations))
+    }
 }
 
 /// Errors from running a study.
@@ -473,7 +499,6 @@ mod tests {
     use super::*;
     use crate::config::{ArraySettings, CellSelection, Constraints, TrafficSpec};
     use nvmx_celldb::TechnologyClass;
-    use nvmx_units::BitsPerCell;
 
     fn engine(study: &StudyConfig, threads: usize) -> Result<StudyResult, StudyError> {
         StudyExecutor::with_threads(threads).run(study, &mut NullSink)
@@ -566,6 +591,55 @@ mod tests {
         assert_eq!(result.skipped.len(), 3);
         assert!(result.skipped.iter().all(|(cell, _)| cell.contains("SRAM")));
         assert_eq!(result.arrays.len(), 4 * 3);
+    }
+
+    #[test]
+    fn design_finds_each_point_and_its_evaluations_and_none_for_skipped() {
+        let mut study = multi_target_study();
+        study.array.capacities_mib = vec![2, 1];
+        study.array.bits_per_cell = vec![BitsPerCell::Slc, BitsPerCell::Mlc2];
+        study.traffic = TrafficSpec::Explicit {
+            patterns: vec![
+                TrafficPattern::new("a", 1.0e9, 1.0e7, 64),
+                TrafficPattern::new("b", 2.0e8, 3.0e6, 8),
+            ],
+        };
+        let result = engine(&study, 2).unwrap();
+        let mut found = 0;
+        for cell in study.cells.resolve() {
+            for capacity in study.array.capacities() {
+                for &bits in &study.array.bits_per_cell {
+                    for &target in &study.array.targets {
+                        let design = result.design(&cell.name, capacity, bits, target);
+                        if cell.technology == TechnologyClass::Sram && bits == BitsPerCell::Mlc2 {
+                            assert!(design.is_none(), "{} MLC-2 was skipped", cell.name);
+                            continue;
+                        }
+                        let (array, evaluations) = design.expect("characterized");
+                        assert_eq!(
+                            (array.cell_name.as_str(), array.capacity),
+                            (cell.name.as_str(), capacity)
+                        );
+                        assert_eq!((array.bits_per_cell, array.target), (bits, target));
+                        let names: Vec<&str> = evaluations
+                            .iter()
+                            .map(|e| e.traffic.name.as_str())
+                            .collect();
+                        assert_eq!(names, ["a", "b"]);
+                        assert!(evaluations.iter().all(|e| *e.array == *array));
+                        found += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(found, result.arrays.len());
+        assert!(!result.skipped.is_empty());
+        let (absent, slc) = (Capacity::from_mebibytes(4), BitsPerCell::Slc);
+        let target = OptimizationTarget::ReadEdp;
+        assert!(result.design("SRAM-16nm", absent, slc, target).is_none());
+        let two = Capacity::from_mebibytes(2);
+        assert!(result.design("SRAM-16nm", two, slc, target).is_some());
+        assert!(result.design("nope", two, slc, target).is_none());
     }
 
     #[test]
