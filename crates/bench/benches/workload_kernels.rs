@@ -1,6 +1,6 @@
-//! Criterion bench: the workload substrates — graph kernels, the LLC
-//! simulator, DNN inference, and the fault study's classifier training and
-//! trials (the pieces behind Figs. 6-9 and 13).
+//! Criterion bench: the workload substrates — graph generation and
+//! kernels, the LLC simulator, DNN inference, and the fault study's
+//! classifier training and trials (the pieces behind Figs. 6-9 and 13).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nvmexplorer_core::accuracy::{baseline_accuracy, fault_trial};
@@ -9,7 +9,7 @@ use nvmx_units::BitsPerCell;
 use nvmx_workloads::cache::{
     run_profile, run_profile_checkpoints, spec2017_llc_traffic, spec2017_profiles, LlcConfig,
 };
-use nvmx_workloads::graph::preferential_attachment;
+use nvmx_workloads::graph::{facebook_like, preferential_attachment, wikipedia_like};
 use nvmx_workloads::nn::trained_classifier;
 
 fn bench_graph_kernels(c: &mut Criterion) {
@@ -21,6 +21,13 @@ fn bench_graph_kernels(c: &mut Criterion) {
     group.bench_function("pagerank_x3", |b| {
         b.iter(|| graph.pagerank(3));
     });
+    group.finish();
+    // The paper suite's two social graphs (seed 7), each built and
+    // searched once, as `experiments::shared::social_bfs` does.
+    let mut group = c.benchmark_group("graph_build");
+    group.sample_size(20);
+    group.bench_function("facebook", |b| b.iter(|| facebook_like(7).bfs(0)));
+    group.bench_function("wikipedia", |b| b.iter(|| wikipedia_like(7).bfs(0)));
     group.finish();
 }
 

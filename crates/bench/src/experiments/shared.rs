@@ -9,6 +9,7 @@
 //! changes a result. So every artifact is byte-identical whichever
 //! experiment asks first, and a standalone `fig*` binary matches `all`.
 
+use nvmexplorer_core::accuracy;
 use nvmexplorer_core::config::{
     ArraySettings, CellSelection, Constraints, OutputSpec, StoreSpec, StudyConfig, TrafficSpec,
 };
@@ -19,7 +20,9 @@ use nvmexplorer_core::sweep::StudyResult;
 use nvmx_celldb::CellDefinition;
 use nvmx_nvsim::{ArrayCharacterization, OptimizationTarget, SubarrayCache};
 use nvmx_units::{BitsPerCell, Capacity};
-use nvmx_workloads::cache::{run_profile_checkpoints, spec2017_profiles, LlcConfig, LlcTraffic};
+use nvmx_workloads::cache::{
+    run_profile_checkpoints, spec2017_profiles, BenchProfile, LlcConfig, LlcTraffic,
+};
 use nvmx_workloads::graph::{facebook_like, wikipedia_like, Graph, KernelCounts};
 use nvmx_workloads::TrafficPattern;
 use std::sync::OnceLock;
@@ -138,30 +141,44 @@ pub struct SpecSuites {
     pub fig9: Vec<LlcTraffic>,
 }
 
+static SPEC_SUITES: OnceLock<SpecSuites> = OnceLock::new();
+
+/// One profile's run, snapshotted at each of [`SPEC_LOOKUPS`].
+fn spec_run(profile: &BenchProfile) -> Vec<LlcTraffic> {
+    run_profile_checkpoints(LlcConfig::default(), profile, &SPEC_LOOKUPS, SPEC_SEED)
+}
+
+/// [`SpecSuites`] from the [`spec_run`]s of [`spec2017_profiles`], in
+/// profile order.
+fn spec_suites_from(runs: impl IntoIterator<Item = Vec<LlcTraffic>>) -> SpecSuites {
+    let (fig14, fig9) = runs
+        .into_iter()
+        .map(|snapshots| {
+            let [fig14, fig9]: [LlcTraffic; 2] =
+                snapshots.try_into().expect("one snapshot per length");
+            (fig14, fig9)
+        })
+        .unzip();
+    SpecSuites { fig14, fig9 }
+}
+
 /// The memoized [`SpecSuites`]. Each profile runs once, is snapshotted at
 /// both lengths (the shorter run is a prefix of the longer one), and the
 /// profiles are spread over [`lanes`].
 pub fn spec_suites() -> &'static SpecSuites {
-    static MEMO: OnceLock<SpecSuites> = OnceLock::new();
-    MEMO.get_or_init(|| {
-        let runs = run_on_lanes(&spec2017_profiles(), lanes(), |_, profile| {
-            run_profile_checkpoints(LlcConfig::default(), profile, &SPEC_LOOKUPS, SPEC_SEED)
-        });
-        let (fig14, fig9) = runs
-            .into_iter()
-            .map(|snapshots| {
-                let [fig14, fig9]: [LlcTraffic; 2] =
-                    snapshots.try_into().expect("one snapshot per length");
-                (fig14, fig9)
-            })
-            .unzip();
-        SpecSuites { fig14, fig9 }
+    SPEC_SUITES.get_or_init(|| {
+        spec_suites_from(run_on_lanes(&spec2017_profiles(), lanes(), |_, profile| {
+            spec_run(profile)
+        }))
     })
 }
 
 /// BFS from node 0 on the Facebook- and Wikipedia-like graphs, in that
 /// order. The graphs are built one at a time and each is dropped once its
-/// BFS is counted: they are what sets the suite's peak memory.
+/// BFS is counted, so the two are never in memory together. The larger
+/// one sets the suite's peak memory: while its CSR is filled, the
+/// Wikipedia-like graph holds its attachment pool (7.7 MB, which doubles
+/// as the edge list) and the CSR's edge array (15.4 MB).
 pub fn social_bfs() -> &'static [KernelCounts; 2] {
     static MEMO: OnceLock<[KernelCounts; 2]> = OnceLock::new();
     MEMO.get_or_init(|| {
@@ -174,4 +191,41 @@ pub fn social_bfs() -> &'static [KernelCounts; 2] {
             bfs(wikipedia_like(GRAPH_SEED)),
         ]
     })
+}
+
+/// One of the independent inputs [`warm_inputs`] builds.
+enum Input {
+    /// The fault studies' shared classifier (trained once per process).
+    Classifier,
+    /// [`social_bfs`]: both graphs, one after the other.
+    Graphs,
+    /// One SPEC profile's [`spec_run`].
+    Llc(BenchProfile),
+}
+
+/// Fills every shared-input memo at once: [`social_bfs`], the fault
+/// studies' classifier and each profile of [`spec_suites`] run as
+/// independent jobs over [`lanes`], longest first, so the inputs build
+/// side by side instead of one after another as the experiments first ask
+/// for them. The SPEC runs fill [`spec_suites`] in profile order; every
+/// memo holds exactly what its lazy path would compute. `all` calls this
+/// before the first experiment; a standalone `fig*` binary fills only the
+/// memos it reads, when it reads them.
+pub fn warm_inputs() {
+    let jobs: Vec<Input> = [Input::Classifier, Input::Graphs]
+        .into_iter()
+        .chain(spec2017_profiles().into_iter().map(Input::Llc))
+        .collect();
+    let runs = run_on_lanes(&jobs, lanes(), |_, job| match job {
+        Input::Classifier => {
+            accuracy::baseline_accuracy();
+            None
+        }
+        Input::Graphs => {
+            social_bfs();
+            None
+        }
+        Input::Llc(profile) => Some(spec_run(profile)),
+    });
+    SPEC_SUITES.get_or_init(|| spec_suites_from(runs.into_iter().flatten()));
 }

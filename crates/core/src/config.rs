@@ -155,10 +155,12 @@ impl StudyConfig {
         traffic
             .validate()
             .map_err(|e| ConfigError::at("traffic", e))?;
+        let array: ArraySettings = parse_section(section("array"), "array")?.unwrap_or_default();
+        array.validate().map_err(|e| ConfigError::at("array", e))?;
         Ok(Self {
             name: parse_section(section("name"), "name")?.expect("required"),
             cells: parse_section(section("cells"), "cells")?.unwrap_or_default(),
-            array: parse_section(section("array"), "array")?.unwrap_or_default(),
+            array,
             traffic,
             constraints: parse_section(section("constraints"), "constraints")?.unwrap_or_default(),
             output: parse_section(section("output"), "output")?.unwrap_or_default(),
@@ -434,12 +436,35 @@ impl ArraySettings {
         }
     }
 
+    /// Rejects a value listed twice in `capacities_mib`, `bits_per_cell`
+    /// or `targets`: the sweep would run the repeat again and write every
+    /// one of its rows twice.
+    fn validate(&self) -> Result<(), serde_json::Error> {
+        reject_repeats("capacities_mib", &self.capacities_mib)?;
+        reject_repeats("bits_per_cell", &self.bits_per_cell)?;
+        reject_repeats("targets", &self.targets)
+    }
+
     /// The capacities as typed values.
     pub fn capacities(&self) -> Vec<Capacity> {
         self.capacities_mib
             .iter()
             .map(|&mib| Capacity::from_mebibytes(mib))
             .collect()
+    }
+}
+
+/// Fails on the first value of `field` that an earlier one repeats, naming
+/// it as the config spells it.
+fn reject_repeats<T: PartialEq + std::fmt::Debug>(
+    field: &str,
+    values: &[T],
+) -> Result<(), serde_json::Error> {
+    match (values.iter().enumerate()).find(|&(i, value)| values[..i].contains(value)) {
+        Some((_, value)) => Err(serde_json::Error::new(format!(
+            "`{field}` lists {value:?} more than once"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -771,6 +796,44 @@ mod tests {
         assert!(patterns
             .iter()
             .all(|p| p.read_bytes_per_sec.is_finite() && p.write_bytes_per_sec.is_finite()));
+    }
+
+    /// Asserts that a study whose `array` section is `array` fails at that
+    /// section with an error containing `message`, through both loaders.
+    fn assert_array_rejected(array: &str, message: &str) {
+        let json = format!(
+            r#"{{"name": "s", "array": {array},
+                "traffic": {{"kind": "spec_llc", "lookups": 10, "seed": 1}}}}"#
+        );
+        let err = StudyConfig::from_json(&json).unwrap_err();
+        assert_eq!(err.section(), Some("array"), "{err}");
+        assert!(err.to_string().contains(message), "{err}");
+        let campaign = CampaignConfig::from_json(&json).unwrap_err();
+        assert_eq!(campaign.to_string(), err.to_string());
+    }
+
+    #[test]
+    fn a_repeated_capacity_is_rejected_at_the_array_section() {
+        assert_array_rejected(
+            r#"{"capacities_mib": [2, 4, 2]}"#,
+            "`capacities_mib` lists 2 more than once",
+        );
+    }
+
+    #[test]
+    fn a_repeated_programming_depth_is_rejected_at_the_array_section() {
+        assert_array_rejected(
+            r#"{"bits_per_cell": ["Mlc2", "Slc", "Mlc2"]}"#,
+            "`bits_per_cell` lists Mlc2 more than once",
+        );
+    }
+
+    #[test]
+    fn a_repeated_target_is_rejected_at_the_array_section() {
+        assert_array_rejected(
+            r#"{"targets": ["ReadEdp", "Area", "ReadEdp"]}"#,
+            "`targets` lists ReadEdp more than once",
+        );
     }
 
     #[test]

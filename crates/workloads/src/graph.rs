@@ -46,13 +46,22 @@ impl Graph {
     /// Builds a graph from an edge list (duplicates kept, self-loops
     /// dropped).
     pub fn from_edges(name: impl Into<String>, n: usize, edge_list: &[(u32, u32)]) -> Self {
+        Self::from_edge_iter(name.into(), n, edge_list.iter().copied())
+    }
+
+    /// [`Graph::from_edges`] over edges yielded in order: one pass counts
+    /// the degrees, a second fills the CSR. Both passes iterate internally
+    /// (`for_each`), which keeps a flattened iterator such as
+    /// [`preferential_attachment`]'s a plain loop; an external `for` over
+    /// it runs about twice as slow.
+    fn from_edge_iter(
+        name: String,
+        n: usize,
+        edge_list: impl Iterator<Item = (u32, u32)> + Clone,
+    ) -> Self {
+        let arcs = edge_list.filter(|&(src, dst)| src != dst);
         let mut degree = vec![0u32; n];
-        for &(src, dst) in edge_list {
-            if src != dst {
-                degree[src as usize] += 1;
-            }
-            let _ = dst;
-        }
+        arcs.clone().for_each(|(src, _)| degree[src as usize] += 1);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         for d in &degree {
@@ -60,14 +69,12 @@ impl Graph {
         }
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut edges = vec![0u32; *offsets.last().expect("nonempty") as usize];
-        for &(src, dst) in edge_list {
-            if src != dst {
-                edges[cursor[src as usize] as usize] = dst;
-                cursor[src as usize] += 1;
-            }
-        }
+        arcs.for_each(|(src, dst)| {
+            edges[cursor[src as usize] as usize] = dst;
+            cursor[src as usize] += 1;
+        });
         Self {
-            name: name.into(),
+            name,
             offsets,
             edges,
         }
@@ -194,23 +201,28 @@ impl Graph {
 /// new node attaching `m` edges biased toward high-degree targets. Edges are
 /// materialized in both directions (social graphs are undirected), so early
 /// hub nodes end up with heavy-tailed degree.
+///
+/// The attachment pool is the edge list: after the `m` seed nodes, each
+/// draw appends `target, v`, which are exactly the edges `(v, target)` and
+/// `(target, v)` it adds, so the CSR is built straight from the pool (sized
+/// once, `m + 2(n − m)m` entries) and no separate edge list is kept.
 pub fn preferential_attachment(name: impl Into<String>, n: usize, m: usize, seed: u64) -> Graph {
     assert!(n > m && m >= 1, "need n > m >= 1");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut edge_list: Vec<(u32, u32)> = Vec::with_capacity(2 * n * m);
     // Target pool with degree-proportional duplication.
-    let mut pool: Vec<u32> = (0..m as u32).collect();
+    let mut pool: Vec<u32> = Vec::with_capacity(m + 2 * (n - m) * m);
+    pool.extend(0..m as u32);
     for v in m..n {
         for _ in 0..m {
             let target = pool[rng.gen_range(0..pool.len())];
-            edge_list.push((v as u32, target));
-            edge_list.push((target, v as u32));
             // Both endpoints gain "degree" in the pool.
             pool.push(target);
             pool.push(v as u32);
         }
     }
-    Graph::from_edges(name, n, &edge_list)
+    let draws = pool[m..].chunks_exact(2);
+    let edge_list = draws.flat_map(|draw| [(draw[1], draw[0]), (draw[0], draw[1])]);
+    Graph::from_edge_iter(name.into(), n, edge_list)
 }
 
 /// A scaled stand-in for the SNAP Facebook social graph (high clustering,
