@@ -556,18 +556,43 @@ pub fn model_by_name(name: &str) -> Result<dnn::DnnModel, UnknownNameError> {
     }
 }
 
+/// The most patterns a `generic_sweep` may ask for: a cap on
+/// `read_steps × write_steps` and on each axis alone, checked when a config
+/// is parsed, before anything is allocated.
+pub const MAX_SWEEP_PATTERNS: usize = 65536;
+
 impl TrafficSpec {
-    /// Rejects values that parse but cannot resolve to finite traffic.
+    /// Rejects values that parse but cannot resolve to finite traffic, and
+    /// a `generic_sweep` grid larger than [`MAX_SWEEP_PATTERNS`].
     fn validate(&self) -> Result<(), serde_json::Error> {
         match self {
             Self::SpecLlc { lookups: 0, .. } => Err(serde_json::Error::new(
                 "`spec_llc` needs `lookups` >= 1 (zero simulated lookups give NaN traffic rates)",
             )),
+            Self::GenericSweep {
+                read_steps,
+                write_steps,
+                ..
+            } if (*read_steps).max(*write_steps) > MAX_SWEEP_PATTERNS
+                || read_steps
+                    .checked_mul(*write_steps)
+                    .is_none_or(|n| n > MAX_SWEEP_PATTERNS) =>
+            {
+                Err(serde_json::Error::new(format!(
+                    "`generic_sweep` asks for {read_steps} × {write_steps} patterns \
+                     (each axis and the product are capped at {MAX_SWEEP_PATTERNS})"
+                )))
+            }
             _ => Ok(()),
         }
     }
 
     /// Resolves the specification into concrete traffic patterns.
+    ///
+    /// This is the uncached oracle: it simulates a `spec_llc` suite or a
+    /// `graph_bfs` search on every call. The engine resolves through the
+    /// process-wide [`traffic_memo`](crate::traffic_memo) instead, which is
+    /// tested bit-identical to this.
     ///
     /// # Errors
     ///
@@ -796,6 +821,44 @@ mod tests {
         assert!(patterns
             .iter()
             .all(|p| p.read_bytes_per_sec.is_finite() && p.write_bytes_per_sec.is_finite()));
+    }
+
+    /// An oversized `generic_sweep` fails at the traffic section when it is
+    /// parsed, so no resolve ever sizes a grid from it.
+    #[test]
+    fn oversized_generic_sweeps_are_rejected_at_the_traffic_section() {
+        let sweep = |read_steps: usize, write_steps: usize| {
+            format!(
+                r#"{{"name": "s", "traffic": {{"kind": "generic_sweep",
+                    "read_min": 1e9, "read_max": 1e10, "read_steps": {read_steps},
+                    "write_min": 1e6, "write_max": 1e8, "write_steps": {write_steps},
+                    "access_bytes": 8}}}}"#
+            )
+        };
+        let huge = [
+            (usize::MAX, usize::MAX),
+            (usize::MAX, 2),
+            // A zero axis makes an empty grid, but the other axis would still
+            // be walked step by step.
+            (usize::MAX, 0),
+            (0, MAX_SWEEP_PATTERNS + 1),
+            (257, 256),
+        ];
+        for (read_steps, write_steps) in huge {
+            for err in [
+                StudyConfig::from_json(&sweep(read_steps, write_steps)).unwrap_err(),
+                CampaignConfig::from_json(&sweep(read_steps, write_steps)).unwrap_err(),
+            ] {
+                assert_eq!(
+                    err.section(),
+                    Some("traffic"),
+                    "{read_steps} × {write_steps}"
+                );
+                assert!(err.to_string().contains("generic_sweep"), "{err}");
+            }
+        }
+        let config = StudyConfig::from_json(&sweep(256, 256)).unwrap();
+        assert_eq!(config.traffic.resolve().unwrap().len(), MAX_SWEEP_PATTERNS);
     }
 
     /// Asserts that a study whose `array` section is `array` fails at that

@@ -80,6 +80,7 @@ pub mod scheduler;
 pub mod service;
 pub mod stream;
 pub mod sweep;
+pub mod traffic_memo;
 pub mod transport;
 pub mod wire;
 pub mod write_buffer;

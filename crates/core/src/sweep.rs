@@ -62,6 +62,7 @@ use crate::config::{StudyConfig, UnknownNameError};
 use crate::eval::{EvalKernel, Evaluation, RateLanes};
 use crate::scheduler::run_on_lanes_streaming;
 use crate::stream::{NullSink, ResultSink, StudyEvent, StudyExecutor, StudyStats};
+use crate::traffic_memo;
 use nvmx_celldb::CellDefinition;
 use nvmx_nvsim::{
     characterize_targets, ArrayCharacterization, ArrayConfig, CharacterizationError,
@@ -235,15 +236,16 @@ type Resolved = (
     Vec<OptimizationTarget>,
 );
 
-/// Resolves the study's cells, traffic (simulated traffic across up to
-/// `lanes` threads), and targets (targets in report order: by label),
-/// failing on an empty cell or traffic selection.
+/// Resolves the study's cells, traffic (through the process-wide
+/// [`traffic_memo`], simulated across up to `lanes` threads on a miss),
+/// and targets (targets in report order: by label), failing on an empty
+/// cell or traffic selection.
 fn resolve(study: &StudyConfig, lanes: usize) -> Result<Resolved, StudyError> {
     let cells = study.cells.resolve();
     if cells.is_empty() {
         return Err(StudyError::NoCells);
     }
-    let traffic = study.traffic.resolve_on_lanes(lanes)?;
+    let traffic = traffic_memo::resolve(&study.traffic, lanes)?;
     if traffic.is_empty() {
         return Err(StudyError::NoTraffic);
     }
