@@ -2,9 +2,11 @@
 //! `JsonlSink` encoding the `large_campaign` study's events (the engine
 //! is not timed: the events come from a finished result), and strict
 //! `wire::replay` of its capture — next to the results-CSV layer over the
-//! same result: `results_csv(..).render()` and `CsvSink`. The `reshard`
-//! group times the lease supervisor the coordinator's merge loop ticks
-//! once per arriving frame.
+//! same result: `results_csv(..).render()` and `CsvSink`. The `json_f64`
+//! group times the JSON float printer on the evaluations' tail floats
+//! against its reference, std's `Display` plus the `.0` rule. The
+//! `reshard` group times the lease supervisor the coordinator's merge
+//! loop ticks once per arriving frame.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
@@ -18,6 +20,7 @@ use nvmx_units::BitsPerCell;
 use nvmx_viz::sink::{CsvSink, JsonlSink};
 use std::collections::VecDeque;
 use std::convert::Infallible;
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// The `large_campaign` study of `bench_sweep`: six capacities, both
@@ -212,9 +215,61 @@ fn bench_reshard(c: &mut Criterion) {
     group.finish();
 }
 
+/// The eight tail floats every `evaluation_produced` line prints, over
+/// the whole study (an absent lifetime prints `null`, not a float).
+fn tail_floats(result: &StudyResult) -> Vec<f64> {
+    let mut floats = Vec::with_capacity(result.evaluations.len() * 8);
+    for evaluation in &result.evaluations {
+        floats.extend([
+            evaluation.array_reads_per_sec,
+            evaluation.array_writes_per_sec,
+            evaluation.read_power.value(),
+            evaluation.write_power.value(),
+            evaluation.leakage_power.value(),
+            evaluation.utilization,
+            evaluation.aggregate_latency.value(),
+        ]);
+        floats.extend(evaluation.lifetime.map(|lifetime| lifetime.value()));
+    }
+    floats
+}
+
+fn bench_json_f64(c: &mut Criterion) {
+    let mut group = c.benchmark_group("json_f64");
+    group.sample_size(10);
+    group.bench_function("write_f64", |b| {
+        let floats = tail_floats(&fixture().0);
+        let mut out = String::new();
+        b.iter(|| {
+            out.clear();
+            for &f in &floats {
+                serde::json::write_f64(&mut out, f);
+            }
+            out.len()
+        });
+    });
+    group.bench_function("std_display", |b| {
+        let floats = tail_floats(&fixture().0);
+        let mut out = String::new();
+        b.iter(|| {
+            out.clear();
+            for &f in &floats {
+                let start = out.len();
+                write!(out, "{f}").expect("writing to a String cannot fail");
+                if !out[start..].contains('.') {
+                    out.push_str(".0");
+                }
+            }
+            out.len()
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_encode,
+    bench_json_f64,
     bench_replay,
     bench_results_csv,
     bench_reshard

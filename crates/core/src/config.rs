@@ -181,7 +181,8 @@ impl StudyConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct FaultSpec {
-    /// Injection trials per fault model (at least 1).
+    /// Injection trials per fault model, 1 to [`MAX_FAULT_TRIALS`]
+    /// (checked when a config is parsed).
     pub trials: u32,
     /// Campaign seed; each trial's injection seed is derived from
     /// `(seed, trial slot)` ([`crate::fault_study::injection_seed`]).
@@ -208,6 +209,24 @@ impl Default for FaultSpec {
             temperatures_c: vec![25.0],
             raw_bers: Vec::new(),
             tolerance: 0.05,
+        }
+    }
+}
+
+/// The most injection trials a fault campaign may ask for per model,
+/// checked when a config is parsed.
+pub const MAX_FAULT_TRIALS: u32 = 10000;
+
+impl FaultSpec {
+    /// Rejects a trial count outside `1..=MAX_FAULT_TRIALS`.
+    fn validate(&self) -> Result<(), serde_json::Error> {
+        if (1..=MAX_FAULT_TRIALS).contains(&self.trials) {
+            Ok(())
+        } else {
+            Err(serde_json::Error::new(format!(
+                "`trials` must be 1 to {MAX_FAULT_TRIALS}, got {}",
+                self.trials
+            )))
         }
     }
 }
@@ -268,6 +287,7 @@ impl CampaignConfig {
         };
         let fault: FaultSpec =
             serde_json::from_value(fault_value).map_err(|e| ConfigError::at("fault", e))?;
+        fault.validate().map_err(|e| ConfigError::at("fault", e))?;
         let rest =
             serde::Value::Object(obj.iter().filter(|(k, _)| k != "fault").cloned().collect());
         let study = StudyConfig::from_value(&rest)?;
@@ -507,9 +527,9 @@ pub enum TrafficSpec {
     },
     /// The SPEC CPU2017-class LLC suite (paper Sec. IV-C).
     SpecLlc {
-        /// Simulated lookups per benchmark (at least 1: traffic is a rate
-        /// over the simulated time, so zero lookups would make every rate
-        /// NaN).
+        /// Simulated lookups per benchmark, 1 to [`MAX_SPEC_LLC_LOOKUPS`]
+        /// (traffic is a rate over the simulated time, so zero lookups
+        /// would make every rate NaN).
         lookups: u64,
         /// Simulation seed.
         seed: u64,
@@ -561,14 +581,25 @@ pub fn model_by_name(name: &str) -> Result<dnn::DnnModel, UnknownNameError> {
 /// is parsed, before anything is allocated.
 pub const MAX_SWEEP_PATTERNS: usize = 65536;
 
+/// The most lookups a `spec_llc` spec may simulate per benchmark, checked
+/// when a config is parsed: about 50 s of LLC simulation for the 14-profile
+/// suite on one lane.
+pub const MAX_SPEC_LLC_LOOKUPS: u64 = 100000000;
+
 impl TrafficSpec {
-    /// Rejects values that parse but cannot resolve to finite traffic, and
-    /// a `generic_sweep` grid larger than [`MAX_SWEEP_PATTERNS`].
+    /// Rejects values that parse but cannot resolve to finite traffic, a
+    /// `spec_llc` run longer than [`MAX_SPEC_LLC_LOOKUPS`], and a
+    /// `generic_sweep` grid larger than [`MAX_SWEEP_PATTERNS`].
     fn validate(&self) -> Result<(), serde_json::Error> {
         match self {
             Self::SpecLlc { lookups: 0, .. } => Err(serde_json::Error::new(
                 "`spec_llc` needs `lookups` >= 1 (zero simulated lookups give NaN traffic rates)",
             )),
+            Self::SpecLlc { lookups, .. } if *lookups > MAX_SPEC_LLC_LOOKUPS => {
+                Err(serde_json::Error::new(format!(
+                    "`spec_llc` asks for {lookups} lookups (capped at {MAX_SPEC_LLC_LOOKUPS})"
+                )))
+            }
             Self::GenericSweep {
                 read_steps,
                 write_steps,
@@ -821,6 +852,48 @@ mod tests {
         assert!(patterns
             .iter()
             .all(|p| p.read_bytes_per_sec.is_finite() && p.write_bytes_per_sec.is_finite()));
+    }
+
+    /// Over-cap `spec_llc` lookups fail at the traffic section when parsed
+    /// (this test would simulate for hours if the check came later).
+    #[test]
+    fn over_cap_spec_llc_lookups_are_rejected_at_the_traffic_section() {
+        let spec = |lookups: u64| {
+            format!(
+                r#"{{"name": "s", "traffic": {{"kind": "spec_llc", "lookups": {lookups}, "seed": 1}}}}"#
+            )
+        };
+        for lookups in [MAX_SPEC_LLC_LOOKUPS + 1, u64::MAX] {
+            let err = StudyConfig::from_json(&spec(lookups)).unwrap_err();
+            assert_eq!(err.section(), Some("traffic"));
+            assert!(err.to_string().contains("lookups"), "{err}");
+            let err = CampaignConfig::from_json(&spec(lookups)).unwrap_err();
+            assert_eq!(err.section(), Some("traffic"));
+        }
+        assert!(StudyConfig::from_json(&spec(MAX_SPEC_LLC_LOOKUPS)).is_ok());
+    }
+
+    #[test]
+    fn fault_trials_outside_one_to_the_cap_are_rejected_at_the_fault_section() {
+        let campaign = |trials: u64| {
+            format!(
+                r#"{{"name": "s", "traffic": {{"kind": "spec_llc", "lookups": 10, "seed": 1}},
+                    "fault": {{"trials": {trials}}}}}"#
+            )
+        };
+        for trials in [0, u64::from(MAX_FAULT_TRIALS) + 1, u64::from(u32::MAX)] {
+            let err = CampaignConfig::from_json(&campaign(trials)).unwrap_err();
+            assert_eq!(err.section(), Some("fault"), "trials {trials}");
+            assert!(err.to_string().contains("trials"), "{err}");
+        }
+        for trials in [1, MAX_FAULT_TRIALS] {
+            let CampaignConfig::Fault(parsed) =
+                CampaignConfig::from_json(&campaign(u64::from(trials))).unwrap()
+            else {
+                panic!("a fault section selects the fault campaign kind")
+            };
+            assert_eq!(parsed.fault.trials, trials);
+        }
     }
 
     /// An oversized `generic_sweep` fails at the traffic section when it is

@@ -223,6 +223,8 @@ impl StudyExecutor<'_> {
         let base = hold.stats.expect("the engine always emits study_finished");
 
         let models = expand_models(config);
+        // Parsed configs hold 1..=MAX_FAULT_TRIALS; one built in code with
+        // 0 still runs one trial per model rather than averaging nothing.
         let trials_per_model = config.fault.trials.max(1) as usize;
         let baseline = accuracy::baseline_accuracy();
         let tolerance = config.fault.tolerance;
