@@ -1,19 +1,22 @@
 //! Criterion bench: the event codec on its own — `WireSink` and
 //! `JsonlSink` encoding the `large_campaign` study's events (the engine
 //! is not timed: the events come from a finished result), and strict
-//! `wire::replay` of its capture — next to the results-CSV layer over the
-//! same result: `results_csv(..).render()` and `CsvSink`. The `json_f64`
-//! group times the JSON float printer on the evaluations' tail floats
-//! against its reference, std's `Display` plus the `.0` rule. The
-//! `reshard` group times the lease supervisor the coordinator's merge
-//! loop ticks once per arriving frame.
+//! `wire::replay` of its capture, with its two layers apart: framing the
+//! capture into lines through a `BufReader` (`frame_lines`) and decoding
+//! the lines through one `FrameDecoder` (`frame_decoder`) — next to the
+//! results-CSV layer over the same result: `results_csv(..).render()` and
+//! `CsvSink`. The `json_f64` group times the JSON float printer on the
+//! evaluations' tail floats against its reference, std's `Display` plus
+//! the `.0` rule. The `reshard` group times the lease supervisor the
+//! coordinator's merge loop ticks once per arriving frame.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvmexplorer_core::config::{ArraySettings, CellSelection, StudyConfig, TrafficSpec};
 use nvmexplorer_core::reshard::{Action, ReshardConfig, Resharder};
 use nvmexplorer_core::stream::{ResultSink, StudyEvent, StudyExecutor};
 use nvmexplorer_core::sweep::StudyResult;
-use nvmexplorer_core::wire::{self, SlotMerger, WireSink};
+use nvmexplorer_core::transport::read_frame_line;
+use nvmexplorer_core::wire::{self, FrameDecoder, SlotMerger, WireSink};
 use nvmx_bench::campaign::results_csv;
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::BitsPerCell;
@@ -21,6 +24,7 @@ use nvmx_viz::sink::{CsvSink, JsonlSink};
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::fmt::Write as _;
+use std::io::BufReader;
 use std::sync::OnceLock;
 
 /// The `large_campaign` study of `bench_sweep`: six capacities, both
@@ -118,6 +122,30 @@ fn bench_replay(c: &mut Criterion) {
     group.bench_function("strict_replay", |b| {
         let (_, capture) = fixture();
         b.iter(|| wire::replay(&capture[..]).expect("capture replays").frames);
+    });
+    group.bench_function("frame_lines", |b| {
+        let (_, capture) = fixture();
+        let mut line = String::new();
+        b.iter(|| {
+            let mut reader = BufReader::new(&capture[..]);
+            let mut lines = 0u64;
+            while read_frame_line(&mut reader, &mut line).expect("capture frames") {
+                lines += 1;
+            }
+            lines
+        });
+    });
+    group.bench_function("frame_decoder", |b| {
+        let (_, capture) = fixture();
+        let text = std::str::from_utf8(capture).expect("captures are UTF-8");
+        let lines: Vec<&str> = text.lines().collect();
+        b.iter(|| {
+            let mut decoder = FrameDecoder::new();
+            for line in &lines {
+                decoder.frame(line).expect("capture lines decode");
+            }
+            lines.len()
+        });
     });
     group.finish();
 }

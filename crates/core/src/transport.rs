@@ -409,10 +409,15 @@ impl Connection {
 /// input; an unterminated final line is still returned.
 ///
 /// This is the one line reader of every protocol path — each
-/// [`FrameReader`], and strict replay of a capture — and it is bounded: a
-/// line longer than [`MAX_FRAME_BYTES`] fails as soon as the bound is
-/// crossed, so a peer that streams bytes without ever sending a newline
-/// costs at most one bounded buffer.
+/// [`FrameReader`], and strict replay of a capture — and it is bounded: the
+/// line's bytes before its `\n` (a `\r` included) may number at most
+/// [`MAX_FRAME_BYTES`], and a longer line fails once `MAX_FRAME_BYTES + 1`
+/// bytes without a newline are buffered, so a peer that streams bytes
+/// without ever sending a newline costs at most one bounded buffer. The
+/// newline is found by std's [`BufRead::read_until`] (a word-at-a-time
+/// scan of each buffered chunk), which also retries
+/// [`io::ErrorKind::Interrupted`]. Every caller stops reading at the first
+/// error: after one, the stream's position is unspecified.
 ///
 /// # Errors
 ///
@@ -421,35 +426,25 @@ impl Connection {
 pub fn read_frame_line<R: BufRead + ?Sized>(reader: &mut R, line: &mut String) -> io::Result<bool> {
     let mut bytes = std::mem::take(line).into_bytes();
     bytes.clear();
-    let complete = loop {
-        let available = match reader.fill_buf() {
-            Ok(available) => available,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            break !bytes.is_empty();
-        }
-        let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(available.len());
-        if bytes.len() + take > MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame line exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES} bytes)"),
-            ));
-        }
-        bytes.extend_from_slice(&available[..take]);
-        reader.consume(newline.map_or(take, |at| at + 1));
-        if newline.is_some() {
-            break true;
-        }
-    };
+    // One byte past the bound: a line that fills it without a newline is
+    // over the bound, and `bytes` never holds more than that.
+    let limit = MAX_FRAME_BYTES as u64 + 1;
+    Read::take(&mut *reader, limit).read_until(b'\n', &mut bytes)?;
+    let read = !bytes.is_empty();
+    if bytes.last() == Some(&b'\n') {
+        bytes.pop();
+    } else if bytes.len() > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame line exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES} bytes)"),
+        ));
+    }
     if bytes.last() == Some(&b'\r') {
         bytes.pop();
     }
     *line = String::from_utf8(bytes)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame line is not valid UTF-8"))?;
-    Ok(complete)
+    Ok(read)
 }
 
 #[cfg(test)]
@@ -499,6 +494,154 @@ mod tests {
         oversized.push(b'\n');
         let err = read_frame_line(&mut io::Cursor::new(oversized), &mut line).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A frame reader over a 7-byte buffer, so lines and terminators
+    /// straddle refills.
+    fn tiny(input: impl Read + Send + 'static) -> FrameReader {
+        FrameReader {
+            inner: BufReader::with_capacity(7, Box::new(input)),
+        }
+    }
+
+    /// Every line `read_frame_line` yields from `input` over a 7-byte
+    /// buffer, up to the end or the first error.
+    fn tiny_lines(input: &[u8]) -> (Vec<String>, Option<io::Error>) {
+        let mut reader = BufReader::with_capacity(7, input);
+        let (mut lines, mut line) = (Vec::new(), String::new());
+        loop {
+            match read_frame_line(&mut reader, &mut line) {
+                Ok(true) => lines.push(line.clone()),
+                Ok(false) => return (lines, None),
+                Err(e) => return (lines, Some(e)),
+            }
+        }
+    }
+
+    #[test]
+    fn lines_and_terminators_split_across_refills_frame_whole() {
+        // `\r` ends the first 7-byte fill and `\n` starts the next.
+        let (lines, err) = tiny_lines(b"abcdef\r\nxyz\n0123456789abcdef\r\n\r\ntail");
+        assert!(err.is_none());
+        assert_eq!(lines, ["abcdef", "xyz", "0123456789abcdef", "", "tail"]);
+        // A lone `\r` at the end is an empty unterminated line; a `\r`
+        // inside a line is content.
+        let (lines, _) = tiny_lines(b"a\rb\n\r");
+        assert_eq!(lines, ["a\rb", ""]);
+        assert_eq!(tiny_lines(b"").0, Vec::<String>::new());
+    }
+
+    #[test]
+    fn the_bound_holds_across_refills_with_and_without_cr() {
+        let x = |n: usize, end: &[u8]| {
+            let mut line = vec![b'x'; n];
+            line.extend_from_slice(end);
+            line
+        };
+        let max = MAX_FRAME_BYTES;
+        // Accepted: the bytes before `\n`, a `\r` included, number at most
+        // the bound, terminated or not.
+        for (input, len) in [
+            (x(max, b"\n"), max),
+            (x(max - 1, b"\r\n"), max - 1),
+            (x(max, b""), max),
+            (x(max - 1, b"\r"), max - 1),
+        ] {
+            let (lines, err) = tiny_lines(&input);
+            assert!(err.is_none(), "{err:?}");
+            assert_eq!(lines.iter().map(String::len).collect::<Vec<_>>(), [len]);
+        }
+        // Rejected: one byte more, a `\r` counting as that byte.
+        for input in [x(max + 1, b"\n"), x(max, b"\r\n"), x(max + 1, b"")] {
+            let (lines, err) = tiny_lines(&input);
+            assert!(lines.is_empty());
+            assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+        }
+    }
+
+    /// Serves `Endless` bytes, counting them.
+    struct Counted(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Read for Counted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = Endless.read(buf)?;
+            self.0.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_oversized_line_fails_after_at_most_the_bound_plus_one_byte() {
+        let served = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut reader = BufReader::with_capacity(7, Counted(served.clone()));
+        let mut line = String::new();
+        let err = read_frame_line(&mut reader, &mut line).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let served = served.load(std::sync::atomic::Ordering::Relaxed);
+        // Buffered: the bound plus one byte, and at most one refill more.
+        assert!(
+            served > MAX_FRAME_BYTES && served <= MAX_FRAME_BYTES + 1 + 7,
+            "{served}"
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_invalid_data_and_blank_lines_are_skipped_across_refills() {
+        let (lines, err) = tiny_lines(b"ok\n\xff\xfe\nafter\n");
+        assert_eq!(lines, ["ok"]);
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+        // A character split across refills is still one character.
+        assert_eq!(tiny_lines("abcdeé\n".as_bytes()).0, ["abcdeé"]);
+
+        let mut reader = tiny(io::Cursor::new(
+            "\n \t \r\n\r\n     \nfirst\n\n\n\nsecond\r\n \n",
+        ));
+        let mut line = String::new();
+        assert!(reader.next_line(&mut line).unwrap());
+        assert_eq!(line, "first");
+        assert!(reader.next_line(&mut line).unwrap());
+        assert_eq!(line, "second");
+        assert!(!reader.next_line(&mut line).unwrap());
+    }
+
+    /// Serves `chunks` in order, one per read: `Ok` bytes, or an error of
+    /// the given kind.
+    struct Scripted(std::collections::VecDeque<Result<&'static [u8], io::ErrorKind>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reader_failing_mid_line_fails_the_line_and_interrupts_are_retried() {
+        use io::ErrorKind::{ConnectionReset, Interrupted};
+        let script = [
+            Ok(&b"first\n"[..]),
+            Ok(b"par"),
+            Err(Interrupted),
+            Ok(b"t\r"),
+            Err(Interrupted),
+            Ok(b"\nbro"),
+            Err(ConnectionReset),
+        ];
+        let mut reader = tiny(Scripted(script.into_iter().collect()));
+        let mut line = String::new();
+        assert!(reader.next_line(&mut line).unwrap());
+        assert_eq!(line, "first");
+        assert!(reader.next_line(&mut line).unwrap());
+        assert_eq!(line, "part", "interrupted reads are retried");
+        let err = reader.next_line(&mut line).unwrap_err();
+        assert_eq!(err.kind(), ConnectionReset);
     }
 
     /// A peer that streams bytes forever without a newline.

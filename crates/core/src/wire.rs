@@ -1626,6 +1626,23 @@ impl<T: Serialize> RecordMemo<T> {
     }
 }
 
+/// An evaluation's `traffic` key as the writer lays it out, after the
+/// `array` record.
+const TRAFFIC_KEY: &str = ",\"traffic\":";
+
+/// The keys of an evaluation's eight tail fields, in the writer's order and
+/// text: each with the `,` before it and the `:` after it.
+const TAIL_KEYS: [&str; 8] = [
+    ",\"array_reads_per_sec\":",
+    ",\"array_writes_per_sec\":",
+    ",\"read_power\":",
+    ",\"write_power\":",
+    ",\"leakage_power\":",
+    ",\"utilization\":",
+    ",\"aggregate_latency\":",
+    ",\"lifetime\":",
+];
+
 /// The event encoder [`WireSink`] and the JSONL sink share: it writes
 /// exactly [`StudyEvent::write_fields`]'s bytes, but formats an
 /// evaluation's array and traffic records once and copies their text
@@ -1667,22 +1684,20 @@ impl EventEncoder {
         } = evaluation;
         out.push_str("{\"array\":");
         self.arrays.write(array, out);
-        out.push_str(",\"traffic\":");
+        out.push_str(TRAFFIC_KEY);
         self.traffic.write(traffic, out);
-        let tail: [(&str, &dyn Serialize); 8] = [
-            ("array_reads_per_sec", array_reads_per_sec),
-            ("array_writes_per_sec", array_writes_per_sec),
-            ("read_power", read_power),
-            ("write_power", write_power),
-            ("leakage_power", leakage_power),
-            ("utilization", utilization),
-            ("aggregate_latency", aggregate_latency),
-            ("lifetime", lifetime),
+        let tail: [&dyn Serialize; 8] = [
+            array_reads_per_sec,
+            array_writes_per_sec,
+            read_power,
+            write_power,
+            leakage_power,
+            utilization,
+            aggregate_latency,
+            lifetime,
         ];
-        for (name, value) in tail {
-            out.push_str(",\"");
-            out.push_str(name);
-            out.push_str("\":");
+        for (key, value) in TAIL_KEYS.into_iter().zip(tail) {
+            out.push_str(key);
             value.write_json(out);
         }
         out.push('}');
@@ -1696,29 +1711,60 @@ impl EventEncoder {
 /// once.
 ///
 /// Lines in exactly the layout [`WireSink`] writes — header, `event`,
-/// then the payload fields in order — of the two per-slot kinds that
-/// carry records (`array_characterized`, `evaluation_produced`) decode
-/// in one pass through the record memos. Those are nearly every line of a
-/// study. Every other line (control, service and non-record event lines)
-/// and every line that fails anywhere is decoded through the [`Value`]
-/// tree, which is also the reference the one-pass path is proptested
-/// against.
+/// then the payload fields in order, compact and with no escaped key —
+/// of the two per-slot kinds that carry records (`array_characterized`,
+/// `evaluation_produced`) decode in one pass: the header is skipped in one
+/// comparison when its text repeats the last accepted header's, every key
+/// is matched as the literal text the writer prints, the records go
+/// through the record memos, and the numbers are read by their typed
+/// decoders. Those are nearly every line of a study. Every other line
+/// (control, service and non-record event lines) and every line that
+/// deviates anywhere — whitespace inside a matched literal, an escaped
+/// key, another key order, a failed value — is decoded through the
+/// [`Value`] tree, which is also the reference the one-pass path is
+/// proptested against.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    header: Option<HeaderMemo>,
     arrays: RecordMemo<ArrayCharacterization>,
     traffic: RecordMemo<TrafficPattern>,
 }
 
-/// Consumes the next key of a fixed layout, or fails.
-fn next_key(r: &mut json::Reader<'_>, name: &str) -> Option<()> {
-    (r.object_next().ok()?.as_deref() == Some(name)).then_some(())
+/// The last header a [`FrameDecoder`] accepted: its text from `{` through
+/// `"seq":`, and the version and study that text decodes to.
+#[derive(Debug)]
+struct HeaderMemo {
+    text: Box<str>,
+    version: u64,
+    study: String,
 }
 
-/// The value after the next key of a fixed layout, read by the typed
-/// decoder that accepts exactly what the tree path's field rule accepts.
-fn next_value<T: Deserialize>(r: &mut json::Reader<'_>, name: &str) -> Option<T> {
-    next_key(r, name)?;
-    T::from_json(r).ok()
+/// The `event` entry and the `index` key of an `evaluation_produced` line.
+const EVALUATION_EVENT: &str = ",\"event\":\"evaluation_produced\",\"index\":";
+
+/// The `event` entry and the `index` key of an `array_characterized` line.
+const ARRAY_EVENT: &str = ",\"event\":\"array_characterized\",\"index\":";
+
+/// The value after `key`, a key literal of the writer's layout (see
+/// [`json::Reader::skip_known`]), read by the typed decoder that accepts
+/// exactly what the tree path's field rule accepts; `None` when the input
+/// does not continue with `key` or the value fails.
+fn keyed<T: Deserialize>(r: &mut json::Reader<'_>, key: &str) -> Option<T> {
+    r.skip_known(key).then(|| T::from_json(r).ok()).flatten()
+}
+
+/// `{"v":<version>,"study":<study>,"seq":` in the writer's layout, with a
+/// version this decoder accepts.
+fn read_header(r: &mut json::Reader<'_>) -> Option<(u64, String)> {
+    if !r.skip_known_open("{\"v\":") {
+        return None;
+    }
+    let version = u64::from_json(r).ok()?;
+    if !(WIRE_MIN_VERSION..=WIRE_VERSION).contains(&version) {
+        return None;
+    }
+    let study = keyed(r, ",\"study\":")?;
+    r.skip_known(",\"seq\":").then_some((version, study))
 }
 
 impl FrameDecoder {
@@ -1778,35 +1824,24 @@ impl FrameDecoder {
     /// `worker` or `response` key either) is what makes the result the
     /// stateless parser's: every value is read by a typed decoder that
     /// accepts exactly what the tree's field rule accepts, or is a
-    /// remembered record's exact text.
+    /// remembered header's or record's exact text.
     fn record_frame(&mut self, line: &str) -> Option<WireFrame> {
         let r = &mut json::Reader::new(line);
-        if r.object_start().ok()?.as_deref() != Some("v") {
+        let (version, study) = self.header(r)?;
+        let seq = u64::from_json(r).ok()?;
+        let event = if r.skip_known(EVALUATION_EVENT) {
+            let index = usize::from_json(r).ok()?;
+            let evaluation = self.evaluation(r)?;
+            OwnedStudyEvent::EvaluationProduced { index, evaluation }
+        } else if r.skip_known(ARRAY_EVENT) {
+            let index = usize::from_json(r).ok()?;
+            if !r.skip_known(",\"array\":") {
+                return None;
+            }
+            let array = ArrayCharacterization::clone(&*self.arrays.decode(r)?);
+            OwnedStudyEvent::ArrayCharacterized { index, array }
+        } else {
             return None;
-        }
-        let version = u64::from_json(r).ok()?;
-        if !(WIRE_MIN_VERSION..=WIRE_VERSION).contains(&version) {
-            return None;
-        }
-        let study = next_value(r, "study")?;
-        let seq = next_value(r, "seq")?;
-        next_key(r, "event")?;
-        let event = match r.string().ok()?.as_ref() {
-            "array_characterized" => OwnedStudyEvent::ArrayCharacterized {
-                index: next_value(r, "index")?,
-                array: {
-                    next_key(r, "array")?;
-                    ArrayCharacterization::clone(&*self.arrays.decode(r)?)
-                },
-            },
-            "evaluation_produced" => OwnedStudyEvent::EvaluationProduced {
-                index: next_value(r, "index")?,
-                evaluation: {
-                    next_key(r, "evaluation")?;
-                    self.evaluation(r)?
-                },
-            },
-            _ => return None,
         };
         (r.object_next().ok()?.is_none() && r.finish().is_ok()).then_some(WireFrame {
             version,
@@ -1816,26 +1851,50 @@ impl FrameDecoder {
         })
     }
 
+    /// The header through `"seq":` and its version and study: skipped in
+    /// one comparison when its text is the last accepted header's, read
+    /// (and then remembered) otherwise. Exact because a remembered text is
+    /// a header prefix this decoder already accepted (see
+    /// [`json::Reader::skip_known_open`]).
+    fn header(&mut self, r: &mut json::Reader<'_>) -> Option<(u64, String)> {
+        if let Some(memo) = &self.header {
+            if r.skip_known_open(&memo.text) {
+                return Some((memo.version, memo.study.clone()));
+            }
+        }
+        let (header, text) = r.captured(|r| Ok(read_header(r))).ok()?;
+        let (version, study) = header?;
+        self.header = Some(HeaderMemo {
+            text: text.into(),
+            version,
+            study: study.clone(),
+        });
+        Some((version, study))
+    }
+
     /// The derived `Evaluation::from_json` for the layout it is written
     /// in, with the array and traffic records read through the memos.
     fn evaluation(&mut self, r: &mut json::Reader<'_>) -> Option<Evaluation> {
-        if r.object_start().ok()?.as_deref() != Some("array") {
+        if !r.skip_known_open(",\"evaluation\":{\"array\":") {
             return None;
         }
         let array = self.arrays.decode(r)?;
-        next_key(r, "traffic")?;
+        if !r.skip_known(TRAFFIC_KEY) {
+            return None;
+        }
         let traffic = self.traffic.decode(r)?;
+        let [reads, writes, read, write, leakage, utilization, latency, lifetime] = TAIL_KEYS;
         let evaluation = Evaluation {
             array,
             traffic,
-            array_reads_per_sec: next_value(r, "array_reads_per_sec")?,
-            array_writes_per_sec: next_value(r, "array_writes_per_sec")?,
-            read_power: next_value(r, "read_power")?,
-            write_power: next_value(r, "write_power")?,
-            leakage_power: next_value(r, "leakage_power")?,
-            utilization: next_value(r, "utilization")?,
-            aggregate_latency: next_value(r, "aggregate_latency")?,
-            lifetime: next_value(r, "lifetime")?,
+            array_reads_per_sec: keyed(r, reads)?,
+            array_writes_per_sec: keyed(r, writes)?,
+            read_power: keyed(r, read)?,
+            write_power: keyed(r, write)?,
+            leakage_power: keyed(r, leakage)?,
+            utilization: keyed(r, utilization)?,
+            aggregate_latency: keyed(r, latency)?,
+            lifetime: keyed(r, lifetime)?,
         };
         r.object_next().ok()?.is_none().then_some(evaluation)
     }
@@ -2843,6 +2902,40 @@ mod tests {
         for (seq, line) in lines.iter().enumerate() {
             assert_eq!(WireFrame::parse(line).unwrap().seq, seq as u64);
         }
+    }
+
+    #[test]
+    fn the_writers_record_lines_take_the_one_pass_path() {
+        // A key literal that drifted from the writer's text would send
+        // every record line to the tree: still correct, only slower.
+        let study =
+            crate::config::StudyConfig::from_json(include_str!("../../../config/quickstart.json"))
+                .expect("the shipped config parses");
+        let mut sink = WireSink::new(Vec::new());
+        crate::stream::StudyExecutor::with_threads(1)
+            .run(&study, &mut sink)
+            .expect("the study runs");
+        let text = String::from_utf8(sink.into_inner()).expect("wire lines are UTF-8");
+        let mut decoder = FrameDecoder::new();
+        let mut one_pass = BTreeMap::new();
+        for line in text.lines() {
+            let frame = WireFrame::parse(line).expect("the writer's lines parse");
+            let kind = frame.event.kind();
+            match decoder.record_frame(line) {
+                Some(decoded) => {
+                    assert_eq!(decoded, frame, "{line}");
+                    *one_pass.entry(kind).or_insert(0) += 1;
+                }
+                None => assert!(
+                    !matches!(kind, "array_characterized" | "evaluation_produced"),
+                    "{line}"
+                ),
+            }
+        }
+        assert_eq!(
+            one_pass.keys().copied().collect::<Vec<_>>(),
+            ["array_characterized", "evaluation_produced"]
+        );
     }
 
     /// A leased worker encodes only the slots it is leased, in lease

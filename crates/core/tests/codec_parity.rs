@@ -754,6 +754,172 @@ fn mutate_record(line: &str, d: &mut Draws) -> String {
     }
 }
 
+/// The first real line of each record-carrying event kind.
+fn first_line_of(event: &str) -> &'static str {
+    let tag = format!("\"event\":\"{event}\"");
+    real_lines()
+        .iter()
+        .find(|line| line.contains(&tag))
+        .expect("the capture carries the kind")
+}
+
+/// `line` with the number after `key` (the writer's `,"name":` text)
+/// replaced by `text`.
+fn with_value(line: &str, key: &str, text: &str) -> String {
+    let start = line.find(key).expect("the key is in the line") + key.len();
+    let len = line[start..]
+        .find([',', '}'])
+        .expect("a value ends at `,` or `}`");
+    format!("{}{text}{}", &line[..start], &line[start + len..])
+}
+
+/// Lines that leave the writer's exact layout where the one-pass decoder
+/// matches it literally — whitespace, escapes, another key order, another
+/// header — or carry tail numbers the tree reads in a particular way.
+fn layout_deviations() -> Vec<String> {
+    let evaluation = first_line_of("evaluation_produced");
+    let array = first_line_of("array_characterized");
+    let mut lines = Vec::new();
+    for key in ["array_reads_per_sec", "read_power", "lifetime"] {
+        let plain = format!(",\"{key}\":");
+        for spaced in [
+            format!(" ,\"{key}\":"),
+            format!(", \"{key}\":"),
+            format!(",\"{key}\" :"),
+            format!(",\"{key}\": "),
+            format!(",\"{key}\":\t"),
+        ] {
+            lines.push(evaluation.replacen(&plain, &spaced, 1));
+        }
+    }
+    lines.push(evaluation.replacen("\"read_power\"", "\"read\\u005fpower\"", 1));
+    lines.push(evaluation.replacen("\"lifetime\"", "\"\\u006cifetime\"", 1));
+    lines.push(evaluation.replacen("\"traffic\"", "\"traffic\\u0020\"", 1));
+    // Swapped tail keys, and the payload's array and traffic swapped.
+    let swapped = |line: &str, a: &str, b: &str| {
+        line.replacen(a, "\u{1}", 1)
+            .replacen(b, a, 1)
+            .replacen('\u{1}', b, 1)
+    };
+    lines.push(swapped(evaluation, "\"read_power\"", "\"write_power\""));
+    lines.push(swapped(evaluation, "\"utilization\"", "\"lifetime\""));
+    lines.push(swapped(evaluation, "\"array\"", "\"traffic\""));
+    lines.push(swapped(array, "\"index\"", "\"array\""));
+    // Tail numbers: integer `-0` (+0.0 on the tree), infinities, 2^64,
+    // integral and exponent forms, and non-numbers.
+    for text in [
+        "-0",
+        "-0.0",
+        "0",
+        "1e999",
+        "-1e999",
+        "18446744073709551616",
+        "-9223372036854775809",
+        "7",
+        "1.5e-7",
+        "1.",
+        "--1",
+        "null",
+        "\"1.0\"",
+        "[]",
+    ] {
+        for key in [",\"read_power\":", ",\"utilization\":", ",\"lifetime\":"] {
+            lines.push(with_value(evaluation, key, text));
+        }
+    }
+    // The header and the event entry out of the writer's text: each
+    // version in and around the accepted range, and other spellings of it.
+    let head = format!("{{\"v\":{WIRE_VERSION},");
+    let mut heads: Vec<String> = (0..=WIRE_VERSION + 1)
+        .map(|v| format!("{{\"v\":{v},"))
+        .collect();
+    heads.extend([
+        format!("{{ \"v\":{WIRE_VERSION},"),
+        format!("{{\"v\": {WIRE_VERSION},"),
+        format!("{{\"v\":{WIRE_VERSION}.0,"),
+        format!("{{\"v\":\"{WIRE_VERSION}\","),
+    ]);
+    for line in [evaluation, array] {
+        assert!(line.starts_with(&head), "the writer's header");
+        for to in &heads {
+            lines.push(line.replacen(&head, to, 1));
+        }
+        let study = line
+            .split("\"study\":")
+            .nth(1)
+            .unwrap()
+            .split(',')
+            .next()
+            .unwrap();
+        for (from, to) in [
+            (study, "\"another-study\""),
+            (study, "\"\\u0063odec\""),
+            (",\"seq\":", " ,\"seq\":"),
+            (",\"seq\":", ",\"se\\u0071\":"),
+            ("\"event\":", "\"event\" :"),
+            ("_produced\"", "\\u005fproduced\""),
+            ("_characterized\"", "\\u005fcharacterized\""),
+            (",\"index\":", ",\"index\": "),
+            (",\"evaluation\":{", ",\"evaluation\": {"),
+            (",\"evaluation\":{", ",\"evaluation\":{ "),
+        ] {
+            lines.push(line.replacen(from, to, 1));
+        }
+    }
+    lines.retain(|line| line != evaluation && line != array);
+    lines
+}
+
+#[test]
+fn layout_deviations_decode_like_the_tree_path() {
+    let deviations = layout_deviations();
+    assert!(deviations.len() > 90, "{}", deviations.len());
+    for line in &deviations {
+        assert_same_decode(line);
+    }
+    // One decoder over the whole stream with a deviation after every real
+    // line: each remembered header or record meets lines that differ from
+    // it just past the remembered text, and the real lines after each
+    // deviation meet whatever the deviation left remembered.
+    let mut decoder = FrameDecoder::new();
+    let mut deviations = deviations.iter().cycle();
+    for line in real_lines() {
+        for line in [line, deviations.next().unwrap()] {
+            assert_agree(line, "streamed", &decoder.frame(line), &oracle_parse(line));
+        }
+    }
+}
+
+#[test]
+fn the_nesting_bound_counts_the_objects_a_literal_opens() {
+    // The line's object and the evaluation's are opened by skipped
+    // literals (the remembered header on a warmed decoder); the traffic
+    // record by its decoder, whose unknown key then nests `k` arrays: the
+    // tree accepts the line up to `3 + k == MAX_DEPTH` and not one deeper.
+    let line = first_line_of("evaluation_produced");
+    let key = ",\"traffic\":{";
+    let at = line.find(key).unwrap() + key.len();
+    for k in [
+        json::MAX_DEPTH - 4,
+        json::MAX_DEPTH - 3,
+        json::MAX_DEPTH - 2,
+    ] {
+        let nested = format!("\"zz\":{}1{},", "[".repeat(k), "]".repeat(k));
+        let deep = format!("{}{nested}{}", &line[..at], &line[at..]);
+        let accepted = oracle_parse(&deep).is_ok();
+        assert_eq!(accepted, k + 3 <= json::MAX_DEPTH, "k = {k}");
+        assert_same_decode(&deep);
+        let mut decoder = FrameDecoder::new();
+        assert_agree(line, "plain", &decoder.frame(line), &oracle_parse(line));
+        assert_agree(
+            &deep,
+            "after the plain line",
+            &decoder.frame(&deep),
+            &oracle_parse(&deep),
+        );
+    }
+}
+
 #[test]
 fn text_form_pins_floats_and_escapes() {
     let mut out = String::new();

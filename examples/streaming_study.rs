@@ -79,21 +79,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
 
+    // The studies run side by side over one cache, so which of them meets
+    // a subarray first, and so every hit rate, moves from run to run: the
+    // rates go to stderr, and stdout stays the same bytes every run.
     for outcome in &report.outcomes {
         match &outcome.result {
-            Ok(result) => println!(
-                "{}: {} arrays, {} evaluations streamed (cache hit rate while running: {:.1}%)",
-                outcome.name,
-                result.arrays.len(),
-                result.evaluations.len(),
-                outcome.cache_hit_rate() * 100.0
-            ),
+            Ok(result) => {
+                println!(
+                    "{}: {} arrays, {} evaluations streamed",
+                    outcome.name,
+                    result.arrays.len(),
+                    result.evaluations.len()
+                );
+                eprintln!(
+                    "{}: cache hit rate while running: {:.1}%",
+                    outcome.name,
+                    outcome.cache_hit_rate() * 100.0
+                );
+            }
             Err(e) => eprintln!("{}: failed: {e}", outcome.name),
         }
     }
-    println!(
-        "queue done: {} studies, cross-study cache totals: {} lookups, {:.1}% hits",
-        report.outcomes.len(),
+    println!("queue done: {} studies", report.outcomes.len());
+    eprintln!(
+        "cross-study cache totals: {} lookups, {:.1}% hits",
         report.cache.lookups(),
         report.cache.hit_rate() * 100.0
     );
