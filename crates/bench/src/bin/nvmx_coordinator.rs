@@ -13,7 +13,13 @@
 //! merged stream goes to an optional capture file and through
 //! `core::wire::StreamReplayer` — the strict consumer behind `replay` and
 //! `run --connect` — into the study's configured result sinks. Every
-//! worker connection, pipe or socket, is one `transport::Connection`. The
+//! worker connection, pipe or socket, is one `transport::Connection`,
+//! read by its own pump thread. A pump hands its worker's event frames to
+//! the merge loop one read at a time: each message carries every frame
+//! decoded since the last one, up to [`BATCH_FRAMES`], and goes out once
+//! the connection has no more bytes buffered, so the merge loop pays its
+//! channel wake-up and supervisor pass once per batch, not once per
+//! frame. The channel holds at most [`FRAMES_IN_FLIGHT`] frames. The
 //! rebuilt `StudyResult` is byte-identical to an in-process run — as is
 //! the merged stream, except possibly the *observational* cache counters
 //! on the final `study_finished` line (each worker has its own cache, and
@@ -299,10 +305,25 @@ struct DistributedRun {
 
 // --------------------------------------------------- leased transport run
 
+/// The most event frames one [`NetEv::Frames`] batch carries.
+const BATCH_FRAMES: usize = 128;
+
+/// The most event frames the pump-to-merge channel holds: it takes
+/// `FRAMES_IN_FLIGHT / BATCH_FRAMES` messages, each at most one batch.
+/// Each pump also holds at most one batch while it fills or sends it.
+const FRAMES_IN_FLIGHT: usize = 1024;
+
+/// Bytes the merge loop buffers before it writes to the capture file.
+/// Each write costs the merge loop system time; at this size a 40 MB
+/// capture takes 160 writes, where std's 8 KiB default would take 5,000.
+const CAPTURE_BUFFER_BYTES: usize = 256 * 1024;
+
 /// Messages from connection readers to the leased merge loop. `link`
 /// names the connection a reader pumps (see [`LeasedState::links`]), so
 /// the echo of a killed incarnation's connection is told apart from the
-/// current one.
+/// current one. One connection's messages arrive in the order its lines
+/// did: a batch of frames goes out before the `hello`, control line,
+/// `Bad` or `Gone` that follows it.
 enum NetEv {
     /// A worker said `hello`; its write half rides along so the merge
     /// loop can send it lease frames.
@@ -314,10 +335,11 @@ enum NetEv {
     },
     /// A worker control frame (heartbeat / drained / done).
     Control { name: String, frame: WorkerFrame },
-    /// An event frame (the raw line rides along for the capture).
-    Frame {
+    /// Consecutive event frames from one read of the connection, at most
+    /// [`BATCH_FRAMES`] (each raw line rides along for the capture).
+    Frames {
         name: String,
-        boxed: Box<(WireFrame, String)>,
+        batch: Vec<(WireFrame, String)>,
     },
     /// A connection produced an unparseable line — protocol garbage from
     /// a live worker, or the torn tail a SIGKILL leaves mid-write. Both
@@ -336,6 +358,13 @@ enum NetEv {
 /// worker's `hello`. `preset` names the worker ahead of its `hello`
 /// (known a priori for pipe children); `link` tags the connection-level
 /// events.
+///
+/// Event frames are handed over one read at a time: they collect in a
+/// batch that is sent as one [`NetEv::Frames`] when the reader has no
+/// more bytes buffered (the next line must wait for the worker), when it
+/// reaches [`BATCH_FRAMES`], and before any other message from this
+/// connection. A worker that writes one line per flush, as a throttled
+/// one does, therefore still delivers each frame as it arrives.
 fn pump_worker_lines(
     Connection { mut reader, writer }: Connection,
     preset: Option<String>,
@@ -346,6 +375,18 @@ fn pump_worker_lines(
     let mut name = preset;
     let mut line = String::new();
     let mut decoder = FrameDecoder::new();
+    let mut batch = Vec::new();
+    // Sends the collected frames, if any; `false` once the merge loop
+    // has gone. Frames only collect once the worker has a name.
+    let hand_over = |batch: &mut Vec<(WireFrame, String)>, name: &Option<String>| match name {
+        Some(name) if !batch.is_empty() => tx
+            .send(NetEv::Frames {
+                name: name.clone(),
+                batch: std::mem::take(batch),
+            })
+            .is_ok(),
+        _ => true,
+    };
     loop {
         match reader.next_line(&mut line) {
             Ok(true) => {}
@@ -354,23 +395,43 @@ fn pump_worker_lines(
                 // An oversized line is protocol garbage like any other;
                 // a plain read error is the connection ending.
                 if e.kind() == std::io::ErrorKind::InvalidData {
-                    let _ = tx.send(NetEv::Bad {
-                        link,
-                        name: name.clone(),
-                        detail: e.to_string(),
-                    });
+                    if hand_over(&mut batch, &name) {
+                        let _ = tx.send(NetEv::Bad {
+                            link,
+                            name: name.clone(),
+                            detail: e.to_string(),
+                        });
+                    }
                     return;
                 }
                 break;
             }
         }
         // One pass over the line classifies and decodes it.
-        match decoder.worker_line(&line) {
-            Ok(WorkerLine::Control(WorkerFrame::Hello {
+        let control = match decoder.worker_line(&line) {
+            Ok(WorkerLine::Event(frame)) => {
+                if name.is_some() {
+                    batch.push((*frame, std::mem::take(&mut line)));
+                }
+                if (batch.len() >= BATCH_FRAMES || !reader.has_buffered())
+                    && !hand_over(&mut batch, &name)
+                {
+                    return;
+                }
+                continue;
+            }
+            Ok(WorkerLine::Control(frame)) => Ok(frame),
+            Err(e) => Err(e),
+        };
+        if !hand_over(&mut batch, &name) {
+            return;
+        }
+        match control {
+            Ok(WorkerFrame::Hello {
                 name: hello_name,
                 study,
                 ..
-            })) => {
+            }) => {
                 name = Some(hello_name.clone());
                 if let Some(writer) = writer.take() {
                     if tx
@@ -386,17 +447,11 @@ fn pump_worker_lines(
                     }
                 }
             }
-            Ok(parsed) => {
+            Ok(frame) => {
                 let Some(name) = &name else { continue };
-                let ev = match parsed {
-                    WorkerLine::Control(frame) => NetEv::Control {
-                        name: name.clone(),
-                        frame,
-                    },
-                    WorkerLine::Event(frame) => NetEv::Frame {
-                        name: name.clone(),
-                        boxed: Box::new((*frame, std::mem::take(&mut line))),
-                    },
+                let ev = NetEv::Control {
+                    name: name.clone(),
+                    frame,
                 };
                 if tx.send(ev).is_err() {
                     return;
@@ -412,7 +467,9 @@ fn pump_worker_lines(
             }
         }
     }
-    let _ = tx.send(NetEv::Gone { link, name });
+    if hand_over(&mut batch, &name) {
+        let _ = tx.send(NetEv::Gone { link, name });
+    }
 }
 
 /// One leased worker process and its spawn generation (a pipe child's
@@ -691,7 +748,8 @@ fn run_leased_study(
         .as_ref()
         .map(|dir| dir.join(format!("{}.jsonl", study.name)));
     let mut capture = match &capture_path {
-        Some(p) => Some(std::io::BufWriter::new(
+        Some(p) => Some(std::io::BufWriter::with_capacity(
+            CAPTURE_BUFFER_BYTES,
             AtomicFileWriter::create(p)
                 .map_err(|e| format!("cannot create capture `{}`: {e}", p.display()))?,
         )),
@@ -700,7 +758,7 @@ fn run_leased_study(
     let mut spec_sinks = nvmx_viz::sink::from_spec(&study.output)
         .map_err(|e| format!("cannot open output sinks: {e}"))?;
 
-    let (tx, rx) = mpsc::sync_channel::<NetEv>(1024);
+    let (tx, rx) = mpsc::sync_channel::<NetEv>(FRAMES_IN_FLIGHT / BATCH_FRAMES);
 
     // Socket transports bind before any worker spawns, so the connect
     // spec (with the resolved ephemeral TCP port) is known up front.
@@ -780,19 +838,28 @@ fn run_leased_study(
                     WorkerFrame::Done { seen, .. } => resharder.worker_done(&name, seen, now),
                     WorkerFrame::Hello { .. } => {} // consumed by the pump
                 },
-                Ok(NetEv::Frame { name, boxed }) => {
+                Ok(NetEv::Frames { name, batch }) => {
                     resharder.frame_arrived(&name, now);
-                    let seq = boxed.0.seq;
-                    merger
-                        .offer(seq, *boxed, &mut |_seq, (frame, line)| {
-                            if let Some(out) = capture.as_mut() {
-                                writeln!(out, "{line}")?;
-                            }
-                            replayer
-                                .push_frame(frame, &mut spec_sinks)
-                                .map(|_terminal| ())
-                        })
-                        .map_err(|e| format!("merged stream failed at slot {seq}: {e}"))?;
+                    for (frame, line) in batch {
+                        // Nothing follows the terminal frame: the frames
+                        // after it are dropped unmerged, like the messages
+                        // left in the channel when the loop ends.
+                        if replayer.finished() {
+                            break;
+                        }
+                        let seq = frame.seq;
+                        merger
+                            .offer(seq, (frame, line), &mut |_seq, (frame, line)| {
+                                if let Some(out) = capture.as_mut() {
+                                    out.write_all(line.as_bytes())?;
+                                    out.write_all(b"\n")?;
+                                }
+                                replayer
+                                    .push_frame(frame, &mut spec_sinks)
+                                    .map(|_terminal| ())
+                            })
+                            .map_err(|e| format!("merged stream failed at slot {seq}: {e}"))?;
+                    }
                     resharder.delivered(merger.next_expected());
                 }
                 Ok(NetEv::Bad { link, name, detail }) => match name {
@@ -826,7 +893,7 @@ fn run_leased_study(
                 }
             }
             let now = u64::try_from(epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
-            // Child exits are polled on a timer, not per frame: the loop
+            // Child exits are polled on a timer, not per event: the loop
             // wakes at least every 100 ms either way.
             if now >= next_poll_ms {
                 next_poll_ms = now + CHILD_POLL_MS;
@@ -970,4 +1037,167 @@ fn cmd_replay(args: Vec<String>) -> i32 {
     )
     .unwrap_or_else(|e| fail!(1, "{e}"));
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::io::Read;
+
+    /// One line as a pump's reader sees it: an event frame at slot `seq`
+    /// whose line, newline included, is 121 bytes. An odd length keeps
+    /// every line end off the 8 KiB boundaries of the reader's refills, so
+    /// a reader that has all its input at once runs dry only at the end.
+    fn event_line(seq: u64) -> String {
+        let head = format!(
+            r#"{{"v":4,"study":"s","seq":{seq},"event":"study_started","cells":1,"jobs":1,"targets":1,"traffic":1,"name":""#
+        );
+        format!("{head}{}\"}}\n", "n".repeat(118 - head.len()))
+    }
+
+    fn event_lines(seqs: std::ops::Range<u64>) -> String {
+        seqs.map(event_line).collect()
+    }
+
+    fn control_line(frame: &WorkerFrame) -> String {
+        format!("{}\n", frame.to_line())
+    }
+
+    /// What the merge loop receives from one connection, in order.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Connected(String),
+        Frames(Vec<u64>),
+        Control,
+        Bad,
+        Gone,
+    }
+
+    /// Pumps `input` to its end as connection `link` 0, named `preset`,
+    /// through a channel roomy enough that the pump never waits.
+    fn pump(input: impl Read + Send + 'static, preset: Option<&str>) -> Vec<Seen> {
+        let (tx, rx) = mpsc::sync_channel(4096);
+        let conn = Connection::from_parts(input, std::io::sink());
+        pump_worker_lines(conn, preset.map(str::to_owned), 0, &tx);
+        drop(tx);
+        (rx.into_iter())
+            .map(|ev| match ev {
+                NetEv::Connected { name, .. } => Seen::Connected(name),
+                NetEv::Frames { batch, .. } => {
+                    assert!(batch.len() <= BATCH_FRAMES, "a batch over the cap");
+                    for (frame, line) in &batch {
+                        assert_eq!(format!("{line}\n"), event_line(frame.seq));
+                    }
+                    Seen::Frames(batch.iter().map(|(frame, _)| frame.seq).collect())
+                }
+                NetEv::Control { .. } => Seen::Control,
+                NetEv::Bad { .. } => Seen::Bad,
+                NetEv::Gone { .. } => Seen::Gone,
+            })
+            .collect()
+    }
+
+    fn pump_bytes(input: impl Into<Vec<u8>>) -> Vec<Seen> {
+        pump(std::io::Cursor::new(input.into()), Some("w0"))
+    }
+
+    /// A worker that flushes after every line: each `read` returns one.
+    struct LinePerRead(VecDeque<String>);
+
+    impl Read for LinePerRead {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(line) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            buf[..line.len()].copy_from_slice(line.as_bytes());
+            Ok(line.len())
+        }
+    }
+
+    #[test]
+    fn frames_before_a_control_line_arrive_first_as_one_batch() {
+        let heartbeat = control_line(&WorkerFrame::Heartbeat { seen: 5, sent: 5 });
+        assert_eq!(
+            pump_bytes(event_lines(0..5) + &heartbeat),
+            [Seen::Frames(vec![0, 1, 2, 3, 4]), Seen::Control, Seen::Gone]
+        );
+    }
+
+    #[test]
+    fn frames_before_a_garbage_line_arrive_before_bad() {
+        assert_eq!(
+            pump_bytes(event_lines(0..3) + "not a frame\n" + &event_line(3)),
+            [Seen::Frames(vec![0, 1, 2]), Seen::Bad]
+        );
+        // A line that is not UTF-8 fails in the reader, not the decoder.
+        let mut input = event_lines(0..3).into_bytes();
+        input.extend_from_slice(b"\xff\n");
+        assert_eq!(pump_bytes(input), [Seen::Frames(vec![0, 1, 2]), Seen::Bad]);
+    }
+
+    #[test]
+    fn frames_before_the_end_arrive_before_gone_and_a_torn_tail_is_bad() {
+        assert_eq!(
+            pump_bytes(event_lines(0..4)),
+            [Seen::Frames(vec![0, 1, 2, 3]), Seen::Gone]
+        );
+        // Blank lines after the last frame keep bytes buffered past it.
+        assert_eq!(
+            pump_bytes(event_lines(0..4) + "\n\n"),
+            [Seen::Frames(vec![0, 1, 2, 3]), Seen::Gone]
+        );
+        // The unterminated tail a killed worker leaves is garbage.
+        let torn = &event_line(4)[..40];
+        assert_eq!(
+            pump_bytes(event_lines(0..4) + torn),
+            [Seen::Frames(vec![0, 1, 2, 3]), Seen::Bad]
+        );
+    }
+
+    #[test]
+    fn batches_stop_at_the_cap() {
+        let cap = BATCH_FRAMES as u64;
+        assert_eq!(
+            pump_bytes(event_lines(0..300)),
+            [
+                Seen::Frames((0..cap).collect()),
+                Seen::Frames((cap..2 * cap).collect()),
+                Seen::Frames((2 * cap..300).collect()),
+                Seen::Gone,
+            ]
+        );
+    }
+
+    /// A throttled worker's frames each come in their own read, so each
+    /// is its own batch: frame-silence timing sees every frame arrive.
+    #[test]
+    fn a_line_per_read_is_a_frame_per_batch() {
+        let lines = (0..20).map(event_line).collect();
+        let mut expected: Vec<Seen> = (0..20).map(|seq| Seen::Frames(vec![seq])).collect();
+        expected.push(Seen::Gone);
+        assert_eq!(pump(LinePerRead(lines), Some("w0")), expected);
+    }
+
+    /// On a socket the worker is named by its `hello`: frames before it
+    /// are dropped, and the hello goes out before the frames after it.
+    #[test]
+    fn a_hello_names_the_frames_that_follow_it() {
+        let hello = control_line(&WorkerFrame::Hello {
+            name: "remote-0".to_owned(),
+            study: "s".to_owned(),
+            resume: false,
+        });
+        assert_eq!(
+            pump(
+                std::io::Cursor::new(event_line(0) + &hello + &event_lines(1..3)),
+                None
+            ),
+            [
+                Seen::Connected("remote-0".to_owned()),
+                Seen::Frames(vec![1, 2]),
+                Seen::Gone
+            ]
+        );
+    }
 }

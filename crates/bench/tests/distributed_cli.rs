@@ -474,6 +474,40 @@ fn fault_campaign_survives_a_killed_and_a_stalled_shard() {
     );
 }
 
+/// Runs `nvmx-coordinator run` on pipe leases at `--threads 1` and
+/// returns the capture of study `name`.
+fn threads_1_capture(
+    dir: &Path,
+    config: &Path,
+    name: &str,
+    workers: &str,
+    extra: &[&str],
+) -> String {
+    let capture_dir = dir.join(format!("{name}-{workers}"));
+    let output = Command::new(COORDINATOR)
+        .arg("run")
+        .args(["--config".as_ref(), config.as_os_str()])
+        .args(["--workers", workers, "--threads", "1"])
+        .args(extra)
+        .args(["--capture".as_ref(), capture_dir.as_os_str()])
+        .args(["--worker-bin", WORKER])
+        .output()
+        .unwrap();
+    run_ok(&output, &format!("{name} at {workers} workers"));
+    std::fs::read_to_string(capture_dir.join(format!("{name}.jsonl"))).unwrap()
+}
+
+/// Asserts two captures of study `name` are the same bytes, naming the
+/// first line where they part.
+fn assert_same_capture(name: &str, one: &str, other: &str) {
+    let diverged = one.lines().zip(other.lines()).position(|(a, b)| a != b);
+    assert_eq!(
+        diverged, None,
+        "{name}: captures differ at line {diverged:?}"
+    );
+    assert_eq!(one.len(), other.len(), "{name}: capture lengths differ");
+}
+
 /// Workers encode each evaluation only when a lease emits its slot. The
 /// capture must still equal the one-worker capture byte for byte when
 /// 5-slot leases over three workers cut each array's run of evaluations,
@@ -486,33 +520,38 @@ fn five_slot_leases_over_three_workers_capture_the_one_worker_bytes() {
     std::fs::write(&multi, MULTI_CONFIG).unwrap();
     let fault = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../config/fault_quickstart.json");
     for (config, name) in [(&multi, "dist-multi"), (&fault, "fault_quickstart")] {
-        let capture = |workers: &str, extra: &[&str]| -> String {
-            let capture_dir = dir.path().join(format!("{name}-{workers}"));
-            let output = Command::new(COORDINATOR)
-                .arg("run")
-                .args(["--config".as_ref(), config.as_os_str()])
-                .args(["--workers", workers, "--threads", "1"])
-                .args(extra)
-                .args(["--capture".as_ref(), capture_dir.as_os_str()])
-                .args(["--worker-bin", WORKER])
-                .output()
-                .unwrap();
-            run_ok(&output, &format!("{name} at {workers} workers"));
-            std::fs::read_to_string(capture_dir.join(format!("{name}.jsonl"))).unwrap()
-        };
-        let one = capture("1", &[]);
-        let three = capture("3", &["--lease-size", "5"]);
+        let one = threads_1_capture(dir.path(), config, name, "1", &[]);
+        let three = threads_1_capture(dir.path(), config, name, "3", &["--lease-size", "5"]);
         assert!(
             one.lines().count() > 30,
             "{name}: stream too short to spread"
         );
-        let diverged = one.lines().zip(three.lines()).position(|(a, b)| a != b);
-        assert_eq!(
-            diverged, None,
-            "{name}: captures differ at line {diverged:?}"
-        );
-        assert_eq!(one.len(), three.len(), "{name}: capture lengths differ");
+        assert_same_capture(name, &one, &three);
     }
+}
+
+/// The coordinator takes a worker's frames in batches of up to 128, one
+/// per read. With 200-slot leases over two workers, each lease spans
+/// several batches, and the merger buffers whichever worker's batches
+/// run ahead; the capture must still be the one-worker bytes.
+#[test]
+fn leases_longer_than_a_batch_capture_the_one_worker_bytes() {
+    let dir = TempDir::new("batched");
+    let config = dir.path().join("multi.json");
+    let wide = MULTI_CONFIG
+        .replace(r#""read_steps": 3"#, r#""read_steps": 6"#)
+        .replace(r#""write_steps": 3"#, r#""write_steps": 6"#);
+    assert_ne!(wide, MULTI_CONFIG, "the traffic grid must widen");
+    std::fs::write(&config, wide).unwrap();
+    let name = "dist-multi";
+    let one = threads_1_capture(dir.path(), &config, name, "1", &[]);
+    let two = threads_1_capture(dir.path(), &config, name, "2", &["--lease-size", "200"]);
+    assert!(
+        one.lines().count() >= 300,
+        "stream of {} frames is too short to batch",
+        one.lines().count()
+    );
+    assert_same_capture(name, &one, &two);
 }
 
 /// A worker whose respawn budget is exhausted is abandoned: its leases

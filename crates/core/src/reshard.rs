@@ -262,7 +262,7 @@ impl Resharder {
         worker.last_frame_ms = now_ms;
     }
 
-    /// An event frame arrived from the worker.
+    /// One or more event frames arrived from the worker.
     pub fn frame_arrived(&mut self, name: &str, now_ms: u64) {
         if let Some(worker) = self.workers.get_mut(name) {
             worker.last_heard_ms = now_ms;
@@ -327,8 +327,8 @@ impl Resharder {
     /// Advances time: expires heartbeats (kill + orphan), fires due
     /// respawns, and gives each idle worker one range — an orphan, else a
     /// frontier lease, else a frame-silent owner's undelivered tail. Call
-    /// it after every merge-loop event and timeout; it scans only the live
-    /// leases.
+    /// it after every merge-loop event (a batch of frames is one) and
+    /// timeout; it scans only the live leases.
     pub fn tick(&mut self, now_ms: u64) -> Vec<Action> {
         let mut actions = Vec::new();
 

@@ -270,6 +270,15 @@ impl FrameReader {
         }
         Ok(false)
     }
+
+    /// Whether bytes already read from the peer wait in the buffer. When
+    /// `false`, the next [`next_line`](Self::next_line) reads from the
+    /// peer, and blocks if the peer has sent nothing more; when `true`,
+    /// the buffered bytes may still end in a partial line.
+    #[inline]
+    pub fn has_buffered(&self) -> bool {
+        !self.inner.buffer().is_empty()
+    }
 }
 
 /// The buffered write half of a [`Connection`]: [`send`](Self::send)
@@ -516,6 +525,25 @@ mod tests {
                 Err(e) => return (lines, Some(e)),
             }
         }
+    }
+
+    #[test]
+    fn has_buffered_says_whether_the_next_line_reads_from_the_peer() {
+        let mut reader = tiny(io::Cursor::new(b"ab\ncd\nef\n".to_vec()));
+        let mut line = String::new();
+        assert!(
+            !reader.has_buffered(),
+            "nothing is read before the first line"
+        );
+        // The first fill is `ab\ncd\ne`.
+        assert!(reader.next_line(&mut line).unwrap());
+        assert!(reader.has_buffered());
+        assert!(reader.next_line(&mut line).unwrap());
+        assert!(reader.has_buffered(), "a partial line counts as buffered");
+        // `e` joins the second fill, `f\n`, which the line uses up.
+        assert!(reader.next_line(&mut line).unwrap());
+        assert_eq!(line, "ef");
+        assert!(!reader.has_buffered());
     }
 
     #[test]
