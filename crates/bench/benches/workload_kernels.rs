@@ -23,7 +23,7 @@ fn bench_graph_kernels(c: &mut Criterion) {
     });
     group.finish();
     // The paper suite's two social graphs (seed 7), each built and
-    // searched once, as `experiments::shared::social_bfs` does.
+    // searched once, as `nvmexplorer_core::traffic_memo::bfs_counts` does.
     let mut group = c.benchmark_group("graph_build");
     group.sample_size(20);
     group.bench_function("facebook", |b| b.iter(|| facebook_like(7).bfs(0)));

@@ -2,12 +2,13 @@
 //! all artifacts, then a final `total deviating findings: N` line.
 //!
 //! The experiments run one after another in this one process, so the
-//! inputs they share are computed once (`nvmx_bench::experiments::shared`)
-//! while each experiment spreads its own independent kernels over the
-//! cores. Before the first experiment, `shared::warm_inputs` builds the
-//! three shared inputs (the social graphs' BFS counts, the fault studies'
-//! classifier and the SPEC LLC suite, one job per profile) side by side
-//! on the lanes, so no experiment waits on a serial build of an input.
+//! inputs they share are computed once (the simulations in core's traffic
+//! memo, the fault classifier in `accuracy`) while each experiment spreads
+//! its own independent kernels over the cores. Before the first
+//! experiment, `shared::warm_inputs` builds the three shared inputs (the
+//! social graphs' BFS counts, the fault studies' classifier and the SPEC
+//! LLC suite, one job per profile) side by side on the lanes, so no
+//! experiment waits on a serial build of an input.
 //! The output is byte-identical to running each `fig*`/`table*` binary on
 //! its own.
 //!

@@ -2,7 +2,7 @@
 //! endurance) vs standard FeFET tentpoles and SRAM on 8 MB arrays under
 //! graph + SPEC-class traffic.
 
-use crate::experiments::shared::{only_cells, read_edp, read_edp_study, social_bfs, study};
+use crate::experiments::shared::{graph_bfs, only_cells, read_edp, read_edp_study, study};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::eval::Evaluation;
 use nvmx_celldb::custom::{back_gated_fefet, sram_16nm};
@@ -20,7 +20,7 @@ pub fn run() -> Experiment {
     ]);
 
     let mut patterns = log_sweep(0.05e9, 10.0e9, 6, 1.0e6, 400.0e6, 5, 8);
-    patterns.extend(social_bfs().iter().map(|bfs| bfs.traffic("BFS8MB", 2.5e8)));
+    patterns.extend(graph_bfs().map(|bfs| bfs.traffic("BFS8MB", 2.5e8)));
     let config = read_edp_study("fig11", cells, &[8], 64, patterns.clone());
     let result = study(&config);
     let cells = config.cells.resolve();

@@ -2,7 +2,7 @@
 //! traffic broadens the set of viable eNVMs for write-heavy workloads.
 
 use crate::experiments::shared::{
-    only_cells, read_edp, read_edp_study, social_bfs, spec_suites, study,
+    graph_bfs, only_cells, read_edp, read_edp_study, spec_suite, study,
 };
 use crate::{Experiment, Finding};
 use nvmexplorer_core::config::CellSelection;
@@ -26,13 +26,13 @@ pub fn run() -> Experiment {
     // Facebook-Graph-BFS on the 8 MB scratchpad (5e7 edges/s keeps the
     // read stream within reach of slow-write arrays so the write buffer is
     // the deciding factor, as in the paper).
-    let bfs_traffic = social_bfs()[0].traffic("BFS", 5.0e7);
+    let bfs_traffic = graph_bfs()[0].traffic("BFS", 5.0e7);
 
     // A representative (median-write) SPEC benchmark against the 16 MB LLC;
     // the paper's SPEC claim is about FeFET becoming a lower-power
     // *alternative* across the suite, not about its worst case.
     let spec_traffic = {
-        let mut sorted = spec_suites().fig14.clone();
+        let mut sorted = spec_suite(250_000);
         sorted.sort_by(|a, b| {
             a.traffic
                 .write_bytes_per_sec

@@ -2,7 +2,7 @@
 //! rate, aggregate latency vs write rate, and projected lifetime, over
 //! generic traffic plus BFS points from the synthetic social graphs.
 
-use crate::experiments::shared::{read_edp, read_edp_study, social_bfs, study};
+use crate::experiments::shared::{graph_bfs, read_edp, read_edp_study, study};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::config::CellSelection;
 use nvmexplorer_core::eval::Evaluation;
@@ -19,11 +19,7 @@ fn traffic_set() -> Vec<TrafficPattern> {
     // leakage-dominated regime (where FeFET wins) is visible, matching the
     // Fig. 8 x-axis extent.
     let mut patterns = log_sweep(0.05e9, 10.0e9, 6, 1.0e6, 100.0e6, 5, 8);
-    patterns.extend(
-        social_bfs()
-            .iter()
-            .map(|bfs| bfs.traffic("BFS", EDGES_PER_SEC)),
-    );
+    patterns.extend(graph_bfs().map(|bfs| bfs.traffic("BFS", EDGES_PER_SEC)));
     patterns
 }
 

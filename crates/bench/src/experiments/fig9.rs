@@ -1,7 +1,7 @@
 //! Fig. 9 — non-volatile 16 MB LLC under SPEC CPU2017-class traffic:
 //! per-benchmark power, aggregate latency, and lifetime.
 
-use crate::experiments::shared::{read_edp, read_edp_study, spec_suites, study};
+use crate::experiments::shared::{read_edp, read_edp_study, spec_suite, study};
 use crate::{Experiment, Finding};
 use nvmexplorer_core::config::CellSelection;
 use nvmexplorer_core::eval::Evaluation;
@@ -9,7 +9,7 @@ use nvmx_viz::{csv::num, Csv, ScatterPlot};
 
 /// Regenerates the SPEC LLC study.
 pub fn run() -> Experiment {
-    let suite = &spec_suites().fig9;
+    let suite = spec_suite(400_000);
     let patterns = suite.iter().map(|bench| bench.traffic.clone()).collect();
     // 16 MB, 64 B cache lines.
     let config = read_edp_study("fig9", CellSelection::default(), &[16], 512, patterns);

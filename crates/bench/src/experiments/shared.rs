@@ -1,12 +1,15 @@
-//! Inputs several experiments share, computed once per process, and the
-//! one front door through which every experiment but Fig. 4 gets its
-//! arrays and evaluations: [`study`].
+//! The one front door through which every experiment but Fig. 4 gets its
+//! arrays and evaluations, [`study`], and the paper's simulated traffic.
 //!
-//! Each workload memo keeps only small derived values (traffic rates,
-//! access counts), never the caches or graphs that produced them, and
-//! each value is exactly what an experiment would compute on its own. The
+//! The SPEC LLC suite ([`spec_suite`]) and the social graphs' BFS counts
+//! ([`graph_bfs`]) come from core's process-wide [`traffic_memo`], the
+//! one place a simulation is memoized; `run`, `nvmx-serve` and the
+//! coordinator resolve `spec_llc` and `graph_bfs` traffic through the
+//! same entries. The memo keeps only small derived values (traffic rates,
+//! miss rates, access counts), never the caches or graphs that produced
+//! them, and each value is exactly what a fresh simulation gives. The
 //! subarray cache behind [`study`] is the engine's own, which never
-//! changes a result. So every artifact is byte-identical whichever
+//! changes a result either. So every artifact is byte-identical whichever
 //! experiment asks first, and a standalone `fig*` binary matches `all`.
 
 use nvmexplorer_core::accuracy;
@@ -17,13 +20,12 @@ use nvmexplorer_core::eval::Evaluation;
 use nvmexplorer_core::scheduler::run_on_lanes;
 use nvmexplorer_core::stream::{NullSink, StudyExecutor};
 use nvmexplorer_core::sweep::StudyResult;
+use nvmexplorer_core::traffic_memo;
 use nvmx_celldb::CellDefinition;
 use nvmx_nvsim::{ArrayCharacterization, OptimizationTarget, SubarrayCache};
 use nvmx_units::{BitsPerCell, Capacity};
-use nvmx_workloads::cache::{
-    run_profile_checkpoints, spec2017_profiles, BenchProfile, LlcConfig, LlcTraffic,
-};
-use nvmx_workloads::graph::{facebook_like, wikipedia_like, Graph, KernelCounts};
+use nvmx_workloads::cache::{spec2017_profiles, BenchProfile, LlcTraffic};
+use nvmx_workloads::graph::KernelCounts;
 use nvmx_workloads::TrafficPattern;
 use std::sync::OnceLock;
 
@@ -61,8 +63,8 @@ pub fn study(config: &StudyConfig) -> StudyResult {
 
 /// A ReadEDP-optimized SLC study of `cells` at each of `capacities_mib` and
 /// `word_bits` under explicit `patterns`: every study an experiment builds
-/// in code. Callers fill the patterns from the memos here, so the engine
-/// never simulates a workload a second time.
+/// in code. Callers fill the patterns from [`spec_suite`] and
+/// [`graph_bfs`], so no workload is simulated a second time.
 pub fn read_edp_study(
     name: &str,
     cells: CellSelection,
@@ -131,101 +133,61 @@ pub fn read_edp<'r>(
     )
 }
 
-/// The SPEC CPU2017-class suite on the default 16 MiB LLC, at the run
-/// lengths of Figs. 14 and 9.
-#[derive(Debug)]
-pub struct SpecSuites {
-    /// 250k lookups per benchmark.
-    pub fig14: Vec<LlcTraffic>,
-    /// 400k lookups per benchmark.
-    pub fig9: Vec<LlcTraffic>,
-}
-
-static SPEC_SUITES: OnceLock<SpecSuites> = OnceLock::new();
-
-/// One profile's run, snapshotted at each of [`SPEC_LOOKUPS`].
-fn spec_run(profile: &BenchProfile) -> Vec<LlcTraffic> {
-    run_profile_checkpoints(LlcConfig::default(), profile, &SPEC_LOOKUPS, SPEC_SEED)
-}
-
-/// [`SpecSuites`] from the [`spec_run`]s of [`spec2017_profiles`], in
-/// profile order.
-fn spec_suites_from(runs: impl IntoIterator<Item = Vec<LlcTraffic>>) -> SpecSuites {
-    let (fig14, fig9) = runs
-        .into_iter()
-        .map(|snapshots| {
-            let [fig14, fig9]: [LlcTraffic; 2] =
-                snapshots.try_into().expect("one snapshot per length");
-            (fig14, fig9)
-        })
-        .unzip();
-    SpecSuites { fig14, fig9 }
-}
-
-/// The memoized [`SpecSuites`]. Each profile runs once, is snapshotted at
-/// both lengths (the shorter run is a prefix of the longer one), and the
-/// profiles are spread over [`lanes`].
-pub fn spec_suites() -> &'static SpecSuites {
-    SPEC_SUITES.get_or_init(|| {
-        spec_suites_from(run_on_lanes(&spec2017_profiles(), lanes(), |_, profile| {
-            spec_run(profile)
-        }))
+/// The SPEC CPU2017-class suite on the default 16 MiB LLC after `lookups`
+/// per benchmark (250k for Fig. 14, 400k for Fig. 9), in profile order,
+/// from core's [`traffic_memo`]. Every call asks for both lengths, so the
+/// first one runs each profile once for both and the next one hits.
+pub fn spec_suite(lookups: u64) -> Vec<LlcTraffic> {
+    let at = (SPEC_LOOKUPS.iter().position(|&length| length == lookups))
+        .unwrap_or_else(|| panic!("no SPEC run length of {lookups} lookups"));
+    run_on_lanes(&spec2017_profiles(), lanes(), |_, profile| {
+        traffic_memo::llc_profile(profile, &SPEC_LOOKUPS, SPEC_SEED).swap_remove(at)
     })
 }
 
 /// BFS from node 0 on the Facebook- and Wikipedia-like graphs, in that
-/// order. The graphs are built one at a time and each is dropped once its
-/// BFS is counted, so the two are never in memory together. The larger
-/// one sets the suite's peak memory: while its CSR is filled, the
-/// Wikipedia-like graph holds its attachment pool (7.7 MB, which doubles
-/// as the edge list) and the CSR's edge array (15.4 MB).
-pub fn social_bfs() -> &'static [KernelCounts; 2] {
-    static MEMO: OnceLock<[KernelCounts; 2]> = OnceLock::new();
-    MEMO.get_or_init(|| {
-        let bfs = |graph: Graph| {
-            let (_, counter) = graph.bfs(0);
-            KernelCounts::new(&graph, counter)
-        };
-        [
-            bfs(facebook_like(GRAPH_SEED)),
-            bfs(wikipedia_like(GRAPH_SEED)),
-        ]
-    })
+/// order, from core's [`traffic_memo`]. The graphs are built one after the
+/// other, so the two are never in memory together. The larger one sets the
+/// suite's peak memory: while its CSR is filled, the Wikipedia-like graph
+/// holds its attachment pool (7.7 MB, which doubles as the edge list) and
+/// the CSR's edge array (15.4 MB).
+pub fn graph_bfs() -> [KernelCounts; 2] {
+    ["facebook", "wikipedia"]
+        .map(|graph| traffic_memo::bfs_counts(graph, GRAPH_SEED).expect("a paper graph"))
 }
 
 /// One of the independent inputs [`warm_inputs`] builds.
 enum Input {
     /// The fault studies' shared classifier (trained once per process).
     Classifier,
-    /// [`social_bfs`]: both graphs, one after the other.
+    /// [`graph_bfs`]: both graphs, one after the other.
     Graphs,
-    /// One SPEC profile's [`spec_run`].
+    /// One SPEC profile at both of [`SPEC_LOOKUPS`].
     Llc(BenchProfile),
 }
 
-/// Fills every shared-input memo at once: [`social_bfs`], the fault
-/// studies' classifier and each profile of [`spec_suites`] run as
-/// independent jobs over [`lanes`], longest first, so the inputs build
-/// side by side instead of one after another as the experiments first ask
-/// for them. The SPEC runs fill [`spec_suites`] in profile order; every
-/// memo holds exactly what its lazy path would compute. `all` calls this
-/// before the first experiment; a standalone `fig*` binary fills only the
-/// memos it reads, when it reads them.
+/// Fills core's [`traffic_memo`] with every simulation the experiments
+/// read, and trains the fault studies' classifier: the classifier, both
+/// graphs' BFS and each SPEC profile run as independent jobs over
+/// [`lanes`], longest first, so the inputs build side by side instead of
+/// one after another as the experiments first ask for them. Every entry
+/// holds exactly what its lazy path would compute. `all` calls this before
+/// the first experiment; a standalone `fig*` binary simulates only what it
+/// reads, when it reads it.
 pub fn warm_inputs() {
     let jobs: Vec<Input> = [Input::Classifier, Input::Graphs]
         .into_iter()
         .chain(spec2017_profiles().into_iter().map(Input::Llc))
         .collect();
-    let runs = run_on_lanes(&jobs, lanes(), |_, job| match job {
+    run_on_lanes(&jobs, lanes(), |_, job| match job {
         Input::Classifier => {
             accuracy::baseline_accuracy();
-            None
         }
         Input::Graphs => {
-            social_bfs();
-            None
+            graph_bfs();
         }
-        Input::Llc(profile) => Some(spec_run(profile)),
+        Input::Llc(profile) => {
+            traffic_memo::llc_profile(profile, &SPEC_LOOKUPS, SPEC_SEED);
+        }
     });
-    SPEC_SUITES.get_or_init(|| spec_suites_from(runs.into_iter().flatten()));
 }

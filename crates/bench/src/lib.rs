@@ -7,12 +7,12 @@
 //! wrappers; integration tests and criterion benches call the same
 //! functions.
 //!
-//! Inputs several experiments share (the SPEC LLC suite, the social
-//! graphs' BFS counts) are memoized once per process in
-//! [`experiments::shared`], and independent kernels inside an experiment
-//! run across threads. Neither changes a byte: every report and artifact
-//! is identical whether an experiment runs alone, after the others, or
-//! on any number of cores.
+//! The simulations several experiments share (the SPEC LLC suite, the
+//! social graphs' BFS counts) run once per process in core's traffic memo,
+//! read through [`experiments::shared`], and independent kernels inside an
+//! experiment run across threads. Neither changes a byte: every report and
+//! artifact is identical whether an experiment runs alone, after the
+//! others, or on any number of cores.
 
 pub mod campaign;
 pub mod cli;

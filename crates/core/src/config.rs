@@ -8,11 +8,10 @@
 //! targets), the application traffic, and the constraints used to filter
 //! results.
 
-use crate::scheduler::run_on_lanes;
 use nvmx_celldb::{custom, tentpole, CellDefinition, TechnologyClass};
 use nvmx_nvsim::OptimizationTarget;
 use nvmx_units::{BitsPerCell, Capacity, Meters};
-use nvmx_workloads::cache::{run_profile, spec2017_profiles, LlcConfig};
+use nvmx_workloads::cache::spec2017_llc_traffic;
 use nvmx_workloads::dnn::{self, DnnUseCase, StoragePolicy};
 use nvmx_workloads::graph;
 use nvmx_workloads::traffic::{log_sweep, TrafficPattern};
@@ -421,7 +420,8 @@ impl CellSelection {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct ArraySettings {
-    /// Capacities in MiB.
+    /// Capacities in MiB, each 1 to [`MAX_CAPACITY_MIB`] (checked when a
+    /// config is parsed).
     pub capacities_mib: Vec<u64>,
     /// Access width in bits.
     pub word_bits: u64,
@@ -432,6 +432,13 @@ pub struct ArraySettings {
     /// Optimization targets to sweep.
     pub targets: Vec<OptimizationTarget>,
 }
+
+/// The largest capacity a study may sweep, in MiB (1 TiB), checked when a
+/// config is parsed. A capacity is counted in bits in a `u64`, so 2^41 MiB
+/// or more overflows: a release build would silently sweep a different
+/// array. 1 TiB is 4096 times the largest array any shipped config sweeps
+/// (256 MiB) and still 2^21 times below that overflow.
+pub const MAX_CAPACITY_MIB: u64 = 1048576;
 
 impl Default for ArraySettings {
     fn default() -> Self {
@@ -456,10 +463,18 @@ impl ArraySettings {
         }
     }
 
-    /// Rejects a value listed twice in `capacities_mib`, `bits_per_cell`
-    /// or `targets`: the sweep would run the repeat again and write every
-    /// one of its rows twice.
+    /// Rejects a capacity of 0 or above [`MAX_CAPACITY_MIB`], and a value
+    /// listed twice in `capacities_mib`, `bits_per_cell` or `targets`: the
+    /// sweep would run the repeat again and write every one of its rows
+    /// twice.
     fn validate(&self) -> Result<(), serde_json::Error> {
+        if let Some(mib) =
+            (self.capacities_mib.iter()).find(|mib| !(1..=MAX_CAPACITY_MIB).contains(*mib))
+        {
+            return Err(serde_json::Error::new(format!(
+                "`capacities_mib` lists {mib}, outside 1 to {MAX_CAPACITY_MIB} MiB"
+            )));
+        }
         reject_repeats("capacities_mib", &self.capacities_mib)?;
         reject_repeats("bits_per_cell", &self.bits_per_cell)?;
         reject_repeats("targets", &self.targets)
@@ -576,6 +591,25 @@ pub fn model_by_name(name: &str) -> Result<dnn::DnnModel, UnknownNameError> {
     }
 }
 
+/// The uncached simulation behind `graph_bfs` traffic: BFS from node 0 on
+/// the synthetic social graph `name` (`"facebook"` or `"wikipedia"`, any
+/// case) generated from `seed`. Only the counts are kept; the graph is
+/// dropped once searched.
+pub(crate) fn search_graph(name: &str, seed: u64) -> Result<graph::KernelCounts, UnknownNameError> {
+    let graph = match name.to_ascii_lowercase().as_str() {
+        "facebook" => graph::facebook_like(seed),
+        "wikipedia" => graph::wikipedia_like(seed),
+        other => {
+            return Err(UnknownNameError {
+                kind: "graph",
+                name: other.to_owned(),
+            })
+        }
+    };
+    let (_, counter) = graph.bfs(0);
+    Ok(graph::KernelCounts::new(&graph, counter))
+}
+
 /// The most patterns a `generic_sweep` may ask for: a cap on
 /// `read_steps × write_steps` and on each axis alone, checked when a config
 /// is parsed, before anything is allocated.
@@ -621,25 +655,14 @@ impl TrafficSpec {
     /// Resolves the specification into concrete traffic patterns.
     ///
     /// This is the uncached oracle: it simulates a `spec_llc` suite or a
-    /// `graph_bfs` search on every call. The engine resolves through the
-    /// process-wide [`traffic_memo`](crate::traffic_memo) instead, which is
-    /// tested bit-identical to this.
+    /// `graph_bfs` search on every call, on one thread. The engine resolves
+    /// through the process-wide [`traffic_memo`](crate::traffic_memo)
+    /// instead, which is tested bit-identical to this.
     ///
     /// # Errors
     ///
     /// Returns [`UnknownNameError`] for unrecognized model/graph names.
     pub fn resolve(&self) -> Result<Vec<TrafficPattern>, UnknownNameError> {
-        self.resolve_on_lanes(1)
-    }
-
-    /// [`resolve`](Self::resolve) with a `spec_llc` suite's profiles
-    /// simulated across up to `lanes` threads. Each profile is an
-    /// independent, seeded simulation, so the patterns are the same at
-    /// every lane count.
-    pub(crate) fn resolve_on_lanes(
-        &self,
-        lanes: usize,
-    ) -> Result<Vec<TrafficPattern>, UnknownNameError> {
         match self {
             Self::Explicit { patterns } => Ok(patterns.clone()),
             Self::GenericSweep {
@@ -678,34 +701,17 @@ impl TrafficSpec {
                 };
                 Ok(vec![use_case.continuous_traffic(*fps)])
             }
-            Self::SpecLlc { lookups, seed } => {
-                Ok(run_on_lanes(&spec2017_profiles(), lanes, |_, profile| {
-                    run_profile(LlcConfig::default(), profile, *lookups, *seed).traffic
-                }))
-            }
+            Self::SpecLlc { lookups, seed } => Ok(spec2017_llc_traffic(*lookups, *seed)
+                .into_iter()
+                .map(|run| run.traffic)
+                .collect()),
             Self::GraphBfs {
-                graph: graph_name,
+                graph,
                 edges_per_sec,
                 seed,
-            } => {
-                let g = match graph_name.to_ascii_lowercase().as_str() {
-                    "facebook" => graph::facebook_like(*seed),
-                    "wikipedia" => graph::wikipedia_like(*seed),
-                    other => {
-                        return Err(UnknownNameError {
-                            kind: "graph",
-                            name: other.to_owned(),
-                        })
-                    }
-                };
-                let (_, counter) = g.bfs(0);
-                Ok(vec![graph::accelerator_traffic(
-                    &g,
-                    "BFS",
-                    counter,
-                    *edges_per_sec,
-                )])
-            }
+            } => Ok(vec![
+                search_graph(graph, *seed)?.traffic("BFS", *edges_per_sec)
+            ]),
         }
     }
 }
@@ -934,6 +940,25 @@ mod tests {
         assert_eq!(config.traffic.resolve().unwrap().len(), MAX_SWEEP_PATTERNS);
     }
 
+    /// A capacity of 0, or one above the cap (up to where the bit count
+    /// overflows and beyond), fails at the array section when parsed.
+    #[test]
+    fn out_of_range_capacities_are_rejected_at_the_array_section() {
+        for mib in [0, MAX_CAPACITY_MIB + 1, (1 << 41) + 1, u64::MAX] {
+            assert_array_rejected(
+                &format!(r#"{{"capacities_mib": [2, {mib}]}}"#),
+                &format!("`capacities_mib` lists {mib}, outside 1 to {MAX_CAPACITY_MIB} MiB"),
+            );
+        }
+        let at_cap = format!(
+            r#"{{"name": "s", "array": {{"capacities_mib": [{MAX_CAPACITY_MIB}]}},
+                "traffic": {{"kind": "spec_llc", "lookups": 10, "seed": 1}}}}"#
+        );
+        let config = StudyConfig::from_json(&at_cap).unwrap();
+        assert_eq!(config.array.capacities()[0].bytes(), 1 << 40);
+        assert!(CampaignConfig::from_json(&at_cap).is_ok());
+    }
+
     /// Asserts that a study whose `array` section is `array` fails at that
     /// section with an error containing `message`, through both loaders.
     fn assert_array_rejected(array: &str, message: &str) {
@@ -1152,12 +1177,11 @@ mod tests {
         assert_eq!(sweep.resolve().unwrap().len(), 9);
     }
 
+    /// The engine resolves `spec_llc` through the memo, simulating a miss
+    /// across lanes; each lane count gets its own seed, so each one
+    /// simulates rather than hitting another's entry.
     #[test]
     fn spec_llc_resolves_the_same_on_every_lane_count() {
-        let spec = TrafficSpec::SpecLlc {
-            lookups: 20_000,
-            seed: 29,
-        };
         let bits = |patterns: Vec<TrafficPattern>| -> Vec<(String, u64, u64, u64)> {
             patterns
                 .into_iter()
@@ -1171,17 +1195,21 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = bits(
-            nvmx_workloads::cache::spec2017_llc_traffic(20_000, 29)
-                .into_iter()
-                .map(|t| t.traffic)
-                .collect(),
-        );
-        assert_eq!(serial.len(), spec2017_profiles().len());
-        assert_eq!(bits(spec.resolve().unwrap()), serial);
-        for lanes in [1, 2, 16] {
+        for (lanes, seed) in [(1, 29), (2, 30), (16, 31)] {
+            let spec = TrafficSpec::SpecLlc {
+                lookups: 20_000,
+                seed,
+            };
+            let serial = bits(
+                spec2017_llc_traffic(20_000, seed)
+                    .into_iter()
+                    .map(|t| t.traffic)
+                    .collect(),
+            );
+            assert_eq!(serial.len(), 14);
+            assert_eq!(bits(spec.resolve().unwrap()), serial);
             assert_eq!(
-                bits(spec.resolve_on_lanes(lanes).unwrap()),
+                bits(crate::traffic_memo::resolve(&spec, lanes).unwrap()),
                 serial,
                 "{lanes} lanes"
             );

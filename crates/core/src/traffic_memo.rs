@@ -1,104 +1,110 @@
-//! The process-wide resolved-traffic memo.
+//! The process-wide traffic memo: the LLC and BFS simulations behind
+//! simulated traffic, run once per process.
 //!
 //! NVMExplorer fixes an application's traffic and sweeps array settings
-//! against it (paper Sec. II-A). Two [`TrafficSpec`] variants simulate to
-//! get their patterns: `spec_llc` runs the 14-profile LLC suite, and
-//! `graph_bfs` builds a social graph and searches it. [`resolve`] keeps
-//! their patterns for the life of the process, so a warm
-//! [`CampaignService`](crate::service::CampaignService) simulates each
-//! such spec once, not once per session. Every engine entry point resolves
-//! through it: [`run_study`](crate::sweep::run_study),
-//! [`StudyExecutor`](crate::stream::StudyExecutor), service sessions and
-//! fault campaigns. `explicit`, `generic_sweep` and `dnn_continuous`
-//! resolve directly, with no lookup and no copy.
+//! against it (paper Sec. II-A). A `spec_llc` spec runs the 14-profile LLC
+//! suite and a `graph_bfs` spec builds a social graph and searches it; this
+//! memo keeps each profile's [`LlcTraffic`] and each graph's
+//! [`KernelCounts`]. Every engine entry point (studies, service sessions,
+//! fault campaigns) resolves traffic through [`resolve`], which builds
+//! patterns from those entries, so a warm
+//! [`CampaignService`](crate::service::CampaignService) simulates each once.
+//! Code that needs miss rates or counts reads the same entries through
+//! [`llc_profile`] and [`bfs_counts`]. Other traffic resolves directly.
 //!
-//! - **Key.** For `spec_llc`, `(lookups, seed)`. For `graph_bfs`, the
-//!   lower-cased graph name (names resolve case-insensitively), the seed
-//!   and the bits of `edges_per_sec`. Only the traffic section is in the
-//!   key, so a session that changes cells, capacities, targets or
-//!   constraints still hits. The lane count is not in it either: each LLC
-//!   profile is an independent seeded simulation, so the patterns are the
-//!   same at every lane count (`config`'s lane-invariance test), and one
-//!   entry serves them all.
-//! - **Bound.** [`MAX_ENTRIES`] entries; the oldest is evicted first. An
-//!   entry holds its patterns: about 1 KB for a `spec_llc` suite (14
-//!   patterns), about 100 B for a `graph_bfs` pattern.
-//! - **Locking.** The lock is held only to look up, insert and count,
-//!   never while simulating. Two sessions that miss the same key at once
-//!   both simulate; the first insert wins and the other's copy is dropped.
-//!   Both are bit-identical, so which one wins never shows.
+//! - **Key.** An LLC entry is one profile's run, `(profile name, lookups,
+//!   seed)`; a BFS entry is `(lower-cased graph name, seed)`. The edge rate
+//!   is not in it, since [`KernelCounts::traffic`] derives the pattern at
+//!   any rate, and neither is the lane count.
+//! - **Checkpoints.** A request for several lengths of one profile that
+//!   misses any of them runs one [`run_profile_checkpoints`], which fills
+//!   every length.
+//! - **Bound.** [`MAX_ENTRIES`], the oldest evicted first.
+//! - **Locking.** The lock is never held while simulating. Two sessions
+//!   that miss the same key at once both simulate and the first insert
+//!   wins; both are bit-identical, so which one wins never shows.
 //! - **Errors** (an unknown graph name) count as misses and are never
 //!   cached.
 //!
 //! [`TrafficSpec::resolve`] stays uncached: it is the oracle this memo is
-//! tested against, and what benchmarks time the simulators through.
-//! [`stats`] reads the counters; they stay off the wire, so recording them
-//! never changes a result byte.
+//! tested against. [`stats`] reads the counters, which stay off the wire.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use nvmx_workloads::cache::{
+    run_profile_checkpoints, spec2017_profiles, BenchProfile, LlcConfig, LlcTraffic,
+};
+use nvmx_workloads::graph::KernelCounts;
 use nvmx_workloads::traffic::TrafficPattern;
 
-use crate::config::{TrafficSpec, UnknownNameError};
+use crate::config::{search_graph, TrafficSpec, UnknownNameError};
+use crate::scheduler::run_on_lanes;
 
-/// How many resolved specs the memo holds before it evicts the oldest.
-pub const MAX_ENTRIES: usize = 64;
+/// How many simulation outcomes (one LLC profile at one length, or one
+/// graph's BFS) the memo holds before it evicts the oldest: 73 full
+/// `spec_llc` suites, about 250 KB (an entry, names included, is about
+/// 250 B).
+pub const MAX_ENTRIES: usize = 1024;
 
 /// The memo's counters since the process started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Resolves served from the memo.
+    /// Entry lookups served from the memo.
     pub hits: u64,
-    /// Resolves of a memoized variant that simulated (failures included).
+    /// Entry lookups that found nothing and simulated (failures included).
     pub misses: u64,
-    /// Specs held now, at most [`MAX_ENTRIES`].
+    /// Entries held now, at most [`MAX_ENTRIES`].
     pub entries: usize,
 }
 
-/// What identifies a simulated spec's patterns.
+/// What identifies a simulation's outcome.
 #[derive(PartialEq, Eq)]
 enum Key {
-    SpecLlc {
+    Llc {
+        profile: String,
         lookups: u64,
         seed: u64,
     },
-    GraphBfs {
+    Bfs {
         graph: String,
         seed: u64,
-        edges_per_sec: u64,
     },
 }
 
-impl Key {
-    /// The key of a spec that simulates, `None` for one that does not.
-    fn of(spec: &TrafficSpec) -> Option<Self> {
-        match spec {
-            TrafficSpec::SpecLlc { lookups, seed } => Some(Self::SpecLlc {
-                lookups: *lookups,
-                seed: *seed,
-            }),
-            TrafficSpec::GraphBfs {
-                graph,
-                edges_per_sec,
-                seed,
-            } => Some(Self::GraphBfs {
-                graph: graph.to_ascii_lowercase(),
-                seed: *seed,
-                edges_per_sec: edges_per_sec.to_bits(),
-            }),
-            TrafficSpec::Explicit { .. }
-            | TrafficSpec::GenericSweep { .. }
-            | TrafficSpec::DnnContinuous { .. } => None,
-        }
-    }
+/// A simulation's outcome.
+enum Value {
+    Llc(LlcTraffic),
+    Bfs(KernelCounts),
 }
 
 struct Memo {
     /// Oldest first.
-    entries: VecDeque<(Key, Vec<TrafficPattern>)>,
+    entries: VecDeque<(Key, Value)>,
     hits: u64,
     misses: u64,
+}
+
+impl Memo {
+    /// The value held under `key`, counted as a hit or a miss.
+    fn get(&mut self, key: &Key) -> Option<&Value> {
+        let at = self.entries.iter().position(|(k, _)| k == key);
+        self.hits += u64::from(at.is_some());
+        self.misses += u64::from(at.is_none());
+        at.map(|at| &self.entries[at].1)
+    }
+
+    /// Holds `value` under `key` unless an entry already does, evicting the
+    /// oldest entry at the bound.
+    fn insert(&mut self, key: Key, value: Value) {
+        if self.entries.iter().any(|(k, _)| *k == key) {
+            return;
+        }
+        if self.entries.len() == MAX_ENTRIES {
+            self.entries.pop_front();
+        }
+        self.entries.push_back((key, value));
+    }
 }
 
 static MEMO: Mutex<Memo> = Mutex::new(Memo {
@@ -113,37 +119,87 @@ fn memo() -> MutexGuard<'static, Memo> {
     MEMO.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Resolves `spec` as [`TrafficSpec::resolve`] does, simulating across up
-/// to `lanes` threads, and serves a `spec_llc` or `graph_bfs` spec the
-/// process already resolved from the memo.
+/// `profile`'s run through the default 16 MiB LLC, snapshotted after each
+/// of `lengths` lookups, exactly as [`run_profile_checkpoints`] gives it.
+/// Each length is one entry; a miss on any of them runs the profile once
+/// and fills every length.
+///
+/// # Panics
+///
+/// Panics when a length misses and `lengths` is not in ascending order.
+pub fn llc_profile(profile: &BenchProfile, lengths: &[u64], seed: u64) -> Vec<LlcTraffic> {
+    let key = |lookups| Key::Llc {
+        profile: profile.name.clone(),
+        lookups,
+        seed,
+    };
+    let held: Vec<Option<LlcTraffic>> = {
+        let mut memo = memo();
+        (lengths.iter())
+            .map(|&lookups| match memo.get(&key(lookups)) {
+                Some(Value::Llc(run)) => Some(run.clone()),
+                _ => None,
+            })
+            .collect()
+    };
+    if let Some(held) = held.into_iter().collect() {
+        return held;
+    }
+    let runs = run_profile_checkpoints(LlcConfig::default(), profile, lengths, seed);
+    let mut memo = memo();
+    for (&lookups, run) in lengths.iter().zip(&runs) {
+        memo.insert(key(lookups), Value::Llc(run.clone()));
+    }
+    runs
+}
+
+/// The access counts of a BFS from node 0 on the synthetic social graph
+/// `graph` (`"facebook"` or `"wikipedia"`, any case) generated from `seed`.
+///
+/// # Errors
+///
+/// Returns [`UnknownNameError`] for an unrecognized graph name.
+pub fn bfs_counts(graph: &str, seed: u64) -> Result<KernelCounts, UnknownNameError> {
+    let key = Key::Bfs {
+        graph: graph.to_ascii_lowercase(),
+        seed,
+    };
+    if let Some(Value::Bfs(counts)) = memo().get(&key) {
+        return Ok(counts.clone());
+    }
+    let counts = search_graph(graph, seed)?;
+    memo().insert(key, Value::Bfs(counts.clone()));
+    Ok(counts)
+}
+
+/// Resolves `spec` as [`TrafficSpec::resolve`] does, building a `spec_llc`
+/// or `graph_bfs` spec's patterns from the memo's entries. The profiles of
+/// a `spec_llc` suite are looked up, and simulated on a miss, across up to
+/// `lanes` threads.
 ///
 /// # Errors
 ///
 /// Returns [`UnknownNameError`] for unrecognized model/graph names.
 pub fn resolve(spec: &TrafficSpec, lanes: usize) -> Result<Vec<TrafficPattern>, UnknownNameError> {
-    let Some(key) = Key::of(spec) else {
-        return spec.resolve_on_lanes(lanes);
-    };
-    {
-        let mut memo = memo();
-        let hit = (memo.entries.iter())
-            .find(|(k, _)| *k == key)
-            .map(|(_, patterns)| patterns.clone());
-        if let Some(patterns) = hit {
-            memo.hits += 1;
-            return Ok(patterns);
+    match spec {
+        TrafficSpec::SpecLlc { lookups, seed } => {
+            Ok(run_on_lanes(&spec2017_profiles(), lanes, |_, profile| {
+                llc_profile(profile, &[*lookups], *seed)
+                    .swap_remove(0)
+                    .traffic
+            }))
         }
-        memo.misses += 1;
+        TrafficSpec::GraphBfs {
+            graph,
+            edges_per_sec,
+            seed,
+        } => Ok(vec![
+            bfs_counts(graph, *seed)?.traffic("BFS", *edges_per_sec)
+        ]),
+        TrafficSpec::Explicit { .. }
+        | TrafficSpec::GenericSweep { .. }
+        | TrafficSpec::DnnContinuous { .. } => spec.resolve(),
     }
-    let patterns = spec.resolve_on_lanes(lanes)?;
-    let mut memo = memo();
-    if !memo.entries.iter().any(|(k, _)| *k == key) {
-        if memo.entries.len() == MAX_ENTRIES {
-            memo.entries.pop_front();
-        }
-        memo.entries.push_back((key, patterns.clone()));
-    }
-    Ok(patterns)
 }
 
 /// The memo's hit and miss counts and its current size.

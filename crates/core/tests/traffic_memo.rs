@@ -1,12 +1,14 @@
-//! The process-wide resolved-traffic memo (`core::traffic_memo`).
+//! The process-wide traffic memo (`core::traffic_memo`).
 //!
 //! A memoized resolve must be bit-identical to the uncached oracle,
-//! `TrafficSpec::resolve`, at any lane count; failures must not be cached;
-//! the bound must evict; and a warm `CampaignService` must simulate a
-//! repeated `spec_llc` spec once, still streaming what a cold local run
-//! streams. This suite is its own test binary because the memo and its
-//! counters are process-wide: every test here holds `SERIAL` and reads
-//! counter deltas.
+//! `TrafficSpec::resolve`, at any lane count; one BFS must serve a graph at
+//! every edge rate; one checkpointed LLC request must fill every length it
+//! asks for; failures must not be cached; the bound must evict; and a warm
+//! `CampaignService` must simulate a repeated `spec_llc` spec once, still
+//! streaming what a cold local run streams. The counters count entry
+//! lookups: one per LLC profile and length, one per graph. This suite is
+//! its own test binary because the memo and its counters are
+//! process-wide: every test here holds `SERIAL` and reads counter deltas.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -15,7 +17,11 @@ use nvmexplorer_core::service::{CampaignService, ServiceConfig, SessionPhase};
 use nvmexplorer_core::stream::StudyExecutor;
 use nvmexplorer_core::traffic_memo::{self, MemoStats, MAX_ENTRIES};
 use nvmexplorer_core::wire::WireSink;
+use nvmx_workloads::cache::{run_profile, spec2017_profiles, LlcConfig, LlcTraffic};
 use nvmx_workloads::TrafficPattern;
+
+/// Profiles in a `spec_llc` suite, each its own entry per length.
+const PROFILES: u64 = 14;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -47,15 +53,27 @@ fn bits(patterns: &[TrafficPattern]) -> Vec<(String, u64, u64, u64)> {
         .collect()
 }
 
+/// An LLC run's pattern and miss-rate bits.
+fn run_bits(runs: &[LlcTraffic]) -> Vec<((String, u64, u64, u64), u64)> {
+    let patterns: Vec<TrafficPattern> = runs.iter().map(|run| run.traffic.clone()).collect();
+    (bits(&patterns).into_iter())
+        .zip(runs.iter().map(|run| run.miss_rate.to_bits()))
+        .collect()
+}
+
 fn spec_llc(lookups: u64, seed: u64) -> TrafficSpec {
     TrafficSpec::SpecLlc { lookups, seed }
 }
 
 fn facebook(graph: &str) -> TrafficSpec {
+    graph_bfs(graph, 5.0e7, 7)
+}
+
+fn graph_bfs(graph: &str, edges_per_sec: f64, seed: u64) -> TrafficSpec {
     TrafficSpec::GraphBfs {
         graph: graph.to_owned(),
-        edges_per_sec: 5.0e7,
-        seed: 7,
+        edges_per_sec,
+        seed,
     }
 }
 
@@ -73,7 +91,11 @@ fn memoized_patterns_are_bit_identical_to_the_oracle() {
             assert_eq!(bits(&memoized), oracle, "seed {seed}, {lanes} lanes");
         }
         let delta = since(before);
-        assert_eq!((delta.misses, delta.hits), (1, 2), "seed {seed}");
+        assert_eq!(
+            (delta.misses, delta.hits),
+            (PROFILES, 2 * PROFILES),
+            "seed {seed}"
+        );
     }
 
     // Graph names resolve case-insensitively, so both spellings share one
@@ -114,29 +136,132 @@ fn errors_are_not_cached() {
 }
 
 #[test]
+fn graph_bfs_at_any_edge_rate_costs_one_bfs() {
+    let _serial = serial();
+    // A seed unused elsewhere in this suite, so the first resolve misses.
+    let specs = [
+        graph_bfs("facebook", 5.0e7, 11),
+        graph_bfs("Facebook", 2.5e8, 11),
+        graph_bfs("facebook", 1.0e9, 11),
+    ];
+    let before = traffic_memo::stats();
+    for spec in &specs {
+        assert_eq!(
+            bits(&traffic_memo::resolve(spec, 2).unwrap()),
+            bits(&spec.resolve().unwrap())
+        );
+    }
+    let delta = since(before);
+    assert_eq!((delta.misses, delta.hits), (1, 2));
+    assert_eq!(delta.entries, before.entries + 1);
+
+    // The counts themselves come from the same entry.
+    let before = traffic_memo::stats();
+    let counts = traffic_memo::bfs_counts("FACEBOOK", 11).unwrap();
+    assert_eq!(since(before).hits, 1);
+    assert_eq!(
+        bits(&[counts.traffic("BFS", 2.5e8)]),
+        bits(&specs[1].resolve().unwrap())
+    );
+}
+
+#[test]
+fn one_checkpointed_request_fills_every_length() {
+    let _serial = serial();
+    let seed = 2_024;
+    let profiles = spec2017_profiles();
+    let separate = |length: u64| -> Vec<LlcTraffic> {
+        (profiles.iter())
+            .map(|profile| run_profile(LlcConfig::default(), profile, length, seed))
+            .collect()
+    };
+
+    // One request for two lengths: each profile runs once and fills both.
+    let before = traffic_memo::stats();
+    let runs: Vec<Vec<LlcTraffic>> = (profiles.iter())
+        .map(|profile| traffic_memo::llc_profile(profile, &[5_000, 12_000], seed))
+        .collect();
+    let delta = since(before);
+    assert_eq!((delta.misses, delta.hits), (2 * PROFILES, 0));
+    assert_eq!(delta.entries, before.entries + 2 * PROFILES as usize);
+    for (at, length) in [5_000, 12_000].into_iter().enumerate() {
+        let snapshots: Vec<LlcTraffic> = runs.iter().map(|run| run[at].clone()).collect();
+        assert_eq!(
+            run_bits(&snapshots),
+            run_bits(&separate(length)),
+            "{length}"
+        );
+    }
+
+    // Either length alone now hits, as a `spec_llc` spec or as runs.
+    for length in [5_000, 12_000] {
+        let before = traffic_memo::stats();
+        let patterns = traffic_memo::resolve(&spec_llc(length, seed), 2).unwrap();
+        let delta = since(before);
+        assert_eq!((delta.misses, delta.hits), (0, PROFILES), "{length}");
+        assert_eq!(
+            bits(&patterns),
+            bits(&spec_llc(length, seed).resolve().unwrap())
+        );
+    }
+
+    // A request that misses one of its lengths runs the profile once more
+    // and fills the missing one; the held one is still counted a hit.
+    let before = traffic_memo::stats();
+    let both = traffic_memo::llc_profile(&profiles[0], &[12_000, 20_000], seed);
+    let delta = since(before);
+    assert_eq!((delta.misses, delta.hits), (1, 1));
+    assert_eq!(
+        run_bits(&both),
+        run_bits(&[
+            run_profile(LlcConfig::default(), &profiles[0], 12_000, seed),
+            run_profile(LlcConfig::default(), &profiles[0], 20_000, seed),
+        ])
+    );
+}
+
+#[test]
 fn the_bound_evicts_the_oldest_entry() {
     let _serial = serial();
     // One lookup per profile keeps each miss cheap; the seeds are unused
-    // elsewhere in this suite.
-    let specs: Vec<TrafficSpec> = (0..=MAX_ENTRIES as u64)
-        .map(|k| spec_llc(1, 9_000 + k))
-        .collect();
+    // elsewhere in this suite. Together the suites overfill the memo by
+    // fewer entries than one suite holds, so every older entry and the
+    // first `evicted` profiles of the first suite go.
+    let suites = MAX_ENTRIES as u64 / PROFILES + 1;
+    let evicted = suites * PROFILES - MAX_ENTRIES as u64;
+    assert!((1..PROFILES).contains(&evicted));
+    let specs: Vec<TrafficSpec> = (0..suites).map(|k| spec_llc(1, 9_000 + k)).collect();
     let before = traffic_memo::stats();
     for spec in &specs {
         traffic_memo::resolve(spec, 1).unwrap();
     }
     let delta = since(before);
-    assert_eq!(delta.misses, specs.len() as u64);
+    assert_eq!(delta.misses, suites * PROFILES);
     assert_eq!(delta.entries, MAX_ENTRIES);
 
-    // The newest is still held; the oldest was evicted and simulates again.
+    // The newest suite is still held, and so are the last profiles of the
+    // oldest one.
     let before = traffic_memo::stats();
     traffic_memo::resolve(specs.last().unwrap(), 1).unwrap();
-    assert_eq!(since(before).hits, 1);
+    let delta = since(before);
+    assert_eq!((delta.misses, delta.hits), (0, PROFILES));
+    let profiles = spec2017_profiles();
     let before = traffic_memo::stats();
-    let again = traffic_memo::resolve(&specs[0], 1).unwrap();
-    assert_eq!(since(before).misses, 1);
-    assert_eq!(bits(&again), bits(&specs[0].resolve().unwrap()));
+    for profile in &profiles[evicted as usize..] {
+        traffic_memo::llc_profile(profile, &[1], 9_000);
+    }
+    let delta = since(before);
+    assert_eq!((delta.misses, delta.hits), (0, PROFILES - evicted));
+
+    // Its first profile was evicted and simulates again.
+    let before = traffic_memo::stats();
+    let again = traffic_memo::llc_profile(&profiles[0], &[1], 9_000);
+    let delta = since(before);
+    assert_eq!((delta.misses, delta.hits), (1, 0));
+    assert_eq!(
+        run_bits(&again),
+        run_bits(&[run_profile(LlcConfig::default(), &profiles[0], 1, 9_000)])
+    );
 }
 
 /// One LLC study; only `array` differs between the two configs.
@@ -193,7 +318,7 @@ fn a_warm_service_simulates_a_repeated_spec_once() {
     let delta = since(before);
     assert_eq!(
         (delta.misses, delta.hits),
-        (1, 0),
+        (PROFILES, 0),
         "the first session simulates"
     );
 
@@ -202,7 +327,7 @@ fn a_warm_service_simulates_a_repeated_spec_once() {
     let delta = since(before);
     assert_eq!(
         (delta.misses, delta.hits),
-        (0, 1),
+        (0, PROFILES),
         "the second session hits"
     );
     service.join().expect("drains clean");
