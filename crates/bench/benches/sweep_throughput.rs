@@ -32,7 +32,8 @@ fn study() -> StudyConfig {
     }
 }
 
-/// The 3-target default study (`three_target` in `BENCH_sweep.json`).
+/// The 3-target default study (`three_target_study` in the
+/// `nvmexplorer_core` `engine_gates` test).
 fn multi_target_study() -> StudyConfig {
     let mut config = study();
     config.array.targets = vec![
@@ -87,7 +88,7 @@ fn bench_multi_target(c: &mut Criterion) {
 fn bench_characterize_targets(c: &mut Criterion) {
     let cell = tentpole::tentpole_cell(TechnologyClass::Stt, CellFlavor::Optimistic).unwrap();
     let config = ArrayConfig::new(Capacity::from_mebibytes(2));
-    let mut group = c.benchmark_group("characterize_all_targets");
+    let mut group = c.benchmark_group("characterize_targets");
     group.bench_function("shared_pass", |b| {
         b.iter(|| {
             characterize_targets(

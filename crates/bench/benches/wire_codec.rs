@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use std::io::BufReader;
 use std::sync::OnceLock;
 
-/// The `large_campaign` study of `bench_sweep`: six capacities, both
+/// The `large_campaign_study` of the `engine_gates` test: six capacities, both
 /// programming depths, three targets, an 8×8 traffic grid — 31k
 /// evaluations.
 fn large_campaign_study() -> StudyConfig {

@@ -687,11 +687,6 @@ impl CampaignService {
         }
     }
 
-    /// Cumulative shared-cache counters since the service started.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
-    }
-
     /// Begins draining: no further submissions are admitted; queued and
     /// running sessions complete normally. Idempotent.
     pub fn shutdown(&self) {

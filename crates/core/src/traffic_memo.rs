@@ -54,6 +54,9 @@ pub struct MemoStats {
     pub hits: u64,
     /// Entry lookups that found nothing and simulated (failures included).
     pub misses: u64,
+    /// Simulations run: one per checkpointed LLC run, however many lengths
+    /// it fills, and one per BFS.
+    pub simulations: u64,
     /// Entries held now, at most [`MAX_ENTRIES`].
     pub entries: usize,
 }
@@ -83,6 +86,7 @@ struct Memo {
     entries: VecDeque<(Key, Value)>,
     hits: u64,
     misses: u64,
+    simulations: u64,
 }
 
 impl Memo {
@@ -111,6 +115,7 @@ static MEMO: Mutex<Memo> = Mutex::new(Memo {
     entries: VecDeque::new(),
     hits: 0,
     misses: 0,
+    simulations: 0,
 });
 
 /// The memo; nothing panics while it is held, so a poisoned lock still
@@ -147,6 +152,7 @@ pub fn llc_profile(profile: &BenchProfile, lengths: &[u64], seed: u64) -> Vec<Ll
     }
     let runs = run_profile_checkpoints(LlcConfig::default(), profile, lengths, seed);
     let mut memo = memo();
+    memo.simulations += 1;
     for (&lookups, run) in lengths.iter().zip(&runs) {
         memo.insert(key(lookups), Value::Llc(run.clone()));
     }
@@ -168,7 +174,9 @@ pub fn bfs_counts(graph: &str, seed: u64) -> Result<KernelCounts, UnknownNameErr
         return Ok(counts.clone());
     }
     let counts = search_graph(graph, seed)?;
-    memo().insert(key, Value::Bfs(counts.clone()));
+    let mut memo = memo();
+    memo.simulations += 1;
+    memo.insert(key, Value::Bfs(counts.clone()));
     Ok(counts)
 }
 
@@ -202,12 +210,13 @@ pub fn resolve(spec: &TrafficSpec, lanes: usize) -> Result<Vec<TrafficPattern>, 
     }
 }
 
-/// The memo's hit and miss counts and its current size.
+/// The memo's hit, miss and simulation counts and its current size.
 pub fn stats() -> MemoStats {
     let memo = memo();
     MemoStats {
         hits: memo.hits,
         misses: memo.misses,
+        simulations: memo.simulations,
         entries: memo.entries.len(),
     }
 }

@@ -5,10 +5,11 @@
 //! every edge rate; one checkpointed LLC request must fill every length it
 //! asks for; failures must not be cached; the bound must evict; and a warm
 //! `CampaignService` must simulate a repeated `spec_llc` spec once, still
-//! streaming what a cold local run streams. The counters count entry
-//! lookups: one per LLC profile and length, one per graph. This suite is
-//! its own test binary because the memo and its counters are
-//! process-wide: every test here holds `SERIAL` and reads counter deltas.
+//! streaming what a cold local run streams. The hit and miss counters
+//! count entry lookups: one per LLC profile and length, one per graph;
+//! `simulations` counts the runs behind the misses. This suite is its own
+//! test binary because the memo and its counters are process-wide: every
+//! test here holds `SERIAL` and reads counter deltas.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -35,6 +36,7 @@ fn since(before: MemoStats) -> MemoStats {
     MemoStats {
         hits: now.hits - before.hits,
         misses: now.misses - before.misses,
+        simulations: now.simulations - before.simulations,
         entries: now.entries,
     }
 }
@@ -131,7 +133,7 @@ fn errors_are_not_cached() {
         assert!(err.to_string().contains("orkut"), "{err}");
     }
     let delta = since(before);
-    assert_eq!((delta.misses, delta.hits), (2, 0));
+    assert_eq!((delta.misses, delta.hits, delta.simulations), (2, 0, 0));
     assert_eq!(delta.entries, before.entries);
 }
 
@@ -153,6 +155,7 @@ fn graph_bfs_at_any_edge_rate_costs_one_bfs() {
     }
     let delta = since(before);
     assert_eq!((delta.misses, delta.hits), (1, 2));
+    assert_eq!(delta.simulations, 1, "one BFS serves every rate");
     assert_eq!(delta.entries, before.entries + 1);
 
     // The counts themselves come from the same entry.
@@ -183,6 +186,7 @@ fn one_checkpointed_request_fills_every_length() {
         .collect();
     let delta = since(before);
     assert_eq!((delta.misses, delta.hits), (2 * PROFILES, 0));
+    assert_eq!(delta.simulations, PROFILES, "one run per profile");
     assert_eq!(delta.entries, before.entries + 2 * PROFILES as usize);
     for (at, length) in [5_000, 12_000].into_iter().enumerate() {
         let snapshots: Vec<LlcTraffic> = runs.iter().map(|run| run[at].clone()).collect();
@@ -199,6 +203,7 @@ fn one_checkpointed_request_fills_every_length() {
         let patterns = traffic_memo::resolve(&spec_llc(length, seed), 2).unwrap();
         let delta = since(before);
         assert_eq!((delta.misses, delta.hits), (0, PROFILES), "{length}");
+        assert_eq!(delta.simulations, 0, "{length}");
         assert_eq!(
             bits(&patterns),
             bits(&spec_llc(length, seed).resolve().unwrap())
@@ -208,16 +213,20 @@ fn one_checkpointed_request_fills_every_length() {
     // A request that misses one of its lengths runs the profile once more
     // and fills the missing one; the held one is still counted a hit.
     let before = traffic_memo::stats();
-    let both = traffic_memo::llc_profile(&profiles[0], &[12_000, 20_000], seed);
+    let both: Vec<Vec<LlcTraffic>> = (profiles.iter())
+        .map(|profile| traffic_memo::llc_profile(profile, &[12_000, 20_000], seed))
+        .collect();
     let delta = since(before);
-    assert_eq!((delta.misses, delta.hits), (1, 1));
-    assert_eq!(
-        run_bits(&both),
-        run_bits(&[
-            run_profile(LlcConfig::default(), &profiles[0], 12_000, seed),
-            run_profile(LlcConfig::default(), &profiles[0], 20_000, seed),
-        ])
-    );
+    assert_eq!((delta.misses, delta.hits), (PROFILES, PROFILES));
+    assert_eq!(delta.simulations, PROFILES, "one run per profile");
+    for (at, length) in [12_000, 20_000].into_iter().enumerate() {
+        let snapshots: Vec<LlcTraffic> = both.iter().map(|run| run[at].clone()).collect();
+        assert_eq!(
+            run_bits(&snapshots),
+            run_bits(&separate(length)),
+            "{length}"
+        );
+    }
 }
 
 #[test]
@@ -317,8 +326,8 @@ fn a_warm_service_simulates_a_repeated_spec_once() {
     serve_capture(&service, &first);
     let delta = since(before);
     assert_eq!(
-        (delta.misses, delta.hits),
-        (PROFILES, 0),
+        (delta.misses, delta.hits, delta.simulations),
+        (PROFILES, 0, PROFILES),
         "the first session simulates"
     );
 
@@ -326,8 +335,8 @@ fn a_warm_service_simulates_a_repeated_spec_once() {
     let served = serve_capture(&service, &second);
     let delta = since(before);
     assert_eq!(
-        (delta.misses, delta.hits),
-        (0, PROFILES),
+        (delta.misses, delta.hits, delta.simulations),
+        (0, PROFILES, 0),
         "the second session hits"
     );
     service.join().expect("drains clean");
